@@ -97,7 +97,6 @@ _DOUBLINGS = {
 
 # Basis products are signed basis elements, so the multiplication table is
 # stored as table[i][j] = (k, sign) meaning e_i * e_j = sign * e_k.
-_Table = tuple
 
 def _double(table, gamma: int):
     """One doubling step: (a,b)(c,d) = (ac - gamma*conj(d)b, da + b*conj(c))."""
@@ -137,7 +136,7 @@ class Algebra:
 
     kind: AlgebraKind
     dim: int
-    table: _Table
+    table: tuple
     conj_signs: tuple
 
     def __repr__(self) -> str:
@@ -146,16 +145,6 @@ class Algebra:
     def structure_constant(self, i: int, j: int, k: int) -> int:
         kk, s = self.table[i][j]
         return s if kk == k else 0
-
-    @property
-    def strucons(self):
-        """The full dim x dim x dim structure-constant array (nested tuples)."""
-        n = self.dim
-        return tuple(
-            tuple(tuple(self.structure_constant(i, j, k) for k in range(n))
-                  for j in range(n))
-            for i in range(n)
-        )
 
     def amplitude(self, coeffs: Iterable[Scalar]) -> "Amplitude":
         return Amplitude(self, tuple(coeffs))
@@ -242,14 +231,6 @@ def _require_same_algebra(a: Amplitude, b: Amplitude) -> None:
     if a.algebra is not b.algebra and a.algebra != b.algebra:
         raise AlgebraMismatch(
             f"cannot combine {a.algebra.kind.label} with {b.algebra.kind.label}")
-
-
-def add(a: Amplitude, b: Amplitude) -> Amplitude:
-    return a + b
-
-
-def neg(a: Amplitude) -> Amplitude:
-    return -a
 
 
 def mul(a: Amplitude, b: Amplitude) -> Amplitude:
@@ -397,16 +378,12 @@ def _random_exact_amplitude(rng: random.Random, alg: Algebra,
             return a
 
 
-def _basis_mul(alg: Algebra, i: int, j: int):
-    return alg.table[i][j]
-
-
 def _associator_on_basis(alg: Algebra, i: int, j: int, k: int):
     """(e_i e_j) e_k - e_i (e_j e_k), as a signed-monomial pair difference."""
-    k1, s1 = _basis_mul(alg, i, j)
-    kl, sl = _basis_mul(alg, k1, k)
-    k2, s2 = _basis_mul(alg, j, k)
-    kr, sr = _basis_mul(alg, i, k2)
+    k1, s1 = alg.table[i][j]
+    kl, sl = alg.table[k1][k]
+    k2, s2 = alg.table[j][k]
+    kr, sr = alg.table[i][k2]
     out = {}
     out[kl] = out.get(kl, 0) + s1 * sl
     out[kr] = out.get(kr, 0) - s2 * sr

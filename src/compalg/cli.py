@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import dsl, engine, model
 from .algebra import AlgebraKind, make_algebra, verify_axioms
@@ -62,13 +61,6 @@ def _parse_block(text: str) -> frozenset:
     return frozenset(x.strip() for x in inner.split(",") if x.strip())
 
 
-def _prob_json(value):
-    if isinstance(value, float):
-        return value
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else f.numerator
-
-
 def cmd_classify(args) -> int:
     ws = _need_workspace(args)
     p = _lookup(ws.paths, args.path, "path")
@@ -80,50 +72,17 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_normalize(args) -> int:
-    ws = _need_workspace(args)
-    p = _lookup(ws.paths, args.path, "path")
-    nf = model.normal_form(p)
-    _emit(args, model.path_to_json(nf), [repr(nf)])
-    return 0
-
-
-def _binary_op(args, op) -> int:
-    ws = _need_workspace(args)
-    a = _lookup(ws.paths, args.left, "path")
-    b = _lookup(ws.paths, args.right, "path")
-    result = op(a, b)
-    _emit(args, model.path_to_json(result), [repr(result)])
-    return 0
-
-
-def cmd_chain(args) -> int:
-    return _binary_op(args, model.chain)
-
-
-def cmd_coarsen(args) -> int:
-    return _binary_op(args, model.coarsen)
-
-
-def cmd_refine(args) -> int:
-    return _binary_op(args, model.refine)
-
-
-def cmd_reverse(args) -> int:
-    ws = _need_workspace(args)
-    p = _lookup(ws.paths, args.path, "path")
-    result = model.reverse(p)
-    _emit(args, model.path_to_json(result), [repr(result)])
-    return 0
-
-
-def cmd_factorize(args) -> int:
-    ws = _need_workspace(args)
-    p = _lookup(ws.paths, args.path, "path")
-    factors = model.factorize(p)
-    _emit(args, [model.path_to_json(f) for f in factors],
-          [repr(f) for f in factors])
-    return 0
+def _path_command(op, operands):
+    """A handler applying op to the named workspace paths and printing its result."""
+    def run(args) -> int:
+        ws = _need_workspace(args)
+        result = op(*(_lookup(ws.paths, getattr(args, name), "path") for name in operands))
+        if isinstance(result, list):
+            _emit(args, [model.path_to_json(p) for p in result], [repr(p) for p in result])
+        else:
+            _emit(args, model.path_to_json(result), [repr(result)])
+        return 0
+    return run
 
 
 def cmd_enumerate(args) -> int:
@@ -165,7 +124,7 @@ def cmd_sum_rule(args) -> int:
     s = _lookup(ws.sequences, args.sequence, "sequence")
     asg = _lookup(ws.assignments, args.assignment, "assignment")
     total = engine.total_probability(s, _parse_block(args.source), asg)
-    _emit(args, {"total_probability": _prob_json(total)}, [f"total: {total}"])
+    _emit(args, {"total_probability": engine.coeff_json(total)}, [f"total: {total}"])
     return 0
 
 
@@ -194,7 +153,7 @@ def cmd_sample(args) -> int:
         writer.writerow([
             json.dumps(model.path_to_json(p), sort_keys=True, separators=(",", ":")),
             table[p],
-            _prob_json(prob),
+            engine.coeff_json(prob),
         ])
     return 0
 
@@ -214,17 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", cmd_classify, help="print path classification flags")
     p.add_argument("path")
-    p = add("normalize", cmd_normalize, help="print the nonredundant form")
-    p.add_argument("path")
-    for name, fn in (("chain", cmd_chain), ("coarsen", cmd_coarsen),
-                     ("refine", cmd_refine)):
-        p = add(name, fn, help=f"{name} two paths")
-        p.add_argument("left")
-        p.add_argument("right")
-    p = add("reverse", cmd_reverse, help="reverse a path")
-    p.add_argument("path")
-    p = add("factorize", cmd_factorize, help="split at interior atomic steps")
-    p.add_argument("path")
+    for name, op, operands, help_text in (
+            ("normalize", model.normal_form, ("path",), "print the nonredundant form"),
+            ("chain", model.chain, ("left", "right"), "chain two paths"),
+            ("coarsen", model.coarsen, ("left", "right"), "coarsen two paths"),
+            ("refine", model.refine, ("left", "right"), "refine two paths"),
+            ("reverse", model.reverse, ("path",), "reverse a path"),
+            ("factorize", model.factorize, ("path",), "split at interior atomic steps")):
+        p = add(name, _path_command(op, operands), help=help_text)
+        for operand in operands:
+            p.add_argument(operand)
     p = add("enumerate", cmd_enumerate, help="enumerate partitions or paths")
     p.add_argument("what", choices=["partitions", "paths"])
     p.add_argument("name")

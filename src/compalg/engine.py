@@ -42,10 +42,7 @@ DISTRIBUTION_TOL = 1e-6
 #: results do not depend on how chunks are spread over workers.
 SAMPLE_CHUNK = 1 << 16
 
-GroundKey = frozenset
-
-
-def _ground_key(g) -> GroundKey:
+def _ground_key(g) -> frozenset:
     if isinstance(g, GroundSet):
         return g.element_set()
     if isinstance(g, Measurement):
@@ -66,7 +63,7 @@ class Assignment:
             raise NonAssociativeAlgebra(
                 f"assignments require an associative algebra, got {algebra.kind.label}")
         self.algebra = algebra
-        clean: Dict[Tuple[GroundKey, GroundKey], Dict[Tuple[str, str], Amplitude]] = {}
+        clean: Dict[Tuple[frozenset, frozenset], Dict[Tuple[str, str], Amplitude]] = {}
         for (g_from, g_to), entries in matrices.items():
             key = (_ground_key(g_from), _ground_key(g_to))
             if key[0] == key[1]:
@@ -146,12 +143,13 @@ class ProbabilityResult:
 
     def to_json(self) -> dict:
         return {
-            "amplitude": [_coeff_json(c) for c in self.amplitude.coeffs],
-            "probability": _coeff_json(self.probability),
+            "amplitude": [coeff_json(c) for c in self.amplitude.coeffs],
+            "probability": coeff_json(self.probability),
         }
 
 
-def _coeff_json(value):
+def coeff_json(value):
+    """A coefficient in canonical JSON: floats as is, rationals as int or "p/q"."""
     if isinstance(value, float):
         return value
     if isinstance(value, Fraction) and value.denominator != 1:
@@ -161,7 +159,7 @@ def _coeff_json(value):
 
 # -- evaluation ----------------------------------------------------------------
 
-def _thread_supports(p: Path) -> Optional[List[Tuple[GroundKey, frozenset]]]:
+def _thread_supports(p: Path) -> Optional[List[Tuple[frozenset, frozenset]]]:
     """Per-run (ground, surviving elements); None when some run dies out."""
     out = []
     for lo, hi in model.runs(p):
@@ -285,10 +283,6 @@ class ValidationReport:
         return {"ok": self.ok, "checks": [e.to_json() for e in self.entries]}
 
 
-def _sorted_elements(key: GroundKey) -> list:
-    return sorted(key)
-
-
 def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationReport:
     """Check the assignment invariants along a sequence, report per check.
 
@@ -338,16 +332,16 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
                 "adjoint_consistency", loc, adjoint_ok,
                 "" if adjoint_ok else "reverse matrix is not the conjugate transpose"))
 
-        for x in _sorted_elements(a):
+        for x in sorted(a):
             row_sum = sum(
                 quadratic_form(asg.entry(m_from, m_to, x, y))
-                for y in _sorted_elements(b))
+                for y in sorted(b))
             ok = close_to_one(row_sum)
             entries.append(ValidationEntry(
                 "row_normalization", f"{loc} source {x}", ok,
                 "" if ok else f"sum of Q over targets is {row_sum}"))
 
-        for x in _sorted_elements(a):
+        for x in sorted(a):
             total = 0
             for block in model.sorted_blocks(m_to.blocks):
                 block_amp = asg.algebra.zero()

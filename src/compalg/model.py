@@ -337,6 +337,8 @@ def _coarsen_direct(a: Path, b: Path) -> Path:
     for k in range(len(a)):
         if k != j and not equal_measurements(a.steps[k], b.steps[k]):
             raise CoarsenMismatch("operands are over different measurement sequences")
+    if not weakly_equivalent(a.steps[j], b.steps[j]):
+        raise CoarsenMismatch("results to merge lie over different ground sets")
     ra, rb = a.results[j], b.results[j]
     if ra & rb:
         raise CoarsenMismatch("results to merge are not disjoint")
@@ -373,30 +375,38 @@ def _dedup_fixpoint(p: Path) -> Path:
     return p
 
 
-def _padded_variants(p: Path, target_len: int):
-    """All paths obtained from p by duplicating steps to reach target_len."""
-    extra = target_len - len(p)
-    if extra < 0:
-        return
-    if extra == 0:
-        yield p
-        return
-    for positions in itertools.combinations_with_replacement(range(len(p)), extra):
-        steps = list(p.steps)
-        results = list(p.results)
-        for j in sorted(positions, reverse=True):
-            steps.insert(j, steps[j])
-            results.insert(j, results[j])
-        yield Path(sequence(steps), tuple(results))
+def _same_step(a: Path, i: int, b: Path, k: int) -> bool:
+    return a.results[i] == b.results[k] and equal_measurements(a.steps[i], b.steps[k])
+
+
+def _padded(p: Path, positions: tuple) -> Path:
+    """p with step j duplicated once for each occurrence of j in positions."""
+    steps = list(p.steps)
+    results = list(p.results)
+    for j in sorted(positions, reverse=True):
+        steps.insert(j, steps[j])
+        results.insert(j, results[j])
+    return Path(sequence(steps), tuple(results))
+
+
+def _paddings(r: Path, p: int, q: int) -> tuple:
+    """Paddings of r to length p+q+1 that leave a lone step between r[:p] and r[-q:]."""
+    return {0: ((),), 1: ((p - 1,), (p,)), 2: ((p - 1, p - 1),)}.get(p + q + 1 - len(r), ())
 
 
 def coarsen(a: Path, b: Path) -> Path:
     """Merge the two disjoint results at the single step where a, b differ.
 
-    If the operands do not align directly, the operation is retried on
-    redundancy representatives: both are normalized (duplicate removal;
-    full normal form for possible operands) and re-padded with duplicated
-    steps up to a bounded extra length, and the first aligned pair wins.
+    If the operands do not align directly, they are replaced by redundancy
+    representatives ra, rb (the normal form of a possible operand, the
+    operand without duplicated steps otherwise) and aligned up to
+    duplicated steps: the padded pair must read P + [x] + Q against
+    P + [y] + Q, where P (length p >= 1) is a common prefix and Q (length
+    q >= 1) a common suffix of ra and rb.  Each side reaches length p+q+1
+    with no padding, one duplicate of step p-1 or p, or two of step p-1.
+    Among the aligning pairs the shortest wins, then the smallest duplicate
+    positions of ra, then of rb.  That is O(L) candidates of O(L) work
+    each, O(L^2) in all for operands of length L.
     """
     try:
         return _coarsen_direct(a, b)
@@ -404,15 +414,24 @@ def coarsen(a: Path, b: Path) -> Path:
         pass
     ra = normal_form(a) if is_possible(a) else _dedup_fixpoint(a)
     rb = normal_form(b) if is_possible(b) else _dedup_fixpoint(b)
-    lo = max(len(ra), len(rb))
-    hi = lo + max(len(a), len(b))
-    for target in range(lo, hi + 1):
-        for pa in _padded_variants(ra, target):
-            for pb in _padded_variants(rb, target):
-                try:
-                    return _coarsen_direct(pa, pb)
-                except CoarsenMismatch:
-                    continue
+    shorter = min(len(ra), len(rb))
+    prefix = 0
+    while prefix < shorter and _same_step(ra, prefix, rb, prefix):
+        prefix += 1
+    suffix = 0
+    while suffix < shorter and _same_step(ra, len(ra) - 1 - suffix, rb, len(rb) - 1 - suffix):
+        suffix += 1
+    for target in range(max(len(ra), len(rb)), shorter + 3):  # at most two duplicates a side
+        pairs = set()
+        for p in range(1, prefix + 1):
+            q = target - 1 - p
+            if 1 <= q <= suffix:
+                pairs.update(itertools.product(_paddings(ra, p, q), _paddings(rb, p, q)))
+        for pad_a, pad_b in sorted(pairs):
+            try:
+                return _coarsen_direct(_padded(ra, pad_a), _padded(rb, pad_b))
+            except CoarsenMismatch:
+                continue
     raise CoarsenMismatch("no redundancy representatives align for coarsening")
 
 

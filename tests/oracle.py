@@ -8,16 +8,25 @@ such a detector back into the result (coarsening with an impossible
 operand).  The class minimum is taken by (length, total result size) and
 compared at the level of result sequences and step grounds, since class
 members may differ in how the discarded elements are blocked.
+
+``coarsen_by_search`` is the exhaustive reference for ``model.coarsen``:
+it tries every duplicated-step padding of both redundancy representatives
+at every target length and returns the first pair that aligns.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from compalg.errors import CoarsenMismatch
 from compalg.model import (
     Measurement,
     Path,
+    _coarsen_direct,
+    _dedup_fixpoint,
     equal_measurements,
+    is_possible,
+    normal_form,
     path_key,
     runs,
     sequence,
@@ -167,3 +176,44 @@ def _rebuild_terminal(p: Path, key, memo):
         else:
             raise AssertionError("terminal unreachable")
     return q
+
+
+def padded_variants(p: Path, target_len: int):
+    """All paths obtained from p by duplicating steps to reach target_len."""
+    extra = target_len - len(p)
+    if extra < 0:
+        return
+    if extra == 0:
+        yield p
+        return
+    for positions in itertools.combinations_with_replacement(range(len(p)), extra):
+        steps = list(p.steps)
+        results = list(p.results)
+        for j in sorted(positions, reverse=True):
+            steps.insert(j, steps[j])
+            results.insert(j, results[j])
+        yield Path(sequence(steps), tuple(results))
+
+
+def coarsen_by_search(a: Path, b: Path) -> Path:
+    """Coarsening by exhaustive search over padded redundancy representatives.
+
+    Exponential in the path length; kept only as the reference that the
+    direct alignment in ``model.coarsen`` must reproduce exactly.
+    """
+    try:
+        return _coarsen_direct(a, b)
+    except CoarsenMismatch:
+        pass
+    ra = normal_form(a) if is_possible(a) else _dedup_fixpoint(a)
+    rb = normal_form(b) if is_possible(b) else _dedup_fixpoint(b)
+    lo = max(len(ra), len(rb))
+    hi = lo + max(len(a), len(b))
+    for target in range(lo, hi + 1):
+        for pa in padded_variants(ra, target):
+            for pb in padded_variants(rb, target):
+                try:
+                    return _coarsen_direct(pa, pb)
+                except CoarsenMismatch:
+                    continue
+    raise CoarsenMismatch("no redundancy representatives align for coarsening")

@@ -4,6 +4,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from compalg.cli import main
+
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
 GOLDEN = os.path.join(HERE, "golden")
@@ -109,3 +113,88 @@ def test_distribution_failure_exit_code(tmp_path):
 def test_prob_output_shape():
     proc = run_cli("-w", FIG, "prob", "hop", "--assignment", "amp")
     assert proc.stdout == '{"amplitude":["3/5",0],"probability":"9/25"}\n'
+
+
+# -- byte-exact path operations -------------------------------------------------
+
+PATH_OPS_DSL = """\
+elements G3 = {m, m1, m2}
+measurement aM over G3 = {{m}, {m1}, {m2}}
+measurement bM over G3 = {{m, m1}, {m2}}
+measurement gM over G3 = {{m}, {m1, m2}}
+elements N = {n1, n2}
+measurement aN over N = {{n1}, {n2}}
+elements OO = {o1, o2}
+measurement aO over OO = {{o1}, {o2}}
+sequence nm = [aN, aM]
+sequence mo = [aM, aO]
+sequence nmn = [aN, aM, aN]
+sequence nbn = [aN, bM, aN]
+sequence nmmn = [aN, aM, aM, aN]
+sequence rep = [aM, bM, bM, gM, aM]
+sequence loop = [aN, aM, aO, aM, aN]
+path left over nm = [{n1}, {m}]
+path right over mo = [{m}, {o1}]
+path fine over nmn = [{n1}, {m}, {n1}]
+path other over nmn = [{n1}, {m1}, {n1}]
+path coarse over nbn = [{n1}, {m, m1}, {n1}]
+path doubled over nmmn = [{n1}, {m}, {m}, {n1}]
+path wobble over rep = [{m1}, {m, m1}, {m, m1}, {m1, m2}, {m1}]
+path cyc over loop = [{n1}, {m1}, {o1}, {m2}, {n1}]
+"""
+
+_N = '{"blocks":[["n1"],["n2"]],"ground":["n1","n2"]}'
+_M = '{"blocks":[["m"],["m1"],["m2"]],"ground":["m","m1","m2"]}'
+_B = '{"blocks":[["m","m1"],["m2"]],"ground":["m","m1","m2"]}'
+_O = '{"blocks":[["o1"],["o2"]],"ground":["o1","o2"]}'
+_MERGED = '{"results":[["n1"],["m","m1"],["n1"]],"steps":[' + _N + ',' + _B + ',' + _N + ']}\n'
+
+PATH_OPS = [
+    (["chain", "left", "right"],
+     '{"results":[["n1"],["m"],["o1"]],"steps":[' + _N + ',' + _M + ',' + _O + ']}\n',
+     "Path([{n1},{m},{o1}])\n"),
+    (["coarsen", "fine", "other"], _MERGED, "Path([{n1},{m,m1},{n1}])\n"),
+    (["coarsen", "doubled", "other"], _MERGED, "Path([{n1},{m,m1},{n1}])\n"),
+    (["refine", "coarse", "other"],
+     '{"results":[["n1"],["m"],["n1"]],"steps":[' + _N + ',' + _M + ',' + _N + ']}\n',
+     "Path([{n1},{m},{n1}])\n"),
+    (["normalize", "wobble"],
+     '{"results":[["m1"],["m1"]],"steps":[' + _M + ',' + _M + ']}\n',
+     "Path([{m1},{m1}])\n"),
+    (["reverse", "cyc"],
+     '{"results":[["n1"],["m2"],["o1"],["m1"],["n1"]],"steps":['
+     + ",".join([_N, _M, _O, _M, _N]) + ']}\n',
+     "Path([{n1},{m2},{o1},{m1},{n1}])\n"),
+    (["factorize", "cyc"],
+     '[{"results":[["n1"],["m1"]],"steps":[' + _N + ',' + _M + ']},'
+     '{"results":[["m1"],["o1"]],"steps":[' + _M + ',' + _O + ']},'
+     '{"results":[["o1"],["m2"]],"steps":[' + _O + ',' + _M + ']},'
+     '{"results":[["m2"],["n1"]],"steps":[' + _M + ',' + _N + ']}]\n',
+     "Path([{n1},{m1}])\nPath([{m1},{o1}])\nPath([{o1},{m2}])\nPath([{m2},{n1}])\n"),
+]
+
+
+@pytest.mark.parametrize("argv,json_out,text_out", PATH_OPS,
+                         ids=["-".join(op[0]) for op in PATH_OPS])
+def test_path_operation_bytes(tmp_path, capsys, argv, json_out, text_out):
+    doc = tmp_path / "ops.dsl"
+    doc.write_text(PATH_OPS_DSL)
+    for fmt, expected in (("json", json_out), ("text", text_out)):
+        assert main(["-w", str(doc), *argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_coarsen_over_different_grounds_is_an_operation_error(tmp_path):
+    doc = tmp_path / "grounds.dsl"
+    doc.write_text(
+        "elements U1 = {u}\n"
+        "measurement a1 over U1 = {{u}}\n"
+        "elements U2 = {a, b}\n"
+        "measurement c2 over U2 = {{a, b}}\n"
+        "sequence s1 = [a1, a1, a1]\n"
+        "sequence s2 = [a1, c2, a1]\n"
+        "path p over s1 = [{u}, {u}, {u}]\n"
+        "path q over s2 = [{u}, {a, b}, {u}]\n")
+    proc = run_cli("-w", str(doc), "coarsen", "p", "q", expect=2)
+    assert "CoarsenMismatch" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -167,6 +167,31 @@ def test_coarsen_extended_over_redundant_representatives():
     assert c.results[1] == frozenset({"m", "m1"})
 
 
+def test_coarsen_over_different_grounds_rejected():
+    u1 = GroundSet("U1", ("u",))
+    u2 = GroundSet("U2", ("a", "b"))
+    a1 = atomic_measurement(u1, "a1")
+    c2 = fully_coarse_measurement(u2, "c2")
+    p = path([a1, a1, a1], [["u"], ["u"], ["u"]])
+    q = path([a1, c2, a1], [["u"], ["a", "b"], ["u"]])
+    with pytest.raises(CoarsenMismatch):
+        coarsen(p, q)
+    with pytest.raises(CoarsenMismatch):
+        coarsen(q, p)
+
+
+def test_coarsen_skips_alignments_over_different_grounds():
+    # the first padded pair that differs in one step differs over U1 and U3;
+    # a later one merges {y} and {z}
+    u1 = GroundSet("U1", ("u",))
+    u3 = GroundSet("U3", ("x", "y", "z"))
+    a1, a3, c3 = atomic_measurement(u1), atomic_measurement(u3), fully_coarse_measurement(u3)
+    a = path([a1, c3, a3, a3], [["u"], ["x", "y", "z"], ["y"], ["z"]])
+    c = coarsen(a, a)
+    assert [sorted(r) for r in c.results] == \
+        [["u"], ["x", "y", "z"], ["y"], ["y", "z"], ["z"]]
+
+
 def test_refine_examples():
     a, b = bracket(["m"]), bracket(["m1"])
     c = coarsen(a, b)
