@@ -145,17 +145,26 @@ def cmd_sample(args) -> int:
     s = _lookup(ws.sequences, args.sequence, "sequence")
     asg = _lookup(ws.assignments, args.assignment, "assignment")
     source = _parse_block(args.source)
-    table = engine.sample(s, source, asg, args.n, args.seed)
+    rows = engine.sample_rows(s, source, asg, args.n, args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["path", "count", "probability"])
-    for p in sorted(table, key=model.path_key):
-        prob = engine.probability_of(p, asg).probability
+    for p, count, prob in rows:
         writer.writerow([
             json.dumps(model.path_to_json(p), sort_keys=True, separators=(",", ":")),
-            table[p],
+            count,
             engine.coeff_json(prob),
         ])
     return 0
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence")
     p.add_argument("--assignment", required=True)
     p.add_argument("--source", required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("-n", type=_non_negative_int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     return parser
 
 

@@ -12,10 +12,18 @@ A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
 to right.  The probability of a path is the quadratic form of its
 amplitude; impossible paths evaluate to the zero amplitude directly.
+
+Sum rules are computed without listing paths, by a backward recursion
+over pairs of threads that share a detector at every step.  Sampling
+lists every path from the source once, sharing the partial thread sums
+of common prefixes, and is bounded by ``model.DEFAULT_PATH_BOUND``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -23,9 +31,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraKind, Amplitude, make_algebra, mul, quadratic_form
+from .algebra import (
+    SCALAR_RTOL, Algebra, AlgebraKind, Amplitude, make_algebra, mul, quadratic_form,
+)
 from .errors import (
     NonAssociativeAlgebra,
+    NonScalarProduct,
     NotADistribution,
     SequenceMismatch,
 )
@@ -172,12 +183,26 @@ def _thread_supports(p: Path) -> Optional[List[Tuple[frozenset, frozenset]]]:
     return out
 
 
-def _check_coverage(p: Path, asg: Assignment) -> None:
+def _check_coverage(p, asg: Assignment) -> None:
     segments = model.runs(p)
     for (lo1, _), (lo2, _) in zip(segments, segments[1:]):
         if not asg.has_pair(p.steps[lo1], p.steps[lo2]):
             raise SequenceMismatch(
                 f"no matrix between grounds of steps {lo1} and {lo2}")
+
+
+def _advance(partial: Dict[str, Amplitude], asg: Assignment, prev_ground: frozenset,
+             ground: frozenset, alive: frozenset) -> Dict[str, Amplitude]:
+    """Carry the partial thread sums across one run boundary onto the
+    surviving elements of the next run."""
+    # element iteration is sorted so float-mode sums are byte-stable
+    nxt = {}
+    for y in sorted(alive):
+        total = asg.algebra.zero()
+        for x, acc in partial.items():
+            total = total + mul(acc, asg.entry(prev_ground, ground, x, y))
+        nxt[y] = total
+    return nxt
 
 
 def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
@@ -192,23 +217,13 @@ def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
     supports = _thread_supports(p)
     if supports is None:
         return asg.algebra.zero()
-    # element iteration is sorted so float-mode sums are byte-stable
     ground0, alive0 = supports[0]
     partial = {x: asg.algebra.unit() for x in sorted(alive0)}
     prev_ground = ground0
     for ground, alive in supports[1:]:
-        nxt = {}
-        for y in sorted(alive):
-            total = asg.algebra.zero()
-            for x, acc in partial.items():
-                total = total + mul(acc, asg.entry(prev_ground, ground, x, y))
-            nxt[y] = total
-        partial = nxt
+        partial = _advance(partial, asg, prev_ground, ground, alive)
         prev_ground = ground
-    total = asg.algebra.zero()
-    for acc in partial.values():
-        total = total + acc
-    return total
+    return sum(partial.values(), asg.algebra.zero())
 
 
 def probability_of(p: Path, asg: Assignment) -> ProbabilityResult:
@@ -356,35 +371,195 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     return ValidationReport(tuple(entries))
 
 
+def _same_block_classes(steps, elements) -> List[List[str]]:
+    """The elements grouped by the detector holding them at every step.
+
+    Two elements share a class exactly when some path's run over these
+    steps keeps both alive: the same-block mask D of the pair recursion.
+    """
+    classes: Dict[tuple, List[str]] = {}
+    for x in sorted(elements):
+        classes.setdefault(tuple(m.block_containing(x) for m in steps), []).append(x)
+    return list(classes.values())
+
+
+def _pair_transfer(classes, forward, backward, unit, zero, product):
+    """Sum of S_0 over same-class pairs of run 0, by the backward recursion
+
+        S_last(x, x') = unit
+        S_k(x, x')    = sum_y' (sum_y forward_k[x][y] S_k+1(y, y')) backward_k[x'][y']
+
+    with S_k(x, x') defined only for x, x' in one class of run k.
+    ``forward_k`` and ``backward_k`` map a run-k element to a dict over the
+    run-(k+1) elements; ``product`` is the (associative) multiplication.
+    """
+    pairs = {(x, x2): unit for cls in classes[-1] for x in cls for x2 in cls}
+    for k in range(len(classes) - 2, -1, -1):
+        left = {}
+        for x, row in forward[k].items():
+            for cls in classes[k + 1]:
+                for y2 in cls:
+                    acc = zero
+                    for y in cls:
+                        acc = acc + product(row[y], pairs[y, y2])
+                    left[x, y2] = acc
+        pairs = {}
+        for cls in classes[k]:
+            for x in cls:
+                for x2 in cls:
+                    acc = zero
+                    for y2, adjoint in backward[k][x2].items():
+                        acc = acc + product(left[x, y2], adjoint)
+                    pairs[x, x2] = acc
+    return sum(pairs.values(), zero)
+
+
+def _norm(a: Amplitude) -> float:
+    return math.sqrt(sum(float(c) * float(c) for c in a.coeffs))
+
+
+def _check_source(s: MeasurementSequence, source: frozenset) -> None:
+    if source not in s.steps[0].blocks:
+        raise NotADistribution("no paths start at the given source result")
+
+
 def total_probability(s: MeasurementSequence, source: frozenset,
                       asg: Assignment) -> object:
-    """Sum of path probabilities over all paths starting from the source result."""
+    """Sum of path probabilities over all paths starting from the source result.
+
+    Sum_paths Q(Sum_threads a_t) = e0 of Sum a_t conj(a_t') over the thread
+    pairs (t, t') that share a detector at every step, since such a pair
+    lies on exactly one path and any other pair on none.  With associativity
+    the pair sum nests into a backward recursion over the weak-equivalence
+    runs k, with E_k the matrix from run k to run k+1:
+
+        S_last(x, x') = D_last(x, x')
+        S_k(x, x')    = D_k(x, x') Sum_y' (Sum_y E_k(x, y) S_k+1(y, y')) conj(E_k(x', y'))
+
+    where D_k(x, x') holds when x and x' lie in one block at every step of
+    run k, and run 0 is restricted to the source.  The total is the e0
+    coefficient of Sum S_0.  This costs O(L n^3) algebra products for L
+    runs over grounds of at most n elements, and needs no path bound.
+
+    The summed imaginary tail must vanish, exactly in exact mode; in float
+    mode within SCALAR_RTOL times the same recursion over entry norms,
+    which bounds the magnitude of every term summed.  Otherwise
+    NonScalarProduct is raised, as quadratic_form does for one amplitude.
+    """
     source = frozenset(source)
-    total = 0
-    for p in model.enumerate_paths(s):
-        if p.results[0] == source:
-            total = total + probability_of(p, asg).probability
-    return total
+    _check_source(s, source)
+    _check_coverage(s, asg)
+    steps = s.steps
+    segments = model.runs(s)
+    classes = [_same_block_classes(steps[lo:hi + 1],
+                                   source if lo == 0 else steps[lo].element_set())
+               for lo, hi in segments]
+    grounds = [steps[lo].element_set() for lo, _ in segments]
+    forward, backward = [], []
+    for k in range(len(segments) - 1):
+        targets = [y for cls in classes[k + 1] for y in cls]
+        rows = {x: {y: asg.entry(grounds[k], grounds[k + 1], x, y) for y in targets}
+                for cls in classes[k] for x in cls}
+        forward.append(rows)
+        backward.append({x: {y: a.conj() for y, a in row.items()} for x, row in rows.items()})
+    algebra = asg.algebra
+    total = _pair_transfer(classes, forward, backward, algebra.unit(), algebra.zero(), mul)
+    tail = total.coeffs[1:]
+    if any(c != 0 for c in tail):
+        if total.is_exact:
+            raise NonScalarProduct(f"summed pair products not scalar: {total!r}")
+        norms = [{x: {y: _norm(a) for y, a in row.items()} for x, row in rows.items()}
+                 for rows in forward]
+        tol = SCALAR_RTOL * _pair_transfer(classes, norms, norms, 1.0, 0.0, operator.mul)
+        if any(abs(float(c)) > tol for c in tail):
+            raise NonScalarProduct(
+                f"summed pair products not scalar within {tol}: {total!r}")
+    return total.coeffs[0]
 
 
 # -- sampling --------------------------------------------------------------------
 
-def sample(s: MeasurementSequence, source: frozenset, asg: Assignment,
-           n: int, seed: int, workers: int = 1) -> Dict[Path, int]:
-    """Draw n paths from the exact path distribution, reproducibly.
+def path_probabilities(s: MeasurementSequence, source: frozenset,
+                       asg: Assignment) -> List[Tuple[Path, object]]:
+    """Every path from the source result with its probability, in
+    ``enumerate_paths`` order (``path_key`` order within the sequence).
 
-    Draws are split into fixed-size chunks, each with a seed derived from
-    (seed, chunk index), so the counts are identical however the chunks
-    are spread over workers.
+    One walk over the result combinations keeps, per step, the surviving
+    elements of the current run and the partial thread sums of the runs
+    before it, and recomputes only the steps after the first changed
+    result.  The partial sums are carried by the same per-run helper as
+    ``amplitude_of``, in the same order, so every probability equals
+    ``probability_of(p, asg).probability`` bit for bit.  Bounded by
+    DEFAULT_PATH_BOUND through ``model.check_path_bound``.
     """
     source = frozenset(source)
-    paths = [p for p in model.enumerate_paths(s) if p.results[0] == source]
-    if not paths:
-        raise NotADistribution("no paths start at the given source result")
-    paths.sort(key=model.path_key)
+    model.check_path_bound(s)
+    _check_source(s, source)
+    _check_coverage(s, asg)
+    algebra = asg.algebra
+    steps = s.steps
+    grounds = [m.element_set() for m in steps]
+    starts, ends, prev_ground = set(), set(), {}
+    for k, (lo, hi) in enumerate(model.runs(s)):
+        starts.add(lo)
+        ends.add(hi)
+        prev_ground[hi] = grounds[lo - 1] if k else None
+    choices = [[source]] + [model.sorted_blocks(m.blocks) for m in steps[1:]]
+    impossible = quadratic_form(algebra.zero())
+    last = len(steps) - 1
+    # states[j]: (alive in the current run, partial sums of finished runs)
+    # after step j, or None once some run has died out
+    states: List[Optional[tuple]] = [None] * len(steps)
+    out = []
+    previous = None
+    for combo in itertools.product(*choices):
+        j = 0
+        if previous is not None:
+            while combo[j] is previous[j]:
+                j += 1
+        for j in range(j, len(steps)):
+            before = states[j - 1] if j else (None, None)
+            if before is None:
+                states[j] = None
+                continue
+            alive, partial = before
+            alive = combo[j] if j in starts else alive & combo[j]
+            if not alive:
+                states[j] = None
+                continue
+            if j in ends:
+                if prev_ground[j] is None:
+                    partial = {x: algebra.unit() for x in sorted(alive)}
+                else:
+                    partial = _advance(partial, asg, prev_ground[j], grounds[j], alive)
+            states[j] = (alive, partial)
+        previous = combo
+        final = states[last]
+        if final is None:
+            out.append((Path(s, combo), impossible))
+        else:
+            amplitude = sum(final[1].values(), algebra.zero())
+            out.append((Path(s, combo), quadratic_form(amplitude)))
+    return out
+
+
+def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
+                n: int, seed: int, workers: int = 1) -> List[Tuple[Path, int, object]]:
+    """Draw n paths from the exact path distribution, reproducibly.
+
+    Returns one (path, count, probability) row per path from the source
+    result, in ``path_key`` order, with the probabilities of
+    ``path_probabilities`` and its path bound.  Draws are split into
+    fixed-size chunks, each with a seed derived from (seed, chunk index),
+    so the counts are identical however the chunks are spread over workers.
+    """
+    if n < 0:
+        raise ValueError(f"number of draws must be non-negative, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    table = path_probabilities(s, source, asg)
     probs = []
-    for p in paths:
-        q = probability_of(p, asg).probability
+    for p, q in table:
         value = float(q)
         if value < -1e-12:
             raise NotADistribution(f"negative probability {q} for {p!r}")
@@ -406,7 +581,7 @@ def sample(s: MeasurementSequence, source: frozenset, asg: Assignment,
 
     def draw(chunk):
         chunk_index, size = chunk
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, chunk_index])
+        rng = np.random.default_rng([seed, chunk_index])
         return rng.multinomial(size, weights)
 
     if workers > 1:
@@ -416,10 +591,16 @@ def sample(s: MeasurementSequence, source: frozenset, asg: Assignment,
     else:
         results = [draw(c) for c in chunks]
 
-    counts = np.zeros(len(paths), dtype=np.int64)
+    counts = np.zeros(len(table), dtype=np.int64)
     for r in results:
         counts += r
-    return {p: int(c) for p, c in zip(paths, counts)}
+    return [(p, int(c), q) for (p, q), c in zip(table, counts)]
+
+
+def sample(s: MeasurementSequence, source: frozenset, asg: Assignment,
+           n: int, seed: int, workers: int = 1) -> Dict[Path, int]:
+    """The counts of ``sample_rows``, keyed by path."""
+    return {p: c for p, c, _ in sample_rows(s, source, asg, n, seed, workers)}
 
 
 def random_row_normalized(kind: AlgebraKind, shape: Tuple[int, int],

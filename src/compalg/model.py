@@ -244,8 +244,9 @@ def path_key(p: Path):
 
 # -- weak-equivalence runs and impossibility ------------------------------------
 
-def runs(p: Path) -> list:
-    """Maximal segments [lo, hi] of consecutive steps over one ground set."""
+def runs(p) -> list:
+    """Maximal segments [lo, hi] of consecutive steps over one ground set,
+    for a path or a measurement sequence."""
     segments = []
     steps = p.steps
     lo = 0
@@ -681,12 +682,17 @@ def enumerate_partitions(ground: GroundSet, max_elements: int = DEFAULT_GROUND_B
     return out
 
 
-def enumerate_paths(s: MeasurementSequence, max_paths: int = DEFAULT_PATH_BOUND) -> list:
-    """All result combinations over the sequence, in block-sorted order."""
+def check_path_bound(s: MeasurementSequence, max_paths: int = DEFAULT_PATH_BOUND) -> None:
+    """Raise TooManyPaths when the sequence has more than max_paths paths."""
     count = 1
     for m in s.steps:
         count *= len(m.blocks)
     if count > max_paths:
         raise TooManyPaths(f"{count} paths exceeds bound {max_paths}")
+
+
+def enumerate_paths(s: MeasurementSequence, max_paths: int = DEFAULT_PATH_BOUND) -> list:
+    """All result combinations over the sequence, in block-sorted order."""
+    check_path_bound(s, max_paths)
     choices = [sorted_blocks(m.blocks) for m in s.steps]
     return [Path(s, combo) for combo in itertools.product(*choices)]

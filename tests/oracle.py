@@ -217,3 +217,23 @@ def coarsen_by_search(a: Path, b: Path) -> Path:
                 except CoarsenMismatch:
                     continue
     raise CoarsenMismatch("no redundancy representatives align for coarsening")
+
+
+def probabilities_by_enumeration(s, source, asg):
+    """(path, Q(amplitude)) for every enumerated path from the source, with
+    amplitudes from the literal thread enumeration in ``conftest``."""
+    from compalg.algebra import quadratic_form
+    from compalg.model import enumerate_paths
+    from conftest import amplitude_by_enumeration
+
+    return [(p, quadratic_form(amplitude_by_enumeration(p, asg)))
+            for p in enumerate_paths(s) if p.results[0] == source]
+
+
+def total_by_enumeration(s, source, asg):
+    """Sum over enumerated paths from the source of Q(amplitude): the
+    reference for ``engine.total_probability``."""
+    total = 0
+    for _, q in probabilities_by_enumeration(s, source, asg):
+        total = total + q
+    return total

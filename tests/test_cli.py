@@ -198,3 +198,65 @@ def test_coarsen_over_different_grounds_is_an_operation_error(tmp_path):
     proc = run_cli("-w", str(doc), "coarsen", "p", "q", expect=2)
     assert "CoarsenMismatch" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# -- sample and sum-rule ------------------------------------------------------------
+
+FLOAT_H_DSL = """\
+elements A = {a1, a2}
+measurement aA over A = {{a1}, {a2}}
+elements B = {b1, b2}
+measurement aB over B = {{b1}, {b2}}
+measurement cB over B = {{b1, b2}}
+sequence zig = [aA, aB, cB, aB, aA, aB]
+assignment amp over zig algebra H from "h.json"
+"""
+
+# a unitary quaternion matrix, diag(q1, q2) . rotation . diag(q3, q4), in floats
+FLOAT_H_MATRICES = """\
+{"steps": [{"from": "aA", "to": "aB", "matrix": [
+  [[-0.39905579532647306, 0.627087678370172, -0.0570079707609247, -0.17102391228277417],
+   [0.14185206610044088, -0.03546301652511023, 0.42555619830132263, 0.4610192148264328]],
+  [[0.1073696145396152, -0.3221088436188456, -0.1073696145396152, -0.536848072698076],
+   [0.6590189563771923, -0.376582260786967, 0.09414556519674175, 5.551115123125783e-17]]]}]}
+"""
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_sample_csv_bytes(tmp_path, capsys, seed):
+    # the goldens were written by the per-path implementation this walk replaced
+    assert main(["-w", FIG, "sample", "two", "--assignment", "amp",
+                 "--source", "{n1}", "-n", "100", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == golden(f"sample_fig_seed{seed}.golden")
+    (tmp_path / "h.dsl").write_text(FLOAT_H_DSL)
+    (tmp_path / "h.json").write_text(FLOAT_H_MATRICES)
+    assert main(["-w", str(tmp_path / "h.dsl"), "sample", "zig", "--assignment", "amp",
+                 "--source", "{a1}", "-n", "1000", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == golden(f"sample_float_h_seed{seed}.golden")
+
+
+def test_sample_seed_is_not_truncated(capsys):
+    outputs = []
+    for seed in ("3", str(3 + (1 << 32))):
+        assert main(["-w", FIG, "sample", "two", "--assignment", "amp",
+                     "--source", "{n1}", "-n", "1000", "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("flag,value", [("-n", "-5"), ("--seed", "-1"), ("-n", "five")])
+def test_sample_rejects_bad_count_or_seed(flag, value):
+    args = {"-n": "10", "--seed": "1", flag: value}
+    proc = run_cli("-w", FIG, "sample", "two", "--assignment", "amp", "--source", "{n1}",
+                   "-n", args["-n"], "--seed", args["--seed"], expect=2)
+    assert "usage:" in proc.stderr and flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("source", ["{zz}", "{zz", "{n1, n2}"])
+def test_sum_rule_source_that_is_no_detector(source):
+    proc = run_cli("-w", FIG, "sum-rule", "two", "--assignment", "amp",
+                   "--source", source, expect=3)
+    assert "no paths start at the given source result" in proc.stderr
+    assert proc.stdout == ""

@@ -1,0 +1,200 @@
+"""Sum rules by the pair-thread transfer, and the prefix-shared sampling
+walk, against path enumeration."""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from compalg import engine
+from compalg.algebra import AlgebraKind, make_algebra, mul
+from compalg.engine import (
+    FLOAT_RTOL,
+    Assignment,
+    assignment_from_rows,
+    path_probabilities,
+    probability_of,
+    sample,
+    total_probability,
+)
+from compalg.errors import NonScalarProduct, NotADistribution, TooManyPaths
+from compalg.model import (
+    GroundSet,
+    atomic_measurement,
+    enumerate_partitions,
+    enumerate_paths,
+    is_possible,
+    measurement,
+    runs,
+    sequence,
+)
+
+from conftest import MIX_GROUNDS, assignment_for
+from oracle import probabilities_by_enumeration, total_by_enumeration
+
+ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,
+               AlgebraKind.H, AlgebraKind.SPLIT_H]
+PARTITIONS = {g: enumerate_partitions(g) for g in MIX_GROUNDS}
+
+
+def random_sequence(rng: random.Random, max_len: int = 7):
+    """Atomic ends, random partitions between; the ground often repeats, so
+    runs span several steps and some paths are impossible."""
+    length = rng.randint(2, max_len)
+    ground = rng.choice(MIX_GROUNDS)
+    steps = []
+    for j in range(length):
+        if j and rng.random() < 0.6:
+            ground = rng.choice(MIX_GROUNDS)
+        choices = PARTITIONS[ground]
+        if j in (0, length - 1):
+            choices = [m for m in choices if m.is_atomic]
+        steps.append(rng.choice(choices))
+    return sequence(steps)
+
+
+def float_copy(asg: Assignment) -> Assignment:
+    """The same matrices with every coefficient rounded to a float."""
+    algebra = asg.algebra
+    matrices = {}
+    for key in asg.pairs():
+        table = asg.stored(*key)
+        matrices[key] = {xy: algebra.amplitude(float(c) for c in a.coeffs)
+                         for xy, a in table.items()}
+    return Assignment(algebra, matrices)
+
+
+def cases(seed: int, per_kind: int):
+    """(assignment, sequence, source) over every associative kind with
+    unnormalized matrices, for every source block."""
+    rng = random.Random(seed)
+    for kind in ASSOCIATIVE:
+        algebra = make_algebra(kind)
+        for _ in range(per_kind):
+            asg = assignment_for(MIX_GROUNDS, algebra, rng, normalized=False)
+            s = random_sequence(rng)
+            for source in sorted(s.steps[0].blocks, key=sorted):
+                yield asg, s, source
+
+
+def test_cases_cover_runs_and_impossible_paths():
+    kinds, sources = set(), set()
+    multi_step_runs = impossible = boundaries = 0
+    for asg, s, source in cases(3, 40):
+        kinds.add(asg.algebra.kind)
+        sources.add((s, source))
+        segments = runs(s)
+        boundaries += len(segments) - 1
+        multi_step_runs += any(hi > lo for lo, hi in segments)
+        impossible += any(not is_possible(p) for p in enumerate_paths(s)
+                          if p.results[0] == source)
+    assert kinds == set(ASSOCIATIVE)
+    assert len(sources) > 250
+    assert boundaries > 400 and multi_step_runs > 250 and impossible > 200
+
+
+def test_total_equals_enumeration_exactly():
+    for asg, s, source in cases(3, 40):
+        total = total_probability(s, source, asg)
+        assert total == total_by_enumeration(s, source, asg), (asg, s, source)
+        assert isinstance(total, (int, Fraction))
+
+
+def test_float_total_within_tolerance():
+    for asg, s, source in cases(4, 20):
+        fasg = float_copy(asg)
+        probs = [q for _, q in probabilities_by_enumeration(s, source, fasg)]
+        scale = max(sum(abs(float(q)) for q in probs), 1.0)
+        total = total_probability(s, source, fasg)
+        assert abs(float(total) - float(sum(probs))) <= FLOAT_RTOL * scale
+
+
+def test_walk_is_bitwise_probability_of():
+    for asg, s, source in cases(5, 20):
+        for a in (asg, float_copy(asg)):
+            walked = path_probabilities(s, source, a)
+            listed = [p for p in enumerate_paths(s) if p.results[0] == source]
+            assert [p for p, _ in walked] == listed
+            for p, q in walked:
+                want = probability_of(p, a).probability
+                assert type(q) is type(want)
+                if isinstance(want, float):
+                    assert q.hex() == want.hex()
+                else:
+                    assert q == want
+
+
+def test_non_scalar_sum_is_rejected(monkeypatch):
+    def skewed(a, b):
+        out = mul(a, b)
+        return out + out.algebra.basis_element(1).scale(out.coeffs[0])
+    asg, s, source = next(
+        (a, s, src) for a, s, src in cases(6, 20)
+        if a.algebra.kind is AlgebraKind.C and len(runs(s)) > 1
+        and total_by_enumeration(s, src, a) != 0)
+    monkeypatch.setattr(engine, "mul", skewed)
+    with pytest.raises(NonScalarProduct):
+        total_probability(s, source, asg)
+    with pytest.raises(NonScalarProduct):
+        total_probability(s, source, float_copy(asg))
+
+
+# -- beyond the path bound ------------------------------------------------------------
+
+A3 = GroundSet("A3", ("a1", "a2", "a3"))
+B3 = GroundSet("B3", ("b1", "b2", "b3"))
+
+
+def exact_unitary_c():
+    """diag(phases) . O . diag(phases) with O = [[1,2,2],[2,1,-2],[2,-2,1]] / 3."""
+    c = make_algebra(AlgebraKind.C)
+    rot = [[1, 2, 2], [2, 1, -2], [2, -2, 1]]
+    left = [c.amplitude([Fraction(3, 5), Fraction(4, 5)]),
+            c.amplitude([Fraction(5, 13), Fraction(-12, 13)]),
+            c.unit()]
+    right = [c.amplitude([Fraction(8, 17), Fraction(15, 17)]),
+             c.unit(),
+             c.amplitude([Fraction(-7, 25), Fraction(24, 25)])]
+    rows = [[mul(mul(left[i], c.scalar(Fraction(rot[i][j], 3))), right[j])
+             for j in range(3)] for i in range(3)]
+    return assignment_from_rows(c, [(A3, B3, rows)])
+
+
+def test_total_beyond_path_bound_is_exact():
+    asg = exact_unitary_c()
+    a, b = atomic_measurement(A3), atomic_measurement(B3)
+    half = measurement("halfB", B3, [["b1", "b2"], ["b3"]])
+    steps = [a] + [b, half, a] * 10
+    steps[-1] = b  # atomic end; 2 * 3^20 paths from each source
+    s = sequence(steps)
+    with pytest.raises(TooManyPaths):
+        enumerate_paths(s)
+    with pytest.raises(TooManyPaths):
+        sample(s, frozenset({"a1"}), asg, 10, seed=0)
+    started = time.perf_counter()
+    total = total_probability(s, frozenset({"a1"}), asg)
+    elapsed = time.perf_counter() - started
+    assert total == 1 and isinstance(total, (int, Fraction))
+    assert elapsed < 2.0
+
+
+# -- sources ---------------------------------------------------------------------------
+
+def test_source_that_is_no_detector_is_rejected():
+    asg, s, _ = next(cases(7, 1))
+    for bad in (frozenset({"zz"}), frozenset(), frozenset(s.steps[0].ground.elements) | {"zz"}):
+        with pytest.raises(NotADistribution, match="no paths start"):
+            total_probability(s, bad, asg)
+        with pytest.raises(NotADistribution, match="no paths start"):
+            sample(s, bad, asg, 10, seed=0)
+
+
+def test_sample_rejects_negative_draws_and_seeds():
+    c = make_algebra(AlgebraKind.C)
+    asg = Assignment(c, {})
+    s = sequence([atomic_measurement(A3), atomic_measurement(A3)])
+    with pytest.raises(ValueError):
+        sample(s, frozenset({"a1"}), asg, -5, seed=0)
+    with pytest.raises(ValueError):
+        sample(s, frozenset({"a1"}), asg, 5, seed=-1)
