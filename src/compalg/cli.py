@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p = add("verify-algebra", cmd_verify_algebra, help="axiom report for an algebra")
     p.add_argument("algebra")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_non_negative_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p = add("sample", cmd_sample, help="draw paths from the exact distribution")
     p.add_argument("sequence")

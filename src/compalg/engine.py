@@ -49,8 +49,8 @@ FLOAT_RTOL = 1e-9
 #: Tolerance on the total probability mass required for sampling.
 DISTRIBUTION_TOL = 1e-6
 
-#: Number of draws handled per derived-seed chunk; fixed so that sampling
-#: results do not depend on how chunks are spread over workers.
+#: Number of draws handled per derived-seed chunk; fixed, because the
+#: counts for a given (seed, n) depend on it.
 SAMPLE_CHUNK = 1 << 16
 
 def _ground_key(g) -> frozenset:
@@ -303,10 +303,11 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
 
     Weakly equivalent consecutive pairs carry the forced identity (always
     satisfied by construction).  For every cross-ground pair the matrix
-    must exist; every row must have quadratic forms summing to one; when
-    both directions are stored they must be mutual conjugate transposes;
-    and for every source element the probabilities of the target
-    measurement's detector results must sum to one.
+    must exist; every row must have quadratic forms summing to one; and
+    when both directions are stored they must be mutual conjugate
+    transposes.  For every source element the probabilities of all paths
+    of the sequence, by ``total_probability``, must sum to one; a missing
+    matrix or a non-scalar sum fails that check with the error as detail.
     """
     entries = []
     exact_mode = all(
@@ -356,17 +357,16 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
                 "row_normalization", f"{loc} source {x}", ok,
                 "" if ok else f"sum of Q over targets is {row_sum}"))
 
-        for x in sorted(a):
-            total = 0
-            for block in model.sorted_blocks(m_to.blocks):
-                block_amp = asg.algebra.zero()
-                for y in sorted(block):
-                    block_amp = block_amp + asg.entry(m_from, m_to, x, y)
-                total = total + quadratic_form(block_amp)
-            ok = close_to_one(total)
-            entries.append(ValidationEntry(
-                "two_measurement_sum_rule", f"{loc} source {x}", ok,
-                "" if ok else f"sum over detector results is {total}"))
+    for x in sorted(s.steps[0].element_set()):
+        try:
+            total = total_probability(s, frozenset({x}), asg)
+        except (SequenceMismatch, NonScalarProduct) as exc:
+            entries.append(ValidationEntry("sum_rule", f"source {x}", False, str(exc)))
+            continue
+        ok = close_to_one(total)
+        entries.append(ValidationEntry(
+            "sum_rule", f"source {x}", ok,
+            "" if ok else f"total probability over paths is {total}"))
 
     return ValidationReport(tuple(entries))
 
@@ -544,14 +544,14 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
 
 
 def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
-                n: int, seed: int, workers: int = 1) -> List[Tuple[Path, int, object]]:
+                n: int, seed: int) -> List[Tuple[Path, int, object]]:
     """Draw n paths from the exact path distribution, reproducibly.
 
     Returns one (path, count, probability) row per path from the source
     result, in ``path_key`` order, with the probabilities of
     ``path_probabilities`` and its path bound.  Draws are split into
-    fixed-size chunks, each with a seed derived from (seed, chunk index),
-    so the counts are identical however the chunks are spread over workers.
+    chunks of SAMPLE_CHUNK, each drawn with the seed [seed, chunk index],
+    so the counts depend on (seed, n) alone.
     """
     if n < 0:
         raise ValueError(f"number of draws must be non-negative, got {n}")
@@ -570,37 +570,17 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     weights = np.asarray(probs, dtype=float)
     weights = weights / weights.sum()
 
-    chunks = []
-    start = 0
-    index = 0
-    while start < n:
-        size = min(SAMPLE_CHUNK, n - start)
-        chunks.append((index, size))
-        start += size
-        index += 1
-
-    def draw(chunk):
-        chunk_index, size = chunk
-        rng = np.random.default_rng([seed, chunk_index])
-        return rng.multinomial(size, weights)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(draw, chunks))
-    else:
-        results = [draw(c) for c in chunks]
-
     counts = np.zeros(len(table), dtype=np.int64)
-    for r in results:
-        counts += r
+    for index, start in enumerate(range(0, n, SAMPLE_CHUNK)):
+        rng = np.random.default_rng([seed, index])
+        counts += rng.multinomial(min(SAMPLE_CHUNK, n - start), weights)
     return [(p, int(c), q) for (p, q), c in zip(table, counts)]
 
 
 def sample(s: MeasurementSequence, source: frozenset, asg: Assignment,
-           n: int, seed: int, workers: int = 1) -> Dict[Path, int]:
+           n: int, seed: int) -> Dict[Path, int]:
     """The counts of ``sample_rows``, keyed by path."""
-    return {p: c for p, c, _ in sample_rows(s, source, asg, n, seed, workers)}
+    return {p: c for p, c, _ in sample_rows(s, source, asg, n, seed)}
 
 
 def random_row_normalized(kind: AlgebraKind, shape: Tuple[int, int],

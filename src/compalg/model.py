@@ -11,9 +11,14 @@ consecutive measurements over the same ground set, an underlying atomic
 element must survive every result.  A path is possible iff every such
 segment has a nonempty intersection of its results; ``find_igps`` reports
 the adjacent index pair at which the surviving element set first dies
-out.  Possible paths reduce to a unique nonredundant normal form by
-removing duplicated steps and splitting away result elements that no
-thread can carry.
+out.  A possible path has a unique nonredundant normal form, the
+representative of its class under removing duplicated steps and
+coarsening or refining with impossible operands.  It is built directly,
+in time linear in the path length: every run of two or more steps
+collapses to one step whose result is the intersection I of the run's
+results and whose detectors are {I} plus the singletons of the rest of
+the ground; a path that is one run keeps both endpoints.  ``normal_form`` gives the rule and why
+it equals the fixpoint of the rewriting rules.
 """
 
 from __future__ import annotations
@@ -503,142 +508,53 @@ def factorize(p: Path) -> list:
 
 # -- normal form -------------------------------------------------------------------
 
-def _run_of(p: Path, j: int) -> tuple:
-    for lo, hi in runs(p):
-        if lo <= j <= hi:
-            return lo, hi
-    raise AssertionError("unreachable")
-
-
-def _surviving_set(p: Path, j: int):
-    """Intersection of all other results in j's run, or None if j is alone."""
-    lo, hi = _run_of(p, j)
-    if lo == hi:
-        return None
-    others = [p.results[k] for k in range(lo, hi + 1) if k != j]
-    alive = others[0]
-    for r in others[1:]:
-        alive &= r
-    return alive
-
-
-def _live_blocks(p: Path, j: int) -> frozenset:
-    """Non-result blocks of step j that carry a surviving thread element.
-
-    Blocks disjoint from the run's surviving set can be re-blocked at will
-    by coarsening and refining with impossible operands, so only these
-    blocks (and the result) constrain what step j can be turned into.
-    """
-    alive = _surviving_set(p, j)
-    return frozenset(b for b in p.steps[j].blocks
-                     if b != p.results[j] and alive & b)
-
-
-def _canonical_step(p: Path, k: int) -> Measurement:
-    """Step k with its re-blockable dead region split into singletons."""
-    old = p.steps[k]
-    if not 1 <= k <= len(p) - 2:
-        return old
-    live = _live_blocks(p, k)
-    kept = live | {p.results[k]}
-    dead = old.element_set() - frozenset().union(*kept)
-    if not dead:
-        return old
-    blocks = kept | frozenset(frozenset({d}) for d in dead)
-    return Measurement(old.id, old.ground, blocks)
-
-
-def _drop_at(p: Path, j: int, k: int) -> Path:
-    """Remove step j, canonicalizing its surviving twin at index k."""
-    survivor = _canonical_step(p, k)
-    steps = list(p.steps)
-    steps[k] = survivor
-    del steps[j]
-    results = p.results[:j] + p.results[j + 1:]
-    return Path(sequence(steps), results)
-
-
-def _drop_candidates(p: Path) -> list:
-    """Pairs (j, k): step j is redundant next to its equal-result neighbor k.
-
-    A step can be dropped when a weakly equivalent neighbor carries the
-    same result and either an identical detector set, or (for interior
-    steps) a detector set into which step j can be re-blocked: every live
-    block of step j must be a detector of the neighbor.
-    """
-    if len(p) <= 2:
-        return []
-    out = []
-    for j in range(len(p)):
-        interior = 1 <= j <= len(p) - 2
-        for k in (j - 1, j + 1):
-            if not 0 <= k < len(p):
-                continue
-            if p.steps[j].element_set() != p.steps[k].element_set():
-                continue
-            if p.results[j] != p.results[k]:
-                continue
-            if equal_measurements(p.steps[j], p.steps[k]) or (
-                    interior and _live_blocks(p, j) <= p.steps[k].blocks):
-                out.append((j, k))
-                break
-    return out
-
-
-def _strip_candidates(p: Path) -> list:
-    out = []
-    for j in range(1, len(p) - 1):
-        alive = _surviving_set(p, j)
-        if alive is None:
-            continue
-        removed = p.results[j] - alive
-        if removed and p.results[j] - removed:
-            out.append(j)
-    return out
-
-
-def _strip_at(p: Path, j: int) -> Path:
-    alive = _surviving_set(p, j)
-    removed = p.results[j] - alive
-    keep = p.results[j] - removed
-    old = p.steps[j]
-    blocks = (old.blocks - {p.results[j]}) | {keep, removed}
-    m = Measurement(old.id, old.ground, blocks)
-    steps = p.steps[:j] + (m,) + p.steps[j + 1:]
-    return Path(sequence(steps), p.results[:j] + (keep,) + p.results[j + 1:])
-
-
-def reduction_steps(p: Path):
-    """All single reduction moves from p: redundant-step drops and element strips."""
-    for j, k in _drop_candidates(p):
-        yield ("drop", j, _drop_at(p, j, k))
-    for j in _strip_candidates(p):
-        yield ("strip", j, _strip_at(p, j))
-
-
 def normal_form(p: Path) -> Path:
-    """The nonredundant representative of a possible path.
+    """The nonredundant representative of a possible path, built run by run.
 
-    Repeatedly strips from each interior result the elements that no
-    surviving thread through its weak-equivalence run can carry (the
-    result block splits in two), and drops steps that are redundant next
-    to a weakly equivalent neighbor with the same result and a compatible
-    detector structure, until no rule applies.  The reduction order does
-    not affect the outcome.
+    Let I be the intersection of the results of a weak-equivalence run.
+    A single-step run is kept as it is.  A longer run becomes one step
+    over its ground with result I and detectors {I} plus the singletons
+    of ground - I.  For a run holding step 0 or step L-1, I is the one
+    element of that atomic endpoint's result, so the step is the atomic
+    endpoint step.  A path that is one run becomes its two endpoint
+    steps, both with result I.
+
+    This is the fixpoint of the rewriting rules (kept in the tests as
+    ``normal_form_by_rewriting``): strip from an interior result the
+    elements no surviving thread through its run can carry, and drop a
+    step next to a weakly equivalent neighbour with the same result and a
+    compatible detector structure.  It equals their fixpoint because:
+
+    - neither a drop nor a strip removes a run or merges two runs;
+    - both moves keep each run's intersection I;
+    - a strip sets an interior result to I;
+    - once every result in a run is I, no non-result block of an
+      interior step meets the surviving set, so every interior step can
+      be dropped next to its neighbour;
+    - the last drop rewrites the survivor's detectors to {I} plus the
+      singletons of ground - I.
+
+    A collapsed run carries the label of its last step.  Linear in the
+    path length.
     """
     if find_igps(p):
         raise ImpossiblePathHasNoNormalForm(repr(p))
-    while True:
-        drops = _drop_candidates(p)
-        if drops:
-            j, k = drops[0]
-            p = _drop_at(p, j, k)
-            continue
-        strips = _strip_candidates(p)
-        if strips:
-            p = _strip_at(p, strips[0])
-            continue
-        return p
+    segments = runs(p)
+    steps, results = [], []
+    for lo, hi in segments:
+        alive = p.results[lo]
+        for r in p.results[lo + 1:hi + 1]:
+            alive &= r
+        m = p.steps[hi]
+        if lo < hi:
+            singletons = {frozenset({d}) for d in m.element_set() - alive}
+            m = Measurement(m.id, m.ground, frozenset(singletons | {alive}))
+        steps.append(m)
+        results.append(alive)
+    if len(segments) == 1:
+        steps.append(p.steps[-1])
+        results.append(alive)
+    return Path(sequence(steps), tuple(results))
 
 
 def equivalent(a: Path, b: Path) -> bool:

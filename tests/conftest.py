@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import compalg
 from compalg.algebra import Algebra, Amplitude, mul
 from compalg.engine import Assignment
 from compalg.model import (
@@ -20,6 +22,17 @@ from compalg.model import (
     measurement,
     sequence,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_processes_import_this_package():
+    """``python -m compalg`` subprocesses import the package under test,
+    also from a checkout that is not installed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(compalg.__file__)),
+                  prepend=os.pathsep)
+        yield
+
 
 # -- the worked three-element example -------------------------------------------
 

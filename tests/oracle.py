@@ -9,6 +9,11 @@ operand).  The class minimum is taken by (length, total result size) and
 compared at the level of result sequences and step grounds, since class
 members may differ in how the discarded elements are blocked.
 
+``normal_form_by_rewriting`` is the reference for ``model.normal_form``:
+it applies redundant-step drops and element strips one at a time until
+none applies, and ``all_reduction_terminals`` explores every order of
+those moves.
+
 ``coarsen_by_search`` is the exhaustive reference for ``model.coarsen``:
 it tries every duplicated-step padding of both redundancy representatives
 at every target length and returns the first pair that aligns.
@@ -18,13 +23,14 @@ from __future__ import annotations
 
 import itertools
 
-from compalg.errors import CoarsenMismatch
+from compalg.errors import CoarsenMismatch, ImpossiblePathHasNoNormalForm
 from compalg.model import (
     Measurement,
     Path,
     _coarsen_direct,
     _dedup_fixpoint,
     equal_measurements,
+    find_igps,
     is_possible,
     normal_form,
     path_key,
@@ -125,14 +131,153 @@ def minimal_members(p: Path):
     return [q for q in members if size_of(q) == best], members
 
 
+# -- the rewriting rules behind the normal form ------------------------------------
+
+def _run_of(p: Path, j: int) -> tuple:
+    for lo, hi in runs(p):
+        if lo <= j <= hi:
+            return lo, hi
+    raise AssertionError("unreachable")
+
+
+def _surviving_set(p: Path, j: int):
+    """Intersection of all other results in j's run, or None if j is alone."""
+    lo, hi = _run_of(p, j)
+    if lo == hi:
+        return None
+    others = [p.results[k] for k in range(lo, hi + 1) if k != j]
+    alive = others[0]
+    for r in others[1:]:
+        alive &= r
+    return alive
+
+
+def _live_blocks(p: Path, j: int) -> frozenset:
+    """Non-result blocks of step j that carry a surviving thread element.
+
+    Blocks disjoint from the run's surviving set can be re-blocked at will
+    by coarsening and refining with impossible operands, so only these
+    blocks (and the result) constrain what step j can be turned into.
+    """
+    alive = _surviving_set(p, j)
+    return frozenset(b for b in p.steps[j].blocks
+                     if b != p.results[j] and alive & b)
+
+
+def _canonical_step(p: Path, k: int) -> Measurement:
+    """Step k with its re-blockable dead region split into singletons."""
+    old = p.steps[k]
+    if not 1 <= k <= len(p) - 2:
+        return old
+    live = _live_blocks(p, k)
+    kept = live | {p.results[k]}
+    dead = old.element_set() - frozenset().union(*kept)
+    if not dead:
+        return old
+    blocks = kept | frozenset(frozenset({d}) for d in dead)
+    return Measurement(old.id, old.ground, blocks)
+
+
+def _drop_at(p: Path, j: int, k: int) -> Path:
+    """Remove step j, canonicalizing its surviving twin at index k."""
+    survivor = _canonical_step(p, k)
+    steps = list(p.steps)
+    steps[k] = survivor
+    del steps[j]
+    results = p.results[:j] + p.results[j + 1:]
+    return Path(sequence(steps), results)
+
+
+def _drop_candidates(p: Path) -> list:
+    """Pairs (j, k): step j is redundant next to its equal-result neighbor k.
+
+    A step can be dropped when a weakly equivalent neighbor carries the
+    same result and either an identical detector set, or (for interior
+    steps) a detector set into which step j can be re-blocked: every live
+    block of step j must be a detector of the neighbor.
+    """
+    if len(p) <= 2:
+        return []
+    out = []
+    for j in range(len(p)):
+        interior = 1 <= j <= len(p) - 2
+        for k in (j - 1, j + 1):
+            if not 0 <= k < len(p):
+                continue
+            if p.steps[j].element_set() != p.steps[k].element_set():
+                continue
+            if p.results[j] != p.results[k]:
+                continue
+            if equal_measurements(p.steps[j], p.steps[k]) or (
+                    interior and _live_blocks(p, j) <= p.steps[k].blocks):
+                out.append((j, k))
+                break
+    return out
+
+
+def _strip_candidates(p: Path) -> list:
+    out = []
+    for j in range(1, len(p) - 1):
+        alive = _surviving_set(p, j)
+        if alive is None:
+            continue
+        removed = p.results[j] - alive
+        if removed and p.results[j] - removed:
+            out.append(j)
+    return out
+
+
+def _strip_at(p: Path, j: int) -> Path:
+    alive = _surviving_set(p, j)
+    removed = p.results[j] - alive
+    keep = p.results[j] - removed
+    old = p.steps[j]
+    blocks = (old.blocks - {p.results[j]}) | {keep, removed}
+    m = Measurement(old.id, old.ground, blocks)
+    steps = p.steps[:j] + (m,) + p.steps[j + 1:]
+    return Path(sequence(steps), p.results[:j] + (keep,) + p.results[j + 1:])
+
+
+def reduction_steps(p: Path):
+    """All single reduction moves from p: redundant-step drops and element strips."""
+    for j, k in _drop_candidates(p):
+        yield ("drop", j, _drop_at(p, j, k))
+    for j in _strip_candidates(p):
+        yield ("strip", j, _strip_at(p, j))
+
+
+def normal_form_by_rewriting(p: Path) -> Path:
+    """The nonredundant representative of a possible path, by rewriting.
+
+    Repeatedly strips from each interior result the elements that no
+    surviving thread through its weak-equivalence run can carry (the
+    result block splits in two), and drops steps that are redundant next
+    to a weakly equivalent neighbor with the same result and a compatible
+    detector structure, until no rule applies.  The reduction order does
+    not affect the outcome.  Each pass recomputes every candidate, O(L^3)
+    in all; kept as the reference for the direct ``model.normal_form``.
+    """
+    if find_igps(p):
+        raise ImpossiblePathHasNoNormalForm(repr(p))
+    while True:
+        drops = _drop_candidates(p)
+        if drops:
+            j, k = drops[0]
+            p = _drop_at(p, j, k)
+            continue
+        strips = _strip_candidates(p)
+        if strips:
+            p = _strip_at(p, strips[0])
+            continue
+        return p
+
+
 def all_reduction_terminals(p: Path, memo: dict = None, limit: int = 200000):
     """Every fixed point reachable by applying reduction steps in any order.
 
     ``memo`` maps a path key to the frozenset of its terminal keys and may
     be shared across calls; terminal paths are stored under their own key.
     """
-    from compalg.model import reduction_steps
-
     if memo is None:
         memo = {}
     paths = {}
@@ -165,8 +310,6 @@ def all_reduction_terminals(p: Path, memo: dict = None, limit: int = 200000):
 
 def _rebuild_terminal(p: Path, key, memo):
     """Walk any reduction order from p until the requested terminal key."""
-    from compalg.model import reduction_steps
-
     q = p
     while path_key(q) != key:
         for _, _, r in reduction_steps(q):

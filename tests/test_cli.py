@@ -254,6 +254,14 @@ def test_sample_rejects_bad_count_or_seed(flag, value):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["-5", "x"])
+def test_verify_algebra_rejects_bad_sample_count(value):
+    proc = run_cli("verify-algebra", "R", "--samples", value, expect=2)
+    assert "usage:" in proc.stderr and "--samples" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("source", ["{zz}", "{zz", "{n1, n2}"])
 def test_sum_rule_source_that_is_no_detector(source):
     proc = run_cli("-w", FIG, "sum-rule", "two", "--assignment", "amp",

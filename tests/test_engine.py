@@ -8,6 +8,7 @@ import pytest
 
 from compalg.algebra import AlgebraKind, make_algebra, mul, quadratic_form
 from compalg.engine import (
+    SAMPLE_CHUNK,
     Assignment,
     amplitude_of,
     assignment_from_rows,
@@ -219,8 +220,7 @@ def test_validation_sum_rule_sensitive_to_coarse_blocks():
         [[0, 1], [0, 0], [0, 0]],
     ])
     report = validate_assignment(sequence([AN, BM, AN]), asg)
-    sums = [e for e in report.entries
-            if e.check == "two_measurement_sum_rule" and "0->1" in e.location]
+    sums = [e for e in report.entries if e.check == "sum_rule"]
     assert any(not e.passed for e in sums)
     rows_entries = [e for e in report.entries
                     if e.check == "row_normalization" and "0->1" in e.location]
@@ -312,13 +312,14 @@ def fair_coin_assignment():
     return assignment_from_rows(C, [(S1, N, wrapped)])
 
 
-def test_sample_deterministic_and_worker_independent():
+def test_sample_deterministic_across_chunks():
     asg = fair_coin_assignment()
     s = sequence([AS, AN])
-    t1 = sample(s, frozenset({"s"}), asg, 50_000, seed=42)
-    t2 = sample(s, frozenset({"s"}), asg, 50_000, seed=42, workers=4)
-    assert t1 == t2
-    assert sum(t1.values()) == 50_000
+    n = 2 * SAMPLE_CHUNK + 5  # two full chunks and a partial one
+    t1 = sample(s, frozenset({"s"}), asg, n, seed=42)
+    assert t1 == sample(s, frozenset({"s"}), asg, n, seed=42)
+    # pinned: any change to the chunking or the per-chunk seeds shows here
+    assert {min(p.results[1]): c for p, c in t1.items()} == {"n1": 65274, "n2": 65803}
 
 
 def test_sample_deterministic_experiment():

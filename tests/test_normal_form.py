@@ -1,4 +1,8 @@
-"""Normal forms: examples, confluence, class-minimality, impossibility closure."""
+"""Normal forms: examples, the rewriting oracle, confluence, class-minimality,
+impossibility closure."""
+
+import random
+import time
 
 import pytest
 
@@ -8,19 +12,23 @@ from compalg.model import (
     Measurement,
     Path,
     atomic_measurement,
+    classify,
     coarsen,
+    enumerate_partitions,
     equivalent,
     is_possible,
     normal_form,
     path,
     refine,
+    runs,
     sequence,
 )
 
-from conftest import AM, BM, G3, GM, UM, universe_paths
+from conftest import AM, BM, G3, GM, MIX_GROUNDS, UM, universe_paths
 from oracle import (
     all_reduction_terminals,
     minimal_members,
+    normal_form_by_rewriting,
     result_signature,
     size_of,
 )
@@ -84,6 +92,77 @@ def test_refine_by_impossible_keeps_class():
 @pytest.fixture(scope="module")
 def small_universe():
     return universe_paths([G3], 4)
+
+
+@pytest.fixture(scope="module")
+def two_ground_universe():
+    """All paths over the 2- and 3-element mixed grounds, lengths 2..5."""
+    return universe_paths(MIX_GROUNDS[1:], 5)
+
+
+SEED_GROUNDS = MIX_GROUNDS + [GroundSet("U4", ("p", "q", "r", "s"))]
+SEED_PARTITIONS = {g: enumerate_partitions(g) for g in SEED_GROUNDS}
+
+
+def seeded_path(rng, length, possible=True):
+    """A random path of the given length over the seed grounds.
+
+    Runs of 1..40 steps over alternating grounds; each run follows one
+    thread element through random partitions, so the path is possible.
+    With ``possible=False`` one result in ten is a random detector, which
+    usually kills the thread.
+    """
+    steps, results = [], []
+    ground = None
+    while len(steps) < length:
+        ground = rng.choice([g for g in SEED_GROUNDS if g is not ground])
+        parts = SEED_PARTITIONS[ground]
+        x = rng.choice(ground.elements)
+        for _ in range(min(rng.randint(1, 40), length - len(steps))):
+            # the last partition listed is the atomic one
+            m = parts[-1] if not steps or len(steps) == length - 1 else rng.choice(parts)
+            if possible or rng.random() < 0.9:
+                results.append(m.block_containing(x))
+            else:
+                results.append(rng.choice(sorted(m.blocks, key=sorted)))
+            steps.append(m)
+    return Path(sequence(steps), tuple(results))
+
+
+def assert_matches_rewriting(paths):
+    """normal_form equals the rewriting fixpoint, and both reject impossible paths."""
+    for p in paths:
+        if is_possible(p):
+            assert normal_form(p) == normal_form_by_rewriting(p), repr(p)
+        else:
+            for reduce in (normal_form, normal_form_by_rewriting):
+                with pytest.raises(ImpossiblePathHasNoNormalForm):
+                    reduce(p)
+
+
+@pytest.mark.parametrize("universe", ["small_universe", "mixed_universe_paths",
+                                      "two_ground_universe"])
+def test_normal_form_equals_rewriting_on_universes(universe, request):
+    assert_matches_rewriting(request.getfixturevalue(universe))
+
+
+def test_normal_form_equals_rewriting_on_seeded_paths():
+    rng = random.Random(4)
+    lengths = [n for n in range(2, 33) for _ in range(10)] + list(range(40, 129, 8))
+    paths = [seeded_path(rng, n, possible=rng.random() < 0.8) for n in lengths]
+    assert 0 < sum(map(is_possible, paths)) < len(paths)
+    assert is_possible(paths[-1]) and len(paths[-1]) == 128
+    assert_matches_rewriting(paths)
+
+
+def test_normal_form_is_linear_on_long_paths():
+    # the rewriting loop needs hours here
+    p = seeded_path(random.Random(8), 4096)
+    started = time.perf_counter()
+    nf = normal_form(p)
+    flags = classify(p)
+    assert time.perf_counter() - started < 2.0
+    assert flags.possible and len(nf) == len(runs(p))
 
 
 def test_reduction_orders_confluent(small_universe):

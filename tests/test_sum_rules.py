@@ -17,6 +17,7 @@ from compalg.engine import (
     probability_of,
     sample,
     total_probability,
+    validate_assignment,
 )
 from compalg.errors import NonScalarProduct, NotADistribution, TooManyPaths
 from compalg.model import (
@@ -138,6 +139,10 @@ def test_non_scalar_sum_is_rejected(monkeypatch):
         total_probability(s, source, asg)
     with pytest.raises(NonScalarProduct):
         total_probability(s, source, float_copy(asg))
+    (x,) = source
+    (entry,) = [e for e in validate_assignment(s, asg).entries
+                if e.check == "sum_rule" and e.location == f"source {x}"]
+    assert not entry.passed and "not scalar" in entry.detail
 
 
 # -- beyond the path bound ------------------------------------------------------------
@@ -177,6 +182,22 @@ def test_total_beyond_path_bound_is_exact():
     elapsed = time.perf_counter() - started
     assert total == 1 and isinstance(total, (int, Fraction))
     assert elapsed < 2.0
+
+
+def test_validation_passes_for_exactly_unitary_matrices():
+    # summing amplitudes over the blocks of halfB, as a per-step check
+    # would, gives 185/153, 185/153 and 89/153 here
+    asg = exact_unitary_c()
+    a, b = atomic_measurement(A3), atomic_measurement(B3)
+    half = measurement("halfB", B3, [["b1", "b2"], ["b3"]])
+    report = validate_assignment(sequence([a, half, a]), asg)
+    assert report.ok, report.failures()
+    assert [e.location for e in report.entries if e.check == "sum_rule"] \
+        == ["source a1", "source a2", "source a3"]
+    # no matrix from B3 on: a failed entry, not an exception
+    report = validate_assignment(sequence([a, b, atomic_measurement(MIX_GROUNDS[2])]), asg)
+    failed = [e for e in report.failures() if e.check == "sum_rule"]
+    assert len(failed) == 3 and all("no matrix" in e.detail for e in failed)
 
 
 # -- sources ---------------------------------------------------------------------------
