@@ -36,7 +36,7 @@ def _need_workspace(args) -> dsl.Workspace:
     try:
         with open(args.workspace, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise SystemExit2(f"cannot read workspace: {exc}", 1)
     base = os.path.dirname(os.path.abspath(args.workspace))
     return dsl.parse(text, base_dir=base)
@@ -55,10 +55,16 @@ def _lookup(table: dict, name: str, kind: str):
 
 
 def _parse_block(text: str) -> frozenset:
+    """A detector block given as "{a, b}" or "a, b"; argparse type of --source."""
     inner = text.strip()
     if inner.startswith("{") and inner.endswith("}"):
         inner = inner[1:-1]
-    return frozenset(x.strip() for x in inner.split(",") if x.strip())
+    if "{" in inner or "}" in inner:
+        raise argparse.ArgumentTypeError(f"unbalanced or nested braces in block {text!r}")
+    block = frozenset(x.strip() for x in inner.split(",") if x.strip())
+    if not block:
+        raise argparse.ArgumentTypeError(f"empty block {text!r}")
+    return block
 
 
 def cmd_classify(args) -> int:
@@ -123,7 +129,7 @@ def cmd_sum_rule(args) -> int:
     ws = _need_workspace(args)
     s = _lookup(ws.sequences, args.sequence, "sequence")
     asg = _lookup(ws.assignments, args.assignment, "assignment")
-    total = engine.total_probability(s, _parse_block(args.source), asg)
+    total = engine.total_probability(s, args.source, asg)
     _emit(args, {"total_probability": engine.coeff_json(total)}, [f"total: {total}"])
     return 0
 
@@ -144,8 +150,7 @@ def cmd_sample(args) -> int:
     ws = _need_workspace(args)
     s = _lookup(ws.sequences, args.sequence, "sequence")
     asg = _lookup(ws.assignments, args.assignment, "assignment")
-    source = _parse_block(args.source)
-    rows = engine.sample_rows(s, source, asg, args.n, args.seed)
+    rows = engine.sample_rows(s, args.source, asg, args.n, args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["path", "count", "probability"])
     for p, count, prob in rows:
@@ -202,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sum-rule", cmd_sum_rule, help="total probability from a source")
     p.add_argument("sequence")
     p.add_argument("--assignment", required=True)
-    p.add_argument("--source", required=True)
+    p.add_argument("--source", type=_parse_block, required=True)
     p = add("verify-algebra", cmd_verify_algebra, help="axiom report for an algebra")
     p.add_argument("algebra")
     p.add_argument("--samples", type=_non_negative_int, default=1000)
@@ -210,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sample", cmd_sample, help="draw paths from the exact distribution")
     p.add_argument("sequence")
     p.add_argument("--assignment", required=True)
-    p.add_argument("--source", required=True)
+    p.add_argument("--source", type=_parse_block, required=True)
     p.add_argument("-n", type=_non_negative_int, required=True)
     p.add_argument("--seed", type=_non_negative_int, required=True)
     return parser

@@ -20,13 +20,14 @@ file with the step matrices, resolved relative to the document.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraKind, make_algebra
-from .engine import Assignment
+from .engine import Assignment, assignment_from_rows
 from .errors import CompalgError
 from .model import (
     GroundSet,
@@ -314,10 +315,12 @@ class _Parser:
             else os.path.join(self.base_dir, filename)
         try:
             with open(full, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
             raise SemanticError(f"cannot read matrix file: {exc}", file_tok.span)
-        except json.JSONDecodeError as exc:
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
             raise SemanticError(f"invalid JSON in matrix file: {exc}", file_tok.span)
         try:
             asg = load_assignment_json(doc, self.ws.measurements, kind)
@@ -330,54 +333,71 @@ class _Parser:
 def _coefficient(value) -> object:
     if isinstance(value, str):
         num, _, den = value.partition("/")
-        return Fraction(int(num), int(den or "1"))
+        try:
+            num, den = int(num), int(den or "1")
+        except ValueError:
+            raise ValueError(f"bad coefficient {value!r}") from None
+        if den == 0:
+            raise ValueError(f"zero denominator in coefficient {value!r}")
+        return Fraction(num, den)
     if isinstance(value, bool):
         raise ValueError("boolean is not a coefficient")
     if isinstance(value, int):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite coefficient {value!r}")
         return value
     raise ValueError(f"bad coefficient {value!r}")
 
 
-def load_assignment_json(doc: dict, measurements: Dict[str, Measurement],
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_NAMES[kind]}")
+    return value
+
+
+def load_assignment_json(doc, measurements: Dict[str, Measurement],
                          kind: AlgebraKind) -> Assignment:
     """Build an Assignment from the JSON matrix-file format.
 
     Top level: {"algebra": "C", "steps": [{"from": id, "to": id,
     "matrix": rows}]} where rows[i][j] is a coefficient array of the
     algebra's dimension, indexed by the declared element order of the two
-    measurements' ground sets.  Rationals are "p/q" strings.
+    measurements' ground sets.  Rationals are "p/q" strings; floats must be
+    finite.  Any other shape raises ValueError.
     """
+    _expect(doc, dict, "the matrix file")
     label = doc.get("algebra")
     if label is not None and AlgebraKind.from_label(label) is not kind:
         raise ValueError(
             f"matrix file algebra {label!r} does not match declared {kind.label!r}")
     algebra = make_algebra(kind)
-    matrices = {}
-    for step in doc.get("steps", []):
-        m_from = measurements.get(step.get("from"))
-        m_to = measurements.get(step.get("to"))
+    blocks = []
+    for n, step in enumerate(_expect(doc.get("steps", []), list, '"steps"')):
+        where = f"step {n}"
+        _expect(step, dict, where)
+        m_from, m_to = (measurements.get(_expect(step.get(end), str, f'{where} "{end}"'))
+                        for end in ("from", "to"))
         if m_from is None or m_to is None:
             raise ValueError(
-                f"unknown measurement in step {step.get('from')!r} -> {step.get('to')!r}")
-        rows = step["matrix"]
+                f"unknown measurement in step {step['from']!r} -> {step['to']!r}")
+        rows = _expect(step.get("matrix"), list, f'{where} "matrix"')
         g_from, g_to = m_from.ground, m_to.ground
         if len(rows) != len(g_from.elements):
             raise ValueError("matrix row count does not match source ground")
-        table = {}
-        for i, x in enumerate(g_from.elements):
-            if len(rows[i]) != len(g_to.elements):
+        for row in rows:
+            if len(_expect(row, list, f"{where} matrix row")) != len(g_to.elements):
                 raise ValueError("matrix column count does not match target ground")
-            for j, y in enumerate(g_to.elements):
-                coeffs = [_coefficient(v) for v in rows[i][j]]
-                table[(x, y)] = algebra.amplitude(coeffs)
-        key = (g_from, g_to)
-        if (g_from.element_set(), g_to.element_set()) in \
-                {(a.element_set(), b.element_set()) for a, b in matrices}:
-            raise ValueError("duplicate matrix for one ground pair")
-        matrices[key] = table
-    return Assignment(algebra, matrices)
+        blocks.append((g_from, g_to, [
+            [algebra.amplitude(_coefficient(v)
+                               for v in _expect(entry, list, f"{where} matrix entry"))
+             for entry in row]
+            for row in rows]))
+    return assignment_from_rows(algebra, blocks)
 
 
 def parse(document: str, base_dir: Optional[str] = None) -> Workspace:

@@ -8,15 +8,21 @@ underlying element is preserved, which is what makes repeated
 measurements repeatable.  The matrix for the reversed pair is the
 conjugate transpose of the forward one unless supplied explicitly.
 
+An assignment holds each matrix as rows x -> {y: amplitude}; every
+evaluator looks the matrix of each run boundary up once, before its
+products, and never per entry.
+
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
 to right.  The probability of a path is the quadratic form of its
 amplitude; impossible paths evaluate to the zero amplitude directly.
+One run-by-run walker evaluates every path: ``amplitude_of`` walks one
+path, and sampling walks every path from the source once, sharing the
+partial thread sums of common prefixes, bounded by
+``model.DEFAULT_PATH_BOUND``.
 
 Sum rules are computed without listing paths, by a backward recursion
-over pairs of threads that share a detector at every step.  Sampling
-lists every path from the source once, sharing the partial thread sums
-of common prefixes, and is bounded by ``model.DEFAULT_PATH_BOUND``.
+over pairs of threads that share a detector at every step.
 """
 
 from __future__ import annotations
@@ -54,77 +60,103 @@ DISTRIBUTION_TOL = 1e-6
 SAMPLE_CHUNK = 1 << 16
 
 def _ground_key(g) -> frozenset:
-    if isinstance(g, GroundSet):
-        return g.element_set()
-    if isinstance(g, Measurement):
-        return g.element_set()
-    return frozenset(g)
+    return g.element_set() if isinstance(g, (GroundSet, Measurement)) else frozenset(g)
+
+
+Rows = Dict[str, Dict[str, Amplitude]]
 
 
 class Assignment:
     """Per-ground-pair transition amplitude matrices.
 
-    ``matrices`` maps an ordered pair of ground element-sets to a dict
-    from (source element, target element) to an Amplitude.  Same-ground
-    transitions are never stored: they are the identity by construction.
+    ``matrices`` maps an ordered pair of grounds to a dict from (source
+    element, target element) to an Amplitude; it may also be an iterable
+    of such (pair, dict) items.  Each ordered pair of ground element-sets
+    takes at most one matrix, with an entry for every element pair of the
+    two grounds and for nothing else.  Same-ground transitions are never
+    stored: they are the identity by construction.
+
+    A matrix is held as rows x -> {y: amplitude}.  The conjugate transpose
+    of a pair stored in one direction only is built the first time
+    ``matrix`` asks for it, and kept.
     """
 
-    def __init__(self, algebra: Algebra, matrices: Mapping) -> None:
+    def __init__(self, algebra: Algebra, matrices) -> None:
         if not algebra.kind.is_associative:
             raise NonAssociativeAlgebra(
                 f"assignments require an associative algebra, got {algebra.kind.label}")
         self.algebra = algebra
-        clean: Dict[Tuple[frozenset, frozenset], Dict[Tuple[str, str], Amplitude]] = {}
-        for (g_from, g_to), entries in matrices.items():
+        self._rows: Dict[Tuple[frozenset, frozenset], Rows] = {}
+        self._transposes: Dict[Tuple[frozenset, frozenset], Rows] = {}
+        items = matrices.items() if isinstance(matrices, Mapping) else matrices
+        for (g_from, g_to), entries in items:
             key = (_ground_key(g_from), _ground_key(g_to))
             if key[0] == key[1]:
                 raise ValueError(
                     "transitions within one ground set are the forced identity "
                     "and cannot be assigned")
-            table = {}
+            if key in self._rows:
+                raise ValueError(
+                    f"second matrix from ground {sorted(key[0])} to {sorted(key[1])}")
+            rows: Rows = {x: {} for x in sorted(key[0])}
             for (x, y), amp in entries.items():
+                if x not in rows or y not in key[1]:
+                    raise ValueError(
+                        f"entry for transition {x!r} -> {y!r} lies outside the grounds "
+                        f"{sorted(key[0])} and {sorted(key[1])}")
                 if amp.algebra != algebra:
                     raise ValueError("matrix entry algebra mismatch")
-                table[(x, y)] = amp
-            for x in key[0]:
+                rows[x][y] = amp
+            for x, row in rows.items():
                 for y in key[1]:
-                    if (x, y) not in table:
+                    if y not in row:
                         raise ValueError(f"missing entry for transition {x!r} -> {y!r}")
-            clean[key] = table
-        self._matrices = clean
+            self._rows[key] = rows
 
     def pairs(self):
-        return self._matrices.keys()
-
-    def has_pair(self, g_from, g_to) -> bool:
-        a, b = _ground_key(g_from), _ground_key(g_to)
-        return a == b or (a, b) in self._matrices or (b, a) in self._matrices
+        """The ordered ground pairs with a stored matrix."""
+        return self._rows.keys()
 
     def stored(self, g_from, g_to) -> Optional[Mapping]:
-        return self._matrices.get((_ground_key(g_from), _ground_key(g_to)))
+        """The stored matrix as (x, y) -> amplitude, or None."""
+        rows = self._rows.get((_ground_key(g_from), _ground_key(g_to)))
+        if rows is None:
+            return None
+        return {(x, y): amp for x, row in rows.items() for y, amp in row.items()}
+
+    def matrix(self, g_from, g_to) -> Rows:
+        """Rows x -> {y: amplitude} from one ground to another: the stored
+        matrix, else the conjugate transpose of the stored reverse."""
+        key = (_ground_key(g_from), _ground_key(g_to))
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._transposes.get(key)
+        if rows is None:
+            reverse = self._rows.get((key[1], key[0]))
+            if reverse is None:
+                raise SequenceMismatch(
+                    f"assignment has no matrix between grounds {sorted(key[0])} "
+                    f"and {sorted(key[1])}")
+            rows = {y: {} for y in sorted(key[0])}
+            for x, row in reverse.items():
+                for y, amp in row.items():
+                    rows[y][x] = amp.conj()
+            self._transposes[key] = rows
+        return rows
 
     def entry(self, g_from, g_to, x: str, y: str) -> Amplitude:
-        """Transition amplitude x -> y; identity within a ground set,
-        conjugate transpose when only the reversed matrix is stored."""
-        a, b = _ground_key(g_from), _ground_key(g_to)
-        if a == b:
+        """Transition amplitude x -> y; the identity within a ground set."""
+        if _ground_key(g_from) == _ground_key(g_to):
             return self.algebra.unit() if x == y else self.algebra.zero()
-        direct = self._matrices.get((a, b))
-        if direct is not None:
-            return direct[(x, y)]
-        reversed_ = self._matrices.get((b, a))
-        if reversed_ is not None:
-            return reversed_[(y, x)].conj()
-        raise SequenceMismatch(
-            f"assignment has no matrix between grounds {sorted(a)} and {sorted(b)}")
+        return self.matrix(g_from, g_to)[x][y]
 
     def __eq__(self, other):
         return isinstance(other, Assignment) \
             and self.algebra == other.algebra \
-            and self._matrices == other._matrices
+            and self._rows == other._rows
 
     def __repr__(self):
-        return f"Assignment({self.algebra.kind.label}, {len(self._matrices)} matrices)"
+        return f"Assignment({self.algebra.kind.label}, {len(self._rows)} matrices)"
 
 
 def assignment_from_rows(algebra: Algebra, blocks: Iterable) -> Assignment:
@@ -134,7 +166,7 @@ def assignment_from_rows(algebra: Algebra, blocks: Iterable) -> Assignment:
     to the j-th element of ground_to, both in declared element order.
     Entries may be Amplitudes or plain coefficient sequences.
     """
-    matrices = {}
+    matrices = []
     for g_from, g_to, rows in blocks:
         table = {}
         for i, x in enumerate(g_from.elements):
@@ -143,7 +175,7 @@ def assignment_from_rows(algebra: Algebra, blocks: Iterable) -> Assignment:
                 if not isinstance(entry, Amplitude):
                     entry = algebra.amplitude(entry)
                 table[(x, y)] = entry
-        matrices[(g_from, g_to)] = table
+        matrices.append(((g_from, g_to), table))
     return Assignment(algebra, matrices)
 
 
@@ -170,60 +202,66 @@ def coeff_json(value):
 
 # -- evaluation ----------------------------------------------------------------
 
-def _thread_supports(p: Path) -> Optional[List[Tuple[frozenset, frozenset]]]:
-    """Per-run (ground, surviving elements); None when some run dies out."""
-    out = []
-    for lo, hi in model.runs(p):
-        alive = p.results[lo]
-        for j in range(lo + 1, hi + 1):
-            alive = alive & p.results[j]
-            if not alive:
-                return None
-        out.append((p.steps[lo].element_set(), alive))
-    return out
+def _boundary_matrices(s, asg: Assignment, segments) -> List[Rows]:
+    """The matrix from each weak-equivalence run to the next; raises
+    SequenceMismatch when the assignment lacks one."""
+    grounds = [s.steps[lo].element_set() for lo, _ in segments]
+    return [asg.matrix(a, b) for a, b in zip(grounds, grounds[1:])]
 
 
-def _check_coverage(p, asg: Assignment) -> None:
-    segments = model.runs(p)
-    for (lo1, _), (lo2, _) in zip(segments, segments[1:]):
-        if not asg.has_pair(p.steps[lo1], p.steps[lo2]):
-            raise SequenceMismatch(
-                f"no matrix between grounds of steps {lo1} and {lo2}")
+def _thread_sums(s, choices, asg: Assignment):
+    """Yield (results, amplitude or None) for every pick of one result per
+    step from ``choices``, in ``itertools.product`` order.
 
+    A thread picks one surviving element per weak-equivalence run: the
+    element is constant across weakly equivalent steps, so coarse results
+    expand distributively and duplicated steps contribute the forced
+    identity.  The amplitude sums over threads the left-to-right product
+    of the matrix entries between consecutive runs; it is None when some
+    run has no surviving element (an impossible path).
 
-def _advance(partial: Dict[str, Amplitude], asg: Assignment, prev_ground: frozenset,
-             ground: frozenset, alive: frozenset) -> Dict[str, Amplitude]:
-    """Carry the partial thread sums across one run boundary onto the
-    surviving elements of the next run."""
-    # element iteration is sorted so float-mode sums are byte-stable
-    nxt = {}
-    for y in sorted(alive):
-        total = asg.algebra.zero()
-        for x, acc in partial.items():
-            total = total + mul(acc, asg.entry(prev_ground, ground, x, y))
-        nxt[y] = total
-    return nxt
+    The run-boundary matrices are looked up once, before the first pick.
+    One dict of partial thread sums is kept per run, and each pick
+    recomputes only the runs from the first one whose results changed.
+    Elements are taken in sorted order, so float sums are byte-stable.
+    """
+    segments = model.runs(s)
+    matrices = _boundary_matrices(s, asg, segments)
+    run_of = [k for k, (lo, hi) in enumerate(segments) for _ in range(lo, hi + 1)]
+    zero, unit = asg.algebra.zero(), asg.algebra.unit()
+    # partials[k]: thread sums onto the surviving elements of run k, or None
+    # once run k or an earlier run has none
+    partials: List[Optional[Dict[str, Amplitude]]] = [None] * len(segments)
+    previous = None
+    for combo in itertools.product(*choices):
+        first = 0
+        if previous is not None:
+            j = 0
+            while combo[j] is previous[j]:
+                j += 1
+            first = run_of[j]
+        previous = combo
+        partial = partials[first - 1] if first else None
+        for k in range(first, len(segments)):
+            lo, hi = segments[k]
+            alive = combo[lo].intersection(*combo[lo + 1:hi + 1])
+            if not alive or (k and partial is None):
+                partial = None
+            elif k == 0:
+                partial = {x: unit for x in sorted(alive)}
+            else:
+                rows = matrices[k - 1]
+                partial = {y: sum((mul(acc, rows[x][y]) for x, acc in partial.items()), zero)
+                           for y in sorted(alive)}
+            partials[k] = partial
+        yield combo, None if partial is None else sum(partial.values(), zero)
 
 
 def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
-    """Sum over threads of the left-to-right product of step amplitudes.
-
-    A thread picks one surviving element per weak-equivalence run; the
-    element is constant across consecutive weakly equivalent steps, so
-    coarse results expand distributively and duplicated steps contribute
-    the forced identity.  Impossible paths are the zero amplitude.
-    """
-    _check_coverage(p, asg)
-    supports = _thread_supports(p)
-    if supports is None:
-        return asg.algebra.zero()
-    ground0, alive0 = supports[0]
-    partial = {x: asg.algebra.unit() for x in sorted(alive0)}
-    prev_ground = ground0
-    for ground, alive in supports[1:]:
-        partial = _advance(partial, asg, prev_ground, ground, alive)
-        prev_ground = ground
-    return sum(partial.values(), asg.algebra.zero())
+    """Sum over threads of the left-to-right product of step amplitudes
+    (see ``_thread_sums``); impossible paths are the zero amplitude."""
+    ((_, amplitude),) = _thread_sums(p.sequence, [[r] for r in p.results], asg)
+    return asg.algebra.zero() if amplitude is None else amplitude
 
 
 def probability_of(p: Path, asg: Assignment) -> ProbabilityResult:
@@ -332,14 +370,16 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
         if a == b:
             entries.append(ValidationEntry("repeatability_identity", loc, True))
             continue
-        if not asg.has_pair(m_from, m_to):
+        try:
+            rows = asg.matrix(a, b)
+        except SequenceMismatch:
             entries.append(ValidationEntry(
                 "matrix_present", loc, False, "no matrix for this ground pair"))
             continue
         entries.append(ValidationEntry("matrix_present", loc, True))
 
-        forward = asg.stored(m_from, m_to)
-        backward = asg.stored(m_to, m_from)
+        forward = asg.stored(a, b)
+        backward = asg.stored(b, a)
         if forward is not None and backward is not None:
             adjoint_ok = all(
                 backward[(y, x)] == forward[(x, y)].conj()
@@ -349,9 +389,7 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
                 "" if adjoint_ok else "reverse matrix is not the conjugate transpose"))
 
         for x in sorted(a):
-            row_sum = sum(
-                quadratic_form(asg.entry(m_from, m_to, x, y))
-                for y in sorted(b))
+            row_sum = sum(quadratic_form(rows[x][y]) for y in sorted(b))
             ok = close_to_one(row_sum)
             entries.append(ValidationEntry(
                 "row_normalization", f"{loc} source {x}", ok,
@@ -448,17 +486,16 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     """
     source = frozenset(source)
     _check_source(s, source)
-    _check_coverage(s, asg)
     steps = s.steps
     segments = model.runs(s)
+    matrices = _boundary_matrices(s, asg, segments)
     classes = [_same_block_classes(steps[lo:hi + 1],
                                    source if lo == 0 else steps[lo].element_set())
                for lo, hi in segments]
-    grounds = [steps[lo].element_set() for lo, _ in segments]
     forward, backward = [], []
-    for k in range(len(segments) - 1):
+    for k, matrix in enumerate(matrices):
         targets = [y for cls in classes[k + 1] for y in cls]
-        rows = {x: {y: asg.entry(grounds[k], grounds[k + 1], x, y) for y in targets}
+        rows = {x: {y: matrix[x][y] for y in targets}
                 for cls in classes[k] for x in cls}
         forward.append(rows)
         backward.append({x: {y: a.conj() for y, a in row.items()} for x, row in rows.items()})
@@ -484,63 +521,19 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     """Every path from the source result with its probability, in
     ``enumerate_paths`` order (``path_key`` order within the sequence).
 
-    One walk over the result combinations keeps, per step, the surviving
-    elements of the current run and the partial thread sums of the runs
-    before it, and recomputes only the steps after the first changed
-    result.  The partial sums are carried by the same per-run helper as
-    ``amplitude_of``, in the same order, so every probability equals
+    One ``_thread_sums`` walk over the result combinations, the evaluator
+    of ``amplitude_of``, recomputes only the runs from the first changed
+    result on, so every probability equals
     ``probability_of(p, asg).probability`` bit for bit.  Bounded by
     DEFAULT_PATH_BOUND through ``model.check_path_bound``.
     """
     source = frozenset(source)
     model.check_path_bound(s)
     _check_source(s, source)
-    _check_coverage(s, asg)
-    algebra = asg.algebra
-    steps = s.steps
-    grounds = [m.element_set() for m in steps]
-    starts, ends, prev_ground = set(), set(), {}
-    for k, (lo, hi) in enumerate(model.runs(s)):
-        starts.add(lo)
-        ends.add(hi)
-        prev_ground[hi] = grounds[lo - 1] if k else None
-    choices = [[source]] + [model.sorted_blocks(m.blocks) for m in steps[1:]]
-    impossible = quadratic_form(algebra.zero())
-    last = len(steps) - 1
-    # states[j]: (alive in the current run, partial sums of finished runs)
-    # after step j, or None once some run has died out
-    states: List[Optional[tuple]] = [None] * len(steps)
-    out = []
-    previous = None
-    for combo in itertools.product(*choices):
-        j = 0
-        if previous is not None:
-            while combo[j] is previous[j]:
-                j += 1
-        for j in range(j, len(steps)):
-            before = states[j - 1] if j else (None, None)
-            if before is None:
-                states[j] = None
-                continue
-            alive, partial = before
-            alive = combo[j] if j in starts else alive & combo[j]
-            if not alive:
-                states[j] = None
-                continue
-            if j in ends:
-                if prev_ground[j] is None:
-                    partial = {x: algebra.unit() for x in sorted(alive)}
-                else:
-                    partial = _advance(partial, asg, prev_ground[j], grounds[j], alive)
-            states[j] = (alive, partial)
-        previous = combo
-        final = states[last]
-        if final is None:
-            out.append((Path(s, combo), impossible))
-        else:
-            amplitude = sum(final[1].values(), algebra.zero())
-            out.append((Path(s, combo), quadratic_form(amplitude)))
-    return out
+    choices = [[source]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
+    impossible = quadratic_form(asg.algebra.zero())
+    return [(Path(s, combo), impossible if amplitude is None else quadratic_form(amplitude))
+            for combo, amplitude in _thread_sums(s, choices, asg)]
 
 
 def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
@@ -560,7 +553,10 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     table = path_probabilities(s, source, asg)
     probs = []
     for p, q in table:
-        value = float(q)
+        try:
+            value = float(q)
+        except OverflowError:
+            raise NotADistribution(f"probability of {p!r} exceeds the float range") from None
         if value < -1e-12:
             raise NotADistribution(f"negative probability {q} for {p!r}")
         probs.append(max(value, 0.0))

@@ -262,9 +262,57 @@ def test_verify_algebra_rejects_bad_sample_count(value):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("source", ["{zz}", "{zz", "{n1, n2}"])
+@pytest.mark.parametrize("source", ["{zz}", "{n1, n2}"])
 def test_sum_rule_source_that_is_no_detector(source):
     proc = run_cli("-w", FIG, "sum-rule", "two", "--assignment", "amp",
                    "--source", source, expect=3)
     assert "no paths start at the given source result" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["sum-rule", "sample"])
+@pytest.mark.parametrize("source", ["{zz", "zz}", "{{n1}}", "{n1}}", "{}", " "])
+def test_source_that_is_no_block_is_a_usage_error(command, source):
+    draws = ["-n", "10", "--seed", "1"] if command == "sample" else []
+    proc = run_cli("-w", FIG, command, "two", "--assignment", "amp",
+                   "--source", source, *draws, expect=2)
+    assert "usage:" in proc.stderr and "--source" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def fig_workspace(tmp_path, matrix_text: str) -> str:
+    with open(FIG, "r", encoding="utf-8") as fh:
+        (tmp_path / "fig.dsl").write_text(fh.read(), encoding="utf-8")
+    (tmp_path / "fig_matrices.json").write_text(matrix_text, encoding="utf-8")
+    return str(tmp_path / "fig.dsl")
+
+
+ROW2 = '[["5/13", 0], [0, "12/13"], [0, 0]]'
+
+
+@pytest.mark.parametrize("matrix_text,message", [
+    ('{"steps": [{"from": "aN", "to": "aM", "matrix": [[["1/0", 0], [0, 1], [0, 0]], %s]}]}'
+     % ROW2, "zero denominator"),
+    ('{"steps": [{"from": "aN", "to": "aM"}]}', '"matrix" must be a list'),
+    ('[{"from": "aN", "to": "aM"}]', "must be an object"),
+    ('{"steps": [{"from": "aN", "to": "aM", "matrix": [[[NaN, 0], [0, 1], [0, 0]], %s]}]}'
+     % ROW2, "non-finite coefficient"),
+])
+def test_malformed_matrix_file_exits_1_with_span(tmp_path, matrix_text, message):
+    ws = fig_workspace(tmp_path, matrix_text)
+    proc = run_cli("-w", ws, "prob", "hop", "--assignment", "amp", expect=1)
+    assert proc.stderr.startswith("error: 24:40-59: invalid assignment: ")
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_sample_beyond_the_float_range_is_no_distribution(tmp_path):
+    huge = '"1%s"' % ("0" * 400)
+    ws = fig_workspace(
+        tmp_path,
+        '{"steps": [{"from": "aN", "to": "aM", "matrix": [[[%s, 0], [0, 1], [0, 0]], %s]}]}'
+        % (huge, ROW2))
+    proc = run_cli("-w", ws, "sample", "two", "--assignment", "amp", "--source", "{n1}",
+                   "-n", "10", "--seed", "1", expect=3)
+    assert "exceeds the float range" in proc.stderr and "Traceback" not in proc.stderr

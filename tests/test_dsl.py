@@ -1,5 +1,6 @@
 """DSL parsing, diagnostics, canonical printing, assignment loading."""
 
+import json
 import os
 from fractions import Fraction
 
@@ -121,3 +122,55 @@ def test_roundtrip_canonical_print():
 def test_workspace_objects_valid():
     ws = parse(fig_text(), base_dir=DATA)
     assert is_possible(ws.paths["wobble"])
+
+
+FIG_ROWS = [[["3/5", 0], [0, "4/5"], [0, 0]], [["5/13", 0], [0, "12/13"], [0, 0]]]
+
+
+def fig_step(**fields):
+    return {"from": "aN", "to": "aM", "matrix": FIG_ROWS, **fields}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([fig_step()], "must be an object"),
+    ({"steps": {"0": fig_step()}}, '"steps" must be a list'),
+    ({"steps": [["aN", "aM"]]}, "step 0 must be an object"),
+    ({"steps": [{"from": "aN", "to": "aM"}]}, 'step 0 "matrix" must be a list'),
+    ({"steps": [fig_step(**{"from": ["aN"]})]}, 'step 0 "from" must be a string'),
+    ({"steps": [fig_step(to=None)]}, 'step 0 "to" must be a string'),
+    ({"steps": [fig_step(to="nope")]}, "unknown measurement"),
+    ({"steps": [fig_step(matrix=FIG_ROWS[:1])]}, "row count"),
+    ({"steps": [fig_step(matrix=[FIG_ROWS[0], "row"])]}, "matrix row must be a list"),
+    ({"steps": [fig_step(matrix=[FIG_ROWS[0], FIG_ROWS[1][:2]])]}, "column count"),
+    ({"steps": [fig_step(matrix=[[1, 2, 3], [4, 5, 6]])]}, "matrix entry must be a list"),
+    ({"steps": [fig_step(matrix=[[["3/5"], [0, 1], [0, 0]], FIG_ROWS[1]])]},
+     "expected 2 coefficients"),
+    ({"steps": [fig_step(matrix=[[["1/0", 0], [0, 1], [0, 0]], FIG_ROWS[1]])]},
+     "zero denominator"),
+    ({"steps": [fig_step(matrix=[[["1/x", 0], [0, 1], [0, 0]], FIG_ROWS[1]])]},
+     "bad coefficient"),
+    ({"steps": [fig_step(matrix=[[[float("nan"), 0], [0, 1], [0, 0]], FIG_ROWS[1]])]},
+     "non-finite coefficient"),
+    ({"steps": [fig_step(matrix=[[[float("-inf"), 0], [0, 1], [0, 0]], FIG_ROWS[1]])]},
+     "non-finite coefficient"),
+    ({"steps": [fig_step(), fig_step()]}, "second matrix"),
+    ({"steps": [fig_step(), fig_step(to="bM")]}, "second matrix"),
+])
+def test_malformed_matrix_file_is_a_semantic_error_with_span(tmp_path, doc, message):
+    (tmp_path / "fig_matrices.json").write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SemanticError) as err:
+        parse(fig_text(), base_dir=str(tmp_path))
+    assert message in str(err.value)
+    assert str(err.value).startswith("24:40-59: ")
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"\xff\xfe", "cannot read matrix file"),
+    (b"[" * 100000, "invalid JSON"),
+    (b'{"steps": [}', "invalid JSON"),
+])
+def test_unreadable_matrix_file_is_a_semantic_error_with_span(tmp_path, raw, message):
+    (tmp_path / "fig_matrices.json").write_bytes(raw)
+    with pytest.raises(SemanticError) as err:
+        parse(fig_text(), base_dir=str(tmp_path))
+    assert message in str(err.value) and str(err.value).startswith("24:40-59: ")
