@@ -251,6 +251,36 @@ def mul(a: Amplitude, b: Amplitude) -> Amplitude:
     return Amplitude(alg, tuple(out))
 
 
+@lru_cache(maxsize=None)
+def product_plan(algebra: Algebra) -> tuple:
+    """The table of ``mul`` regrouped by output: for each basis index k, the
+    index pairs (i, j) with e_i * e_j = +e_k, then those with -e_k."""
+    plan = [([], []) for _ in range(algebra.dim)]
+    for i, row in enumerate(algebra.table):
+        for j, (k, sign) in enumerate(row):
+            plan[k][0 if sign > 0 else 1].append((i, j))
+    return tuple((tuple(plus), tuple(minus)) for plus, minus in plan)
+
+
+def sum_of_products(plan: tuple, lefts, rights) -> tuple:
+    """The coefficients of the sum of a * b over a in lefts and b in rights
+    taken in step, coefficient tuples multiplied by a ``product_plan``.  With
+    exact coefficients it equals summing ``mul`` over the pairs; float sums
+    may round otherwise."""
+    out = [0] * len(plan)
+    for a, b in zip(lefts, rights):
+        k = 0
+        for plus, minus in plan:
+            c = out[k]
+            for i, j in plus:
+                c += a[i] * b[j]
+            for i, j in minus:
+                c -= a[i] * b[j]
+            out[k] = c
+            k += 1
+    return tuple(out)
+
+
 def conj(a: Amplitude) -> Amplitude:
     return a.conj()
 

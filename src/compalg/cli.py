@@ -19,15 +19,21 @@ from .errors import CompalgError, EngineError, ModelError, NotADistribution
 from .dsl import ParseError, SemanticError
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _emit(args, obj, text_lines=None) -> None:
+    """Write obj as canonical JSON, or text_lines with ``--format text``.
+
+    A result holding an infinite or NaN float (float coefficients whose
+    products overflow) is not written: it is a validation failure, exit 3.
+    """
+    try:
+        data = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise SystemExit2("result is not finite: the float coefficients overflow", 3) \
+            from None
     if getattr(args, "format", "json") == "text" and text_lines is not None:
         sys.stdout.write("\n".join(text_lines) + "\n")
     else:
-        sys.stdout.write(_dump_json(obj))
+        sys.stdout.write(data + "\n")
 
 
 def _need_workspace(args) -> dsl.Workspace:

@@ -10,7 +10,13 @@ conjugate transpose of the forward one unless supplied explicitly.
 
 An assignment holds each matrix as rows x -> {y: amplitude}; every
 evaluator looks the matrix of each run boundary up once, before its
-products, and never per entry.
+products, and never per entry.  In exact mode, when every coefficient is
+rational, the evaluators compute over Python integers instead: each
+ground pair is lowered once, on first use, to integer coefficient tuples
+over one common denominator, products follow the algebra's product plan
+(its ``mul`` table regrouped by output), and each result is rebuilt as a
+rational once, at the end.  Float mode evaluates Amplitudes with ``mul``,
+summed left to right.
 
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
@@ -32,13 +38,15 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .algebra import (
-    SCALAR_RTOL, Algebra, AlgebraKind, Amplitude, make_algebra, mul, quadratic_form,
+    SCALAR_RTOL, Algebra, AlgebraKind, Amplitude, make_algebra, mul, product_plan,
+    quadratic_form, sum_of_products,
 )
 from .errors import (
     NonAssociativeAlgebra,
@@ -64,6 +72,8 @@ def _ground_key(g) -> frozenset:
 
 
 Rows = Dict[str, Dict[str, Amplitude]]
+#: A lowered matrix: rows x -> {y: integer coefficient tuple}.
+IntRows = Dict[str, Dict[str, Tuple[int, ...]]]
 
 
 class Assignment:
@@ -78,7 +88,9 @@ class Assignment:
 
     A matrix is held as rows x -> {y: amplitude}.  The conjugate transpose
     of a pair stored in one direction only is built the first time
-    ``matrix`` asks for it, and kept.
+    ``matrix`` asks for it, and kept.  In exact mode (every coefficient
+    rational) the evaluators read ``lowered`` instead: each pair over
+    integers with one common denominator, also built on first use and kept.
     """
 
     def __init__(self, algebra: Algebra, matrices) -> None:
@@ -88,6 +100,7 @@ class Assignment:
         self.algebra = algebra
         self._rows: Dict[Tuple[frozenset, frozenset], Rows] = {}
         self._transposes: Dict[Tuple[frozenset, frozenset], Rows] = {}
+        self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[IntRows, int]] = {}
         items = matrices.items() if isinstance(matrices, Mapping) else matrices
         for (g_from, g_to), entries in items:
             key = (_ground_key(g_from), _ground_key(g_to))
@@ -124,31 +137,72 @@ class Assignment:
             return None
         return {(x, y): amp for x, row in rows.items() for y, amp in row.items()}
 
+    @cached_property
+    def is_exact(self) -> bool:
+        """True when every coefficient is rational: exact mode."""
+        return all(amp.is_exact for rows in self._rows.values()
+                   for row in rows.values() for amp in row.values())
+
+    def _stored_or_reverse(self, key) -> Tuple[Rows, bool]:
+        """The stored rows of the pair, or of its reverse (flag True)."""
+        rows = self._rows.get(key)
+        if rows is not None:
+            return rows, False
+        rows = self._rows.get((key[1], key[0]))
+        if rows is None:
+            raise SequenceMismatch(
+                f"assignment has no matrix between grounds {sorted(key[0])} "
+                f"and {sorted(key[1])}")
+        return rows, True
+
     def matrix(self, g_from, g_to) -> Rows:
         """Rows x -> {y: amplitude} from one ground to another: the stored
         matrix, else the conjugate transpose of the stored reverse."""
         key = (_ground_key(g_from), _ground_key(g_to))
-        rows = self._rows.get(key)
+        rows = self._transposes.get(key)
         if rows is None:
-            rows = self._transposes.get(key)
-        if rows is None:
-            reverse = self._rows.get((key[1], key[0]))
-            if reverse is None:
-                raise SequenceMismatch(
-                    f"assignment has no matrix between grounds {sorted(key[0])} "
-                    f"and {sorted(key[1])}")
-            rows = {y: {} for y in sorted(key[0])}
-            for x, row in reverse.items():
+            rows, reversed_ = self._stored_or_reverse(key)
+            if not reversed_:
+                return rows
+            transpose = {y: {} for y in sorted(key[0])}
+            for x, row in rows.items():
                 for y, amp in row.items():
-                    rows[y][x] = amp.conj()
-            self._transposes[key] = rows
+                    transpose[y][x] = amp.conj()
+            rows = self._transposes[key] = transpose
         return rows
 
-    def entry(self, g_from, g_to, x: str, y: str) -> Amplitude:
-        """Transition amplitude x -> y; the identity within a ground set."""
-        if _ground_key(g_from) == _ground_key(g_to):
-            return self.algebra.unit() if x == y else self.algebra.zero()
-        return self.matrix(g_from, g_to)[x][y]
+    def lowered(self, g_from, g_to) -> Tuple[IntRows, int]:
+        """``matrix(g_from, g_to)`` over integers, for exact mode: rows
+        x -> {y: d integers} and one denominator D, the lcm of the entry
+        denominators, with ``matrix[x][y].coeffs == rows[x][y] / D``.
+
+        A reversed pair is built from the stored rows with the algebra's
+        conjugation signs.  Each pair is lowered on first use and kept.
+        """
+        key = (_ground_key(g_from), _ground_key(g_to))
+        hit = self._lowered.get(key)
+        if hit is not None:
+            return hit
+        rows, reversed_ = self._stored_or_reverse(key)
+        den = math.lcm(*(c.denominator for row in rows.values()
+                         for amp in row.values() for c in amp.coeffs))
+
+        def scaled(amp, signs):
+            return tuple(s * c.numerator * (den // c.denominator)
+                         for s, c in zip(signs, amp.coeffs))
+
+        if reversed_:
+            signs = self.algebra.conj_signs
+            lowered = {y: {} for y in sorted(key[0])}
+            for x, row in rows.items():
+                for y, amp in row.items():
+                    lowered[y][x] = scaled(amp, signs)
+        else:
+            signs = (1,) * self.algebra.dim
+            lowered = {x: {y: scaled(amp, signs) for y, amp in row.items()}
+                       for x, row in rows.items()}
+        hit = self._lowered[key] = (lowered, den)
+        return hit
 
     def __eq__(self, other):
         return isinstance(other, Assignment) \
@@ -202,11 +256,60 @@ def coeff_json(value):
 
 # -- evaluation ----------------------------------------------------------------
 
-def _boundary_matrices(s, asg: Assignment, segments) -> List[Rows]:
-    """The matrix from each weak-equivalence run to the next; raises
-    SequenceMismatch when the assignment lacks one."""
+@dataclass(frozen=True)
+class _Arithmetic:
+    """The numbers the walker and the pair transfer compute with.
+
+    ``rows(a, b)`` is the matrix from ground a to ground b with its
+    denominator; ``dot(lefts, rights)`` sums the products a * b of the two
+    sequences taken in step, ``conj`` conjugates one value, and
+    ``total(values, denominator)`` is the Amplitude of the sum of values
+    over denominator.
+    """
+    unit: object
+    rows: Callable
+    dot: Callable
+    conj: Callable
+    total: Callable
+
+
+def _rational(numerator: int, denominator: int):
+    """numerator / denominator as an int when it is one, else a Fraction."""
+    return Fraction(numerator, denominator) if numerator % denominator \
+        else numerator // denominator
+
+
+def _arithmetic(asg: Assignment) -> _Arithmetic:
+    """Exact mode: the lowered integer rows, multiplied by the algebra's
+    product plan, every result rebuilt as a rational once.  Float mode:
+    the Amplitude rows and ``mul``, summed left to right from zero."""
+    algebra = asg.algebra
+    if asg.is_exact:
+        plan = product_plan(algebra)
+        zero = (0,) * algebra.dim
+        signs = algebra.conj_signs
+        return _Arithmetic(
+            unit=(1,) + zero[1:],
+            rows=asg.lowered,
+            dot=lambda lefts, rights: sum_of_products(plan, lefts, rights),
+            conj=lambda a: tuple(map(operator.mul, signs, a)),
+            total=lambda values, den: algebra.amplitude(
+                _rational(sum(c), den) for c in zip(zero, *values)))
+    zero = algebra.zero()
+    return _Arithmetic(
+        unit=algebra.unit(),
+        rows=lambda a, b: (asg.matrix(a, b), 1),
+        dot=lambda lefts, rights: sum(map(mul, lefts, rights), zero),
+        conj=Amplitude.conj,
+        total=lambda values, den: sum(values, zero))
+
+
+def _boundary_rows(s, arith: _Arithmetic, segments) -> Tuple[list, list]:
+    """The matrix from each weak-equivalence run to the next and its
+    denominator; raises SequenceMismatch when the assignment lacks one."""
     grounds = [s.steps[lo].element_set() for lo, _ in segments]
-    return [asg.matrix(a, b) for a, b in zip(grounds, grounds[1:])]
+    boundaries = [arith.rows(a, b) for a, b in zip(grounds, grounds[1:])]
+    return [rows for rows, _ in boundaries], [den for _, den in boundaries]
 
 
 def _thread_sums(s, choices, asg: Assignment):
@@ -224,14 +327,18 @@ def _thread_sums(s, choices, asg: Assignment):
     One dict of partial thread sums is kept per run, and each pick
     recomputes only the runs from the first one whose results changed.
     Elements are taken in sorted order, so float sums are byte-stable.
+    In exact mode the sums are integer tuples over the product of the
+    boundary denominators, and each amplitude is rebuilt once at the end.
     """
+    arith = _arithmetic(asg)
     segments = model.runs(s)
-    matrices = _boundary_matrices(s, asg, segments)
+    matrices, dens = _boundary_rows(s, arith, segments)
+    denominator = math.prod(dens)
     run_of = [k for k, (lo, hi) in enumerate(segments) for _ in range(lo, hi + 1)]
-    zero, unit = asg.algebra.zero(), asg.algebra.unit()
+    unit, dot = arith.unit, arith.dot
     # partials[k]: thread sums onto the surviving elements of run k, or None
     # once run k or an earlier run has none
-    partials: List[Optional[Dict[str, Amplitude]]] = [None] * len(segments)
+    partials: List[Optional[dict]] = [None] * len(segments)
     previous = None
     for combo in itertools.product(*choices):
         first = 0
@@ -250,11 +357,11 @@ def _thread_sums(s, choices, asg: Assignment):
             elif k == 0:
                 partial = {x: unit for x in sorted(alive)}
             else:
-                rows = matrices[k - 1]
-                partial = {y: sum((mul(acc, rows[x][y]) for x, acc in partial.items()), zero)
-                           for y in sorted(alive)}
+                rows, accs = matrices[k - 1], partial.values()
+                partial = {y: dot(accs, [rows[x][y] for x in partial]) for y in sorted(alive)}
             partials[k] = partial
-        yield combo, None if partial is None else sum(partial.values(), zero)
+        yield combo, None if partial is None else \
+            arith.total(partial.values(), denominator)
 
 
 def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
@@ -348,11 +455,7 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     matrix or a non-scalar sum fails that check with the error as detail.
     """
     entries = []
-    exact_mode = all(
-        amp.is_exact
-        for table in (asg.stored(a, b) for a, b in asg.pairs())
-        for amp in table.values()
-    )
+    exact_mode = asg.is_exact
 
     def close_to_one(value) -> bool:
         if exact_mode and isinstance(value, Rational):
@@ -421,35 +524,31 @@ def _same_block_classes(steps, elements) -> List[List[str]]:
     return list(classes.values())
 
 
-def _pair_transfer(classes, forward, backward, unit, zero, product):
-    """Sum of S_0 over same-class pairs of run 0, by the backward recursion
+def _pair_transfer(classes, forward, backward, unit, dot) -> list:
+    """S_0 over the same-class pairs (x, x') of run 0, in the order of the
+    classes, then x, then x', by the backward recursion
 
         S_last(x, x') = unit
         S_k(x, x')    = sum_y' (sum_y forward_k[x][y] S_k+1(y, y')) backward_k[x'][y']
 
     with S_k(x, x') defined only for x, x' in one class of run k.
     ``forward_k`` and ``backward_k`` map a run-k element to a dict over the
-    run-(k+1) elements; ``product`` is the (associative) multiplication.
+    run-(k+1) elements, in class order; ``dot(lefts, rights)`` sums the
+    (associative) products of two sequences taken in step.
     """
-    pairs = {(x, x2): unit for cls in classes[-1] for x in cls for x2 in cls}
+    # columns[x'][x] = S(x, x'), x running over the class of x' in order
+    columns = {x2: {x: unit for x in cls} for cls in classes[-1] for x2 in cls}
     for k in range(len(classes) - 2, -1, -1):
-        left = {}
+        left = {}  # left[x][y'] = sum_y forward_k[x][y] S_k+1(y, y'), in class order
         for x, row in forward[k].items():
+            left[x] = lx = {}
             for cls in classes[k + 1]:
+                entries = [row[y] for y in cls]
                 for y2 in cls:
-                    acc = zero
-                    for y in cls:
-                        acc = acc + product(row[y], pairs[y, y2])
-                    left[x, y2] = acc
-        pairs = {}
-        for cls in classes[k]:
-            for x in cls:
-                for x2 in cls:
-                    acc = zero
-                    for y2, adjoint in backward[k][x2].items():
-                        acc = acc + product(left[x, y2], adjoint)
-                    pairs[x, x2] = acc
-    return sum(pairs.values(), zero)
+                    lx[y2] = dot(entries, columns[y2].values())
+        columns = {x2: {x: dot(left[x].values(), backward[k][x2].values()) for x in cls}
+                   for cls in classes[k] for x2 in cls}
+    return [columns[x2][x] for cls in classes[0] for x in cls for x2 in cls]
 
 
 def _norm(a: Amplitude) -> float:
@@ -477,7 +576,10 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     where D_k(x, x') holds when x and x' lie in one block at every step of
     run k, and run 0 is restricted to the source.  The total is the e0
     coefficient of Sum S_0.  This costs O(L n^3) algebra products for L
-    runs over grounds of at most n elements, and needs no path bound.
+    runs over grounds of at most n elements, and needs no path bound.  In
+    exact mode E_k is the lowered integer matrix over its denominator q_k,
+    so the recursion runs over integers, S_k carrying q_k^2 ... q_last^2,
+    and the total is divided by the product of the q_k^2 once.
 
     The summed imaginary tail must vanish, exactly in exact mode; in float
     mode within SCALAR_RTOL times the same recursion over entry norms,
@@ -488,7 +590,8 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     _check_source(s, source)
     steps = s.steps
     segments = model.runs(s)
-    matrices = _boundary_matrices(s, asg, segments)
+    arith = _arithmetic(asg)
+    matrices, dens = _boundary_rows(s, arith, segments)
     classes = [_same_block_classes(steps[lo:hi + 1],
                                    source if lo == 0 else steps[lo].element_set())
                for lo, hi in segments]
@@ -498,16 +601,20 @@ def total_probability(s: MeasurementSequence, source: frozenset,
         rows = {x: {y: matrix[x][y] for y in targets}
                 for cls in classes[k] for x in cls}
         forward.append(rows)
-        backward.append({x: {y: a.conj() for y, a in row.items()} for x, row in rows.items()})
-    algebra = asg.algebra
-    total = _pair_transfer(classes, forward, backward, algebra.unit(), algebra.zero(), mul)
+        backward.append({x: {y: arith.conj(a) for y, a in row.items()}
+                         for x, row in rows.items()})
+    pairs = _pair_transfer(classes, forward, backward, arith.unit, arith.dot)
+    total = arith.total(pairs, math.prod(den * den for den in dens))
     tail = total.coeffs[1:]
     if any(c != 0 for c in tail):
         if total.is_exact:
             raise NonScalarProduct(f"summed pair products not scalar: {total!r}")
         norms = [{x: {y: _norm(a) for y, a in row.items()} for x, row in rows.items()}
                  for rows in forward]
-        tol = SCALAR_RTOL * _pair_transfer(classes, norms, norms, 1.0, 0.0, operator.mul)
+        bounds = _pair_transfer(
+            classes, norms, norms, 1.0,
+            lambda lefts, rights: sum(map(operator.mul, lefts, rights), 0.0))
+        tol = SCALAR_RTOL * sum(bounds)
         if any(abs(float(c)) > tol for c in tail):
             raise NonScalarProduct(
                 f"summed pair products not scalar within {tol}: {total!r}")

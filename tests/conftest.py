@@ -154,6 +154,18 @@ def assignment_for(grounds, algebra: Algebra, rng: random.Random,
 
 # -- independent amplitude oracle ---------------------------------------------------
 
+def _elements(g) -> frozenset:
+    return g if isinstance(g, frozenset) else g.element_set()
+
+
+def entry(asg: Assignment, g_from, g_to, x: str, y: str) -> Amplitude:
+    """Transition amplitude x -> y between grounds (ground sets, measurements
+    or element sets); the identity within a ground set."""
+    if _elements(g_from) == _elements(g_to):
+        return asg.algebra.unit() if x == y else asg.algebra.zero()
+    return asg.matrix(g_from, g_to)[x][y]
+
+
 def amplitude_by_enumeration(p: Path, asg: Assignment) -> Amplitude:
     """Literal thread enumeration: one element per weak-equivalence run,
     product of matrix entries left to right, summed over all choices."""
@@ -171,7 +183,7 @@ def amplitude_by_enumeration(p: Path, asg: Assignment) -> Amplitude:
     for combo in itertools.product(*(alive for _, alive in supports)):
         term = asg.algebra.unit()
         for i in range(len(combo) - 1):
-            term = mul(term, asg.entry(supports[i][0], supports[i + 1][0],
-                                       combo[i], combo[i + 1]))
+            term = mul(term, entry(asg, supports[i][0], supports[i + 1][0],
+                                   combo[i], combo[i + 1]))
         total = total + term
     return total

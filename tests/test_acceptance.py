@@ -52,6 +52,7 @@ from conftest import (
     MIX_GROUNDS,
     amplitude_by_enumeration,
     assignment_for,
+    entry,
     universe_paths,
 )
 from oracle import (
@@ -139,7 +140,7 @@ def test_criterion_4_symmetric_bundle_normalization():
             asg = Assignment(algebra, {(n_ground, m_ground): table})
             for x in n_ground.elements:
                 total = sum(
-                    quadratic_form(asg.entry(n_ground, m_ground, x, y))
+                    quadratic_form(entry(asg, n_ground, m_ground, x, y))
                     for y in m_ground.elements)
                 worst_row = max(worst_row, abs(total - 1.0))
                 bundle = Path(

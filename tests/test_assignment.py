@@ -20,7 +20,7 @@ from compalg.model import (
     sequence,
 )
 
-from conftest import MIX_GROUNDS, amplitude_by_enumeration, assignment_for
+from conftest import MIX_GROUNDS, amplitude_by_enumeration, assignment_for, entry
 
 ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,
                AlgebraKind.H, AlgebraKind.SPLIT_H]
@@ -42,8 +42,8 @@ def test_reverse_is_the_conjugate_transpose_of_the_stored_matrix(kind):
         assert asg.stored(b, a) is None
         for x in a.elements:
             for y in b.elements:
-                assert asg.entry(a, b, x, y) == forward[(x, y)]
-                assert asg.entry(b, a, y, x) == forward[(x, y)].conj()
+                assert entry(asg, a, b, x, y) == forward[(x, y)]
+                assert entry(asg, b, a, y, x) == forward[(x, y)].conj()
                 assert asg.matrix(b, a)[y][x] == forward[(x, y)].conj()
 
 
@@ -59,8 +59,8 @@ def test_pair_stored_both_ways_returns_the_stored_reverse():
     backward = [[C.amplitude([5, 7]), C.amplitude([-3, 1])]]
     asg = assignment_from_rows(C, [(X, Y, forward), (Y, X, backward)])
     assert asg.matrix(Y, X) == {"y": {"x1": C.amplitude([5, 7]), "x2": C.amplitude([-3, 1])}}
-    assert asg.entry(Y, X, "y", "x2") == C.amplitude([-3, 1])
-    assert asg.entry(X, Y, "x1", "y") == C.amplitude([0, 1])
+    assert entry(asg, Y, X, "y", "x2") == C.amplitude([-3, 1])
+    assert entry(asg, X, Y, "x1", "y") == C.amplitude([0, 1])
 
 
 def test_missing_pair_raises_sequence_mismatch():
@@ -68,7 +68,7 @@ def test_missing_pair_raises_sequence_mismatch():
     with pytest.raises(SequenceMismatch, match="no matrix"):
         asg.matrix(X, MIX_GROUNDS[2])
     with pytest.raises(SequenceMismatch, match="no matrix"):
-        asg.entry(MIX_GROUNDS[2], X, "x", "x1")
+        entry(asg, MIX_GROUNDS[2], X, "x", "x1")
 
 
 def test_missing_pair_raises_also_for_an_impossible_path():

@@ -316,3 +316,20 @@ def test_sample_beyond_the_float_range_is_no_distribution(tmp_path):
     proc = run_cli("-w", ws, "sample", "two", "--assignment", "amp", "--source", "{n1}",
                    "-n", "10", "--seed", "1", expect=3)
     assert "exceeds the float range" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["prob", "hop", "--assignment", "amp"],
+    ["prob", "hop", "--assignment", "amp", "--format", "text"],
+    ["sum-rule", "two", "--assignment", "amp", "--source", "{n1}"],
+])
+def test_float_overflow_is_no_finite_result(tmp_path, command):
+    """A finite float coefficient whose square overflows gives an infinite
+    probability, which is reported (exit 3) and never printed."""
+    ws = fig_workspace(
+        tmp_path,
+        '{"steps": [{"from": "aN", "to": "aM", "matrix": [[[1e200, 0], [0, 1], [0, 0]], %s]}]}'
+        % ROW2)
+    proc = run_cli("-w", ws, *command, expect=3)
+    assert "not finite" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -9,6 +9,8 @@ import pytest
 from compalg.dsl import ParseError, SemanticError, parse
 from compalg.model import is_possible
 
+from conftest import entry
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -100,8 +102,7 @@ def test_assignment_loading():
     asg = ws.assignments["amp"]
     n = ws.grounds["N"]
     g3 = ws.grounds["G3"]
-    entry = asg.entry(n, g3, "n1", "m1")
-    assert entry.coeffs == (0, Fraction(4, 5))
+    assert entry(asg, n, g3, "n1", "m1").coeffs == (0, Fraction(4, 5))
 
 
 def test_assignment_algebra_mismatch_rejected():

@@ -41,6 +41,7 @@ from conftest import (
     AM, BM, DM, G3, GM, UM,
     amplitude_by_enumeration,
     assignment_for,
+    entry,
 )
 
 C = make_algebra(AlgebraKind.C)
@@ -75,8 +76,8 @@ def test_same_ground_matrix_rejected():
 
 def test_identity_forced_between_weakly_equivalent_steps():
     asg = Assignment(C, {})
-    assert asg.entry(AM, BM, "m", "m") == C.unit()
-    assert asg.entry(AM, BM, "m", "m1") == C.zero()
+    assert entry(asg, AM, BM, "m", "m") == C.unit()
+    assert entry(asg, AM, BM, "m", "m1") == C.zero()
 
 
 def test_missing_matrix_detected():
@@ -102,10 +103,10 @@ def test_coarse_result_expands_distributively():
         [[Fraction(5, 13), 0], [0, Fraction(12, 13)], [0, 0]],
     ])
     p = path([AN, BM, AN], [["n1"], ["m", "m1"], ["n1"]])
-    a_m = asg.entry(N, G3, "n1", "m")
-    a_m1 = asg.entry(N, G3, "n1", "m1")
-    back_m = asg.entry(G3, N, "m", "n1")
-    back_m1 = asg.entry(G3, N, "m1", "n1")
+    a_m = entry(asg, N, G3, "n1", "m")
+    a_m1 = entry(asg, N, G3, "n1", "m1")
+    back_m = entry(asg, G3, N, "m", "n1")
+    back_m1 = entry(asg, G3, N, "m1", "n1")
     expected = mul(a_m, back_m) + mul(a_m1, back_m1)
     assert amplitude_of(p, asg) == expected
 
@@ -130,7 +131,7 @@ def test_worked_example_probabilities_are_exact():
 
 def test_symmetric_path_amplitude_is_q_of_leg(unit_row_assignment):
     p = path([AN, AM, AN], [["n1"], ["m2"], ["n1"]])
-    leg = unit_row_assignment.entry(N, G3, "n1", "m2")
+    leg = entry(unit_row_assignment, N, G3, "n1", "m2")
     q = quadratic_form(leg)
     result = probability_of(p, unit_row_assignment)
     assert result.amplitude == C.scalar(q)

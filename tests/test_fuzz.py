@@ -5,7 +5,8 @@ Whatever the mutation, ``cli.main`` run in-process returns an exit code in
 {0, 1, 2, 3} and lets no exception escape, and every exit 1 carries the
 ``line:col`` span of the document or matrix-file error.  The one exit 1
 without a span is a name given on the command line that the mutated
-document no longer declares ("unknown path 'hop'").
+document no longer declares ("unknown path 'hop'").  Every JSON output is
+strict JSON: no NaN or Infinity, which overflowing floats would give.
 """
 
 import contextlib
@@ -54,6 +55,10 @@ SPAN = re.compile(r"^error: \d+:\d+-\d+: ")
 UNKNOWN_NAME = re.compile(r"^error: unknown (path|sequence|assignment) '")
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def mutate(text: str, edits) -> str:
     for position, deleted, inserted in edits:
         i = position % (len(text) + 1)
@@ -72,6 +77,8 @@ def check_exit(dsl_text: str, matrix_text: str, command) -> None:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["-w", workspace, *command])
     assert code in (0, 1, 2, 3), err.getvalue()
+    if out.getvalue() and command[0] != "sample":  # sample writes CSV
+        json.loads(out.getvalue(), parse_constant=_no_constant)
     if code == 1:
         message = err.getvalue()
         assert SPAN.match(message) or UNKNOWN_NAME.match(message), message

@@ -1,0 +1,231 @@
+"""Exact mode over integers: each ground pair lowered once to integer
+coefficient tuples over one common denominator, products by the algebra's
+product plan, and every result equal, as a Fraction, to the Fraction
+evaluation it replaces.  Float mode keeps the Amplitude path."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from compalg.algebra import AlgebraKind, make_algebra, mul, product_plan, sum_of_products
+from compalg.cli import main
+from compalg.engine import (
+    Assignment,
+    amplitude_of,
+    assignment_from_rows,
+    path_probabilities,
+    total_probability,
+)
+from compalg.errors import SequenceMismatch
+from compalg.model import GroundSet, atomic_measurement, path
+
+from conftest import (
+    MIX_GROUNDS,
+    amplitude_by_enumeration,
+    assignment_for,
+    random_exact_rows,
+    universe_sequences,
+)
+from oracle import probabilities_by_enumeration, total_by_enumeration
+
+ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,
+               AlgebraKind.H, AlgebraKind.SPLIT_H]
+KIND_IDS = lambda k: k.label  # noqa: E731
+C = make_algebra(AlgebraKind.C)
+
+
+def random_coefficient(rng: random.Random):
+    """An int or a Fraction, zero now and then."""
+    value = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return int(value) if rng.random() < 0.3 and value.denominator == 1 else value
+
+
+# -- the product plan ------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=KIND_IDS)
+def test_plan_product_is_mul(kind):
+    algebra = make_algebra(kind)
+    plan = product_plan(algebra)
+    basis = [algebra.basis_element(r) for r in range(algebra.dim)]
+    for a, b in itertools.product(basis, repeat=2):
+        assert sum_of_products(plan, [a.coeffs], [b.coeffs]) == mul(a, b).coeffs
+    rng = random.Random(f"plan:{kind.label}")
+    for _ in range(40):
+        count = rng.randint(0, 4)
+        lefts = [algebra.amplitude(random_coefficient(rng) for _ in range(algebra.dim))
+                 for _ in range(count)]
+        rights = [algebra.amplitude(random_coefficient(rng) for _ in range(algebra.dim))
+                  for _ in range(count)]
+        want = sum(map(mul, lefts, rights), algebra.zero())
+        got = sum_of_products(plan, [a.coeffs for a in lefts], [b.coeffs for b in rights])
+        assert got == want.coeffs
+
+
+# -- the lowering ----------------------------------------------------------------------
+
+def both_ways_assignment(algebra, rng) -> Assignment:
+    """A matrix stored for every ordered pair of MIX_GROUNDS, the reverse
+    unrelated to the forward one."""
+    return assignment_from_rows(algebra, [
+        (a, b, random_exact_rows(algebra, len(a.elements), len(b.elements), rng))
+        for a, b in itertools.permutations(MIX_GROUNDS, 2)])
+
+
+@pytest.mark.parametrize("kind", ASSOCIATIVE, ids=KIND_IDS)
+@pytest.mark.parametrize("stored", ["one way", "both ways"])
+def test_lowered_rows_are_the_matrix_over_one_denominator(kind, stored):
+    algebra = make_algebra(kind)
+    rng = random.Random(f"lower:{kind.label}")
+    asg = assignment_for(MIX_GROUNDS, algebra, rng, normalized=False) \
+        if stored == "one way" else both_ways_assignment(algebra, rng)
+    assert asg.is_exact
+    for a, b in itertools.permutations(MIX_GROUNDS, 2):
+        rows, den = asg.lowered(a, b)
+        matrix = asg.matrix(a, b)
+        assert den == math.lcm(*(c.denominator for row in matrix.values()
+                                 for amp in row.values() for c in amp.coeffs))
+        assert rows.keys() == matrix.keys()
+        for x, row in matrix.items():
+            assert rows[x].keys() == row.keys()
+            for y, amp in row.items():
+                assert all(type(c) is int for c in rows[x][y])
+                assert tuple(Fraction(c, den) for c in rows[x][y]) == amp.coeffs
+        assert asg.lowered(a, b) is asg.lowered(a, b)
+
+
+def int_assignment(algebra, rng) -> Assignment:
+    return Assignment(algebra, {
+        (a, b): {(x, y): algebra.amplitude(rng.randint(-3, 3) for _ in range(algebra.dim))
+                 for x in a.elements for y in b.elements}
+        for a, b in itertools.combinations(MIX_GROUNDS, 2)})
+
+
+def exact_assignments(kind):
+    """Fraction one way, Fraction both ways, and int one way."""
+    algebra = make_algebra(kind)
+    rng = random.Random(f"walk:{kind.label}")
+    return [assignment_for(MIX_GROUNDS, algebra, rng, normalized=False),
+            both_ways_assignment(algebra, rng),
+            int_assignment(algebra, rng)]
+
+
+@pytest.mark.parametrize("kind", ASSOCIATIVE, ids=KIND_IDS)
+def test_amplitudes_equal_enumeration_exactly(kind, mixed_universe_paths):
+    """Every fifth path of the mixed universe: both directions of each
+    pair, runs of several steps, impossible paths."""
+    for asg in exact_assignments(kind):
+        ints = all(type(c) is int for a, b in asg.pairs()
+                   for amp in asg.stored(a, b).values() for c in amp.coeffs)
+        for p in mixed_universe_paths[::5]:
+            got = amplitude_of(p, asg)
+            want = amplitude_by_enumeration(p, asg)
+            assert got == want, p
+            assert all(type(c) is int if ints else isinstance(c, (int, Fraction))
+                       for c in got.coeffs)
+
+
+@pytest.mark.parametrize("kind", ASSOCIATIVE, ids=KIND_IDS)
+def test_walk_and_sum_rule_equal_enumeration_exactly(kind):
+    seqs = universe_sequences(MIX_GROUNDS, 4)[::9]
+    for asg in exact_assignments(kind):
+        for s in seqs:
+            for source in s.steps[0].blocks:
+                walked = path_probabilities(s, source, asg)
+                assert walked == probabilities_by_enumeration(s, source, asg)
+                total = total_probability(s, source, asg)
+                assert total == total_by_enumeration(s, source, asg)
+                assert isinstance(total, (int, Fraction))
+
+
+# -- missing pairs ----------------------------------------------------------------------
+
+X = GroundSet("X", ("x1", "x2"))
+Y = GroundSet("Y", ("y",))
+Z = GroundSet("Z", ("z1", "z2", "z3"))
+MISSING = "assignment has no matrix between grounds ['y'] and ['z1', 'z2', 'z3']"
+
+
+@pytest.mark.parametrize("coefficient", [Fraction(1, 2), 3, 0.5], ids=["Fraction", "int", "float"])
+def test_missing_pair_raises_in_every_mode(coefficient):
+    ax, ay, az = (atomic_measurement(g) for g in (X, Y, Z))
+    rows = [[C.amplitude([coefficient, 0])] for _ in X.elements]
+    asg = assignment_from_rows(C, [(X, Y, rows)])
+    # run 1 over X dies out ({x1} then {x2}); the Y -> Z matrix is still missing
+    dead = path([ay, ax, ax, ay, az], [["y"], ["x1"], ["x2"], ["y"], ["z1"]])
+    live = path([ax, ay, az], [["x1"], ["y"], ["z2"]])
+    for p in (dead, live):
+        with pytest.raises(SequenceMismatch) as err:
+            amplitude_of(p, asg)
+        assert str(err.value) == MISSING
+        with pytest.raises(SequenceMismatch) as err:
+            path_probabilities(p.sequence, p.results[0], asg)
+        assert str(err.value) == MISSING
+        with pytest.raises(SequenceMismatch) as err:
+            total_probability(p.sequence, p.results[0], asg)
+        assert str(err.value) == MISSING
+
+
+# -- float mode stays on the Amplitude path ---------------------------------------------
+
+MIX_DSL = """\
+elements A = {a1, a2}
+measurement aA over A = {{a1}, {a2}}
+elements B = {b1, b2, b3}
+measurement aB over B = {{b1}, {b2}, {b3}}
+measurement cB over B = {{b1, b2}, {b3}}
+sequence zig = [aA, aB, cB, aA, aB]
+path walk over zig = [{a1}, {b2}, {b1, b2}, {a2}, {b3}]
+assignment mix over zig algebra H from "mix.json"
+"""
+
+MIXED = """\
+{"steps": [{"from": "aA", "to": "aB", "matrix": [
+  [["1/3", 0, 0.25, -1], [0.1, "-2/7", 1, 0], [0, 0.3, "1/5", 2]],
+  [[-0.45, 1, "3/4", 0], ["1/2", 0.6, 0, -0.2], [1, 0, "-1/9", 0.7]]]}]}
+"""
+
+RATIONAL = """\
+{"steps": [{"from": "aA", "to": "aB", "matrix": [
+  [["1/3", 0, "1/4", -1], ["1/10", "-2/7", 1, 0], [0, "3/10", "1/5", 2]],
+  [["-9/20", 1, "3/4", 0], ["1/2", "3/5", 0, "-1/5"], [1, 0, "-1/9", "7/10"]]]}]}
+"""
+
+MATRICES = {"mixed": MIXED, "rational": RATIONAL}
+# written by the Fraction and Amplitude evaluation that the lowering replaced
+OUTPUTS = {
+    ("mixed", "prob"): '{"amplitude":[-0.4935238095238095,0.45603174603174607,'
+                     '0.5726349206349206,0.5353174603174603],"probability":1.0660062396069538}\n',
+    ("mixed", "prob-text"): "amplitude: [-0.4935238095238095, 0.45603174603174607, "
+                          "0.5726349206349206, 0.5353174603174603]\n"
+                          "probability: 1.0660062396069538\n",
+    ("mixed", "sum-rule"): '{"total_probability":160.7125590661647}\n',
+    ("rational", "prob"): '{"amplitude":["-2591/5250","2873/6300","9019/15750","1349/2520"],'
+                        '"probability":"282065251/264600000"}\n',
+    ("rational", "prob-text"): "amplitude: [Fraction(-2591, 5250), Fraction(2873, 6300), "
+                             "Fraction(9019, 15750), Fraction(1349, 2520)]\n"
+                             "probability: 282065251/264600000\n",
+    ("rational", "sum-rule"):
+        '{"total_probability":"7939407045362876981/49401285696000000"}\n',
+}
+ARGV = {
+    "prob": ["prob", "walk", "--assignment", "mix"],
+    "prob-text": ["prob", "walk", "--assignment", "mix", "--format", "text"],
+    "sum-rule": ["sum-rule", "zig", "--assignment", "mix", "--source", "{a1}"],
+}
+
+
+@pytest.mark.parametrize("matrices,command", sorted(OUTPUTS))
+def test_cli_output_bytes(tmp_path, capsys, monkeypatch, matrices, command):
+    """Mixed int, Fraction and float coefficients are float mode: never
+    lowered, and printed byte for byte as before; rational ones are exact."""
+    (tmp_path / "mix.dsl").write_text(MIX_DSL)
+    (tmp_path / "mix.json").write_text(MATRICES[matrices])
+    if matrices == "mixed":
+        def no_lowering(*args):
+            raise AssertionError("float-mode assignment lowered")
+        monkeypatch.setattr(Assignment, "lowered", no_lowering)
+    assert main(["-w", str(tmp_path / "mix.dsl"), *ARGV[command]]) == 0
+    assert capsys.readouterr().out == OUTPUTS[matrices, command]

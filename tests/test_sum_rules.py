@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from compalg import engine
-from compalg.algebra import AlgebraKind, make_algebra, mul
+from compalg.algebra import AlgebraKind, make_algebra, mul, sum_of_products
 from compalg.engine import (
     FLOAT_RTOL,
     Assignment,
@@ -127,14 +127,21 @@ def test_walk_is_bitwise_probability_of():
 
 
 def test_non_scalar_sum_is_rejected(monkeypatch):
+    """A product that adds e_0's coefficient to e_1's: in float mode through
+    ``mul``, in exact mode through the lowered sums of products."""
     def skewed(a, b):
         out = mul(a, b)
         return out + out.algebra.basis_element(1).scale(out.coeffs[0])
+
+    def skewed_sum(plan, lefts, rights):
+        out = sum_of_products(plan, lefts, rights)
+        return (out[0], out[1] + out[0]) + out[2:]
     asg, s, source = next(
         (a, s, src) for a, s, src in cases(6, 20)
         if a.algebra.kind is AlgebraKind.C and len(runs(s)) > 1
         and total_by_enumeration(s, src, a) != 0)
     monkeypatch.setattr(engine, "mul", skewed)
+    monkeypatch.setattr(engine, "sum_of_products", skewed_sum)
     with pytest.raises(NonScalarProduct):
         total_probability(s, source, asg)
     with pytest.raises(NonScalarProduct):
