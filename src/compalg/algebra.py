@@ -254,29 +254,34 @@ def mul(a: Amplitude, b: Amplitude) -> Amplitude:
 @lru_cache(maxsize=None)
 def product_plan(algebra: Algebra) -> tuple:
     """The table of ``mul`` regrouped by output: for each basis index k, the
-    index pairs (i, j) with e_i * e_j = +e_k, then those with -e_k."""
-    plan = [([], []) for _ in range(algebra.dim)]
+    triples (i, j, negate) with e_i * e_j = -e_k if negate else +e_k, in
+    ``mul``'s (i, j) order."""
+    plan = [[] for _ in range(algebra.dim)]
     for i, row in enumerate(algebra.table):
         for j, (k, sign) in enumerate(row):
-            plan[k][0 if sign > 0 else 1].append((i, j))
-    return tuple((tuple(plus), tuple(minus)) for plus, minus in plan)
+            plan[k].append((i, j, sign < 0))
+    return tuple(map(tuple, plan))
 
 
 def sum_of_products(plan: tuple, lefts, rights) -> tuple:
     """The coefficients of the sum of a * b over a in lefts and b in rights
-    taken in step, coefficient tuples multiplied by a ``product_plan``.  With
-    exact coefficients it equals summing ``mul`` over the pairs; float sums
-    may round otherwise."""
+    taken in step, coefficient tuples multiplied by a ``product_plan``.
+
+    Each product is formed term by term in ``mul``'s order and then added
+    to the running sum, so the result equals summing ``mul`` over the pairs
+    from zero: exactly for rationals, and bit for bit for finite floats
+    (where ``mul`` skips a zero term and keeps an int 0, this gives 0.0)."""
     out = [0] * len(plan)
     for a, b in zip(lefts, rights):
         k = 0
-        for plus, minus in plan:
-            c = out[k]
-            for i, j in plus:
-                c += a[i] * b[j]
-            for i, j in minus:
-                c -= a[i] * b[j]
-            out[k] = c
+        for terms in plan:
+            c = 0
+            for i, j, negate in terms:
+                if negate:
+                    c -= a[i] * b[j]
+                else:
+                    c += a[i] * b[j]
+            out[k] += c
             k += 1
     return tuple(out)
 

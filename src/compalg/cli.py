@@ -126,7 +126,7 @@ def cmd_prob(args) -> int:
     asg = _lookup(ws.assignments, args.assignment, "assignment")
     result = engine.probability_of(p, asg)
     _emit(args, result.to_json(), [
-        f"amplitude: {list(result.amplitude.coeffs)}",
+        f"amplitude: [{', '.join(map(str, result.amplitude.coeffs))}]",
         f"probability: {result.probability}"])
     return 0
 

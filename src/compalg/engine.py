@@ -8,15 +8,16 @@ underlying element is preserved, which is what makes repeated
 measurements repeatable.  The matrix for the reversed pair is the
 conjugate transpose of the forward one unless supplied explicitly.
 
-An assignment holds each matrix as rows x -> {y: amplitude}; every
-evaluator looks the matrix of each run boundary up once, before its
-products, and never per entry.  In exact mode, when every coefficient is
-rational, the evaluators compute over Python integers instead: each
-ground pair is lowered once, on first use, to integer coefficient tuples
-over one common denominator, products follow the algebra's product plan
-(its ``mul`` table regrouped by output), and each result is rebuilt as a
-rational once, at the end.  Float mode evaluates Amplitudes with ``mul``,
-summed left to right.
+Every evaluator reads one representation: each ground pair lowered once,
+on first use, to rows x -> {y: coefficient tuple} over one denominator,
+looked up once per run boundary and never per entry.  Products follow the
+algebra's product plan (its ``mul`` table regrouped by output, in
+``mul``'s term order).  In exact mode, when every coefficient is rational,
+the coefficients are Python integers over the lcm of the entry
+denominators, and each result is rebuilt as a rational once, at the end.
+Otherwise (float mode) every coefficient is converted to a float over
+denominator 1, so float-mode results are floats, summed left to right in
+a fixed order.
 
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
@@ -38,14 +39,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from numbers import Rational
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .algebra import (
-    SCALAR_RTOL, Algebra, AlgebraKind, Amplitude, make_algebra, mul, product_plan,
+    SCALAR_RTOL, Algebra, AlgebraKind, Amplitude, make_algebra, product_plan,
     quadratic_form, sum_of_products,
 )
 from .errors import (
@@ -72,8 +73,16 @@ def _ground_key(g) -> frozenset:
 
 
 Rows = Dict[str, Dict[str, Amplitude]]
-#: A lowered matrix: rows x -> {y: integer coefficient tuple}.
-IntRows = Dict[str, Dict[str, Tuple[int, ...]]]
+#: A lowered matrix: rows x -> {y: coefficient tuple}.
+CoeffRows = Dict[str, Dict[str, tuple]]
+
+
+def _to_float(c) -> float:
+    """c as a float; one beyond the float range as an infinity of its sign."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
 
 
 class Assignment:
@@ -86,11 +95,11 @@ class Assignment:
     two grounds and for nothing else.  Same-ground transitions are never
     stored: they are the identity by construction.
 
-    A matrix is held as rows x -> {y: amplitude}.  The conjugate transpose
-    of a pair stored in one direction only is built the first time
-    ``matrix`` asks for it, and kept.  In exact mode (every coefficient
-    rational) the evaluators read ``lowered`` instead: each pair over
-    integers with one common denominator, also built on first use and kept.
+    A matrix is held as rows x -> {y: amplitude}.  The evaluators read
+    ``lowered``: each pair as coefficient tuples over one denominator, ints
+    in exact mode (every coefficient rational) and floats otherwise, with
+    the conjugate transpose of a pair stored in one direction only built
+    from the stored rows.  Each pair is lowered on first use and kept.
     """
 
     def __init__(self, algebra: Algebra, matrices) -> None:
@@ -99,8 +108,7 @@ class Assignment:
                 f"assignments require an associative algebra, got {algebra.kind.label}")
         self.algebra = algebra
         self._rows: Dict[Tuple[frozenset, frozenset], Rows] = {}
-        self._transposes: Dict[Tuple[frozenset, frozenset], Rows] = {}
-        self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[IntRows, int]] = {}
+        self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[CoeffRows, int]] = {}
         items = matrices.items() if isinstance(matrices, Mapping) else matrices
         for (g_from, g_to), entries in items:
             key = (_ground_key(g_from), _ground_key(g_to))
@@ -143,64 +151,43 @@ class Assignment:
         return all(amp.is_exact for rows in self._rows.values()
                    for row in rows.values() for amp in row.values())
 
-    def _stored_or_reverse(self, key) -> Tuple[Rows, bool]:
-        """The stored rows of the pair, or of its reverse (flag True)."""
-        rows = self._rows.get(key)
-        if rows is not None:
-            return rows, False
-        rows = self._rows.get((key[1], key[0]))
-        if rows is None:
-            raise SequenceMismatch(
-                f"assignment has no matrix between grounds {sorted(key[0])} "
-                f"and {sorted(key[1])}")
-        return rows, True
+    def lowered(self, g_from, g_to) -> Tuple[CoeffRows, int]:
+        """The matrix from one ground to another as rows x -> {y: d
+        coefficients} over one denominator D: the stored matrix, else the
+        conjugate transpose of the stored reverse, built from the stored
+        rows with the algebra's conjugation signs.
 
-    def matrix(self, g_from, g_to) -> Rows:
-        """Rows x -> {y: amplitude} from one ground to another: the stored
-        matrix, else the conjugate transpose of the stored reverse."""
-        key = (_ground_key(g_from), _ground_key(g_to))
-        rows = self._transposes.get(key)
-        if rows is None:
-            rows, reversed_ = self._stored_or_reverse(key)
-            if not reversed_:
-                return rows
-            transpose = {y: {} for y in sorted(key[0])}
-            for x, row in rows.items():
-                for y, amp in row.items():
-                    transpose[y][x] = amp.conj()
-            rows = self._transposes[key] = transpose
-        return rows
-
-    def lowered(self, g_from, g_to) -> Tuple[IntRows, int]:
-        """``matrix(g_from, g_to)`` over integers, for exact mode: rows
-        x -> {y: d integers} and one denominator D, the lcm of the entry
-        denominators, with ``matrix[x][y].coeffs == rows[x][y] / D``.
-
-        A reversed pair is built from the stored rows with the algebra's
-        conjugation signs.  Each pair is lowered on first use and kept.
+        In exact mode the coefficients are ints and D is the lcm of the
+        entry denominators; in float mode they are floats and D is 1.  Each
+        pair is lowered on first use and kept; a pair stored in neither
+        direction raises SequenceMismatch.
         """
         key = (_ground_key(g_from), _ground_key(g_to))
         hit = self._lowered.get(key)
         if hit is not None:
             return hit
-        rows, reversed_ = self._stored_or_reverse(key)
-        den = math.lcm(*(c.denominator for row in rows.values()
-                         for amp in row.values() for c in amp.coeffs))
+        reversed_ = key not in self._rows
+        rows = self._rows.get((key[1], key[0]) if reversed_ else key)
+        if rows is None:
+            raise SequenceMismatch(
+                f"assignment has no matrix between grounds {sorted(key[0])} "
+                f"and {sorted(key[1])}")
+        if self.is_exact:
+            den = math.lcm(*(c.denominator for row in rows.values()
+                             for amp in row.values() for c in amp.coeffs))
 
-        def scaled(amp, signs):
-            return tuple(s * c.numerator * (den // c.denominator)
-                         for s, c in zip(signs, amp.coeffs))
-
-        if reversed_:
-            signs = self.algebra.conj_signs
-            lowered = {y: {} for y in sorted(key[0])}
-            for x, row in rows.items():
-                for y, amp in row.items():
-                    lowered[y][x] = scaled(amp, signs)
+            def lower(c):
+                return c.numerator * (den // c.denominator)
         else:
-            signs = (1,) * self.algebra.dim
-            lowered = {x: {y: scaled(amp, signs) for y, amp in row.items()}
-                       for x, row in rows.items()}
+            den, lower = 1, _to_float
+        lowered = {x: {} for x in sorted(key[0])}
+        for x, row in rows.items():
+            for y, amp in row.items():
+                coeffs = tuple(map(lower, amp.coeffs))
+                if reversed_:
+                    lowered[y][x] = tuple(map(operator.mul, self.algebra.conj_signs, coeffs))
+                else:
+                    lowered[x][y] = coeffs
         hit = self._lowered[key] = (lowered, den)
         return hit
 
@@ -256,59 +243,28 @@ def coeff_json(value):
 
 # -- evaluation ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Arithmetic:
-    """The numbers the walker and the pair transfer compute with.
-
-    ``rows(a, b)`` is the matrix from ground a to ground b with its
-    denominator; ``dot(lefts, rights)`` sums the products a * b of the two
-    sequences taken in step, ``conj`` conjugates one value, and
-    ``total(values, denominator)`` is the Amplitude of the sum of values
-    over denominator.
-    """
-    unit: object
-    rows: Callable
-    dot: Callable
-    conj: Callable
-    total: Callable
-
-
 def _rational(numerator: int, denominator: int):
     """numerator / denominator as an int when it is one, else a Fraction."""
     return Fraction(numerator, denominator) if numerator % denominator \
         else numerator // denominator
 
 
-def _arithmetic(asg: Assignment) -> _Arithmetic:
-    """Exact mode: the lowered integer rows, multiplied by the algebra's
-    product plan, every result rebuilt as a rational once.  Float mode:
-    the Amplitude rows and ``mul``, summed left to right from zero."""
-    algebra = asg.algebra
+def _result(asg: Assignment, values, denominator: int) -> Amplitude:
+    """The Amplitude of the sum of coefficient tuples over denominator,
+    added left to right from zero (``reduce``: from Python 3.12 on ``sum``
+    compensates float rounding); in exact mode each coefficient is rebuilt
+    as a rational, in float mode (denominator 1) it is the sum."""
+    sums = (reduce(operator.add, c) for c in zip((0,) * asg.algebra.dim, *values))
     if asg.is_exact:
-        plan = product_plan(algebra)
-        zero = (0,) * algebra.dim
-        signs = algebra.conj_signs
-        return _Arithmetic(
-            unit=(1,) + zero[1:],
-            rows=asg.lowered,
-            dot=lambda lefts, rights: sum_of_products(plan, lefts, rights),
-            conj=lambda a: tuple(map(operator.mul, signs, a)),
-            total=lambda values, den: algebra.amplitude(
-                _rational(sum(c), den) for c in zip(zero, *values)))
-    zero = algebra.zero()
-    return _Arithmetic(
-        unit=algebra.unit(),
-        rows=lambda a, b: (asg.matrix(a, b), 1),
-        dot=lambda lefts, rights: sum(map(mul, lefts, rights), zero),
-        conj=Amplitude.conj,
-        total=lambda values, den: sum(values, zero))
+        sums = (_rational(c, denominator) for c in sums)
+    return asg.algebra.amplitude(sums)
 
 
-def _boundary_rows(s, arith: _Arithmetic, segments) -> Tuple[list, list]:
-    """The matrix from each weak-equivalence run to the next and its
+def _boundary_rows(s, asg: Assignment, segments) -> Tuple[list, list]:
+    """The lowered matrix from each weak-equivalence run to the next and its
     denominator; raises SequenceMismatch when the assignment lacks one."""
     grounds = [s.steps[lo].element_set() for lo, _ in segments]
-    boundaries = [arith.rows(a, b) for a, b in zip(grounds, grounds[1:])]
+    boundaries = [asg.lowered(a, b) for a, b in zip(grounds, grounds[1:])]
     return [rows for rows, _ in boundaries], [den for _, den in boundaries]
 
 
@@ -327,15 +283,15 @@ def _thread_sums(s, choices, asg: Assignment):
     One dict of partial thread sums is kept per run, and each pick
     recomputes only the runs from the first one whose results changed.
     Elements are taken in sorted order, so float sums are byte-stable.
-    In exact mode the sums are integer tuples over the product of the
-    boundary denominators, and each amplitude is rebuilt once at the end.
+    The sums are coefficient tuples over the product of the boundary
+    denominators, and each amplitude is rebuilt once at the end.
     """
-    arith = _arithmetic(asg)
+    plan = product_plan(asg.algebra)
+    unit = asg.algebra.unit().coeffs
     segments = model.runs(s)
-    matrices, dens = _boundary_rows(s, arith, segments)
+    matrices, dens = _boundary_rows(s, asg, segments)
     denominator = math.prod(dens)
     run_of = [k for k, (lo, hi) in enumerate(segments) for _ in range(lo, hi + 1)]
-    unit, dot = arith.unit, arith.dot
     # partials[k]: thread sums onto the surviving elements of run k, or None
     # once run k or an earlier run has none
     partials: List[Optional[dict]] = [None] * len(segments)
@@ -358,10 +314,11 @@ def _thread_sums(s, choices, asg: Assignment):
                 partial = {x: unit for x in sorted(alive)}
             else:
                 rows, accs = matrices[k - 1], partial.values()
-                partial = {y: dot(accs, [rows[x][y] for x in partial]) for y in sorted(alive)}
+                partial = {y: sum_of_products(plan, accs, [rows[x][y] for x in partial])
+                           for y in sorted(alive)}
             partials[k] = partial
         yield combo, None if partial is None else \
-            arith.total(partial.values(), denominator)
+            _result(asg, partial.values(), denominator)
 
 
 def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
@@ -473,17 +430,16 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
         if a == b:
             entries.append(ValidationEntry("repeatability_identity", loc, True))
             continue
-        try:
-            rows = asg.matrix(a, b)
-        except SequenceMismatch:
+        forward, backward = asg.stored(a, b), asg.stored(b, a)
+        if forward is None and backward is None:
             entries.append(ValidationEntry(
                 "matrix_present", loc, False, "no matrix for this ground pair"))
             continue
         entries.append(ValidationEntry("matrix_present", loc, True))
 
-        forward = asg.stored(a, b)
-        backward = asg.stored(b, a)
-        if forward is not None and backward is not None:
+        if forward is None:
+            forward = {(x, y): amp.conj() for (y, x), amp in backward.items()}
+        elif backward is not None:
             adjoint_ok = all(
                 backward[(y, x)] == forward[(x, y)].conj()
                 for x in a for y in b)
@@ -492,7 +448,7 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
                 "" if adjoint_ok else "reverse matrix is not the conjugate transpose"))
 
         for x in sorted(a):
-            row_sum = sum(quadratic_form(rows[x][y]) for y in sorted(b))
+            row_sum = sum(quadratic_form(forward[(x, y)]) for y in sorted(b))
             ok = close_to_one(row_sum)
             entries.append(ValidationEntry(
                 "row_normalization", f"{loc} source {x}", ok,
@@ -524,18 +480,19 @@ def _same_block_classes(steps, elements) -> List[List[str]]:
     return list(classes.values())
 
 
-def _pair_transfer(classes, forward, backward, unit, dot) -> list:
+def _pair_transfer(classes, forward, backward, algebra: Algebra) -> list:
     """S_0 over the same-class pairs (x, x') of run 0, in the order of the
     classes, then x, then x', by the backward recursion
 
-        S_last(x, x') = unit
+        S_last(x, x') = 1
         S_k(x, x')    = sum_y' (sum_y forward_k[x][y] S_k+1(y, y')) backward_k[x'][y']
 
     with S_k(x, x') defined only for x, x' in one class of run k.
     ``forward_k`` and ``backward_k`` map a run-k element to a dict over the
-    run-(k+1) elements, in class order; ``dot(lefts, rights)`` sums the
-    (associative) products of two sequences taken in step.
+    run-(k+1) elements, in class order, of coefficient tuples over the
+    (associative) algebra, multiplied by its product plan.
     """
+    plan, unit = product_plan(algebra), algebra.unit().coeffs
     # columns[x'][x] = S(x, x'), x running over the class of x' in order
     columns = {x2: {x: unit for x in cls} for cls in classes[-1] for x2 in cls}
     for k in range(len(classes) - 2, -1, -1):
@@ -545,14 +502,16 @@ def _pair_transfer(classes, forward, backward, unit, dot) -> list:
             for cls in classes[k + 1]:
                 entries = [row[y] for y in cls]
                 for y2 in cls:
-                    lx[y2] = dot(entries, columns[y2].values())
-        columns = {x2: {x: dot(left[x].values(), backward[k][x2].values()) for x in cls}
+                    lx[y2] = sum_of_products(plan, entries, columns[y2].values())
+        columns = {x2: {x: sum_of_products(plan, left[x].values(), backward[k][x2].values())
+                        for x in cls}
                    for cls in classes[k] for x2 in cls}
     return [columns[x2][x] for cls in classes[0] for x in cls for x2 in cls]
 
 
-def _norm(a: Amplitude) -> float:
-    return math.sqrt(sum(float(c) * float(c) for c in a.coeffs))
+def _norm(coeffs: tuple) -> Tuple[float]:
+    """The Euclidean norm of a coefficient tuple, as an element of R."""
+    return (math.sqrt(sum(c * c for c in coeffs)),)
 
 
 def _check_source(s: MeasurementSequence, source: frozenset) -> None:
@@ -568,7 +527,7 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     pairs (t, t') that share a detector at every step, since such a pair
     lies on exactly one path and any other pair on none.  With associativity
     the pair sum nests into a backward recursion over the weak-equivalence
-    runs k, with E_k the matrix from run k to run k+1:
+    runs k, with E_k the lowered matrix from run k to run k+1:
 
         S_last(x, x') = D_last(x, x')
         S_k(x, x')    = D_k(x, x') Sum_y' (Sum_y E_k(x, y) S_k+1(y, y')) conj(E_k(x', y'))
@@ -576,10 +535,10 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     where D_k(x, x') holds when x and x' lie in one block at every step of
     run k, and run 0 is restricted to the source.  The total is the e0
     coefficient of Sum S_0.  This costs O(L n^3) algebra products for L
-    runs over grounds of at most n elements, and needs no path bound.  In
-    exact mode E_k is the lowered integer matrix over its denominator q_k,
-    so the recursion runs over integers, S_k carrying q_k^2 ... q_last^2,
-    and the total is divided by the product of the q_k^2 once.
+    runs over grounds of at most n elements, and needs no path bound.  E_k
+    is lowered over its denominator q_k (1 in float mode), so in exact mode
+    the recursion runs over integers, S_k carrying q_k^2 ... q_last^2, and
+    the total is divided by the product of the q_k^2 once.
 
     The summed imaginary tail must vanish, exactly in exact mode; in float
     mode within SCALAR_RTOL times the same recursion over entry norms,
@@ -590,31 +549,29 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     _check_source(s, source)
     steps = s.steps
     segments = model.runs(s)
-    arith = _arithmetic(asg)
-    matrices, dens = _boundary_rows(s, arith, segments)
+    matrices, dens = _boundary_rows(s, asg, segments)
     classes = [_same_block_classes(steps[lo:hi + 1],
                                    source if lo == 0 else steps[lo].element_set())
                for lo, hi in segments]
+    signs = asg.algebra.conj_signs
     forward, backward = [], []
     for k, matrix in enumerate(matrices):
         targets = [y for cls in classes[k + 1] for y in cls]
         rows = {x: {y: matrix[x][y] for y in targets}
                 for cls in classes[k] for x in cls}
         forward.append(rows)
-        backward.append({x: {y: arith.conj(a) for y, a in row.items()}
+        backward.append({x: {y: tuple(map(operator.mul, signs, a)) for y, a in row.items()}
                          for x, row in rows.items()})
-    pairs = _pair_transfer(classes, forward, backward, arith.unit, arith.dot)
-    total = arith.total(pairs, math.prod(den * den for den in dens))
+    pairs = _pair_transfer(classes, forward, backward, asg.algebra)
+    total = _result(asg, pairs, math.prod(den * den for den in dens))
     tail = total.coeffs[1:]
     if any(c != 0 for c in tail):
-        if total.is_exact:
+        if asg.is_exact:
             raise NonScalarProduct(f"summed pair products not scalar: {total!r}")
         norms = [{x: {y: _norm(a) for y, a in row.items()} for x, row in rows.items()}
                  for rows in forward]
-        bounds = _pair_transfer(
-            classes, norms, norms, 1.0,
-            lambda lefts, rights: sum(map(operator.mul, lefts, rights), 0.0))
-        tol = SCALAR_RTOL * sum(bounds)
+        bounds = _pair_transfer(classes, norms, norms, make_algebra(AlgebraKind.R))
+        tol = SCALAR_RTOL * sum(bound for (bound,) in bounds)
         if any(abs(float(c)) > tol for c in tail):
             raise NonScalarProduct(
                 f"summed pair products not scalar within {tol}: {total!r}")

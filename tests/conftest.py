@@ -12,6 +12,7 @@ import pytest
 import compalg
 from compalg.algebra import Algebra, Amplitude, mul
 from compalg.engine import Assignment
+from compalg.errors import SequenceMismatch
 from compalg.model import (
     GroundSet,
     Path,
@@ -152,6 +153,14 @@ def assignment_for(grounds, algebra: Algebra, rng: random.Random,
     return Assignment(algebra, matrices)
 
 
+def converted(asg: Assignment, convert) -> Assignment:
+    """asg with every stored coefficient c replaced by convert(c)."""
+    return Assignment(asg.algebra, [
+        (pair, {xy: asg.algebra.amplitude(map(convert, amp.coeffs))
+                for xy, amp in asg.stored(*pair).items()})
+        for pair in asg.pairs()])
+
+
 # -- independent amplitude oracle ---------------------------------------------------
 
 def _elements(g) -> frozenset:
@@ -160,10 +169,19 @@ def _elements(g) -> frozenset:
 
 def entry(asg: Assignment, g_from, g_to, x: str, y: str) -> Amplitude:
     """Transition amplitude x -> y between grounds (ground sets, measurements
-    or element sets); the identity within a ground set."""
-    if _elements(g_from) == _elements(g_to):
+    or element sets): the identity within a ground set, else the stored
+    entry, else the conjugate of the stored reverse entry."""
+    a, b = _elements(g_from), _elements(g_to)
+    if a == b:
         return asg.algebra.unit() if x == y else asg.algebra.zero()
-    return asg.matrix(g_from, g_to)[x][y]
+    forward = asg.stored(a, b)
+    if forward is not None:
+        return forward[(x, y)]
+    backward = asg.stored(b, a)
+    if backward is None:
+        raise SequenceMismatch(
+            f"assignment has no matrix between grounds {sorted(a)} and {sorted(b)}")
+    return backward[(y, x)].conj()
 
 
 def amplitude_by_enumeration(p: Path, asg: Assignment) -> Amplitude:

@@ -1,10 +1,12 @@
-"""The assignment's one representation: each matrix held as rows, the
-conjugate transpose of a one-way pair built on first use, and the
-run-by-run walker that evaluates paths over them."""
+"""The assignment's one representation: each matrix held as rows, each
+ground pair lowered on first use (the conjugate transpose of a one-way
+pair built from the stored rows), and the run-by-run walker that
+evaluates paths over them."""
 
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -40,17 +42,19 @@ def test_reverse_is_the_conjugate_transpose_of_the_stored_matrix(kind):
     for a, b in itertools.combinations(MIX_GROUNDS, 2):
         forward = asg.stored(a, b)
         assert asg.stored(b, a) is None
+        rows, den = asg.lowered(b, a)
         for x in a.elements:
             for y in b.elements:
                 assert entry(asg, a, b, x, y) == forward[(x, y)]
                 assert entry(asg, b, a, y, x) == forward[(x, y)].conj()
-                assert asg.matrix(b, a)[y][x] == forward[(x, y)].conj()
+                assert tuple(Fraction(c, den) for c in rows[y][x]) \
+                    == forward[(x, y)].conj().coeffs
 
 
 def test_transpose_is_built_once_and_kept():
     asg = assignment_from_rows(C, [(X, Y, unit_rows(X, Y))])
-    assert asg.matrix(Y, X) is asg.matrix(Y, X)
-    assert asg.matrix(X, Y) is asg.matrix(X, Y)
+    assert asg.lowered(Y, X) is asg.lowered(Y, X)
+    assert asg.lowered(X, Y) is asg.lowered(X, Y)
 
 
 def test_pair_stored_both_ways_returns_the_stored_reverse():
@@ -58,7 +62,7 @@ def test_pair_stored_both_ways_returns_the_stored_reverse():
     forward = [[C.amplitude([0, 1])], [C.amplitude([2, 0])]]
     backward = [[C.amplitude([5, 7]), C.amplitude([-3, 1])]]
     asg = assignment_from_rows(C, [(X, Y, forward), (Y, X, backward)])
-    assert asg.matrix(Y, X) == {"y": {"x1": C.amplitude([5, 7]), "x2": C.amplitude([-3, 1])}}
+    assert asg.lowered(Y, X) == ({"y": {"x1": (5, 7), "x2": (-3, 1)}}, 1)
     assert entry(asg, Y, X, "y", "x2") == C.amplitude([-3, 1])
     assert entry(asg, X, Y, "x1", "y") == C.amplitude([0, 1])
 
@@ -66,7 +70,7 @@ def test_pair_stored_both_ways_returns_the_stored_reverse():
 def test_missing_pair_raises_sequence_mismatch():
     asg = assignment_from_rows(C, [(X, Y, unit_rows(X, Y))])
     with pytest.raises(SequenceMismatch, match="no matrix"):
-        asg.matrix(X, MIX_GROUNDS[2])
+        asg.lowered(X, MIX_GROUNDS[2])
     with pytest.raises(SequenceMismatch, match="no matrix"):
         entry(asg, MIX_GROUNDS[2], X, "x", "x1")
 

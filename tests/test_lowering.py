@@ -1,7 +1,8 @@
-"""Exact mode over integers: each ground pair lowered once to integer
+"""One evaluation representation: each ground pair lowered once to
 coefficient tuples over one common denominator, products by the algebra's
-product plan, and every result equal, as a Fraction, to the Fraction
-evaluation it replaces.  Float mode keeps the Amplitude path."""
+product plan.  In exact mode the coefficients are integers and every result
+equals, as a Fraction, the Fraction evaluation it replaces; in float mode
+they are floats over denominator 1, summed in ``mul``'s order."""
 
 import itertools
 import math
@@ -26,6 +27,8 @@ from conftest import (
     MIX_GROUNDS,
     amplitude_by_enumeration,
     assignment_for,
+    converted,
+    entry,
     random_exact_rows,
     universe_sequences,
 )
@@ -62,6 +65,16 @@ def test_plan_product_is_mul(kind):
         want = sum(map(mul, lefts, rights), algebra.zero())
         got = sum_of_products(plan, [a.coeffs for a in lefts], [b.coeffs for b in rights])
         assert got == want.coeffs
+    # nonzero floats, which ``mul`` never skips: rounded bit for bit alike
+    for _ in range(40):
+        count = rng.randint(1, 4)
+        lefts = [algebra.amplitude(rng.uniform(-2, 2) for _ in range(algebra.dim))
+                 for _ in range(count)]
+        rights = [algebra.amplitude(rng.uniform(-2, 2) for _ in range(algebra.dim))
+                  for _ in range(count)]
+        want = sum(map(mul, lefts, rights), algebra.zero())
+        got = sum_of_products(plan, [a.coeffs for a in lefts], [b.coeffs for b in rights])
+        assert [c.hex() for c in got] == [c.hex() for c in want.coeffs]
 
 
 # -- the lowering ----------------------------------------------------------------------
@@ -75,24 +88,38 @@ def both_ways_assignment(algebra, rng) -> Assignment:
 
 
 @pytest.mark.parametrize("kind", ASSOCIATIVE, ids=KIND_IDS)
-@pytest.mark.parametrize("stored", ["one way", "both ways"])
+@pytest.mark.parametrize("stored", ["one way", "both ways", "float", "mixed"])
 def test_lowered_rows_are_the_matrix_over_one_denominator(kind, stored):
+    """Exact: ints over the lcm of the entry denominators.  Float and mixed
+    (ints, Fractions and floats), both one way: floats over 1."""
     algebra = make_algebra(kind)
     rng = random.Random(f"lower:{kind.label}")
-    asg = assignment_for(MIX_GROUNDS, algebra, rng, normalized=False) \
-        if stored == "one way" else both_ways_assignment(algebra, rng)
-    assert asg.is_exact
+    asg = both_ways_assignment(algebra, rng) if stored == "both ways" \
+        else assignment_for(MIX_GROUNDS, algebra, rng, normalized=False)
+    if stored == "float":
+        asg = converted(asg, float)
+    elif stored == "mixed":
+        asg = converted(asg, lambda c: float(c) if rng.random() < 0.5 else c)
+    exact = stored in ("one way", "both ways")
+    assert asg.is_exact is exact
     for a, b in itertools.permutations(MIX_GROUNDS, 2):
         rows, den = asg.lowered(a, b)
-        matrix = asg.matrix(a, b)
-        assert den == math.lcm(*(c.denominator for row in matrix.values()
-                                 for amp in row.values() for c in amp.coeffs))
+        matrix = {x: {y: entry(asg, a, b, x, y) for y in b.elements} for x in a.elements}
+        if exact:
+            assert den == math.lcm(*(c.denominator for row in matrix.values()
+                                     for amp in row.values() for c in amp.coeffs))
+        else:
+            assert den == 1
         assert rows.keys() == matrix.keys()
         for x, row in matrix.items():
             assert rows[x].keys() == row.keys()
             for y, amp in row.items():
-                assert all(type(c) is int for c in rows[x][y])
-                assert tuple(Fraction(c, den) for c in rows[x][y]) == amp.coeffs
+                if exact:
+                    assert all(type(c) is int for c in rows[x][y])
+                    assert tuple(Fraction(c, den) for c in rows[x][y]) == amp.coeffs
+                else:
+                    assert all(type(c) is float for c in rows[x][y])
+                    assert rows[x][y] == tuple(map(float, amp.coeffs))
         assert asg.lowered(a, b) is asg.lowered(a, b)
 
 
@@ -168,7 +195,7 @@ def test_missing_pair_raises_in_every_mode(coefficient):
         assert str(err.value) == MISSING
 
 
-# -- float mode stays on the Amplitude path ---------------------------------------------
+# -- printed output ---------------------------------------------------------------------
 
 MIX_DSL = """\
 elements A = {a1, a2}
@@ -194,7 +221,8 @@ RATIONAL = """\
 """
 
 MATRICES = {"mixed": MIXED, "rational": RATIONAL}
-# written by the Fraction and Amplitude evaluation that the lowering replaced
+# written by the Fraction and Amplitude evaluation that the lowering replaced; the
+# rational prob-text amplitude prints each coefficient with str, as "probability:" does
 OUTPUTS = {
     ("mixed", "prob"): '{"amplitude":[-0.4935238095238095,0.45603174603174607,'
                      '0.5726349206349206,0.5353174603174603],"probability":1.0660062396069538}\n',
@@ -204,8 +232,7 @@ OUTPUTS = {
     ("mixed", "sum-rule"): '{"total_probability":160.7125590661647}\n',
     ("rational", "prob"): '{"amplitude":["-2591/5250","2873/6300","9019/15750","1349/2520"],'
                         '"probability":"282065251/264600000"}\n',
-    ("rational", "prob-text"): "amplitude: [Fraction(-2591, 5250), Fraction(2873, 6300), "
-                             "Fraction(9019, 15750), Fraction(1349, 2520)]\n"
+    ("rational", "prob-text"): "amplitude: [-2591/5250, 2873/6300, 9019/15750, 1349/2520]\n"
                              "probability: 282065251/264600000\n",
     ("rational", "sum-rule"):
         '{"total_probability":"7939407045362876981/49401285696000000"}\n',
@@ -218,14 +245,43 @@ ARGV = {
 
 
 @pytest.mark.parametrize("matrices,command", sorted(OUTPUTS))
-def test_cli_output_bytes(tmp_path, capsys, monkeypatch, matrices, command):
-    """Mixed int, Fraction and float coefficients are float mode: never
-    lowered, and printed byte for byte as before; rational ones are exact."""
+def test_cli_output_bytes(tmp_path, capsys, matrices, command):
+    """Mixed int, Fraction and float coefficients are float mode, printed
+    byte for byte as before; rational ones are exact."""
     (tmp_path / "mix.dsl").write_text(MIX_DSL)
     (tmp_path / "mix.json").write_text(MATRICES[matrices])
-    if matrices == "mixed":
-        def no_lowering(*args):
-            raise AssertionError("float-mode assignment lowered")
-        monkeypatch.setattr(Assignment, "lowered", no_lowering)
     assert main(["-w", str(tmp_path / "mix.dsl"), *ARGV[command]]) == 0
     assert capsys.readouterr().out == OUTPUTS[matrices, command]
+
+
+# real quaternions, column b1 zero: the walk has zero imaginary parts, and
+# every path from b1 back to A has probability zero
+REAL = """\
+{"steps": [{"from": "aA", "to": "aB", "matrix": [
+  [[0.0, 0, 0, 0], [0.5, 0, 0, 0], [-1.5, 0, 0, 0]],
+  [[0.0, 0, 0, 0], [0.25, 0, 0, 0], [2.0, 0, 0, 0]]]}]}
+"""
+
+
+def test_float_mode_zero_is_a_float(tmp_path, capsys):
+    """An exactly-zero coefficient or total of a float-mode result is 0.0."""
+    (tmp_path / "mix.dsl").write_text(MIX_DSL + "sequence back = [aB, aA]\n")
+    (tmp_path / "mix.json").write_text(REAL)
+    workspace = ["-w", str(tmp_path / "mix.dsl")]
+    assert main([*workspace, *ARGV["prob"]]) == 0
+    assert main([*workspace, "sum-rule", "back", "--assignment", "mix", "--source", "{b1}"]) == 0
+    assert capsys.readouterr().out == '{"amplitude":[0.25,0.0,0.0,0.0],"probability":0.0625}\n' \
+                                      '{"total_probability":0.0}\n'
+
+
+def test_float_mode_coefficient_beyond_the_float_range(tmp_path, capsys):
+    """An int too large for a float, in a float-mode matrix, is lowered as
+    an infinity: a walk that avoids it is unchanged, and a sum rule through
+    it is a non-finite result (exit 3), not a traceback."""
+    (tmp_path / "mix.dsl").write_text(MIX_DSL)
+    (tmp_path / "mix.json").write_text(REAL.replace("[0.0, 0, 0, 0]", f"[{10 ** 400}, 0, 0, 0]", 1))
+    workspace = ["-w", str(tmp_path / "mix.dsl")]
+    assert main([*workspace, *ARGV["prob"]]) == 0
+    assert capsys.readouterr().out == '{"amplitude":[0.25,0.0,0.0,0.0],"probability":0.0625}\n'
+    assert main([*workspace, *ARGV["sum-rule"]]) == 3
+    assert "not finite" in capsys.readouterr().err
