@@ -5,8 +5,10 @@ quaternions H, the octonions O, and the split variants C', H', O'.  Each
 algebra carries an explicit structure-constant table built by iterated
 doubling, conjugation signs, the quadratic form and its polarization, the
 trace form, and inverses.  ``verify_axioms`` checks the axiom sets that
-characterize composition algebras, exhaustively over basis triples in
-exact rational arithmetic plus seeded random sampling.
+characterize composition algebras as one table of staged checks: each
+check runs its stages (exhaustive basis tuples in exact arithmetic, then
+seeded random exact-rational samples) in order and reports the first
+failing case with a witness.
 
 Coefficients may be exact rationals (``int``/``Fraction``; verification
 mode) or 64-bit floats (numeric mode).  Scalar-ness assertions are exact
@@ -16,6 +18,7 @@ in verification mode and use a relative tolerance in numeric mode.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +51,7 @@ class AlgebraKind(enum.Enum):
 
     @property
     def dim(self) -> int:
-        return _DIMS[self]
+        return 2 ** len(_DOUBLINGS[self])
 
     @property
     def is_split(self) -> bool:
@@ -71,16 +74,6 @@ class AlgebraKind(enum.Enum):
         raise ValueError(f"unknown algebra label {label!r}; expected one of "
                          f"{', '.join(k.value for k in cls)}")
 
-
-_DIMS = {
-    AlgebraKind.R: 1,
-    AlgebraKind.C: 2,
-    AlgebraKind.SPLIT_C: 2,
-    AlgebraKind.H: 4,
-    AlgebraKind.SPLIT_H: 4,
-    AlgebraKind.O: 8,
-    AlgebraKind.SPLIT_O: 8,
-}
 
 # Doubling parameters, applied left to right starting from R.  gamma = +1
 # is an ordinary doubling step, gamma = -1 a split one; only the final step
@@ -413,183 +406,141 @@ def _random_exact_amplitude(rng: random.Random, alg: Algebra,
             return a
 
 
-def _associator_on_basis(alg: Algebra, i: int, j: int, k: int):
-    """(e_i e_j) e_k - e_i (e_j e_k), as a signed-monomial pair difference."""
-    k1, s1 = alg.table[i][j]
-    kl, sl = alg.table[k1][k]
-    k2, s2 = alg.table[j][k]
-    kr, sr = alg.table[i][k2]
-    out = {}
-    out[kl] = out.get(kl, 0) + s1 * sl
-    out[kr] = out.get(kr, 0) - s2 * sr
-    return {idx: v for idx, v in out.items() if v != 0}
+def _first_failure(cases, fails):
+    """The first case (a tuple of arguments) on which ``fails`` holds, or None.
+
+    A NonScalarProduct raised by ``fails`` is a failure at that case: a table
+    whose quadratic form is not scalar fails the check instead of aborting it.
+    """
+    for case in cases:
+        try:
+            if fails(*case):
+                return case
+        except NonScalarProduct:
+            return case
+    return None
 
 
 def verify_axioms(algebra: Algebra, samples: int = 1000, seed: int = 0) -> AxiomReport:
     """Check the composition-algebra axiom sets on an algebra table.
 
-    Each axiom is verified exhaustively over basis-element tuples in exact
-    integer arithmetic, plus ``samples`` random exact-rational amplitudes
-    drawn from a generator seeded with ``seed``.  Failures are reported with
-    a witness, never raised.
+    Each check is a name and ordered stages ``(cases, fails, witness)``:
+    basis-element tuples in exact integer arithmetic (complete wherever the
+    law is multilinear), then ``samples`` or ``samples // 10`` random
+    exact-rational amplitudes drawn from a generator seeded with ``seed``.
+    A check reports the first case of the first stage that fails through
+    that stage's witness and runs no later stage.  Random amplitudes are
+    drawn only while their stage runs, so a check that fails early leaves
+    the stream to the checks after it.  Failures are reported with a
+    witness, never raised.
     """
     rng = random.Random(seed)
     alg = algebra
     n = alg.dim
-    basis = [alg.basis_element(r) for r in range(n)]
-    unit = alg.unit()
-    checks = []
+    e = [alg.basis_element(r) for r in range(n)]
+    unit = e[0]
+    q = quadratic_form
 
-    def witness_coeffs(a: Amplitude):
+    def draws(count, width, nonzero=False):
+        return (tuple(_random_exact_amplitude(rng, alg, nonzero) for _ in range(width))
+                for _ in range(count))
+
+    def tuples(width):
+        return itertools.product(range(n), repeat=width)
+
+    def coeffs(a: Amplitude):
         return [str(c) for c in a.coeffs]
 
-    # unitality: e_0 is a two-sided multiplicative unit
-    passed, witness = True, None
-    for r in range(n):
-        if alg.table[0][r] != (r, 1) or alg.table[r][0] != (r, 1):
-            passed, witness = False, {"basis": r}
-            break
-    if passed:
-        for _ in range(samples // 10):
-            a = _random_exact_amplitude(rng, alg)
-            if mul(unit, a) != a or mul(a, unit) != a:
-                passed, witness = False, {"amplitude": witness_coeffs(a)}
+    def assoc(a, b, c):
+        return mul(mul(a, b), c) - mul(a, mul(b, c))
+
+    def not_alternative(i, j, k):  # the linearized laws on a basis triple
+        a = assoc(e[i], e[j], e[k])
+        return not (a + assoc(e[j], e[i], e[k])).is_zero() \
+            or not (a + assoc(e[i], e[k], e[j])).is_zero()
+
+    def gram_entry_not_scalar(i, j):
+        bilinear_form(e[i], e[j])  # raises NonScalarProduct when not scalar
+        return False
+
+    def basis_witness(r):
+        return {"basis": r}
+
+    def amplitude_witness(a):
+        return {"amplitude": coeffs(a)}
+
+    def pair_witness(i, j):
+        return {"pair": [i, j]}
+
+    def ab_witness(a, b):
+        return {"a": coeffs(a), "b": coeffs(b)}
+
+    table = (
+        # e_0 is a two-sided multiplicative unit
+        ("unitality", (
+            (tuples(1), lambda r: alg.table[0][r] != (r, 1) or alg.table[r][0] != (r, 1),
+             basis_witness),
+            (draws(samples // 10, 1), lambda a: mul(unit, a) != a or mul(a, unit) != a,
+             amplitude_witness),
+        )),
+        # Q(ab) = Q(a) Q(b)
+        ("composition", (
+            (tuples(2), lambda i, j: q(mul(e[i], e[j])) != q(e[i]) * q(e[j]), pair_witness),
+            (draws(samples, 2), lambda a, b: q(mul(a, b)) != q(a) * q(b), ab_witness),
+        )),
+        # conj(conj(a)) = a and Q(conj(a)) = Q(a)
+        ("involution", (
+            (draws(samples // 10, 1), lambda a: a.conj().conj() != a or q(a.conj()) != q(a),
+             amplitude_witness),
+        )),
+        # conj(ab) = conj(b) conj(a)
+        ("conjugation_anti_automorphism", (
+            (tuples(2), lambda i, j: mul(e[i], e[j]).conj() != mul(e[j].conj(), e[i].conj()),
+             pair_witness),
+            (draws(samples // 10, 2), lambda a, b: mul(a, b).conj() != mul(b.conj(), a.conj()),
+             ab_witness),
+        )),
+        # a + conj(a) is a real multiple of the unit
+        ("trace_real", (
+            (tuples(1), lambda r: any(c != 0 for c in (e[r] + e[r].conj()).coeffs[1:]),
+             basis_witness),
+        )),
+        # a(ab) = (aa)b and (ba)a = b(aa): the linearized forms are trilinear,
+        # so basis triples suffice; random direct checks follow
+        ("alternativity", (
+            (tuples(3), not_alternative, lambda i, j, k: {"triple": [i, j, k]}),
+            (draws(samples // 10, 2), lambda a, b: not assoc(a, a, b).is_zero()
+             or not assoc(b, a, a).is_zero(),
+             ab_witness),
+        )),
+        # full associativity over basis triples (complete, by trilinearity)
+        ("associativity", (
+            (tuples(3), lambda i, j, k: not assoc(e[i], e[j], e[k]).is_zero(),
+             lambda i, j, k: {"triple": [i, j, k],
+                              "left": coeffs(mul(mul(e[i], e[j]), e[k])),
+                              "right": coeffs(mul(e[i], mul(e[j], e[k])))}),
+        )),
+        # the bilinear form is defined on the basis, and its Gram matrix is
+        # nonsingular
+        ("nondegenerate_form", (
+            (tuples(2), gram_entry_not_scalar, pair_witness),
+            (((alg,),), lambda a: gram_determinant(a) == 0,
+             lambda a: {"gram_det": str(gram_determinant(a))}),
+        )),
+        # no nonzero c with (c a) c = 0 for all a
+        ("no_absolute_zero_divisors", (
+            (itertools.chain(((c,) for c in e), draws(samples, 1, nonzero=True)),
+             lambda c: all(mul(mul(c, x), c).is_zero() for x in e),
+             lambda c: {"candidate": coeffs(c)}),
+        )),
+    )
+    checks = []
+    for name, stages in table:
+        witness = None
+        for cases, fails, describe in stages:
+            case = _first_failure(cases, fails)
+            if case is not None:
+                witness = describe(*case)
                 break
-    checks.append(AxiomCheck("unitality", passed, witness))
-
-    # composition: Q(ab) = Q(a) Q(b)
-    passed, witness = True, None
-    for i in range(n):
-        for j in range(n):
-            ei, ej = basis[i], basis[j]
-            if quadratic_form(mul(ei, ej)) != quadratic_form(ei) * quadratic_form(ej):
-                passed, witness = False, {"pair": [i, j]}
-                break
-        if not passed:
-            break
-    if passed:
-        for _ in range(samples):
-            a = _random_exact_amplitude(rng, alg)
-            b = _random_exact_amplitude(rng, alg)
-            try:
-                ok = quadratic_form(mul(a, b)) == quadratic_form(a) * quadratic_form(b)
-            except NonScalarProduct:
-                ok = False
-            if not ok:
-                passed = False
-                witness = {"a": witness_coeffs(a), "b": witness_coeffs(b)}
-                break
-    checks.append(AxiomCheck("composition", passed, witness))
-
-    # involution: conj(conj(a)) = a and Q(conj(a)) = Q(a)
-    passed, witness = True, None
-    for _ in range(samples // 10):
-        a = _random_exact_amplitude(rng, alg)
-        if a.conj().conj() != a or quadratic_form(a.conj()) != quadratic_form(a):
-            passed, witness = False, {"amplitude": witness_coeffs(a)}
-            break
-    checks.append(AxiomCheck("involution", passed, witness))
-
-    # conjugation reverses products: conj(ab) = conj(b) conj(a)
-    passed, witness = True, None
-    for i in range(n):
-        for j in range(n):
-            ei, ej = basis[i], basis[j]
-            if mul(ei, ej).conj() != mul(ej.conj(), ei.conj()):
-                passed, witness = False, {"pair": [i, j]}
-                break
-        if not passed:
-            break
-    if passed:
-        for _ in range(samples // 10):
-            a = _random_exact_amplitude(rng, alg)
-            b = _random_exact_amplitude(rng, alg)
-            if mul(a, b).conj() != mul(b.conj(), a.conj()):
-                passed = False
-                witness = {"a": witness_coeffs(a), "b": witness_coeffs(b)}
-                break
-    checks.append(AxiomCheck("conjugation_anti_automorphism", passed, witness))
-
-    # trace realness: a + conj(a) is a real multiple of the unit
-    passed, witness = True, None
-    for r in range(n):
-        s = basis[r] + basis[r].conj()
-        if any(c != 0 for c in s.coeffs[1:]):
-            passed, witness = False, {"basis": r}
-            break
-    checks.append(AxiomCheck("trace_real", passed, witness))
-
-    # alternativity: a(ab) = (aa)b and (ba)a = b(aa).  The linearized forms
-    # are trilinear, so basis triples suffice; random direct checks added.
-    passed, witness = True, None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = _associator_on_basis(alg, i, j, k)
-                left_sym = _associator_on_basis(alg, j, i, k)
-                right_sym = _associator_on_basis(alg, i, k, j)
-                merged_l = dict(left)
-                for idx, v in left_sym.items():
-                    merged_l[idx] = merged_l.get(idx, 0) + v
-                merged_r = dict(left)
-                for idx, v in right_sym.items():
-                    merged_r[idx] = merged_r.get(idx, 0) + v
-                if any(v != 0 for v in merged_l.values()) or \
-                   any(v != 0 for v in merged_r.values()):
-                    passed, witness = False, {"triple": [i, j, k]}
-                    break
-            if not passed:
-                break
-        if not passed:
-            break
-    if passed:
-        for _ in range(samples // 10):
-            a = _random_exact_amplitude(rng, alg)
-            b = _random_exact_amplitude(rng, alg)
-            if mul(a, mul(a, b)) != mul(mul(a, a), b) or \
-               mul(mul(b, a), a) != mul(b, mul(a, a)):
-                passed = False
-                witness = {"a": witness_coeffs(a), "b": witness_coeffs(b)}
-                break
-    checks.append(AxiomCheck("alternativity", passed, witness))
-
-    # full associativity over basis triples (complete, by trilinearity)
-    passed, witness = True, None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if _associator_on_basis(alg, i, j, k):
-                    lhs = mul(mul(basis[i], basis[j]), basis[k])
-                    rhs = mul(basis[i], mul(basis[j], basis[k]))
-                    passed = False
-                    witness = {
-                        "triple": [i, j, k],
-                        "left": [str(c) for c in lhs.coeffs],
-                        "right": [str(c) for c in rhs.coeffs],
-                    }
-                    break
-            if not passed:
-                break
-        if not passed:
-            break
-    checks.append(AxiomCheck("associativity", passed, witness))
-
-    # nondegeneracy of the bilinear form
-    det = gram_determinant(alg)
-    checks.append(AxiomCheck(
-        "nondegenerate_form", det != 0, None if det != 0 else {"gram_det": str(det)}))
-
-    # absence of absolute zero divisors: no nonzero c with (c a) c = 0 for all a
-    passed, witness = True, None
-    candidates = list(basis)
-    for _ in range(samples):
-        candidates.append(_random_exact_amplitude(rng, alg, nonzero=True))
-    for c in candidates:
-        if c.is_zero():
-            continue
-        if all(mul(mul(c, e), c).is_zero() for e in basis):
-            passed, witness = False, {"candidate": witness_coeffs(c)}
-            break
-    checks.append(AxiomCheck("no_absolute_zero_divisors", passed, witness))
-
+        checks.append(AxiomCheck(name, witness is None, witness))
     return AxiomReport(kind=alg.kind, checks=tuple(checks))

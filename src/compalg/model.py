@@ -405,14 +405,24 @@ def coarsen(a: Path, b: Path) -> Path:
 
     If the operands do not align directly, they are replaced by redundancy
     representatives ra, rb (the normal form of a possible operand, the
-    operand without duplicated steps otherwise) and aligned up to
+    operand without duplicated steps otherwise).  Equivalent operands
+    (ra == rb) do not coarsen.  Otherwise ra, rb are aligned up to
     duplicated steps: the padded pair must read P + [x] + Q against
     P + [y] + Q, where P (length p >= 1) is a common prefix and Q (length
     q >= 1) a common suffix of ra and rb.  Each side reaches length p+q+1
     with no padding, one duplicate of step p-1 or p, or two of step p-1.
-    Among the aligning pairs the shortest wins, then the smallest duplicate
-    positions of ra, then of rb.  That is O(L) candidates of O(L) work
-    each, O(L^2) in all for operands of length L.
+    Among the aligning pairs the smallest duplicate positions of ra win,
+    then those of rb.  That is O(L) candidates of O(L) work each, O(L^2)
+    in all for operands of length L.
+
+    If ra != rb align at all, they align at length max(len(ra), len(rb)),
+    so no longer pair is tried.  Take an aligning pair that differs at step
+    j.  A duplicate away from j lies in the common prefix or suffix, so
+    (representatives have no adjacent equal steps) it pads both sides, and
+    removing it from both leaves an aligning pair.  Once every duplicate
+    touches j, not both sides can be padded: removing step j would turn
+    both into P + Q, and ra == rb.  So one side is unpadded, and the pair
+    has its length, the longer one.
     """
     try:
         return _coarsen_direct(a, b)
@@ -420,24 +430,25 @@ def coarsen(a: Path, b: Path) -> Path:
         pass
     ra = normal_form(a) if is_possible(a) else _dedup_fixpoint(a)
     rb = normal_form(b) if is_possible(b) else _dedup_fixpoint(b)
-    shorter = min(len(ra), len(rb))
+    if ra == rb:
+        raise CoarsenMismatch("equivalent operands do not differ at one step")
+    shorter, target = sorted((len(ra), len(rb)))
     prefix = 0
     while prefix < shorter and _same_step(ra, prefix, rb, prefix):
         prefix += 1
     suffix = 0
     while suffix < shorter and _same_step(ra, len(ra) - 1 - suffix, rb, len(rb) - 1 - suffix):
         suffix += 1
-    for target in range(max(len(ra), len(rb)), shorter + 3):  # at most two duplicates a side
-        pairs = set()
-        for p in range(1, prefix + 1):
-            q = target - 1 - p
-            if 1 <= q <= suffix:
-                pairs.update(itertools.product(_paddings(ra, p, q), _paddings(rb, p, q)))
-        for pad_a, pad_b in sorted(pairs):
-            try:
-                return _coarsen_direct(_padded(ra, pad_a), _padded(rb, pad_b))
-            except CoarsenMismatch:
-                continue
+    pairs = set()
+    for p in range(1, prefix + 1):
+        q = target - 1 - p
+        if 1 <= q <= suffix:
+            pairs.update(itertools.product(_paddings(ra, p, q), _paddings(rb, p, q)))
+    for pad_a, pad_b in sorted(pairs):
+        try:
+            return _coarsen_direct(_padded(ra, pad_a), _padded(rb, pad_b))
+        except CoarsenMismatch:
+            continue
     raise CoarsenMismatch("no redundancy representatives align for coarsening")
 
 

@@ -350,6 +350,8 @@ def coarsen_by_search(a: Path, b: Path) -> Path:
         pass
     ra = normal_form(a) if is_possible(a) else _dedup_fixpoint(a)
     rb = normal_form(b) if is_possible(b) else _dedup_fixpoint(b)
+    if ra == rb:
+        raise CoarsenMismatch("equivalent operands do not differ at one step")
     lo = max(len(ra), len(rb))
     hi = lo + max(len(a), len(b))
     for target in range(lo, hi + 1):

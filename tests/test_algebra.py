@@ -1,11 +1,13 @@
 """Algebra layer: construction, forms, inverses, and the axiom verifier."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from compalg.algebra import (
+    Algebra,
     AlgebraKind,
     bilinear_form,
     gram_determinant,
@@ -115,14 +117,9 @@ def test_quadratic_form_numeric_mode():
 
 
 def test_non_scalar_product_detected():
-    broken = Algebra_with_broken_conjugation()
+    broken = unconjugated(AlgebraKind.C)
     with pytest.raises(NonScalarProduct):
         quadratic_form(broken.amplitude([1, 1]))
-
-
-def Algebra_with_broken_conjugation():
-    from compalg.algebra import Algebra
-    return Algebra(kind=AlgebraKind.C, dim=2, table=C.table, conj_signs=(1, 1))
 
 
 def test_bilinear_form_examples():
@@ -180,6 +177,100 @@ def test_axiom_report_json_shape():
     assert doc["axioms"]["associativity"]["passed"] is False
     assert "witness" in doc["axioms"]["associativity"]
     assert doc["axioms"]["composition"] == {"passed": True}
+
+
+def with_product(kind, i, j, product):
+    """The table of ``kind`` with e_i * e_j = sign * e_k, for product = (k, sign)."""
+    alg = make_algebra(kind)
+    rows = [list(row) for row in alg.table]
+    rows[i][j] = product
+    return Algebra(kind=kind, dim=alg.dim, table=tuple(map(tuple, rows)),
+                   conj_signs=alg.conj_signs)
+
+
+def flipped(kind, i, j):
+    """The table of ``kind`` with the sign of e_i * e_j flipped."""
+    k, sign = make_algebra(kind).table[i][j]
+    return with_product(kind, i, j, (k, -sign))
+
+
+def unconjugated(kind):
+    """The table of ``kind`` with every conjugation sign +1."""
+    alg = make_algebra(kind)
+    return Algebra(kind=kind, dim=alg.dim, table=alg.table, conj_signs=(1,) * alg.dim)
+
+
+# verify_axioms(...).to_json() with sorted keys, byte for byte: the witnesses
+# depend on the order in which the random stages draw from the seeded stream.
+# Keyed by (kind, flipped table entry or None, samples, seed).
+PINNED_REPORTS = {
+    ("R", None, 150, 1):
+        '{"algebra": "R", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": true}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 1}',
+    ("R", None, 7, 3):
+        '{"algebra": "R", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": true}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 1}',
+    ("C", None, 150, 1):
+        '{"algebra": "C", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": true}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 2}',
+    ("C", None, 7, 3):
+        '{"algebra": "C", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": true}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 2}',
+    ("C'", None, 150, 1):
+        '{"algebra": "C\'", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": true}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 2}',
+    ("C'", None, 7, 3):
+        '{"algebra": "C\'", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": true}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 2}',
+    ("H", None, 150, 1):
+        '{"algebra": "H", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": true}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 4}',
+    ("H", None, 7, 3):
+        '{"algebra": "H", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": true}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 4}',
+    ("H'", None, 150, 1):
+        '{"algebra": "H\'", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": true}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 4}',
+    ("H'", None, 7, 3):
+        '{"algebra": "H\'", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": true}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 4}',
+    ("O", None, 150, 1):
+        '{"algebra": "O", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": false, "witness": {"left": ["0", "0", "0", "0", "0", "0", "0", "1"], "right": ["0", "0", "0", "0", "0", "0", "0", "-1"], "triple": [1, 2, 4]}}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 8}',
+    ("O", None, 7, 3):
+        '{"algebra": "O", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": false, "witness": {"left": ["0", "0", "0", "0", "0", "0", "0", "1"], "right": ["0", "0", "0", "0", "0", "0", "0", "-1"], "triple": [1, 2, 4]}}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 8}',
+    ("O'", None, 150, 1):
+        '{"algebra": "O\'", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": false, "witness": {"left": ["0", "0", "0", "0", "0", "0", "0", "1"], "right": ["0", "0", "0", "0", "0", "0", "0", "-1"], "triple": [1, 2, 4]}}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 8}',
+    ("O'", None, 7, 3):
+        '{"algebra": "O\'", "axioms": {"alternativity": {"passed": true}, "associativity": {"passed": false, "witness": {"left": ["0", "0", "0", "0", "0", "0", "0", "1"], "right": ["0", "0", "0", "0", "0", "0", "0", "-1"], "triple": [1, 2, 4]}}, "composition": {"passed": true}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 8}',
+    ("C", (0, 0), 7, 3):
+        '{"algebra": "C", "axioms": {"alternativity": {"passed": false, "witness": {"triple": [0, 0, 1]}}, "associativity": {"passed": false, "witness": {"left": ["0", "-1"], "right": ["0", "1"], "triple": [0, 0, 1]}}, "composition": {"passed": false, "witness": {"pair": [0, 0]}}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": false, "witness": {"basis": 0}}}, "dim": 2}',
+    ("H", (1, 1), 7, 3):
+        '{"algebra": "H", "axioms": {"alternativity": {"passed": false, "witness": {"triple": [1, 1, 2]}}, "associativity": {"passed": false, "witness": {"left": ["0", "0", "1", "0"], "right": ["0", "0", "-1", "0"], "triple": [1, 1, 2]}}, "composition": {"passed": false, "witness": {"pair": [1, 2]}}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 4}',
+    ("O", (3, 3), 7, 3):
+        '{"algebra": "O", "axioms": {"alternativity": {"passed": false, "witness": {"triple": [1, 2, 3]}}, "associativity": {"passed": false, "witness": {"left": ["1", "0", "0", "0", "0", "0", "0", "0"], "right": ["-1", "0", "0", "0", "0", "0", "0", "0"], "triple": [1, 2, 3]}}, "composition": {"passed": false, "witness": {"pair": [1, 2]}}, "conjugation_anti_automorphism": {"passed": true}, "involution": {"passed": true}, "no_absolute_zero_divisors": {"passed": true}, "nondegenerate_form": {"passed": true}, "trace_real": {"passed": true}, "unitality": {"passed": true}}, "dim": 8}',
+}
+
+
+@pytest.mark.parametrize("key", PINNED_REPORTS, ids=lambda k: "-".join(map(str, k)))
+def test_axiom_report_bytes_pinned(key):
+    label, flip, samples, seed = key
+    kind = AlgebraKind.from_label(label)
+    alg = make_algebra(kind) if flip is None else flipped(kind, *flip)
+    report = verify_axioms(alg, samples=samples, seed=seed)
+    assert json.dumps(report.to_json(), sort_keys=True) == PINNED_REPORTS[key]
+
+
+# tables whose quadratic form is not scalar on some amplitude: every sign
+# flip off the diagonal, e_1 * e_1 = e_1, and conjugation fixing the basis
+NON_SCALAR_TABLES = [
+    (f"flip-{kind.label}-{i}-{j}", lambda kind=kind, i=i, j=j: flipped(kind, i, j))
+    for kind in (AlgebraKind.C, AlgebraKind.H, AlgebraKind.SPLIT_H, AlgebraKind.O)
+    for i in range(kind.dim) for j in range(kind.dim) if i != j
+] + [
+    (f"idempotent-e1-{kind.label}", lambda kind=kind: with_product(kind, 1, 1, (1, 1)))
+    for kind in ALL_KINDS if kind.dim > 1
+] + [
+    (f"unconjugated-{kind.label}", lambda kind=kind: unconjugated(kind))
+    for kind in ALL_KINDS if kind.dim > 1
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in NON_SCALAR_TABLES],
+                         ids=[name for name, _ in NON_SCALAR_TABLES])
+def test_non_scalar_tables_reported_not_raised(build):
+    report = verify_axioms(build(), samples=7, seed=3)
+    assert not report.all_passed
+    assert not report.check("composition").passed
 
 
 # -- algebraic laws, property-based ------------------------------------------------

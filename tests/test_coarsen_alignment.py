@@ -67,11 +67,10 @@ def comparison():
         del padded[:]
         new = _exact(model.coarsen, a, b)
         if new is not None and padded:
-            (ra, pos_a, pa), (rb, pos_b, pb) = padded[-2:]
+            (_, pos_a, pa), (_, pos_b, pb) = padded[-2:]
             j = next(k for k in range(len(pa)) if pa.results[k] != pb.results[k])
             seen["a", _shape(pos_a, j)] += 1
             seen["b", _shape(pos_b, j)] += 1
-            seen["target", len(pa) - max(len(ra), len(rb))] += 1
         return new
 
     def check(family, a, b, new):
@@ -108,7 +107,6 @@ def test_every_winning_padding_occurs(comparison):
     _, seen, _ = comparison
     for side in ("a", "b"):
         assert {shape for s, shape in seen if s == side} == SHAPES
-    assert seen["target", 1] > 0
 
 
 # -- work bound ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from compalg import model
 from compalg.errors import (
     ChainMismatch,
     CoarsenMismatch,
@@ -157,6 +158,16 @@ def test_coarsen_overlapping_rejected():
     a = bracket(["m"])
     with pytest.raises(CoarsenMismatch):
         coarsen(a, a)
+    # an impossible path is equivalent to itself and to its padded copies,
+    # although a padding of it differs from another in one step
+    u1 = GroundSet("U1", ("u",))
+    u3 = GroundSet("U3", ("x", "y", "z"))
+    a1, a3, c3 = atomic_measurement(u1), atomic_measurement(u3), fully_coarse_measurement(u3)
+    imp = path([a1, c3, a3, a3], [["u"], ["x", "y", "z"], ["y"], ["z"]])
+    padded = path([a1, c3, a3, a3, a3], [["u"], ["x", "y", "z"], ["y"], ["y"], ["z"]])
+    for left, right in ((imp, imp), (imp, padded), (padded, imp)):
+        with pytest.raises(CoarsenMismatch):
+            coarsen(left, right)
 
 
 def test_coarsen_extended_over_redundant_representatives():
@@ -180,16 +191,28 @@ def test_coarsen_over_different_grounds_rejected():
         coarsen(q, p)
 
 
-def test_coarsen_skips_alignments_over_different_grounds():
-    # the first padded pair that differs in one step differs over U1 and U3;
-    # a later one merges {y} and {z}
+def test_coarsen_skips_alignments_over_different_grounds(monkeypatch):
+    # the first padded pair that differs in one step differs over U1 and U2;
+    # the next one merges {a} and {b}
     u1 = GroundSet("U1", ("u",))
-    u3 = GroundSet("U3", ("x", "y", "z"))
-    a1, a3, c3 = atomic_measurement(u1), atomic_measurement(u3), fully_coarse_measurement(u3)
-    a = path([a1, c3, a3, a3], [["u"], ["x", "y", "z"], ["y"], ["z"]])
-    c = coarsen(a, a)
-    assert [sorted(r) for r in c.results] == \
-        [["u"], ["x", "y", "z"], ["y"], ["y", "z"], ["z"]]
+    u2 = GroundSet("U2", ("a", "b"))
+    a1, a2 = atomic_measurement(u1), atomic_measurement(u2)
+    a = path([a1, a2], [["u"], ["a"]])
+    b = path([a1, a2, a2], [["u"], ["b"], ["a"]])
+    rejected = []
+    direct = model._coarsen_direct
+
+    def recording(p, q):
+        try:
+            return direct(p, q)
+        except CoarsenMismatch as exc:
+            rejected.append(str(exc))
+            raise
+
+    monkeypatch.setattr(model, "_coarsen_direct", recording)
+    c = coarsen(a, b)
+    assert [sorted(r) for r in c.results] == [["u"], ["a", "b"], ["a"]]
+    assert rejected[1:] == ["results to merge lie over different ground sets"]
 
 
 def test_refine_examples():
