@@ -11,8 +11,10 @@ seeded random exact-rational samples) in order and reports the first
 failing case with a witness.
 
 Coefficients may be exact rationals (``int``/``Fraction``; verification
-mode) or 64-bit floats (numeric mode).  Scalar-ness assertions are exact
-in verification mode and use a relative tolerance in numeric mode.
+mode) or 64-bit floats (numeric mode).  Every scalar-ness assertion, on
+Q(a), T(a) and the engine's sum rules, goes through ``scalar_part``: the
+imaginary tail must vanish exactly in verification mode, and within
+SCALAR_RTOL relative to a magnitude of the summed terms in numeric mode.
 """
 
 from __future__ import annotations
@@ -283,22 +285,33 @@ def conj(a: Amplitude) -> Amplitude:
     return a.conj()
 
 
-def _scalar_tolerance(a: Amplitude) -> float:
-    return SCALAR_RTOL * float(sum(float(c) * float(c) for c in a.coeffs))
+def scalar_part(value: Amplitude, exact: bool, magnitude, what: str,
+                error=NonScalarProduct) -> Scalar:
+    """The e_0 coefficient of a value that must be a real multiple of the unit.
+
+    Raises ``error`` when the tail is not zero: in exact mode on any nonzero
+    tail coefficient, in float mode on one beyond SCALAR_RTOL * magnitude(),
+    where ``magnitude`` bounds the size of the terms summed into the value.
+    ``magnitude`` is called only when some tail coefficient is nonzero.
+    """
+    tail = value.coeffs[1:]
+    if any(c != 0 for c in tail):
+        if exact:
+            raise error(f"{what} not scalar: {value!r}")
+        tol = SCALAR_RTOL * magnitude()
+        if any(abs(float(c)) > tol for c in tail):
+            raise error(f"{what} not scalar within {tol}: {value!r}")
+    return value.coeffs[0]
+
+
+def _squared_norm(a: Amplitude) -> float:
+    return float(sum(float(c) * float(c) for c in a.coeffs))
 
 
 def quadratic_form(a: Amplitude) -> Scalar:
     """Q(a) with a * conj(a) = Q(a) * e_0; asserts the product is scalar."""
-    prod = mul(a, a.conj())
-    tail = prod.coeffs[1:]
-    if a.is_exact:
-        if any(c != 0 for c in tail):
-            raise NonScalarProduct(f"a*conj(a) not scalar: {prod!r}")
-    else:
-        tol = _scalar_tolerance(a)
-        if any(abs(float(c)) > tol for c in tail):
-            raise NonScalarProduct(f"a*conj(a) not scalar within {tol}: {prod!r}")
-    return prod.coeffs[0]
+    return scalar_part(mul(a, a.conj()), a.is_exact, lambda: _squared_norm(a),
+                       "a*conj(a)")
 
 
 def bilinear_form(a: Amplitude, b: Amplitude) -> Scalar:
@@ -309,16 +322,8 @@ def bilinear_form(a: Amplitude, b: Amplitude) -> Scalar:
 
 def trace_form(a: Amplitude) -> Scalar:
     """T(a) with a + conj(a) = T(a) * e_0; asserts the sum is scalar."""
-    s = a + a.conj()
-    tail = s.coeffs[1:]
-    if a.is_exact:
-        if any(c != 0 for c in tail):
-            raise NonScalarSum(f"a+conj(a) not scalar: {s!r}")
-    else:
-        tol = _scalar_tolerance(a)
-        if any(abs(float(c)) > tol for c in tail):
-            raise NonScalarSum(f"a+conj(a) not scalar within {tol}: {s!r}")
-    return s.coeffs[0]
+    return scalar_part(a + a.conj(), a.is_exact, lambda: _squared_norm(a),
+                       "a+conj(a)", NonScalarSum)
 
 
 def inverse(a: Amplitude) -> Amplitude:

@@ -100,23 +100,16 @@ def _path_command(op, operands):
 def cmd_enumerate(args) -> int:
     ws = _need_workspace(args)
     if args.what == "partitions":
-        g = _lookup(ws.grounds, args.name, "ground set")
-        items = model.enumerate_partitions(g)
-        if args.count_only:
-            sys.stdout.write(f"{len(items)}\n")
-            return 0
-        _emit(args, {"count": len(items),
-                     "items": [model.measurement_to_json(m) for m in items]},
-              [f"count: {len(items)}"] + [repr(m) for m in items])
+        items = model.enumerate_partitions(_lookup(ws.grounds, args.name, "ground set"))
+        to_json = model.measurement_to_json
     else:
-        s = _lookup(ws.sequences, args.name, "sequence")
-        items = model.enumerate_paths(s)
-        if args.count_only:
-            sys.stdout.write(f"{len(items)}\n")
-            return 0
-        _emit(args, {"count": len(items),
-                     "items": [model.path_to_json(p) for p in items]},
-              [f"count: {len(items)}"] + [repr(p) for p in items])
+        items = model.enumerate_paths(_lookup(ws.sequences, args.name, "sequence"))
+        to_json = model.path_to_json
+    if args.count_only:
+        sys.stdout.write(f"{len(items)}\n")
+        return 0
+    _emit(args, {"count": len(items), "items": [to_json(x) for x in items]},
+          [f"count: {len(items)}"] + [repr(x) for x in items])
     return 0
 
 

@@ -118,16 +118,8 @@ class Workspace:
     paths: Dict[str, Path] = field(default_factory=dict)
     assignments: Dict[str, Assignment] = field(default_factory=dict)
     #: source text of assignment statements, kept for canonical printing
-    assignment_sources: Dict[str, Tuple[str, str, str]] = field(default_factory=dict)
-
-    def __eq__(self, other):
-        return isinstance(other, Workspace) and (
-            self.grounds, self.measurements, self.sequences,
-            self.paths, self.assignments,
-        ) == (
-            other.grounds, other.measurements, other.sequences,
-            other.paths, other.assignments,
-        )
+    assignment_sources: Dict[str, Tuple[str, str, str]] = field(
+        default_factory=dict, compare=False)
 
     def to_canonical_dsl(self) -> str:
         lines = []
@@ -215,14 +207,18 @@ class _Parser:
             raise ParseError(f"expected '{word}', found {tok.text!r}", tok.span)
         return tok
 
-    def _id_list(self) -> List[str]:
-        self.next("{")
-        ids = [self.next("name", "an element id").text]
+    def _list(self, open_: str, close: str, item) -> list:
+        """open item ("," item)* close, as the list of item() results."""
+        self.next(open_, f"'{open_}'")
+        items = [item()]
         while self.peek() and self.peek().kind == ",":
             self.next(",")
-            ids.append(self.next("name", "an element id").text)
-        self.next("}", "'}'")
-        return ids
+            items.append(item())
+        self.next(close, f"'{close}'")
+        return items
+
+    def _id_list(self) -> List[str]:
+        return self._list("{", "}", lambda: self.next("name", "an element id").text)
 
     def parse_elements(self):
         name = self.next("name", "a ground set name")
@@ -245,12 +241,7 @@ class _Parser:
         ground_tok = self.next("name", "a ground set name")
         ground = self._resolve(self.ws.grounds, ground_tok, "ground set")
         self.next("=", "'='")
-        self.next("{")
-        blocks = [self._id_list()]
-        while self.peek() and self.peek().kind == ",":
-            self.next(",")
-            blocks.append(self._id_list())
-        self.next("}", "'}'")
+        blocks = self._list("{", "}", self._id_list)
         try:
             m = measurement(name.text, ground, blocks)
         except ValueError as exc:
@@ -261,16 +252,8 @@ class _Parser:
         name = self.next("name", "a sequence name")
         self._declare(self.ws.sequences, name, "sequence")
         self.next("=", "'='")
-        self.next("[", "'['")
-        steps = [self._resolve(self.ws.measurements,
-                               self.next("name", "a measurement name"),
-                               "measurement")]
-        while self.peek() and self.peek().kind == ",":
-            self.next(",")
-            steps.append(self._resolve(self.ws.measurements,
-                                       self.next("name", "a measurement name"),
-                                       "measurement"))
-        self.next("]", "']'")
+        steps = self._list("[", "]", lambda: self._resolve(
+            self.ws.measurements, self.next("name", "a measurement name"), "measurement"))
         try:
             s = sequence(steps)
         except ValueError as exc:
@@ -284,12 +267,7 @@ class _Parser:
         seq_tok = self.next("name", "a sequence name")
         s = self._resolve(self.ws.sequences, seq_tok, "sequence")
         self.next("=", "'='")
-        self.next("[", "'['")
-        blocks = [frozenset(self._id_list())]
-        while self.peek() and self.peek().kind == ",":
-            self.next(",")
-            blocks.append(frozenset(self._id_list()))
-        self.next("]", "']'")
+        blocks = self._list("[", "]", lambda: frozenset(self._id_list()))
         try:
             p = Path(s, tuple(blocks))
         except ValueError as exc:
@@ -386,16 +364,10 @@ def load_assignment_json(doc, measurements: Dict[str, Measurement],
             raise ValueError(
                 f"unknown measurement in step {step['from']!r} -> {step['to']!r}")
         rows = _expect(step.get("matrix"), list, f'{where} "matrix"')
-        g_from, g_to = m_from.ground, m_to.ground
-        if len(rows) != len(g_from.elements):
-            raise ValueError("matrix row count does not match source ground")
-        for row in rows:
-            if len(_expect(row, list, f"{where} matrix row")) != len(g_to.elements):
-                raise ValueError("matrix column count does not match target ground")
-        blocks.append((g_from, g_to, [
+        blocks.append((m_from.ground, m_to.ground, [
             [algebra.amplitude(_coefficient(v)
                                for v in _expect(entry, list, f"{where} matrix entry"))
-             for entry in row]
+             for entry in _expect(row, list, f"{where} matrix row")]
             for row in rows]))
     return assignment_from_rows(algebra, blocks)
 

@@ -30,6 +30,11 @@ partial thread sums of common prefixes, bounded by
 
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step.
+
+Exact and float mode differ in two rules, each written once: a value that
+must be scalar goes through ``algebra.scalar_part`` (exact, or within
+SCALAR_RTOL of a magnitude), and two values are compared by ``_close``
+(equal when both are rational, else within FLOAT_RTOL relative).
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .algebra import (
-    SCALAR_RTOL, Algebra, AlgebraKind, Amplitude, make_algebra, product_plan,
-    quadratic_form, sum_of_products,
+    Algebra, AlgebraKind, Amplitude, make_algebra, product_plan, quadratic_form,
+    scalar_part, sum_of_products,
 )
 from .errors import (
     NonAssociativeAlgebra,
@@ -205,10 +210,15 @@ def assignment_from_rows(algebra: Algebra, blocks: Iterable) -> Assignment:
 
     ``rows[i][j]`` is the amplitude from the i-th element of ground_from
     to the j-th element of ground_to, both in declared element order.
-    Entries may be Amplitudes or plain coefficient sequences.
+    Entries may be Amplitudes or plain coefficient sequences.  A matrix
+    whose shape does not match the two grounds raises ValueError.
     """
     matrices = []
     for g_from, g_to, rows in blocks:
+        if len(rows) != len(g_from.elements):
+            raise ValueError("matrix row count does not match source ground")
+        if any(len(row) != len(g_to.elements) for row in rows):
+            raise ValueError("matrix column count does not match target ground")
         table = {}
         for i, x in enumerate(g_from.elements):
             for j, y in enumerate(g_to.elements):
@@ -334,23 +344,22 @@ def probability_of(p: Path, asg: Assignment) -> ProbabilityResult:
     return ProbabilityResult(amplitude=amp, probability=quadratic_form(amp))
 
 
-def _close(a, b, exact: bool) -> bool:
-    if exact:
+def _close(a, b) -> bool:
+    """a == b when both are rational; otherwise |a - b| within FLOAT_RTOL
+    times the larger magnitude (at least 1), and never for an infinity."""
+    if isinstance(a, Rational) and isinstance(b, Rational):
         return a == b
-    scale = max(abs(float(a)), abs(float(b)), 1.0)
-    return abs(float(a) - float(b)) <= FLOAT_RTOL * scale
+    a, b = float(a), float(b)
+    return abs(a - b) <= FLOAT_RTOL * max(abs(a), abs(b), 1.0) < math.inf
 
 
 def check_markov(p: Path, asg: Assignment) -> bool:
     """probability(p) equals the product over its undecomposable factors."""
-    result = probability_of(p, asg)
+    probability = probability_of(p, asg).probability
     product = 1
-    exact = isinstance(result.probability, Rational)
     for factor in model.factorize(p):
-        piece = probability_of(factor, asg).probability
-        exact = exact and isinstance(piece, Rational)
-        product = product * piece
-    return _close(result.probability, product, exact)
+        product = product * probability_of(factor, asg).probability
+    return _close(probability, product)
 
 
 def check_certain_insertion(p: Path, j: int, inserted: Measurement,
@@ -365,8 +374,7 @@ def check_certain_insertion(p: Path, j: int, inserted: Measurement,
     before = probability_of(p, asg).probability
     extended = model.insert_measurement(p, j, inserted, block)
     after = probability_of(extended, asg_extended).probability
-    exact = isinstance(before, Rational) and isinstance(after, Rational)
-    return _close(before, after, exact)
+    return _close(before, after)
 
 
 # -- validation -----------------------------------------------------------------
@@ -412,12 +420,6 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     matrix or a non-scalar sum fails that check with the error as detail.
     """
     entries = []
-    exact_mode = asg.is_exact
-
-    def close_to_one(value) -> bool:
-        if exact_mode and isinstance(value, Rational):
-            return value == 1
-        return abs(float(value) - 1.0) <= FLOAT_RTOL
 
     entries.append(ValidationEntry(
         "associative_algebra", asg.algebra.kind.label,
@@ -449,7 +451,7 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
 
         for x in sorted(a):
             row_sum = sum(quadratic_form(forward[(x, y)]) for y in sorted(b))
-            ok = close_to_one(row_sum)
+            ok = _close(row_sum if asg.is_exact else float(row_sum), 1)
             entries.append(ValidationEntry(
                 "row_normalization", f"{loc} source {x}", ok,
                 "" if ok else f"sum of Q over targets is {row_sum}"))
@@ -460,7 +462,7 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
         except (SequenceMismatch, NonScalarProduct) as exc:
             entries.append(ValidationEntry("sum_rule", f"source {x}", False, str(exc)))
             continue
-        ok = close_to_one(total)
+        ok = _close(total if asg.is_exact else float(total), 1)
         entries.append(ValidationEntry(
             "sum_rule", f"source {x}", ok,
             "" if ok else f"total probability over paths is {total}"))
@@ -540,10 +542,11 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     the recursion runs over integers, S_k carrying q_k^2 ... q_last^2, and
     the total is divided by the product of the q_k^2 once.
 
-    The summed imaginary tail must vanish, exactly in exact mode; in float
-    mode within SCALAR_RTOL times the same recursion over entry norms,
-    which bounds the magnitude of every term summed.  Otherwise
-    NonScalarProduct is raised, as quadratic_form does for one amplitude.
+    The summed imaginary tail must vanish, by ``algebra.scalar_part`` as
+    for quadratic_form: exactly in exact mode; in float mode within
+    SCALAR_RTOL times the same recursion over entry norms, which bounds the
+    magnitude of every term summed and runs only when the tail is nonzero.
+    Otherwise NonScalarProduct is raised.
     """
     source = frozenset(source)
     _check_source(s, source)
@@ -564,18 +567,14 @@ def total_probability(s: MeasurementSequence, source: frozenset,
                          for x, row in rows.items()})
     pairs = _pair_transfer(classes, forward, backward, asg.algebra)
     total = _result(asg, pairs, math.prod(den * den for den in dens))
-    tail = total.coeffs[1:]
-    if any(c != 0 for c in tail):
-        if asg.is_exact:
-            raise NonScalarProduct(f"summed pair products not scalar: {total!r}")
+
+    def magnitude() -> float:
         norms = [{x: {y: _norm(a) for y, a in row.items()} for x, row in rows.items()}
                  for rows in forward]
         bounds = _pair_transfer(classes, norms, norms, make_algebra(AlgebraKind.R))
-        tol = SCALAR_RTOL * sum(bound for (bound,) in bounds)
-        if any(abs(float(c)) > tol for c in tail):
-            raise NonScalarProduct(
-                f"summed pair products not scalar within {tol}: {total!r}")
-    return total.coeffs[0]
+        return sum(bound for (bound,) in bounds)
+
+    return scalar_part(total, asg.is_exact, magnitude, "summed pair products")
 
 
 # -- sampling --------------------------------------------------------------------

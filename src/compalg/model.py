@@ -369,16 +369,15 @@ def _coarsen_direct(a: Path, b: Path) -> Path:
 
 
 def _dedup_fixpoint(p: Path) -> Path:
-    while len(p) > 2:
-        for j in range(len(p) - 1):
-            if equal_measurements(p.steps[j], p.steps[j + 1]) \
-                    and p.results[j] == p.results[j + 1]:
-                p = Path(sequence(p.steps[:j] + p.steps[j + 1:]),
-                         p.results[:j] + p.results[j + 1:])
-                break
-        else:
-            return p
-    return p
+    """p with each run of adjacent equal steps (equal measurements and
+    results) cut to its last step, keeping at least two steps."""
+    n = len(p)
+    keep = [j for j in range(n - 1) if not _same_step(p, j, p, j + 1)] + [n - 1]
+    if len(keep) < 2:
+        keep = range(max(n - 2, 0), n)
+    if len(keep) == n:
+        return p
+    return Path(sequence([p.steps[j] for j in keep]), tuple(p.results[j] for j in keep))
 
 
 def _same_step(a: Path, i: int, b: Path, k: int) -> bool:

@@ -17,6 +17,10 @@ those moves.
 ``coarsen_by_search`` is the exhaustive reference for ``model.coarsen``:
 it tries every duplicated-step padding of both redundancy representatives
 at every target length and returns the first pair that aligns.
+
+``dedup_by_rewriting`` is the reference for ``model._dedup_fixpoint``: it
+removes the first of two equal adjacent steps, one at a time, rescanning
+from the start after each removal, until none is left or two steps remain.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from compalg.model import (
     Measurement,
     Path,
     _coarsen_direct,
-    _dedup_fixpoint,
     equal_measurements,
     find_igps,
     is_possible,
@@ -338,6 +341,20 @@ def padded_variants(p: Path, target_len: int):
         yield Path(sequence(steps), tuple(results))
 
 
+def dedup_by_rewriting(p: Path) -> Path:
+    """p without duplicated steps, one removal and one rescan at a time."""
+    while len(p) > 2:
+        for j in range(len(p) - 1):
+            if equal_measurements(p.steps[j], p.steps[j + 1]) \
+                    and p.results[j] == p.results[j + 1]:
+                p = Path(sequence(p.steps[:j] + p.steps[j + 1:]),
+                         p.results[:j] + p.results[j + 1:])
+                break
+        else:
+            return p
+    return p
+
+
 def coarsen_by_search(a: Path, b: Path) -> Path:
     """Coarsening by exhaustive search over padded redundancy representatives.
 
@@ -348,8 +365,8 @@ def coarsen_by_search(a: Path, b: Path) -> Path:
         return _coarsen_direct(a, b)
     except CoarsenMismatch:
         pass
-    ra = normal_form(a) if is_possible(a) else _dedup_fixpoint(a)
-    rb = normal_form(b) if is_possible(b) else _dedup_fixpoint(b)
+    ra = normal_form(a) if is_possible(a) else dedup_by_rewriting(a)
+    rb = normal_form(b) if is_possible(b) else dedup_by_rewriting(b)
     if ra == rb:
         raise CoarsenMismatch("equivalent operands do not differ at one step")
     lo = max(len(ra), len(rb))

@@ -15,10 +15,11 @@ from compalg.algebra import (
     make_algebra,
     mul,
     quadratic_form,
+    scalar_part,
     trace_form,
     verify_axioms,
 )
-from compalg.errors import AlgebraMismatch, NonScalarProduct, NotInvertible
+from compalg.errors import AlgebraMismatch, NonScalarProduct, NonScalarSum, NotInvertible
 
 ALL_KINDS = list(AlgebraKind)
 ASSOCIATIVE_KINDS = [k for k in ALL_KINDS if k.is_associative]
@@ -271,6 +272,55 @@ def test_non_scalar_tables_reported_not_raised(build):
     report = verify_axioms(build(), samples=7, seed=3)
     assert not report.all_passed
     assert not report.check("composition").passed
+
+
+# (form, table, coefficients) -> (exception name, message) or ("value", repr),
+# byte for byte, in exact and float mode
+PINNED_SCALAR_CHECKS = {
+    ("quadratic_form", "unconjugated-C", (1, 2)):
+        ("NonScalarProduct", "a*conj(a) not scalar: Amplitude(C, [-3, 4])"),
+    ("quadratic_form", "unconjugated-C", (0.1, 0.3)):
+        ("NonScalarProduct", "a*conj(a) not scalar within 1e-13: "
+                             "Amplitude(C, [-0.07999999999999999, 0.06])"),
+    ("trace_form", "unconjugated-C", (1, 2)):
+        ("NonScalarSum", "a+conj(a) not scalar: Amplitude(C, [2, 4])"),
+    ("trace_form", "unconjugated-C", (0.1, 0.3)):
+        ("NonScalarSum", "a+conj(a) not scalar within 1e-13: Amplitude(C, [0.2, 0.6])"),
+    ("quadratic_form", "flip-H-1-2", (0, 1, 2, 0)):
+        ("NonScalarProduct", "a*conj(a) not scalar: Amplitude(H, [5, 0, 0, 4])"),
+    ("quadratic_form", "flip-H-1-2", (0.1, 0.2, 0.3, 0.4)):
+        ("NonScalarProduct", "a*conj(a) not scalar within 3.0000000000000003e-13: "
+                             "Amplitude(H, [0.30000000000000004, 0.0, 0.0, 0.12])"),
+    ("trace_form", "flip-H-1-2", (0, 1, 2, 0)): ("value", "0"),
+    ("trace_form", "flip-H-1-2", (0.1, 0.2, 0.3, 0.4)): ("value", "0.2"),
+}
+PINNED_TABLES = {"unconjugated-C": lambda: unconjugated(AlgebraKind.C),
+                 "flip-H-1-2": lambda: flipped(AlgebraKind.H, 1, 2)}
+
+
+@pytest.mark.parametrize("key", list(PINNED_SCALAR_CHECKS), ids=str)
+def test_scalar_check_messages_pinned(key):
+    form, table, coeffs = key
+    amplitude = PINNED_TABLES[table]().amplitude(coeffs)
+    try:
+        got = ("value", repr({"quadratic_form": quadratic_form,
+                              "trace_form": trace_form}[form](amplitude)))
+    except (NonScalarProduct, NonScalarSum) as exc:
+        got = (type(exc).__name__, str(exc))
+    assert got == PINNED_SCALAR_CHECKS[key]
+
+
+def test_scalar_part_tolerance_and_laziness():
+    def unused():
+        raise AssertionError("magnitude evaluated for a zero tail")
+
+    assert scalar_part(C.amplitude([Fraction(1, 3), 0]), True, unused, "x") == Fraction(1, 3)
+    assert scalar_part(C.amplitude([0.5, 0.0]), False, unused, "x") == 0.5
+    assert scalar_part(C.amplitude([0.5, 1e-13]), False, lambda: 1.0, "x") == 0.5
+    with pytest.raises(NonScalarSum, match=r"^x not scalar within 1e-12: "):
+        scalar_part(C.amplitude([0.5, 2e-12]), False, lambda: 1.0, "x", NonScalarSum)
+    with pytest.raises(NonScalarProduct, match=r"^x not scalar: "):
+        scalar_part(C.amplitude([1, Fraction(1, 10 ** 30)]), True, unused, "x")
 
 
 # -- algebraic laws, property-based ------------------------------------------------

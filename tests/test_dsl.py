@@ -47,6 +47,32 @@ def test_parse_error_has_span():
     assert err.value.span.line == 2
 
 
+HEAD = "elements G = {a, b}\nmeasurement A over G = {{a}, {b}}\nsequence S = [A, A]\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("elements G = a, b}", "1:14-15: expected '{', found 'a'"),
+    ("elements G = {a b}", "1:17-18: expected '}', found 'b'"),
+    ("elements G = {a,", "1:16-17: unexpected end of document, expected name"),
+    ("elements G = {}", "1:15-16: expected an element id, found '}'"),
+    ("elements G = {a}\nmeasurement M over G = [{a}]", "2:24-25: expected '{', found '['"),
+    ("elements G = {a}\nmeasurement M over G = {a}", "2:25-26: expected '{', found 'a'"),
+    ("elements G = {a}\nmeasurement M over G = {{a}",
+     "2:27-28: unexpected end of document, expected }"),
+    (HEAD + "sequence T = A, A]", "4:14-15: expected '[', found 'A'"),
+    (HEAD + "sequence T = [A A]", "4:17-18: expected ']', found 'A'"),
+    (HEAD + "sequence T = [A, B]", "4:18-19: unknown measurement 'B'"),
+    (HEAD + "sequence T = [A,", "4:16-17: unexpected end of document, expected name"),
+    (HEAD + "path p over S = {a}, {a}]", "4:17-18: expected '[', found '{'"),
+    (HEAD + "path p over S = [{a}, {a}}", "4:26-27: expected ']', found '}'"),
+    (HEAD + "path p over S = [a]", "4:18-19: expected '{', found 'a'"),
+])
+def test_list_syntax_errors(doc, message):
+    with pytest.raises((ParseError, SemanticError)) as err:
+        parse(doc)
+    assert str(err.value) == message
+
+
 def test_unknown_statement():
     with pytest.raises(ParseError) as err:
         parse("banana G = {a}")

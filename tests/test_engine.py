@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from compalg import model
 from compalg.algebra import AlgebraKind, make_algebra, mul, quadratic_form
 from compalg.engine import (
     SAMPLE_CHUNK,
     Assignment,
+    _close,
     amplitude_of,
     assignment_from_rows,
     check_certain_insertion,
@@ -41,6 +43,7 @@ from conftest import (
     AM, BM, DM, G3, GM, UM,
     amplitude_by_enumeration,
     assignment_for,
+    converted,
     entry,
 )
 
@@ -228,6 +231,67 @@ def test_validation_sum_rule_sensitive_to_coarse_blocks():
     assert all(e.passed for e in rows_entries)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[[1, 0]] * 3] * 3, "matrix row count does not match source ground"),
+    ([[[1, 0]] * 4] * 2, "matrix column count does not match target ground"),
+    ([[[1, 0]] * 3, [[1, 0]] * 2], "matrix column count does not match target ground"),
+], ids=["extra row", "extra column", "short row"])
+def test_assignment_from_rows_rejects_misshaped_matrix(rows, message):
+    with pytest.raises(ValueError) as exc:
+        c_assignment(rows)
+    assert str(exc.value) == message
+
+
+def adjoint_report(perturb):
+    """validate_assignment over [aN, aM] with both directions of the pair
+    stored, the reverse the conjugate transpose plus perturb at (m, n1)."""
+    forward = {(x, y): C.amplitude([Fraction(1, 2), 0]) for x in N.elements
+               for y in G3.elements}
+    backward = {(y, x): amp.conj() for (x, y), amp in forward.items()}
+    backward[("m", "n1")] = backward[("m", "n1")] + C.amplitude(perturb)
+    asg = Assignment(C, {(N, G3): forward, (G3, N): backward})
+    (check,) = [e for e in validate_assignment(sequence([AN, AM]), asg).entries
+                if e.check == "adjoint_consistency"]
+    return check
+
+
+def test_validation_adjoint_consistency():
+    consistent = adjoint_report([0, 0])
+    assert consistent.passed and consistent.detail == ""
+    assert consistent.to_json() == {
+        "check": "adjoint_consistency", "location": "steps 0->1", "passed": True}
+    skewed = adjoint_report([0, 1])
+    assert not skewed.passed
+    assert skewed.to_json() == {
+        "check": "adjoint_consistency", "location": "steps 0->1", "passed": False,
+        "detail": "reverse matrix is not the conjugate transpose"}
+
+
+def test_validation_float_mode_compares_as_floats():
+    # a row of rationals in a float assignment is compared within FLOAT_RTOL
+    asg = c_assignment([[[1, 0], [0, Fraction(1, 10 ** 6)], [0, 0]],
+                        [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+    rows = [e for e in validate_assignment(sequence([AN, AM]), asg).entries
+            if e.check == "row_normalization"]
+    assert [e.passed for e in rows] == [True, True]
+
+
+def test_validation_overflowing_row_fails():
+    asg = c_assignment([[[1e200, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+    (bad,) = [e for e in validate_assignment(sequence([AN, AM]), asg).entries
+              if e.check == "row_normalization" and not e.passed]
+    assert bad.detail == "sum of Q over targets is inf"
+
+
+def test_close_rule():
+    assert _close(Fraction(1, 3), Fraction(1, 3)) and not _close(Fraction(1, 3), 1)
+    assert _close(1 / 3, Fraction(1, 3)) and _close(1 + 1e-10, 1)
+    assert not _close(1 + 1e-8, 1) and _close(1e6 * (1 + 1e-10), 1e6)
+    assert not any(_close(a, b) for a, b in [(math.inf, 1.0), (1.0, -math.inf),
+                                              (math.inf, math.inf), (math.nan, 1.0)])
+
+
 def test_total_probability_two_step(unit_row_assignment):
     total = total_probability(sequence([AN, AM]), frozenset({"n1"}),
                               unit_row_assignment)
@@ -236,10 +300,17 @@ def test_total_probability_two_step(unit_row_assignment):
 
 # -- Markov and certain insertion ---------------------------------------------------
 
-def test_markov_three_factor(unit_row_assignment):
+def test_markov_three_factor(unit_row_assignment, monkeypatch):
     p = path([AN, AM, AN, AM, AN],
              [["n1"], ["m"], ["n2"], ["m2"], ["n1"]])
-    assert check_markov(p, unit_row_assignment)
+    modes = [converted(unit_row_assignment, convert) for convert in (Fraction, float)]
+    for asg, numeric in zip(modes, (False, True)):
+        probability = probability_of(p, asg).probability
+        assert isinstance(probability, float) is numeric and 0 < probability < 1
+        assert check_markov(p, asg)
+    # a factorization that repeats the path squares its probability
+    monkeypatch.setattr(model, "factorize", lambda p: [p, p])
+    assert not any(check_markov(p, asg) for asg in modes)
 
 
 def test_markov_undecomposable(unit_row_assignment):
@@ -267,7 +338,9 @@ def test_certain_insertion_preserves_probability():
     # build extended assignment: n -> w is a phase i, w -> m the base row
     asg_ext = Assignment(C, stage)
     p = path([AN, AM], [["n1"], ["m"]])
-    assert check_certain_insertion(p, 1, AW, asg, asg_ext)
+    for convert in (Fraction, float):
+        assert check_certain_insertion(p, 1, AW, converted(asg, convert),
+                                       converted(asg_ext, convert))
     amp_direct = amplitude_of(p, asg)
     extended = None
     from compalg.model import insert_measurement
@@ -301,7 +374,9 @@ def test_certain_insertion_detects_unnormalized_extension():
     }
     asg_ext = Assignment(C, stage)
     p = path([AN, AM], [["n1"], ["m"]])
-    assert not check_certain_insertion(p, 1, AW, asg, asg_ext)
+    for convert in (Fraction, float):
+        assert not check_certain_insertion(p, 1, AW, converted(asg, convert),
+                                           converted(asg_ext, convert))
 
 
 # -- sampling -------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from compalg.model import (
     GroundSet,
     Measurement,
     Path,
+    _dedup_fixpoint,
     atomic_measurement,
     classify,
     coarsen,
@@ -27,6 +28,7 @@ from compalg.model import (
 from conftest import AM, BM, G3, GM, MIX_GROUNDS, UM, universe_paths
 from oracle import (
     all_reduction_terminals,
+    dedup_by_rewriting,
     minimal_members,
     normal_form_by_rewriting,
     result_signature,
@@ -153,6 +155,40 @@ def test_normal_form_equals_rewriting_on_seeded_paths():
     assert 0 < sum(map(is_possible, paths)) < len(paths)
     assert is_possible(paths[-1]) and len(paths[-1]) == 128
     assert_matches_rewriting(paths)
+
+
+def with_repeats(rng, p):
+    """p with each step followed by 0..3 copies of it, most under new labels,
+    one in five copies taking another detector of the same measurement."""
+    steps, results = [], []
+    for j, (m, r) in enumerate(zip(p.steps, p.results)):
+        steps.append(m)
+        results.append(r)
+        for k in range(rng.choice([0, 0, 1, 2, 3])):
+            label = m.id if rng.random() < 0.3 else f"{m.id}#{j}.{k}"
+            steps.append(Measurement(label, m.ground, m.blocks))
+            results.append(rng.choice(sorted(m.blocks, key=sorted))
+                           if rng.random() < 0.2 else r)
+    return Path(sequence(steps), tuple(results))
+
+
+def assert_dedup_matches_rewriting(paths):
+    for p in paths:
+        got, want = _dedup_fixpoint(p), dedup_by_rewriting(p)
+        assert got == want, repr(p)
+        assert [m.id for m in got.steps] == [m.id for m in want.steps], repr(p)
+
+
+def test_dedup_equals_rewriting(mixed_universe_paths):
+    assert_dedup_matches_rewriting(mixed_universe_paths)
+    rng = random.Random(9)
+    paths = [with_repeats(rng, seeded_path(rng, n, possible=rng.random() < 0.7))
+             for n in [n for n in range(2, 25) for _ in range(20)] + list(range(40, 129, 8))]
+    # all-equal paths, where the rewriting stops at two steps
+    relabelled = [Measurement(f"a{k}", AM.ground, AM.blocks) for k in range(5)]
+    paths += [Path(sequence(relabelled[:n]), (frozenset({"m"}),) * n) for n in range(2, 6)]
+    assert sum(len(dedup_by_rewriting(p)) < len(p) for p in paths) > len(paths) // 2
+    assert_dedup_matches_rewriting(paths)
 
 
 def test_normal_form_is_linear_on_long_paths():

@@ -127,10 +127,14 @@ def test_non_scalar_sum_is_rejected(monkeypatch):
         if a.algebra.kind is AlgebraKind.C and len(runs(s)) > 1
         and total_by_enumeration(s, src, a) != 0)
     monkeypatch.setattr(engine, "sum_of_products", skewed_sum)
-    with pytest.raises(NonScalarProduct):
+    with pytest.raises(NonScalarProduct) as exact:
         total_probability(s, source, asg)
-    with pytest.raises(NonScalarProduct):
+    assert str(exact.value) == "summed pair products not scalar: " \
+        "Amplitude(C, [Fraction(10, 9), Fraction(19, 9)])"
+    with pytest.raises(NonScalarProduct) as numeric:
         total_probability(s, source, converted(asg, float))
+    assert str(numeric.value) == "summed pair products not scalar within " \
+        "2.1111111111111114e-12: Amplitude(C, [1.1111111111111112, 2.111111111111111])"
     (x,) = source
     (entry,) = [e for e in validate_assignment(s, asg).entries
                 if e.check == "sum_rule" and e.location == f"source {x}"]
