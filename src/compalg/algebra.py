@@ -10,11 +10,19 @@ check runs its stages (exhaustive basis tuples in exact arithmetic, then
 seeded random exact-rational samples) in order and reports the first
 failing case with a witness.
 
+``mul`` multiplies through the table and is the specification.  The
+engine multiplies coefficient tuples instead, through ``product_kernel``:
+one straight-line function per algebra, generated once from its
+``product_plan`` (the table regrouped by output coefficient), which keeps
+``mul``'s term order and so its results bit for bit.
+
 Coefficients may be exact rationals (``int``/``Fraction``; verification
 mode) or 64-bit floats (numeric mode).  Every scalar-ness assertion, on
-Q(a), T(a) and the engine's sum rules, goes through ``scalar_part``: the
-imaginary tail must vanish exactly in verification mode, and within
-SCALAR_RTOL relative to a magnitude of the summed terms in numeric mode.
+Q(a), T(a), the engine's Born probabilities and its sum rules, goes
+through ``scalar_part``: the imaginary tail must vanish exactly in
+verification mode, and within SCALAR_RTOL relative to a magnitude of the
+summed terms in numeric mode.  ``inverse`` treats Q(a) as vanishing in
+numeric mode within SCALAR_RTOL times the squared norm of a.
 """
 
 from __future__ import annotations
@@ -258,27 +266,36 @@ def product_plan(algebra: Algebra) -> tuple:
     return tuple(map(tuple, plan))
 
 
-def sum_of_products(plan: tuple, lefts, rights) -> tuple:
-    """The coefficients of the sum of a * b over a in lefts and b in rights
-    taken in step, coefficient tuples multiplied by a ``product_plan``.
+@lru_cache(maxsize=None)
+def product_kernel(algebra: Algebra):
+    """The sum of products of an algebra, as one straight-line function
+    generated from its ``product_plan``.
 
-    Each product is formed term by term in ``mul``'s order and then added
-    to the running sum, so the result equals summing ``mul`` over the pairs
-    from zero: exactly for rationals, and bit for bit for finite floats
-    (where ``mul`` skips a zero term and keeps an int 0, this gives 0.0)."""
-    out = [0] * len(plan)
-    for a, b in zip(lefts, rights):
-        k = 0
-        for terms in plan:
-            c = 0
-            for i, j, negate in terms:
-                if negate:
-                    c -= a[i] * b[j]
-                else:
-                    c += a[i] * b[j]
-            out[k] += c
-            k += 1
-    return tuple(out)
+    ``kernel(lefts, rights)`` returns the coefficient tuple of the sum of
+    a * b over the coefficient tuples a in lefts and b in rights taken in
+    step (all zeros, as ints, when there are none).  For each pair it
+    unpacks a0..a(d-1) and b0..b(d-1) and adds to each output coefficient
+    ``0 + a_i * b_j - ...``, the plan's terms in order.  So the result
+    equals summing ``mul`` over the pairs from zero: exactly for rationals,
+    and bit for bit for finite floats (where ``mul`` skips a zero term and
+    keeps an int 0, this gives 0.0).  Callers fetch the kernel once per
+    evaluation: the cache key hashes the whole table.
+    """
+    d = algebra.dim
+    a = "".join(f"a{i}, " for i in range(d))
+    b = "".join(f"b{j}, " for j in range(d))
+    out = [f"o{k}" for k in range(d)]
+    lines = ["def kernel(lefts, rights):",
+             f"    {' = '.join(out)} = 0",
+             f"    for ({a}), ({b}) in zip(lefts, rights):"]
+    for o, terms in zip(out, product_plan(algebra)):
+        lines.append(f"        {o} += 0" + "".join(
+            f" {'-' if negate else '+'} a{i} * b{j}" for i, j, negate in terms))
+    lines.append(f"    return ({', '.join(out)},)")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<product kernel {algebra.kind.label}>", "exec"),
+         namespace)
+    return namespace["kernel"]
 
 
 def conj(a: Amplitude) -> Amplitude:
@@ -304,13 +321,15 @@ def scalar_part(value: Amplitude, exact: bool, magnitude, what: str,
     return value.coeffs[0]
 
 
-def _squared_norm(a: Amplitude) -> float:
-    return float(sum(float(c) * float(c) for c in a.coeffs))
+def squared_norm(coeffs: tuple) -> float:
+    """The sum of the squared coefficients, as a float: the magnitude that
+    bounds the terms of a * conj(a) and a + conj(a)."""
+    return float(sum(float(c) * float(c) for c in coeffs))
 
 
 def quadratic_form(a: Amplitude) -> Scalar:
     """Q(a) with a * conj(a) = Q(a) * e_0; asserts the product is scalar."""
-    return scalar_part(mul(a, a.conj()), a.is_exact, lambda: _squared_norm(a),
+    return scalar_part(mul(a, a.conj()), a.is_exact, lambda: squared_norm(a.coeffs),
                        "a*conj(a)")
 
 
@@ -322,19 +341,24 @@ def bilinear_form(a: Amplitude, b: Amplitude) -> Scalar:
 
 def trace_form(a: Amplitude) -> Scalar:
     """T(a) with a + conj(a) = T(a) * e_0; asserts the sum is scalar."""
-    return scalar_part(a + a.conj(), a.is_exact, lambda: _squared_norm(a),
+    return scalar_part(a + a.conj(), a.is_exact, lambda: squared_norm(a.coeffs),
                        "a+conj(a)", NonScalarSum)
 
 
 def inverse(a: Amplitude) -> Amplitude:
-    """conj(a) / Q(a); undefined on the isotropic cone of split algebras."""
+    """conj(a) / Q(a); undefined on the isotropic cone of split algebras.
+
+    In float mode Q(a) vanishes when it is at most SCALAR_RTOL times the
+    squared norm of a, a bound relative to the size of a as for scalar
+    tails: a small but invertible a has an inverse in both modes.
+    """
     q = quadratic_form(a)
     if a.is_exact:
         if q == 0:
             raise NotInvertible("quadratic form vanishes")
         factor = Fraction(1, 1) / q
     else:
-        if abs(float(q)) <= 1e-12:
+        if abs(float(q)) <= SCALAR_RTOL * squared_norm(a.coeffs):
             raise NotInvertible("quadratic form vanishes (within tolerance)")
         factor = 1.0 / q
     return a.conj().scale(factor)

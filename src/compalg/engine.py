@@ -10,19 +10,22 @@ conjugate transpose of the forward one unless supplied explicitly.
 
 Every evaluator reads one representation: each ground pair lowered once,
 on first use, to rows x -> {y: coefficient tuple} over one denominator,
-looked up once per run boundary and never per entry.  Products follow the
-algebra's product plan (its ``mul`` table regrouped by output, in
-``mul``'s term order).  In exact mode, when every coefficient is rational,
-the coefficients are Python integers over the lcm of the entry
-denominators, and each result is rebuilt as a rational once, at the end.
-Otherwise (float mode) every coefficient is converted to a float over
-denominator 1, so float-mode results are floats, summed left to right in
-a fixed order.
+looked up once per run boundary and never per entry.  Every product goes
+through the algebra's ``product_kernel``, a straight-line function
+generated from its product plan (its ``mul`` table regrouped by output,
+in ``mul``'s term order), fetched once per evaluation.  In exact mode,
+when every coefficient is rational, the coefficients are Python integers
+over the lcm of the entry denominators, and each result is rebuilt as a
+rational once, at the end.  Otherwise (float mode) every coefficient is
+converted to a float over denominator 1, so float-mode results are
+floats, summed left to right in a fixed order.
 
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
 to right.  The probability of a path is the quadratic form of its
-amplitude; impossible paths evaluate to the zero amplitude directly.
+amplitude, taken on the summed coefficient tuple through the same kernel
+(the e0 coefficient of a * conj(a)); impossible paths evaluate to the
+zero amplitude, of probability 0, directly.
 One run-by-run walker evaluates every path: ``amplitude_of`` walks one
 path, and sampling walks every path from the source once, sharing the
 partial thread sums of common prefixes, bounded by
@@ -51,8 +54,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .algebra import (
-    Algebra, AlgebraKind, Amplitude, make_algebra, product_plan, quadratic_form,
-    scalar_part, sum_of_products,
+    Algebra, AlgebraKind, Amplitude, make_algebra, product_kernel, quadratic_form,
+    scalar_part, squared_norm,
 )
 from .errors import (
     NonAssociativeAlgebra,
@@ -259,15 +262,39 @@ def _rational(numerator: int, denominator: int):
         else numerator // denominator
 
 
-def _result(asg: Assignment, values, denominator: int) -> Amplitude:
-    """The Amplitude of the sum of coefficient tuples over denominator,
-    added left to right from zero (``reduce``: from Python 3.12 on ``sum``
-    compensates float rounding); in exact mode each coefficient is rebuilt
-    as a rational, in float mode (denominator 1) it is the sum."""
-    sums = (reduce(operator.add, c) for c in zip((0,) * asg.algebra.dim, *values))
+def _summed(values, dim: int) -> tuple:
+    """The sum of coefficient tuples, added left to right from zero
+    (``reduce``: from Python 3.12 on ``sum`` compensates float rounding)."""
+    return tuple(reduce(operator.add, c) for c in zip((0,) * dim, *values))
+
+
+def _result(asg: Assignment, sums: Optional[tuple], denominator: int) -> Amplitude:
+    """The Amplitude of the coefficient tuple sums over denominator: in exact
+    mode each coefficient is rebuilt as a rational, in float mode
+    (denominator 1) it is the sum; None (an impossible path) is zero."""
+    if sums is None:
+        return asg.algebra.zero()
     if asg.is_exact:
         sums = (_rational(c, denominator) for c in sums)
     return asg.algebra.amplitude(sums)
+
+
+def _born(asg: Assignment, kernel, sums: Optional[tuple], denominator: int):
+    """Q of the amplitude ``_result(asg, sums, denominator)``, as
+    ``quadratic_form`` gives it: the e0 coefficient of sums * conj(sums)
+    through the product kernel, over the squared denominator; 0 for None.
+
+    A nonzero tail goes through ``algebra.scalar_part`` as quadratic_form's
+    does, with its lazy squared norm, so it raises or passes alike.
+    """
+    if sums is None:
+        return 0
+    conj = tuple(map(operator.mul, asg.algebra.conj_signs, sums))
+    square, scale = kernel((sums,), (conj,)), denominator * denominator
+    if any(square[1:]):
+        return scalar_part(_result(asg, square, scale), asg.is_exact,
+                           lambda: squared_norm(sums), "a*conj(a)")
+    return _rational(square[0], scale) if asg.is_exact else square[0]
 
 
 def _boundary_rows(s, asg: Assignment, segments) -> Tuple[list, list]:
@@ -278,25 +305,26 @@ def _boundary_rows(s, asg: Assignment, segments) -> Tuple[list, list]:
     return [rows for rows, _ in boundaries], [den for _, den in boundaries]
 
 
-def _thread_sums(s, choices, asg: Assignment):
-    """Yield (results, amplitude or None) for every pick of one result per
-    step from ``choices``, in ``itertools.product`` order.
+def _thread_sums(s, choices, asg: Assignment, kernel):
+    """Yield (results, sums or None, denominator) for every pick of one
+    result per step from ``choices``, in ``itertools.product`` order.
 
     A thread picks one surviving element per weak-equivalence run: the
     element is constant across weakly equivalent steps, so coarse results
     expand distributively and duplicated steps contribute the forced
-    identity.  The amplitude sums over threads the left-to-right product
-    of the matrix entries between consecutive runs; it is None when some
-    run has no surviving element (an impossible path).
+    identity.  ``sums`` is the sum over threads of the left-to-right
+    product of the matrix entries between consecutive runs, a coefficient
+    tuple over the product of the boundary denominators (``_result``
+    rebuilds the amplitude); it is None when some run has no surviving
+    element (an impossible path).
 
-    The run-boundary matrices are looked up once, before the first pick.
+    The run-boundary matrices are looked up once, before the first pick,
+    and ``kernel`` (the algebra's ``product_kernel``) forms every product.
     One dict of partial thread sums is kept per run, and each pick
     recomputes only the runs from the first one whose results changed.
     Elements are taken in sorted order, so float sums are byte-stable.
-    The sums are coefficient tuples over the product of the boundary
-    denominators, and each amplitude is rebuilt once at the end.
     """
-    plan = product_plan(asg.algebra)
+    dim = asg.algebra.dim
     unit = asg.algebra.unit().coeffs
     segments = model.runs(s)
     matrices, dens = _boundary_rows(s, asg, segments)
@@ -324,24 +352,30 @@ def _thread_sums(s, choices, asg: Assignment):
                 partial = {x: unit for x in sorted(alive)}
             else:
                 rows, accs = matrices[k - 1], partial.values()
-                partial = {y: sum_of_products(plan, accs, [rows[x][y] for x in partial])
+                partial = {y: kernel(accs, [rows[x][y] for x in partial])
                            for y in sorted(alive)}
             partials[k] = partial
-        yield combo, None if partial is None else \
-            _result(asg, partial.values(), denominator)
+        yield combo, None if partial is None else _summed(partial.values(), dim), denominator
+
+
+def _path_sums(p: Path, asg: Assignment, kernel) -> Tuple[Optional[tuple], int]:
+    """The thread sums of one path and their denominator (see ``_thread_sums``)."""
+    ((_, sums, denominator),) = _thread_sums(p.sequence, [[r] for r in p.results], asg, kernel)
+    return sums, denominator
 
 
 def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
     """Sum over threads of the left-to-right product of step amplitudes
     (see ``_thread_sums``); impossible paths are the zero amplitude."""
-    ((_, amplitude),) = _thread_sums(p.sequence, [[r] for r in p.results], asg)
-    return asg.algebra.zero() if amplitude is None else amplitude
+    return _result(asg, *_path_sums(p, asg, product_kernel(asg.algebra)))
 
 
 def probability_of(p: Path, asg: Assignment) -> ProbabilityResult:
     """The generalized Born rule: probability = Q(amplitude)."""
-    amp = amplitude_of(p, asg)
-    return ProbabilityResult(amplitude=amp, probability=quadratic_form(amp))
+    kernel = product_kernel(asg.algebra)
+    sums, denominator = _path_sums(p, asg, kernel)
+    return ProbabilityResult(amplitude=_result(asg, sums, denominator),
+                             probability=_born(asg, kernel, sums, denominator))
 
 
 def _close(a, b) -> bool:
@@ -492,9 +526,9 @@ def _pair_transfer(classes, forward, backward, algebra: Algebra) -> list:
     with S_k(x, x') defined only for x, x' in one class of run k.
     ``forward_k`` and ``backward_k`` map a run-k element to a dict over the
     run-(k+1) elements, in class order, of coefficient tuples over the
-    (associative) algebra, multiplied by its product plan.
+    (associative) algebra, multiplied by its product kernel.
     """
-    plan, unit = product_plan(algebra), algebra.unit().coeffs
+    kernel, unit = product_kernel(algebra), algebra.unit().coeffs
     # columns[x'][x] = S(x, x'), x running over the class of x' in order
     columns = {x2: {x: unit for x in cls} for cls in classes[-1] for x2 in cls}
     for k in range(len(classes) - 2, -1, -1):
@@ -504,8 +538,8 @@ def _pair_transfer(classes, forward, backward, algebra: Algebra) -> list:
             for cls in classes[k + 1]:
                 entries = [row[y] for y in cls]
                 for y2 in cls:
-                    lx[y2] = sum_of_products(plan, entries, columns[y2].values())
-        columns = {x2: {x: sum_of_products(plan, left[x].values(), backward[k][x2].values())
+                    lx[y2] = kernel(entries, columns[y2].values())
+        columns = {x2: {x: kernel(left[x].values(), backward[k][x2].values())
                         for x in cls}
                    for cls in classes[k] for x2 in cls}
     return [columns[x2][x] for cls in classes[0] for x in cls for x2 in cls]
@@ -566,7 +600,7 @@ def total_probability(s: MeasurementSequence, source: frozenset,
         backward.append({x: {y: tuple(map(operator.mul, signs, a)) for y, a in row.items()}
                          for x, row in rows.items()})
     pairs = _pair_transfer(classes, forward, backward, asg.algebra)
-    total = _result(asg, pairs, math.prod(den * den for den in dens))
+    total = _result(asg, _summed(pairs, asg.algebra.dim), math.prod(den * den for den in dens))
 
     def magnitude() -> float:
         norms = [{x: {y: _norm(a) for y, a in row.items()} for x, row in rows.items()}
@@ -586,7 +620,8 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
 
     One ``_thread_sums`` walk over the result combinations, the evaluator
     of ``amplitude_of``, recomputes only the runs from the first changed
-    result on, so every probability equals
+    result on, and each path's thread sums go through the Born leaf of
+    ``probability_of``, so every probability equals
     ``probability_of(p, asg).probability`` bit for bit.  Bounded by
     DEFAULT_PATH_BOUND through ``model.check_path_bound``.
     """
@@ -594,9 +629,9 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     model.check_path_bound(s)
     _check_source(s, source)
     choices = [[source]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
-    impossible = quadratic_form(asg.algebra.zero())
-    return [(Path(s, combo), impossible if amplitude is None else quadratic_form(amplitude))
-            for combo, amplitude in _thread_sums(s, choices, asg)]
+    kernel = product_kernel(asg.algebra)
+    return [(Path(s, combo), _born(asg, kernel, sums, denominator))
+            for combo, sums, denominator in _thread_sums(s, choices, asg, kernel)]
 
 
 def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,

@@ -24,7 +24,7 @@ it equals the fixpoint of the rewriting rules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import (
@@ -138,15 +138,24 @@ def equal_measurements(m1: Measurement, m2: Measurement) -> bool:
 
 @dataclass(frozen=True)
 class MeasurementSequence:
-    """An experiment: at least two measurements, atomic at both ends."""
+    """An experiment: at least two measurements, atomic at both ends.
+
+    Equality is by steps.  The hash is that of the steps, computed once:
+    paths are dict keys, and hashing the steps hashes every measurement.
+    """
 
     steps: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.steps) < 2:
             raise ValueError("a sequence needs at least two measurements")
         if not self.steps[0].is_atomic or not self.steps[-1].is_atomic:
             raise ValueError("source and target measurements must be atomic")
+        object.__setattr__(self, "_hash", hash((self.steps,)))
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.steps)

@@ -21,6 +21,9 @@ at every target length and returns the first pair that aligns.
 ``dedup_by_rewriting`` is the reference for ``model._dedup_fixpoint``: it
 removes the first of two equal adjacent steps, one at a time, rescanning
 from the start after each removal, until none is left or two steps remain.
+
+``sum_of_products`` is the reference for ``algebra.product_kernel``: it
+interprets the product plan's (i, j, negate) triples in a loop.
 """
 
 from __future__ import annotations
@@ -399,3 +402,26 @@ def total_by_enumeration(s, source, asg):
     for _, q in probabilities_by_enumeration(s, source, asg):
         total = total + q
     return total
+
+
+def sum_of_products(plan: tuple, lefts, rights) -> tuple:
+    """The coefficients of the sum of a * b over a in lefts and b in rights
+    taken in step, coefficient tuples multiplied by a ``product_plan``.
+
+    Each product is formed term by term in ``mul``'s order and then added
+    to the running sum, so the result equals summing ``mul`` over the pairs
+    from zero: exactly for rationals, and bit for bit for finite floats
+    (where ``mul`` skips a zero term and keeps an int 0, this gives 0.0)."""
+    out = [0] * len(plan)
+    for a, b in zip(lefts, rights):
+        k = 0
+        for terms in plan:
+            c = 0
+            for i, j, negate in terms:
+                if negate:
+                    c -= a[i] * b[j]
+                else:
+                    c += a[i] * b[j]
+            out[k] += c
+            k += 1
+    return tuple(out)

@@ -1,6 +1,7 @@
 """Algebra layer: construction, forms, inverses, and the axiom verifier."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,17 @@ def test_inverse_examples():
         inverse(CS.amplitude([1, 1]))
     with pytest.raises(NotInvertible):
         inverse(C.zero())
+
+
+def test_inverse_threshold_is_relative():
+    """A small invertible amplitude has an inverse in both modes; an
+    isotropic one and zero have none, in float mode too."""
+    assert inverse(C.amplitude([Fraction(1, 10 ** 7), 0])) == C.amplitude([10 ** 7, 0])
+    small = inverse(C.amplitude([1e-7, 0.0]))
+    assert small.coeffs[1] == 0 and math.isclose(small.coeffs[0], 1e7, rel_tol=1e-15)
+    for a in (CS.amplitude([1.0, 1.0]), CS.amplitude([1e-7, 1e-7]), C.amplitude([0.0, 0.0])):
+        with pytest.raises(NotInvertible, match=r"vanishes \(within tolerance\)"):
+            inverse(a)
 
 
 def test_gram_determinants():

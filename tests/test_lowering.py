@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from compalg.algebra import AlgebraKind, make_algebra, mul, product_plan, sum_of_products
+from compalg.algebra import AlgebraKind, make_algebra, mul, product_kernel, product_plan
 from compalg.cli import main
 from compalg.engine import (
     Assignment,
@@ -32,7 +32,7 @@ from conftest import (
     random_exact_rows,
     universe_sequences,
 )
-from oracle import probabilities_by_enumeration, total_by_enumeration
+from oracle import probabilities_by_enumeration, sum_of_products, total_by_enumeration
 
 ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,
                AlgebraKind.H, AlgebraKind.SPLIT_H]
@@ -46,35 +46,66 @@ def random_coefficient(rng: random.Random):
     return int(value) if rng.random() < 0.3 and value.denominator == 1 else value
 
 
-# -- the product plan ------------------------------------------------------------------
+# -- the product kernel -----------------------------------------------------------------
+
+def bits(coeffs) -> list:
+    """Each coefficient's type and value, a float's by ``float.hex`` (so
+    the sign of a zero and every rounding count)."""
+    return [(type(c), c.hex() if isinstance(c, float) else c) for c in coeffs]
+
+
+def signed_zero_or_float(rng: random.Random) -> float:
+    return rng.choice([0.0, -0.0, rng.uniform(-2, 2)])
+
+
+def int_fraction_or_float(rng: random.Random):
+    """An int, a Fraction or a float, each zero now and then."""
+    return rng.choice([random_coefficient, lambda r: float(random_coefficient(r)),
+                       lambda r: r.choice([0, 0.0, -0.0, Fraction(0)])])(rng)
+
+
+def near_overflow(rng: random.Random) -> float:
+    """Products near the largest float; their sums overflow to infinities and NaNs."""
+    return rng.choice([-1, 1]) * rng.uniform(1e153, 1.3e154)
+
 
 @pytest.mark.parametrize("kind", list(AlgebraKind), ids=KIND_IDS)
 def test_plan_product_is_mul(kind):
+    """The generated kernel equals the interpreted plan loop of the oracle
+    in type and bits.  It equals ``mul`` summed from zero in type and bits
+    where ``mul`` skips no zero term, and in value on rationals and on
+    floats.  A float zero term that ``mul`` skips turns an exact sum into
+    a float, so on mixed coefficients it is close to ``mul``."""
     algebra = make_algebra(kind)
-    plan = product_plan(algebra)
-    basis = [algebra.basis_element(r) for r in range(algebra.dim)]
+    plan, kernel = product_plan(algebra), product_kernel(algebra)
+    assert kernel is product_kernel(algebra)
+    zero = (0,) * algebra.dim
+    assert bits(kernel([], [])) == bits(sum_of_products(plan, [], [])) == bits(zero)
+    basis = [algebra.basis_element(r).coeffs for r in range(algebra.dim)]
     for a, b in itertools.product(basis, repeat=2):
-        assert sum_of_products(plan, [a.coeffs], [b.coeffs]) == mul(a, b).coeffs
+        got = kernel([a], [b])
+        assert bits(got) == bits(sum_of_products(plan, [a], [b]))
+        assert bits(got) == bits(mul(algebra.amplitude(a), algebra.amplitude(b)).coeffs)
     rng = random.Random(f"plan:{kind.label}")
-    for _ in range(40):
-        count = rng.randint(0, 4)
-        lefts = [algebra.amplitude(random_coefficient(rng) for _ in range(algebra.dim))
-                 for _ in range(count)]
-        rights = [algebra.amplitude(random_coefficient(rng) for _ in range(algebra.dim))
-                  for _ in range(count)]
-        want = sum(map(mul, lefts, rights), algebra.zero())
-        got = sum_of_products(plan, [a.coeffs for a in lefts], [b.coeffs for b in rights])
-        assert got == want.coeffs
-    # nonzero floats, which ``mul`` never skips: rounded bit for bit alike
-    for _ in range(40):
-        count = rng.randint(1, 4)
-        lefts = [algebra.amplitude(rng.uniform(-2, 2) for _ in range(algebra.dim))
-                 for _ in range(count)]
-        rights = [algebra.amplitude(rng.uniform(-2, 2) for _ in range(algebra.dim))
-                  for _ in range(count)]
-        want = sum(map(mul, lefts, rights), algebra.zero())
-        got = sum_of_products(plan, [a.coeffs for a in lefts], [b.coeffs for b in rights])
-        assert [c.hex() for c in got] == [c.hex() for c in want.coeffs]
+    draws = [(random_coefficient, "value"), (lambda r: r.uniform(-2, 2), "bits"),
+             (signed_zero_or_float, "value"), (int_fraction_or_float, "close"),
+             (near_overflow, "bits")]
+    for draw, like_mul in draws:
+        for _ in range(40):
+            count = rng.randint(1, 4)
+            lefts, rights = ([tuple(draw(rng) for _ in range(algebra.dim)) for _ in range(count)]
+                             for _ in range(2))
+            got = kernel(lefts, rights)
+            assert bits(got) == bits(sum_of_products(plan, lefts, rights))
+            want = sum(map(mul, map(algebra.amplitude, lefts), map(algebra.amplitude, rights)),
+                       algebra.amplitude(zero)).coeffs
+            if like_mul == "bits":  # ``mul`` skips no term: NaNs included
+                assert bits(got) == bits(want)
+            elif like_mul == "value":
+                assert got == want
+            else:
+                assert all(math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12)
+                           for g, w in zip(got, want))
 
 
 # -- the lowering ----------------------------------------------------------------------
@@ -264,13 +295,17 @@ REAL = """\
 
 
 def test_float_mode_zero_is_a_float(tmp_path, capsys):
-    """An exactly-zero coefficient or total of a float-mode result is 0.0."""
-    (tmp_path / "mix.dsl").write_text(MIX_DSL + "sequence back = [aB, aA]\n")
+    """An exactly-zero coefficient, probability or total of a float-mode
+    result is 0.0."""
+    (tmp_path / "mix.dsl").write_text(
+        MIX_DSL + "sequence back = [aB, aA]\npath dead over back = [{b1}, {a1}]\n")
     (tmp_path / "mix.json").write_text(REAL)
     workspace = ["-w", str(tmp_path / "mix.dsl")]
     assert main([*workspace, *ARGV["prob"]]) == 0
+    assert main([*workspace, "prob", "dead", "--assignment", "mix"]) == 0
     assert main([*workspace, "sum-rule", "back", "--assignment", "mix", "--source", "{b1}"]) == 0
     assert capsys.readouterr().out == '{"amplitude":[0.25,0.0,0.0,0.0],"probability":0.0625}\n' \
+                                      '{"amplitude":[0.0,0.0,0.0,0.0],"probability":0.0}\n' \
                                       '{"total_probability":0.0}\n'
 
 

@@ -74,6 +74,21 @@ def test_sequence_invariants():
         sequence([AM, UM])  # non-atomic target
 
 
+def test_equal_sequences_are_equal_keys():
+    """Sequences built separately, over relabelled but equal measurements,
+    hash and compare equal, and so do paths over them, as dict keys."""
+    relabeled = measurement("other-label", G3, [["m2"], ["m1"], ["m"]])
+    s1, s2 = sequence([AM, BM, AM]), sequence([relabeled, BM, relabeled])
+    assert s1 is not s2 and s1 == s2 and hash(s1) == hash(s2) == hash(s1)
+    assert s1 != sequence([AM, AM]) and {s1: 1, s2: 2} == {s1: 2}
+    results = [["m"], ["m", "m1"], ["m1"]]
+    p1, p2 = path(s1.steps, results), path(s2.steps, results)
+    assert p1.sequence is not p2.sequence and p1 == p2 and hash(p1) == hash(p2)
+    counts = {p1: 3}
+    counts[p2] += 1
+    assert counts == {p2: 4} and path([AM, AM], [["m"], ["m"]]) not in counts
+
+
 def test_path_results_must_be_detectors():
     with pytest.raises(ValueError):
         path([AM, AM], [["m"], ["m", "m1"]])

@@ -2,13 +2,14 @@
 walk, against path enumeration."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
 from compalg import engine
-from compalg.algebra import AlgebraKind, make_algebra, mul, sum_of_products
+from compalg.algebra import AlgebraKind, make_algebra, mul, product_kernel
 from compalg.engine import (
     FLOAT_RTOL,
     Assignment,
@@ -115,18 +116,30 @@ def test_walk_is_bitwise_probability_of():
                     assert q == want
 
 
-def test_non_scalar_sum_is_rejected(monkeypatch):
-    """A product that adds e_0's coefficient to e_1's, in both modes through
-    the lowered sums of products; the float tolerance recursion over entry
-    norms, in R, which has no e_1, is left as it is."""
-    def skewed_sum(plan, lefts, rights):
-        out = sum_of_products(plan, lefts, rights)
+def skewed_kernel(algebra):
+    """The product kernel, with e_0's coefficient of every sum of products
+    added to e_1's (unchanged in R, which has no e_1)."""
+    kernel = product_kernel(algebra)
+
+    def skewed(lefts, rights):
+        out = kernel(lefts, rights)
         return out if len(out) == 1 else (out[0], out[1] + out[0]) + out[2:]
-    asg, s, source = next(
+    return skewed
+
+
+def non_scalar_case():
+    return next(
         (a, s, src) for a, s, src in cases(6, 20)
         if a.algebra.kind is AlgebraKind.C and len(runs(s)) > 1
         and total_by_enumeration(s, src, a) != 0)
-    monkeypatch.setattr(engine, "sum_of_products", skewed_sum)
+
+
+def test_non_scalar_sum_is_rejected(monkeypatch):
+    """A product that adds e_0's coefficient to e_1's, in both modes through
+    the engine's product kernel; the float tolerance recursion over entry
+    norms, in R, which has no e_1, is left as it is."""
+    asg, s, source = non_scalar_case()
+    monkeypatch.setattr(engine, "product_kernel", skewed_kernel)
     with pytest.raises(NonScalarProduct) as exact:
         total_probability(s, source, asg)
     assert str(exact.value) == "summed pair products not scalar: " \
@@ -139,6 +152,21 @@ def test_non_scalar_sum_is_rejected(monkeypatch):
     (entry,) = [e for e in validate_assignment(s, asg).entries
                 if e.check == "sum_rule" and e.location == f"source {x}"]
     assert not entry.passed and "not scalar" in entry.detail
+
+
+def test_non_scalar_born_product_is_rejected(monkeypatch):
+    """The same kernel makes a * conj(a) of every possible path non-scalar:
+    the walker's Born leaf and probability_of raise as quadratic_form does,
+    in both modes."""
+    asg, s, source = non_scalar_case()
+    p = next(p for p, q in path_probabilities(s, source, asg) if q != 0)
+    monkeypatch.setattr(engine, "product_kernel", skewed_kernel)
+    for a, message in ((asg, "a*conj(a) not scalar: Amplitude(C, ["),
+                       (converted(asg, float), "a*conj(a) not scalar within ")):
+        with pytest.raises(NonScalarProduct, match=re.escape(message)):
+            path_probabilities(s, source, a)
+        with pytest.raises(NonScalarProduct, match=re.escape(message)):
+            probability_of(p, a)
 
 
 # -- beyond the path bound ------------------------------------------------------------
