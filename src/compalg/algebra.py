@@ -11,10 +11,11 @@ seeded random exact-rational samples) in order and reports the first
 failing case with a witness.
 
 ``mul`` multiplies through the table and is the specification.  The
-engine multiplies coefficient tuples instead, through ``product_kernel``:
-one straight-line function per algebra, generated once from its
-``product_plan`` (the table regrouped by output coefficient), which keeps
-``mul``'s term order and so its results bit for bit.
+engine multiplies coefficient tuples instead, through ``Algebra.kernel``:
+one straight-line function per algebra, generated on first use from its
+``product_plan`` (the table regrouped by output coefficient) and kept on
+the algebra, which keeps ``mul``'s term order and so its results bit for
+bit.
 
 Coefficients may be exact rationals (``int``/``Fraction``; verification
 mode) or 64-bit floats (numeric mode).  Every scalar-ness assertion, on
@@ -32,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Rational
 from typing import Iterable, Optional, Union
 
@@ -145,6 +146,40 @@ class Algebra:
     def __repr__(self) -> str:
         return f"Algebra({self.kind.label})"
 
+    def __getstate__(self) -> dict:
+        # a generated function does not pickle; it is rebuilt on first use
+        return {k: v for k, v in vars(self).items() if k != "kernel"}
+
+    @cached_property
+    def kernel(self):
+        """The sum of products, as one straight-line function generated from
+        ``product_plan`` on first use and kept.
+
+        ``kernel(lefts, rights)`` returns the coefficient tuple of the sum of
+        a * b over the coefficient tuples a in lefts and b in rights taken in
+        step (all zeros, as ints, when there are none).  For each pair it
+        unpacks a0..a(d-1) and b0..b(d-1) and adds to each output coefficient
+        ``0 + a_i * b_j - ...``, the plan's terms in order.  So the result
+        equals summing ``mul`` over the pairs from zero: exactly for
+        rationals, and bit for bit for finite floats (where ``mul`` skips a
+        zero term and keeps an int 0, this gives 0.0).
+        """
+        d = self.dim
+        a = "".join(f"a{i}, " for i in range(d))
+        b = "".join(f"b{j}, " for j in range(d))
+        out = [f"o{k}" for k in range(d)]
+        lines = ["def kernel(lefts, rights):",
+                 f"    {' = '.join(out)} = 0",
+                 f"    for ({a}), ({b}) in zip(lefts, rights):"]
+        for o, terms in zip(out, product_plan(self)):
+            lines.append(f"        {o} += 0" + "".join(
+                f" {'-' if negate else '+'} a{i} * b{j}" for i, j, negate in terms))
+        lines.append(f"    return ({', '.join(out)},)")
+        namespace = {}
+        exec(compile("\n".join(lines), f"<product kernel {self.kind.label}>", "exec"),
+             namespace)
+        return namespace["kernel"]
+
     def structure_constant(self, i: int, j: int, k: int) -> int:
         kk, s = self.table[i][j]
         return s if kk == k else 0
@@ -254,7 +289,6 @@ def mul(a: Amplitude, b: Amplitude) -> Amplitude:
     return Amplitude(alg, tuple(out))
 
 
-@lru_cache(maxsize=None)
 def product_plan(algebra: Algebra) -> tuple:
     """The table of ``mul`` regrouped by output: for each basis index k, the
     triples (i, j, negate) with e_i * e_j = -e_k if negate else +e_k, in
@@ -264,38 +298,6 @@ def product_plan(algebra: Algebra) -> tuple:
         for j, (k, sign) in enumerate(row):
             plan[k].append((i, j, sign < 0))
     return tuple(map(tuple, plan))
-
-
-@lru_cache(maxsize=None)
-def product_kernel(algebra: Algebra):
-    """The sum of products of an algebra, as one straight-line function
-    generated from its ``product_plan``.
-
-    ``kernel(lefts, rights)`` returns the coefficient tuple of the sum of
-    a * b over the coefficient tuples a in lefts and b in rights taken in
-    step (all zeros, as ints, when there are none).  For each pair it
-    unpacks a0..a(d-1) and b0..b(d-1) and adds to each output coefficient
-    ``0 + a_i * b_j - ...``, the plan's terms in order.  So the result
-    equals summing ``mul`` over the pairs from zero: exactly for rationals,
-    and bit for bit for finite floats (where ``mul`` skips a zero term and
-    keeps an int 0, this gives 0.0).  Callers fetch the kernel once per
-    evaluation: the cache key hashes the whole table.
-    """
-    d = algebra.dim
-    a = "".join(f"a{i}, " for i in range(d))
-    b = "".join(f"b{j}, " for j in range(d))
-    out = [f"o{k}" for k in range(d)]
-    lines = ["def kernel(lefts, rights):",
-             f"    {' = '.join(out)} = 0",
-             f"    for ({a}), ({b}) in zip(lefts, rights):"]
-    for o, terms in zip(out, product_plan(algebra)):
-        lines.append(f"        {o} += 0" + "".join(
-            f" {'-' if negate else '+'} a{i} * b{j}" for i, j, negate in terms))
-    lines.append(f"    return ({', '.join(out)},)")
-    namespace = {}
-    exec(compile("\n".join(lines), f"<product kernel {algebra.kind.label}>", "exec"),
-         namespace)
-    return namespace["kernel"]
 
 
 def conj(a: Amplitude) -> Amplitude:

@@ -15,7 +15,7 @@ import sys
 
 from . import dsl, engine, model
 from .algebra import AlgebraKind, make_algebra, verify_axioms
-from .errors import CompalgError, EngineError, ModelError, NotADistribution
+from .errors import CompalgError, NotADistribution
 from .dsl import ParseError, SemanticError
 
 
@@ -30,7 +30,7 @@ def _emit(args, obj, text_lines=None) -> None:
     except ValueError:
         raise SystemExit2("result is not finite: the float coefficients overflow", 3) \
             from None
-    if getattr(args, "format", "json") == "text" and text_lines is not None:
+    if args.format == "text" and text_lines is not None:
         sys.stdout.write("\n".join(text_lines) + "\n")
     else:
         sys.stdout.write(data + "\n")
@@ -178,10 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-w", "--workspace", help="DSL document to load")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, formats=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=["json", "text"], default="json")
+        if formats:
+            p.add_argument("--format", choices=["json", "text"], default="json")
         return p
 
     p = add("classify", cmd_classify, help="print path classification flags")
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--samples", type=_non_negative_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p = add("sample", cmd_sample, help="draw paths from the exact distribution")
+    p = add("sample", cmd_sample, formats=False, help="draw paths from the exact distribution")
     p.add_argument("sequence")
     p.add_argument("--assignment", required=True)
     p.add_argument("--source", type=_parse_block, required=True)
@@ -234,7 +235,7 @@ def main(argv=None) -> int:
     except NotADistribution as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
-    except (ModelError, EngineError, CompalgError) as exc:
+    except CompalgError as exc:
         print(f"operation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -36,6 +36,7 @@ from .model import (
     Path,
     measurement,
     sequence,
+    sorted_blocks,
 )
 
 
@@ -62,8 +63,6 @@ class SemanticError(CompalgError):
 
 
 _PUNCT = {"{", "}", "[", "]", ",", "="}
-_KEYWORDS = {"elements", "measurement", "sequence", "path", "assignment",
-             "over", "algebra", "from"}
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,7 @@ class Workspace:
         for name in sorted(self.measurements):
             m = self.measurements[name]
             blocks = ", ".join(
-                "{" + ", ".join(sorted(b)) + "}"
-                for b in sorted(m.blocks, key=lambda b: sorted(b)))
+                "{" + ", ".join(sorted(b)) + "}" for b in sorted_blocks(m.blocks))
             lines.append(f"measurement {name} over {m.ground.id} = {{{blocks}}}")
         for name in sorted(self.sequences):
             s = self.sequences[name]

@@ -11,9 +11,9 @@ conjugate transpose of the forward one unless supplied explicitly.
 Every evaluator reads one representation: each ground pair lowered once,
 on first use, to rows x -> {y: coefficient tuple} over one denominator,
 looked up once per run boundary and never per entry.  Every product goes
-through the algebra's ``product_kernel``, a straight-line function
-generated from its product plan (its ``mul`` table regrouped by output,
-in ``mul``'s term order), fetched once per evaluation.  In exact mode,
+through ``Algebra.kernel``, a straight-line function generated from the
+algebra's product plan (its ``mul`` table regrouped by output, in
+``mul``'s term order) on first use and kept on the algebra.  In exact mode,
 when every coefficient is rational, the coefficients are Python integers
 over the lcm of the entry denominators, and each result is rebuilt as a
 rational once, at the end.  Otherwise (float mode) every coefficient is
@@ -32,7 +32,8 @@ partial thread sums of common prefixes, bounded by
 ``model.DEFAULT_PATH_BOUND``.
 
 Sum rules are computed without listing paths, by a backward recursion
-over pairs of threads that share a detector at every step.
+over pairs of threads that share a detector at every step, reading the
+same lowered rows in place and conjugating the right-hand factor.
 
 Exact and float mode differ in two rules, each written once: a value that
 must be scalar goes through ``algebra.scalar_part`` (exact, or within
@@ -51,11 +52,8 @@ from functools import cached_property, reduce
 from numbers import Rational
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from .algebra import (
-    Algebra, AlgebraKind, Amplitude, make_algebra, product_kernel, quadratic_form,
-    scalar_part, squared_norm,
+    Algebra, AlgebraKind, Amplitude, make_algebra, quadratic_form, scalar_part, squared_norm,
 )
 from .errors import (
     NonAssociativeAlgebra,
@@ -137,7 +135,7 @@ class Assignment:
                     raise ValueError("matrix entry algebra mismatch")
                 rows[x][y] = amp
             for x, row in rows.items():
-                for y in key[1]:
+                for y in sorted(key[1]):
                     if y not in row:
                         raise ValueError(f"missing entry for transition {x!r} -> {y!r}")
             self._rows[key] = rows
@@ -279,10 +277,10 @@ def _result(asg: Assignment, sums: Optional[tuple], denominator: int) -> Amplitu
     return asg.algebra.amplitude(sums)
 
 
-def _born(asg: Assignment, kernel, sums: Optional[tuple], denominator: int):
+def _born(asg: Assignment, sums: Optional[tuple], denominator: int):
     """Q of the amplitude ``_result(asg, sums, denominator)``, as
     ``quadratic_form`` gives it: the e0 coefficient of sums * conj(sums)
-    through the product kernel, over the squared denominator; 0 for None.
+    through the algebra's kernel, over the squared denominator; 0 for None.
 
     A nonzero tail goes through ``algebra.scalar_part`` as quadratic_form's
     does, with its lazy squared norm, so it raises or passes alike.
@@ -290,7 +288,7 @@ def _born(asg: Assignment, kernel, sums: Optional[tuple], denominator: int):
     if sums is None:
         return 0
     conj = tuple(map(operator.mul, asg.algebra.conj_signs, sums))
-    square, scale = kernel((sums,), (conj,)), denominator * denominator
+    square, scale = asg.algebra.kernel((sums,), (conj,)), denominator * denominator
     if any(square[1:]):
         return scalar_part(_result(asg, square, scale), asg.is_exact,
                            lambda: squared_norm(sums), "a*conj(a)")
@@ -305,7 +303,7 @@ def _boundary_rows(s, asg: Assignment, segments) -> Tuple[list, list]:
     return [rows for rows, _ in boundaries], [den for _, den in boundaries]
 
 
-def _thread_sums(s, choices, asg: Assignment, kernel):
+def _thread_sums(s, choices, asg: Assignment):
     """Yield (results, sums or None, denominator) for every pick of one
     result per step from ``choices``, in ``itertools.product`` order.
 
@@ -319,12 +317,12 @@ def _thread_sums(s, choices, asg: Assignment, kernel):
     element (an impossible path).
 
     The run-boundary matrices are looked up once, before the first pick,
-    and ``kernel`` (the algebra's ``product_kernel``) forms every product.
+    and the algebra's kernel forms every product.
     One dict of partial thread sums is kept per run, and each pick
     recomputes only the runs from the first one whose results changed.
     Elements are taken in sorted order, so float sums are byte-stable.
     """
-    dim = asg.algebra.dim
+    dim, kernel = asg.algebra.dim, asg.algebra.kernel
     unit = asg.algebra.unit().coeffs
     segments = model.runs(s)
     matrices, dens = _boundary_rows(s, asg, segments)
@@ -358,24 +356,23 @@ def _thread_sums(s, choices, asg: Assignment, kernel):
         yield combo, None if partial is None else _summed(partial.values(), dim), denominator
 
 
-def _path_sums(p: Path, asg: Assignment, kernel) -> Tuple[Optional[tuple], int]:
+def _path_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     """The thread sums of one path and their denominator (see ``_thread_sums``)."""
-    ((_, sums, denominator),) = _thread_sums(p.sequence, [[r] for r in p.results], asg, kernel)
+    ((_, sums, denominator),) = _thread_sums(p.sequence, [[r] for r in p.results], asg)
     return sums, denominator
 
 
 def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
     """Sum over threads of the left-to-right product of step amplitudes
     (see ``_thread_sums``); impossible paths are the zero amplitude."""
-    return _result(asg, *_path_sums(p, asg, product_kernel(asg.algebra)))
+    return _result(asg, *_path_sums(p, asg))
 
 
 def probability_of(p: Path, asg: Assignment) -> ProbabilityResult:
     """The generalized Born rule: probability = Q(amplitude)."""
-    kernel = product_kernel(asg.algebra)
-    sums, denominator = _path_sums(p, asg, kernel)
+    sums, denominator = _path_sums(p, asg)
     return ProbabilityResult(amplitude=_result(asg, sums, denominator),
-                             probability=_born(asg, kernel, sums, denominator))
+                             probability=_born(asg, sums, denominator))
 
 
 def _close(a, b) -> bool:
@@ -516,38 +513,40 @@ def _same_block_classes(steps, elements) -> List[List[str]]:
     return list(classes.values())
 
 
-def _pair_transfer(classes, forward, backward, algebra: Algebra) -> list:
+def _pair_transfer(classes, matrices, algebra: Algebra) -> list:
     """S_0 over the same-class pairs (x, x') of run 0, in the order of the
     classes, then x, then x', by the backward recursion
 
         S_last(x, x') = 1
-        S_k(x, x')    = sum_y' (sum_y forward_k[x][y] S_k+1(y, y')) backward_k[x'][y']
+        S_k(x, x')    = sum_y' (sum_y E_k[x][y] S_k+1(y, y')) conj(E_k[x'][y'])
 
-    with S_k(x, x') defined only for x, x' in one class of run k.
-    ``forward_k`` and ``backward_k`` map a run-k element to a dict over the
-    run-(k+1) elements, in class order, of coefficient tuples over the
-    (associative) algebra, multiplied by its product kernel.
+    with S_k(x, x') defined only for x, x' in one class of run k.  ``E_k =
+    matrices[k]`` maps a run-k element to a dict over the run-(k+1)
+    elements of coefficient tuples over the (associative) algebra, read in
+    class order and multiplied by the algebra's kernel.
     """
-    kernel, unit = product_kernel(algebra), algebra.unit().coeffs
+    kernel, signs, unit = algebra.kernel, algebra.conj_signs, algebra.unit().coeffs
     # columns[x'][x] = S(x, x'), x running over the class of x' in order
     columns = {x2: {x: unit for x in cls} for cls in classes[-1] for x2 in cls}
     for k in range(len(classes) - 2, -1, -1):
-        left = {}  # left[x][y'] = sum_y forward_k[x][y] S_k+1(y, y'), in class order
-        for x, row in forward[k].items():
-            left[x] = lx = {}
-            for cls in classes[k + 1]:
-                entries = [row[y] for y in cls]
-                for y2 in cls:
-                    lx[y2] = kernel(entries, columns[y2].values())
-        columns = {x2: {x: kernel(left[x].values(), backward[k][x2].values())
-                        for x in cls}
-                   for cls in classes[k] for x2 in cls}
+        rows, later, columns = matrices[k], columns, {}
+        targets = [y for cls in classes[k + 1] for y in cls]
+        for cls in classes[k]:
+            left = {}  # left[x] = [sum_y E_k[x][y] S_k+1(y, y') for y' in targets]
+            for x in cls:
+                row, left[x] = rows[x], []
+                for later_cls in classes[k + 1]:
+                    entries = [row[y] for y in later_cls]
+                    left[x] += [kernel(entries, later[y2].values()) for y2 in later_cls]
+            for x2 in cls:
+                conj = [tuple(map(operator.mul, signs, rows[x2][y])) for y in targets]
+                columns[x2] = {x: kernel(left[x], conj) for x in cls}
     return [columns[x2][x] for cls in classes[0] for x in cls for x2 in cls]
 
 
 def _norm(coeffs: tuple) -> Tuple[float]:
     """The Euclidean norm of a coefficient tuple, as an element of R."""
-    return (math.sqrt(sum(c * c for c in coeffs)),)
+    return (math.sqrt(squared_norm(coeffs)),)
 
 
 def _check_source(s: MeasurementSequence, source: frozenset) -> None:
@@ -590,22 +589,13 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     classes = [_same_block_classes(steps[lo:hi + 1],
                                    source if lo == 0 else steps[lo].element_set())
                for lo, hi in segments]
-    signs = asg.algebra.conj_signs
-    forward, backward = [], []
-    for k, matrix in enumerate(matrices):
-        targets = [y for cls in classes[k + 1] for y in cls]
-        rows = {x: {y: matrix[x][y] for y in targets}
-                for cls in classes[k] for x in cls}
-        forward.append(rows)
-        backward.append({x: {y: tuple(map(operator.mul, signs, a)) for y, a in row.items()}
-                         for x, row in rows.items()})
-    pairs = _pair_transfer(classes, forward, backward, asg.algebra)
+    pairs = _pair_transfer(classes, matrices, asg.algebra)
     total = _result(asg, _summed(pairs, asg.algebra.dim), math.prod(den * den for den in dens))
 
-    def magnitude() -> float:
-        norms = [{x: {y: _norm(a) for y, a in row.items()} for x, row in rows.items()}
-                 for rows in forward]
-        bounds = _pair_transfer(classes, norms, norms, make_algebra(AlgebraKind.R))
+    def magnitude() -> float:  # over the rows the transfer reads: run 0 from the source
+        norms = [{x: {y: _norm(a) for y, a in rows[x].items()} for cls in classes[k] for x in cls}
+                 for k, rows in enumerate(matrices)]
+        bounds = _pair_transfer(classes, norms, make_algebra(AlgebraKind.R))
         return sum(bound for (bound,) in bounds)
 
     return scalar_part(total, asg.is_exact, magnitude, "summed pair products")
@@ -629,9 +619,8 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     model.check_path_bound(s)
     _check_source(s, source)
     choices = [[source]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
-    kernel = product_kernel(asg.algebra)
-    return [(Path(s, combo), _born(asg, kernel, sums, denominator))
-            for combo, sums, denominator in _thread_sums(s, choices, asg, kernel)]
+    return [(Path(s, combo), _born(asg, sums, denominator))
+            for combo, sums, denominator in _thread_sums(s, choices, asg)]
 
 
 def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
@@ -661,6 +650,8 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     mass = sum(probs)
     if abs(mass - 1.0) > DISTRIBUTION_TOL:
         raise NotADistribution(f"path probabilities sum to {mass}, not 1")
+    import numpy as np
+
     weights = np.asarray(probs, dtype=float)
     weights = weights / weights.sum()
 
@@ -686,6 +677,8 @@ def random_row_normalized(kind: AlgebraKind, shape: Tuple[int, int],
     """
     if not kind.is_positive_definite:
         raise ValueError(f"{kind.label} is not positive definite")
+    import numpy as np
+
     algebra = make_algebra(kind)
     rows, cols = shape
     rng = np.random.default_rng(seed)

@@ -181,8 +181,8 @@ class Path:
             raise ValueError("one result per measurement required")
         for m, r in zip(steps, self.results):
             if r not in m.blocks:
-                raise ValueError(
-                    f"result {set(r)} is not a detector of measurement {m.id!r}")
+                raise ValueError(f"result {{{', '.join(sorted(r))}}} is not a detector "
+                                 f"of measurement {m.id!r}")
 
     @property
     def steps(self) -> tuple:
@@ -598,11 +598,12 @@ def classify(p: Path) -> PathClass:
 
 # -- enumeration --------------------------------------------------------------------
 
-def enumerate_partitions(ground: GroundSet, max_elements: int = DEFAULT_GROUND_BOUND) -> list:
-    """All set partitions of the ground set, Bell(n) of them, in stable order."""
+def enumerate_partitions(ground: GroundSet) -> list:
+    """All set partitions of the ground set, Bell(n) of them, in stable order;
+    more than DEFAULT_GROUND_BOUND elements raise GroundSetTooLarge."""
     n = len(ground.elements)
-    if n > max_elements:
-        raise GroundSetTooLarge(f"{n} elements exceeds bound {max_elements}")
+    if n > DEFAULT_GROUND_BOUND:
+        raise GroundSetTooLarge(f"{n} elements exceeds bound {DEFAULT_GROUND_BOUND}")
     partitions = [[]]
     for element in ground.elements:
         grown = []
@@ -617,17 +618,19 @@ def enumerate_partitions(ground: GroundSet, max_elements: int = DEFAULT_GROUND_B
     return out
 
 
-def check_path_bound(s: MeasurementSequence, max_paths: int = DEFAULT_PATH_BOUND) -> None:
-    """Raise TooManyPaths when the sequence has more than max_paths paths."""
+def check_path_bound(s: MeasurementSequence) -> None:
+    """Raise TooManyPaths when the sequence has more than DEFAULT_PATH_BOUND
+    paths; the paths are counted, not listed."""
     count = 1
     for m in s.steps:
         count *= len(m.blocks)
-    if count > max_paths:
-        raise TooManyPaths(f"{count} paths exceeds bound {max_paths}")
+    if count > DEFAULT_PATH_BOUND:
+        raise TooManyPaths(f"{count} paths exceeds bound {DEFAULT_PATH_BOUND}")
 
 
-def enumerate_paths(s: MeasurementSequence, max_paths: int = DEFAULT_PATH_BOUND) -> list:
-    """All result combinations over the sequence, in block-sorted order."""
-    check_path_bound(s, max_paths)
+def enumerate_paths(s: MeasurementSequence) -> list:
+    """All result combinations over the sequence, in block-sorted order,
+    bounded by ``check_path_bound``."""
+    check_path_bound(s)
     choices = [sorted_blocks(m.blocks) for m in s.steps]
     return [Path(s, combo) for combo in itertools.product(*choices)]

@@ -22,7 +22,7 @@ at every target length and returns the first pair that aligns.
 removes the first of two equal adjacent steps, one at a time, rescanning
 from the start after each removal, until none is left or two steps remain.
 
-``sum_of_products`` is the reference for ``algebra.product_kernel``: it
+``sum_of_products`` is the reference for ``Algebra.kernel``: it
 interprets the product plan's (i, j, negate) triples in a loop.
 """
 

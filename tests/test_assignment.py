@@ -4,7 +4,10 @@ pair built from the stored rows), and the run-by-run walker that
 evaluates paths over them."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -126,3 +129,26 @@ def test_long_alternating_path_matches_enumeration():
     assert not amplitude.is_zero()
     assert amplitude == amplitude_by_enumeration(p, asg)
     assert elapsed < 2.0
+
+
+MISSING_ENTRIES = """
+from compalg.algebra import AlgebraKind, make_algebra
+from compalg.engine import Assignment
+from compalg.model import GroundSet
+C = make_algebra(AlgebraKind.C)
+try:
+    Assignment(C, {(GroundSet("X", ("x",)), GroundSet("Y", ("y1", "y2", "y3", "y4"))):
+                   {("x", "y1"): C.unit()}})
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_missing_entry_message_is_the_same_under_every_hash_seed():
+    """With several targets missing, the first in sorted order is named,
+    whatever order the target ground's element set iterates in."""
+    for seed in range(6):
+        proc = subprocess.run([sys.executable, "-c", MISSING_ENTRIES], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        assert proc.stdout == "missing entry for transition 'x' -> 'y2'\n"

@@ -14,10 +14,11 @@ GOLDEN = os.path.join(HERE, "golden")
 FIG = os.path.join(DATA, "fig.dsl")
 
 
-def run_cli(*args, expect: int = 0):
+def run_cli(*args, expect: int = 0, hash_seed: str = None):
+    env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": hash_seed}
     proc = subprocess.run(
         [sys.executable, "-m", "compalg", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == expect, proc.stderr
     return proc
 
@@ -67,6 +68,38 @@ def test_sample_csv_shape():
     again = run_cli("-w", FIG, "sample", "two", "--assignment", "amp",
                     "--source", "{n1}", "-n", "100", "--seed", "5")
     assert again.stdout == proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_sample_has_no_format_option(fmt):
+    """``sample`` always prints CSV, so ``--format`` is a usage error."""
+    proc = run_cli("-w", FIG, "sample", "two", "--assignment", "amp", "--source", "{n1}",
+                   "-n", "10", "--seed", "1", "--format", fmt, expect=2)
+    assert "usage:" in proc.stderr
+    assert f"unrecognized arguments: --format {fmt}" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Only sampling imports numpy, so no other subcommand pays for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, compalg.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_non_detector_result_message_is_the_same_under_every_hash_seed(tmp_path):
+    doc = tmp_path / "bad.dsl"
+    doc.write_text(
+        "elements G3 = {m, m1, m2}\n"
+        "measurement aM over G3 = {{m}, {m1}, {m2}}\n"
+        "measurement bM over G3 = {{m, m1}, {m2}}\n"
+        "sequence s = [aM, bM, aM]\n"
+        "path bad over s = [{m}, {m, m2, m1}, {m}]\n")
+    for seed in range(6):
+        proc = run_cli("-w", str(doc), "classify", "bad", expect=1, hash_seed=str(seed))
+        assert proc.stderr == \
+            "error: 5:6-9: result {m, m1, m2} is not a detector of measurement 'bM'\n"
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -6,12 +6,13 @@ they are floats over denominator 1, summed in ``mul``'s order."""
 
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from compalg.algebra import AlgebraKind, make_algebra, mul, product_kernel, product_plan
+from compalg.algebra import AlgebraKind, make_algebra, mul, product_plan
 from compalg.cli import main
 from compalg.engine import (
     Assignment,
@@ -21,7 +22,7 @@ from compalg.engine import (
     total_probability,
 )
 from compalg.errors import SequenceMismatch
-from compalg.model import GroundSet, atomic_measurement, path
+from compalg.model import GroundSet, atomic_measurement, path, sorted_blocks
 
 from conftest import (
     MIX_GROUNDS,
@@ -77,8 +78,8 @@ def test_plan_product_is_mul(kind):
     floats.  A float zero term that ``mul`` skips turns an exact sum into
     a float, so on mixed coefficients it is close to ``mul``."""
     algebra = make_algebra(kind)
-    plan, kernel = product_plan(algebra), product_kernel(algebra)
-    assert kernel is product_kernel(algebra)
+    plan, kernel = product_plan(algebra), algebra.kernel
+    assert kernel is algebra.kernel is make_algebra(kind).kernel
     zero = (0,) * algebra.dim
     assert bits(kernel([], [])) == bits(sum_of_products(plan, [], [])) == bits(zero)
     basis = [algebra.basis_element(r).coeffs for r in range(algebra.dim)]
@@ -106,6 +107,30 @@ def test_plan_product_is_mul(kind):
             else:
                 assert all(math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12)
                            for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("kind", ASSOCIATIVE, ids=KIND_IDS)
+def test_pickle_round_trip_after_an_evaluation(kind):
+    """The kernel kept on the algebra is left out of its pickled state and
+    rebuilt on first use; amplitudes and assignments, lowered rows
+    included, round-trip with it."""
+    algebra = make_algebra(kind)
+    rng = random.Random(f"pickle:{kind.label}")
+    s = universe_sequences(MIX_GROUNDS, 4)[-1]
+    source = sorted_blocks(s.steps[0].blocks)[0]
+    for asg in (assignment_for(MIX_GROUNDS, algebra, rng),
+                converted(both_ways_assignment(algebra, rng), float)):
+        walked = path_probabilities(s, source, asg)
+        total = total_probability(s, source, asg)
+        amplitude = amplitude_of(walked[-1][0], asg)
+        assert "kernel" in vars(algebra)
+        copies = pickle.loads(pickle.dumps((algebra, amplitude, asg)))
+        assert copies == (algebra, amplitude, asg)
+        copied_algebra, _, copied_asg = copies
+        assert copied_asg.algebra is copied_algebra and "kernel" not in vars(copied_algebra)
+        assert path_probabilities(s, source, copied_asg) == walked
+        assert total_probability(s, source, copied_asg) == total
+        assert "kernel" in vars(copied_algebra)
 
 
 # -- the lowering ----------------------------------------------------------------------

@@ -402,8 +402,9 @@ def test_enumerate_partitions_matches_worked_five():
 def test_enumerate_paths_product_count():
     s = sequence([AM, AN])
     assert len(enumerate_paths(s)) == 6
-    with pytest.raises(TooManyPaths):
-        enumerate_paths(s, max_paths=5)
+    # 3^13 > 10^6 paths: the bound counts them without listing any
+    with pytest.raises(TooManyPaths, match="^1594323 paths exceeds bound 1000000$"):
+        enumerate_paths(sequence([AM] * 13))
 
 
 def test_enumerate_paths_fully_coarse_interior():

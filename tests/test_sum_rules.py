@@ -8,8 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from compalg import engine
-from compalg.algebra import AlgebraKind, make_algebra, mul, product_kernel
+from compalg.algebra import AlgebraKind, make_algebra, mul
 from compalg.engine import (
     FLOAT_RTOL,
     Assignment,
@@ -119,7 +118,7 @@ def test_walk_is_bitwise_probability_of():
 def skewed_kernel(algebra):
     """The product kernel, with e_0's coefficient of every sum of products
     added to e_1's (unchanged in R, which has no e_1)."""
-    kernel = product_kernel(algebra)
+    kernel = algebra.kernel
 
     def skewed(lefts, rights):
         out = kernel(lefts, rights)
@@ -136,10 +135,10 @@ def non_scalar_case():
 
 def test_non_scalar_sum_is_rejected(monkeypatch):
     """A product that adds e_0's coefficient to e_1's, in both modes through
-    the engine's product kernel; the float tolerance recursion over entry
-    norms, in R, which has no e_1, is left as it is."""
+    the algebra's kernel; the float tolerance recursion over entry norms, in
+    R, runs on R's own kernel and is left as it is."""
     asg, s, source = non_scalar_case()
-    monkeypatch.setattr(engine, "product_kernel", skewed_kernel)
+    monkeypatch.setitem(vars(asg.algebra), "kernel", skewed_kernel(asg.algebra))
     with pytest.raises(NonScalarProduct) as exact:
         total_probability(s, source, asg)
     assert str(exact.value) == "summed pair products not scalar: " \
@@ -160,7 +159,7 @@ def test_non_scalar_born_product_is_rejected(monkeypatch):
     in both modes."""
     asg, s, source = non_scalar_case()
     p = next(p for p, q in path_probabilities(s, source, asg) if q != 0)
-    monkeypatch.setattr(engine, "product_kernel", skewed_kernel)
+    monkeypatch.setitem(vars(asg.algebra), "kernel", skewed_kernel(asg.algebra))
     for a, message in ((asg, "a*conj(a) not scalar: Amplitude(C, ["),
                        (converted(asg, float), "a*conj(a) not scalar within ")):
         with pytest.raises(NonScalarProduct, match=re.escape(message)):
