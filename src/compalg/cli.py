@@ -45,7 +45,10 @@ def _need_workspace(args) -> dsl.Workspace:
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise SystemExit2(f"cannot read workspace: {exc}", 1)
     base = os.path.dirname(os.path.abspath(args.workspace))
-    return dsl.parse(text, base_dir=base)
+    workspace = dsl.parse(text, base_dir=base)
+    if hasattr(sys, "set_int_max_str_digits"):  # exact results print in full; main restores it
+        sys.set_int_max_str_digits(0)
+    return workspace
 
 
 class SystemExit2(Exception):
@@ -101,15 +104,16 @@ def cmd_enumerate(args) -> int:
     ws = _need_workspace(args)
     if args.what == "partitions":
         items = model.enumerate_partitions(_lookup(ws.grounds, args.name, "ground set"))
-        to_json = model.measurement_to_json
+        count, to_json = len(items), model.measurement_to_json
     else:
-        items = model.enumerate_paths(_lookup(ws.sequences, args.name, "sequence"))
-        to_json = model.path_to_json
+        s = _lookup(ws.sequences, args.name, "sequence")
+        count, to_json = model.check_path_bound(s), model.path_to_json
+        items = () if args.count_only else model.enumerate_paths(s)  # listed only to print
     if args.count_only:
-        sys.stdout.write(f"{len(items)}\n")
+        sys.stdout.write(f"{count}\n")
         return 0
-    _emit(args, {"count": len(items), "items": [to_json(x) for x in items]},
-          [f"count: {len(items)}"] + [repr(x) for x in items])
+    _emit(args, {"count": count, "items": [to_json(x) for x in items]},
+          [f"count: {count}"] + [repr(x) for x in items])
     return 0
 
 
@@ -161,13 +165,15 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _non_negative_int(text: str) -> int:
+def _non_negative_int(text: str, below=None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if below is not None and value >= below:
+        raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
     return value
 
 
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence")
     p.add_argument("--assignment", required=True)
     p.add_argument("--source", type=_parse_block, required=True)
-    p.add_argument("-n", type=_non_negative_int, required=True)
+    p.add_argument("-n", type=lambda t: _non_negative_int(t, engine.MAX_DRAWS), required=True)
     p.add_argument("--seed", type=_non_negative_int, required=True)
     return parser
 
@@ -224,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         return args.fn(args)
     except (ParseError, SemanticError) as exc:
@@ -238,6 +245,9 @@ def main(argv=None) -> int:
     except CompalgError as exc:
         print(f"operation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -29,11 +29,12 @@ zero amplitude, of probability 0, directly.
 One run-by-run walker evaluates every path: ``amplitude_of`` walks one
 path, and sampling walks every path from the source once, sharing the
 partial thread sums of common prefixes, bounded by
-``model.DEFAULT_PATH_BOUND``.
+``model.DEFAULT_PATH_BOUND``, then makes one multinomial draw.
 
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step, reading the
-same lowered rows in place and conjugating the right-hand factor.
+same lowered rows in place and conjugating the right-hand factor.  Row
+normalization is the sum rule of a two-step experiment.
 
 Exact and float mode differ in two rules, each written once: a value that
 must be scalar goes through ``algebra.scalar_part`` (exact, or within
@@ -53,7 +54,7 @@ from numbers import Rational
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .algebra import (
-    Algebra, AlgebraKind, Amplitude, make_algebra, quadratic_form, scalar_part, squared_norm,
+    Algebra, AlgebraKind, Amplitude, make_algebra, scalar_part, squared_norm,
 )
 from .errors import (
     NonAssociativeAlgebra,
@@ -70,9 +71,9 @@ FLOAT_RTOL = 1e-9
 #: Tolerance on the total probability mass required for sampling.
 DISTRIBUTION_TOL = 1e-6
 
-#: Number of draws handled per derived-seed chunk; fixed, because the
-#: counts for a given (seed, n) depend on it.
-SAMPLE_CHUNK = 1 << 16
+#: Exclusive bound on the number of draws: numpy's multinomial counts are int64.
+MAX_DRAWS = 1 << 63
+
 
 def _ground_key(g) -> frozenset:
     return g.element_set() if isinstance(g, (GroundSet, Measurement)) else frozenset(g)
@@ -444,18 +445,24 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
 
     Weakly equivalent consecutive pairs carry the forced identity (always
     satisfied by construction).  For every cross-ground pair the matrix
-    must exist; every row must have quadratic forms summing to one; and
-    when both directions are stored they must be mutual conjugate
-    transposes.  For every source element the probabilities of all paths
-    of the sequence, by ``total_probability``, must sum to one; a missing
-    matrix or a non-scalar sum fails that check with the error as detail.
+    must exist, the lowered rows of two stored directions must be mutual
+    conjugate transposes, and each row x must be normalized: the sum rule
+    of the two atomic measurements of the pair from {x} is one.  So is the
+    sum rule of the sequence from every source element.  A sum rule fails
+    on a missing matrix or a non-scalar sum, with the error as detail.
     """
-    entries = []
+    entries = [ValidationEntry("associative_algebra", asg.algebra.kind.label,
+                               asg.algebra.kind.is_associative)]
 
-    entries.append(ValidationEntry(
-        "associative_algebra", asg.algebra.kind.label,
-        asg.algebra.kind.is_associative))
+    def sum_rule(check, location, steps, x, what):
+        try:
+            total = total_probability(steps, frozenset({x}), asg)
+            ok, detail = _close(total, 1), f"{what} is {total}"
+        except (SequenceMismatch, NonScalarProduct) as exc:
+            ok, detail = False, str(exc)
+        entries.append(ValidationEntry(check, location, ok, "" if ok else detail))
 
+    stored = asg.pairs()
     for j in range(len(s.steps) - 1):
         m_from, m_to = s.steps[j], s.steps[j + 1]
         loc = f"steps {j}->{j + 1}"
@@ -463,40 +470,27 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
         if a == b:
             entries.append(ValidationEntry("repeatability_identity", loc, True))
             continue
-        forward, backward = asg.stored(a, b), asg.stored(b, a)
-        if forward is None and backward is None:
-            entries.append(ValidationEntry(
-                "matrix_present", loc, False, "no matrix for this ground pair"))
+        present = (a, b) in stored or (b, a) in stored
+        entries.append(ValidationEntry("matrix_present", loc, present,
+                                       "" if present else "no matrix for this ground pair"))
+        if not present:
             continue
-        entries.append(ValidationEntry("matrix_present", loc, True))
 
-        if forward is None:
-            forward = {(x, y): amp.conj() for (y, x), amp in backward.items()}
-        elif backward is not None:
-            adjoint_ok = all(
-                backward[(y, x)] == forward[(x, y)].conj()
+        if (a, b) in stored and (b, a) in stored:
+            (forward, d_forward), (backward, d_backward) = asg.lowered(a, b), asg.lowered(b, a)
+            adjoint_ok = all([c * d_backward for c in forward[x][y]] == [
+                sign * c * d_forward for sign, c in zip(asg.algebra.conj_signs, backward[y][x])]
                 for x in a for y in b)
             entries.append(ValidationEntry(
                 "adjoint_consistency", loc, adjoint_ok,
                 "" if adjoint_ok else "reverse matrix is not the conjugate transpose"))
 
+        pair = model.sequence([model.atomic_measurement(m.ground) for m in (m_from, m_to)])
         for x in sorted(a):
-            row_sum = sum(quadratic_form(forward[(x, y)]) for y in sorted(b))
-            ok = _close(row_sum if asg.is_exact else float(row_sum), 1)
-            entries.append(ValidationEntry(
-                "row_normalization", f"{loc} source {x}", ok,
-                "" if ok else f"sum of Q over targets is {row_sum}"))
+            sum_rule("row_normalization", f"{loc} source {x}", pair, x, "sum of Q over targets")
 
     for x in sorted(s.steps[0].element_set()):
-        try:
-            total = total_probability(s, frozenset({x}), asg)
-        except (SequenceMismatch, NonScalarProduct) as exc:
-            entries.append(ValidationEntry("sum_rule", f"source {x}", False, str(exc)))
-            continue
-        ok = _close(total if asg.is_exact else float(total), 1)
-        entries.append(ValidationEntry(
-            "sum_rule", f"source {x}", ok,
-            "" if ok else f"total probability over paths is {total}"))
+        sum_rule("sum_rule", f"source {x}", s, x, "total probability over paths")
 
     return ValidationReport(tuple(entries))
 
@@ -629,12 +623,11 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
 
     Returns one (path, count, probability) row per path from the source
     result, in ``path_key`` order, with the probabilities of
-    ``path_probabilities`` and its path bound.  Draws are split into
-    chunks of SAMPLE_CHUNK, each drawn with the seed [seed, chunk index],
-    so the counts depend on (seed, n) alone.
+    ``path_probabilities`` and its path bound.  The counts are one
+    multinomial draw seeded with [seed, 0]: they depend on (seed, n) alone.
     """
-    if n < 0:
-        raise ValueError(f"number of draws must be non-negative, got {n}")
+    if not 0 <= n < MAX_DRAWS:
+        raise ValueError(f"number of draws must lie in [0, 2**63), got {n}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     table = path_probabilities(s, source, asg)
@@ -653,12 +646,7 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     import numpy as np
 
     weights = np.asarray(probs, dtype=float)
-    weights = weights / weights.sum()
-
-    counts = np.zeros(len(table), dtype=np.int64)
-    for index, start in enumerate(range(0, n, SAMPLE_CHUNK)):
-        rng = np.random.default_rng([seed, index])
-        counts += rng.multinomial(min(SAMPLE_CHUNK, n - start), weights)
+    counts = np.random.default_rng([seed, 0]).multinomial(n, weights / weights.sum())
     return [(p, int(c), q) for (p, q), c in zip(table, counts)]
 
 

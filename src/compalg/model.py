@@ -24,6 +24,7 @@ it equals the fixpoint of the rewriting rules.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -54,11 +55,12 @@ class GroundSet:
     def __post_init__(self):
         if not self.elements:
             raise ValueError("ground set must be nonempty")
-        if len(set(self.elements)) != len(self.elements):
+        object.__setattr__(self, "_element_set", frozenset(self.elements))
+        if len(self._element_set) != len(self.elements):
             raise ValueError("ground set elements must be unique")
 
     def element_set(self) -> frozenset:
-        return frozenset(self.elements)
+        return self._element_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -618,14 +620,13 @@ def enumerate_partitions(ground: GroundSet) -> list:
     return out
 
 
-def check_path_bound(s: MeasurementSequence) -> None:
-    """Raise TooManyPaths when the sequence has more than DEFAULT_PATH_BOUND
-    paths; the paths are counted, not listed."""
-    count = 1
-    for m in s.steps:
-        count *= len(m.blocks)
+def check_path_bound(s: MeasurementSequence) -> int:
+    """The number of paths of the sequence, counted, not listed; more than
+    DEFAULT_PATH_BOUND raise TooManyPaths."""
+    count = math.prod(len(m.blocks) for m in s.steps)
     if count > DEFAULT_PATH_BOUND:
         raise TooManyPaths(f"{count} paths exceeds bound {DEFAULT_PATH_BOUND}")
+    return count
 
 
 def enumerate_paths(s: MeasurementSequence) -> list:

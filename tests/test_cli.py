@@ -1,11 +1,15 @@
 """Command-line behavior: golden outputs, formats, exit codes."""
 
+import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
+from compalg import dsl, engine, model
 from compalg.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -277,7 +281,8 @@ def test_sample_seed_is_not_truncated(capsys):
     assert outputs[0] != outputs[1]
 
 
-@pytest.mark.parametrize("flag,value", [("-n", "-5"), ("--seed", "-1"), ("-n", "five")])
+@pytest.mark.parametrize("flag,value", [("-n", "-5"), ("--seed", "-1"), ("-n", "five"),
+                                        ("-n", str(1 << 63))])
 def test_sample_rejects_bad_count_or_seed(flag, value):
     args = {"-n": "10", "--seed": "1", flag: value}
     proc = run_cli("-w", FIG, "sample", "two", "--assignment", "amp", "--source", "{n1}",
@@ -366,3 +371,83 @@ def test_float_overflow_is_no_finite_result(tmp_path, command):
     proc = run_cli("-w", ws, *command, expect=3)
     assert "not finite" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_sample_huge_n_is_drawn_at_once(capsys):
+    assert main(["-w", FIG, "sample", "two", "--assignment", "amp", "--source", "{n1}",
+                 "-n", str(10 ** 12), "--seed", "7"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert sum(int(line.rsplit(",", 2)[1]) for line in rows) == 10 ** 12
+
+
+def test_count_only_counts_paths_without_listing_them(monkeypatch, capsys):
+    with open(FIG, "r", encoding="utf-8") as fh:
+        ws = dsl.parse(fh.read(), base_dir=DATA)
+    counts = {name: len(model.enumerate_paths(s)) for name, s in ws.sequences.items()}
+
+    def unlisted(s):
+        raise AssertionError("paths were listed")
+    monkeypatch.setattr(model, "enumerate_paths", unlisted)
+    for name, count in counts.items():
+        assert main(["-w", FIG, "enumerate", "paths", name, "--count-only"]) == 0
+        assert capsys.readouterr().out == f"{count}\n"
+
+
+def long_path_workspace(tmp_path, steps: int, coefficient: str) -> str:
+    """A path of the given number of steps alternating between two
+    one-element grounds, whose one matrix entry is [coefficient, 0]."""
+    names = ["aA" if j % 2 == 0 else "aB" for j in range(steps)]
+    results = ["{a}" if j % 2 == 0 else "{b}" for j in range(steps)]
+    (tmp_path / "long.dsl").write_text(
+        "elements A = {a}\nmeasurement aA over A = {{a}}\n"
+        "elements B = {b}\nmeasurement aB over B = {{b}}\n"
+        f"sequence long = [{', '.join(names)}]\n"
+        f"path walk over long = [{', '.join(results)}]\n"
+        'assignment amp over long algebra C from "long.json"\n')
+    (tmp_path / "long.json").write_text(
+        '{"steps": [{"from": "aA", "to": "aB", "matrix": [[[%s, 0]]]}]}' % coefficient)
+    return str(tmp_path / "long.dsl")
+
+
+@contextmanager
+def unlimited_digits():
+    """Lift the int/str digit limit of Python 3.10.7+ while the block runs."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("steps,coefficient", [(5000, '"3/5"'), (7300, "2")],
+                         ids=["rational", "integer"])
+def test_exact_results_of_any_size_print(tmp_path, capsys, steps, coefficient):
+    """(9/25)^4999 and 4^7299 have more digits than the default int/str
+    limit of 4300; both print in full, in JSON and text, and the limit is
+    back in place afterwards."""
+    doc = long_path_workspace(tmp_path, steps, coefficient)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["-w", doc, "prob", "walk", "--assignment", "amp"]) == 0
+    data = capsys.readouterr().out
+    assert main(["-w", doc, "prob", "walk", "--assignment", "amp", "--format", "text"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with unlimited_digits():
+        with open(doc, "r", encoding="utf-8") as fh:
+            ws = dsl.parse(fh.read(), base_dir=str(tmp_path))
+        want = engine.probability_of(ws.paths["walk"], ws.assignments["amp"]).probability
+        assert len(str(want)) > 4300
+        assert Fraction(json.loads(data)["probability"]) == want
+        assert text[1] == f"probability: {want}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int/str digit limit before Python 3.10.7")
+def test_coefficient_beyond_the_digit_limit_stays_a_semantic_error(tmp_path):
+    doc = long_path_workspace(tmp_path, 2, '"1%s"' % ("0" * 4400))
+    proc = run_cli("-w", doc, "prob", "walk", "--assignment", "amp", expect=1)
+    assert "invalid assignment: bad coefficient" in proc.stderr
+    assert "Traceback" not in proc.stderr

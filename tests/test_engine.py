@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from compalg import model
 from compalg.algebra import AlgebraKind, make_algebra, mul, quadratic_form
 from compalg.engine import (
-    SAMPLE_CHUNK,
+    MAX_DRAWS,
     Assignment,
     _close,
     amplitude_of,
@@ -284,6 +285,19 @@ def test_validation_overflowing_row_fails():
     assert bad.detail == "sum of Q over targets is inf"
 
 
+def test_validation_int_beyond_the_float_range_fails_in_float_mode():
+    """An int entry beyond the float range lowers to an infinity in a float
+    assignment; times the unit's zero coefficient it gives nan, and the row
+    is reported as failed rather than raising OverflowError."""
+    asg = c_assignment([[[10 ** 400, 0], [0.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+    report = validate_assignment(sequence([AN, AM]), asg)
+    rows = [e for e in report.entries if e.check == "row_normalization"]
+    assert [(e.location, e.passed) for e in rows] \
+        == [("steps 0->1 source n1", False), ("steps 0->1 source n2", True)]
+    assert rows[0].detail == "sum of Q over targets is nan"
+
+
 def test_close_rule():
     assert _close(Fraction(1, 3), Fraction(1, 3)) and not _close(Fraction(1, 3), 1)
     assert _close(1 / 3, Fraction(1, 3)) and _close(1 + 1e-10, 1)
@@ -388,14 +402,23 @@ def fair_coin_assignment():
     return assignment_from_rows(C, [(S1, N, wrapped)])
 
 
-def test_sample_deterministic_across_chunks():
+def test_sample_deterministic_one_draw():
     asg = fair_coin_assignment()
     s = sequence([AS, AN])
-    n = 2 * SAMPLE_CHUNK + 5  # two full chunks and a partial one
+    n = (1 << 17) + 5
     t1 = sample(s, frozenset({"s"}), asg, n, seed=42)
     assert t1 == sample(s, frozenset({"s"}), asg, n, seed=42)
-    # pinned: any change to the chunking or the per-chunk seeds shows here
-    assert {min(p.results[1]): c for p, c in t1.items()} == {"n1": 65274, "n2": 65803}
+    # pinned: any change to the draw or its seed [seed, 0] shows here
+    assert {min(p.results[1]): c for p, c in t1.items()} == {"n1": 65202, "n2": 65875}
+
+
+@pytest.mark.parametrize("n", [10 ** 12, MAX_DRAWS - 1])
+def test_sample_huge_n_is_one_draw(n):
+    """The run time does not grow with n: one multinomial draw over the paths."""
+    started = time.perf_counter()
+    table = sample(sequence([AS, AN]), frozenset({"s"}), fair_coin_assignment(), n, seed=7)
+    assert time.perf_counter() - started < 5.0
+    assert sum(table.values()) == n and all(c > n // 3 for c in table.values())
 
 
 def test_sample_deterministic_experiment():

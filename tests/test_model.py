@@ -1,5 +1,8 @@
 """Model layer: partial operations, their laws, classification, enumeration."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from compalg import model
@@ -72,6 +75,21 @@ def test_sequence_invariants():
         sequence([BM, AM])  # non-atomic source
     with pytest.raises(ValueError):
         sequence([AM, UM])  # non-atomic target
+
+
+def test_ground_set_element_set_is_built_once():
+    """The element set is built once; fields, equality, repr and a pickle
+    round trip are those of the two declared fields."""
+    g = GroundSet("G", ("b", "a"))
+    assert g.element_set() is g.element_set() == frozenset({"a", "b"})
+    assert [f.name for f in dataclasses.fields(g)] == ["id", "elements"]
+    assert g == GroundSet("G", ("b", "a")) and hash(g) == hash(GroundSet("G", ("b", "a")))
+    assert g != GroundSet("G", ("a", "b"))
+    assert repr(g) == "GroundSet(id='G', elements=('b', 'a'))"
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy.element_set() == g.element_set()
+    with pytest.raises(ValueError, match="unique"):
+        GroundSet("G", ("a", "a"))
 
 
 def test_equal_sequences_are_equal_keys():

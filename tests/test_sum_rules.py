@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from compalg.algebra import AlgebraKind, make_algebra, mul
+from compalg.algebra import AlgebraKind, make_algebra, mul, quadratic_form
 from compalg.engine import (
     FLOAT_RTOL,
+    MAX_DRAWS,
     Assignment,
+    _close,
     assignment_from_rows,
     path_probabilities,
     probability_of,
@@ -31,7 +33,7 @@ from compalg.model import (
     sequence,
 )
 
-from conftest import MIX_GROUNDS, assignment_for, converted
+from conftest import MIX_GROUNDS, assignment_for, converted, entry
 from oracle import probabilities_by_enumeration, total_by_enumeration
 
 ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,
@@ -148,9 +150,12 @@ def test_non_scalar_sum_is_rejected(monkeypatch):
     assert str(numeric.value) == "summed pair products not scalar within " \
         "2.1111111111111114e-12: Amplitude(C, [1.1111111111111112, 2.111111111111111])"
     (x,) = source
-    (entry,) = [e for e in validate_assignment(s, asg).entries
-                if e.check == "sum_rule" and e.location == f"source {x}"]
+    entries = validate_assignment(s, asg).entries
+    (entry,) = [e for e in entries if e.check == "sum_rule" and e.location == f"source {x}"]
     assert not entry.passed and "not scalar" in entry.detail
+    # each row normalization is a two-step sum rule through the same kernel
+    rows = [e for e in entries if e.check == "row_normalization"]
+    assert rows and all(not e.passed and "not scalar" in e.detail for e in rows)
 
 
 def test_non_scalar_born_product_is_rejected(monkeypatch):
@@ -223,6 +228,57 @@ def test_validation_passes_for_exactly_unitary_matrices():
     assert len(failed) == 3 and all("no matrix" in e.detail for e in failed)
 
 
+def test_row_normalization_is_the_sum_of_quadratic_forms():
+    """Every row_normalization entry agrees with the sum over sorted targets
+    of quadratic_form of the stored (or conjugated reverse) entry: equal in
+    exact mode, the same ``_close`` verdict in float mode."""
+    rng = random.Random(12)
+    verdicts = set()
+    for kind in ASSOCIATIVE:
+        for normalized in (True, False):
+            exact = assignment_for(MIX_GROUNDS, make_algebra(kind), rng, normalized=normalized)
+            for _ in range(6):
+                s = random_sequence(rng)
+                for asg in (exact, converted(exact, float)):
+                    for e in validate_assignment(s, asg).entries:
+                        if e.check != "row_normalization":
+                            continue
+                        j, x = int(e.location.split()[1].split("->")[0]), e.location.split()[-1]
+                        a, b = s.steps[j], s.steps[j + 1]
+                        want = sum(quadratic_form(entry(asg, a, b, x, y))
+                                   for y in sorted(b.element_set()))
+                        assert e.passed == _close(want, 1), (e, want)
+                        if asg.is_exact and not e.passed:
+                            assert e.detail == f"sum of Q over targets is {want}"
+                        verdicts.add((kind, asg.is_exact, e.passed))
+    # exact_unit_rows are unit for the positive-definite forms only
+    assert verdicts == {(kind, exact, passed) for kind in ASSOCIATIVE for exact in (True, False)
+                        for passed in (False, kind.is_positive_definite)}
+
+
+def test_adjoint_consistency_of_two_stored_directions():
+    """With both directions stored, the reverse must be the conjugate
+    transpose in value: the plain transpose passes only in R, and a halved
+    reverse fails although, lowered over its doubled denominator, it has the
+    same integer coefficients."""
+    rng = random.Random(13)
+    s = sequence([atomic_measurement(MIX_GROUNDS[1]), atomic_measurement(MIX_GROUNDS[2])])
+    for kind in ASSOCIATIVE:
+        algebra = make_algebra(kind)
+        one_way = assignment_for(MIX_GROUNDS[1:], algebra, rng, normalized=False)
+        (pair,) = one_way.pairs()
+        forward = one_way.stored(*pair)
+        for reverse, consistent in ((lambda a: a.conj(), True),
+                                    (lambda a: a, kind is AlgebraKind.R),
+                                    (lambda a: a.conj() * Fraction(1, 2), False)):
+            both = Assignment(algebra, {pair: forward, pair[::-1]: {
+                (y, x): reverse(a) for (x, y), a in forward.items()}})
+            for asg in (both, converted(both, float)):
+                (check,) = [e for e in validate_assignment(s, asg).entries
+                            if e.check == "adjoint_consistency"]
+                assert check.passed is consistent, (kind, asg.is_exact)
+
+
 # -- sources ---------------------------------------------------------------------------
 
 def test_source_that_is_no_detector_is_rejected():
@@ -240,5 +296,7 @@ def test_sample_rejects_negative_draws_and_seeds():
     s = sequence([atomic_measurement(A3), atomic_measurement(A3)])
     with pytest.raises(ValueError):
         sample(s, frozenset({"a1"}), asg, -5, seed=0)
+    with pytest.raises(ValueError, match=re.escape("[0, 2**63)")):
+        sample(s, frozenset({"a1"}), asg, MAX_DRAWS, seed=0)
     with pytest.raises(ValueError):
         sample(s, frozenset({"a1"}), asg, 5, seed=-1)
