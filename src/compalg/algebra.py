@@ -10,12 +10,9 @@ check runs its stages (exhaustive basis tuples in exact arithmetic, then
 seeded random exact-rational samples) in order and reports the first
 failing case with a witness.
 
-``mul`` multiplies through the table and is the specification.  The
-engine multiplies coefficient tuples instead, through ``Algebra.kernel``:
-one straight-line function per algebra, generated on first use from its
-``product_plan`` (the table regrouped by output coefficient) and kept on
-the algebra, which keeps ``mul``'s term order and so its results bit for
-bit.
+``Algebra.kernel`` is the one product: ``mul``, ``quadratic_form_over`` and
+the engine call it, on exact coefficients as ``numerators``, so the axiom
+report certifies the product behind every probability.
 
 Coefficients may be exact rationals (``int``/``Fraction``; verification
 mode) or 64-bit floats (numeric mode).  Every scalar-ness assertion, on
@@ -30,6 +27,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,16 +152,13 @@ class Algebra:
     @cached_property
     def kernel(self):
         """The sum of products, as one straight-line function generated from
-        ``product_plan`` on first use and kept.
+        ``product_plan`` on first use and kept: the algebra's only product.
 
         ``kernel(lefts, rights)`` returns the coefficient tuple of the sum of
         a * b over the coefficient tuples a in lefts and b in rights taken in
         step (all zeros, as ints, when there are none).  For each pair it
         unpacks a0..a(d-1) and b0..b(d-1) and adds to each output coefficient
-        ``0 + a_i * b_j - ...``, the plan's terms in order.  So the result
-        equals summing ``mul`` over the pairs from zero: exactly for
-        rationals, and bit for bit for finite floats (where ``mul`` skips a
-        zero term and keeps an int 0, this gives 0.0).
+        ``0 + a_i * b_j - ...``, the plan's terms in order, skipping none.
         """
         d = self.dim
         a = "".join(f"a{i}, " for i in range(d))
@@ -271,28 +267,33 @@ def _require_same_algebra(a: Amplitude, b: Amplitude) -> None:
             f"cannot combine {a.algebra.kind.label} with {b.algebra.kind.label}")
 
 
+def numerators(coeffs: tuple, denominator: Optional[int] = None) -> tuple:
+    """(ints, denominator): rationals over a common denominator, by default their lcm."""
+    if denominator is None:
+        denominator = math.lcm(*[c.denominator for c in coeffs])
+    return tuple([c.numerator * (denominator // c.denominator) for c in coeffs]), denominator
+
+
+def rational(numerator: int, denominator: int) -> Union[int, Fraction]:
+    """numerator / denominator as an int when it is one, else a Fraction."""
+    return Fraction(numerator, denominator) if numerator % denominator \
+        else numerator // denominator
+
+
 def mul(a: Amplitude, b: Amplitude) -> Amplitude:
-    """Bilinear product via the structure-constant table."""
+    """Bilinear product: one kernel call, on ``numerators`` when both are exact."""
     _require_same_algebra(a, b)
     alg = a.algebra
-    out = [0] * alg.dim
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        row = alg.table[i]
-        for j, bj in enumerate(b.coeffs):
-            if bj == 0:
-                continue
-            k, s = row[j]
-            term = ai * bj
-            out[k] = out[k] + (term if s > 0 else -term)
-    return Amplitude(alg, tuple(out))
+    if a.is_exact and b.is_exact:
+        (x, p), (y, q) = numerators(a.coeffs), numerators(b.coeffs)
+        return Amplitude(alg, tuple([rational(c, p * q) for c in alg.kernel((x,), (y,))]))
+    return Amplitude(alg, alg.kernel((a.coeffs,), (b.coeffs,)))
 
 
 def product_plan(algebra: Algebra) -> tuple:
-    """The table of ``mul`` regrouped by output: for each basis index k, the
+    """The structure table regrouped by output: for each basis index k, the
     triples (i, j, negate) with e_i * e_j = -e_k if negate else +e_k, in
-    ``mul``'s (i, j) order."""
+    (i, j) order."""
     plan = [[] for _ in range(algebra.dim)]
     for i, row in enumerate(algebra.table):
         for j, (k, sign) in enumerate(row):
@@ -329,10 +330,23 @@ def squared_norm(coeffs: tuple) -> float:
     return float(sum(float(c) * float(c) for c in coeffs))
 
 
+def quadratic_form_over(algebra: Algebra, coeffs: tuple, denominator: int,
+                        exact: bool) -> Scalar:
+    """Q of coeffs over denominator: e0 of coeffs * conj(coeffs), one kernel
+    call, over denominator squared; a nonzero tail goes through ``scalar_part``."""
+    conj = tuple(map(operator.mul, algebra.conj_signs, coeffs))
+    square, scale = algebra.kernel((coeffs,), (conj,)), denominator * denominator
+    if any(square[1:]):
+        value = tuple(rational(c, scale) for c in square) if exact else square
+        return scalar_part(Amplitude(algebra, value), exact, lambda: squared_norm(coeffs),
+                           "a*conj(a)")
+    return rational(square[0], scale) if exact else square[0]
+
+
 def quadratic_form(a: Amplitude) -> Scalar:
     """Q(a) with a * conj(a) = Q(a) * e_0; asserts the product is scalar."""
-    return scalar_part(mul(a, a.conj()), a.is_exact, lambda: squared_norm(a.coeffs),
-                       "a*conj(a)")
+    exact = a.is_exact
+    return quadratic_form_over(a.algebra, *numerators(a.coeffs) if exact else (a.coeffs, 1), exact)
 
 
 def bilinear_form(a: Amplitude, b: Amplitude) -> Scalar:

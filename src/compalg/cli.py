@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-algebra", cmd_verify_algebra, help="axiom report for an algebra")
     p.add_argument("algebra")
     p.add_argument("--samples", type=_non_negative_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p = add("sample", cmd_sample, formats=False, help="draw paths from the exact distribution")
     p.add_argument("sequence")
     p.add_argument("--assignment", required=True)

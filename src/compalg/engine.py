@@ -9,27 +9,19 @@ measurements repeatable.  The matrix for the reversed pair is the
 conjugate transpose of the forward one unless supplied explicitly.
 
 Every evaluator reads one representation: each ground pair lowered once,
-on first use, to rows x -> {y: coefficient tuple} over one denominator,
-looked up once per run boundary and never per entry.  Every product goes
-through ``Algebra.kernel``, a straight-line function generated from the
-algebra's product plan (its ``mul`` table regrouped by output, in
-``mul``'s term order) on first use and kept on the algebra.  In exact mode,
-when every coefficient is rational, the coefficients are Python integers
-over the lcm of the entry denominators, and each result is rebuilt as a
-rational once, at the end.  Otherwise (float mode) every coefficient is
-converted to a float over denominator 1, so float-mode results are
-floats, summed left to right in a fixed order.
+on first use, to rows x -> {y: coefficient tuple} over one denominator
+(ints in exact mode, when every coefficient is rational; floats over 1
+otherwise), looked up once per run boundary.  Every product goes through
+``Algebra.kernel``, as ``mul`` does; an exact result is rebuilt as a
+rational once, at the end, and floats are summed in a fixed order.
 
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
-to right.  The probability of a path is the quadratic form of its
-amplitude, taken on the summed coefficient tuple through the same kernel
-(the e0 coefficient of a * conj(a)); impossible paths evaluate to the
-zero amplitude, of probability 0, directly.
-One run-by-run walker evaluates every path: ``amplitude_of`` walks one
-path, and sampling walks every path from the source once, sharing the
-partial thread sums of common prefixes, bounded by
-``model.DEFAULT_PATH_BOUND``, then makes one multinomial draw.
+to right; its probability is Q of that sum (``algebra.quadratic_form_over``),
+and an impossible path is zero.  One run-by-run walker evaluates every
+path: ``amplitude_of`` walks one path, and sampling walks every path from
+the source once, sharing the partial thread sums of common prefixes,
+bounded by ``model.DEFAULT_PATH_BOUND``, then makes one multinomial draw.
 
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step, reading the
@@ -54,7 +46,8 @@ from numbers import Rational
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .algebra import (
-    Algebra, AlgebraKind, Amplitude, make_algebra, scalar_part, squared_norm,
+    Algebra, AlgebraKind, Amplitude, make_algebra, numerators, quadratic_form_over,
+    rational, scalar_part, squared_norm,
 )
 from .errors import (
     NonAssociativeAlgebra,
@@ -102,11 +95,8 @@ class Assignment:
     two grounds and for nothing else.  Same-ground transitions are never
     stored: they are the identity by construction.
 
-    A matrix is held as rows x -> {y: amplitude}.  The evaluators read
-    ``lowered``: each pair as coefficient tuples over one denominator, ints
-    in exact mode (every coefficient rational) and floats otherwise, with
-    the conjugate transpose of a pair stored in one direction only built
-    from the stored rows.  Each pair is lowered on first use and kept.
+    A matrix is held as rows x -> {y: amplitude}; the evaluators read the
+    pairs as coefficient tuples over one denominator, from ``lowered``.
     """
 
     def __init__(self, algebra: Algebra, matrices) -> None:
@@ -179,18 +169,14 @@ class Assignment:
             raise SequenceMismatch(
                 f"assignment has no matrix between grounds {sorted(key[0])} "
                 f"and {sorted(key[1])}")
-        if self.is_exact:
-            den = math.lcm(*(c.denominator for row in rows.values()
-                             for amp in row.values() for c in amp.coeffs))
-
-            def lower(c):
-                return c.numerator * (den // c.denominator)
-        else:
-            den, lower = 1, _to_float
+        exact = self.is_exact
+        den = math.lcm(*(c.denominator for row in rows.values()
+                         for amp in row.values() for c in amp.coeffs)) if exact else 1
         lowered = {x: {} for x in sorted(key[0])}
         for x, row in rows.items():
             for y, amp in row.items():
-                coeffs = tuple(map(lower, amp.coeffs))
+                coeffs = numerators(amp.coeffs, den)[0] if exact \
+                    else tuple(map(_to_float, amp.coeffs))
                 if reversed_:
                     lowered[y][x] = tuple(map(operator.mul, self.algebra.conj_signs, coeffs))
                 else:
@@ -255,12 +241,6 @@ def coeff_json(value):
 
 # -- evaluation ----------------------------------------------------------------
 
-def _rational(numerator: int, denominator: int):
-    """numerator / denominator as an int when it is one, else a Fraction."""
-    return Fraction(numerator, denominator) if numerator % denominator \
-        else numerator // denominator
-
-
 def _summed(values, dim: int) -> tuple:
     """The sum of coefficient tuples, added left to right from zero
     (``reduce``: from Python 3.12 on ``sum`` compensates float rounding)."""
@@ -274,26 +254,15 @@ def _result(asg: Assignment, sums: Optional[tuple], denominator: int) -> Amplitu
     if sums is None:
         return asg.algebra.zero()
     if asg.is_exact:
-        sums = (_rational(c, denominator) for c in sums)
+        sums = (rational(c, denominator) for c in sums)
     return asg.algebra.amplitude(sums)
 
 
 def _born(asg: Assignment, sums: Optional[tuple], denominator: int):
-    """Q of the amplitude ``_result(asg, sums, denominator)``, as
-    ``quadratic_form`` gives it: the e0 coefficient of sums * conj(sums)
-    through the algebra's kernel, over the squared denominator; 0 for None.
-
-    A nonzero tail goes through ``algebra.scalar_part`` as quadratic_form's
-    does, with its lazy squared norm, so it raises or passes alike.
-    """
+    """Q of ``_result(asg, sums, denominator)``, 0 for None."""
     if sums is None:
         return 0
-    conj = tuple(map(operator.mul, asg.algebra.conj_signs, sums))
-    square, scale = asg.algebra.kernel((sums,), (conj,)), denominator * denominator
-    if any(square[1:]):
-        return scalar_part(_result(asg, square, scale), asg.is_exact,
-                           lambda: squared_norm(sums), "a*conj(a)")
-    return _rational(square[0], scale) if asg.is_exact else square[0]
+    return quadratic_form_over(asg.algebra, sums, denominator, asg.is_exact)
 
 
 def _boundary_rows(s, asg: Assignment, segments) -> Tuple[list, list]:
@@ -440,6 +409,23 @@ class ValidationReport:
         return {"ok": self.ok, "checks": [e.to_json() for e in self.entries]}
 
 
+def _digits(n: int) -> int:
+    """How many decimal digits n != 0 has; its float log10 is at most one off."""
+    n = abs(n)
+    k = int(math.log10(n))
+    return k - 1 + sum(10 ** j <= n for j in (k - 1, k, k + 1))
+
+
+def _shown(value) -> str:
+    """str(value), or its size past Python's int/str digit limit (left as set)."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, Fraction):
+            return f"a fraction of {_digits(value.numerator)}/{_digits(value.denominator)} digits"
+        return f"an integer of {_digits(value)} digits"
+
+
 def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationReport:
     """Check the assignment invariants along a sequence, report per check.
 
@@ -457,7 +443,7 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     def sum_rule(check, location, steps, x, what):
         try:
             total = total_probability(steps, frozenset({x}), asg)
-            ok, detail = _close(total, 1), f"{what} is {total}"
+            ok, detail = _close(total, 1), f"{what} is {_shown(total)}"
         except (SequenceMismatch, NonScalarProduct) as exc:
             ok, detail = False, str(exc)
         entries.append(ValidationEntry(check, location, ok, "" if ok else detail))

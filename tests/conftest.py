@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import compalg
-from compalg.algebra import Algebra, Amplitude, mul
+from compalg.algebra import Algebra, Amplitude
 from compalg.engine import Assignment
 from compalg.errors import SequenceMismatch
 from compalg.model import (
@@ -23,6 +23,8 @@ from compalg.model import (
     measurement,
     sequence,
 )
+
+from oracle import mul_by_table
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -186,7 +188,8 @@ def entry(asg: Assignment, g_from, g_to, x: str, y: str) -> Amplitude:
 
 def amplitude_by_enumeration(p: Path, asg: Assignment) -> Amplitude:
     """Literal thread enumeration: one element per weak-equivalence run,
-    product of matrix entries left to right, summed over all choices."""
+    product of matrix entries left to right (``oracle.mul_by_table``),
+    summed over all choices."""
     from compalg.model import runs
 
     supports = []
@@ -201,7 +204,20 @@ def amplitude_by_enumeration(p: Path, asg: Assignment) -> Amplitude:
     for combo in itertools.product(*(alive for _, alive in supports)):
         term = asg.algebra.unit()
         for i in range(len(combo) - 1):
-            term = mul(term, entry(asg, supports[i][0], supports[i + 1][0],
-                                   combo[i], combo[i + 1]))
+            term = mul_by_table(term, entry(asg, supports[i][0], supports[i + 1][0],
+                                            combo[i], combo[i + 1]))
         total = total + term
     return total
+
+
+# -- a broken product ---------------------------------------------------------------
+
+def skewed_kernel(algebra):
+    """The product kernel, with e_0's coefficient of every sum of products
+    added to e_1's (unchanged in R, which has no e_1)."""
+    kernel = algebra.kernel
+
+    def skewed(lefts, rights):
+        out = kernel(lefts, rights)
+        return out if len(out) == 1 else (out[0], out[1] + out[0]) + out[2:]
+    return skewed

@@ -24,12 +24,18 @@ from the start after each removal, until none is left or two steps remain.
 
 ``sum_of_products`` is the reference for ``Algebra.kernel``: it
 interprets the product plan's (i, j, negate) triples in a loop.
+``mul_by_table`` multiplies term by term through the structure table and
+``quadratic_form_by_table`` takes Q on it: the references for
+``algebra.mul`` and ``algebra.quadratic_form``, which run on the kernel,
+and the products of every amplitude and probability oracle here and in
+``conftest``.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from compalg.algebra import Amplitude, _require_same_algebra, scalar_part, squared_norm
 from compalg.errors import CoarsenMismatch, ImpossiblePathHasNoNormalForm
 from compalg.model import (
     Measurement,
@@ -386,12 +392,12 @@ def coarsen_by_search(a: Path, b: Path) -> Path:
 
 def probabilities_by_enumeration(s, source, asg):
     """(path, Q(amplitude)) for every enumerated path from the source, with
-    amplitudes from the literal thread enumeration in ``conftest``."""
-    from compalg.algebra import quadratic_form
+    amplitudes from the literal thread enumeration in ``conftest`` and Q
+    by ``quadratic_form_by_table``."""
     from compalg.model import enumerate_paths
     from conftest import amplitude_by_enumeration
 
-    return [(p, quadratic_form(amplitude_by_enumeration(p, asg)))
+    return [(p, quadratic_form_by_table(amplitude_by_enumeration(p, asg)))
             for p in enumerate_paths(s) if p.results[0] == source]
 
 
@@ -408,10 +414,11 @@ def sum_of_products(plan: tuple, lefts, rights) -> tuple:
     """The coefficients of the sum of a * b over a in lefts and b in rights
     taken in step, coefficient tuples multiplied by a ``product_plan``.
 
-    Each product is formed term by term in ``mul``'s order and then added
-    to the running sum, so the result equals summing ``mul`` over the pairs
-    from zero: exactly for rationals, and bit for bit for finite floats
-    (where ``mul`` skips a zero term and keeps an int 0, this gives 0.0)."""
+    Each product is formed term by term in ``mul_by_table``'s order and
+    then added to the running sum, so the result equals summing
+    ``mul_by_table`` over the pairs from zero: exactly for rationals, and
+    bit for bit for finite floats (where ``mul_by_table`` skips a zero term
+    and keeps an int 0, this gives 0.0)."""
     out = [0] * len(plan)
     for a, b in zip(lefts, rights):
         k = 0
@@ -425,3 +432,28 @@ def sum_of_products(plan: tuple, lefts, rights) -> tuple:
             out[k] += c
             k += 1
     return tuple(out)
+
+
+def mul_by_table(a: Amplitude, b: Amplitude) -> Amplitude:
+    """Bilinear product via the structure-constant table."""
+    _require_same_algebra(a, b)
+    alg = a.algebra
+    out = [0] * alg.dim
+    for i, ai in enumerate(a.coeffs):
+        if ai == 0:
+            continue
+        row = alg.table[i]
+        for j, bj in enumerate(b.coeffs):
+            if bj == 0:
+                continue
+            k, s = row[j]
+            term = ai * bj
+            out[k] = out[k] + (term if s > 0 else -term)
+    return Amplitude(alg, tuple(out))
+
+
+def quadratic_form_by_table(a: Amplitude):
+    """Q(a), the e_0 coefficient of ``mul_by_table(a, conj(a))``; the tail
+    must be scalar as ``algebra.scalar_part`` rules."""
+    return scalar_part(mul_by_table(a, a.conj()), a.is_exact,
+                       lambda: squared_norm(a.coeffs), "a*conj(a)")

@@ -16,8 +16,6 @@ import pytest
 from compalg.algebra import (
     AlgebraKind,
     make_algebra,
-    mul,
-    quadratic_form,
     verify_axioms,
 )
 from compalg.engine import (
@@ -58,6 +56,8 @@ from conftest import (
 from oracle import (
     all_reduction_terminals,
     minimal_members,
+    mul_by_table,
+    quadratic_form_by_table,
     result_signature,
     size_of,
 )
@@ -140,7 +140,7 @@ def test_criterion_4_symmetric_bundle_normalization():
             asg = Assignment(algebra, {(n_ground, m_ground): table})
             for x in n_ground.elements:
                 total = sum(
-                    quadratic_form(entry(asg, n_ground, m_ground, x, y))
+                    quadratic_form_by_table(entry(asg, n_ground, m_ground, x, y))
                     for y in m_ground.elements)
                 worst_row = max(worst_row, abs(total - 1.0))
                 bundle = Path(
@@ -208,7 +208,7 @@ def test_criterion_5_homomorphism_oracle(exhaustive_universe):
         for b in partners:
             c = chain(a, b)
             chain_checks += 1
-            if amplitude_of(c, asg) != mul(amp(a), amp(b)):
+            if amplitude_of(c, asg) != mul_by_table(amp(a), amp(b)):
                 violations += 1
 
     # equivalent paths have identical amplitudes
@@ -348,7 +348,7 @@ def test_criterion_7_markov_and_born():
         born_checks += 1
         result = probability_of(p, asg)
         independent = amplitude_by_enumeration(p, asg)
-        product = mul(independent, independent.conj())
+        product = mul_by_table(independent, independent.conj())
         if result.amplitude != independent:
             violations += 1
         if any(c != 0 for c in product.coeffs[1:]) \

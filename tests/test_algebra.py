@@ -22,6 +22,9 @@ from compalg.algebra import (
 )
 from compalg.errors import AlgebraMismatch, NonScalarProduct, NonScalarSum, NotInvertible
 
+from conftest import skewed_kernel
+from oracle import mul_by_table
+
 ALL_KINDS = list(AlgebraKind)
 ASSOCIATIVE_KINDS = [k for k in ALL_KINDS if k.is_associative]
 
@@ -190,6 +193,20 @@ def test_axiom_report_json_shape():
     assert doc["axioms"]["associativity"]["passed"] is False
     assert "witness" in doc["axioms"]["associativity"]
     assert doc["axioms"]["composition"] == {"passed": True}
+
+
+def test_axiom_report_covers_the_engine_product(monkeypatch):
+    """``mul`` and ``quadratic_form`` multiply through ``Algebra.kernel``,
+    the product of every amplitude and probability: with a skewed kernel
+    ``mul`` returns the skewed product in both modes and the composition
+    check fails, while the table product is unchanged."""
+    monkeypatch.setitem(vars(C), "kernel", skewed_kernel(C))
+    a, b = C.amplitude([Fraction(1, 2), 2]), C.amplitude([3, 4])
+    assert mul(a, b) == C.amplitude([Fraction(-13, 2), Fraction(3, 2)])
+    assert mul(C.amplitude([0.5, 2.0]), b) == C.amplitude([-6.5, 1.5])
+    assert mul_by_table(a, b) == C.amplitude([Fraction(-13, 2), 8])
+    composition = verify_axioms(C, samples=20, seed=0).check("composition")
+    assert not composition.passed and composition.witness == {"pair": [0, 0]}
 
 
 def with_product(kind, i, j, product):

@@ -300,6 +300,17 @@ def test_verify_algebra_rejects_bad_sample_count(value):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["-3", "x"])
+def test_verify_algebra_rejects_bad_seed(value, capsys):
+    """A negative seed is a usage error: ``random.Random(-3)`` would seed
+    like ``Random(3)`` and print the report of ``--seed 3``."""
+    with pytest.raises(SystemExit) as stop:
+        main(["verify-algebra", "H", "--samples", "50", "--seed", value])
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert "usage:" in err and "--seed" in err and out == ""
+
+
 @pytest.mark.parametrize("source", ["{zz}", "{n1, n2}"])
 def test_sum_rule_source_that_is_no_detector(source):
     proc = run_cli("-w", FIG, "sum-rule", "two", "--assignment", "amp",

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from compalg import model
-from compalg.algebra import AlgebraKind, make_algebra, mul, quadratic_form
+from compalg.algebra import AlgebraKind, make_algebra
 from compalg.engine import (
     MAX_DRAWS,
     Assignment,
@@ -47,6 +47,7 @@ from conftest import (
     converted,
     entry,
 )
+from oracle import mul_by_table, quadratic_form_by_table
 
 C = make_algebra(AlgebraKind.C)
 H = make_algebra(AlgebraKind.H)
@@ -111,7 +112,7 @@ def test_coarse_result_expands_distributively():
     a_m1 = entry(asg, N, G3, "n1", "m1")
     back_m = entry(asg, G3, N, "m", "n1")
     back_m1 = entry(asg, G3, N, "m1", "n1")
-    expected = mul(a_m, back_m) + mul(a_m1, back_m1)
+    expected = mul_by_table(a_m, back_m) + mul_by_table(a_m1, back_m1)
     assert amplitude_of(p, asg) == expected
 
 
@@ -136,7 +137,7 @@ def test_worked_example_probabilities_are_exact():
 def test_symmetric_path_amplitude_is_q_of_leg(unit_row_assignment):
     p = path([AN, AM, AN], [["n1"], ["m2"], ["n1"]])
     leg = entry(unit_row_assignment, N, G3, "n1", "m2")
-    q = quadratic_form(leg)
+    q = quadratic_form_by_table(leg)
     result = probability_of(p, unit_row_assignment)
     assert result.amplitude == C.scalar(q)
     assert result.probability == q * q
@@ -298,6 +299,22 @@ def test_validation_int_beyond_the_float_range_fails_in_float_mode():
     assert rows[0].detail == "sum of Q over targets is nan"
 
 
+def test_validation_reports_a_total_beyond_the_digit_limit():
+    """A failing exact total too long for str (4,801 digits here, beyond
+    Python's 4,300-digit limit) is described by its size, not raised;
+    the 1,601-digit row totals still print in full."""
+    a, b = GroundSet("A", ("a",)), GroundSet("B", ("b",))
+    asg = assignment_from_rows(C, [(a, b, [[[10 ** 800, 0]]])])
+    steps = [atomic_measurement(g) for g in (a, b, a, b)]
+    report = validate_assignment(sequence(steps), asg)
+    (total,) = [e for e in report.entries if e.check == "sum_rule"]
+    assert not total.passed
+    assert total.detail == "total probability over paths is an integer of 4801 digits"
+    rows = [e for e in report.entries if e.check == "row_normalization"]
+    assert len(rows) == 3 and all(
+        e.detail == f"sum of Q over targets is 1{'0' * 1600}" for e in rows)
+
+
 def test_close_rule():
     assert _close(Fraction(1, 3), Fraction(1, 3)) and not _close(Fraction(1, 3), 1)
     assert _close(1 / 3, Fraction(1, 3)) and _close(1 + 1e-10, 1)
@@ -361,7 +378,7 @@ def test_certain_insertion_preserves_probability():
     grown = insert_measurement(p, 1, AW, ["w"])
     amp_grown = amplitude_of(grown, asg_ext)
     assert amp_grown != amp_direct  # phase shifted
-    assert quadratic_form(amp_grown) == quadratic_form(amp_direct)
+    assert quadratic_form_by_table(amp_grown) == quadratic_form_by_table(amp_direct)
 
 
 def test_certain_insertion_identity_keeps_amplitude():
@@ -448,12 +465,12 @@ def test_sample_rejects_non_distribution():
 def test_random_row_normalized_properties():
     rows = random_row_normalized(AlgebraKind.C, (2, 2), seed=7)
     for row in rows:
-        assert abs(sum(quadratic_form(a) for a in row) - 1.0) < 1e-12
+        assert abs(sum(quadratic_form_by_table(a) for a in row) - 1.0) < 1e-12
     single = random_row_normalized(AlgebraKind.R, (1, 1), seed=3)
     assert abs(abs(single[0][0].coeffs[0]) - 1.0) < 1e-12
     rows = random_row_normalized(AlgebraKind.H, (3, 3), seed=9)
     for row in rows:
-        assert abs(sum(quadratic_form(a) for a in row) - 1.0) < 1e-12
+        assert abs(sum(quadratic_form_by_table(a) for a in row) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         random_row_normalized(AlgebraKind.SPLIT_C, (1, 1), seed=0)
 

@@ -2,7 +2,7 @@
 coefficient tuples over one common denominator, products by the algebra's
 product plan.  In exact mode the coefficients are integers and every result
 equals, as a Fraction, the Fraction evaluation it replaces; in float mode
-they are floats over denominator 1, summed in ``mul``'s order."""
+they are floats over denominator 1, summed in the product plan's order."""
 
 import itertools
 import math
@@ -33,7 +33,12 @@ from conftest import (
     random_exact_rows,
     universe_sequences,
 )
-from oracle import probabilities_by_enumeration, sum_of_products, total_by_enumeration
+from oracle import (
+    mul_by_table,
+    probabilities_by_enumeration,
+    sum_of_products,
+    total_by_enumeration,
+)
 
 ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,
                AlgebraKind.H, AlgebraKind.SPLIT_H]
@@ -70,43 +75,52 @@ def near_overflow(rng: random.Random) -> float:
     return rng.choice([-1, 1]) * rng.uniform(1e153, 1.3e154)
 
 
+def agree(got, want, how: str) -> bool:
+    """got and want agree in type and bits, in value, or within 1e-12."""
+    if how == "bits":
+        return bits(got) == bits(want)
+    if how == "value":
+        return got == want
+    return all(math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12) for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("kind", list(AlgebraKind), ids=KIND_IDS)
 def test_plan_product_is_mul(kind):
     """The generated kernel equals the interpreted plan loop of the oracle
-    in type and bits.  It equals ``mul`` summed from zero in type and bits
-    where ``mul`` skips no zero term, and in value on rationals and on
-    floats.  A float zero term that ``mul`` skips turns an exact sum into
-    a float, so on mixed coefficients it is close to ``mul``."""
+    in type and bits.  The kernel and ``mul``, which runs on it, equal the
+    table product ``mul_by_table`` summed from zero: in type and bits where
+    the table skips no zero term, in value on rationals and on floats, and
+    close on mixed coefficients, where a skipped float zero keeps the
+    table's sum exact.  ``mul`` summed equals the kernel in bits on floats
+    and in value on rationals, which it rebuilds as ints where whole."""
     algebra = make_algebra(kind)
     plan, kernel = product_plan(algebra), algebra.kernel
     assert kernel is algebra.kernel is make_algebra(kind).kernel
     zero = (0,) * algebra.dim
     assert bits(kernel([], [])) == bits(sum_of_products(plan, [], [])) == bits(zero)
+    amp = algebra.amplitude
     basis = [algebra.basis_element(r).coeffs for r in range(algebra.dim)]
     for a, b in itertools.product(basis, repeat=2):
         got = kernel([a], [b])
         assert bits(got) == bits(sum_of_products(plan, [a], [b]))
-        assert bits(got) == bits(mul(algebra.amplitude(a), algebra.amplitude(b)).coeffs)
+        assert bits(got) == bits(mul(amp(a), amp(b)).coeffs) \
+            == bits(mul_by_table(amp(a), amp(b)).coeffs)
     rng = random.Random(f"plan:{kind.label}")
-    draws = [(random_coefficient, "value"), (lambda r: r.uniform(-2, 2), "bits"),
-             (signed_zero_or_float, "value"), (int_fraction_or_float, "close"),
-             (near_overflow, "bits")]
-    for draw, like_mul in draws:
+    draws = [(random_coefficient, "value", "value"), (lambda r: r.uniform(-2, 2), "bits", "bits"),
+             (signed_zero_or_float, "value", "bits"), (int_fraction_or_float, "close", "value"),
+             (near_overflow, "bits", "bits")]
+    for draw, like_table, like_kernel in draws:
         for _ in range(40):
             count = rng.randint(1, 4)
             lefts, rights = ([tuple(draw(rng) for _ in range(algebra.dim)) for _ in range(count)]
                              for _ in range(2))
             got = kernel(lefts, rights)
             assert bits(got) == bits(sum_of_products(plan, lefts, rights))
-            want = sum(map(mul, map(algebra.amplitude, lefts), map(algebra.amplitude, rights)),
-                       algebra.amplitude(zero)).coeffs
-            if like_mul == "bits":  # ``mul`` skips no term: NaNs included
-                assert bits(got) == bits(want)
-            elif like_mul == "value":
-                assert got == want
-            else:
-                assert all(math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12)
-                           for g, w in zip(got, want))
+            pairs = list(zip(map(amp, lefts), map(amp, rights)))
+            by_mul = sum(itertools.starmap(mul, pairs), amp(zero)).coeffs
+            by_table = sum(itertools.starmap(mul_by_table, pairs), amp(zero)).coeffs
+            assert agree(by_mul, got, like_kernel)
+            assert agree(got, by_table, like_table) and agree(by_mul, by_table, like_table)
 
 
 @pytest.mark.parametrize("kind", ASSOCIATIVE, ids=KIND_IDS)

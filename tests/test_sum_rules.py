@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from compalg.algebra import AlgebraKind, make_algebra, mul, quadratic_form
+from compalg.algebra import AlgebraKind, make_algebra
 from compalg.engine import (
     FLOAT_RTOL,
     MAX_DRAWS,
@@ -33,8 +33,13 @@ from compalg.model import (
     sequence,
 )
 
-from conftest import MIX_GROUNDS, assignment_for, converted, entry
-from oracle import probabilities_by_enumeration, total_by_enumeration
+from conftest import MIX_GROUNDS, assignment_for, converted, entry, skewed_kernel
+from oracle import (
+    mul_by_table,
+    probabilities_by_enumeration,
+    quadratic_form_by_table,
+    total_by_enumeration,
+)
 
 ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,
                AlgebraKind.H, AlgebraKind.SPLIT_H]
@@ -117,17 +122,6 @@ def test_walk_is_bitwise_probability_of():
                     assert q == want
 
 
-def skewed_kernel(algebra):
-    """The product kernel, with e_0's coefficient of every sum of products
-    added to e_1's (unchanged in R, which has no e_1)."""
-    kernel = algebra.kernel
-
-    def skewed(lefts, rights):
-        out = kernel(lefts, rights)
-        return out if len(out) == 1 else (out[0], out[1] + out[0]) + out[2:]
-    return skewed
-
-
 def non_scalar_case():
     return next(
         (a, s, src) for a, s, src in cases(6, 20)
@@ -189,7 +183,7 @@ def exact_unitary_c():
     right = [c.amplitude([Fraction(8, 17), Fraction(15, 17)]),
              c.unit(),
              c.amplitude([Fraction(-7, 25), Fraction(24, 25)])]
-    rows = [[mul(mul(left[i], c.scalar(Fraction(rot[i][j], 3))), right[j])
+    rows = [[mul_by_table(mul_by_table(left[i], c.scalar(Fraction(rot[i][j], 3))), right[j])
              for j in range(3)] for i in range(3)]
     return assignment_from_rows(c, [(A3, B3, rows)])
 
@@ -230,7 +224,7 @@ def test_validation_passes_for_exactly_unitary_matrices():
 
 def test_row_normalization_is_the_sum_of_quadratic_forms():
     """Every row_normalization entry agrees with the sum over sorted targets
-    of quadratic_form of the stored (or conjugated reverse) entry: equal in
+    of Q of the stored (or conjugated reverse) entry: equal in
     exact mode, the same ``_close`` verdict in float mode."""
     rng = random.Random(12)
     verdicts = set()
@@ -245,7 +239,7 @@ def test_row_normalization_is_the_sum_of_quadratic_forms():
                             continue
                         j, x = int(e.location.split()[1].split("->")[0]), e.location.split()[-1]
                         a, b = s.steps[j], s.steps[j + 1]
-                        want = sum(quadratic_form(entry(asg, a, b, x, y))
+                        want = sum(quadratic_form_by_table(entry(asg, a, b, x, y))
                                    for y in sorted(b.element_set()))
                         assert e.passed == _close(want, 1), (e, want)
                         if asg.is_exact and not e.passed:
