@@ -11,11 +11,13 @@ seeded random exact-rational samples) in order and reports the first
 failing case with a witness.
 
 ``Algebra.kernel`` is the one product: ``mul``, ``quadratic_form_over`` and
-the engine call it, on exact coefficients as ``numerators``, so the axiom
-report certifies the product behind every probability.
+the engine call it, so the axiom report certifies the product behind every
+probability.
 
-Coefficients may be exact rationals (``int``/``Fraction``; verification
-mode) or 64-bit floats (numeric mode).  Every scalar-ness assertion, on
+Coefficients are exact rationals (verification mode) or 64-bit floats
+(numeric mode), by one rule: ``is_exact`` decides the mode, ``lower``
+turns coefficients into kernel operands (ints over one denominator, or
+floats) and ``lift`` rebuilds results.  Every scalar-ness assertion, on
 Q(a), T(a), the engine's Born probabilities and its sum rules, goes
 through ``scalar_part``: the imaginary tail must vanish exactly in
 verification mode, and within SCALAR_RTOL relative to a magnitude of the
@@ -33,8 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from numbers import Rational
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AlgebraMismatch, NonScalarProduct, NonScalarSum, NotInvertible
 
@@ -223,10 +224,6 @@ class Amplitude:
             raise ValueError(
                 f"expected {self.algebra.dim} coefficients, got {len(self.coeffs)}")
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(c, Rational) for c in self.coeffs)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -267,27 +264,41 @@ def _require_same_algebra(a: Amplitude, b: Amplitude) -> None:
             f"cannot combine {a.algebra.kind.label} with {b.algebra.kind.label}")
 
 
-def numerators(coeffs: tuple, denominator: Optional[int] = None) -> tuple:
-    """(ints, denominator): rationals over a common denominator, by default their lcm."""
-    if denominator is None:
-        denominator = math.lcm(*[c.denominator for c in coeffs])
-    return tuple([c.numerator * (denominator // c.denominator) for c in coeffs]), denominator
+def is_exact(coeffs: Iterable) -> bool:
+    """Exact mode: every coefficient is an int or a Fraction; else float mode."""
+    return all(isinstance(c, (int, Fraction)) for c in coeffs)
 
 
-def rational(numerator: int, denominator: int) -> Union[int, Fraction]:
-    """numerator / denominator as an int when it is one, else a Fraction."""
-    return Fraction(numerator, denominator) if numerator % denominator \
-        else numerator // denominator
+def _float(c) -> float:
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
+def lower(tuples: Sequence[tuple], exact: bool) -> tuple:
+    """(lowered tuples, D): ints over the lcm D of the denominators when
+    exact, else floats over 1, one beyond the float range an infinity."""
+    if not exact:
+        return [tuple(map(_float, t)) for t in tuples], 1
+    den = math.lcm(*[c.denominator for t in tuples for c in t])
+    return [tuple([c.numerator * (den // c.denominator) for c in t]) for t in tuples], den
+
+
+def lift(coeffs: Iterable, denominator: int, exact: bool) -> tuple:
+    """Each coefficient over D as an int when whole, else a Fraction; floats as they are."""
+    if not exact:
+        return tuple(coeffs)
+    return tuple([Fraction(c, denominator) if c % denominator else c // denominator
+                  for c in coeffs])
 
 
 def mul(a: Amplitude, b: Amplitude) -> Amplitude:
-    """Bilinear product: one kernel call, on ``numerators`` when both are exact."""
+    """Bilinear product: one kernel call on the lowered operands."""
     _require_same_algebra(a, b)
-    alg = a.algebra
-    if a.is_exact and b.is_exact:
-        (x, p), (y, q) = numerators(a.coeffs), numerators(b.coeffs)
-        return Amplitude(alg, tuple([rational(c, p * q) for c in alg.kernel((x,), (y,))]))
-    return Amplitude(alg, alg.kernel((a.coeffs,), (b.coeffs,)))
+    exact = is_exact(a.coeffs + b.coeffs)
+    (x, y), den = lower((a.coeffs, b.coeffs), exact)
+    return Amplitude(a.algebra, lift(a.algebra.kernel((x,), (y,)), den * den, exact))
 
 
 def product_plan(algebra: Algebra) -> tuple:
@@ -332,32 +343,40 @@ def squared_norm(coeffs: tuple) -> float:
 
 def quadratic_form_over(algebra: Algebra, coeffs: tuple, denominator: int,
                         exact: bool) -> Scalar:
-    """Q of coeffs over denominator: e0 of coeffs * conj(coeffs), one kernel
-    call, over denominator squared; a nonzero tail goes through ``scalar_part``."""
+    """Q of lowered coeffs over denominator: e0 of coeffs * conj(coeffs), one
+    kernel call, over denominator squared; a nonzero tail goes through
+    ``scalar_part``."""
     conj = tuple(map(operator.mul, algebra.conj_signs, coeffs))
     square, scale = algebra.kernel((coeffs,), (conj,)), denominator * denominator
     if any(square[1:]):
-        value = tuple(rational(c, scale) for c in square) if exact else square
-        return scalar_part(Amplitude(algebra, value), exact, lambda: squared_norm(coeffs),
-                           "a*conj(a)")
-    return rational(square[0], scale) if exact else square[0]
+        return scalar_part(Amplitude(algebra, lift(square, scale, exact)), exact,
+                           lambda: squared_norm(coeffs), "a*conj(a)")
+    return lift(square[:1], scale, exact)[0]
 
 
 def quadratic_form(a: Amplitude) -> Scalar:
     """Q(a) with a * conj(a) = Q(a) * e_0; asserts the product is scalar."""
-    exact = a.is_exact
-    return quadratic_form_over(a.algebra, *numerators(a.coeffs) if exact else (a.coeffs, 1), exact)
+    exact = is_exact(a.coeffs)
+    (x,), den = lower((a.coeffs,), exact)
+    return quadratic_form_over(a.algebra, x, den, exact)
 
 
 def bilinear_form(a: Amplitude, b: Amplitude) -> Scalar:
     """Polarization of the quadratic form: Q(a+b) - Q(a) - Q(b)."""
     _require_same_algebra(a, b)
-    return quadratic_form(a + b) - quadratic_form(a) - quadratic_form(b)
+    exact = is_exact(a.coeffs + b.coeffs)
+    (x, y), den = lower((a.coeffs, b.coeffs), exact)
+    q_sum, q_a, q_b = (quadratic_form_over(a.algebra, c, den, exact)
+                       for c in (tuple(map(operator.add, x, y)), x, y))
+    return q_sum - q_a - q_b
 
 
 def trace_form(a: Amplitude) -> Scalar:
     """T(a) with a + conj(a) = T(a) * e_0; asserts the sum is scalar."""
-    return scalar_part(a + a.conj(), a.is_exact, lambda: squared_norm(a.coeffs),
+    exact = is_exact(a.coeffs)
+    (x,), den = lower((a.coeffs,), exact)
+    value = lift([c + s * c for s, c in zip(a.algebra.conj_signs, x)], den, exact)
+    return scalar_part(Amplitude(a.algebra, value), exact, lambda: squared_norm(x),
                        "a+conj(a)", NonScalarSum)
 
 
@@ -368,16 +387,13 @@ def inverse(a: Amplitude) -> Amplitude:
     squared norm of a, a bound relative to the size of a as for scalar
     tails: a small but invertible a has an inverse in both modes.
     """
-    q = quadratic_form(a)
-    if a.is_exact:
-        if q == 0:
-            raise NotInvertible("quadratic form vanishes")
-        factor = Fraction(1, 1) / q
-    else:
-        if abs(float(q)) <= SCALAR_RTOL * squared_norm(a.coeffs):
-            raise NotInvertible("quadratic form vanishes (within tolerance)")
-        factor = 1.0 / q
-    return a.conj().scale(factor)
+    exact = is_exact(a.coeffs)
+    (x,), den = lower((a.coeffs,), exact)
+    q = quadratic_form_over(a.algebra, x, den, exact)
+    if (q == 0) if exact else abs(q) <= SCALAR_RTOL * squared_norm(x):
+        raise NotInvertible("quadratic form vanishes" + ("" if exact else " (within tolerance)"))
+    factor = Fraction(1, den) / q if exact else 1.0 / q
+    return Amplitude(a.algebra, tuple(s * c * factor for s, c in zip(a.algebra.conj_signs, x)))
 
 
 def gram_determinant(algebra: Algebra) -> Fraction:

@@ -9,11 +9,12 @@ measurements repeatable.  The matrix for the reversed pair is the
 conjugate transpose of the forward one unless supplied explicitly.
 
 Every evaluator reads one representation: each ground pair lowered once,
-on first use, to rows x -> {y: coefficient tuple} over one denominator
-(ints in exact mode, when every coefficient is rational; floats over 1
-otherwise), looked up once per run boundary.  Every product goes through
-``Algebra.kernel``, as ``mul`` does; an exact result is rebuilt as a
-rational once, at the end, and floats are summed in a fixed order.
+on first use, to rows x -> {y: coefficient tuple} by ``algebra.lower``
+(ints over one denominator in exact mode, decided by ``algebra.is_exact``
+over every coefficient; floats over 1 otherwise), looked up once per run
+boundary.  Every product goes through ``Algebra.kernel``, as ``mul`` does;
+a result is rebuilt by ``algebra.lift`` once, at the end, and floats are
+summed in a fixed order.
 
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
@@ -31,7 +32,7 @@ normalization is the sum rule of a two-step experiment.
 Exact and float mode differ in two rules, each written once: a value that
 must be scalar goes through ``algebra.scalar_part`` (exact, or within
 SCALAR_RTOL of a magnitude), and two values are compared by ``_close``
-(equal when both are rational, else within FLOAT_RTOL relative).
+(equal when both are exact, else within FLOAT_RTOL relative).
 """
 
 from __future__ import annotations
@@ -42,12 +43,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from numbers import Rational
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .algebra import (
-    Algebra, AlgebraKind, Amplitude, make_algebra, numerators, quadratic_form_over,
-    rational, scalar_part, squared_norm,
+    Algebra, AlgebraKind, Amplitude, is_exact, lift, lower, make_algebra,
+    quadratic_form_over, scalar_part, squared_norm,
 )
 from .errors import (
     NonAssociativeAlgebra,
@@ -75,14 +75,6 @@ def _ground_key(g) -> frozenset:
 Rows = Dict[str, Dict[str, Amplitude]]
 #: A lowered matrix: rows x -> {y: coefficient tuple}.
 CoeffRows = Dict[str, Dict[str, tuple]]
-
-
-def _to_float(c) -> float:
-    """c as a float; one beyond the float range as an infinity of its sign."""
-    try:
-        return float(c)
-    except OverflowError:
-        return math.inf if c > 0 else -math.inf
 
 
 class Assignment:
@@ -144,9 +136,9 @@ class Assignment:
 
     @cached_property
     def is_exact(self) -> bool:
-        """True when every coefficient is rational: exact mode."""
-        return all(amp.is_exact for rows in self._rows.values()
-                   for row in rows.values() for amp in row.values())
+        """True when every coefficient is exact (``algebra.is_exact``)."""
+        return is_exact(c for rows in self._rows.values() for row in rows.values()
+                        for amp in row.values() for c in amp.coeffs)
 
     def lowered(self, g_from, g_to) -> Tuple[CoeffRows, int]:
         """The matrix from one ground to another as rows x -> {y: d
@@ -169,18 +161,14 @@ class Assignment:
             raise SequenceMismatch(
                 f"assignment has no matrix between grounds {sorted(key[0])} "
                 f"and {sorted(key[1])}")
-        exact = self.is_exact
-        den = math.lcm(*(c.denominator for row in rows.values()
-                         for amp in row.values() for c in amp.coeffs)) if exact else 1
+        pairs = [(x, y) for x, row in rows.items() for y in row]
+        coeffs, den = lower([rows[x][y].coeffs for x, y in pairs], self.is_exact)
         lowered = {x: {} for x in sorted(key[0])}
-        for x, row in rows.items():
-            for y, amp in row.items():
-                coeffs = numerators(amp.coeffs, den)[0] if exact \
-                    else tuple(map(_to_float, amp.coeffs))
-                if reversed_:
-                    lowered[y][x] = tuple(map(operator.mul, self.algebra.conj_signs, coeffs))
-                else:
-                    lowered[x][y] = coeffs
+        for (x, y), c in zip(pairs, coeffs):
+            if reversed_:
+                lowered[y][x] = tuple(map(operator.mul, self.algebra.conj_signs, c))
+            else:
+                lowered[x][y] = c
         hit = self._lowered[key] = (lowered, den)
         return hit
 
@@ -253,9 +241,7 @@ def _result(asg: Assignment, sums: Optional[tuple], denominator: int) -> Amplitu
     (denominator 1) it is the sum; None (an impossible path) is zero."""
     if sums is None:
         return asg.algebra.zero()
-    if asg.is_exact:
-        sums = (rational(c, denominator) for c in sums)
-    return asg.algebra.amplitude(sums)
+    return Amplitude(asg.algebra, lift(sums, denominator, asg.is_exact))
 
 
 def _born(asg: Assignment, sums: Optional[tuple], denominator: int):
@@ -346,12 +332,11 @@ def probability_of(p: Path, asg: Assignment) -> ProbabilityResult:
 
 
 def _close(a, b) -> bool:
-    """a == b when both are rational; otherwise |a - b| within FLOAT_RTOL
+    """a == b when both are exact; otherwise |a - b| within FLOAT_RTOL
     times the larger magnitude (at least 1), and never for an infinity."""
-    if isinstance(a, Rational) and isinstance(b, Rational):
-        return a == b
-    a, b = float(a), float(b)
-    return abs(a - b) <= FLOAT_RTOL * max(abs(a), abs(b), 1.0) < math.inf
+    exact = is_exact((a, b))
+    ((a, b),), _ = lower([(a, b)], exact)
+    return a == b if exact else abs(a - b) <= FLOAT_RTOL * max(abs(a), abs(b), 1.0) < math.inf
 
 
 def check_markov(p: Path, asg: Assignment) -> bool:
@@ -627,7 +612,7 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
             raise NotADistribution(f"negative probability {q} for {p!r}")
         probs.append(max(value, 0.0))
     mass = sum(probs)
-    if abs(mass - 1.0) > DISTRIBUTION_TOL:
+    if not abs(mass - 1.0) <= DISTRIBUTION_TOL:  # a NaN mass fails too
         raise NotADistribution(f"path probabilities sum to {mass}, not 1")
     import numpy as np
 

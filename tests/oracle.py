@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import itertools
 
-from compalg.algebra import Amplitude, _require_same_algebra, scalar_part, squared_norm
+from compalg.algebra import (
+    Amplitude, _require_same_algebra, is_exact, scalar_part, squared_norm,
+)
 from compalg.errors import CoarsenMismatch, ImpossiblePathHasNoNormalForm
 from compalg.model import (
     Measurement,
@@ -455,5 +457,5 @@ def mul_by_table(a: Amplitude, b: Amplitude) -> Amplitude:
 def quadratic_form_by_table(a: Amplitude):
     """Q(a), the e_0 coefficient of ``mul_by_table(a, conj(a))``; the tail
     must be scalar as ``algebra.scalar_part`` rules."""
-    return scalar_part(mul_by_table(a, a.conj()), a.is_exact,
+    return scalar_part(mul_by_table(a, a.conj()), is_exact(a.coeffs),
                        lambda: squared_norm(a.coeffs), "a*conj(a)")

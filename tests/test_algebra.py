@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from compalg.algebra import (
     bilinear_form,
     gram_determinant,
     inverse,
+    is_exact,
     make_algebra,
     mul,
     quadratic_form,
@@ -20,7 +22,9 @@ from compalg.algebra import (
     trace_form,
     verify_axioms,
 )
-from compalg.errors import AlgebraMismatch, NonScalarProduct, NonScalarSum, NotInvertible
+from compalg.errors import (
+    AlgebraMismatch, CompalgError, NonScalarProduct, NonScalarSum, NotInvertible,
+)
 
 from conftest import skewed_kernel
 from oracle import mul_by_table
@@ -158,6 +162,38 @@ def test_inverse_threshold_is_relative():
     for a in (CS.amplitude([1.0, 1.0]), CS.amplitude([1e-7, 1e-7]), C.amplitude([0.0, 0.0])):
         with pytest.raises(NotInvertible, match=r"vanishes \(within tolerance\)"):
             inverse(a)
+
+
+def test_float_mode_beyond_the_float_range():
+    """An int beyond the float range beside a float is an infinity, as in
+    the engine: every form gives a float result or an algebra error, never
+    an OverflowError."""
+    a = C.amplitude([10 ** 400, 0.5])
+    forms = {"mul": lambda: mul(a, a).coeffs, "quadratic_form": lambda: quadratic_form(a),
+             "bilinear_form": lambda: bilinear_form(a, C.unit()),
+             "trace_form": lambda: trace_form(a), "inverse": lambda: inverse(a).coeffs}
+    got = {}
+    for name, form in forms.items():
+        try:
+            value = form()
+        except CompalgError as exc:
+            got[name] = type(exc).__name__
+            continue
+        assert all(type(c) is float for c in (value if isinstance(value, tuple) else (value,)))
+        got[name] = repr(value)
+    assert got == {"mul": "(inf, inf)", "quadratic_form": "inf", "bilinear_form": "nan",
+                   "trace_form": "inf", "inverse": "NotInvertible"}
+
+
+def test_numpy_integer_is_float_mode():
+    """Exact mode takes ints and Fractions only: a numpy integer puts the
+    forms in float mode, as a float does."""
+    a = C.amplitude([numpy.int64(3), 4])
+    assert not is_exact(a.coeffs) and is_exact(C.amplitude([3, Fraction(4)]).coeffs)
+    values = (*mul(a, a).coeffs, quadratic_form(a), bilinear_form(a, C.unit()),
+              trace_form(a), *inverse(a).coeffs)
+    assert values == (-7.0, 24.0, 25.0, 6.0, 6.0, 0.12, -0.16)
+    assert all(type(v) is float for v in values)
 
 
 def test_gram_determinants():

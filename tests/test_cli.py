@@ -42,6 +42,14 @@ def test_golden_verify_algebra_octonions():
     assert proc.stdout == golden("verify_O.golden")
 
 
+@pytest.mark.parametrize("label,name", [("R", "R"), ("C", "C"), ("C'", "Cs"), ("H", "H"),
+                                        ("H'", "Hs"), ("O'", "Os")])
+def test_golden_verify_algebra(capsys, label, name):
+    """The axiom report of every other kind, in-process."""
+    assert main(["verify-algebra", label]) == 0
+    assert capsys.readouterr().out == golden(f"verify_{name}.golden")
+
+
 def test_golden_enumerate_partitions_count():
     proc = run_cli("-w", FIG, "enumerate", "partitions", "G3", "--count-only")
     assert proc.stdout == golden("enumerate_partitions_count.golden")
@@ -382,6 +390,26 @@ def test_float_overflow_is_no_finite_result(tmp_path, command):
     proc = run_cli("-w", ws, *command, expect=3)
     assert "not finite" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_sample_on_nan_probabilities_is_no_distribution(tmp_path, capsys):
+    """Float products that overflow to NaN make no distribution (exit 3), as
+    in ``sum-rule``; the draw is never reached."""
+    (tmp_path / "back.dsl").write_text(
+        "elements N = {n1, n2}\nmeasurement aN over N = {{n1}, {n2}}\n"
+        "elements M = {m1, m2}\nmeasurement aM over M = {{m1}, {m2}}\n"
+        "sequence back = [aN, aM, aN]\n"
+        'assignment amp over back algebra C from "back.json"\n')
+    (tmp_path / "back.json").write_text(
+        '{"steps": [{"from": "aN", "to": "aM", "matrix": '
+        '[[[1e200, 1e200], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}]}')
+    ws = str(tmp_path / "back.dsl")
+    assert main(["-w", ws, "sample", "back", "--assignment", "amp", "--source", "{n1}",
+                 "-n", "10", "--seed", "1"]) == 3
+    assert capsys.readouterr() == ("", "validation error: path probabilities sum to nan, not 1\n")
+    assert main(["-w", ws, "sum-rule", "back", "--assignment", "amp", "--source", "{n1}"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "not finite" in err
 
 
 def test_sample_huge_n_is_drawn_at_once(capsys):

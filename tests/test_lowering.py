@@ -10,6 +10,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from compalg.algebra import AlgebraKind, make_algebra, mul, product_plan
@@ -75,6 +76,16 @@ def near_overflow(rng: random.Random) -> float:
     return rng.choice([-1, 1]) * rng.uniform(1e153, 1.3e154)
 
 
+def product_in_mode(kernel, a: tuple, b: tuple) -> tuple:
+    """One pair's product as ``mul`` forms it: the kernel on float-converted
+    operands when either holds a float, else on the rationals, each whole
+    coefficient an int."""
+    if any(isinstance(c, float) for c in a + b):
+        return kernel([tuple(map(float, a))], [tuple(map(float, b))])
+    return tuple(c.numerator if c.denominator == 1 else c
+                 for c in map(Fraction, kernel([a], [b])))
+
+
 def agree(got, want, how: str) -> bool:
     """got and want agree in type and bits, in value, or within 1e-12."""
     if how == "bits":
@@ -92,7 +103,10 @@ def test_plan_product_is_mul(kind):
     the table skips no zero term, in value on rationals and on floats, and
     close on mixed coefficients, where a skipped float zero keeps the
     table's sum exact.  ``mul`` summed equals the kernel in bits on floats
-    and in value on rationals, which it rebuilds as ints where whole."""
+    and in value on rationals, which it rebuilds as ints where whole.  On
+    mixed coefficients ``mul`` runs each pair holding a float in float
+    mode, so it equals in type and bits the kernel on those pairs'
+    float-converted operands (``product_in_mode``)."""
     algebra = make_algebra(kind)
     plan, kernel = product_plan(algebra), algebra.kernel
     assert kernel is algebra.kernel is make_algebra(kind).kernel
@@ -107,7 +121,7 @@ def test_plan_product_is_mul(kind):
             == bits(mul_by_table(amp(a), amp(b)).coeffs)
     rng = random.Random(f"plan:{kind.label}")
     draws = [(random_coefficient, "value", "value"), (lambda r: r.uniform(-2, 2), "bits", "bits"),
-             (signed_zero_or_float, "value", "bits"), (int_fraction_or_float, "close", "value"),
+             (signed_zero_or_float, "value", "bits"), (int_fraction_or_float, "close", "mode"),
              (near_overflow, "bits", "bits")]
     for draw, like_table, like_kernel in draws:
         for _ in range(40):
@@ -119,7 +133,12 @@ def test_plan_product_is_mul(kind):
             pairs = list(zip(map(amp, lefts), map(amp, rights)))
             by_mul = sum(itertools.starmap(mul, pairs), amp(zero)).coeffs
             by_table = sum(itertools.starmap(mul_by_table, pairs), amp(zero)).coeffs
-            assert agree(by_mul, got, like_kernel)
+            if like_kernel == "mode":
+                in_mode = sum((amp(product_in_mode(kernel, *pair)) for pair in zip(lefts, rights)),
+                              amp(zero)).coeffs
+                assert bits(by_mul) == bits(in_mode)
+            else:
+                assert agree(by_mul, got, like_kernel)
             assert agree(got, by_table, like_table) and agree(by_mul, by_table, like_table)
 
 
@@ -158,10 +177,11 @@ def both_ways_assignment(algebra, rng) -> Assignment:
 
 
 @pytest.mark.parametrize("kind", ASSOCIATIVE, ids=KIND_IDS)
-@pytest.mark.parametrize("stored", ["one way", "both ways", "float", "mixed"])
+@pytest.mark.parametrize("stored", ["one way", "both ways", "float", "mixed", "numpy"])
 def test_lowered_rows_are_the_matrix_over_one_denominator(kind, stored):
-    """Exact: ints over the lcm of the entry denominators.  Float and mixed
-    (ints, Fractions and floats), both one way: floats over 1."""
+    """Exact: ints over the lcm of the entry denominators.  Float, mixed
+    (ints, Fractions and floats) and numpy integers, all one way: floats
+    over 1, since exact mode takes ints and Fractions only."""
     algebra = make_algebra(kind)
     rng = random.Random(f"lower:{kind.label}")
     asg = both_ways_assignment(algebra, rng) if stored == "both ways" \
@@ -170,6 +190,8 @@ def test_lowered_rows_are_the_matrix_over_one_denominator(kind, stored):
         asg = converted(asg, float)
     elif stored == "mixed":
         asg = converted(asg, lambda c: float(c) if rng.random() < 0.5 else c)
+    elif stored == "numpy":
+        asg = converted(asg, lambda c: numpy.int64(c.numerator))
     exact = stored in ("one way", "both ways")
     assert asg.is_exact is exact
     for a, b in itertools.permutations(MIX_GROUNDS, 2):
