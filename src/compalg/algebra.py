@@ -10,14 +10,17 @@ check runs its stages (exhaustive basis tuples in exact arithmetic, then
 seeded random exact-rational samples) in order and reports the first
 failing case with a witness.
 
-``Algebra.kernel`` is the one product: ``mul``, ``quadratic_form_over`` and
-the engine call it, so the axiom report certifies the product behind every
-probability.
+Only this module operates on coefficient tuples; ``Amplitude`` and the
+engine call it.  ``Algebra.kernel`` is the one product (so the axiom
+report certifies the product behind every probability), ``Algebra.conj``
+the one involution and ``summed`` the one sum; a scalar multiple is a
+product under ``mul``.
 
 Coefficients are exact rationals (verification mode) or 64-bit floats
-(numeric mode), by one rule: ``is_exact`` decides the mode, ``lower``
-turns coefficients into kernel operands (ints over one denominator, or
-floats) and ``lift`` rebuilds results.  Every scalar-ness assertion, on
+(numeric mode), by one rule, which ``mul``, ``+``, scalar multiples and
+the forms follow: ``is_exact`` decides the mode, ``lower`` turns
+coefficients into kernel operands (ints over one denominator, or floats)
+and ``lift`` rebuilds results.  Every scalar-ness assertion, on
 Q(a), T(a), the engine's Born probabilities and its sum rules, goes
 through ``scalar_part``: the imaginary tail must vanish exactly in
 verification mode, and within SCALAR_RTOL relative to a magnitude of the
@@ -34,7 +37,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AlgebraMismatch, NonScalarProduct, NonScalarSum, NotInvertible
@@ -135,7 +138,7 @@ class Algebra:
 
     ``table[i][j] = (k, sign)`` encodes e_i * e_j = sign * e_k; all structure
     constants are in {-1, 0, +1}.  ``conj_signs[r]`` is the action of the
-    involution on basis element r.
+    involution on basis element r; ``conj`` applies it.
     """
 
     kind: AlgebraKind
@@ -176,6 +179,10 @@ class Algebra:
         exec(compile("\n".join(lines), f"<product kernel {self.kind.label}>", "exec"),
              namespace)
         return namespace["kernel"]
+
+    def conj(self, coeffs: tuple) -> tuple:
+        """The involution on a coefficient tuple, by ``conj_signs``."""
+        return tuple(map(operator.mul, self.conj_signs, coeffs))
 
     def structure_constant(self, i: int, j: int, k: int) -> int:
         kk, s = self.table[i][j]
@@ -228,13 +235,14 @@ class Amplitude:
         return all(c == 0 for c in self.coeffs)
 
     def conj(self) -> "Amplitude":
-        return Amplitude(self.algebra, tuple(
-            s * c for s, c in zip(self.algebra.conj_signs, self.coeffs)))
+        return Amplitude(self.algebra, self.algebra.conj(self.coeffs))
 
     def __add__(self, other: "Amplitude") -> "Amplitude":
+        """``summed`` on both operands lowered together, lifted once."""
         _require_same_algebra(self, other)
-        return Amplitude(self.algebra, tuple(
-            a + b for a, b in zip(self.coeffs, other.coeffs)))
+        exact = is_exact(self.coeffs + other.coeffs)
+        lowered, den = lower((self.coeffs, other.coeffs), exact)
+        return Amplitude(self.algebra, lift(summed(lowered, self.algebra.dim), den, exact))
 
     def __sub__(self, other: "Amplitude") -> "Amplitude":
         return self + (-other)
@@ -252,7 +260,8 @@ class Amplitude:
         return self.scale(other)
 
     def scale(self, factor: Scalar) -> "Amplitude":
-        return Amplitude(self.algebra, tuple(factor * c for c in self.coeffs))
+        """The product with factor * e_0 under ``mul``."""
+        return mul(self, self.algebra.scalar(factor))
 
     def __repr__(self) -> str:
         return f"Amplitude({self.algebra.kind.label}, {list(self.coeffs)})"
@@ -291,6 +300,12 @@ def lift(coeffs: Iterable, denominator: int, exact: bool) -> tuple:
         return tuple(coeffs)
     return tuple([Fraction(c, denominator) if c % denominator else c // denominator
                   for c in coeffs])
+
+
+def summed(tuples: Iterable[tuple], dim: int) -> tuple:
+    """The sum of coefficient tuples, added left to right from zero
+    (``reduce``: from Python 3.12 on ``sum`` compensates float rounding)."""
+    return tuple(reduce(operator.add, c) for c in zip((0,) * dim, *tuples))
 
 
 def mul(a: Amplitude, b: Amplitude) -> Amplitude:
@@ -346,8 +361,8 @@ def quadratic_form_over(algebra: Algebra, coeffs: tuple, denominator: int,
     """Q of lowered coeffs over denominator: e0 of coeffs * conj(coeffs), one
     kernel call, over denominator squared; a nonzero tail goes through
     ``scalar_part``."""
-    conj = tuple(map(operator.mul, algebra.conj_signs, coeffs))
-    square, scale = algebra.kernel((coeffs,), (conj,)), denominator * denominator
+    square = algebra.kernel((coeffs,), (algebra.conj(coeffs),))
+    scale = denominator * denominator
     if any(square[1:]):
         return scalar_part(Amplitude(algebra, lift(square, scale, exact)), exact,
                            lambda: squared_norm(coeffs), "a*conj(a)")
@@ -367,7 +382,7 @@ def bilinear_form(a: Amplitude, b: Amplitude) -> Scalar:
     exact = is_exact(a.coeffs + b.coeffs)
     (x, y), den = lower((a.coeffs, b.coeffs), exact)
     q_sum, q_a, q_b = (quadratic_form_over(a.algebra, c, den, exact)
-                       for c in (tuple(map(operator.add, x, y)), x, y))
+                       for c in (summed((x, y), a.algebra.dim), x, y))
     return q_sum - q_a - q_b
 
 
@@ -375,7 +390,7 @@ def trace_form(a: Amplitude) -> Scalar:
     """T(a) with a + conj(a) = T(a) * e_0; asserts the sum is scalar."""
     exact = is_exact(a.coeffs)
     (x,), den = lower((a.coeffs,), exact)
-    value = lift([c + s * c for s, c in zip(a.algebra.conj_signs, x)], den, exact)
+    value = lift(summed((x, a.algebra.conj(x)), a.algebra.dim), den, exact)
     return scalar_part(Amplitude(a.algebra, value), exact, lambda: squared_norm(x),
                        "a+conj(a)", NonScalarSum)
 
@@ -393,7 +408,7 @@ def inverse(a: Amplitude) -> Amplitude:
     if (q == 0) if exact else abs(q) <= SCALAR_RTOL * squared_norm(x):
         raise NotInvertible("quadratic form vanishes" + ("" if exact else " (within tolerance)"))
     factor = Fraction(1, den) / q if exact else 1.0 / q
-    return Amplitude(a.algebra, tuple(s * c * factor for s, c in zip(a.algebra.conj_signs, x)))
+    return Amplitude(a.algebra, tuple(c * factor for c in a.algebra.conj(x)))
 
 
 def gram_determinant(algebra: Algebra) -> Fraction:

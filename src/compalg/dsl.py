@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -62,7 +63,9 @@ class SemanticError(CompalgError):
         self.span = span
 
 
-_PUNCT = {"{", "}", "[", "]", ",", "="}
+#: One token per match: blanks or a comment (skipped), punctuation, a
+#: string, a name, or any other character (an error).
+_TOKEN = re.compile(r"""(\s+|\#.*)|([{}\[\],=])|"([^"]*)"|(\w[\w']*)|(.)""")
 
 
 @dataclass(frozen=True)
@@ -75,37 +78,18 @@ class Token:
 def _tokenize(text: str) -> List[Token]:
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch == "#":
-                break
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in _PUNCT:
-                tokens.append(Token(ch, ch, SourceSpan(lineno, i + 1, i + 2)))
-                i += 1
-                continue
-            if ch == '"':
-                j = line.find('"', i + 1)
-                if j < 0:
-                    raise ParseError("unterminated string",
-                                     SourceSpan(lineno, i + 1, len(line) + 1))
-                tokens.append(Token("string", line[i + 1:j],
-                                    SourceSpan(lineno, i + 1, j + 2)))
-                i = j + 1
-                continue
-            if ch.isalnum() or ch == "_":
-                j = i
-                while j < len(line) and (line[j].isalnum() or line[j] in "_'"):
-                    j += 1
-                tokens.append(Token("name", line[i:j],
-                                    SourceSpan(lineno, i + 1, j + 1)))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}",
-                             SourceSpan(lineno, i + 1, i + 2))
+        for m in _TOKEN.finditer(line):
+            punct, string, name, other = m.groups()[1:]
+            span = SourceSpan(lineno, m.start() + 1, m.end() + 1)
+            if punct or name:
+                tokens.append(Token(punct or "name", m.group(), span))
+            elif string is not None:
+                tokens.append(Token("string", string, span))
+            elif other == '"':
+                raise ParseError("unterminated string",
+                                 SourceSpan(lineno, span.col_start, len(line) + 1))
+            elif other is not None:
+                raise ParseError(f"unexpected character {other!r}", span)
     return tokens
 
 

@@ -8,13 +8,14 @@ underlying element is preserved, which is what makes repeated
 measurements repeatable.  The matrix for the reversed pair is the
 conjugate transpose of the forward one unless supplied explicitly.
 
-Every evaluator reads one representation: each ground pair lowered once,
-on first use, to rows x -> {y: coefficient tuple} by ``algebra.lower``
-(ints over one denominator in exact mode, decided by ``algebra.is_exact``
-over every coefficient; floats over 1 otherwise), looked up once per run
-boundary.  Every product goes through ``Algebra.kernel``, as ``mul`` does;
-a result is rebuilt by ``algebra.lift`` once, at the end, and floats are
-summed in a fixed order.
+An assignment stores coefficient tuples, and every evaluator reads one
+representation: each ground pair lowered once, on first use, to rows x ->
+{y: coefficient tuple} by ``algebra.lower`` (ints over one denominator in
+exact mode, decided by ``algebra.is_exact``; floats over 1 otherwise).
+The engine has no coefficient arithmetic of its own: ``Algebra.kernel``
+forms every product, ``Algebra.conj`` every conjugate and
+``algebra.summed`` every sum, in a fixed order; ``algebra.lift`` rebuilds
+a result once, at the end.
 
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
@@ -39,15 +40,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .algebra import (
     Algebra, AlgebraKind, Amplitude, is_exact, lift, lower, make_algebra,
-    quadratic_form_over, scalar_part, squared_norm,
+    quadratic_form_over, scalar_part, squared_norm, summed,
 )
 from .errors import (
     NonAssociativeAlgebra,
@@ -72,8 +72,7 @@ def _ground_key(g) -> frozenset:
     return g.element_set() if isinstance(g, (GroundSet, Measurement)) else frozenset(g)
 
 
-Rows = Dict[str, Dict[str, Amplitude]]
-#: A lowered matrix: rows x -> {y: coefficient tuple}.
+#: A matrix as rows x -> {y: coefficient tuple}.
 CoeffRows = Dict[str, Dict[str, tuple]]
 
 
@@ -87,8 +86,8 @@ class Assignment:
     two grounds and for nothing else.  Same-ground transitions are never
     stored: they are the identity by construction.
 
-    A matrix is held as rows x -> {y: amplitude}; the evaluators read the
-    pairs as coefficient tuples over one denominator, from ``lowered``.
+    A matrix is held as rows x -> {y: coefficient tuple}; the evaluators
+    read them over one denominator, from ``lowered``.
     """
 
     def __init__(self, algebra: Algebra, matrices) -> None:
@@ -96,7 +95,7 @@ class Assignment:
             raise NonAssociativeAlgebra(
                 f"assignments require an associative algebra, got {algebra.kind.label}")
         self.algebra = algebra
-        self._rows: Dict[Tuple[frozenset, frozenset], Rows] = {}
+        self._rows: Dict[Tuple[frozenset, frozenset], CoeffRows] = {}
         self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[CoeffRows, int]] = {}
         items = matrices.items() if isinstance(matrices, Mapping) else matrices
         for (g_from, g_to), entries in items:
@@ -108,7 +107,7 @@ class Assignment:
             if key in self._rows:
                 raise ValueError(
                     f"second matrix from ground {sorted(key[0])} to {sorted(key[1])}")
-            rows: Rows = {x: {} for x in sorted(key[0])}
+            rows: CoeffRows = {x: {} for x in sorted(key[0])}
             for (x, y), amp in entries.items():
                 if x not in rows or y not in key[1]:
                     raise ValueError(
@@ -116,7 +115,7 @@ class Assignment:
                         f"{sorted(key[0])} and {sorted(key[1])}")
                 if amp.algebra != algebra:
                     raise ValueError("matrix entry algebra mismatch")
-                rows[x][y] = amp
+                rows[x][y] = amp.coeffs
             for x, row in rows.items():
                 for y in sorted(key[1]):
                     if y not in row:
@@ -132,19 +131,20 @@ class Assignment:
         rows = self._rows.get((_ground_key(g_from), _ground_key(g_to)))
         if rows is None:
             return None
-        return {(x, y): amp for x, row in rows.items() for y, amp in row.items()}
+        return {(x, y): Amplitude(self.algebra, coeffs)
+                for x, row in rows.items() for y, coeffs in row.items()}
 
     @cached_property
     def is_exact(self) -> bool:
         """True when every coefficient is exact (``algebra.is_exact``)."""
         return is_exact(c for rows in self._rows.values() for row in rows.values()
-                        for amp in row.values() for c in amp.coeffs)
+                        for coeffs in row.values() for c in coeffs)
 
     def lowered(self, g_from, g_to) -> Tuple[CoeffRows, int]:
         """The matrix from one ground to another as rows x -> {y: d
         coefficients} over one denominator D: the stored matrix, else the
         conjugate transpose of the stored reverse, built from the stored
-        rows with the algebra's conjugation signs.
+        rows by ``Algebra.conj``.
 
         In exact mode the coefficients are ints and D is the lcm of the
         entry denominators; in float mode they are floats and D is 1.  Each
@@ -162,11 +162,11 @@ class Assignment:
                 f"assignment has no matrix between grounds {sorted(key[0])} "
                 f"and {sorted(key[1])}")
         pairs = [(x, y) for x, row in rows.items() for y in row]
-        coeffs, den = lower([rows[x][y].coeffs for x, y in pairs], self.is_exact)
+        coeffs, den = lower([rows[x][y] for x, y in pairs], self.is_exact)
         lowered = {x: {} for x in sorted(key[0])}
         for (x, y), c in zip(pairs, coeffs):
             if reversed_:
-                lowered[y][x] = tuple(map(operator.mul, self.algebra.conj_signs, c))
+                lowered[y][x] = self.algebra.conj(c)
             else:
                 lowered[x][y] = c
         hit = self._lowered[key] = (lowered, den)
@@ -228,12 +228,6 @@ def coeff_json(value):
 
 
 # -- evaluation ----------------------------------------------------------------
-
-def _summed(values, dim: int) -> tuple:
-    """The sum of coefficient tuples, added left to right from zero
-    (``reduce``: from Python 3.12 on ``sum`` compensates float rounding)."""
-    return tuple(reduce(operator.add, c) for c in zip((0,) * dim, *values))
-
 
 def _result(asg: Assignment, sums: Optional[tuple], denominator: int) -> Amplitude:
     """The Amplitude of the coefficient tuple sums over denominator: in exact
@@ -309,7 +303,7 @@ def _thread_sums(s, choices, asg: Assignment):
                 partial = {y: kernel(accs, [rows[x][y] for x in partial])
                            for y in sorted(alive)}
             partials[k] = partial
-        yield combo, None if partial is None else _summed(partial.values(), dim), denominator
+        yield combo, None if partial is None else summed(partial.values(), dim), denominator
 
 
 def _path_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
@@ -450,7 +444,7 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
         if (a, b) in stored and (b, a) in stored:
             (forward, d_forward), (backward, d_backward) = asg.lowered(a, b), asg.lowered(b, a)
             adjoint_ok = all([c * d_backward for c in forward[x][y]] == [
-                sign * c * d_forward for sign, c in zip(asg.algebra.conj_signs, backward[y][x])]
+                c * d_forward for c in asg.algebra.conj(backward[y][x])]
                 for x in a for y in b)
             entries.append(ValidationEntry(
                 "adjoint_consistency", loc, adjoint_ok,
@@ -488,9 +482,10 @@ def _pair_transfer(classes, matrices, algebra: Algebra) -> list:
     with S_k(x, x') defined only for x, x' in one class of run k.  ``E_k =
     matrices[k]`` maps a run-k element to a dict over the run-(k+1)
     elements of coefficient tuples over the (associative) algebra, read in
-    class order and multiplied by the algebra's kernel.
+    class order, multiplied by the algebra's kernel and conjugated by
+    ``Algebra.conj``.
     """
-    kernel, signs, unit = algebra.kernel, algebra.conj_signs, algebra.unit().coeffs
+    kernel, conj, unit = algebra.kernel, algebra.conj, algebra.unit().coeffs
     # columns[x'][x] = S(x, x'), x running over the class of x' in order
     columns = {x2: {x: unit for x in cls} for cls in classes[-1] for x2 in cls}
     for k in range(len(classes) - 2, -1, -1):
@@ -504,8 +499,8 @@ def _pair_transfer(classes, matrices, algebra: Algebra) -> list:
                     entries = [row[y] for y in later_cls]
                     left[x] += [kernel(entries, later[y2].values()) for y2 in later_cls]
             for x2 in cls:
-                conj = [tuple(map(operator.mul, signs, rows[x2][y])) for y in targets]
-                columns[x2] = {x: kernel(left[x], conj) for x in cls}
+                right = [conj(rows[x2][y]) for y in targets]
+                columns[x2] = {x: kernel(left[x], right) for x in cls}
     return [columns[x2][x] for cls in classes[0] for x in cls for x2 in cls]
 
 
@@ -555,7 +550,7 @@ def total_probability(s: MeasurementSequence, source: frozenset,
                                    source if lo == 0 else steps[lo].element_set())
                for lo, hi in segments]
     pairs = _pair_transfer(classes, matrices, asg.algebra)
-    total = _result(asg, _summed(pairs, asg.algebra.dim), math.prod(den * den for den in dens))
+    total = _result(asg, summed(pairs, asg.algebra.dim), math.prod(den * den for den in dens))
 
     def magnitude() -> float:  # over the rows the transfer reads: run 0 from the source
         norms = [{x: {y: _norm(a) for y, a in rows[x].items()} for cls in classes[k] for x in cls}

@@ -189,7 +189,8 @@ def entry(asg: Assignment, g_from, g_to, x: str, y: str) -> Amplitude:
 def amplitude_by_enumeration(p: Path, asg: Assignment) -> Amplitude:
     """Literal thread enumeration: one element per weak-equivalence run,
     product of matrix entries left to right (``oracle.mul_by_table``),
-    summed over all choices."""
+    summed over all choices coefficient by coefficient, without the
+    algebra's own sum."""
     from compalg.model import runs
 
     supports = []
@@ -200,14 +201,14 @@ def amplitude_by_enumeration(p: Path, asg: Assignment) -> Amplitude:
         supports.append((p.steps[lo].element_set(), sorted(alive)))
     if any(not alive for _, alive in supports):
         return asg.algebra.zero()
-    total = asg.algebra.zero()
+    total = asg.algebra.zero().coeffs
     for combo in itertools.product(*(alive for _, alive in supports)):
         term = asg.algebra.unit()
         for i in range(len(combo) - 1):
             term = mul_by_table(term, entry(asg, supports[i][0], supports[i + 1][0],
                                             combo[i], combo[i + 1]))
-        total = total + term
-    return total
+        total = tuple(t + c for t, c in zip(total, term.coeffs))
+    return asg.algebra.amplitude(total)
 
 
 # -- a broken product ---------------------------------------------------------------

@@ -22,6 +22,9 @@ at every target length and returns the first pair that aligns.
 removes the first of two equal adjacent steps, one at a time, rescanning
 from the start after each removal, until none is left or two steps remain.
 
+``tokenize_by_scanning`` is the reference for ``dsl._tokenize``: it scans
+each line character by character.
+
 ``sum_of_products`` is the reference for ``Algebra.kernel``: it
 interprets the product plan's (i, j, negate) triples in a loop.
 ``mul_by_table`` multiplies term by term through the structure table and
@@ -38,6 +41,7 @@ import itertools
 from compalg.algebra import (
     Amplitude, _require_same_algebra, is_exact, scalar_part, squared_norm,
 )
+from compalg.dsl import ParseError, SourceSpan, Token
 from compalg.errors import CoarsenMismatch, ImpossiblePathHasNoNormalForm
 from compalg.model import (
     Measurement,
@@ -459,3 +463,43 @@ def quadratic_form_by_table(a: Amplitude):
     must be scalar as ``algebra.scalar_part`` rules."""
     return scalar_part(mul_by_table(a, a.conj()), is_exact(a.coeffs),
                        lambda: squared_norm(a.coeffs), "a*conj(a)")
+
+
+def tokenize_by_scanning(text: str) -> list:
+    """The DSL tokens of text, one character at a time: blanks are skipped,
+    "#" ends the line, and punctuation, strings and names become tokens;
+    anything else raises ParseError with its span."""
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        i = 0
+        while i < len(line):
+            ch = line[i]
+            if ch == "#":
+                break
+            if ch.isspace():
+                i += 1
+                continue
+            if ch in "{}[],=":
+                tokens.append(Token(ch, ch, SourceSpan(lineno, i + 1, i + 2)))
+                i += 1
+                continue
+            if ch == '"':
+                j = line.find('"', i + 1)
+                if j < 0:
+                    raise ParseError("unterminated string",
+                                     SourceSpan(lineno, i + 1, len(line) + 1))
+                tokens.append(Token("string", line[i + 1:j],
+                                    SourceSpan(lineno, i + 1, j + 2)))
+                i = j + 1
+                continue
+            if ch.isalnum() or ch == "_":
+                j = i
+                while j < len(line) and (line[j].isalnum() or line[j] in "_'"):
+                    j += 1
+                tokens.append(Token("name", line[i:j],
+                                    SourceSpan(lineno, i + 1, j + 1)))
+                i = j
+                continue
+            raise ParseError(f"unexpected character {ch!r}",
+                             SourceSpan(lineno, i + 1, i + 2))
+    return tokens

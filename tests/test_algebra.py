@@ -19,6 +19,7 @@ from compalg.algebra import (
     mul,
     quadratic_form,
     scalar_part,
+    summed,
     trace_form,
     verify_axioms,
 )
@@ -194,6 +195,38 @@ def test_numpy_integer_is_float_mode():
               trace_form(a), *inverse(a).coeffs)
     assert values == (-7.0, 24.0, 25.0, 6.0, 6.0, 0.12, -0.16)
     assert all(type(v) is float for v in values)
+
+
+def test_operators_beyond_the_float_range():
+    """+ and scalar multiples follow the forms' rule: an int beyond the float
+    range beside a float is an infinity, never an OverflowError.  A scalar
+    multiple is a product, so the infinity times a zero term is NaN."""
+    big = C.amplitude([10 ** 400, 0])
+    results = (big + C.amplitude([0.5, 0]), big.scale(0.5), 0.5 * big)
+    assert [repr(r.coeffs) for r in results] == ["(inf, 0.0)", "(inf, nan)", "(inf, nan)"]
+    assert all(type(c) is float for r in results for c in r.coeffs)
+
+
+def test_exact_operators_are_the_rational_results():
+    """Exact + and scale give the rationals of raw arithmetic, as an int
+    where whole."""
+    a = H.amplitude([Fraction(1, 2), Fraction(2, 3), -3, Fraction(-5, 6)])
+    b = H.amplitude([Fraction(1, 2), Fraction(1, 3), Fraction(7, 4), Fraction(5, 6)])
+    factor = Fraction(2, 3)
+    for value, raw in ((a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)]),
+                       (a.scale(factor), [factor * x for x in a.coeffs]),
+                       (factor * b, [factor * x for x in b.coeffs])):
+        assert list(value.coeffs) == raw
+        assert [type(c) for c in value.coeffs] == [
+            int if c.denominator == 1 else Fraction for c in map(Fraction, raw)]
+
+
+def test_float_addition_is_summed_bitwise():
+    a = H.amplitude([0.1, -0.0, 1e308, 2.5e-300])
+    b = H.amplitude([0.2, -0.0, 1e308, -1.0])
+    expected = summed((a.coeffs, b.coeffs), H.dim)
+    assert [c.hex() for c in (a + b).coeffs] == [c.hex() for c in expected]
+    assert (a + b).coeffs[1:3] == (0.0, math.inf) and math.copysign(1, (a + b).coeffs[1]) == 1
 
 
 def test_gram_determinants():

@@ -2,14 +2,16 @@
 
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from compalg.dsl import ParseError, SemanticError, parse
+from compalg.dsl import ParseError, SemanticError, _tokenize, parse
 from compalg.model import is_possible
 
 from conftest import entry
+from oracle import tokenize_by_scanning
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -39,6 +41,36 @@ def test_empty_document():
 def test_comments_ignored():
     ws = parse("# nothing here\n  # nor here\n")
     assert not ws.grounds
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.span
+
+
+# Characters where a regular expression and str methods might disagree:
+# Unicode letters and digits, separators that split lines or count as
+# blanks, NUL, and every character with a role in the grammar.
+_ALPHABET = ('ab_\'09"#{}[],= \t\r\n\x0b\x0c\x1c\x1d\x85\u2028\u3000\x00'
+             'é中ß٣²Ⅻ\u0301-.;/@')
+
+
+def test_tokenizer_matches_the_scanning_reference():
+    """The one-pattern tokenizer gives the tokens, spans and messages of the
+    character scan, on seeded edits of windows of fig.dsl and on random
+    strings."""
+    rng = random.Random(0)
+    text = fig_text()
+    for _ in range(2000):
+        cut = rng.randrange(len(text))
+        edit = "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 3)))
+        mutated = text[max(cut - 60, 0):cut] + edit + text[cut + rng.randint(0, 2):cut + 60]
+        noise = "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 30)))
+        for doc in (mutated, noise):
+            assert _tokens_or_error(_tokenize, doc) == \
+                _tokens_or_error(tokenize_by_scanning, doc), repr(doc)
 
 
 def test_parse_error_has_span():
