@@ -38,7 +38,6 @@ from .engine import (
     check_certain_insertion,
     check_markov,
     probability_of,
-    random_row_normalized,
     sample,
     total_probability,
     validate_assignment,

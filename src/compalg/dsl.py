@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraKind, make_algebra
-from .engine import Assignment, assignment_from_rows
+from .engine import Assignment
 from .errors import CompalgError
 from .model import (
     GroundSet,
@@ -335,7 +335,6 @@ def load_assignment_json(doc, measurements: Dict[str, Measurement],
     if label is not None and AlgebraKind.from_label(label) is not kind:
         raise ValueError(
             f"matrix file algebra {label!r} does not match declared {kind.label!r}")
-    algebra = make_algebra(kind)
     blocks = []
     for n, step in enumerate(_expect(doc.get("steps", []), list, '"steps"')):
         where = f"step {n}"
@@ -347,11 +346,10 @@ def load_assignment_json(doc, measurements: Dict[str, Measurement],
                 f"unknown measurement in step {step['from']!r} -> {step['to']!r}")
         rows = _expect(step.get("matrix"), list, f'{where} "matrix"')
         blocks.append((m_from.ground, m_to.ground, [
-            [algebra.amplitude(_coefficient(v)
-                               for v in _expect(entry, list, f"{where} matrix entry"))
+            [[_coefficient(v) for v in _expect(entry, list, f"{where} matrix entry")]
              for entry in _expect(row, list, f"{where} matrix row")]
             for row in rows]))
-    return assignment_from_rows(algebra, blocks)
+    return Assignment(make_algebra(kind), blocks)
 
 
 def parse(document: str, base_dir: Optional[str] = None) -> Workspace:

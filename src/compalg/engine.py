@@ -8,7 +8,8 @@ underlying element is preserved, which is what makes repeated
 measurements repeatable.  The matrix for the reversed pair is the
 conjugate transpose of the forward one unless supplied explicitly.
 
-An assignment stores coefficient tuples, and every evaluator reads one
+An assignment, built from (ground_from, ground_to, rows) triples and
+checked there only, stores coefficient tuples, and every evaluator reads one
 representation: each ground pair lowered once, on first use, to rows x ->
 {y: coefficient tuple} by ``algebra.lower`` (ints over one denominator in
 exact mode, decided by ``algebra.is_exact``; floats over 1 otherwise).
@@ -79,27 +80,27 @@ CoeffRows = Dict[str, Dict[str, tuple]]
 class Assignment:
     """Per-ground-pair transition amplitude matrices.
 
-    ``matrices`` maps an ordered pair of grounds to a dict from (source
-    element, target element) to an Amplitude; it may also be an iterable
-    of such (pair, dict) items.  Each ordered pair of ground element-sets
-    takes at most one matrix, with an entry for every element pair of the
-    two grounds and for nothing else.  Same-ground transitions are never
-    stored: they are the identity by construction.
+    ``blocks`` holds (ground_from, ground_to, rows) triples of two GroundSets
+    and a matrix: ``rows[i][j]``, an Amplitude of this algebra or a sequence
+    of its coefficients, is the amplitude from the i-th element of
+    ground_from to the j-th of ground_to, in declared element order.  Each
+    ordered pair of ground element sets takes at most one matrix, shaped to
+    its grounds, else ValueError.  Same-ground transitions are never stored:
+    they are the identity by construction.
 
     A matrix is held as rows x -> {y: coefficient tuple}; the evaluators
     read them over one denominator, from ``lowered``.
     """
 
-    def __init__(self, algebra: Algebra, matrices) -> None:
+    def __init__(self, algebra: Algebra, blocks: Iterable) -> None:
         if not algebra.kind.is_associative:
             raise NonAssociativeAlgebra(
                 f"assignments require an associative algebra, got {algebra.kind.label}")
         self.algebra = algebra
         self._rows: Dict[Tuple[frozenset, frozenset], CoeffRows] = {}
         self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[CoeffRows, int]] = {}
-        items = matrices.items() if isinstance(matrices, Mapping) else matrices
-        for (g_from, g_to), entries in items:
-            key = (_ground_key(g_from), _ground_key(g_to))
+        for g_from, g_to, rows in blocks:
+            key = (g_from.element_set(), g_to.element_set())
             if key[0] == key[1]:
                 raise ValueError(
                     "transitions within one ground set are the forced identity "
@@ -107,20 +108,19 @@ class Assignment:
             if key in self._rows:
                 raise ValueError(
                     f"second matrix from ground {sorted(key[0])} to {sorted(key[1])}")
-            rows: CoeffRows = {x: {} for x in sorted(key[0])}
-            for (x, y), amp in entries.items():
-                if x not in rows or y not in key[1]:
-                    raise ValueError(
-                        f"entry for transition {x!r} -> {y!r} lies outside the grounds "
-                        f"{sorted(key[0])} and {sorted(key[1])}")
-                if amp.algebra != algebra:
-                    raise ValueError("matrix entry algebra mismatch")
-                rows[x][y] = amp.coeffs
-            for x, row in rows.items():
-                for y in sorted(key[1]):
-                    if y not in row:
-                        raise ValueError(f"missing entry for transition {x!r} -> {y!r}")
-            self._rows[key] = rows
+            if len(rows) != len(g_from.elements):
+                raise ValueError("matrix row count does not match source ground")
+            if any(len(row) != len(g_to.elements) for row in rows):
+                raise ValueError("matrix column count does not match target ground")
+            self._rows[key] = {x: {y: self._coeffs(entry) for y, entry in zip(g_to.elements, row)}
+                               for x, row in zip(g_from.elements, rows)}
+
+    def _coeffs(self, entry) -> tuple:
+        """The coefficient tuple of one matrix entry, checked against the algebra."""
+        amp = entry if isinstance(entry, Amplitude) else self.algebra.amplitude(entry)
+        if amp.algebra != self.algebra:
+            raise ValueError("matrix entry algebra mismatch")
+        return amp.coeffs
 
     def pairs(self):
         """The ordered ground pairs with a stored matrix."""
@@ -181,29 +181,8 @@ class Assignment:
         return f"Assignment({self.algebra.kind.label}, {len(self._rows)} matrices)"
 
 
-def assignment_from_rows(algebra: Algebra, blocks: Iterable) -> Assignment:
-    """Build an assignment from (ground_from, ground_to, rows) triples.
-
-    ``rows[i][j]`` is the amplitude from the i-th element of ground_from
-    to the j-th element of ground_to, both in declared element order.
-    Entries may be Amplitudes or plain coefficient sequences.  A matrix
-    whose shape does not match the two grounds raises ValueError.
-    """
-    matrices = []
-    for g_from, g_to, rows in blocks:
-        if len(rows) != len(g_from.elements):
-            raise ValueError("matrix row count does not match source ground")
-        if any(len(row) != len(g_to.elements) for row in rows):
-            raise ValueError("matrix column count does not match target ground")
-        table = {}
-        for i, x in enumerate(g_from.elements):
-            for j, y in enumerate(g_to.elements):
-                entry = rows[i][j]
-                if not isinstance(entry, Amplitude):
-                    entry = algebra.amplitude(entry)
-                table[(x, y)] = entry
-        matrices.append(((g_from, g_to), table))
-    return Assignment(algebra, matrices)
+# Kept for the benchmark, whose files stay fixed: ``bench/inputs.py`` imports this name.
+assignment_from_rows = Assignment
 
 
 @dataclass(frozen=True)
@@ -414,7 +393,9 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     conjugate transposes, and each row x must be normalized: the sum rule
     of the two atomic measurements of the pair from {x} is one.  So is the
     sum rule of the sequence from every source element.  A sum rule fails
-    on a missing matrix or a non-scalar sum, with the error as detail.
+    on a missing matrix or a non-scalar sum, with the error as detail.  In
+    float mode a row fails on an entry lowered to an infinity, named as
+    detail, before its sum rule (an infinity times a zero gives NaN).
     """
     entries = [ValidationEntry("associative_algebra", asg.algebra.kind.label,
                                asg.algebra.kind.is_associative)]
@@ -451,8 +432,16 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
                 "" if adjoint_ok else "reverse matrix is not the conjugate transpose"))
 
         pair = model.sequence([model.atomic_measurement(m.ground) for m in (m_from, m_to)])
+        lowered, _ = asg.lowered(a, b)
         for x in sorted(a):
-            sum_rule("row_normalization", f"{loc} source {x}", pair, x, "sum of Q over targets")
+            where = f"{loc} source {x}"
+            overflowed = [] if asg.is_exact else [
+                y for y in sorted(b) if not all(map(math.isfinite, lowered[x][y]))]
+            if overflowed:
+                entries.append(ValidationEntry("row_normalization", where, False,
+                                               f"entry {x} -> {overflowed[0]} is not finite"))
+            else:
+                sum_rule("row_normalization", where, pair, x, "sum of Q over targets")
 
     for x in sorted(s.steps[0].element_set()):
         sum_rule("sum_rule", f"source {x}", s, x, "total probability over paths")
@@ -620,29 +609,3 @@ def sample(s: MeasurementSequence, source: frozenset, asg: Assignment,
            n: int, seed: int) -> Dict[Path, int]:
     """The counts of ``sample_rows``, keyed by path."""
     return {p: c for p, c, _ in sample_rows(s, source, asg, n, seed)}
-
-
-def random_row_normalized(kind: AlgebraKind, shape: Tuple[int, int],
-                          seed: int) -> tuple:
-    """Rows of float amplitudes drawn uniformly from the unit sphere of Q.
-
-    Only positive-definite kinds (R, C, H) have a compact unit sphere to
-    draw from.  Each row's quadratic forms sum to one up to float error.
-    """
-    if not kind.is_positive_definite:
-        raise ValueError(f"{kind.label} is not positive definite")
-    import numpy as np
-
-    algebra = make_algebra(kind)
-    rows, cols = shape
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(rows):
-        vec = rng.standard_normal(cols * algebra.dim)
-        vec = vec / np.linalg.norm(vec)
-        row = []
-        for c in range(cols):
-            row.append(algebra.amplitude(
-                float(v) for v in vec[c * algebra.dim:(c + 1) * algebra.dim]))
-        out.append(tuple(row))
-    return tuple(out)

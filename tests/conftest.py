@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import compalg
-from compalg.algebra import Algebra, Amplitude
+from compalg.algebra import Algebra, AlgebraKind, Amplitude, make_algebra
 from compalg.engine import Assignment
 from compalg.errors import SequenceMismatch
 from compalg.model import (
@@ -141,26 +141,50 @@ def assignment_for(grounds, algebra: Algebra, rng: random.Random,
                    normalized: bool = True) -> Assignment:
     """One matrix per unordered pair of distinct grounds, forward direction
     stored, reverse derived as the conjugate transpose."""
-    matrices = {}
-    for g_from, g_to in itertools.combinations(grounds, 2):
-        rows = len(g_from.elements)
-        cols = len(g_to.elements)
-        maker = exact_unit_rows if normalized else random_exact_rows
-        entries = maker(algebra, rows, cols, rng)
-        table = {}
-        for i, x in enumerate(g_from.elements):
-            for j, y in enumerate(g_to.elements):
-                table[(x, y)] = entries[i][j]
-        matrices[(g_from, g_to)] = table
-    return Assignment(algebra, matrices)
+    maker = exact_unit_rows if normalized else random_exact_rows
+    return Assignment(algebra, [
+        (g_from, g_to, maker(algebra, len(g_from.elements), len(g_to.elements), rng))
+        for g_from, g_to in itertools.combinations(grounds, 2)])
+
+
+def mapped(asg: Assignment, entry_map) -> Assignment:
+    """asg with each stored entry E(x, y) from ground a to ground b (element
+    sets) replaced by entry_map(a, x, E, b, y), an Amplitude or coefficients."""
+    blocks = []
+    for a, b in asg.pairs():
+        stored = asg.stored(a, b)
+        g_from, g_to = (GroundSet("", tuple(sorted(g))) for g in (a, b))
+        blocks.append((g_from, g_to, [
+            [entry_map(a, x, stored[x, y], b, y) for y in g_to.elements]
+            for x in g_from.elements]))
+    return Assignment(asg.algebra, blocks)
 
 
 def converted(asg: Assignment, convert) -> Assignment:
     """asg with every stored coefficient c replaced by convert(c)."""
-    return Assignment(asg.algebra, [
-        (pair, {xy: asg.algebra.amplitude(map(convert, amp.coeffs))
-                for xy, amp in asg.stored(*pair).items()})
-        for pair in asg.pairs()])
+    return mapped(asg, lambda a, x, e, b, y: tuple(map(convert, e.coeffs)))
+
+
+def random_row_normalized(kind: AlgebraKind, shape, seed: int) -> tuple:
+    """Rows of float amplitudes drawn uniformly from the unit sphere of Q.
+
+    Only positive-definite kinds (R, C, H) have a compact unit sphere to
+    draw from.  Each row's quadratic forms sum to one up to float error.
+    """
+    if not kind.is_positive_definite:
+        raise ValueError(f"{kind.label} is not positive definite")
+    import numpy as np
+
+    algebra = make_algebra(kind)
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(rows):
+        vec = rng.standard_normal(cols * algebra.dim)
+        vec = vec / np.linalg.norm(vec)
+        out.append(tuple(algebra.amplitude(
+            float(v) for v in vec[c * algebra.dim:(c + 1) * algebra.dim]) for c in range(cols)))
+    return tuple(out)
 
 
 # -- independent amplitude oracle ---------------------------------------------------

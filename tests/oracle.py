@@ -27,6 +27,9 @@ each line character by character.
 
 ``sum_of_products`` is the reference for ``Algebra.kernel``: it
 interprets the product plan's (i, j, negate) triples in a loop.
+``cayley_dickson_product`` is the reference for the structure table that
+the plan is read from: the doubling formula applied recursively, from the
+doubling signs ``GAMMAS`` alone.
 ``mul_by_table`` multiplies term by term through the structure table and
 ``quadratic_form_by_table`` takes Q on it: the references for
 ``algebra.mul`` and ``algebra.quadratic_form``, which run on the kernel,
@@ -438,6 +441,28 @@ def sum_of_products(plan: tuple, lefts, rights) -> tuple:
             out[k] += c
             k += 1
     return tuple(out)
+
+
+#: Doubling signs per algebra label, innermost first (gamma = -1 is split).
+GAMMAS = {"R": (), "C": (1,), "C'": (-1,), "H": (1, 1), "H'": (1, -1),
+          "O": (1, 1, 1), "O'": (1, 1, -1)}
+
+
+def _conj(a: tuple) -> tuple:
+    return (a[0],) + tuple(-c for c in a[1:])
+
+
+def cayley_dickson_product(a: tuple, b: tuple, gammas: tuple) -> tuple:
+    """(p, q)(r, s) = (pr - gamma conj(s) q, sp + q conj(r)) on coefficient
+    tuples split into halves, recursively down to R."""
+    if not gammas:
+        return (a[0] * b[0],)
+    h = len(a) // 2
+    inner, gamma = gammas[:-1], gammas[-1]
+    p, q, r, s = a[:h], a[h:], b[:h], b[h:]
+    top = zip(cayley_dickson_product(p, r, inner), cayley_dickson_product(_conj(s), q, inner))
+    bottom = zip(cayley_dickson_product(s, p, inner), cayley_dickson_product(q, _conj(r), inner))
+    return tuple(x - gamma * y for x, y in top) + tuple(x + y for x, y in bottom)
 
 
 def mul_by_table(a: Amplitude, b: Amplitude) -> Amplitude:

@@ -21,10 +21,8 @@ from compalg.algebra import (
 from compalg.engine import (
     Assignment,
     amplitude_of,
-    assignment_from_rows,
     check_markov,
     probability_of,
-    random_row_normalized,
 )
 from compalg.model import (
     GroundSet,
@@ -51,6 +49,7 @@ from conftest import (
     amplitude_by_enumeration,
     assignment_for,
     entry,
+    random_row_normalized,
     universe_paths,
 )
 from oracle import (
@@ -101,7 +100,7 @@ def test_criterion_1_algebra_axiom_suite():
 
 
 def test_criterion_2_worked_example_probabilities():
-    asg = Assignment(C, {})
+    asg = Assignment(C, [])
     steps = [AM, BM, GM, AM]
     a = path(steps, [["m1"], ["m", "m1"], ["m1", "m2"], ["m1"]])
     b = path(steps, [["m1"], ["m2"], ["m1", "m2"], ["m1"]])
@@ -133,11 +132,7 @@ def test_criterion_4_symmetric_bundle_normalization():
         algebra = make_algebra(kind)
         for seed in range(20):
             rows = random_row_normalized(kind, (2, 3), seed=seed)
-            table = {}
-            for i, x in enumerate(n_ground.elements):
-                for j, y in enumerate(m_ground.elements):
-                    table[(x, y)] = rows[i][j]
-            asg = Assignment(algebra, {(n_ground, m_ground): table})
+            asg = Assignment(algebra, [(n_ground, m_ground, rows)])
             for x in n_ground.elements:
                 total = sum(
                     quadratic_form_by_table(entry(asg, n_ground, m_ground, x, y))
@@ -368,7 +363,7 @@ def test_criterion_8_monte_carlo():
     g2 = GroundSet("MC2", ("u", "v"))
     r = 1.0 / math.sqrt(2.0)
     rows = [[C.amplitude([r, 0.0]), C.amplitude([0.0, r])]]
-    asg = assignment_from_rows(C, [(s1, g2, rows)])
+    asg = Assignment(C, [(s1, g2, rows)])
     seq = sequence([atomic_measurement(s1), atomic_measurement(g2)])
     n = 100_000
     bound = 474

@@ -28,7 +28,7 @@ from compalg.errors import (
 )
 
 from conftest import skewed_kernel
-from oracle import mul_by_table
+from oracle import GAMMAS, cayley_dickson_product, mul_by_table
 
 ALL_KINDS = list(AlgebraKind)
 ASSOCIATIVE_KINDS = [k for k in ALL_KINDS if k.is_associative]
@@ -72,6 +72,17 @@ def test_quaternion_products():
     e1, e2, e3 = (H.basis_element(i) for i in (1, 2, 3))
     assert mul(e1, e2) == e3
     assert mul(e2, e1) == -e3
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
+def test_kernel_is_the_cayley_dickson_product_on_every_basis_pair(kind):
+    """The generated kernel against the doubling recursion, which shares no
+    code with ``_build_table``, ``_double`` or ``product_plan``."""
+    alg = make_algebra(kind)
+    basis = [alg.basis_element(i).coeffs for i in range(alg.dim)]
+    for a in basis:
+        for b in basis:
+            assert alg.kernel([a], [b]) == cayley_dickson_product(a, b, GAMMAS[kind.label])
 
 
 def test_structure_constants_are_signs():

@@ -4,17 +4,14 @@ pair built from the stored rows), and the run-by-run walker that
 evaluates paths over them."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from compalg.algebra import AlgebraKind, make_algebra
-from compalg.engine import Assignment, amplitude_of, assignment_from_rows
+from compalg.engine import Assignment, amplitude_of
 from compalg.errors import SequenceMismatch
 from compalg.model import (
     GroundSet,
@@ -55,7 +52,7 @@ def test_reverse_is_the_conjugate_transpose_of_the_stored_matrix(kind):
 
 
 def test_transpose_is_built_once_and_kept():
-    asg = assignment_from_rows(C, [(X, Y, unit_rows(X, Y))])
+    asg = Assignment(C, [(X, Y, unit_rows(X, Y))])
     assert asg.lowered(Y, X) is asg.lowered(Y, X)
     assert asg.lowered(X, Y) is asg.lowered(X, Y)
 
@@ -64,14 +61,14 @@ def test_pair_stored_both_ways_returns_the_stored_reverse():
     # the reverse is deliberately not the conjugate transpose of the forward
     forward = [[C.amplitude([0, 1])], [C.amplitude([2, 0])]]
     backward = [[C.amplitude([5, 7]), C.amplitude([-3, 1])]]
-    asg = assignment_from_rows(C, [(X, Y, forward), (Y, X, backward)])
+    asg = Assignment(C, [(X, Y, forward), (Y, X, backward)])
     assert asg.lowered(Y, X) == ({"y": {"x1": (5, 7), "x2": (-3, 1)}}, 1)
     assert entry(asg, Y, X, "y", "x2") == C.amplitude([-3, 1])
     assert entry(asg, X, Y, "x1", "y") == C.amplitude([0, 1])
 
 
 def test_missing_pair_raises_sequence_mismatch():
-    asg = assignment_from_rows(C, [(X, Y, unit_rows(X, Y))])
+    asg = Assignment(C, [(X, Y, unit_rows(X, Y))])
     with pytest.raises(SequenceMismatch, match="no matrix"):
         asg.lowered(X, MIX_GROUNDS[2])
     with pytest.raises(SequenceMismatch, match="no matrix"):
@@ -80,7 +77,7 @@ def test_missing_pair_raises_sequence_mismatch():
 
 def test_missing_pair_raises_also_for_an_impossible_path():
     ax, ay, az = (atomic_measurement(g) for g in (X, Y, MIX_GROUNDS[2]))
-    asg = assignment_from_rows(C, [(X, Y, unit_rows(X, Y))])
+    asg = Assignment(C, [(X, Y, unit_rows(X, Y))])
     # run 1 over X dies out ({x1} then {x2}); the Y -> Z matrix is still missing
     dead = path([ay, ax, ax, az], [["y"], ["x1"], ["x2"], ["x"]])
     with pytest.raises(SequenceMismatch, match="no matrix"):
@@ -92,20 +89,12 @@ def test_second_matrix_for_one_ordered_ground_pair_rejected():
     # two ground sets over the same elements are one ground pair
     y_again = GroundSet("Y2", ("y",))
     with pytest.raises(ValueError, match="second matrix"):
-        assignment_from_rows(C, [(X, Y, unit_rows(X, Y)), (X, y_again, unit_rows(X, Y))])
+        Assignment(C, [(X, Y, unit_rows(X, Y)), (X, y_again, unit_rows(X, Y))])
     with pytest.raises(ValueError, match="second matrix"):
-        assignment_from_rows(C, [(X, Y, unit_rows(X, Y)), (X, Y, unit_rows(X, Y))])
+        Assignment(C, [(X, Y, unit_rows(X, Y)), (X, Y, unit_rows(X, Y))])
     # the two directions of one pair are two ordered pairs
-    assert len(assignment_from_rows(
+    assert len(Assignment(
         C, [(X, Y, unit_rows(X, Y)), (Y, X, unit_rows(Y, X))]).pairs()) == 2
-
-
-def test_entry_outside_the_grounds_rejected():
-    table = {("x1", "y"): C.unit(), ("x2", "y"): C.unit()}
-    Assignment(C, {(X, Y): table})
-    for extra in (("x3", "y"), ("x1", "z")):
-        with pytest.raises(ValueError, match="outside the grounds"):
-            Assignment(C, {(X, Y): {**table, extra: C.unit()}})
 
 
 def test_long_alternating_path_matches_enumeration():
@@ -115,7 +104,7 @@ def test_long_alternating_path_matches_enumeration():
     g2, g3 = MIX_GROUNDS[1], MIX_GROUNDS[2]
     rows = [[C.amplitude([rng.choice([-1, 1]), rng.choice([-1, 1])]) for _ in g3.elements]
             for _ in g2.elements]
-    asg = assignment_from_rows(C, [(g2, g3, rows)])
+    asg = Assignment(C, [(g2, g3, rows)])
     steps, results = [], []
     for j in range(4096):
         g = g2 if j % 2 == 0 else g3
@@ -130,25 +119,3 @@ def test_long_alternating_path_matches_enumeration():
     assert amplitude == amplitude_by_enumeration(p, asg)
     assert elapsed < 2.0
 
-
-MISSING_ENTRIES = """
-from compalg.algebra import AlgebraKind, make_algebra
-from compalg.engine import Assignment
-from compalg.model import GroundSet
-C = make_algebra(AlgebraKind.C)
-try:
-    Assignment(C, {(GroundSet("X", ("x",)), GroundSet("Y", ("y1", "y2", "y3", "y4"))):
-                   {("x", "y1"): C.unit()}})
-except ValueError as exc:
-    print(exc)
-"""
-
-
-def test_missing_entry_message_is_the_same_under_every_hash_seed():
-    """With several targets missing, the first in sorted order is named,
-    whatever order the target ground's element set iterates in."""
-    for seed in range(6):
-        proc = subprocess.run([sys.executable, "-c", MISSING_ENTRIES], capture_output=True,
-                              text=True, check=True,
-                              env={**os.environ, "PYTHONHASHSEED": str(seed)})
-        assert proc.stdout == "missing entry for transition 'x' -> 'y2'\n"

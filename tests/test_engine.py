@@ -14,11 +14,9 @@ from compalg.engine import (
     Assignment,
     _close,
     amplitude_of,
-    assignment_from_rows,
     check_certain_insertion,
     check_markov,
     probability_of,
-    random_row_normalized,
     sample,
     total_probability,
     validate_assignment,
@@ -46,6 +44,7 @@ from conftest import (
     assignment_for,
     converted,
     entry,
+    random_row_normalized,
 )
 from oracle import mul_by_table, quadratic_form_by_table
 
@@ -59,8 +58,7 @@ AS = atomic_measurement(S1, "aS")
 
 
 def c_assignment(rows, g_from=N, g_to=G3):
-    wrapped = [[C.amplitude(entry) for entry in row] for row in rows]
-    return assignment_from_rows(C, [(g_from, g_to, wrapped)])
+    return Assignment(C, [(g_from, g_to, rows)])
 
 
 @pytest.fixture
@@ -71,22 +69,22 @@ def unit_row_assignment():
 
 def test_octonions_rejected():
     with pytest.raises(NonAssociativeAlgebra):
-        Assignment(make_algebra(AlgebraKind.O), {})
+        Assignment(make_algebra(AlgebraKind.O), [])
 
 
 def test_same_ground_matrix_rejected():
-    with pytest.raises(ValueError):
-        Assignment(C, {(G3, G3): {}})
+    with pytest.raises(ValueError, match="forced identity"):
+        Assignment(C, [(G3, G3, [[C.unit()] * 3] * 3)])
 
 
 def test_identity_forced_between_weakly_equivalent_steps():
-    asg = Assignment(C, {})
+    asg = Assignment(C, [])
     assert entry(asg, AM, BM, "m", "m") == C.unit()
     assert entry(asg, AM, BM, "m", "m1") == C.zero()
 
 
 def test_missing_matrix_detected():
-    asg = Assignment(C, {})
+    asg = Assignment(C, [])
     p = path([AN, AM], [["n1"], ["m"]])
     with pytest.raises(SequenceMismatch):
         amplitude_of(p, asg)
@@ -123,7 +121,7 @@ def test_fully_coarse_bundle_has_unit_amplitude(unit_row_assignment):
 
 
 def test_worked_example_probabilities_are_exact():
-    asg = Assignment(C, {})
+    asg = Assignment(C, [])
     steps = [AM, BM, GM, AM]
     a = path(steps, [["m1"], ["m", "m1"], ["m1", "m2"], ["m1"]])
     b = path(steps, [["m1"], ["m2"], ["m1", "m2"], ["m1"]])
@@ -197,7 +195,7 @@ def test_validation_passes_for_unit_rows(unit_row_assignment):
 
 
 def test_validation_identity_pairs_pass():
-    report = validate_assignment(sequence([AM, BM, AM]), Assignment(C, {}))
+    report = validate_assignment(sequence([AM, BM, AM]), Assignment(C, []))
     assert report.ok
     assert any(e.check == "repeatability_identity" for e in report.entries)
 
@@ -233,25 +231,38 @@ def test_validation_sum_rule_sensitive_to_coarse_blocks():
     assert all(e.passed for e in rows_entries)
 
 
-@pytest.mark.parametrize("rows, message", [
-    ([[[1, 0]] * 3] * 3, "matrix row count does not match source ground"),
-    ([[[1, 0]] * 4] * 2, "matrix column count does not match target ground"),
-    ([[[1, 0]] * 3, [[1, 0]] * 2], "matrix column count does not match target ground"),
-], ids=["extra row", "extra column", "short row"])
-def test_assignment_from_rows_rejects_misshaped_matrix(rows, message):
-    with pytest.raises(ValueError) as exc:
-        c_assignment(rows)
+@pytest.mark.parametrize("kind, g_from, rows, error, message", [
+    ("C", N, [[[1, 0]] * 3] * 3, ValueError, "matrix row count does not match source ground"),
+    ("C", N, [[[1, 0]] * 4] * 2, ValueError,
+     "matrix column count does not match target ground"),
+    ("C", N, [[[1, 0]] * 3, [[1, 0]] * 2], ValueError,
+     "matrix column count does not match target ground"),
+    ("C", N, [[[1, 0]] * 3, [[1, 0], H.unit(), [1, 0]]], ValueError,
+     "matrix entry algebra mismatch"),
+    ("C", N, [[[1, 0]] * 3, [[1, 0], [1, 0, 0], [1, 0]]], ValueError,
+     "expected 2 coefficients, got 3"),
+    ("C", G3, [[[1, 0]] * 4] * 2, ValueError,
+     "transitions within one ground set are the forced identity and cannot be assigned"),
+    ("O", N, [[[1, 0]] * 4] * 2, NonAssociativeAlgebra,
+     "assignments require an associative algebra, got O"),
+], ids=["extra row", "extra column", "short row", "other algebra", "long entry",
+        "same ground", "octonions"])
+def test_assignment_from_rows_rejects_misshaped_matrix(kind, g_from, rows, error, message):
+    """Each check names the first fault in the order algebra, ground pair,
+    row count, column count, entries, so a matrix that also has the wrong
+    shape still reports the same ground or the octonions."""
+    with pytest.raises(error) as exc:
+        Assignment(make_algebra(AlgebraKind.from_label(kind)), [(g_from, G3, rows)])
     assert str(exc.value) == message
 
 
 def adjoint_report(perturb):
     """validate_assignment over [aN, aM] with both directions of the pair
     stored, the reverse the conjugate transpose plus perturb at (m, n1)."""
-    forward = {(x, y): C.amplitude([Fraction(1, 2), 0]) for x in N.elements
-               for y in G3.elements}
-    backward = {(y, x): amp.conj() for (x, y), amp in forward.items()}
-    backward[("m", "n1")] = backward[("m", "n1")] + C.amplitude(perturb)
-    asg = Assignment(C, {(N, G3): forward, (G3, N): backward})
+    forward = [[C.amplitude([Fraction(1, 2), 0])] * 3] * 2
+    backward = [[amp.conj() for amp in column] for column in zip(*forward)]
+    backward[0][0] = backward[0][0] + C.amplitude(perturb)  # (m, n1)
+    asg = Assignment(C, [(N, G3, forward), (G3, N, backward)])
     (check,) = [e for e in validate_assignment(sequence([AN, AM]), asg).entries
                 if e.check == "adjoint_consistency"]
     return check
@@ -288,15 +299,31 @@ def test_validation_overflowing_row_fails():
 
 def test_validation_int_beyond_the_float_range_fails_in_float_mode():
     """An int entry beyond the float range lowers to an infinity in a float
-    assignment; times the unit's zero coefficient it gives nan, and the row
-    is reported as failed rather than raising OverflowError."""
+    assignment; the row is reported as failed with that entry named, not
+    with the NaN that the infinity times a zero coefficient gives, nor by
+    raising OverflowError."""
     asg = c_assignment([[[10 ** 400, 0], [0.0, 0.0], [0.0, 0.0]],
                         [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
     report = validate_assignment(sequence([AN, AM]), asg)
     rows = [e for e in report.entries if e.check == "row_normalization"]
     assert [(e.location, e.passed) for e in rows] \
         == [("steps 0->1 source n1", False), ("steps 0->1 source n2", True)]
-    assert rows[0].detail == "sum of Q over targets is nan"
+    assert rows[0].detail == "entry n1 -> m is not finite"
+
+
+def test_validation_names_the_non_finite_entry_of_the_derived_reverse():
+    """Across the conjugate transpose of a one-way pair the entry is named
+    in the direction the row reads it; the exact twin of the assignment
+    reports its sum, as before."""
+    exact = c_assignment([[[0, 0], [1, 0], [0, -10 ** 400]], [[0, 1], [0, 0], [0, 0]]])
+    floats = converted(exact, lambda c: c if abs(c) > 10 ** 300 else float(c))
+    for asg, detail in ((floats, "entry m2 -> n1 is not finite"),
+                        (exact, f"sum of Q over targets is 1{'0' * 800}")):
+        rows = [e for e in validate_assignment(sequence([AM, AN]), asg).entries
+                if e.check == "row_normalization"]
+        assert [(e.location, e.passed, e.detail) for e in rows] \
+            == [("steps 0->1 source m", True, ""), ("steps 0->1 source m1", True, ""),
+                ("steps 0->1 source m2", False, detail)]
 
 
 def test_validation_reports_a_total_beyond_the_digit_limit():
@@ -304,7 +331,7 @@ def test_validation_reports_a_total_beyond_the_digit_limit():
     Python's 4,300-digit limit) is described by its size, not raised;
     the 1,601-digit row totals still print in full."""
     a, b = GroundSet("A", ("a",)), GroundSet("B", ("b",))
-    asg = assignment_from_rows(C, [(a, b, [[[10 ** 800, 0]]])])
+    asg = Assignment(C, [(a, b, [[[10 ** 800, 0]]])])
     steps = [atomic_measurement(g) for g in (a, b, a, b)]
     report = validate_assignment(sequence(steps), asg)
     (total,) = [e for e in report.entries if e.check == "sum_rule"]
@@ -359,13 +386,8 @@ def test_certain_insertion_preserves_probability():
                   [[0, 1], [0, 0], [0, 0]]]
     W = GroundSet("W", ("w",))
     AW = fully_coarse_measurement(W, "aW")
-    stage = {
-        (N, W): {("n1", "w"): C.amplitude([0, 1]),
-                 ("n2", "w"): C.amplitude([0, 1])},
-        (W, G3): {("w", "m"): C.amplitude([Fraction(3, 5), 0]).scale(1),
-                  ("w", "m1"): C.amplitude([0, Fraction(4, 5)]),
-                  ("w", "m2"): C.amplitude([0, 0])},
-    }
+    stage = [(N, W, [[[0, 1]], [[0, 1]]]),
+             (W, G3, [[[Fraction(3, 5), 0], [0, Fraction(4, 5)], [0, 0]]])]
     # build extended assignment: n -> w is a phase i, w -> m the base row
     asg_ext = Assignment(C, stage)
     p = path([AN, AM], [["n1"], ["m"]])
@@ -382,9 +404,9 @@ def test_certain_insertion_preserves_probability():
 
 
 def test_certain_insertion_identity_keeps_amplitude():
-    asg = Assignment(C, {})
+    asg = Assignment(C, [])
     p = path([AM, BM, AM], [["m1"], ["m", "m1"], ["m1"]])
-    grown_asg = Assignment(C, {})
+    grown_asg = Assignment(C, [])
     assert check_certain_insertion(p, 1, UM, asg, grown_asg)
     from compalg.model import insert_measurement
     grown = insert_measurement(p, 1, UM, G3.elements)
@@ -396,13 +418,8 @@ def test_certain_insertion_detects_unnormalized_extension():
     asg = c_assignment(rows)
     W = GroundSet("W2", ("w",))
     AW = fully_coarse_measurement(W, "aW2")
-    stage = {
-        (N, W): {("n1", "w"): C.amplitude([2, 0]),
-                 ("n2", "w"): C.amplitude([1, 0])},
-        (W, G3): {("w", "m"): C.amplitude([1, 0]),
-                  ("w", "m1"): C.amplitude([0, 0]),
-                  ("w", "m2"): C.amplitude([0, 0])},
-    }
+    stage = [(N, W, [[[2, 0]], [[1, 0]]]),
+             (W, G3, [[[1, 0], [0, 0], [0, 0]]])]
     asg_ext = Assignment(C, stage)
     p = path([AN, AM], [["n1"], ["m"]])
     for convert in (Fraction, float):
@@ -414,9 +431,7 @@ def test_certain_insertion_detects_unnormalized_extension():
 
 def fair_coin_assignment():
     r = 1 / math.sqrt(2)
-    rows = [[[r, 0.0], [0.0, r]]]
-    wrapped = [[C.amplitude(entry) for entry in row] for row in rows]
-    return assignment_from_rows(C, [(S1, N, wrapped)])
+    return Assignment(C, [(S1, N, [[[r, 0.0], [0.0, r]]])])
 
 
 def test_sample_deterministic_one_draw():
@@ -439,7 +454,7 @@ def test_sample_huge_n_is_one_draw(n):
 
 
 def test_sample_deterministic_experiment():
-    asg = Assignment(C, {})
+    asg = Assignment(C, [])
     s = sequence([AM, AM])
     table = sample(s, frozenset({"m"}), asg, 1000, seed=1)
     winners = [p for p, c in table.items() if c > 0]
@@ -450,14 +465,12 @@ def test_sample_deterministic_experiment():
 def test_sample_rejects_non_distribution():
     split = make_algebra(AlgebraKind.SPLIT_C)
     rows = [[[Fraction(5, 4), Fraction(3, 4)], [Fraction(1), Fraction(1)]]]
-    wrapped = [[split.amplitude(entry) for entry in row] for row in rows]
-    asg = assignment_from_rows(split, [(S1, N, wrapped)])
+    asg = Assignment(split, [(S1, N, rows)])
     # Q over the row: (25-9)/16 = 1 and 0: sums to 1, all nonnegative: fine
     table = sample(sequence([AS, AN]), frozenset({"s"}), asg, 10, seed=0)
     assert sum(table.values()) == 10
     bad_rows = [[[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]]]
-    wrapped = [[split.amplitude(entry) for entry in row] for row in bad_rows]
-    bad = assignment_from_rows(split, [(S1, N, wrapped)])
+    bad = Assignment(split, [(S1, N, bad_rows)])
     with pytest.raises(NotADistribution):
         sample(sequence([AS, AN]), frozenset({"s"}), bad, 10, seed=0)
 

@@ -23,9 +23,9 @@ from fractions import Fraction
 import pytest
 
 from compalg.algebra import AlgebraKind, make_algebra, mul
-from compalg.engine import Assignment, probability_of, total_probability
+from compalg.engine import probability_of, total_probability
 
-from conftest import MIX_GROUNDS, assignment_for, universe_sequences
+from conftest import MIX_GROUNDS, assignment_for, mapped, universe_sequences
 
 # kind -> (a rational unit u with Q(u) = 1, whether the rows are normalized)
 UNITS = {
@@ -65,15 +65,6 @@ def reference(values):
     return {kind: list(values(_assignment(kind))) for kind in UNITS}
 
 
-def _mapped(asg: Assignment, entry_map) -> Assignment:
-    """asg with each stored entry E(x, y) from ground a to ground b replaced
-    by entry_map(a, x, E, b, y)."""
-    return Assignment(asg.algebra, [
-        ((a, b), {(x, y): entry_map(a, x, e, b, y)
-                  for (x, y), e in asg.stored(a, b).items()})
-        for a, b in asg.pairs()])
-
-
 def _gauge_units(kind):
     """A unit g per (ground, element), drawn from u, u^2 and their conjugates."""
     u = make_algebra(kind).amplitude(UNITS[kind][0])
@@ -90,13 +81,13 @@ def _gauged(kind, broken=False):
         right = g[b, y] if broken else g[b, y].conj()
         return mul(mul(g[a, x], e), right)
 
-    return _mapped(_assignment(kind), entry_map)
+    return mapped(_assignment(kind), entry_map)
 
 
 def _coefficient_map(kind, permute):
     """The assignment of kind with permute applied to each entry's coefficients."""
     alg = make_algebra(kind)
-    return _mapped(_assignment(kind),
+    return mapped(_assignment(kind),
                    lambda a, x, e, b, y: alg.amplitude(permute(e.coeffs)))
 
 

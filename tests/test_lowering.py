@@ -18,7 +18,6 @@ from compalg.cli import main
 from compalg.engine import (
     Assignment,
     amplitude_of,
-    assignment_from_rows,
     path_probabilities,
     total_probability,
 )
@@ -171,7 +170,7 @@ def test_pickle_round_trip_after_an_evaluation(kind):
 def both_ways_assignment(algebra, rng) -> Assignment:
     """A matrix stored for every ordered pair of MIX_GROUNDS, the reverse
     unrelated to the forward one."""
-    return assignment_from_rows(algebra, [
+    return Assignment(algebra, [
         (a, b, random_exact_rows(algebra, len(a.elements), len(b.elements), rng))
         for a, b in itertools.permutations(MIX_GROUNDS, 2)])
 
@@ -216,10 +215,10 @@ def test_lowered_rows_are_the_matrix_over_one_denominator(kind, stored):
 
 
 def int_assignment(algebra, rng) -> Assignment:
-    return Assignment(algebra, {
-        (a, b): {(x, y): algebra.amplitude(rng.randint(-3, 3) for _ in range(algebra.dim))
-                 for x in a.elements for y in b.elements}
-        for a, b in itertools.combinations(MIX_GROUNDS, 2)})
+    return Assignment(algebra, [
+        (a, b, [[[rng.randint(-3, 3) for _ in range(algebra.dim)] for _ in b.elements]
+                for _ in a.elements])
+        for a, b in itertools.combinations(MIX_GROUNDS, 2)])
 
 
 def exact_assignments(kind):
@@ -271,7 +270,7 @@ MISSING = "assignment has no matrix between grounds ['y'] and ['z1', 'z2', 'z3']
 def test_missing_pair_raises_in_every_mode(coefficient):
     ax, ay, az = (atomic_measurement(g) for g in (X, Y, Z))
     rows = [[C.amplitude([coefficient, 0])] for _ in X.elements]
-    asg = assignment_from_rows(C, [(X, Y, rows)])
+    asg = Assignment(C, [(X, Y, rows)])
     # run 1 over X dies out ({x1} then {x2}); the Y -> Z matrix is still missing
     dead = path([ay, ax, ax, ay, az], [["y"], ["x1"], ["x2"], ["y"], ["z1"]])
     live = path([ax, ay, az], [["x1"], ["y"], ["z2"]])

@@ -14,7 +14,6 @@ from compalg.engine import (
     MAX_DRAWS,
     Assignment,
     _close,
-    assignment_from_rows,
     path_probabilities,
     probability_of,
     sample,
@@ -185,7 +184,7 @@ def exact_unitary_c():
              c.amplitude([Fraction(-7, 25), Fraction(24, 25)])]
     rows = [[mul_by_table(mul_by_table(left[i], c.scalar(Fraction(rot[i][j], 3))), right[j])
              for j in range(3)] for i in range(3)]
-    return assignment_from_rows(c, [(A3, B3, rows)])
+    return Assignment(c, [(A3, B3, rows)])
 
 
 def test_total_beyond_path_bound_is_exact():
@@ -260,13 +259,13 @@ def test_adjoint_consistency_of_two_stored_directions():
     for kind in ASSOCIATIVE:
         algebra = make_algebra(kind)
         one_way = assignment_for(MIX_GROUNDS[1:], algebra, rng, normalized=False)
-        (pair,) = one_way.pairs()
-        forward = one_way.stored(*pair)
-        for reverse, consistent in ((lambda a: a.conj(), True),
-                                    (lambda a: a, kind is AlgebraKind.R),
-                                    (lambda a: a.conj() * Fraction(1, 2), False)):
-            both = Assignment(algebra, {pair: forward, pair[::-1]: {
-                (y, x): reverse(a) for (x, y), a in forward.items()}})
+        a, b = MIX_GROUNDS[1:]
+        forward = [[entry(one_way, a, b, x, y) for y in b.elements] for x in a.elements]
+        for reverse, consistent in ((lambda e: e.conj(), True),
+                                    (lambda e: e, kind is AlgebraKind.R),
+                                    (lambda e: e.conj() * Fraction(1, 2), False)):
+            both = Assignment(algebra, [(a, b, forward), (b, a, [
+                [reverse(e) for e in column] for column in zip(*forward)])])
             for asg in (both, converted(both, float)):
                 (check,) = [e for e in validate_assignment(s, asg).entries
                             if e.check == "adjoint_consistency"]
@@ -286,7 +285,7 @@ def test_source_that_is_no_detector_is_rejected():
 
 def test_sample_rejects_negative_draws_and_seeds():
     c = make_algebra(AlgebraKind.C)
-    asg = Assignment(c, {})
+    asg = Assignment(c, [])
     s = sequence([atomic_measurement(A3), atomic_measurement(A3)])
     with pytest.raises(ValueError):
         sample(s, frozenset({"a1"}), asg, -5, seed=0)
