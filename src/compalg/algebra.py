@@ -24,7 +24,9 @@ and ``lift`` rebuilds results.  Every scalar-ness assertion, on
 Q(a), T(a), the engine's Born probabilities and its sum rules, goes
 through ``scalar_part``: the imaginary tail must vanish exactly in
 verification mode, and within SCALAR_RTOL relative to a magnitude of the
-summed terms in numeric mode.  ``inverse`` treats Q(a) as vanishing in
+summed terms in numeric mode (``quadratic_form_columns`` applies the
+same test to numpy columns of many values and sends the first failing
+one through ``scalar_part``).  ``inverse`` treats Q(a) as vanishing in
 numeric mode within SCALAR_RTOL times the squared norm of a.
 """
 
@@ -351,9 +353,11 @@ def scalar_part(value: Amplitude, exact: bool, magnitude, what: str,
 
 
 def squared_norm(coeffs: tuple) -> float:
-    """The sum of the squared coefficients, as a float: the magnitude that
-    bounds the terms of a * conj(a) and a + conj(a)."""
-    return float(sum(float(c) * float(c) for c in coeffs))
+    """The sum of the squared float coefficients, added left to right from
+    zero as ``summed`` adds (so a tuple of numpy columns gives the column of
+    each row's value): the magnitude that bounds the terms of a * conj(a)
+    and a + conj(a)."""
+    return reduce(operator.add, [c * c for c in coeffs], 0)
 
 
 def quadratic_form_over(algebra: Algebra, coeffs: tuple, denominator: int,
@@ -367,6 +371,33 @@ def quadratic_form_over(algebra: Algebra, coeffs: tuple, denominator: int,
         return scalar_part(Amplitude(algebra, lift(square, scale, exact)), exact,
                            lambda: squared_norm(coeffs), "a*conj(a)")
     return lift(square[:1], scale, exact)[0]
+
+
+def quadratic_form_columns(algebra: Algebra, columns: tuple, denominator: int,
+                           exact: bool) -> list:
+    """``quadratic_form_over`` of every row of d coefficient columns (numpy
+    arrays of one length, float64 or object dtype), as a list of Python
+    scalars in row order: one kernel call, the same operations in the same
+    order for every element, so each value equals the row's own bit for bit.
+
+    A row fails the scalar check of ``scalar_part`` when a tail coefficient
+    is nonzero in exact mode, or exceeds SCALAR_RTOL times the row's
+    ``squared_norm`` in float mode; the first failing row then goes through
+    ``quadratic_form_over`` itself, so it raises that error and message.
+    """
+    square = algebra.kernel((columns,), (algebra.conj(columns),))
+    if exact:
+        bad = [c != 0 for c in square[1:]]
+    else:
+        tol = SCALAR_RTOL * squared_norm(columns)
+        bad = [abs(c) > tol for c in square[1:]]
+    if bad:  # R has no tail
+        failed = reduce(operator.or_, bad)
+        if failed.any():
+            first = int(failed.argmax())
+            quadratic_form_over(algebra, tuple(c[first:first + 1].tolist()[0] for c in columns),
+                                denominator, exact)
+    return list(lift(square[0].tolist(), denominator * denominator, exact))
 
 
 def quadratic_form(a: Amplitude) -> Scalar:

@@ -21,9 +21,9 @@ a result once, at the end.
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
 to right; its probability is Q of that sum (``algebra.quadratic_form_over``),
-and an impossible path is zero.  One run-by-run walker evaluates every
-path: ``amplitude_of`` walks one path, and sampling walks every path from
-the source once, sharing the partial thread sums of common prefixes,
+and an impossible path is zero.  ``amplitude_of`` walks one path run by
+run; sampling evaluates every path from the source with the same
+operations on numpy coefficient columns, one batched pass per run,
 bounded by ``model.DEFAULT_PATH_BOUND``, then makes one multinomial draw.
 
 Sum rules are computed without listing paths, by a backward recursion
@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .algebra import (
     Algebra, AlgebraKind, Amplitude, is_exact, lift, lower, make_algebra,
-    quadratic_form_over, scalar_part, squared_norm, summed,
+    quadratic_form_columns, quadratic_form_over, scalar_part, squared_norm, summed,
 )
 from .errors import (
     NonAssociativeAlgebra,
@@ -76,6 +76,15 @@ def _ground_key(g) -> frozenset:
 #: A matrix as rows x -> {y: coefficient tuple}.
 CoeffRows = Dict[str, Dict[str, tuple]]
 
+_TRIPLE = "(GroundSet, GroundSet, rows)"
+
+
+def _shape(block) -> str:
+    """The type of a block, item by item for a tuple or list."""
+    if isinstance(block, (tuple, list)):
+        return f"({', '.join(type(b).__name__ for b in block)})"
+    return type(block).__name__
+
 
 class Assignment:
     """Per-ground-pair transition amplitude matrices.
@@ -99,7 +108,13 @@ class Assignment:
         self.algebra = algebra
         self._rows: Dict[Tuple[frozenset, frozenset], CoeffRows] = {}
         self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[CoeffRows, int]] = {}
-        for g_from, g_to, rows in blocks:
+        if isinstance(blocks, Mapping):
+            raise ValueError(f"blocks must be {_TRIPLE} triples, got a mapping")
+        for block in blocks:
+            if not (isinstance(block, (tuple, list)) and len(block) == 3
+                    and all(isinstance(g, GroundSet) for g in block[:2])):
+                raise ValueError(f"each block must be a {_TRIPLE} triple, got {_shape(block)}")
+            g_from, g_to, rows = block
             key = (g_from.element_set(), g_to.element_set())
             if key[0] == key[1]:
                 raise ValueError(
@@ -232,74 +247,49 @@ def _boundary_rows(s, asg: Assignment, segments) -> Tuple[list, list]:
     return [rows for rows, _ in boundaries], [den for _, den in boundaries]
 
 
-def _thread_sums(s, choices, asg: Assignment):
-    """Yield (results, sums or None, denominator) for every pick of one
-    result per step from ``choices``, in ``itertools.product`` order.
+def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
+    """The thread sums of one path and their denominator.
 
     A thread picks one surviving element per weak-equivalence run: the
     element is constant across weakly equivalent steps, so coarse results
     expand distributively and duplicated steps contribute the forced
-    identity.  ``sums`` is the sum over threads of the left-to-right
+    identity.  The sums are the sum over threads of the left-to-right
     product of the matrix entries between consecutive runs, a coefficient
     tuple over the product of the boundary denominators (``_result``
-    rebuilds the amplitude); it is None when some run has no surviving
+    rebuilds the amplitude); they are None when some run has no surviving
     element (an impossible path).
 
-    The run-boundary matrices are looked up once, before the first pick,
-    and the algebra's kernel forms every product.
-    One dict of partial thread sums is kept per run, and each pick
-    recomputes only the runs from the first one whose results changed.
-    Elements are taken in sorted order, so float sums are byte-stable.
+    Run by run, the partial thread sums onto each surviving element are
+    one kernel call over the previous run's survivors, and the sums add
+    the last run's partials.  Elements are taken in sorted order, so float
+    sums are byte-stable; ``path_probabilities`` does the same operations
+    on columns over every path.
     """
-    dim, kernel = asg.algebra.dim, asg.algebra.kernel
-    unit = asg.algebra.unit().coeffs
-    segments = model.runs(s)
-    matrices, dens = _boundary_rows(s, asg, segments)
-    denominator = math.prod(dens)
-    run_of = [k for k, (lo, hi) in enumerate(segments) for _ in range(lo, hi + 1)]
-    # partials[k]: thread sums onto the surviving elements of run k, or None
-    # once run k or an earlier run has none
-    partials: List[Optional[dict]] = [None] * len(segments)
-    previous = None
-    for combo in itertools.product(*choices):
-        first = 0
-        if previous is not None:
-            j = 0
-            while combo[j] is previous[j]:
-                j += 1
-            first = run_of[j]
-        previous = combo
-        partial = partials[first - 1] if first else None
-        for k in range(first, len(segments)):
-            lo, hi = segments[k]
-            alive = combo[lo].intersection(*combo[lo + 1:hi + 1])
-            if not alive or (k and partial is None):
-                partial = None
-            elif k == 0:
-                partial = {x: unit for x in sorted(alive)}
-            else:
-                rows, accs = matrices[k - 1], partial.values()
-                partial = {y: kernel(accs, [rows[x][y] for x in partial])
-                           for y in sorted(alive)}
-            partials[k] = partial
-        yield combo, None if partial is None else summed(partial.values(), dim), denominator
-
-
-def _path_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
-    """The thread sums of one path and their denominator (see ``_thread_sums``)."""
-    ((_, sums, denominator),) = _thread_sums(p.sequence, [[r] for r in p.results], asg)
-    return sums, denominator
+    kernel, unit = asg.algebra.kernel, asg.algebra.unit().coeffs
+    segments = model.runs(p)
+    matrices, dens = _boundary_rows(p.sequence, asg, segments)
+    partial = None
+    for k, (lo, hi) in enumerate(segments):
+        alive = p.results[lo].intersection(*p.results[lo + 1:hi + 1])
+        if not alive:
+            return None, math.prod(dens)
+        if k == 0:
+            partial = {x: unit for x in sorted(alive)}
+        else:
+            rows, accs = matrices[k - 1], partial.values()
+            partial = {y: kernel(accs, [rows[x][y] for x in partial]) for y in sorted(alive)}
+    return summed(partial.values(), asg.algebra.dim), math.prod(dens)
 
 
 def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
     """Sum over threads of the left-to-right product of step amplitudes
     (see ``_thread_sums``); impossible paths are the zero amplitude."""
-    return _result(asg, *_path_sums(p, asg))
+    return _result(asg, *_thread_sums(p, asg))
 
 
 def probability_of(p: Path, asg: Assignment) -> ProbabilityResult:
     """The generalized Born rule: probability = Q(amplitude)."""
-    sums, denominator = _path_sums(p, asg)
+    sums, denominator = _thread_sums(p, asg)
     return ProbabilityResult(amplitude=_result(asg, sums, denominator),
                              probability=_born(asg, sums, denominator))
 
@@ -394,16 +384,21 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     of the two atomic measurements of the pair from {x} is one.  So is the
     sum rule of the sequence from every source element.  A sum rule fails
     on a missing matrix or a non-scalar sum, with the error as detail.  In
-    float mode a row fails on an entry lowered to an infinity, named as
-    detail, before its sum rule (an infinity times a zero gives NaN).
+    float mode a sum rule, of a row or of the sequence, fails on the first
+    entry lowered to an infinity or NaN among the rows its recursion reads,
+    named as detail, before its total (an infinity times a zero gives NaN).
     """
     entries = [ValidationEntry("associative_algebra", asg.algebra.kind.label,
                                asg.algebra.kind.is_associative)]
 
     def sum_rule(check, location, steps, x, what):
         try:
-            total = total_probability(steps, frozenset({x}), asg)
-            ok, detail = _close(total, 1), f"{what} is {_shown(total)}"
+            bad = None if asg.is_exact else _first_non_finite(steps, x, asg)
+            if bad is not None:
+                ok, detail = False, f"entry {bad[0]} -> {bad[1]} is not finite"
+            else:
+                total = total_probability(steps, frozenset({x}), asg)
+                ok, detail = _close(total, 1), f"{what} is {_shown(total)}"
         except (SequenceMismatch, NonScalarProduct) as exc:
             ok, detail = False, str(exc)
         entries.append(ValidationEntry(check, location, ok, "" if ok else detail))
@@ -432,21 +427,28 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
                 "" if adjoint_ok else "reverse matrix is not the conjugate transpose"))
 
         pair = model.sequence([model.atomic_measurement(m.ground) for m in (m_from, m_to)])
-        lowered, _ = asg.lowered(a, b)
         for x in sorted(a):
-            where = f"{loc} source {x}"
-            overflowed = [] if asg.is_exact else [
-                y for y in sorted(b) if not all(map(math.isfinite, lowered[x][y]))]
-            if overflowed:
-                entries.append(ValidationEntry("row_normalization", where, False,
-                                               f"entry {x} -> {overflowed[0]} is not finite"))
-            else:
-                sum_rule("row_normalization", where, pair, x, "sum of Q over targets")
+            sum_rule("row_normalization", f"{loc} source {x}", pair, x, "sum of Q over targets")
 
     for x in sorted(s.steps[0].element_set()):
         sum_rule("sum_rule", f"source {x}", s, x, "total probability over paths")
 
     return ValidationReport(tuple(entries))
+
+
+def _first_non_finite(s: MeasurementSequence, x: str,
+                      asg: Assignment) -> Optional[Tuple[str, str]]:
+    """The first lowered entry (x', y) that is not finite among the rows the
+    sum rule of s from {x} reads: row x of the first run boundary, every row
+    of the later ones; in boundary order, then sorted x' and y.  Raises
+    SequenceMismatch when the assignment lacks a matrix."""
+    matrices, _ = _boundary_rows(s, asg, model.runs(s))
+    for k, rows in enumerate(matrices):
+        for x2 in [x] if k == 0 else sorted(rows):
+            for y in sorted(rows[x2]):
+                if not all(map(math.isfinite, rows[x2][y])):
+                    return x2, y
+    return None
 
 
 def _same_block_classes(steps, elements) -> List[List[str]]:
@@ -557,19 +559,97 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     """Every path from the source result with its probability, in
     ``enumerate_paths`` order (``path_key`` order within the sequence).
 
-    One ``_thread_sums`` walk over the result combinations, the evaluator
-    of ``amplitude_of``, recomputes only the runs from the first changed
-    result on, and each path's thread sums go through the Born leaf of
-    ``probability_of``, so every probability equals
-    ``probability_of(p, asg).probability`` bit for bit.  Bounded by
+    Every path is evaluated in one batched pass per weak-equivalence run,
+    the walk of ``_thread_sums`` on numpy columns (float64 in float mode,
+    Python ints of object dtype in exact mode).  After run k each row is a
+    live prefix, ranked in path order, and each entry a pair (row, y) for y
+    in the row's sorted surviving elements, holding its partial thread sums
+    as d columns; a row whose run has no surviving element is dropped, and
+    its paths have probability 0.  At each run boundary one kernel call
+    forms every entry's sum: slot t pairs the t-th survivor x of the
+    parent row with the lowered entry E[x][y], and a slot past the
+    parent's survivors reads zeros.  The padding changes no bit: the
+    kernel's accumulator starts as 0 + ..., so it is never -0.0, slot 0
+    is never padding, and adding +0.0 leaves any other value as it is.
+    The Born leaf sums each row's padded slots by ``summed`` and takes
+    ``algebra.quadratic_form_columns``.  So every probability equals
+    ``probability_of(p, asg).probability`` bit for bit, and the first path
+    whose product is not scalar raises that error.  Bounded by
     DEFAULT_PATH_BOUND through ``model.check_path_bound``.
     """
+    import numpy as np
+
     source = frozenset(source)
     model.check_path_bound(s)
     _check_source(s, source)
+    algebra = asg.algebra
+    segments = model.runs(s)
+    matrices, dens = _boundary_rows(s, asg, segments)
     choices = [[source]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
-    return [(Path(s, combo), _born(asg, sums, denominator))
-            for combo, sums, denominator in _thread_sums(s, choices, asg)]
+    paths = model.paths_over(s, choices)
+    probabilities = [0] * len(paths)
+    # a single run has no matrix: its sums stay ints, as _thread_sums gives them
+    dtype = float if matrices and not asg.is_exact else object
+    grounds = [sorted(s.steps[lo].element_set()) for lo, _ in segments]
+    # rank: each live row's rank in path order.  slots: each row's entry
+    # indices, -1 past its survivors; -1 reads the zero appended to every
+    # coefficient column and the padding element appended to element
+    rank = np.zeros(1, np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (lo, hi) in enumerate(segments):
+            count, live, offsets, ys = _run_layout(choices[lo:hi + 1], grounds[k])
+            if not live:
+                break
+            offsets, ys = np.array(offsets), np.array(ys)
+            rows, per_row = len(rank), len(ys)
+            combo_of, targets = np.tile(np.arange(len(live)), rows), np.tile(ys, rows)
+            rank = np.repeat(rank * count, len(live)) + np.array(live)[combo_of]
+            if k == 0:
+                coeffs = tuple(np.full(per_row, u, dtype) for u in algebra.unit().coeffs)
+            else:
+                # the lowered matrix [x, y, i], with a last row of zeros for
+                # the padding element
+                pad = (0,) * algebra.dim
+                block = np.array([[matrices[k - 1][x][y] for y in grounds[k]]
+                                  for x in grounds[k - 1]] + [[pad] * len(grounds[k])], dtype)
+                picked = np.repeat(slots, per_row, axis=0)
+                # generators: one slot's gathered operands at a time
+                coeffs = algebra.kernel(
+                    (tuple(c[picked[:, t]] for c in coeffs) for t in range(picked.shape[1])),
+                    (tuple(block[element[picked[:, t]], targets, i] for i in range(algebra.dim))
+                     for t in range(picked.shape[1])))
+            coeffs = tuple(np.append(c, np.zeros(1, dtype)) for c in coeffs)
+            element = np.append(targets, len(grounds[k]))
+            slot = offsets[combo_of]
+            slots = np.where(slot < 0, -1, np.repeat(np.arange(rows) * per_row, len(live))[:, None]
+                             + slot)
+        else:
+            sums = summed([tuple(c[slots[:, t]] for c in coeffs) for t in range(slots.shape[1])],
+                          algebra.dim)
+            born = quadratic_form_columns(algebra, sums, math.prod(dens), asg.is_exact)
+            for r, q in zip(rank.tolist(), born):
+                probabilities[r] = q
+    return list(zip(paths, probabilities))
+
+
+def _run_layout(choices: list, ground: list) -> tuple:
+    """The result combinations of one weak-equivalence run, in
+    ``itertools.product`` order over ``choices``: their count; the indices
+    of those with a surviving element; the positions in the sorted ground
+    of each one's sorted survivors, laid end to end as ys; and each one's
+    offsets into ys, padded with -1 to the most survivors, as lists."""
+    position = {x: i for i, x in enumerate(ground)}
+    combos = list(itertools.product(*choices))
+    alive = [[position[x] for x in sorted(combo[0].intersection(*combo[1:]))]
+             for combo in combos]
+    live = [c for c, survivors in enumerate(alive) if survivors]
+    width = max((len(alive[c]) for c in live), default=0)
+    offsets, ys = [], []
+    for c in live:
+        offsets.append([len(ys) + t for t in range(len(alive[c]))]
+                       + [-1] * (width - len(alive[c])))
+        ys += alive[c]
+    return len(combos), live, offsets, ys
 
 
 def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,

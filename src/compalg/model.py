@@ -629,9 +629,21 @@ def check_path_bound(s: MeasurementSequence) -> int:
     return count
 
 
+def paths_over(s: MeasurementSequence, choices) -> list:
+    """The paths of s picking one result per step from ``choices``, in
+    ``itertools.product`` order, built without ``Path``'s check: every
+    choice must be a block of its step's measurement."""
+    paths = []
+    for combo in itertools.product(*choices):
+        p = object.__new__(Path)
+        object.__setattr__(p, "sequence", s)
+        object.__setattr__(p, "results", combo)
+        paths.append(p)
+    return paths
+
+
 def enumerate_paths(s: MeasurementSequence) -> list:
     """All result combinations over the sequence, in block-sorted order,
     bounded by ``check_path_bound``."""
     check_path_bound(s)
-    choices = [sorted_blocks(m.blocks) for m in s.steps]
-    return [Path(s, combo) for combo in itertools.product(*choices)]
+    return paths_over(s, [sorted_blocks(m.blocks) for m in s.steps])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy
@@ -18,6 +19,8 @@ from compalg.algebra import (
     make_algebra,
     mul,
     quadratic_form,
+    quadratic_form_columns,
+    quadratic_form_over,
     scalar_part,
     summed,
     trace_form,
@@ -430,6 +433,55 @@ def test_scalar_part_tolerance_and_laziness():
         scalar_part(C.amplitude([0.5, 2e-12]), False, lambda: 1.0, "x", NonScalarSum)
     with pytest.raises(NonScalarProduct, match=r"^x not scalar: "):
         scalar_part(C.amplitude([1, Fraction(1, 10 ** 30)]), True, unused, "x")
+
+
+def test_quadratic_form_columns_is_quadratic_form_over_per_row(monkeypatch):
+    """On numpy columns every row gets quadratic_form_over's value, bit for
+    bit and as a Python scalar, and the first row whose scalar check fails
+    raises that row's error.  In float mode the product adds 1e-12 times e0
+    to e1, then 7e-29 times e0, which rounds the tail up past SCALAR_RTOL
+    times the squared norm in about a third of the rows; in exact mode it
+    adds all of e0 (``skewed_kernel``), so leading rows of zeros pass and
+    the first other row fails."""
+    rng = random.Random(31)
+    for algebra in (R, C, H):
+        kernel, skewed = algebra.kernel, skewed_kernel(algebra)
+
+        def near_tolerance(lefts, rights):
+            out = kernel(lefts, rights)
+            if len(out) == 1:
+                return out
+            return (out[0], out[1] + out[0] * 1e-12 + out[0] * 7e-29) + out[2:]
+
+        outcomes = set()
+        for trial in range(300):
+            exact = trial % 3 == 0
+            monkeypatch.setitem(vars(algebra), "kernel", skewed if exact else near_tolerance)
+            rows = [tuple(rng.randint(-9, 9) * (row >= trial % 5) if exact else rng.uniform(-3, 3)
+                          for _ in range(algebra.dim)) for row in range(5)]
+            want = []
+            for row in rows:
+                try:
+                    want.append(quadratic_form_over(algebra, row, 3, exact))
+                except NonScalarProduct as exc:
+                    want.append(exc)
+                    break
+            columns = tuple(numpy.array(c, dtype=object if exact else float) for c in zip(*rows))
+            try:
+                got = quadratic_form_columns(algebra, columns, 3, exact)
+            except NonScalarProduct as exc:
+                got = exc
+            if isinstance(want[-1], NonScalarProduct):
+                assert str(got) == str(want[-1])
+            else:
+                assert [(type(q), repr(q)) for q in got] == [(type(q), repr(q)) for q in want]
+            outcomes.add((exact, len(want), isinstance(want[-1], NonScalarProduct)))
+        if algebra is R:
+            assert outcomes == {(True, 5, False), (False, 5, False)}
+        else:
+            assert {(e, n) for e, n, failed in outcomes if failed} \
+                >= {(e, n) for e in (True, False) for n in range(1, 6)}
+            assert (False, 5, False) in outcomes
 
 
 # -- algebraic laws, property-based ------------------------------------------------

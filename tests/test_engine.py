@@ -231,28 +231,39 @@ def test_validation_sum_rule_sensitive_to_coarse_blocks():
     assert all(e.passed for e in rows_entries)
 
 
-@pytest.mark.parametrize("kind, g_from, rows, error, message", [
-    ("C", N, [[[1, 0]] * 3] * 3, ValueError, "matrix row count does not match source ground"),
-    ("C", N, [[[1, 0]] * 4] * 2, ValueError,
+TRIPLE = "(GroundSet, GroundSet, rows)"
+
+
+@pytest.mark.parametrize("kind, blocks, error, message", [
+    ("C", [(N, G3, [[[1, 0]] * 3] * 3)], ValueError,
+     "matrix row count does not match source ground"),
+    ("C", [(N, G3, [[[1, 0]] * 4] * 2)], ValueError,
      "matrix column count does not match target ground"),
-    ("C", N, [[[1, 0]] * 3, [[1, 0]] * 2], ValueError,
+    ("C", [(N, G3, [[[1, 0]] * 3, [[1, 0]] * 2])], ValueError,
      "matrix column count does not match target ground"),
-    ("C", N, [[[1, 0]] * 3, [[1, 0], H.unit(), [1, 0]]], ValueError,
+    ("C", [(N, G3, [[[1, 0]] * 3, [[1, 0], H.unit(), [1, 0]]])], ValueError,
      "matrix entry algebra mismatch"),
-    ("C", N, [[[1, 0]] * 3, [[1, 0], [1, 0, 0], [1, 0]]], ValueError,
+    ("C", [(N, G3, [[[1, 0]] * 3, [[1, 0], [1, 0, 0], [1, 0]]])], ValueError,
      "expected 2 coefficients, got 3"),
-    ("C", G3, [[[1, 0]] * 4] * 2, ValueError,
+    ("C", [(G3, G3, [[[1, 0]] * 4] * 2)], ValueError,
      "transitions within one ground set are the forced identity and cannot be assigned"),
-    ("O", N, [[[1, 0]] * 4] * 2, NonAssociativeAlgebra,
+    ("O", [(N, G3, [[[1, 0]] * 4] * 2)], NonAssociativeAlgebra,
      "assignments require an associative algebra, got O"),
+    ("C", [(N, G3)], ValueError,
+     f"each block must be a {TRIPLE} triple, got (GroundSet, GroundSet)"),
+    ("C", [N], ValueError, f"each block must be a {TRIPLE} triple, got GroundSet"),
+    ("C", [(AN, G3, [[[1, 0]] * 3] * 2)], ValueError,
+     f"each block must be a {TRIPLE} triple, got (Measurement, GroundSet, list)"),
+    ("C", {(N, G3): [[[1, 0]] * 3] * 2}, ValueError,
+     f"blocks must be {TRIPLE} triples, got a mapping"),
 ], ids=["extra row", "extra column", "short row", "other algebra", "long entry",
-        "same ground", "octonions"])
-def test_assignment_from_rows_rejects_misshaped_matrix(kind, g_from, rows, error, message):
-    """Each check names the first fault in the order algebra, ground pair,
-    row count, column count, entries, so a matrix that also has the wrong
-    shape still reports the same ground or the octonions."""
+        "same ground", "octonions", "pair", "bare ground", "measurement", "mapping"])
+def test_assignment_from_rows_rejects_misshaped_matrix(kind, blocks, error, message):
+    """Each check names the first fault in the order algebra, block shape,
+    ground pair, row count, column count, entries, so a matrix that also
+    has the wrong shape still reports the same ground or the octonions."""
     with pytest.raises(error) as exc:
-        Assignment(make_algebra(AlgebraKind.from_label(kind)), [(g_from, G3, rows)])
+        Assignment(make_algebra(AlgebraKind.from_label(kind)), blocks)
     assert str(exc.value) == message
 
 
@@ -309,6 +320,28 @@ def test_validation_int_beyond_the_float_range_fails_in_float_mode():
     assert [(e.location, e.passed) for e in rows] \
         == [("steps 0->1 source n1", False), ("steps 0->1 source n2", True)]
     assert rows[0].detail == "entry n1 -> m is not finite"
+
+
+def test_validation_sum_rule_names_the_non_finite_entry():
+    """A sequence's sum rule reads the same lowered rows as its row checks:
+    in float mode a source whose rows hold an infinity fails with the first
+    such entry named (row n1 of the first boundary; at a later boundary,
+    any row, here m -> n1 of the derived reverse), not with a total of nan.
+    The exact twin reports its totals, as before."""
+    rows = [[[10 ** 400, 0], [0, 0], [0, 0]], [[0, 1], [0, 0], [0, 0]]]
+    floats = c_assignment([[[c if abs(c) > 10 ** 300 else float(c) for c in entry]
+                            for entry in row] for row in rows])
+    exact = c_assignment(rows)
+    huge = f"total probability over paths is 1{'0' * 800}"
+    for asg, steps, want in (
+            (floats, [AN, AM], [(False, "entry n1 -> m is not finite"), (True, "")]),
+            (floats, [AN, AM, AN], [(False, "entry n1 -> m is not finite"),
+                                    (False, "entry m -> n1 is not finite")]),
+            (exact, [AN, AM], [(False, huge), (True, "")])):
+        sums = [(e.location, e.passed, e.detail)
+                for e in validate_assignment(sequence(steps), asg).entries
+                if e.check == "sum_rule"]
+        assert sums == [("source n1", *want[0]), ("source n2", *want[1])]
 
 
 def test_validation_names_the_non_finite_entry_of_the_derived_reverse():

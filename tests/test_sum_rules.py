@@ -1,6 +1,7 @@
-"""Sum rules by the pair-thread transfer, and the prefix-shared sampling
-walk, against path enumeration."""
+"""Sum rules by the pair-thread transfer, and the batched table of path
+probabilities under sampling, against path enumeration."""
 
+import math
 import random
 import re
 import time
@@ -14,6 +15,7 @@ from compalg.engine import (
     MAX_DRAWS,
     Assignment,
     _close,
+    amplitude_of,
     path_probabilities,
     probability_of,
     sample,
@@ -23,6 +25,7 @@ from compalg.engine import (
 from compalg.errors import NonScalarProduct, NotADistribution, TooManyPaths
 from compalg.model import (
     GroundSet,
+    Path,
     atomic_measurement,
     enumerate_partitions,
     enumerate_paths,
@@ -121,6 +124,18 @@ def test_walk_is_bitwise_probability_of():
                     assert q == want
 
 
+def test_table_paths_are_checked_paths():
+    """The table builds its paths from the measurements' own blocks without
+    Path's check; each equals, and hashes as, the checked Path of its
+    results, while a path that a user builds is still checked."""
+    asg, s, source = next(cases(5, 1))
+    for p, _ in path_probabilities(s, source, asg):
+        checked = Path(s, p.results)
+        assert p == checked and hash(p) == hash(checked) and repr(p) == repr(checked)
+    with pytest.raises(ValueError, match="is not a detector of measurement"):
+        Path(s, (frozenset({"nowhere"}),) + p.results[1:])
+
+
 def non_scalar_case():
     return next(
         (a, s, src) for a, s, src in cases(6, 20)
@@ -166,11 +181,77 @@ def test_non_scalar_born_product_is_rejected(monkeypatch):
             probability_of(p, a)
 
 
-# -- beyond the path bound ------------------------------------------------------------
+# -- at the scale of the sum_rules benchmark -------------------------------------------
 
 A3 = GroundSet("A3", ("a1", "a2", "a3"))
 B3 = GroundSet("B3", ("b1", "b2", "b3"))
+C3 = GroundSet("C3", ("c1", "c2", "c3"))
 
+
+def workload_sequence(rng: random.Random, length: int, coarse: int, full: bool = False):
+    """Three 3-element grounds visited cyclically, atomic steps, and
+    ``coarse`` interior steps of two detectors, the first of them fully
+    coarse when ``full``."""
+    grounds = [A3, B3, C3]
+    where = sorted(rng.sample(range(1, length - 1), coarse))
+    steps = []
+    for j in range(length):
+        g = grounds[j % 3]
+        if full and j == where[0]:
+            steps.append(measurement(f"u{j}", g, [g.elements]))
+        elif j in where:
+            single = rng.choice(g.elements)
+            steps.append(measurement(f"h{j}", g, [[x for x in g.elements if x != single],
+                                                  [single]]))
+        else:
+            steps.append(atomic_measurement(g))
+    return sequence(steps)
+
+
+def test_table_is_probability_of_at_workload_scale(monkeypatch):
+    """Six- and seven-step sequences with two-detector steps, and one with
+    a fully coarse step (three survivors to sum, so a slot order other than
+    the walker's would round differently): every table entry is
+    probability_of bit for bit, with its type, in float mode (R, C, H, some
+    H paths with a nonzero a*conj(a) tail) and equal in exact mode (all
+    five kinds).  Under a product that is not scalar, the table raises the
+    error of probability_of on the first possible path."""
+    rng = random.Random(21)
+    source = frozenset({"a1"})
+    h_tails = 0
+    for kind in ASSOCIATIVE:
+        algebra = make_algebra(kind)
+        exact = assignment_for([A3, B3, C3], algebra, rng, normalized=False)
+        modes = [exact] + [converted(exact, float)] * kind.is_positive_definite
+        sequences = [workload_sequence(rng, 6, 2), workload_sequence(rng, 7, 2),
+                     workload_sequence(rng, 7, 2, full=True)]
+        for asg in modes:
+            for s in sequences:
+                table = path_probabilities(s, source, asg)
+                assert len(table) == math.prod(len(m.blocks) for m in s.steps[1:])
+                for p, q in table:
+                    want = probability_of(p, asg).probability
+                    assert type(q) is type(want), (kind, p)
+                    assert (q.hex() == want.hex()) if isinstance(q, float) else q == want
+                    if kind is AlgebraKind.H and not asg.is_exact:
+                        a = amplitude_of(p, asg).coeffs
+                        h_tails += any(algebra.kernel((a,), (algebra.conj(a),))[1:])
+        if kind is AlgebraKind.R:
+            continue  # the skewed product leaves R as it is
+        monkeypatch.setitem(vars(algebra), "kernel", skewed_kernel(algebra))
+        for asg in modes:
+            s = sequences[0]
+            first = next(p for p in enumerate_paths(s)
+                         if p.results[0] == source and is_possible(p))
+            with pytest.raises(NonScalarProduct) as want:
+                probability_of(first, asg)
+            with pytest.raises(NonScalarProduct) as got:
+                path_probabilities(s, source, asg)
+            assert str(got.value) == str(want.value)
+    assert h_tails > 100
+
+
+# -- beyond the path bound ------------------------------------------------------------
 
 def exact_unitary_c():
     """diag(phases) . O . diag(phases) with O = [[1,2,2],[2,1,-2],[2,-2,1]] / 3."""
