@@ -107,8 +107,8 @@ def cmd_enumerate(args) -> int:
         count, to_json = len(items), model.measurement_to_json
     else:
         s = _lookup(ws.sequences, args.name, "sequence")
-        count, to_json = model.check_path_bound(s), model.path_to_json
-        items = () if args.count_only else model.enumerate_paths(s)  # listed only to print
+        items = () if args.count_only else model.enumerate_paths(s)  # bounded, listed to print
+        count, to_json = model.path_count(s), model.path_to_json
     if args.count_only:
         sys.stdout.write(f"{count}\n")
         return 0

@@ -23,8 +23,10 @@ weak-equivalence run, multiplied through the cross-ground matrices left
 to right; its probability is Q of that sum (``algebra.quadratic_form_over``),
 and an impossible path is zero.  ``amplitude_of`` walks one path run by
 run; sampling evaluates every path from the source with the same
-operations on numpy coefficient columns, one batched pass per run,
-bounded by ``model.DEFAULT_PATH_BOUND``, then makes one multinomial draw.
+operations, one batched pass per run, on numpy arrays over (row, slot):
+a row per live prefix, a slot per surviving element, and zero padding past
+a row's survivors.  It is bounded by ``model.DEFAULT_PATH_BOUND`` and ends
+in one multinomial draw.
 
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step, reading the
@@ -263,7 +265,7 @@ def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     one kernel call over the previous run's survivors, and the sums add
     the last run's partials.  Elements are taken in sorted order, so float
     sums are byte-stable; ``path_probabilities`` does the same operations
-    on columns over every path.
+    on arrays over every path.
     """
     kernel, unit = asg.algebra.kernel, asg.algebra.unit().coeffs
     segments = model.runs(p)
@@ -560,22 +562,26 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     ``enumerate_paths`` order (``path_key`` order within the sequence).
 
     Every path is evaluated in one batched pass per weak-equivalence run,
-    the walk of ``_thread_sums`` on numpy columns (float64 in float mode,
-    Python ints of object dtype in exact mode).  After run k each row is a
-    live prefix, ranked in path order, and each entry a pair (row, y) for y
-    in the row's sorted surviving elements, holding its partial thread sums
-    as d columns; a row whose run has no surviving element is dropped, and
-    its paths have probability 0.  At each run boundary one kernel call
-    forms every entry's sum: slot t pairs the t-th survivor x of the
-    parent row with the lowered entry E[x][y], and a slot past the
-    parent's survivors reads zeros.  The padding changes no bit: the
-    kernel's accumulator starts as 0 + ..., so it is never -0.0, slot 0
-    is never padding, and adding +0.0 leaves any other value as it is.
-    The Born leaf sums each row's padded slots by ``summed`` and takes
+    the walk of ``_thread_sums`` on numpy arrays (float64 in float mode,
+    Python ints of object dtype in exact mode).  After run k each of the d
+    coefficients is one array over (row, slot).  A row is a live prefix:
+    a parent row followed by one of the run's result combinations that
+    keep an element, ranked in path order; its paths through a combination
+    that keeps none have probability 0.  Slot t holds the row's partial
+    thread sum onto its t-th sorted surviving element, and the slots past
+    its survivors are padding that holds zeros.  At each run boundary one
+    kernel call sums over the parent's slots t, with the lowered matrix
+    padded by a zero row and column, so a padded slot meets zeros on both
+    sides; the padded slots are then reset to zero, since an infinite entry
+    times a padded zero leaves a NaN there.  The padding changes no bit:
+    the kernel's accumulator starts as 0 + ..., so it is never -0.0, slot 0
+    is never padding, and adding +0.0 leaves any other value as it is.  The
+    Born leaf sums each row's slots by ``summed`` and takes
     ``algebra.quadratic_form_columns``.  So every probability equals
     ``probability_of(p, asg).probability`` bit for bit, and the first path
-    whose product is not scalar raises that error.  Bounded by
-    DEFAULT_PATH_BOUND through ``model.check_path_bound``.
+    whose product is not scalar raises that error.  The working arrays are
+    freed before the table is built.  Bounded by DEFAULT_PATH_BOUND through
+    ``model.check_path_bound``.
     """
     import numpy as np
 
@@ -590,66 +596,48 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     probabilities = [0] * len(paths)
     # a single run has no matrix: its sums stay ints, as _thread_sums gives them
     dtype = float if matrices and not asg.is_exact else object
-    grounds = [sorted(s.steps[lo].element_set()) for lo, _ in segments]
-    # rank: each live row's rank in path order.  slots: each row's entry
-    # indices, -1 past its survivors; -1 reads the zero appended to every
-    # coefficient column and the padding element appended to element
+    # rank: each row's rank in path order.  coeffs: arrays over (parent row,
+    # live combination, slot), the first two axes together being the rows
     rank = np.zeros(1, np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (lo, hi) in enumerate(segments):
-            count, live, offsets, ys = _run_layout(choices[lo:hi + 1], grounds[k])
+            ground = sorted(s.steps[lo].element_set())
+            combos = list(itertools.product(*choices[lo:hi + 1]))
+            # each combination's surviving elements, as sorted positions in the ground
+            alive = [[i for i, x in enumerate(ground) if all(x in r for r in combo)]
+                     for combo in combos]
+            live = [c for c, survivors in enumerate(alive) if survivors]
             if not live:
                 break
-            offsets, ys = np.array(offsets), np.array(ys)
-            rows, per_row = len(rank), len(ys)
-            combo_of, targets = np.tile(np.arange(len(live)), rows), np.tile(ys, rows)
-            rank = np.repeat(rank * count, len(live)) + np.array(live)[combo_of]
+            width = max(map(len, alive))
+            # ys[c, t]: the t-th survivor of the c-th live combination, or
+            # len(ground), the padding position, past its survivors
+            ys = np.array([alive[c] + [len(ground)] * (width - len(alive[c])) for c in live])
             if k == 0:
-                coeffs = tuple(np.full(per_row, u, dtype) for u in algebra.unit().coeffs)
+                coeffs = tuple(np.full((1, *ys.shape), u, dtype) for u in algebra.unit().coeffs)
             else:
-                # the lowered matrix [x, y, i], with a last row of zeros for
-                # the padding element
-                pad = (0,) * algebra.dim
-                block = np.array([[matrices[k - 1][x][y] for y in grounds[k]]
-                                  for x in grounds[k - 1]] + [[pad] * len(grounds[k])], dtype)
-                picked = np.repeat(slots, per_row, axis=0)
-                # generators: one slot's gathered operands at a time
+                # the lowered matrix [x, y, i], a zero row and column at the padding positions
+                block = np.zeros((len(previous) + 1, len(ground) + 1, algebra.dim), dtype)
+                block[:-1, :-1] = [[matrices[k - 1][x][y] for y in ground] for x in previous]
+                # over (parent row, parent combination, combination, slot), with
+                # xs the parent run's ys: one parent slot t at a time
                 coeffs = algebra.kernel(
-                    (tuple(c[picked[:, t]] for c in coeffs) for t in range(picked.shape[1])),
-                    (tuple(block[element[picked[:, t]], targets, i] for i in range(algebra.dim))
-                     for t in range(picked.shape[1])))
-            coeffs = tuple(np.append(c, np.zeros(1, dtype)) for c in coeffs)
-            element = np.append(targets, len(grounds[k]))
-            slot = offsets[combo_of]
-            slots = np.where(slot < 0, -1, np.repeat(np.arange(rows) * per_row, len(live))[:, None]
-                             + slot)
+                    (tuple(c[:, :, t, None, None] for c in coeffs) for t in range(xs.shape[1])),
+                    (tuple(block[xs[:, t, None, None], ys, i] for i in range(algebra.dim))
+                     for t in range(xs.shape[1])))
+            # padding back to zero: an infinite entry times a padded zero is NaN
+            coeffs = tuple(np.where(ys < len(ground), c, 0).reshape(-1, *ys.shape)
+                           for c in coeffs)
+            rank = (rank[:, None] * len(combos) + live).ravel()
+            previous, xs = ground, ys
         else:
-            sums = summed([tuple(c[slots[:, t]] for c in coeffs) for t in range(slots.shape[1])],
-                          algebra.dim)
-            born = quadratic_form_columns(algebra, sums, math.prod(dens), asg.is_exact)
+            coeffs = summed([tuple(c[..., t].ravel() for c in coeffs) for t in range(width)],
+                            algebra.dim)
+            born = quadratic_form_columns(algebra, coeffs, math.prod(dens), asg.is_exact)
             for r, q in zip(rank.tolist(), born):
                 probabilities[r] = q
+            del coeffs, rank, born  # freed before the table is built
     return list(zip(paths, probabilities))
-
-
-def _run_layout(choices: list, ground: list) -> tuple:
-    """The result combinations of one weak-equivalence run, in
-    ``itertools.product`` order over ``choices``: their count; the indices
-    of those with a surviving element; the positions in the sorted ground
-    of each one's sorted survivors, laid end to end as ys; and each one's
-    offsets into ys, padded with -1 to the most survivors, as lists."""
-    position = {x: i for i, x in enumerate(ground)}
-    combos = list(itertools.product(*choices))
-    alive = [[position[x] for x in sorted(combo[0].intersection(*combo[1:]))]
-             for combo in combos]
-    live = [c for c, survivors in enumerate(alive) if survivors]
-    width = max((len(alive[c]) for c in live), default=0)
-    offsets, ys = [], []
-    for c in live:
-        offsets.append([len(ys) + t for t in range(len(alive[c]))]
-                       + [-1] * (width - len(alive[c])))
-        ys += alive[c]
-    return len(combos), live, offsets, ys
 
 
 def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,

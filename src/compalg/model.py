@@ -620,13 +620,16 @@ def enumerate_partitions(ground: GroundSet) -> list:
     return out
 
 
-def check_path_bound(s: MeasurementSequence) -> int:
-    """The number of paths of the sequence, counted, not listed; more than
-    DEFAULT_PATH_BOUND raise TooManyPaths."""
-    count = math.prod(len(m.blocks) for m in s.steps)
+def path_count(s: MeasurementSequence) -> int:
+    """The number of paths of the sequence, counted, not listed, and unbounded."""
+    return math.prod(len(m.blocks) for m in s.steps)
+
+
+def check_path_bound(s: MeasurementSequence) -> None:
+    """Raise TooManyPaths when ``path_count`` exceeds DEFAULT_PATH_BOUND."""
+    count = path_count(s)
     if count > DEFAULT_PATH_BOUND:
         raise TooManyPaths(f"{count} paths exceeds bound {DEFAULT_PATH_BOUND}")
-    return count
 
 
 def paths_over(s: MeasurementSequence, choices) -> list:

@@ -432,6 +432,19 @@ def test_count_only_counts_paths_without_listing_them(monkeypatch, capsys):
         assert capsys.readouterr().out == f"{count}\n"
 
 
+def test_count_only_has_no_path_bound(tmp_path, capsys):
+    """3^16 paths: counted past the path bound, while listing them is refused."""
+    (tmp_path / "huge.dsl").write_text(
+        "elements G3 = {m, m1, m2}\nmeasurement aM over G3 = {{m}, {m1}, {m2}}\n"
+        f"sequence huge = [{', '.join(['aM'] * 16)}]\n")
+    ws = str(tmp_path / "huge.dsl")
+    assert main(["-w", ws, "enumerate", "paths", "huge", "--count-only"]) == 0
+    assert capsys.readouterr().out == f"{3 ** 16}\n"
+    assert main(["-w", ws, "enumerate", "paths", "huge"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "TooManyPaths: 43046721 paths exceeds bound 1000000" in err
+
+
 def long_path_workspace(tmp_path, steps: int, coefficient: str) -> str:
     """A path of the given number of steps alternating between two
     one-element grounds, whose one matrix entry is [coefficient, 0]."""

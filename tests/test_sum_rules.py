@@ -251,6 +251,28 @@ def test_table_is_probability_of_at_workload_scale(monkeypatch):
     assert h_tails > 100
 
 
+def test_table_padding_meets_a_non_finite_entry():
+    """An entry beyond the float range lowers to an infinity, and the
+    two-detector step pads the {a3} rows: inf times a padded zero is NaN,
+    which the table must not carry into the next run.  Every value is
+    probability_of's by repr, so an infinity and a NaN are told apart."""
+    half = measurement("halfA", A3, [["a1", "a2"], ["a3"]])
+    s = sequence([atomic_measurement(A3), atomic_measurement(B3), half,
+                  atomic_measurement(B3)])
+    shown = set()
+    for kind in (AlgebraKind.R, AlgebraKind.C):
+        algebra = make_algebra(kind)
+        rows = [[(10 ** 400 if i == j == 0 else (i + 2 * j + 1) / 8,)
+                 + (0.5,) * (algebra.dim - 1) for j in range(3)] for i in range(3)]
+        asg = Assignment(algebra, [(A3, B3, rows)])
+        assert not asg.is_exact
+        for x in A3.elements:
+            for p, q in path_probabilities(s, frozenset({x}), asg):
+                assert repr(q) == repr(probability_of(p, asg).probability), (kind, p)
+                shown.add(repr(q))
+    assert {"inf", "nan"} <= shown
+
+
 # -- beyond the path bound ------------------------------------------------------------
 
 def exact_unitary_c():
