@@ -30,8 +30,11 @@ in one multinomial draw.
 
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step, reading the
-same lowered rows in place and conjugating the right-hand factor.  Row
-normalization is the sum rule of a two-step experiment.
+same lowered rows in place and conjugating the right-hand factor.  It
+reads the source's row at the first run boundary and every row of the
+later ones; in float mode a total that is not finite through one of those
+entries names the entry (NotADistribution).  Row normalization is the sum
+rule of a two-step experiment.
 
 Exact and float mode differ in two rules, each written once: a value that
 must be scalar goes through ``algebra.scalar_part`` (exact, or within
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -81,11 +85,11 @@ CoeffRows = Dict[str, Dict[str, tuple]]
 _TRIPLE = "(GroundSet, GroundSet, rows)"
 
 
-def _shape(block) -> str:
-    """The type of a block, item by item for a tuple or list."""
-    if isinstance(block, (tuple, list)):
-        return f"({', '.join(type(b).__name__ for b in block)})"
-    return type(block).__name__
+def _shape(value) -> str:
+    """The type name of a value, item by item for a tuple or list."""
+    if isinstance(value, (tuple, list)):
+        return f"({', '.join(type(b).__name__ for b in value)})"
+    return type(value).__name__
 
 
 class Assignment:
@@ -133,11 +137,18 @@ class Assignment:
                                for x, row in zip(g_from.elements, rows)}
 
     def _coeffs(self, entry) -> tuple:
-        """The coefficient tuple of one matrix entry, checked against the algebra."""
-        amp = entry if isinstance(entry, Amplitude) else self.algebra.amplitude(entry)
-        if amp.algebra != self.algebra:
+        """The coefficient tuple of one matrix entry, checked against the
+        algebra: a sequence of real numbers (``numbers.Real``), not a string."""
+        if not isinstance(entry, Amplitude):
+            if isinstance(entry, str) or not hasattr(entry, "__iter__"):
+                raise ValueError(f"matrix entry must be a sequence of reals, got {_shape(entry)}")
+            entry = self.algebra.amplitude(entry)
+        if entry.algebra != self.algebra:
             raise ValueError("matrix entry algebra mismatch")
-        return amp.coeffs
+        for c in entry.coeffs:
+            if type(c) not in (int, float, Fraction) and not isinstance(c, numbers.Real):
+                raise ValueError(f"matrix coefficient must be a real number, got {_shape(c)}")
+        return entry.coeffs
 
     def pairs(self):
         """The ordered ground pairs with a stored matrix."""
@@ -241,12 +252,13 @@ def _born(asg: Assignment, sums: Optional[tuple], denominator: int):
     return quadratic_form_over(asg.algebra, sums, denominator, asg.is_exact)
 
 
-def _boundary_rows(s, asg: Assignment, segments) -> Tuple[list, list]:
-    """The lowered matrix from each weak-equivalence run to the next and its
-    denominator; raises SequenceMismatch when the assignment lacks one."""
+def _boundary_rows(s, asg: Assignment, segments) -> Tuple[list, int]:
+    """The lowered matrix from each weak-equivalence run to the next and the
+    product of their denominators; raises SequenceMismatch when the
+    assignment lacks one."""
     grounds = [s.steps[lo].element_set() for lo, _ in segments]
     boundaries = [asg.lowered(a, b) for a, b in zip(grounds, grounds[1:])]
-    return [rows for rows, _ in boundaries], [den for _, den in boundaries]
+    return [rows for rows, _ in boundaries], math.prod(den for _, den in boundaries)
 
 
 def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
@@ -269,18 +281,18 @@ def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     """
     kernel, unit = asg.algebra.kernel, asg.algebra.unit().coeffs
     segments = model.runs(p)
-    matrices, dens = _boundary_rows(p.sequence, asg, segments)
+    matrices, den = _boundary_rows(p.sequence, asg, segments)
     partial = None
     for k, (lo, hi) in enumerate(segments):
         alive = p.results[lo].intersection(*p.results[lo + 1:hi + 1])
         if not alive:
-            return None, math.prod(dens)
+            return None, den
         if k == 0:
             partial = {x: unit for x in sorted(alive)}
         else:
             rows, accs = matrices[k - 1], partial.values()
             partial = {y: kernel(accs, [rows[x][y] for x in partial]) for y in sorted(alive)}
-    return summed(partial.values(), asg.algebra.dim), math.prod(dens)
+    return summed(partial.values(), asg.algebra.dim), den
 
 
 def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
@@ -385,23 +397,17 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     conjugate transposes, and each row x must be normalized: the sum rule
     of the two atomic measurements of the pair from {x} is one.  So is the
     sum rule of the sequence from every source element.  A sum rule fails
-    on a missing matrix or a non-scalar sum, with the error as detail.  In
-    float mode a sum rule, of a row or of the sequence, fails on the first
-    entry lowered to an infinity or NaN among the rows its recursion reads,
-    named as detail, before its total (an infinity times a zero gives NaN).
+    on a missing matrix, a non-scalar sum or a non-finite entry that it
+    reads (see ``total_probability``), with the error as detail.
     """
     entries = [ValidationEntry("associative_algebra", asg.algebra.kind.label,
                                asg.algebra.kind.is_associative)]
 
     def sum_rule(check, location, steps, x, what):
         try:
-            bad = None if asg.is_exact else _first_non_finite(steps, x, asg)
-            if bad is not None:
-                ok, detail = False, f"entry {bad[0]} -> {bad[1]} is not finite"
-            else:
-                total = total_probability(steps, frozenset({x}), asg)
-                ok, detail = _close(total, 1), f"{what} is {_shown(total)}"
-        except (SequenceMismatch, NonScalarProduct) as exc:
+            total = total_probability(steps, frozenset({x}), asg)
+            ok, detail = _close(total, 1), f"{what} is {_shown(total)}"
+        except (SequenceMismatch, NonScalarProduct, NotADistribution) as exc:
             ok, detail = False, str(exc)
         entries.append(ValidationEntry(check, location, ok, "" if ok else detail))
 
@@ -438,36 +444,22 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     return ValidationReport(tuple(entries))
 
 
-def _first_non_finite(s: MeasurementSequence, x: str,
-                      asg: Assignment) -> Optional[Tuple[str, str]]:
-    """The first lowered entry (x', y) that is not finite among the rows the
-    sum rule of s from {x} reads: row x of the first run boundary, every row
-    of the later ones; in boundary order, then sorted x' and y.  Raises
-    SequenceMismatch when the assignment lacks a matrix."""
-    matrices, _ = _boundary_rows(s, asg, model.runs(s))
-    for k, rows in enumerate(matrices):
-        for x2 in [x] if k == 0 else sorted(rows):
-            for y in sorted(rows[x2]):
-                if not all(map(math.isfinite, rows[x2][y])):
-                    return x2, y
-    return None
-
-
-def _same_block_classes(steps, elements) -> List[List[str]]:
-    """The elements grouped by the detector holding them at every step.
+def _same_block_classes(steps) -> List[List[str]]:
+    """The elements of the steps' ground grouped by the detector holding
+    them at every step.
 
     Two elements share a class exactly when some path's run over these
     steps keeps both alive: the same-block mask D of the pair recursion.
     """
     classes: Dict[tuple, List[str]] = {}
-    for x in sorted(elements):
+    for x in sorted(steps[0].element_set()):
         classes.setdefault(tuple(m.block_containing(x) for m in steps), []).append(x)
     return list(classes.values())
 
 
-def _pair_transfer(classes, matrices, algebra: Algebra) -> list:
-    """S_0 over the same-class pairs (x, x') of run 0, in the order of the
-    classes, then x, then x', by the backward recursion
+def _pair_transfer(classes, matrices, algebra: Algebra) -> tuple:
+    """S_0(x, x) for the one element x of run 0 (``classes[0] == [[x]]``),
+    by the backward recursion
 
         S_last(x, x') = 1
         S_k(x, x')    = sum_y' (sum_y E_k[x][y] S_k+1(y, y')) conj(E_k[x'][y'])
@@ -494,12 +486,8 @@ def _pair_transfer(classes, matrices, algebra: Algebra) -> list:
             for x2 in cls:
                 right = [conj(rows[x2][y]) for y in targets]
                 columns[x2] = {x: kernel(left[x], right) for x in cls}
-    return [columns[x2][x] for cls in classes[0] for x in cls for x2 in cls]
-
-
-def _norm(coeffs: tuple) -> Tuple[float]:
-    """The Euclidean norm of a coefficient tuple, as an element of R."""
-    return (math.sqrt(squared_norm(coeffs)),)
+    ((x,),) = classes[0]
+    return columns[x][x]
 
 
 def _check_source(s: MeasurementSequence, source: frozenset) -> None:
@@ -521,37 +509,54 @@ def total_probability(s: MeasurementSequence, source: frozenset,
         S_k(x, x')    = D_k(x, x') Sum_y' (Sum_y E_k(x, y) S_k+1(y, y')) conj(E_k(x', y'))
 
     where D_k(x, x') holds when x and x' lie in one block at every step of
-    run k, and run 0 is restricted to the source.  The total is the e0
-    coefficient of Sum S_0.  This costs O(L n^3) algebra products for L
-    runs over grounds of at most n elements, and needs no path bound.  E_k
-    is lowered over its denominator q_k (1 in float mode), so in exact mode
-    the recursion runs over integers, S_k carrying q_k^2 ... q_last^2, and
-    the total is divided by the product of the q_k^2 once.
+    run k, and run 0 is the one element x of the source (the first step is
+    atomic).  The total is the e0 coefficient of S_0(x, x).  This costs
+    O(L n^3) algebra products for L runs over grounds of at most n
+    elements, and needs no path bound.  E_k is lowered over its denominator
+    q_k (1 in float mode), so in exact mode the recursion runs over
+    integers, S_k carrying q_k^2 ... q_last^2, and the total is divided by
+    the product of the q_k^2 once.
 
-    The summed imaginary tail must vanish, by ``algebra.scalar_part`` as
-    for quadratic_form: exactly in exact mode; in float mode within
-    SCALAR_RTOL times the same recursion over entry norms, which bounds the
-    magnitude of every term summed and runs only when the tail is nonzero.
-    Otherwise NonScalarProduct is raised.
+    The recursion reads row x of E_0 and every row of the later E_k, and
+    nothing else: one list of rows per boundary, built here once.  The
+    summed imaginary tail must vanish, by ``algebra.scalar_part`` as for
+    quadratic_form: exactly in exact mode; in float mode within SCALAR_RTOL
+    times the same recursion over the norms of those entries, which bounds
+    the magnitude of every term summed and runs only when the tail is
+    nonzero.  Otherwise NonScalarProduct is raised.
+
+    In float mode a total that is not finite is traced to those rows: the
+    first entry that is not finite, in boundary order, then sorted x' and
+    y, raises NotADistribution naming it.  A finite total hides none: each
+    entry read meets S_k+1(y, y) in a product, and every kernel output sums
+    one product with each input coefficient, so such an entry makes every
+    coefficient of the total non-finite.  A total that overflows from
+    finite entries is returned as it is.
     """
     source = frozenset(source)
     _check_source(s, source)
-    steps = s.steps
+    (x,) = source
     segments = model.runs(s)
-    matrices, dens = _boundary_rows(s, asg, segments)
-    classes = [_same_block_classes(steps[lo:hi + 1],
-                                   source if lo == 0 else steps[lo].element_set())
-               for lo, hi in segments]
-    pairs = _pair_transfer(classes, matrices, asg.algebra)
-    total = _result(asg, summed(pairs, asg.algebra.dim), math.prod(den * den for den in dens))
+    matrices, den = _boundary_rows(s, asg, segments)
+    read = [{x2: rows[x2] for x2 in ([x] if k == 0 else sorted(rows))}
+            for k, rows in enumerate(matrices)]
+    classes = [[[x]]] + [_same_block_classes(s.steps[lo:hi + 1]) for lo, hi in segments[1:]]
+    total = _result(asg, _pair_transfer(classes, read, asg.algebra), den * den)
 
-    def magnitude() -> float:  # over the rows the transfer reads: run 0 from the source
-        norms = [{x: {y: _norm(a) for y, a in rows[x].items()} for cls in classes[k] for x in cls}
-                 for k, rows in enumerate(matrices)]
-        bounds = _pair_transfer(classes, norms, make_algebra(AlgebraKind.R))
-        return sum(bound for (bound,) in bounds)
+    def magnitude() -> float:
+        norms = [{x2: {y: (math.sqrt(squared_norm(a)),) for y, a in row.items()}
+                  for x2, row in rows.items()} for rows in read]
+        return _pair_transfer(classes, norms, make_algebra(AlgebraKind.R))[0]
 
-    return scalar_part(total, asg.is_exact, magnitude, "summed pair products")
+    value = scalar_part(total, asg.is_exact, magnitude, "summed pair products")
+    if asg.is_exact or math.isfinite(value):
+        return value
+    for rows in read:
+        for x2, row in rows.items():
+            for y in sorted(row):
+                if not all(map(math.isfinite, row[y])):
+                    raise NotADistribution(f"entry {x2} -> {y} is not finite")
+    return value
 
 
 # -- sampling --------------------------------------------------------------------
@@ -590,7 +595,7 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     _check_source(s, source)
     algebra = asg.algebra
     segments = model.runs(s)
-    matrices, dens = _boundary_rows(s, asg, segments)
+    matrices, den = _boundary_rows(s, asg, segments)
     choices = [[source]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
     paths = model.paths_over(s, choices)
     probabilities = [0] * len(paths)
@@ -633,7 +638,7 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
         else:
             coeffs = summed([tuple(c[..., t].ravel() for c in coeffs) for t in range(width)],
                             algebra.dim)
-            born = quadratic_form_columns(algebra, coeffs, math.prod(dens), asg.is_exact)
+            born = quadratic_form_columns(algebra, coeffs, den, asg.is_exact)
             for r, q in zip(rank.tolist(), born):
                 probabilities[r] = q
             del coeffs, rank, born  # freed before the table is built

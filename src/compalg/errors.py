@@ -80,4 +80,6 @@ class NonAssociativeAlgebra(EngineError):
 
 
 class NotADistribution(EngineError):
-    """Path probabilities are negative or do not sum to one."""
+    """Path probabilities are negative or do not sum to one, the source is
+    not a result of the first step, or a float sum rule reads a matrix
+    entry that is not finite."""

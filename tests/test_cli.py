@@ -100,6 +100,23 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_commands_other_than_sample_leave_numpy_unloaded():
+    """Each of these commands runs to completion without loading numpy."""
+    commands = [["classify", "cyc"], ["normalize", "wobble"], ["enumerate", "paths", "two"],
+                ["prob", "hop", "--assignment", "amp"],
+                ["sum-rule", "two", "--assignment", "amp", "--source", "{n1}"],
+                ["verify-algebra", "H", "--samples", "5"]]
+    script = (
+        "import contextlib, io, sys\n"
+        "from compalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['-w', {FIG!r}, *argv]) for argv in {commands!r}]\n"
+        "print(codes, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] False\n", proc.stderr
+
+
 def test_non_detector_result_message_is_the_same_under_every_hash_seed(tmp_path):
     doc = tmp_path / "bad.dsl"
     doc.write_text(

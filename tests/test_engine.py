@@ -3,8 +3,10 @@
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from compalg import model
@@ -256,15 +258,36 @@ TRIPLE = "(GroundSet, GroundSet, rows)"
      f"each block must be a {TRIPLE} triple, got (Measurement, GroundSet, list)"),
     ("C", {(N, G3): [[[1, 0]] * 3] * 2}, ValueError,
      f"blocks must be {TRIPLE} triples, got a mapping"),
+    ("R", [(N, G3, [[[1], "1", [1]], [[1]] * 3])], ValueError,
+     "matrix entry must be a sequence of reals, got str"),
+    ("R", [(N, G3, [[1, 0, 0], [0, 1, 0]])], ValueError,
+     "matrix entry must be a sequence of reals, got int"),
+    ("C", [(N, G3, [[[1, 0]] * 3, [[1, 0], (1, "0"), [1, 0]]])], ValueError,
+     "matrix coefficient must be a real number, got str"),
+    ("C", [(N, G3, [[[1, 0], [None, 0], [1, 0]], [[1, 0]] * 3])], ValueError,
+     "matrix coefficient must be a real number, got NoneType"),
+    ("C", [(N, G3, [[[1, 0], [Decimal(1), 0], [1, 0]], [[1, 0]] * 3])], ValueError,
+     "matrix coefficient must be a real number, got Decimal"),
 ], ids=["extra row", "extra column", "short row", "other algebra", "long entry",
-        "same ground", "octonions", "pair", "bare ground", "measurement", "mapping"])
+        "same ground", "octonions", "pair", "bare ground", "measurement", "mapping",
+        "string entry", "number entry", "string coefficient", "None coefficient",
+        "Decimal coefficient"])
 def test_assignment_from_rows_rejects_misshaped_matrix(kind, blocks, error, message):
     """Each check names the first fault in the order algebra, block shape,
     ground pair, row count, column count, entries, so a matrix that also
-    has the wrong shape still reports the same ground or the octonions."""
+    has the wrong shape still reports the same ground or the octonions.
+    An entry is a sequence of real numbers: a string is not read as its
+    characters, nor does a string coefficient put the matrix in float mode."""
     with pytest.raises(error) as exc:
         Assignment(make_algebra(AlgebraKind.from_label(kind)), blocks)
     assert str(exc.value) == message
+
+
+def test_assignment_accepts_numpy_reals_in_float_mode():
+    asg = c_assignment([[[numpy.int64(1), numpy.float64(0.5)], [0, 0], [0, 0]],
+                        [[0, 1], [0, 0], [0, 0]]])
+    assert not asg.is_exact
+    assert total_probability(sequence([AN, AM]), frozenset({"n1"}), asg) == 1.25
 
 
 def adjoint_report(perturb):
@@ -342,6 +365,25 @@ def test_validation_sum_rule_names_the_non_finite_entry():
                 for e in validate_assignment(sequence(steps), asg).entries
                 if e.check == "sum_rule"]
         assert sums == [("source n1", *want[0]), ("source n2", *want[1])]
+
+
+def test_total_probability_names_a_non_finite_entry_it_reads():
+    """A float total that is not finite names the first non-finite entry
+    among the rows the sum rule reads: the source's row at the first
+    boundary, every row at a later one, here m -> n1 of the derived
+    reverse.  An infinity in another source's row is not read, and a
+    finite entry whose square overflows gives inf."""
+    floats = c_assignment([[[math.inf, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                           [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+    for steps, source, message in (([AN, AM], "n1", "entry n1 -> m is not finite"),
+                                   ([AN, AM, AN], "n2", "entry m -> n1 is not finite")):
+        with pytest.raises(NotADistribution) as exc:
+            total_probability(sequence(steps), frozenset({source}), floats)
+        assert str(exc.value) == message
+    assert total_probability(sequence([AN, AM]), frozenset({"n2"}), floats) == 1.0
+    overflow = c_assignment([[[1e200, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                             [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+    assert total_probability(sequence([AN, AM]), frozenset({"n1"}), overflow) == math.inf
 
 
 def test_validation_names_the_non_finite_entry_of_the_derived_reverse():
