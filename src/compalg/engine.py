@@ -30,11 +30,14 @@ in one multinomial draw.
 
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step, reading the
-same lowered rows in place and conjugating the right-hand factor.  It
-reads the source's row at the first run boundary and every row of the
-later ones; in float mode a total that is not finite through one of those
-entries names the entry (NotADistribution).  Row normalization is the sum
-rule of a two-step experiment.
+same lowered rows in place and conjugating the right-hand factor.  The
+sum rule and the sampler start from one source frame (``_source_rows``):
+the source, checked against the first step, the runs, and the rows that
+a recursion from the source reads, the source's row at the first run
+boundary and every row of the later ones; neither reads any other row.
+In float mode a total or a sampling mass that is not finite through one
+of those entries names the first such entry (NotADistribution).  Row
+normalization is the sum rule of a two-step experiment.
 
 Exact and float mode differ in two rules, each written once: a value that
 must be scalar goes through ``algebra.scalar_part`` (exact, or within
@@ -252,13 +255,14 @@ def _born(asg: Assignment, sums: Optional[tuple], denominator: int):
     return quadratic_form_over(asg.algebra, sums, denominator, asg.is_exact)
 
 
-def _boundary_rows(s, asg: Assignment, segments) -> Tuple[list, int]:
-    """The lowered matrix from each weak-equivalence run to the next and the
-    product of their denominators; raises SequenceMismatch when the
-    assignment lacks one."""
+def _boundary_rows(s, asg: Assignment) -> Tuple[list, list, int]:
+    """The weak-equivalence runs of a sequence or path, the lowered matrix
+    from each run to the next and the product of their denominators;
+    raises SequenceMismatch when the assignment lacks one."""
+    segments = model.runs(s)
     grounds = [s.steps[lo].element_set() for lo, _ in segments]
     boundaries = [asg.lowered(a, b) for a, b in zip(grounds, grounds[1:])]
-    return [rows for rows, _ in boundaries], math.prod(den for _, den in boundaries)
+    return segments, [rows for rows, _ in boundaries], math.prod(den for _, den in boundaries)
 
 
 def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
@@ -280,8 +284,7 @@ def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     on arrays over every path.
     """
     kernel, unit = asg.algebra.kernel, asg.algebra.unit().coeffs
-    segments = model.runs(p)
-    matrices, den = _boundary_rows(p.sequence, asg, segments)
+    segments, matrices, den = _boundary_rows(p, asg)
     partial = None
     for k, (lo, hi) in enumerate(segments):
         alive = p.results[lo].intersection(*p.results[lo + 1:hi + 1])
@@ -490,9 +493,30 @@ def _pair_transfer(classes, matrices, algebra: Algebra) -> tuple:
     return columns[x][x]
 
 
-def _check_source(s: MeasurementSequence, source: frozenset) -> None:
-    if source not in s.steps[0].blocks:
+def _source_rows(s: MeasurementSequence, source, asg: Assignment) -> Tuple[list, list, int]:
+    """The runs of s, the rows that a recursion from the source reads and
+    their denominator (see ``_boundary_rows``).
+
+    The source {x} must be a block of the first step, else NotADistribution.
+    Of the first run boundary only row x is read, of every later one each
+    row, in sorted x'; one dict x' -> row per boundary.
+    """
+    if frozenset(source) not in s.steps[0].blocks:
         raise NotADistribution("no paths start at the given source result")
+    segments, matrices, den = _boundary_rows(s, asg)
+    read = [{x2: rows[x2] for x2 in (source if k == 0 else sorted(rows))}
+            for k, rows in enumerate(matrices)]
+    return segments, read, den
+
+
+def _name_non_finite(read) -> None:
+    """Raise NotADistribution naming the first entry of the read rows that
+    is not finite, in boundary order, then sorted x' and y; float rows only."""
+    for rows in read:
+        for x2, row in rows.items():
+            for y in sorted(row):
+                if not all(map(math.isfinite, row[y])):
+                    raise NotADistribution(f"entry {x2} -> {y} is not finite")
 
 
 def total_probability(s: MeasurementSequence, source: frozenset,
@@ -518,29 +542,25 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     the product of the q_k^2 once.
 
     The recursion reads row x of E_0 and every row of the later E_k, and
-    nothing else: one list of rows per boundary, built here once.  The
-    summed imaginary tail must vanish, by ``algebra.scalar_part`` as for
+    nothing else: the source frame of ``_source_rows``, shared with
+    ``path_probabilities``, which also checks the source.  The summed
+    imaginary tail must vanish, by ``algebra.scalar_part`` as for
     quadratic_form: exactly in exact mode; in float mode within SCALAR_RTOL
     times the same recursion over the norms of those entries, which bounds
     the magnitude of every term summed and runs only when the tail is
     nonzero.  Otherwise NonScalarProduct is raised.
 
-    In float mode a total that is not finite is traced to those rows: the
-    first entry that is not finite, in boundary order, then sorted x' and
-    y, raises NotADistribution naming it.  A finite total hides none: each
+    In float mode a total that is not finite is traced to those rows by
+    ``_name_non_finite``, the scan ``sample_rows`` shares: the first entry
+    that is not finite, in boundary order, then sorted x' and y, raises
+    NotADistribution naming it.  A finite total hides none: each
     entry read meets S_k+1(y, y) in a product, and every kernel output sums
     one product with each input coefficient, so such an entry makes every
     coefficient of the total non-finite.  A total that overflows from
     finite entries is returned as it is.
     """
-    source = frozenset(source)
-    _check_source(s, source)
-    (x,) = source
-    segments = model.runs(s)
-    matrices, den = _boundary_rows(s, asg, segments)
-    read = [{x2: rows[x2] for x2 in ([x] if k == 0 else sorted(rows))}
-            for k, rows in enumerate(matrices)]
-    classes = [[[x]]] + [_same_block_classes(s.steps[lo:hi + 1]) for lo, hi in segments[1:]]
+    segments, read, den = _source_rows(s, source, asg)
+    classes = [[[*source]]] + [_same_block_classes(s.steps[lo:hi + 1]) for lo, hi in segments[1:]]
     total = _result(asg, _pair_transfer(classes, read, asg.algebra), den * den)
 
     def magnitude() -> float:
@@ -549,13 +569,8 @@ def total_probability(s: MeasurementSequence, source: frozenset,
         return _pair_transfer(classes, norms, make_algebra(AlgebraKind.R))[0]
 
     value = scalar_part(total, asg.is_exact, magnitude, "summed pair products")
-    if asg.is_exact or math.isfinite(value):
-        return value
-    for rows in read:
-        for x2, row in rows.items():
-            for y in sorted(row):
-                if not all(map(math.isfinite, row[y])):
-                    raise NotADistribution(f"entry {x2} -> {y} is not finite")
+    if not (asg.is_exact or math.isfinite(value)):
+        _name_non_finite(read)
     return value
 
 
@@ -567,6 +582,10 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     ``enumerate_paths`` order (``path_key`` order within the sequence).
 
     Every path is evaluated in one batched pass per weak-equivalence run,
+    on the source frame of ``total_probability`` (``_source_rows``): the
+    source's row at the first run boundary and every row of the later ones
+    are the only rows read, so a run's ground is the keys of its rows (the
+    source element for run 0) and the last run's is its own.  The pass is
     the walk of ``_thread_sums`` on numpy arrays (float64 in float mode,
     Python ints of object dtype in exact mode).  After run k each of the d
     coefficients is one array over (row, slot).  A row is a live prefix:
@@ -590,23 +609,21 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     """
     import numpy as np
 
-    source = frozenset(source)
     model.check_path_bound(s)
-    _check_source(s, source)
+    segments, read, den = _source_rows(s, source, asg)
     algebra = asg.algebra
-    segments = model.runs(s)
-    matrices, den = _boundary_rows(s, asg, segments)
-    choices = [[source]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
+    choices = [[frozenset(source)]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
     paths = model.paths_over(s, choices)
     probabilities = [0] * len(paths)
     # a single run has no matrix: its sums stay ints, as _thread_sums gives them
-    dtype = float if matrices and not asg.is_exact else object
+    dtype = float if read and not asg.is_exact else object
     # rank: each row's rank in path order.  coeffs: arrays over (parent row,
     # live combination, slot), the first two axes together being the rows
     rank = np.zeros(1, np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (lo, hi) in enumerate(segments):
-            ground = sorted(s.steps[lo].element_set())
+            # the keys of the rows read from this run (the source at run 0), or the last ground
+            ground = sorted(read[k] if k < len(read) else s.steps[lo].element_set())
             combos = list(itertools.product(*choices[lo:hi + 1]))
             # each combination's surviving elements, as sorted positions in the ground
             alive = [[i for i, x in enumerate(ground) if all(x in r for r in combo)]
@@ -623,7 +640,7 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
             else:
                 # the lowered matrix [x, y, i], a zero row and column at the padding positions
                 block = np.zeros((len(previous) + 1, len(ground) + 1, algebra.dim), dtype)
-                block[:-1, :-1] = [[matrices[k - 1][x][y] for y in ground] for x in previous]
+                block[:-1, :-1] = [[read[k - 1][x][y] for y in ground] for x in previous]
                 # over (parent row, parent combination, combination, slot), with
                 # xs the parent run's ys: one parent slot t at a time
                 coeffs = algebra.kernel(
@@ -653,6 +670,12 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     result, in ``path_key`` order, with the probabilities of
     ``path_probabilities`` and its path bound.  The counts are one
     multinomial draw seeded with [seed, 0]: they depend on (seed, n) alone.
+
+    A probability that is negative or beyond the float range, or a mass
+    off one, raises NotADistribution.  In float mode a mass that is not
+    finite names the first non-finite entry the table reads, by the scan
+    of ``total_probability``: each such entry meets a partial sum in a
+    product, so none is hidden behind a finite mass.
     """
     if not 0 <= n < MAX_DRAWS:
         raise ValueError(f"number of draws must lie in [0, 2**63), got {n}")
@@ -669,6 +692,8 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
             raise NotADistribution(f"negative probability {q} for {p!r}")
         probs.append(max(value, 0.0))
     mass = sum(probs)
+    if not (asg.is_exact or math.isfinite(mass)):
+        _name_non_finite(_source_rows(s, source, asg)[1])
     if not abs(mass - 1.0) <= DISTRIBUTION_TOL:  # a NaN mass fails too
         raise NotADistribution(f"path probabilities sum to {mass}, not 1")
     import numpy as np

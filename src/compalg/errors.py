@@ -81,5 +81,5 @@ class NonAssociativeAlgebra(EngineError):
 
 class NotADistribution(EngineError):
     """Path probabilities are negative or do not sum to one, the source is
-    not a result of the first step, or a float sum rule reads a matrix
-    entry that is not finite."""
+    not a result of the first step, or a float sum rule or sample reads a
+    matrix entry that is not finite."""

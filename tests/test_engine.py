@@ -18,8 +18,10 @@ from compalg.engine import (
     amplitude_of,
     check_certain_insertion,
     check_markov,
+    path_probabilities,
     probability_of,
     sample,
+    sample_rows,
     total_probability,
     validate_assignment,
 )
@@ -372,18 +374,28 @@ def test_total_probability_names_a_non_finite_entry_it_reads():
     among the rows the sum rule reads: the source's row at the first
     boundary, every row at a later one, here m -> n1 of the derived
     reverse.  An infinity in another source's row is not read, and a
-    finite entry whose square overflows gives inf."""
-    floats = c_assignment([[[math.inf, 0.0], [0.0, 0.0], [0.0, 0.0]],
-                           [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+    finite entry whose square overflows gives inf.  The sampler reads the
+    same rows: it names the same entries, its table does not depend on the
+    unread one, and the overflow leaves a mass of inf."""
+    def c_rows(first):
+        return c_assignment([[[first, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                             [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+
+    floats = c_rows(math.inf)
     for steps, source, message in (([AN, AM], "n1", "entry n1 -> m is not finite"),
                                    ([AN, AM, AN], "n2", "entry m -> n1 is not finite")):
-        with pytest.raises(NotADistribution) as exc:
-            total_probability(sequence(steps), frozenset({source}), floats)
-        assert str(exc.value) == message
+        for call in (total_probability, lambda *a: sample_rows(*a, 10, 1)):
+            with pytest.raises(NotADistribution) as exc:
+                call(sequence(steps), frozenset({source}), floats)
+            assert str(exc.value) == message
     assert total_probability(sequence([AN, AM]), frozenset({"n2"}), floats) == 1.0
-    overflow = c_assignment([[[1e200, 0.0], [0.0, 0.0], [0.0, 0.0]],
-                             [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+    tables = [[(p, q.hex()) for p, q in path_probabilities(
+        sequence([AN, AM]), frozenset({"n2"}), asg)] for asg in (floats, c_rows(2.0))]
+    assert tables[0] == tables[1] and len(tables[0]) == 3
+    overflow = c_rows(1e200)
     assert total_probability(sequence([AN, AM]), frozenset({"n1"}), overflow) == math.inf
+    with pytest.raises(NotADistribution, match=r"^path probabilities sum to inf, not 1$"):
+        sample_rows(sequence([AN, AM]), frozenset({"n1"}), overflow, 10, 1)
 
 
 def test_validation_names_the_non_finite_entry_of_the_derived_reverse():

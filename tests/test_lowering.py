@@ -372,11 +372,14 @@ def test_float_mode_zero_is_a_float(tmp_path, capsys):
 def test_float_mode_coefficient_beyond_the_float_range(tmp_path, capsys):
     """An int too large for a float, in a float-mode matrix, is lowered as
     an infinity: a walk that avoids it is unchanged, and a sum rule through
-    it names that entry (exit 3), not a traceback."""
+    it names that entry (exit 3), not a traceback; so does a sample from
+    the same source."""
     (tmp_path / "mix.dsl").write_text(MIX_DSL)
     (tmp_path / "mix.json").write_text(REAL.replace("[0.0, 0, 0, 0]", f"[{10 ** 400}, 0, 0, 0]", 1))
     workspace = ["-w", str(tmp_path / "mix.dsl")]
     assert main([*workspace, *ARGV["prob"]]) == 0
     assert capsys.readouterr().out == '{"amplitude":[0.25,0.0,0.0,0.0],"probability":0.0625}\n'
-    assert main([*workspace, *ARGV["sum-rule"]]) == 3
-    assert capsys.readouterr().err == "validation error: entry a1 -> b1 is not finite\n"
+    for argv in (ARGV["sum-rule"], ["sample", "zig", "--assignment", "mix", "--source", "{a1}",
+                                    "-n", "10", "--seed", "1"]):
+        assert main([*workspace, *argv]) == 3
+        assert capsys.readouterr().err == "validation error: entry a1 -> b1 is not finite\n"
