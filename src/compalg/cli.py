@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -122,6 +123,9 @@ def cmd_prob(args) -> int:
     p = _lookup(ws.paths, args.path, "path")
     asg = _lookup(ws.assignments, args.assignment, "assignment")
     result = engine.probability_of(p, asg)
+    if not (asg.is_exact or all(map(math.isfinite, (*result.amplitude.coeffs,
+                                                    result.probability)))):
+        engine.name_non_finite_entry(p, asg)
     _emit(args, result.to_json(), [
         f"amplitude: [{', '.join(map(str, result.amplitude.coeffs))}]",
         f"probability: {result.probability}"])

@@ -13,10 +13,10 @@ checked there only, stores coefficient tuples, and every evaluator reads one
 representation: each ground pair lowered once, on first use, to rows x ->
 {y: coefficient tuple} by ``algebra.lower`` (ints over one denominator in
 exact mode, decided by ``algebra.is_exact``; floats over 1 otherwise).
-The engine has no coefficient arithmetic of its own: ``Algebra.kernel``
-forms every product, ``Algebra.conj`` every conjugate and
-``algebra.summed`` every sum, in a fixed order; ``algebra.lift`` rebuilds
-a result once, at the end.
+Outside the float sum rule the engine has no coefficient arithmetic of
+its own: ``Algebra.kernel`` forms every product, ``Algebra.conj`` every
+conjugate and ``algebra.summed`` every sum, in a fixed order;
+``algebra.lift`` rebuilds a result once, at the end.
 
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
@@ -29,15 +29,21 @@ a row's survivors.  It is bounded by ``model.DEFAULT_PATH_BOUND`` and ends
 in one multinomial draw.
 
 Sum rules are computed without listing paths, by a backward recursion
-over pairs of threads that share a detector at every step, reading the
-same lowered rows in place and conjugating the right-hand factor.  The
-sum rule and the sampler start from one source frame (``_source_rows``):
+over pairs of threads that share a detector at every step.  In exact mode
+it reads the same lowered rows in place, through the kernel, conjugating
+the right-hand factor.  In float mode it multiplies real block matrices
+in numpy: each entry as its d x d matrix of left multiplication, built
+from the kernel on basis pairs and kept per ground pair in the
+assignment (``Assignment.real_blocks``), with the tolerance bound's
+recursion over the entry norms in the same pass.  The sum rule and the
+sampler start from one source frame (``_source_rows``):
 the source, checked against the first step, the runs, and the rows that
 a recursion from the source reads, the source's row at the first run
 boundary and every row of the later ones; neither reads any other row.
 In float mode a total or a sampling mass that is not finite through one
-of those entries names the first such entry (NotADistribution).  Row
-normalization is the sum rule of a two-step experiment.
+of those entries names the first such entry (NotADistribution);
+``name_non_finite_entry`` does the same over the entries one path's walk
+reads.  Row normalization is the sum rule of a two-step experiment.
 
 Exact and float mode differ in two rules, each written once: a value that
 must be scalar goes through ``algebra.scalar_part`` (exact, or within
@@ -56,8 +62,8 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .algebra import (
-    Algebra, AlgebraKind, Amplitude, is_exact, lift, lower, make_algebra,
-    quadratic_form_columns, quadratic_form_over, scalar_part, squared_norm, summed,
+    Algebra, Amplitude, is_exact, lift, lower, quadratic_form_columns, quadratic_form_over,
+    scalar_part, squared_norm, summed,
 )
 from .errors import (
     NonAssociativeAlgebra,
@@ -107,7 +113,8 @@ class Assignment:
     they are the identity by construction.
 
     A matrix is held as rows x -> {y: coefficient tuple}; the evaluators
-    read them over one denominator, from ``lowered``.
+    read them over one denominator, from ``lowered``, and the float sum
+    rule as real block matrices, from ``real_blocks``.
     """
 
     def __init__(self, algebra: Algebra, blocks: Iterable) -> None:
@@ -117,6 +124,8 @@ class Assignment:
         self.algebra = algebra
         self._rows: Dict[Tuple[frozenset, frozenset], CoeffRows] = {}
         self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[CoeffRows, int]] = {}
+        # (kernel, its left multiplication, real blocks per ground pair): ``real_blocks``
+        self._real: Optional[tuple] = None
         if isinstance(blocks, Mapping):
             raise ValueError(f"blocks must be {_TRIPLE} triples, got a mapping")
         for block in blocks:
@@ -202,6 +211,50 @@ class Assignment:
                 lowered[x][y] = c
         hit = self._lowered[key] = (lowered, den)
         return hit
+
+    def real_blocks(self, g_from, g_to) -> tuple:
+        """Float mode: the ``lowered`` matrix E from one ground to another as
+        numpy arrays (B, C, A) over the sorted elements x of g_from and y of
+        g_to, for the sum rule's block recursion:
+
+        - B, (n d) x (m d): block [x, y] is L_E(x,y), the real d x d matrix
+          of left multiplication by E(x, y);
+        - C, (m d) x (n d): block [y, x] is L_conj(E(x,y));
+        - A, n x m: A[x, y] is |E(x, y)|, the root of its ``squared_norm``.
+
+        Left multiplication comes from the algebra's kernel on the basis
+        pairs: T[i, k, j] is the e_k coefficient of e_i e_j, so T[i] is
+        L_e_i.  T and each pair's blocks are built on first use and kept
+        until the algebra's kernel is another function.
+        """
+        import numpy as np
+
+        kernel = self.algebra.kernel
+        if self._real is None or self._real[0] is not kernel:
+            basis = [self.algebra.basis_element(i).coeffs for i in range(self.algebra.dim)]
+            left = np.array([[kernel((a,), (b,)) for b in basis] for a in basis], float)
+            self._real = (kernel, left.transpose(0, 2, 1), {})
+        _, left, blocks = self._real
+        key = (_ground_key(g_from), _ground_key(g_to))
+        hit = blocks.get(key)
+        if hit is not None:
+            return hit
+        rows, _ = self.lowered(g_from, g_to)
+        ys = sorted(key[1])
+        # columns[i][x, y]: coefficient i of E(x, y)
+        columns = tuple(np.array([[rows[x][y][i] for y in ys] for x in rows], float)
+                        for i in range(self.algebra.dim))
+        n, m, d = len(rows), len(ys), self.algebra.dim
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite entry gives NaNs
+            hit = blocks[key] = (
+                np.einsum("ixy,ikj->xkyj", columns, left).reshape(n * d, m * d),
+                np.einsum("ixy,ikj->ykxj", self.algebra.conj(columns), left).reshape(m * d, n * d),
+                np.sqrt(squared_norm(columns)))
+        return hit
+
+    def __getstate__(self) -> dict:
+        # the kernel the real blocks were built by does not pickle; they are rebuilt on use
+        return {**vars(self), "_real": None}
 
     def __eq__(self, other):
         return isinstance(other, Assignment) \
@@ -309,6 +362,24 @@ def probability_of(p: Path, asg: Assignment) -> ProbabilityResult:
     sums, denominator = _thread_sums(p, asg)
     return ProbabilityResult(amplitude=_result(asg, sums, denominator),
                              probability=_born(asg, sums, denominator))
+
+
+def name_non_finite_entry(p: Path, asg: Assignment) -> None:
+    """Raise NotADistribution naming the first entry that the walk of
+    ``_thread_sums`` reads on p and that is not finite (``_name_non_finite``):
+    at each run boundary the rows of the run's sorted survivors, each over
+    the next run's survivors.  Float mode only; it returns when every entry
+    read is finite, so a result that overflows from finite entries stands.
+
+    ``prob`` calls it on a result that is not finite: such an entry makes
+    the walk's sums non-finite, since each meets a partial sum in a product
+    (0 * inf is NaN).  ``probability_of`` itself returns the value, as the
+    sampling table does.
+    """
+    segments, matrices, _ = _boundary_rows(p, asg)
+    alive = [sorted(p.results[lo].intersection(*p.results[lo + 1:hi + 1])) for lo, hi in segments]
+    _name_non_finite([{x: {y: rows[x][y] for y in alive[k + 1]} for x in alive[k]}
+                      for k, rows in enumerate(matrices)])
 
 
 def _close(a, b) -> bool:
@@ -471,7 +542,8 @@ def _pair_transfer(classes, matrices, algebra: Algebra) -> tuple:
     matrices[k]`` maps a run-k element to a dict over the run-(k+1)
     elements of coefficient tuples over the (associative) algebra, read in
     class order, multiplied by the algebra's kernel and conjugated by
-    ``Algebra.conj``.
+    ``Algebra.conj``.  (A float sum rule with a run boundary runs
+    ``_block_transfer``.)
     """
     kernel, conj, unit = algebra.kernel, algebra.conj, algebra.unit().coeffs
     # columns[x'][x] = S(x, x'), x running over the class of x' in order
@@ -491,6 +563,49 @@ def _pair_transfer(classes, matrices, algebra: Algebra) -> tuple:
                 columns[x2] = {x: kernel(left[x], right) for x in cls}
     ((x,),) = classes[0]
     return columns[x][x]
+
+
+def _block_transfer(grounds, classes, asg: Assignment) -> Tuple[tuple, float]:
+    """Float mode: the coefficients of S_0(x, x) for the one element x of
+    run 0 (``classes[0] == [[x]]``), and N_0, the same recursion over the
+    entry norms, in one pass over real block matrices.
+
+    With every S_k(y, y') held as its left multiplication L_S(y,y'), a
+    homomorphism on an associative algebra, ``_pair_transfer``'s recursion
+    is a product of the blocks of ``Assignment.real_blocks`` (B_k, C_k, A_k
+    for the pair of grounds k, k+1), masked by D_k, which holds where two
+    elements of run k share a class:
+
+        S_last = D_last (x) I_d                  N_last = D_last
+        S_k    = D_k (x) 1_dxd ? B_k S_k+1 C_k   N_k    = D_k ? A_k N_k+1 A_k^T
+
+    ``where``, not a product with the mask, so that an infinity met outside
+    the mask leaves a zero, not a NaN.  Run 0 slices the source's row of
+    B_0, C_0 and A_0, so no other row enters the result; S_0 is the d x d
+    matrix L_S_0(x,x), whose first column is S_0(x, x).
+    """
+    import numpy as np
+
+    d = asg.algebra.dim
+    blocks = [asg.real_blocks(a, b) for a, b in zip(grounds, grounds[1:])]
+    masks = []  # D_k for the runs k = 1 .. last, over the sorted elements
+    for cls in classes[1:]:
+        label = {x: c for c, members in enumerate(cls) for x in members}
+        ids = np.array([label[x] for x in sorted(label)])
+        masks.append(ids[:, None] == ids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = masks[-1]
+        pair = (last[:, None, :, None] * np.eye(d)[:, None]).reshape(len(last) * d, -1)
+        norm = last.astype(float)
+        for (b, c, a), mask in zip(blocks[:0:-1], masks[-2::-1]):
+            pair = np.where(mask.repeat(d, 0).repeat(d, 1), b @ pair @ c, 0.0)
+            norm = np.where(mask, a @ norm @ a.T, 0.0)
+        (b, c, a), ((x,),) = blocks[0], classes[0]
+        i = sorted(grounds[0]).index(x)
+        rows = slice(i * d, (i + 1) * d)
+        pair, norm = b[rows] @ pair @ c[:, rows], a[i] @ norm @ a[i]
+    # + 0.0: no -0.0, as the kernel's sums start from 0
+    return tuple((pair[:, 0] + 0.0).tolist()), float(norm)
 
 
 def _source_rows(s: MeasurementSequence, source, asg: Assignment) -> Tuple[list, list, int]:
@@ -536,39 +651,42 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     run k, and run 0 is the one element x of the source (the first step is
     atomic).  The total is the e0 coefficient of S_0(x, x).  This costs
     O(L n^3) algebra products for L runs over grounds of at most n
-    elements, and needs no path bound.  E_k is lowered over its denominator
+    elements (in float mode O(L (n d)^3) float operations in numpy), and
+    needs no path bound.  E_k is lowered over its denominator
     q_k (1 in float mode), so in exact mode the recursion runs over
     integers, S_k carrying q_k^2 ... q_last^2, and the total is divided by
     the product of the q_k^2 once.
 
     The recursion reads row x of E_0 and every row of the later E_k, and
     nothing else: the source frame of ``_source_rows``, shared with
-    ``path_probabilities``, which also checks the source.  The summed
-    imaginary tail must vanish, by ``algebra.scalar_part`` as for
-    quadratic_form: exactly in exact mode; in float mode within SCALAR_RTOL
-    times the same recursion over the norms of those entries, which bounds
-    the magnitude of every term summed and runs only when the tail is
-    nonzero.  Otherwise NonScalarProduct is raised.
+    ``path_probabilities``, which also checks the source.  In exact mode it
+    runs on the kernel over the lowered rows (``_pair_transfer``).  In
+    float mode it is a product of real block matrices in numpy
+    (``_block_transfer``), which carries the same recursion over the norms
+    of the entries, N_0, in the same pass.  The summed imaginary tail must
+    vanish, by ``algebra.scalar_part`` as for quadratic_form: exactly in
+    exact mode; in float mode within SCALAR_RTOL times N_0, which bounds
+    the magnitude of every term summed.  Otherwise NonScalarProduct is
+    raised.
 
     In float mode a total that is not finite is traced to those rows by
     ``_name_non_finite``, the scan ``sample_rows`` shares: the first entry
     that is not finite, in boundary order, then sorted x' and y, raises
-    NotADistribution naming it.  A finite total hides none: each
-    entry read meets S_k+1(y, y) in a product, and every kernel output sums
-    one product with each input coefficient, so such an entry makes every
-    coefficient of the total non-finite.  A total that overflows from
-    finite entries is returned as it is.
+    NotADistribution naming it.  A finite total hides none: each entry
+    read meets S_k+1(y, y) in a product, and a non-finite entry turns its
+    whole block of B_k or C_k non-finite, which every later product
+    carries into the total.  A total that overflows from finite entries is
+    returned as it is.
     """
     segments, read, den = _source_rows(s, source, asg)
     classes = [[[*source]]] + [_same_block_classes(s.steps[lo:hi + 1]) for lo, hi in segments[1:]]
-    total = _result(asg, _pair_transfer(classes, read, asg.algebra), den * den)
-
-    def magnitude() -> float:
-        norms = [{x2: {y: (math.sqrt(squared_norm(a)),) for y, a in row.items()}
-                  for x2, row in rows.items()} for rows in read]
-        return _pair_transfer(classes, norms, make_algebra(AlgebraKind.R))[0]
-
-    value = scalar_part(total, asg.is_exact, magnitude, "summed pair products")
+    if read and not asg.is_exact:
+        grounds = [s.steps[lo].element_set() for lo, _ in segments]
+        sums, bound = _block_transfer(grounds, classes, asg)
+    else:  # exact, or a single run: the unit, with no tail to bound
+        sums, bound = _pair_transfer(classes, read, asg.algebra), None
+    value = scalar_part(_result(asg, sums, den * den), asg.is_exact, lambda: bound,
+                        "summed pair products")
     if not (asg.is_exact or math.isfinite(value)):
         _name_non_finite(read)
     return value

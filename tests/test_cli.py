@@ -93,7 +93,8 @@ def test_sample_has_no_format_option(fmt):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """Only sampling imports numpy, so no other subcommand pays for it."""
+    """Importing the CLI loads no numpy: only sampling and the float sum
+    rule import it, when they run, so no other subcommand pays for it."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, compalg.cli; print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True)

@@ -22,7 +22,7 @@ from compalg.engine import (
     total_probability,
 )
 from compalg.errors import SequenceMismatch
-from compalg.model import GroundSet, atomic_measurement, path, sorted_blocks
+from compalg.model import GroundSet, atomic_measurement, path, runs, sorted_blocks
 
 from conftest import (
     MIX_GROUNDS,
@@ -145,13 +145,17 @@ def test_plan_product_is_mul(kind):
 def test_pickle_round_trip_after_an_evaluation(kind):
     """The kernel kept on the algebra is left out of its pickled state and
     rebuilt on first use; amplitudes and assignments, lowered rows
-    included, round-trip with it."""
+    included, round-trip with it.  So do the real blocks of a float sum
+    rule over run boundaries, which hold the kernel they were built by:
+    the copy leaves them out and builds them again."""
     algebra = make_algebra(kind)
     rng = random.Random(f"pickle:{kind.label}")
-    s = universe_sequences(MIX_GROUNDS, 4)[-1]
-    source = sorted_blocks(s.steps[0].blocks)[0]
-    for asg in (assignment_for(MIX_GROUNDS, algebra, rng),
-                converted(both_ways_assignment(algebra, rng), float)):
+    sequences = universe_sequences(MIX_GROUNDS, 4)
+    for s, asg in itertools.product(
+            (sequences[-1], next(s for s in sequences if len(runs(s)) > 2)),
+            (assignment_for(MIX_GROUNDS, algebra, rng),
+             converted(both_ways_assignment(algebra, rng), float))):
+        source = sorted_blocks(s.steps[0].blocks)[0]
         walked = path_probabilities(s, source, asg)
         total = total_probability(s, source, asg)
         amplitude = amplitude_of(walked[-1][0], asg)
@@ -372,14 +376,16 @@ def test_float_mode_zero_is_a_float(tmp_path, capsys):
 def test_float_mode_coefficient_beyond_the_float_range(tmp_path, capsys):
     """An int too large for a float, in a float-mode matrix, is lowered as
     an infinity: a walk that avoids it is unchanged, and a sum rule through
-    it names that entry (exit 3), not a traceback; so does a sample from
-    the same source."""
-    (tmp_path / "mix.dsl").write_text(MIX_DSL)
+    it names that entry (exit 3), not a traceback; so do a sample from the
+    same source and a walk through the entry."""
+    (tmp_path / "mix.dsl").write_text(
+        MIX_DSL + "path through over zig = [{a1}, {b1}, {b1, b2}, {a2}, {b3}]\n")
     (tmp_path / "mix.json").write_text(REAL.replace("[0.0, 0, 0, 0]", f"[{10 ** 400}, 0, 0, 0]", 1))
     workspace = ["-w", str(tmp_path / "mix.dsl")]
     assert main([*workspace, *ARGV["prob"]]) == 0
     assert capsys.readouterr().out == '{"amplitude":[0.25,0.0,0.0,0.0],"probability":0.0625}\n'
     for argv in (ARGV["sum-rule"], ["sample", "zig", "--assignment", "mix", "--source", "{a1}",
-                                    "-n", "10", "--seed", "1"]):
+                                    "-n", "10", "--seed", "1"],
+                 ["prob", "through", "--assignment", "mix"]):
         assert main([*workspace, *argv]) == 3
         assert capsys.readouterr().err == "validation error: entry a1 -> b1 is not finite\n"

@@ -145,18 +145,24 @@ def non_scalar_case():
 
 def test_non_scalar_sum_is_rejected(monkeypatch):
     """A product that adds e_0's coefficient to e_1's, in both modes through
-    the algebra's kernel; the float tolerance recursion over entry norms, in
-    R, runs on R's own kernel and is left as it is."""
+    the algebra's kernel.  Float mode multiplies real block matrices of left
+    multiplication built from that kernel; the skewed product is not
+    associative, so its total differs from the exact recursion's.  The
+    float tolerance recursion over entry norms is left as it is.  The
+    blocks that the assignment keeps are built again for the kernel swapped
+    in, and for the one restored after it."""
     asg, s, source = non_scalar_case()
+    floats = converted(asg, float)
+    total = total_probability(s, source, floats)
     monkeypatch.setitem(vars(asg.algebra), "kernel", skewed_kernel(asg.algebra))
     with pytest.raises(NonScalarProduct) as exact:
         total_probability(s, source, asg)
     assert str(exact.value) == "summed pair products not scalar: " \
         "Amplitude(C, [Fraction(10, 9), Fraction(19, 9)])"
     with pytest.raises(NonScalarProduct) as numeric:
-        total_probability(s, source, converted(asg, float))
+        total_probability(s, source, floats)
     assert str(numeric.value) == "summed pair products not scalar within " \
-        "2.1111111111111114e-12: Amplitude(C, [1.1111111111111112, 2.111111111111111])"
+        "2.111111111111111e-12: Amplitude(C, [3.111111111111111, 4.111111111111111])"
     (x,) = source
     entries = validate_assignment(s, asg).entries
     (entry,) = [e for e in entries if e.check == "sum_rule" and e.location == f"source {x}"]
@@ -164,6 +170,8 @@ def test_non_scalar_sum_is_rejected(monkeypatch):
     # each row normalization is a two-step sum rule through the same kernel
     rows = [e for e in entries if e.check == "row_normalization"]
     assert rows and all(not e.passed and "not scalar" in e.detail for e in rows)
+    monkeypatch.undo()
+    assert total_probability(s, source, floats) == total
 
 
 def test_non_scalar_born_product_is_rejected(monkeypatch):
