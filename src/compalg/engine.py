@@ -34,16 +34,20 @@ it reads the same lowered rows in place, through the kernel, conjugating
 the right-hand factor.  In float mode it multiplies real block matrices
 in numpy: each entry as its d x d matrix of left multiplication, built
 from the kernel on basis pairs and kept per ground pair in the
-assignment (``Assignment.real_blocks``), with the tolerance bound's
-recursion over the entry norms in the same pass.  The sum rule and the
-sampler start from one source frame (``_source_rows``):
-the source, checked against the first step, the runs, and the rows that
-a recursion from the source reads, the source's row at the first run
+assignment (``Assignment.real_blocks``), its conjugate as the adjoint
+under the norm form, with the tolerance bound's recursion over the entry
+norms in the same pass.  The sum rule and the sampler start from one
+source frame (``_source_rows``): the source, checked against the first
+step, the runs, each run's same-block classes, and the rows that a
+recursion from the source reads, the source's row at the first run
 boundary and every row of the later ones; neither reads any other row.
-In float mode a total or a sampling mass that is not finite through one
-of those entries names the first such entry (NotADistribution);
-``name_non_finite_entry`` does the same over the entries one path's walk
-reads.  Row normalization is the sum rule of a two-step experiment.
+A run's class is the set of elements that one of its result
+combinations keeps alive: the sum rule pairs threads within a class, and
+the sampler takes each class as one live combination.  In float mode a
+total or a sampling mass that is not finite through one of those entries
+names the first such entry (NotADistribution); ``name_non_finite_entry``
+does the same over the entries one path's walk reads.  Row normalization
+is the sum rule of a two-step experiment.
 
 Exact and float mode differ in two rules, each written once: a value that
 must be scalar goes through ``algebra.scalar_part`` (exact, or within
@@ -53,7 +57,6 @@ SCALAR_RTOL of a magnitude), and two values are compared by ``_close``
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -124,7 +127,7 @@ class Assignment:
         self.algebra = algebra
         self._rows: Dict[Tuple[frozenset, frozenset], CoeffRows] = {}
         self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[CoeffRows, int]] = {}
-        # (kernel, its left multiplication, real blocks per ground pair): ``real_blocks``
+        # (kernel, its left multiplication, G, real blocks per ground pair): ``real_blocks``
         self._real: Optional[tuple] = None
         if isinstance(blocks, Mapping):
             raise ValueError(f"blocks must be {_TRIPLE} triples, got a mapping")
@@ -214,18 +217,22 @@ class Assignment:
 
     def real_blocks(self, g_from, g_to) -> tuple:
         """Float mode: the ``lowered`` matrix E from one ground to another as
-        numpy arrays (B, C, A) over the sorted elements x of g_from and y of
-        g_to, for the sum rule's block recursion:
+        numpy arrays (B, A, G) for the sum rule's block recursion, B and A
+        over the sorted elements x of g_from and y of g_to:
 
         - B, (n d) x (m d): block [x, y] is L_E(x,y), the real d x d matrix
           of left multiplication by E(x, y);
-        - C, (m d) x (n d): block [y, x] is L_conj(E(x,y));
-        - A, n x m: A[x, y] is |E(x, y)|, the root of its ``squared_norm``.
+        - A, n x m: A[x, y] is |E(x, y)|, the root of its ``squared_norm``;
+        - G, d: the diagonal of the norm form, G[i] = Q(e_i), the same array
+          for every pair.
 
-        Left multiplication comes from the algebra's kernel on the basis
-        pairs: T[i, k, j] is the e_k coefficient of e_i e_j, so T[i] is
-        L_e_i.  T and each pair's blocks are built on first use and kept
-        until the algebra's kernel is another function.
+        In a composition algebra conjugation is the adjoint of left
+        multiplication under the norm form, L_conj(a) = G L_a^T G, so B
+        also gives the conjugate entries.  Left multiplication comes from
+        the algebra's kernel on the basis pairs: T[i, k, j] is the e_k
+        coefficient of e_i e_j, so T[i] is L_e_i; G[i] is the e_0
+        coefficient of e_i conj(e_i).  T, G and each pair's blocks are built
+        on first use and kept until the algebra's kernel is another function.
         """
         import numpy as np
 
@@ -233,23 +240,22 @@ class Assignment:
         if self._real is None or self._real[0] is not kernel:
             basis = [self.algebra.basis_element(i).coeffs for i in range(self.algebra.dim)]
             left = np.array([[kernel((a,), (b,)) for b in basis] for a in basis], float)
-            self._real = (kernel, left.transpose(0, 2, 1), {})
-        _, left, blocks = self._real
+            gram = np.array([kernel((e,), (self.algebra.conj(e),))[0] for e in basis], float)
+            self._real = (kernel, left.transpose(0, 2, 1), gram, {})
+        _, left, gram, blocks = self._real
         key = (_ground_key(g_from), _ground_key(g_to))
         hit = blocks.get(key)
         if hit is not None:
             return hit
         rows, _ = self.lowered(g_from, g_to)
         ys = sorted(key[1])
-        # columns[i][x, y]: coefficient i of E(x, y)
+        # columns[i][x, y]: coefficient i of E(x, y); B is (n d) x (m d), as left is d x d x d
         columns = tuple(np.array([[rows[x][y][i] for y in ys] for x in rows], float)
                         for i in range(self.algebra.dim))
-        n, m, d = len(rows), len(ys), self.algebra.dim
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite entry gives NaNs
             hit = blocks[key] = (
-                np.einsum("ixy,ikj->xkyj", columns, left).reshape(n * d, m * d),
-                np.einsum("ixy,ikj->ykxj", self.algebra.conj(columns), left).reshape(m * d, n * d),
-                np.sqrt(squared_norm(columns)))
+                np.einsum("ixy,ikj->xkyj", columns, left).reshape(len(rows) * len(left), -1),
+                np.sqrt(squared_norm(columns)), gram)
         return hit
 
     def __getstate__(self) -> dict:
@@ -518,17 +524,20 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     return ValidationReport(tuple(entries))
 
 
-def _same_block_classes(steps) -> List[List[str]]:
-    """The elements of the steps' ground grouped by the detector holding
-    them at every step.
+def _same_block_classes(steps, elements) -> Dict[tuple, List[str]]:
+    """The elements of a run grouped by the detector holding them at every
+    step: the tuple of those detectors -> the class's sorted elements, the
+    classes in the order of their first elements.
 
     Two elements share a class exactly when some path's run over these
     steps keeps both alive: the same-block mask D of the pair recursion.
+    A class's detectors are the one result combination of the run that
+    keeps exactly its elements alive; any other combination keeps none.
     """
     classes: Dict[tuple, List[str]] = {}
-    for x in sorted(steps[0].element_set()):
+    for x in sorted(elements):
         classes.setdefault(tuple(m.block_containing(x) for m in steps), []).append(x)
-    return list(classes.values())
+    return classes
 
 
 def _pair_transfer(classes, matrices, algebra: Algebra) -> tuple:
@@ -572,17 +581,19 @@ def _block_transfer(grounds, classes, asg: Assignment) -> Tuple[tuple, float]:
 
     With every S_k(y, y') held as its left multiplication L_S(y,y'), a
     homomorphism on an associative algebra, ``_pair_transfer``'s recursion
-    is a product of the blocks of ``Assignment.real_blocks`` (B_k, C_k, A_k
-    for the pair of grounds k, k+1), masked by D_k, which holds where two
-    elements of run k share a class:
+    is a product of the blocks of ``Assignment.real_blocks`` (B_k, A_k for
+    the pair of grounds k, k+1), masked by D_k, which holds where two
+    elements of run k share a class.  The conjugate entries are G B_k^T G
+    blockwise (G the diagonal of the norm form, ``real_blocks``), so the
+    recursion carries X_k = S_k (I (x) G) and needs no other block:
 
-        S_last = D_last (x) I_d                  N_last = D_last
-        S_k    = D_k (x) 1_dxd ? B_k S_k+1 C_k   N_k    = D_k ? A_k N_k+1 A_k^T
+        X_last = D_last (x) G                      N_last = D_last
+        X_k    = D_k (x) 1_dxd ? B_k X_k+1 B_k^T   N_k    = D_k ? A_k N_k+1 A_k^T
 
     ``where``, not a product with the mask, so that an infinity met outside
     the mask leaves a zero, not a NaN.  Run 0 slices the source's row of
-    B_0, C_0 and A_0, so no other row enters the result; S_0 is the d x d
-    matrix L_S_0(x,x), whose first column is S_0(x, x).
+    B_0 and A_0, so no other row enters the result; X_0 is the d x d matrix
+    L_S_0(x,x) G, whose first column is S_0(x, x), as G[0] = Q(e_0) = 1.
     """
     import numpy as np
 
@@ -594,34 +605,40 @@ def _block_transfer(grounds, classes, asg: Assignment) -> Tuple[tuple, float]:
         ids = np.array([label[x] for x in sorted(label)])
         masks.append(ids[:, None] == ids)
     with np.errstate(over="ignore", invalid="ignore"):
-        last = masks[-1]
-        pair = (last[:, None, :, None] * np.eye(d)[:, None]).reshape(len(last) * d, -1)
+        last, (_, _, gram) = masks[-1], blocks[-1]
+        pair = (last[:, None, :, None] * np.diag(gram)[:, None]).reshape(len(last) * d, -1)
         norm = last.astype(float)
-        for (b, c, a), mask in zip(blocks[:0:-1], masks[-2::-1]):
-            pair = np.where(mask.repeat(d, 0).repeat(d, 1), b @ pair @ c, 0.0)
+        for (b, a, _), mask in zip(blocks[:0:-1], masks[-2::-1]):
+            pair = np.where(mask.repeat(d, 0).repeat(d, 1), b @ pair @ b.T, 0.0)
             norm = np.where(mask, a @ norm @ a.T, 0.0)
-        (b, c, a), ((x,),) = blocks[0], classes[0]
+        (b, a, _), ((x,),) = blocks[0], classes[0]
         i = sorted(grounds[0]).index(x)
-        rows = slice(i * d, (i + 1) * d)
-        pair, norm = b[rows] @ pair @ c[:, rows], a[i] @ norm @ a[i]
+        b = b[i * d:(i + 1) * d]
+        pair, norm = b @ pair @ b.T, a[i] @ norm @ a[i]
     # + 0.0: no -0.0, as the kernel's sums start from 0
     return tuple((pair[:, 0] + 0.0).tolist()), float(norm)
 
 
-def _source_rows(s: MeasurementSequence, source, asg: Assignment) -> Tuple[list, list, int]:
-    """The runs of s, the rows that a recursion from the source reads and
-    their denominator (see ``_boundary_rows``).
+def _source_rows(s: MeasurementSequence, source,
+                 asg: Assignment) -> Tuple[list, list, list, int]:
+    """The source frame: the runs of s, each run's same-block classes, the
+    rows that a recursion from the source reads and their denominator (see
+    ``_boundary_rows``).
 
     The source {x} must be a block of the first step, else NotADistribution.
-    Of the first run boundary only row x is read, of every later one each
-    row, in sorted x'; one dict x' -> row per boundary.
+    A run's classes (``_same_block_classes``) are over the elements it
+    reads: the source at run 0, its whole ground after that.  Of the first
+    run boundary only row x is read, of every later one each row, in sorted
+    x'; one dict x' -> row per boundary.
     """
     if frozenset(source) not in s.steps[0].blocks:
         raise NotADistribution("no paths start at the given source result")
     segments, matrices, den = _boundary_rows(s, asg)
+    classes = [_same_block_classes(s.steps[lo:hi + 1], s.steps[lo].element_set() if k else source)
+               for k, (lo, hi) in enumerate(segments)]
     read = [{x2: rows[x2] for x2 in (source if k == 0 else sorted(rows))}
             for k, rows in enumerate(matrices)]
-    return segments, read, den
+    return segments, classes, read, den
 
 
 def _name_non_finite(read) -> None:
@@ -647,15 +664,15 @@ def total_probability(s: MeasurementSequence, source: frozenset,
         S_last(x, x') = D_last(x, x')
         S_k(x, x')    = D_k(x, x') Sum_y' (Sum_y E_k(x, y) S_k+1(y, y')) conj(E_k(x', y'))
 
-    where D_k(x, x') holds when x and x' lie in one block at every step of
-    run k, and run 0 is the one element x of the source (the first step is
-    atomic).  The total is the e0 coefficient of S_0(x, x).  This costs
-    O(L n^3) algebra products for L runs over grounds of at most n
-    elements (in float mode O(L (n d)^3) float operations in numpy), and
-    needs no path bound.  E_k is lowered over its denominator
-    q_k (1 in float mode), so in exact mode the recursion runs over
-    integers, S_k carrying q_k^2 ... q_last^2, and the total is divided by
-    the product of the q_k^2 once.
+    where D_k(x, x') holds when x and x' lie in one same-block class of run
+    k (one block at every step of the run, ``_same_block_classes``), and
+    run 0 is the one element x of the source (the first step is atomic).
+    The total is the e0 coefficient of S_0(x, x).  This costs O(L n^3)
+    algebra products for L runs over grounds of at most n elements (in
+    float mode O(L (n d)^3) float operations in numpy), and needs no path
+    bound.  E_k is lowered over its denominator q_k (1 in float mode), so
+    in exact mode the recursion runs over integers, S_k carrying q_k^2 ...
+    q_last^2, and the total is divided by the product of the q_k^2 once.
 
     The recursion reads row x of E_0 and every row of the later E_k, and
     nothing else: the source frame of ``_source_rows``, shared with
@@ -674,12 +691,12 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     that is not finite, in boundary order, then sorted x' and y, raises
     NotADistribution naming it.  A finite total hides none: each entry
     read meets S_k+1(y, y) in a product, and a non-finite entry turns its
-    whole block of B_k or C_k non-finite, which every later product
-    carries into the total.  A total that overflows from finite entries is
-    returned as it is.
+    whole block of B_k non-finite, which every later product carries into
+    the total.  A total that overflows from finite entries is returned as
+    it is.
     """
-    segments, read, den = _source_rows(s, source, asg)
-    classes = [[[*source]]] + [_same_block_classes(s.steps[lo:hi + 1]) for lo, hi in segments[1:]]
+    segments, classes, read, den = _source_rows(s, source, asg)
+    classes = [[*run.values()] for run in classes]
     if read and not asg.is_exact:
         grounds = [s.steps[lo].element_set() for lo, _ in segments]
         sums, bound = _block_transfer(grounds, classes, asg)
@@ -702,17 +719,19 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     Every path is evaluated in one batched pass per weak-equivalence run,
     on the source frame of ``total_probability`` (``_source_rows``): the
     source's row at the first run boundary and every row of the later ones
-    are the only rows read, so a run's ground is the keys of its rows (the
-    source element for run 0) and the last run's is its own.  The pass is
-    the walk of ``_thread_sums`` on numpy arrays (float64 in float mode,
-    Python ints of object dtype in exact mode).  After run k each of the d
-    coefficients is one array over (row, slot).  A row is a live prefix:
-    a parent row followed by one of the run's result combinations that
-    keep an element, ranked in path order; its paths through a combination
-    that keeps none have probability 0.  Slot t holds the row's partial
-    thread sum onto its t-th sorted surviving element, and the slots past
-    its survivors are padding that holds zeros.  At each run boundary one
-    kernel call sums over the parent's slots t, with the lowered matrix
+    are the only rows read, and a run's elements are those of its
+    same-block classes (the source element for run 0).  The pass is the
+    walk of ``_thread_sums`` on numpy arrays (float64 in float mode, Python
+    ints of object dtype in exact mode).  After run k each of the d
+    coefficients is one array over (row, slot).  A row is a live prefix: a
+    parent row followed by one of the run's classes.  The class's
+    detectors are the one result combination of the run that keeps its
+    elements alive, and its rank in path order is a mixed-radix number over
+    the sorted blocks of the run's steps; every other combination keeps no
+    element, so its paths have probability 0.  Slot t holds the row's
+    partial thread sum onto the class's t-th sorted element, and the slots
+    past its elements are padding that holds zeros.  At each run boundary
+    one kernel call sums over the parent's slots t, with the lowered matrix
     padded by a zero row and column, so a padded slot meets zeros on both
     sides; the padded slots are then reset to zero, since an infinite entry
     times a padded zero leaves a NaN there.  The padding changes no bit:
@@ -728,7 +747,7 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     import numpy as np
 
     model.check_path_bound(s)
-    segments, read, den = _source_rows(s, source, asg)
+    segments, classes, read, den = _source_rows(s, source, asg)
     algebra = asg.algebra
     choices = [[frozenset(source)]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
     paths = model.paths_over(s, choices)
@@ -736,31 +755,34 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     # a single run has no matrix: its sums stay ints, as _thread_sums gives them
     dtype = float if read and not asg.is_exact else object
     # rank: each row's rank in path order.  coeffs: arrays over (parent row,
-    # live combination, slot), the first two axes together being the rows
+    # class, slot), the first two axes together being the rows
     rank = np.zeros(1, np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (lo, hi) in enumerate(segments):
-            # the keys of the rows read from this run (the source at run 0), or the last ground
-            ground = sorted(read[k] if k < len(read) else s.steps[lo].element_set())
-            combos = list(itertools.product(*choices[lo:hi + 1]))
-            # each combination's surviving elements, as sorted positions in the ground
-            alive = [[i for i, x in enumerate(ground) if all(x in r for r in combo)]
-                     for combo in combos]
-            live = [c for c, survivors in enumerate(alive) if survivors]
-            if not live:
-                break
-            width = max(map(len, alive))
-            # ys[c, t]: the t-th survivor of the c-th live combination, or
-            # len(ground), the padding position, past its survivors
-            ys = np.array([alive[c] + [len(ground)] * (width - len(alive[c])) for c in live])
+            # the run's elements, sorted, each -> its position
+            ground = {x: i for i, x in
+                      enumerate(sorted(x for cls in classes[k].values() for x in cls))}
+            # each class's rank among the run's combinations, a mixed-radix
+            # number over the sorted blocks of the run's steps
+            radix, index = 1, [0] * len(classes[k])
+            for j in range(hi, lo - 1, -1):
+                place = {b: i for i, b in enumerate(choices[j])}
+                index = [r + radix * place[detectors[j - lo]]
+                         for r, detectors in zip(index, classes[k])]
+                radix *= len(choices[j])
+            width = max(map(len, classes[k].values()))
+            # ys[c, t]: the t-th element of the c-th class, or len(ground),
+            # the padding position, past its elements
+            ys = np.array([[ground[x] for x in cls] + [len(ground)] * (width - len(cls))
+                           for cls in classes[k].values()])
             if k == 0:
                 coeffs = tuple(np.full((1, *ys.shape), u, dtype) for u in algebra.unit().coeffs)
             else:
                 # the lowered matrix [x, y, i], a zero row and column at the padding positions
                 block = np.zeros((len(previous) + 1, len(ground) + 1, algebra.dim), dtype)
                 block[:-1, :-1] = [[read[k - 1][x][y] for y in ground] for x in previous]
-                # over (parent row, parent combination, combination, slot), with
-                # xs the parent run's ys: one parent slot t at a time
+                # over (parent row, parent class, class, slot), with xs the
+                # parent run's ys: one parent slot t at a time
                 coeffs = algebra.kernel(
                     (tuple(c[:, :, t, None, None] for c in coeffs) for t in range(xs.shape[1])),
                     (tuple(block[xs[:, t, None, None], ys, i] for i in range(algebra.dim))
@@ -768,15 +790,14 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
             # padding back to zero: an infinite entry times a padded zero is NaN
             coeffs = tuple(np.where(ys < len(ground), c, 0).reshape(-1, *ys.shape)
                            for c in coeffs)
-            rank = (rank[:, None] * len(combos) + live).ravel()
+            rank = (rank[:, None] * radix + index).ravel()
             previous, xs = ground, ys
-        else:
-            coeffs = summed([tuple(c[..., t].ravel() for c in coeffs) for t in range(width)],
-                            algebra.dim)
-            born = quadratic_form_columns(algebra, coeffs, den, asg.is_exact)
-            for r, q in zip(rank.tolist(), born):
-                probabilities[r] = q
-            del coeffs, rank, born  # freed before the table is built
+        coeffs = summed([tuple(c[..., t].ravel() for c in coeffs) for t in range(width)],
+                        algebra.dim)
+        born = quadratic_form_columns(algebra, coeffs, den, asg.is_exact)
+        for r, q in zip(rank.tolist(), born):
+            probabilities[r] = q
+        del coeffs, rank, born  # freed before the table is built
     return list(zip(paths, probabilities))
 
 
@@ -811,7 +832,7 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
         probs.append(max(value, 0.0))
     mass = sum(probs)
     if not (asg.is_exact or math.isfinite(mass)):
-        _name_non_finite(_source_rows(s, source, asg)[1])
+        _name_non_finite(_source_rows(s, source, asg)[2])
     if not abs(mass - 1.0) <= DISTRIBUTION_TOL:  # a NaN mass fails too
         raise NotADistribution(f"path probabilities sum to {mass}, not 1")
     import numpy as np

@@ -6,6 +6,8 @@ import pickle
 import pytest
 
 from compalg import model
+from compalg.algebra import AlgebraKind, make_algebra
+from compalg.engine import Assignment, check_certain_insertion
 from compalg.errors import (
     ChainMismatch,
     CoarsenMismatch,
@@ -454,3 +456,64 @@ def test_classify_flag_invariants():
         if flags.possible and flags.symmetric:
             nf = normal_form(p)
             assert rev(nf) == nf
+
+
+# -- error messages ------------------------------------------------------------------
+
+W4 = GroundSet("W4", ("w", "x", "y", "z"))
+AW = atomic_measurement(W4, "aW")
+PAIRED_W = measurement("pW", W4, [["w", "x"], ["y", "z"]])
+SPLIT_W = measurement("sW", W4, [["w"], ["x"], ["y", "z"]])
+M3 = path([AM, AM, AM], [["m"], ["m"], ["m"]])
+NO_MATRICES = Assignment(make_algebra(AlgebraKind.R), [])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: refine(M3, path([AM, AM], [["m"], ["m"]])),
+                 NotRefinable, "operands have different lengths", id="refine-lengths"),
+    pytest.param(lambda: refine(M3, M3),
+                 NotRefinable, "operands differ at 0 steps, need exactly 1", id="refine-steps"),
+    pytest.param(lambda: refine(path([AM, AM, AM], [["m1"], ["m"], ["m"]]), M3),
+                 NotRefinable, "cannot refine at the source or target", id="refine-endpoint"),
+    pytest.param(lambda: refine(path([AM, BM, AM], [["m"], ["m", "m1"], ["m"]]),
+                                path([AM, GM, AM], [["m"], ["m"], ["m"]])),
+                 NotRefinable, "split remainder is not a detector of the finer measurement",
+                 id="refine-remainder"),
+    pytest.param(lambda: refine(path([AW, PAIRED_W, AW], [["w"], ["w", "x"], ["w"]]),
+                                path([AW, AW, AW], [["w"], ["w"], ["w"]])),
+                 NotRefinable, "coarse measurement does not merge exactly the two results",
+                 id="refine-merge"),
+    pytest.param(lambda: unchain_left(M3, M3),
+                 NotAFactor, "prefix is too long to leave a suffix path", id="unchain-left-length"),
+    pytest.param(lambda: unchain_left(path([AM, AM], [["m"], ["m"]]),
+                                      path([AM, BM, AM], [["m"], ["m", "m1"], ["m"]])),
+                 NotAFactor, "prefix measurements do not match", id="unchain-left-steps"),
+    pytest.param(lambda: unchain_left(path([AM, AM], [["m"], ["m1"]]), M3),
+                 NotAFactor, "prefix results do not match", id="unchain-left-results"),
+    pytest.param(lambda: unchain_right(M3, path([AM, AM], [["m1"], ["m1"]])),
+                 NotAFactor, "suffix results do not match", id="unchain-right-results"),
+    pytest.param(lambda: insert_measurement(M3, 1, BM, ["m"]),
+                 InsertMismatch, "result is not a detector of the inserted measurement",
+                 id="insert-result"),
+    pytest.param(lambda: insert_cyclic(M3, 5, path([AM, AM], [["m"], ["m"]])),
+                 InsertMismatch, "junction index 5 out of range", id="insert-cyclic-index"),
+    # the direct merge that coarsen tries first; coarsen then merges these operands
+    # through their redundancy representatives
+    pytest.param(lambda: model._coarsen_direct(path([AW, SPLIT_W, AW], [["w"], ["w"], ["w"]]),
+                                               path([AW, AW, AW], [["w"], ["x"], ["w"]])),
+                 CoarsenMismatch, "detectors outside the merged result disagree",
+                 id="coarsen-outside"),
+    pytest.param(lambda: GroundSet("E", ()),
+                 ValueError, "ground set must be nonempty", id="empty-ground"),
+    pytest.param(lambda: measurement("e", G3, [[], ["m", "m1", "m2"]]),
+                 ValueError, "empty detector block", id="empty-detector"),
+    pytest.param(lambda: model.Path(sequence([AM, AM]), (frozenset({"m"}),)),
+                 ValueError, "one result per measurement required", id="path-length"),
+    pytest.param(lambda: check_certain_insertion(M3, 1, BM, NO_MATRICES, NO_MATRICES),
+                 ValueError, "inserted measurement must be fully coarse-grained",
+                 id="certain-insertion"),
+])
+def test_model_error_messages(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -146,9 +146,10 @@ def non_scalar_case():
 def test_non_scalar_sum_is_rejected(monkeypatch):
     """A product that adds e_0's coefficient to e_1's, in both modes through
     the algebra's kernel.  Float mode multiplies real block matrices of left
-    multiplication built from that kernel; the skewed product is not
-    associative, so its total differs from the exact recursion's.  The
-    float tolerance recursion over entry norms is left as it is.  The
+    multiplication built from that kernel, with conjugation as the adjoint
+    under the norm form; the skewed product is not associative and that
+    identity fails for it, so its total differs from the exact recursion's.
+    The float tolerance recursion over entry norms is left as it is.  The
     blocks that the assignment keeps are built again for the kernel swapped
     in, and for the one restored after it."""
     asg, s, source = non_scalar_case()
@@ -162,7 +163,7 @@ def test_non_scalar_sum_is_rejected(monkeypatch):
     with pytest.raises(NonScalarProduct) as numeric:
         total_probability(s, source, floats)
     assert str(numeric.value) == "summed pair products not scalar within " \
-        "2.111111111111111e-12: Amplitude(C, [3.111111111111111, 4.111111111111111])"
+        "2.111111111111111e-12: Amplitude(C, [2.111111111111111, 2.111111111111111])"
     (x,) = source
     entries = validate_assignment(s, asg).entries
     (entry,) = [e for e in entries if e.check == "sum_rule" and e.location == f"source {x}"]
@@ -257,6 +258,34 @@ def test_table_is_probability_of_at_workload_scale(monkeypatch):
                 path_probabilities(s, source, asg)
             assert str(got.value) == str(want.value)
     assert h_tails > 100
+
+
+def test_table_over_a_long_run_of_two_detector_steps():
+    """An atomic A3 step, ten two-detector B3 steps and an atomic B3 step:
+    3,072 paths from a1 through one A3 -> B3 matrix, and per path in the
+    long run one combination of ten blocks out of 1,024 that keeps an
+    element alive.  In both modes every table entry is probability_of, with
+    its type, and the table sums to total_probability: exactly in exact
+    mode, within FLOAT_RTOL in float mode."""
+    halves = [[["b1", "b2"], ["b3"]], [["b1"], ["b2", "b3"]], [["b1", "b3"], ["b2"]]]
+    s = sequence([atomic_measurement(A3)]
+                 + [measurement(f"h{j}", B3, halves[j % 3]) for j in range(10)]
+                 + [atomic_measurement(B3)])
+    source = frozenset({"a1"})
+    exact = assignment_for([A3, B3], make_algebra(AlgebraKind.C), random.Random(22),
+                           normalized=False)
+    for asg in (exact, converted(exact, float)):
+        table = path_probabilities(s, source, asg)
+        assert len(table) == 3072
+        for p, q in table:
+            want = probability_of(p, asg).probability
+            assert type(q) is type(want), p
+            assert (q.hex() == want.hex()) if isinstance(q, float) else q == want
+        mass, total = sum(q for _, q in table), total_probability(s, source, asg)
+        if asg.is_exact:
+            assert mass == total
+        else:
+            assert abs(mass - total) <= FLOAT_RTOL * max(abs(total), 1.0)
 
 
 def test_table_padding_meets_a_non_finite_entry():
