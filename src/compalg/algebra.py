@@ -297,9 +297,9 @@ def lower(tuples: Sequence[tuple], exact: bool) -> tuple:
 
 
 def lift(coeffs: Iterable, denominator: int, exact: bool) -> tuple:
-    """Each coefficient over D as an int when whole, else a Fraction; floats as they are."""
+    """Each coefficient over D: an int when whole, else a Fraction; floats in float mode."""
     if not exact:
-        return tuple(coeffs)
+        return tuple(map(float, coeffs))
     return tuple([Fraction(c, denominator) if c % denominator else c // denominator
                   for c in coeffs])
 

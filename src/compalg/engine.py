@@ -16,7 +16,8 @@ exact mode, decided by ``algebra.is_exact``; floats over 1 otherwise).
 Outside the float sum rule the engine has no coefficient arithmetic of
 its own: ``Algebra.kernel`` forms every product, ``Algebra.conj`` every
 conjugate and ``algebra.summed`` every sum, in a fixed order;
-``algebra.lift`` rebuilds a result once, at the end.
+``algebra.lift`` rebuilds a result once, at the end, as floats in float
+mode, so a single run's unit, which reads no matrix, is 1.0 there.
 
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
@@ -36,9 +37,10 @@ in numpy: each entry as its d x d matrix of left multiplication, built
 from the kernel on basis pairs and kept per ground pair in the
 assignment (``Assignment.real_blocks``), its conjugate as the adjoint
 under the norm form, with the tolerance bound's recursion over the entry
-norms in the same pass.  The sum rule and the sampler start from one
-source frame (``_source_rows``): the source, checked against the first
-step, the runs, each run's same-block classes, and the rows that a
+norms in the same pass: one masked product per run boundary, from the
+atomic last run down to the source.  The sum rule and the sampler start
+from one source frame (``_source_rows``): the source, checked against the
+first step, the runs, each run's same-block classes, and the rows that a
 recursion from the source reads, the source's row at the first run
 boundary and every row of the later ones; neither reads any other row.
 A run's class is the set of elements that one of its result
@@ -585,38 +587,36 @@ def _block_transfer(grounds, classes, asg: Assignment) -> Tuple[tuple, float]:
     the pair of grounds k, k+1), masked by D_k, which holds where two
     elements of run k share a class.  The conjugate entries are G B_k^T G
     blockwise (G the diagonal of the norm form, ``real_blocks``), so the
-    recursion carries X_k = S_k (I (x) G) and needs no other block:
+    recursion carries X_k = S_k (I (x) G) and needs no other block.  The
+    last run ends in an atomic step, so its D is I, and every run boundary
+    takes the same masked product:
 
-        X_last = D_last (x) G                      N_last = D_last
+        X_last = I (x) G                           N_last = I
         X_k    = D_k (x) 1_dxd ? B_k X_k+1 B_k^T   N_k    = D_k ? A_k N_k+1 A_k^T
 
     ``where``, not a product with the mask, so that an infinity met outside
-    the mask leaves a zero, not a NaN.  Run 0 slices the source's row of
-    B_0 and A_0, so no other row enters the result; X_0 is the d x d matrix
-    L_S_0(x,x) G, whose first column is S_0(x, x), as G[0] = Q(e_0) = 1.
+    the mask leaves a zero, not a NaN.  B_0 and A_0 are sliced to the
+    source's row first, so no other row enters the result, and D_0 is the
+    source's 1 x 1 mask; X_0 is the d x d matrix L_S_0(x,x) G, whose first
+    column is S_0(x, x), as G[0] = Q(e_0) = 1.
     """
     import numpy as np
 
     d = asg.algebra.dim
     blocks = [asg.real_blocks(a, b) for a, b in zip(grounds, grounds[1:])]
-    masks = []  # D_k for the runs k = 1 .. last, over the sorted elements
-    for cls in classes[1:]:
-        label = {x: c for c, members in enumerate(cls) for x in members}
-        ids = np.array([label[x] for x in sorted(label)])
-        masks.append(ids[:, None] == ids)
+    ((x,),), (b, a, gram) = classes[0], blocks[0]
+    i = sorted(grounds[0]).index(x)
+    blocks[0] = (b[i * d:(i + 1) * d], a[i:i + 1], gram)
+    pair, norm = np.diag(np.tile(gram, len(grounds[-1]))), np.eye(len(grounds[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        last, (_, _, gram) = masks[-1], blocks[-1]
-        pair = (last[:, None, :, None] * np.diag(gram)[:, None]).reshape(len(last) * d, -1)
-        norm = last.astype(float)
-        for (b, a, _), mask in zip(blocks[:0:-1], masks[-2::-1]):
+        for (b, a, _), cls in zip(blocks[::-1], classes[-2::-1]):
+            label = {y: c for c, members in enumerate(cls) for y in members}
+            ids = np.array([label[y] for y in sorted(label)])
+            mask = ids[:, None] == ids
             pair = np.where(mask.repeat(d, 0).repeat(d, 1), b @ pair @ b.T, 0.0)
             norm = np.where(mask, a @ norm @ a.T, 0.0)
-        (b, a, _), ((x,),) = blocks[0], classes[0]
-        i = sorted(grounds[0]).index(x)
-        b = b[i * d:(i + 1) * d]
-        pair, norm = b @ pair @ b.T, a[i] @ norm @ a[i]
     # + 0.0: no -0.0, as the kernel's sums start from 0
-    return tuple((pair[:, 0] + 0.0).tolist()), float(norm)
+    return tuple((pair[:, 0] + 0.0).tolist()), norm.item()
 
 
 def _source_rows(s: MeasurementSequence, source,
@@ -661,12 +661,13 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     the pair sum nests into a backward recursion over the weak-equivalence
     runs k, with E_k the lowered matrix from run k to run k+1:
 
-        S_last(x, x') = D_last(x, x')
+        S_last(x, x') = 1 if x = x' else 0
         S_k(x, x')    = D_k(x, x') Sum_y' (Sum_y E_k(x, y) S_k+1(y, y')) conj(E_k(x', y'))
 
     where D_k(x, x') holds when x and x' lie in one same-block class of run
-    k (one block at every step of the run, ``_same_block_classes``), and
-    run 0 is the one element x of the source (the first step is atomic).
+    k (one block at every step of the run, ``_same_block_classes``).  Both
+    ends are atomic: the last run's D is the identity, and run 0 is the
+    one element x of the source.
     The total is the e0 coefficient of S_0(x, x).  This costs O(L n^3)
     algebra products for L runs over grounds of at most n elements (in
     float mode O(L (n d)^3) float operations in numpy), and needs no path
@@ -679,12 +680,13 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     ``path_probabilities``, which also checks the source.  In exact mode it
     runs on the kernel over the lowered rows (``_pair_transfer``).  In
     float mode it is a product of real block matrices in numpy
-    (``_block_transfer``), which carries the same recursion over the norms
-    of the entries, N_0, in the same pass.  The summed imaginary tail must
-    vanish, by ``algebra.scalar_part`` as for quadratic_form: exactly in
-    exact mode; in float mode within SCALAR_RTOL times N_0, which bounds
-    the magnitude of every term summed.  Otherwise NonScalarProduct is
-    raised.
+    (``_block_transfer``), one masked product per run boundary, which
+    carries the same recursion over the norms of the entries, N_0, in the
+    same pass.  A single run reads no row: its total is the unit, 1.0 in
+    float mode.  The summed imaginary tail must vanish, by
+    ``algebra.scalar_part`` as for quadratic_form: exactly in exact mode;
+    in float mode within SCALAR_RTOL times N_0, which bounds the magnitude
+    of every term summed.  Otherwise NonScalarProduct is raised.
 
     In float mode a total that is not finite is traced to those rows by
     ``_name_non_finite``, the scan ``sample_rows`` shares: the first entry
@@ -721,8 +723,9 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     source's row at the first run boundary and every row of the later ones
     are the only rows read, and a run's elements are those of its
     same-block classes (the source element for run 0).  The pass is the
-    walk of ``_thread_sums`` on numpy arrays (float64 in float mode, Python
-    ints of object dtype in exact mode).  After run k each of the d
+    walk of ``_thread_sums`` on numpy arrays (float64 in float mode, single
+    runs included, Python ints of object dtype in exact mode); an impossible
+    path's entry is the exact 0 in either mode.  After run k each of the d
     coefficients is one array over (row, slot).  A row is a live prefix: a
     parent row followed by one of the run's classes.  The class's
     detectors are the one result combination of the run that keeps its
@@ -752,8 +755,7 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     choices = [[frozenset(source)]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
     paths = model.paths_over(s, choices)
     probabilities = [0] * len(paths)
-    # a single run has no matrix: its sums stay ints, as _thread_sums gives them
-    dtype = float if read and not asg.is_exact else object
+    dtype = object if asg.is_exact else float
     # rank: each row's rank in path order.  coeffs: arrays over (parent row,
     # class, slot), the first two axes together being the rows
     rank = np.zeros(1, np.int64)
@@ -810,11 +812,13 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     ``path_probabilities`` and its path bound.  The counts are one
     multinomial draw seeded with [seed, 0]: they depend on (seed, n) alone.
 
-    A probability that is negative or beyond the float range, or a mass
-    off one, raises NotADistribution.  In float mode a mass that is not
-    finite names the first non-finite entry the table reads, by the scan
-    of ``total_probability``: each such entry meets a partial sum in a
-    product, so none is hidden behind a finite mass.
+    A probability that is negative (exactly below 0 in exact mode, below
+    -1e-12 in float mode, where rounding may leave a zero just below it) or
+    beyond the float range, or a mass off one, raises NotADistribution.
+    In float mode a mass that is not finite names the first non-finite
+    entry the table reads, by the scan of ``total_probability``: each such
+    entry meets a partial sum in a product, so none is hidden behind a
+    finite mass.
     """
     if not 0 <= n < MAX_DRAWS:
         raise ValueError(f"number of draws must lie in [0, 2**63), got {n}")
@@ -823,12 +827,12 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     table = path_probabilities(s, source, asg)
     probs = []
     for p, q in table:
+        if q < (0 if asg.is_exact else -1e-12):
+            raise NotADistribution(f"negative probability {_shown(q)} for {p!r}")
         try:
             value = float(q)
         except OverflowError:
             raise NotADistribution(f"probability of {p!r} exceeds the float range") from None
-        if value < -1e-12:
-            raise NotADistribution(f"negative probability {q} for {p!r}")
         probs.append(max(value, 0.0))
     mass = sum(probs)
     if not (asg.is_exact or math.isfinite(mass)):

@@ -15,10 +15,12 @@ import pytest
 
 from compalg.algebra import AlgebraKind, make_algebra, mul, product_plan
 from compalg.cli import main
+from compalg.dsl import parse
 from compalg.engine import (
     Assignment,
     amplitude_of,
     path_probabilities,
+    probability_of,
     total_probability,
 )
 from compalg.errors import SequenceMismatch
@@ -371,6 +373,29 @@ def test_float_mode_zero_is_a_float(tmp_path, capsys):
     assert capsys.readouterr().out == '{"amplitude":[0.25,0.0,0.0,0.0],"probability":0.0625}\n' \
                                       '{"amplitude":[0.0,0.0,0.0,0.0],"probability":0.0}\n' \
                                       '{"total_probability":0.0}\n'
+
+
+def test_float_mode_single_run_results_are_floats(tmp_path, capsys):
+    """A single run reads no matrix, yet a float-mode result through it is
+    a float like any other: the unit amplitude, probability 1.0 and total
+    1.0; only an impossible path's table entry is the exact 0."""
+    (tmp_path / "mix.dsl").write_text(
+        MIX_DSL + "sequence stay = [aB, cB, aB]\npath kept over stay = [{b1}, {b1, b2}, {b1}]\n")
+    (tmp_path / "mix.json").write_text(MIXED)
+    ws = parse((tmp_path / "mix.dsl").read_text(), str(tmp_path))
+    asg, p = ws.assignments["mix"], ws.paths["kept"]
+    assert not asg.is_exact and len(runs(p)) == 1
+    result = probability_of(p, asg)
+    assert bits(result.amplitude.coeffs) == bits((1.0, 0.0, 0.0, 0.0))
+    assert bits([result.probability]) == bits([1.0])
+    assert bits([total_probability(p.sequence, p.results[0], asg)]) == bits([1.0])
+    table = path_probabilities(p.sequence, p.results[0], asg)
+    assert bits([q for _, q in table]) == bits([1.0]) + [(int, 0)] * 5
+    workspace = ["-w", str(tmp_path / "mix.dsl")]
+    assert main([*workspace, "prob", "kept", "--assignment", "mix"]) == 0
+    assert main([*workspace, "sum-rule", "stay", "--assignment", "mix", "--source", "{b1}"]) == 0
+    assert capsys.readouterr().out == '{"amplitude":[1.0,0.0,0.0,0.0],"probability":1.0}\n' \
+                                      '{"total_probability":1.0}\n'
 
 
 def test_float_mode_coefficient_beyond_the_float_range(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Sum rules by the pair-thread transfer, and the batched table of path
 probabilities under sampling, against path enumeration."""
 
+import itertools
 import math
 import random
 import re
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from compalg.algebra import AlgebraKind, make_algebra
+from compalg.cli import main
 from compalg.engine import (
     FLOAT_RTOL,
     MAX_DRAWS,
@@ -107,6 +109,41 @@ def test_float_total_within_tolerance():
         scale = max(sum(abs(float(q)) for q in probs), 1.0)
         total = total_probability(s, source, fasg)
         assert abs(float(total) - float(sum(probs))) <= FLOAT_RTOL * scale
+
+
+def dyadic_cases(seed: int, per_kind: int):
+    """(exact assignment, sequence, source) as ``cases`` gives them, with
+    every coefficient a random quarter in [-1, 1]: over such entries every
+    float product and sum of the evaluators here is exact."""
+    rng = random.Random(seed)
+    for kind in ASSOCIATIVE:
+        algebra = make_algebra(kind)
+        for _ in range(per_kind):
+            asg = Assignment(algebra, [
+                (g_from, g_to, [[[Fraction(rng.randint(-4, 4), 4) for _ in range(algebra.dim)]
+                                 for _ in g_to.elements] for _ in g_from.elements])
+                for g_from, g_to in itertools.combinations(MIX_GROUNDS, 2)])
+            s = random_sequence(rng)
+            for source in sorted(s.steps[0].blocks, key=sorted):
+                yield asg, s, source
+
+
+def test_float_mode_is_exact_on_dyadic_entries():
+    """With dyadic entries the float sum rule and table do no rounding, so
+    each float total and table entry is float of the exact one, bit for bit:
+    this pins the source's row, the start from the last run and the norm
+    form of the split kinds in the block recursion, single runs included."""
+    totals = single_runs = 0
+    for asg, s, source in dyadic_cases(11, 20):
+        floats = converted(asg, float)
+        total, want = total_probability(s, source, floats), total_probability(s, source, asg)
+        assert float(total).hex() == float(want).hex(), (s, source)
+        for (p, got), (_, q) in zip(path_probabilities(s, source, floats),
+                                    path_probabilities(s, source, asg)):
+            assert float(got).hex() == float(q).hex(), p
+        totals += 1
+        single_runs += len(runs(s)) == 1
+    assert totals > 150 and single_runs > 25
 
 
 def test_walk_is_bitwise_probability_of():
@@ -433,3 +470,28 @@ def test_sample_rejects_negative_draws_and_seeds():
         sample(s, frozenset({"a1"}), asg, MAX_DRAWS, seed=0)
     with pytest.raises(ValueError):
         sample(s, frozenset({"a1"}), asg, 5, seed=-1)
+
+
+NEGATIVE_DSL = """\
+elements N = {n1, n2}
+measurement aN over N = {{n1}, {n2}}
+elements M = {m1, m2}
+measurement aM over M = {{m1}, {m2}}
+sequence two = [aN, aM]
+assignment amp over two algebra C' from "amp.json"
+"""
+
+
+def test_exact_sample_rejects_a_tiny_negative_probability(tmp_path, capsys):
+    """In C' a j-entry of 1/10**7 gives the path to m2 probability
+    -1/10**14, while the mass, 1 - 1/10**14, is within DISTRIBUTION_TOL:
+    an exact probability is compared with 0 exactly, not as a float."""
+    (tmp_path / "amp.dsl").write_text(NEGATIVE_DSL)
+    (tmp_path / "amp.json").write_text(
+        '{"steps": [{"from": "aN", "to": "aM", "matrix": '
+        '[[[1, 0], [0, "1/10000000"]], [[0, "1/10000000"], [1, 0]]]}]}')
+    argv = ["-w", str(tmp_path / "amp.dsl"), "sample", "two", "--assignment", "amp",
+            "--source", "{n1}", "-n", "10", "--seed", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "", "validation error: negative probability -1/100000000000000 for Path([{n1},{m2}])\n")
