@@ -12,9 +12,10 @@ failing case with a witness.
 
 Only this module operates on coefficient tuples; ``Amplitude`` and the
 engine call it.  ``Algebra.kernel`` is the one product (so the axiom
-report certifies the product behind every probability), ``Algebra.conj``
-the one involution and ``summed`` the one sum; a scalar multiple is a
-product under ``mul``.
+report certifies the product behind every probability), with its array
+twin ``kernel.columns``, the same operations on numpy arrays;
+``Algebra.conj`` is the one involution and ``summed`` the one sum; a
+scalar multiple is a product under ``mul``.
 
 Coefficients are exact rationals (verification mode) or 64-bit floats
 (numeric mode), by one rule, which ``mul``, ``+``, scalar multiples and
@@ -165,22 +166,28 @@ class Algebra:
         step (all zeros, as ints, when there are none).  For each pair it
         unpacks a0..a(d-1) and b0..b(d-1) and adds to each output coefficient
         ``0 + a_i * b_j - ...``, the plan's terms in order, skipping none.
+
+        ``kernel.columns`` is the same sum of products on numpy arrays
+        (``_array_product``), bit for bit; it travels with the function, so
+        a kernel put in its place brings its own.
         """
-        d = self.dim
+        d, plan = self.dim, product_plan(self)
         a = "".join(f"a{i}, " for i in range(d))
         b = "".join(f"b{j}, " for j in range(d))
         out = [f"o{k}" for k in range(d)]
         lines = ["def kernel(lefts, rights):",
                  f"    {' = '.join(out)} = 0",
                  f"    for ({a}), ({b}) in zip(lefts, rights):"]
-        for o, terms in zip(out, product_plan(self)):
+        for o, terms in zip(out, plan):
             lines.append(f"        {o} += 0" + "".join(
                 f" {'-' if negate else '+'} a{i} * b{j}" for i, j, negate in terms))
         lines.append(f"    return ({', '.join(out)},)")
         namespace = {}
         exec(compile("\n".join(lines), f"<product kernel {self.kind.label}>", "exec"),
              namespace)
-        return namespace["kernel"]
+        kernel = namespace["kernel"]
+        kernel.columns = _array_product(plan)
+        return kernel
 
     def conj(self, coeffs: tuple) -> tuple:
         """The involution on a coefficient tuple, by ``conj_signs``."""
@@ -327,6 +334,56 @@ def product_plan(algebra: Algebra) -> tuple:
         for j, (k, sign) in enumerate(row):
             plan[k].append((i, j, sign < 0))
     return tuple(map(tuple, plan))
+
+
+def _array_product(plan: tuple):
+    """The sum of products of a product plan on numpy arrays:
+    ``Algebra.kernel.columns``.
+
+    ``columns(lefts, rights)`` takes arrays in step, at least one pair,
+    float64 or of object dtype, whose first axis holds the d coefficients
+    and whose other axes broadcast against each other; it returns one array
+    of that shape, the sum over the pairs of a * b.  Each right operand is
+    first gathered and signed into b'[m, k], the right factor of output k's
+    m-th term: in a table built by doubling every row is a signed
+    permutation, so that term is a_m * (+-b_j).  The pair's sum is then
+    ``0 + a_0 * b'_0 + ... + a_(d-1) * b'_(d-1)`` over whole arrays, one term
+    at a time, and the pairs' sums are added in order.  These are the float
+    operations of the kernel's ``o_k += 0 + a_i * b_j - ...`` bit for bit:
+    x - y is x + (-y) in IEEE arithmetic, and a sign flip is exact; the
+    kernel's ``0 +`` before the first pair's sum is left out, as that sum
+    starts from 0 itself and so is never -0.0.  The index and sign arrays
+    are built on the first call, so numpy is imported only where arrays are
+    multiplied; a table with a row that is not a signed permutation raises
+    ValueError there.
+    """
+    d = len(plan)
+    signed = []  # (j, sign), each d x d over (m, k)
+
+    def columns(lefts, rights):
+        import numpy as np
+
+        if not signed:
+            if any(len(terms) != d or any(i != m for m, (i, _, _) in enumerate(terms))
+                   for terms in plan):
+                raise ValueError("no array product: a row of the table is not a signed permutation")
+            signed.append(np.array([[terms[m][1] for terms in plan] for m in range(d)]))
+            signed.append(np.array([[-1 if terms[m][2] else 1 for terms in plan]
+                                    for m in range(d)]))
+        at, sign = signed
+        total = None
+        for a, b in zip(lefts, rights):
+            b = b[at] * sign.reshape(d, d, *[1] * (b.ndim - 1))
+            pair = a[0] * b[0]
+            pair += 0
+            for m in range(1, d):
+                pair += a[m] * b[m]
+            if total is None:
+                total = pair
+            else:
+                total += pair
+        return total
+    return columns
 
 
 def conj(a: Amplitude) -> Amplitude:

@@ -14,20 +14,24 @@ representation: each ground pair lowered once, on first use, to rows x ->
 {y: coefficient tuple} by ``algebra.lower`` (ints over one denominator in
 exact mode, decided by ``algebra.is_exact``; floats over 1 otherwise).
 Outside the float sum rule the engine has no coefficient arithmetic of
-its own: ``Algebra.kernel`` forms every product, ``Algebra.conj`` every
-conjugate and ``algebra.summed`` every sum, in a fixed order;
-``algebra.lift`` rebuilds a result once, at the end, as floats in float
-mode, so a single run's unit, which reads no matrix, is 1.0 there.
+its own: ``Algebra.kernel`` forms every product (on numpy arrays through
+its array twin ``kernel.columns``, the same operations in the same order),
+``Algebra.conj`` every conjugate and ``algebra.summed`` every sum, in a
+fixed order; ``algebra.lift`` rebuilds a result once, at the end, as
+floats in float mode, so a single run's unit, which reads no matrix, is
+1.0 there.
 
 A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
 to right; its probability is Q of that sum (``algebra.quadratic_form_over``),
 and an impossible path is zero.  ``amplitude_of`` walks one path run by
 run; sampling evaluates every path from the source with the same
-operations, one batched pass per run, on numpy arrays over (row, slot):
-a row per live prefix, a slot per surviving element, and zero padding past
-a row's survivors.  It is bounded by ``model.DEFAULT_PATH_BOUND`` and ends
-in one multinomial draw.
+operations, one batched pass per run, on one numpy array over
+(coefficient, class, slot, row): a row per live prefix, a slot per
+surviving element, and zero padding past a row's survivors, multiplied by
+``kernel.columns`` once per run boundary.  It is bounded by
+``model.DEFAULT_PATH_BOUND``, checks the probabilities as one array and
+ends in one multinomial draw; the paths are built after the numeric pass.
 
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step.  In exact mode
@@ -59,6 +63,7 @@ SCALAR_RTOL of a magnitude), and two values are compared by ``_close``
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -713,51 +718,22 @@ def total_probability(s: MeasurementSequence, source: frozenset,
 
 # -- sampling --------------------------------------------------------------------
 
-def path_probabilities(s: MeasurementSequence, source: frozenset,
-                       asg: Assignment) -> List[Tuple[Path, object]]:
-    """Every path from the source result with its probability, in
-    ``enumerate_paths`` order (``path_key`` order within the sequence).
-
-    Every path is evaluated in one batched pass per weak-equivalence run,
-    on the source frame of ``total_probability`` (``_source_rows``): the
-    source's row at the first run boundary and every row of the later ones
-    are the only rows read, and a run's elements are those of its
-    same-block classes (the source element for run 0).  The pass is the
-    walk of ``_thread_sums`` on numpy arrays (float64 in float mode, single
-    runs included, Python ints of object dtype in exact mode); an impossible
-    path's entry is the exact 0 in either mode.  After run k each of the d
-    coefficients is one array over (row, slot).  A row is a live prefix: a
-    parent row followed by one of the run's classes.  The class's
-    detectors are the one result combination of the run that keeps its
-    elements alive, and its rank in path order is a mixed-radix number over
-    the sorted blocks of the run's steps; every other combination keeps no
-    element, so its paths have probability 0.  Slot t holds the row's
-    partial thread sum onto the class's t-th sorted element, and the slots
-    past its elements are padding that holds zeros.  At each run boundary
-    one kernel call sums over the parent's slots t, with the lowered matrix
-    padded by a zero row and column, so a padded slot meets zeros on both
-    sides; the padded slots are then reset to zero, since an infinite entry
-    times a padded zero leaves a NaN there.  The padding changes no bit:
-    the kernel's accumulator starts as 0 + ..., so it is never -0.0, slot 0
-    is never padding, and adding +0.0 leaves any other value as it is.  The
-    Born leaf sums each row's slots by ``summed`` and takes
-    ``algebra.quadratic_form_columns``.  So every probability equals
-    ``probability_of(p, asg).probability`` bit for bit, and the first path
-    whose product is not scalar raises that error.  The working arrays are
-    freed before the table is built.  Bounded by DEFAULT_PATH_BOUND through
-    ``model.check_path_bound``.
-    """
+def _probabilities(s: MeasurementSequence, source: frozenset,
+                   asg: Assignment) -> Tuple[list, list]:
+    """The numeric pass of ``path_probabilities``: the blocks each step
+    offers (``model.paths_over``'s choices, the source alone at step 0) and
+    every path's probability, in path order; no ``Path`` is built."""
     import numpy as np
 
     model.check_path_bound(s)
     segments, classes, read, den = _source_rows(s, source, asg)
-    algebra = asg.algebra
+    algebra, d = asg.algebra, asg.algebra.dim
     choices = [[frozenset(source)]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
-    paths = model.paths_over(s, choices)
-    probabilities = [0] * len(paths)
+    probabilities = [0] * math.prod(map(len, choices))
     dtype = object if asg.is_exact else float
-    # rank: each row's rank in path order.  coeffs: arrays over (parent row,
-    # class, slot), the first two axes together being the rows
+    # rank: each row's rank in path order.  coeffs: over (coefficient, class,
+    # slot, parent row), the class and parent row together being the rows,
+    # the long row axis innermost
     rank = np.zeros(1, np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (lo, hi) in enumerate(segments):
@@ -778,29 +754,72 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
             ys = np.array([[ground[x] for x in cls] + [len(ground)] * (width - len(cls))
                            for cls in classes[k].values()])
             if k == 0:
-                coeffs = tuple(np.full((1, *ys.shape), u, dtype) for u in algebra.unit().coeffs)
+                coeffs = np.empty((d, *ys.shape, 1), dtype)
+                coeffs[...] = np.array(algebra.unit().coeffs, dtype)[:, None, None, None]
             else:
-                # the lowered matrix [x, y, i], a zero row and column at the padding positions
-                block = np.zeros((len(previous) + 1, len(ground) + 1, algebra.dim), dtype)
-                block[:-1, :-1] = [[read[k - 1][x][y] for y in ground] for x in previous]
-                # over (parent row, parent class, class, slot), with xs the
-                # parent run's ys: one parent slot t at a time
-                coeffs = algebra.kernel(
-                    (tuple(c[:, :, t, None, None] for c in coeffs) for t in range(xs.shape[1])),
-                    (tuple(block[xs[:, t, None, None], ys, i] for i in range(algebra.dim))
-                     for t in range(xs.shape[1])))
-            # padding back to zero: an infinite entry times a padded zero is NaN
-            coeffs = tuple(np.where(ys < len(ground), c, 0).reshape(-1, *ys.shape)
-                           for c in coeffs)
-            rank = (rank[:, None] * radix + index).ravel()
+                # the lowered matrix [i, x, y], a zero row and column at the padding positions
+                block = np.zeros((d, len(previous) + 1, len(ground) + 1), dtype)
+                block[:, :-1, :-1] = np.array([read[k - 1][x][y] for x in previous for y in ground],
+                                              dtype).T.reshape(d, len(previous), len(ground))
+                # over (coefficient, class, slot, parent class, parent row),
+                # with xs the parent run's ys: one parent slot t at a time
+                coeffs = algebra.kernel.columns(
+                    (coeffs[:, None, None, :, t] for t in range(xs.shape[1])),
+                    (block[:, xs[:, t], ys[..., None], None] for t in range(xs.shape[1])))
+                coeffs = coeffs.reshape(*coeffs.shape[:3], -1)
+            if any(len(cls) < width for cls in classes[k].values()):
+                # back to zero: an infinite entry times a padded zero is NaN
+                coeffs[:, ys == len(ground)] = 0
+            rank = (rank * radix + np.array(index)[:, None]).ravel()
             previous, xs = ground, ys
-        coeffs = summed([tuple(c[..., t].ravel() for c in coeffs) for t in range(width)],
-                        algebra.dim)
-        born = quadratic_form_columns(algebra, coeffs, den, asg.is_exact)
-        for r, q in zip(rank.tolist(), born):
-            probabilities[r] = q
-        del coeffs, rank, born  # freed before the table is built
-    return list(zip(paths, probabilities))
+        # each row's slots summed by ``summed``, each slot over (coefficient, row)
+        sums = summed(coeffs.transpose(2, 0, 1, 3).reshape(width, d, -1), d)
+        del coeffs
+        born = quadratic_form_columns(algebra, sums, den, asg.is_exact)
+    for r, q in zip(rank.tolist(), born):
+        probabilities[r] = q
+    return choices, probabilities
+
+
+def path_probabilities(s: MeasurementSequence, source: frozenset,
+                       asg: Assignment) -> List[Tuple[Path, object]]:
+    """Every path from the source result with its probability, in
+    ``enumerate_paths`` order (``path_key`` order within the sequence).
+
+    Every path is evaluated in one batched pass per weak-equivalence run,
+    on the source frame of ``total_probability`` (``_source_rows``): the
+    source's row at the first run boundary and every row of the later ones
+    are the only rows read, and a run's elements are those of its
+    same-block classes (the source element for run 0).  The pass is the
+    walk of ``_thread_sums`` on one numpy array (float64 in float mode,
+    single runs included, Python ints of object dtype in exact mode); an
+    impossible path's entry is the exact 0 in either mode.  After run k
+    the array is over (coefficient, class, slot, parent row), the long row
+    axis innermost.  A row is a live prefix: a parent row followed by one of
+    the run's classes.  The class's detectors are the one result
+    combination of the run that keeps its elements alive, and its rank in
+    path order is a mixed-radix number over the sorted blocks of the run's
+    steps; every other combination keeps no element, so its paths have
+    probability 0.  Slot t holds the
+    row's partial thread sum onto the class's t-th sorted element, and the
+    slots past its elements are padding that holds zeros.  At each run
+    boundary one call of the kernel's array product (``kernel.columns``,
+    the kernel's operations in its order) sums over the parent's slots t,
+    with the lowered matrix padded by a zero row and column, so a padded
+    slot meets zeros on both sides; on a run with padding the padded slots
+    are then reset to zero, since an infinite entry times a padded zero
+    leaves a NaN there.  The padding changes no bit: the product's sums
+    start as 0 + ..., so they are never -0.0, slot 0 is never padding, and
+    adding +0.0 leaves any other value as it is.  The Born leaf sums each
+    row's slots by ``summed`` and takes ``algebra.quadratic_form_columns``,
+    one scalar kernel call.  So every probability equals
+    ``probability_of(p, asg).probability`` bit for bit, and the first path
+    whose product is not scalar raises that error.  The paths are built
+    after the numeric pass, once its arrays are freed.  Bounded by
+    DEFAULT_PATH_BOUND through ``model.check_path_bound``.
+    """
+    choices, probabilities = _probabilities(s, source, asg)
+    return list(zip(model.paths_over(s, choices), probabilities))
 
 
 def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
@@ -814,36 +833,47 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
 
     A probability that is negative (exactly below 0 in exact mode, below
     -1e-12 in float mode, where rounding may leave a zero just below it) or
-    beyond the float range, or a mass off one, raises NotADistribution.
+    beyond the float range, or a mass off one, raises NotADistribution; the
+    first such path is named.  The checks run on one float array of the
+    probabilities, clipped to 0, and the mass adds it left to right, as
+    ``algebra.summed`` adds, so it reads the same on every Python version.
     In float mode a mass that is not finite names the first non-finite
     entry the table reads, by the scan of ``total_probability``: each such
     entry meets a partial sum in a product, so none is hidden behind a
-    finite mass.
+    finite mass.  The paths are built last, from the table's choices.
     """
     if not 0 <= n < MAX_DRAWS:
         raise ValueError(f"number of draws must lie in [0, 2**63), got {n}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    table = path_probabilities(s, source, asg)
-    probs = []
-    for p, q in table:
-        if q < (0 if asg.is_exact else -1e-12):
-            raise NotADistribution(f"negative probability {_shown(q)} for {p!r}")
-        try:
-            value = float(q)
-        except OverflowError:
-            raise NotADistribution(f"probability of {p!r} exceeds the float range") from None
-        probs.append(max(value, 0.0))
-    mass = sum(probs)
+    import numpy as np
+
+    choices, probabilities = _probabilities(s, source, asg)
+    if asg.is_exact:  # as floats, one beyond the float range an infinity
+        (weights,), _ = lower([probabilities], False)
+        weights = np.array(weights)
+        negative = np.array([q < 0 for q in probabilities], bool)
+        failed = negative | np.isinf(weights)
+    else:
+        weights = np.array(probabilities, float)
+        failed = negative = weights < -1e-12
+    if failed.any():
+        first = int(failed.argmax())
+        (p,) = model.paths_over(s, [[c] for c in next(
+            itertools.islice(itertools.product(*choices), first, None))])
+        if negative[first]:
+            raise NotADistribution(f"negative probability {_shown(probabilities[first])} for {p!r}")
+        raise NotADistribution(f"probability of {p!r} exceeds the float range")
+    weights = np.maximum(weights, 0.0)
+    # cumsum adds left to right from the first weight (np.sum adds pairwise)
+    mass = float(np.cumsum(weights)[-1])
     if not (asg.is_exact or math.isfinite(mass)):
         _name_non_finite(_source_rows(s, source, asg)[2])
     if not abs(mass - 1.0) <= DISTRIBUTION_TOL:  # a NaN mass fails too
         raise NotADistribution(f"path probabilities sum to {mass}, not 1")
-    import numpy as np
-
-    weights = np.asarray(probs, dtype=float)
-    counts = np.random.default_rng([seed, 0]).multinomial(n, weights / weights.sum())
-    return [(p, int(c), q) for (p, q), c in zip(table, counts)]
+    counts = np.random.default_rng([seed, 0]).multinomial(n, weights / weights.sum()).tolist()
+    del weights, failed, negative  # freed before the paths are built
+    return list(zip(model.paths_over(s, choices), counts, probabilities))
 
 
 def sample(s: MeasurementSequence, source: frozenset, asg: Assignment,

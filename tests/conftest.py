@@ -239,10 +239,19 @@ def amplitude_by_enumeration(p: Path, asg: Assignment) -> Amplitude:
 
 def skewed_kernel(algebra):
     """The product kernel, with e_0's coefficient of every sum of products
-    added to e_1's (unchanged in R, which has no e_1)."""
+    added to e_1's (unchanged in R, which has no e_1), and its array twin
+    ``columns``, which does the same to the sums of the kernel's array
+    product."""
     kernel = algebra.kernel
 
     def skewed(lefts, rights):
         out = kernel(lefts, rights)
         return out if len(out) == 1 else (out[0], out[1] + out[0]) + out[2:]
+
+    def skewed_columns(lefts, rights):
+        out = kernel.columns(lefts, rights)
+        if len(out) > 1:
+            out[1] += out[0]
+        return out
+    skewed.columns = skewed_columns
     return skewed

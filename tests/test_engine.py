@@ -1,6 +1,8 @@
 """Probability engine: evaluation, validation, Markov, insertion, sampling."""
 
+import functools
 import math
+import operator
 import random
 import time
 from decimal import Decimal
@@ -560,6 +562,22 @@ def test_sample_rejects_non_distribution():
     bad = Assignment(split, [(S1, N, bad_rows)])
     with pytest.raises(NotADistribution):
         sample(sequence([AS, AN]), frozenset({"s"}), bad, 10, seed=0)
+
+
+def test_sample_mass_is_added_left_to_right():
+    """The mass adds the probabilities left to right, as ``algebra.summed``
+    adds, so the digits of the message are the same on every Python
+    version: from 3.12 on the built-in ``sum`` compensates float rounding.
+    Here the order counts, as the correctly rounded sum differs."""
+    rows = [[[0.7, 0.7], [0.1, 0.5], [0.9, 0.8]], [[0.7, 0.5], [0.8, 0.6], [0.4, 0.9]]]
+    s, source = sequence([AN, AM, AN]), frozenset({"n1"})
+    asg = c_assignment(rows)
+    probabilities = [q for _, q in path_probabilities(s, source, asg)]
+    assert functools.reduce(operator.add, probabilities, 0) == 5.522200000000001
+    assert math.fsum(probabilities) == 5.5222
+    with pytest.raises(NotADistribution) as exc:
+        sample_rows(s, source, asg, 10, 1)
+    assert str(exc.value) == "path probabilities sum to 5.522200000000001, not 1"
 
 
 def test_random_row_normalized_properties():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy
 import pytest
 
-from compalg.algebra import AlgebraKind, make_algebra, mul, product_plan
+from compalg.algebra import Algebra, AlgebraKind, make_algebra, mul, product_plan
 from compalg.cli import main
 from compalg.dsl import parse
 from compalg.engine import (
@@ -141,6 +141,53 @@ def test_plan_product_is_mul(kind):
             else:
                 assert agree(by_mul, got, like_kernel)
             assert agree(got, by_table, like_table) and agree(by_mul, by_table, like_table)
+
+
+def any_float(rng: random.Random) -> float:
+    """A float of every class now and then: a signed zero, a subnormal, an
+    infinity, NaN, or a value whose products overflow."""
+    return rng.choice([0.0, -0.0, rng.choice([-1, 1]) * rng.randint(1, 9) * 5e-324,
+                       math.inf, -math.inf, math.nan, near_overflow(rng), rng.uniform(-2, 2)])
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind), ids=KIND_IDS)
+def test_array_product_is_the_kernel(kind):
+    """``kernel.columns`` equals the kernel element by element, in the
+    broadcast shapes of the sampling table: a parent slot over (coefficient,
+    1, 1, parent class, row) against a gathered block over (coefficient,
+    class, slot, parent class, 1), one to three slot pairs summed.  Float64
+    operands, ordinary ones (where a term order other than the kernel's
+    rounds differently) and ones of every class, equal it by ``float.hex``
+    (NaN by position), object-dtype ints and Fractions in type and value.  A table with a row
+    that is not a signed permutation has no array product."""
+    algebra = make_algebra(kind)
+    d, kernel = algebra.dim, algebra.kernel
+    rng = random.Random(f"columns:{kind.label}")
+
+    def operands(draw, dtype, count, *shape):
+        return [numpy.array([draw(rng) for _ in range(math.prod(shape))], dtype).reshape(shape)
+                for _ in range(count)]
+    for draw, dtype in ((lambda r: r.uniform(-2, 2), float), (any_float, float),
+                        (random_coefficient, object)):
+        for _ in range(12):
+            pairs, classes, slots, parents, rows = (rng.randint(1, 3) for _ in range(5))
+            lefts = operands(draw, dtype, pairs, d, 1, 1, parents, rows)
+            rights = operands(draw, dtype, pairs, d, classes, slots, parents, 1)
+            with numpy.errstate(over="ignore", invalid="ignore"):  # as in the table
+                got = kernel.columns(lefts, rights)
+            assert got.shape == (d, classes, slots, parents, rows) and got.dtype == dtype
+            for c, t, x, r in itertools.product(range(classes), range(slots), range(parents),
+                                                range(rows)):
+                want = kernel([tuple(a[:, 0, 0, x, r].tolist()) for a in lefts],
+                              [tuple(b[:, c, t, x, 0].tolist()) for b in rights])
+                assert bits(got[:, c, t, x, r].tolist()) == bits(want)
+    rows = [list(row) for row in algebra.table]
+    rows[0][0] = (d - 1, 1)
+    if d > 1:
+        broken = Algebra(kind=kind, dim=d, table=tuple(map(tuple, rows)),
+                         conj_signs=algebra.conj_signs)
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            broken.kernel.columns(lefts, rights)
 
 
 @pytest.mark.parametrize("kind", ASSOCIATIVE, ids=KIND_IDS)

@@ -297,6 +297,34 @@ def test_table_is_probability_of_at_workload_scale(monkeypatch):
     assert h_tails > 100
 
 
+def test_table_makes_one_array_product_per_run_boundary(monkeypatch):
+    """One table makes one call of the kernel's array product per run
+    boundary and one scalar kernel call, the Born leaf's, in both modes, on
+    sequences with two-detector steps and a fully coarse one (three slots
+    summed in one call): no product falls back to per-coefficient calls.
+    Counted through a kernel installed as the swap tests install one."""
+    rng = random.Random(23)
+    algebra = make_algebra(AlgebraKind.H)
+    exact = assignment_for([A3, B3, C3], algebra, rng, normalized=False)
+    modes = (exact, converted(exact, float))
+    kernel, calls = algebra.kernel, []
+
+    def counted(lefts, rights):
+        calls.append("kernel")
+        return kernel(lefts, rights)
+
+    def counted_columns(lefts, rights):
+        calls.append("columns")
+        return kernel.columns(lefts, rights)
+    counted.columns = counted_columns
+    monkeypatch.setitem(vars(algebra), "kernel", counted)
+    for s in (workload_sequence(rng, 7, 2), workload_sequence(rng, 7, 2, full=True)):
+        for asg in modes:
+            calls.clear()
+            path_probabilities(s, frozenset({"a1"}), asg)
+            assert calls.count("columns") == len(runs(s)) - 1 and calls.count("kernel") == 1
+
+
 def test_table_over_a_long_run_of_two_detector_steps():
     """An atomic A3 step, ten two-detector B3 steps and an atomic B3 step:
     3,072 paths from a1 through one A3 -> B3 matrix, and per path in the
