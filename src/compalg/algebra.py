@@ -434,15 +434,18 @@ def quadratic_form_columns(algebra: Algebra, columns: tuple, denominator: int,
                            exact: bool) -> list:
     """``quadratic_form_over`` of every row of d coefficient columns (numpy
     arrays of one length, float64 or object dtype), as a list of Python
-    scalars in row order: one kernel call, the same operations in the same
-    order for every element, so each value equals the row's own bit for bit.
+    scalars in row order: one call of the kernel's array product
+    (``kernel.columns``), the kernel's operations in its order for every
+    element, so each value equals the row's own bit for bit.
 
     A row fails the scalar check of ``scalar_part`` when a tail coefficient
     is nonzero in exact mode, or exceeds SCALAR_RTOL times the row's
     ``squared_norm`` in float mode; the first failing row then goes through
     ``quadratic_form_over`` itself, so it raises that error and message.
     """
-    square = algebra.kernel((columns,), (algebra.conj(columns),))
+    import numpy as np
+
+    square = algebra.kernel.columns((np.array(columns),), (np.array(algebra.conj(columns)),))
     if exact:
         bad = [c != 0 for c in square[1:]]
     else:

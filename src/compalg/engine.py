@@ -13,9 +13,10 @@ checked there only, stores coefficient tuples, and every evaluator reads one
 representation: each ground pair lowered once, on first use, to rows x ->
 {y: coefficient tuple} by ``algebra.lower`` (ints over one denominator in
 exact mode, decided by ``algebra.is_exact``; floats over 1 otherwise).
-Outside the float sum rule the engine has no coefficient arithmetic of
-its own: ``Algebra.kernel`` forms every product (on numpy arrays through
-its array twin ``kernel.columns``, the same operations in the same order),
+Outside the sum rules (the float one's block matrices, the exact one's
+int diagonal) the engine has no coefficient arithmetic of its own:
+``Algebra.kernel`` forms every product (on numpy arrays through its array
+twin ``kernel.columns``, the same operations in the same order),
 ``Algebra.conj`` every conjugate and ``algebra.summed`` every sum, in a
 fixed order; ``algebra.lift`` rebuilds a result once, at the end, as
 floats in float mode, so a single run's unit, which reads no matrix, is
@@ -36,17 +37,22 @@ ends in one multinomial draw; the paths are built after the numeric pass.
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step.  In exact mode
 it reads the same lowered rows in place, through the kernel, conjugating
-the right-hand factor.  In float mode it multiplies real block matrices
-in numpy: each entry as its d x d matrix of left multiplication, built
-from the kernel on basis pairs and kept per ground pair in the
-assignment (``Assignment.real_blocks``), its conjugate as the adjoint
-under the norm form, with the tolerance bound's recursion over the entry
-norms in the same pass: one masked product per run boundary, from the
-atomic last run down to the source.  The sum rule and the sampler start
-from one source frame (``_source_rows``): the source, checked against the
-first step, the runs, each run's same-block classes, and the rows that a
-recursion from the source reads, the source's row at the first run
-boundary and every row of the later ones; neither reads any other row.
+the right-hand factor, and carries only the real diagonal of each
+Hermitian pair state, as ints, and one triangle: across an atomic run
+boundary it multiplies the diagonal by the pair's Born matrix of entry
+norms Q(E(x, y)), kept per ground pair in the assignment
+(``Assignment.born_rows``), and calls no kernel.  In float mode it
+multiplies real block matrices in numpy: each entry as its d x d matrix
+of left multiplication, built from the kernel on basis pairs and kept per
+ground pair in the assignment (``Assignment.real_blocks``), its
+conjugate as the adjoint under the norm form, with the tolerance bound's
+recursion over the entry norms in the same pass: one masked product per
+run boundary, from the atomic last run down to the source.  The sum rule
+and the sampler start from one source frame (``_source_rows``): the
+source, checked against the first step, the runs, each run's same-block
+classes, and the rows that a recursion from the source reads, the
+source's row at the first run boundary and every row of the later ones;
+neither reads any other row.
 A run's class is the set of elements that one of its result
 combinations keeps alive: the sum rule pairs threads within a class, and
 the sampler takes each class as one live combination.  In float mode a
@@ -123,8 +129,9 @@ class Assignment:
     they are the identity by construction.
 
     A matrix is held as rows x -> {y: coefficient tuple}; the evaluators
-    read them over one denominator, from ``lowered``, and the float sum
-    rule as real block matrices, from ``real_blocks``.
+    read them over one denominator, from ``lowered``, the exact sum rule
+    also as Born matrices, from ``born_rows``, and the float sum rule as
+    real block matrices, from ``real_blocks``.
     """
 
     def __init__(self, algebra: Algebra, blocks: Iterable) -> None:
@@ -134,8 +141,8 @@ class Assignment:
         self.algebra = algebra
         self._rows: Dict[Tuple[frozenset, frozenset], CoeffRows] = {}
         self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[CoeffRows, int]] = {}
-        # (kernel, its left multiplication, G, real blocks per ground pair): ``real_blocks``
-        self._real: Optional[tuple] = None
+        # (kernel, what ``_built_by_kernel`` built with it)
+        self._built: Optional[Tuple[object, dict]] = None
         if isinstance(blocks, Mapping):
             raise ValueError(f"blocks must be {_TRIPLE} triples, got a mapping")
         for block in blocks:
@@ -239,35 +246,74 @@ class Assignment:
         the algebra's kernel on the basis pairs: T[i, k, j] is the e_k
         coefficient of e_i e_j, so T[i] is L_e_i; G[i] is the e_0
         coefficient of e_i conj(e_i).  T, G and each pair's blocks are built
-        on first use and kept until the algebra's kernel is another function.
+        on first use (``_built_by_kernel``).
         """
         import numpy as np
 
-        kernel = self.algebra.kernel
-        if self._real is None or self._real[0] is not kernel:
-            basis = [self.algebra.basis_element(i).coeffs for i in range(self.algebra.dim)]
-            left = np.array([[kernel((a,), (b,)) for b in basis] for a in basis], float)
-            gram = np.array([kernel((e,), (self.algebra.conj(e),))[0] for e in basis], float)
-            self._real = (kernel, left.transpose(0, 2, 1), gram, {})
-        _, left, gram, blocks = self._real
         key = (_ground_key(g_from), _ground_key(g_to))
-        hit = blocks.get(key)
-        if hit is not None:
-            return hit
-        rows, _ = self.lowered(g_from, g_to)
-        ys = sorted(key[1])
-        # columns[i][x, y]: coefficient i of E(x, y); B is (n d) x (m d), as left is d x d x d
-        columns = tuple(np.array([[rows[x][y][i] for y in ys] for x in rows], float)
-                        for i in range(self.algebra.dim))
-        with np.errstate(over="ignore", invalid="ignore"):  # an infinite entry gives NaNs
-            hit = blocks[key] = (
-                np.einsum("ixy,ikj->xkyj", columns, left).reshape(len(rows) * len(left), -1),
-                np.sqrt(squared_norm(columns)), gram)
-        return hit
+
+        def build():
+            left, gram = self._built_by_kernel("left", self._left_multiplication)
+            rows, _ = self.lowered(*key)
+            ys = sorted(key[1])
+            # columns[i][x, y]: coefficient i of E(x, y); with left d x d x d, B is (n d) x (m d)
+            columns = tuple(np.array([[rows[x][y][i] for y in ys] for x in rows], float)
+                            for i in range(self.algebra.dim))
+            with np.errstate(over="ignore", invalid="ignore"):  # an infinite entry gives NaNs
+                blocks = np.einsum("ixy,ikj->xkyj", columns, left)
+                return (blocks.reshape(len(rows) * len(left), -1), np.sqrt(squared_norm(columns)),
+                        gram)
+        return self._built_by_kernel(("real", key), build)
+
+    def _left_multiplication(self) -> tuple:
+        """(T^T over its last two axes, G) of ``real_blocks``, as float arrays."""
+        import numpy as np
+
+        kernel, basis = self.algebra.kernel, [self.algebra.basis_element(i).coeffs
+                                              for i in range(self.algebra.dim)]
+        left = np.array([[kernel((a,), (b,)) for b in basis] for a in basis], float)
+        gram = np.array([kernel((e,), (self.algebra.conj(e),))[0] for e in basis], float)
+        return left.transpose(0, 2, 1), gram
+
+    def born_rows(self, g_from, g_to) -> Dict[str, Dict[str, int]]:
+        """Exact mode: the Born matrix of the ``lowered`` matrix E from one
+        ground to another over its denominator D, as rows x -> {y: P(x, y)},
+        ints with P(x, y) / D^2 = Q(E(x, y)).
+
+        P(x, y) is the e0 of E(x, y) conj(E(x, y)), one kernel call; an
+        entry whose product has a nonzero tail goes through
+        ``algebra.quadratic_form_over`` over D, whose scalar check raises
+        NonScalarProduct showing that product at its true value, over D^2.
+        Built on first use (``_built_by_kernel``).
+        """
+        key = (_ground_key(g_from), _ground_key(g_to))
+
+        def build():
+            rows, den = self.lowered(*key)
+            kernel, conj = self.algebra.kernel, self.algebra.conj
+
+            def born(coeffs) -> int:
+                square = kernel((coeffs,), (conj(coeffs),))
+                if any(square[1:]):  # not scalar: raises
+                    quadratic_form_over(self.algebra, coeffs, den, True)
+                return square[0]
+            return {x: {y: born(c) for y, c in row.items()} for x, row in rows.items()}
+        return self._built_by_kernel(("born", key), build)
+
+    def _built_by_kernel(self, key, build):
+        """build(), kept under key until the algebra's kernel is another
+        function: a kernel put in its place gets values built by itself."""
+        kernel = self.algebra.kernel
+        if self._built is None or self._built[0] is not kernel:
+            self._built = (kernel, {})
+        built = self._built[1]
+        if key not in built:
+            built[key] = build()
+        return built[key]
 
     def __getstate__(self) -> dict:
-        # the kernel the real blocks were built by does not pickle; they are rebuilt on use
-        return {**vars(self), "_real": None}
+        # the kernel the kept values were built by does not pickle; they are rebuilt on use
+        return {**vars(self), "_built": None}
 
     def __eq__(self, other):
         return isinstance(other, Assignment) \
@@ -547,38 +593,75 @@ def _same_block_classes(steps, elements) -> Dict[tuple, List[str]]:
     return classes
 
 
-def _pair_transfer(classes, matrices, algebra: Algebra) -> tuple:
-    """S_0(x, x) for the one element x of run 0 (``classes[0] == [[x]]``),
-    by the backward recursion
+def _pair_transfer(grounds, classes, read, asg: Assignment) -> int:
+    """Exact mode: the e0 coefficient of S_0(x, x) for the one element x of
+    run 0 (``classes[0] == [[x]]``), an int over the squared product of the
+    boundary denominators, by the backward recursion
 
-        S_last(x, x') = 1
+        S_last(x, x') = 1 if x = x' else 0
         S_k(x, x')    = sum_y' (sum_y E_k[x][y] S_k+1(y, y')) conj(E_k[x'][y'])
 
     with S_k(x, x') defined only for x, x' in one class of run k.  ``E_k =
-    matrices[k]`` maps a run-k element to a dict over the run-(k+1)
-    elements of coefficient tuples over the (associative) algebra, read in
-    class order, multiplied by the algebra's kernel and conjugated by
+    read[k]``, the lowered matrix from ``grounds[k]`` to ``grounds[k+1]``,
+    maps a run-k element to a dict over the run-(k+1) elements of
+    coefficient tuples, multiplied by the algebra's kernel and conjugated by
     ``Algebra.conj``.  (A float sum rule with a run boundary runs
     ``_block_transfer``.)
+
+    S_k is Hermitian, S_k(x', x) = conj(S_k(x, x')): S_last is, and each
+    step keeps it so, as conj is an anti-automorphism of the associative
+    algebra.  So S_k(x, x) is self-conjugate, a real scalar, and the
+    recursion carries two things: s(x), the e0 of S_k(x, x), for every
+    element, and the strict upper triangle S_k(x, x'), x before x' in class
+    order, of each class of two or more; the lower triangle is its
+    conjugate.  To every s(x), a singleton class {y} of run k+1 adds
+    E_k[x][y] s(y) conj(E_k[x][y]) = P_k[x][y] s(y), with P_k the pair's
+    Born matrix (``Assignment.born_rows``): across an atomic run boundary
+    the recursion is s_k = P_k s_k+1, n^2 int products and no kernel call.
+    The classes of two or more of run k+1 enter in factored form: for each
+    x the left sums sum_y E_k[x][y] S_k+1(y, y') over each such class, one
+    kernel call per y'.  Then one kernel call over them adds their share to
+    s(x), and one per pair x < x' of a class of run k forms S_k(x, x') over
+    them and the singletons' E_k[x][y] s(y).  So a boundary costs O(n^3)
+    kernel products at most.
     """
-    kernel, conj, unit = algebra.kernel, algebra.conj, algebra.unit().coeffs
-    # columns[x'][x] = S(x, x'), x running over the class of x' in order
-    columns = {x2: {x: unit for x in cls} for cls in classes[-1] for x2 in cls}
+    algebra = asg.algebra
+    kernel, conj, tail = algebra.kernel, algebra.conj, (0,) * (algebra.dim - 1)
+    diagonal, upper = {y: 1 for (y,) in classes[-1]}, {}
     for k in range(len(classes) - 2, -1, -1):
-        rows, later, columns = matrices[k], columns, {}
-        targets = [y for cls in classes[k + 1] for y in cls]
+        rows = read[k]
+        singles = [(cls[0], diagonal[cls[0]]) for cls in classes[k + 1] if len(cls) == 1]
+        wide = [cls for cls in classes[k + 1] if len(cls) > 1]
+        targets = [y for cls in wide for y in cls]
+        # columns[y'] = [S_k+1(y, y') for y in the class of y'], in class order
+        columns = {}
+        for cls in wide:
+            for j, y2 in enumerate(cls):
+                columns[y2] = [upper[y, y2] for y in cls[:j]] + [(diagonal[y2],) + tail] \
+                    + [conj(upper[y2, y]) for y in cls[j + 1:]]
+        born = asg.born_rows(grounds[k], grounds[k + 1]) if singles else {}
+        diagonal = {x: sum([born[x][y] * s for y, s in singles]) for x in rows}
+        upper = {}
         for cls in classes[k]:
-            left = {}  # left[x] = [sum_y E_k[x][y] S_k+1(y, y') for y' in targets]
+            if not wide and len(cls) == 1:
+                continue  # s_k(x) is the Born term alone
+            lefts, rights = [], []
             for x in cls:
-                row, left[x] = rows[x], []
-                for later_cls in classes[k + 1]:
-                    entries = [row[y] for y in later_cls]
-                    left[x] += [kernel(entries, later[y2].values()) for y2 in later_cls]
-            for x2 in cls:
-                right = [conj(rows[x2][y]) for y in targets]
-                columns[x2] = {x: kernel(left[x], right) for x in cls}
+                row, left = rows[x], []
+                for later in wide:
+                    entries = [row[y] for y in later]
+                    left += [kernel(entries, columns[y2]) for y2 in later]
+                right = [conj(row[y]) for y in targets]
+                if wide:
+                    diagonal[x] += kernel(left, right)[0]
+                if len(cls) > 1:
+                    lefts.append(left + [tuple([c * s for c in row[y]]) for y, s in singles])
+                    rights.append(right + [conj(row[y]) for y, _ in singles])
+            for j, x2 in enumerate(cls):
+                for i, x in enumerate(cls[:j]):
+                    upper[x, x2] = kernel(lefts[i], rights[j])
     ((x,),) = classes[0]
-    return columns[x][x]
+    return diagonal[x]
 
 
 def _block_transfer(grounds, classes, asg: Assignment) -> Tuple[tuple, float]:
@@ -673,25 +756,32 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     k (one block at every step of the run, ``_same_block_classes``).  Both
     ends are atomic: the last run's D is the identity, and run 0 is the
     one element x of the source.
-    The total is the e0 coefficient of S_0(x, x).  This costs O(L n^3)
-    algebra products for L runs over grounds of at most n elements (in
-    float mode O(L (n d)^3) float operations in numpy), and needs no path
-    bound.  E_k is lowered over its denominator q_k (1 in float mode), so
-    in exact mode the recursion runs over integers, S_k carrying q_k^2 ...
-    q_last^2, and the total is divided by the product of the q_k^2 once.
+    The total is the e0 coefficient of S_0(x, x).  It needs no path bound.
+    E_k is lowered over its denominator q_k (1 in float mode), so in exact
+    mode the recursion runs over integers, S_k carrying q_k^2 ... q_last^2,
+    and the total is divided by the product of the q_k^2 once.
 
     The recursion reads row x of E_0 and every row of the later E_k, and
     nothing else: the source frame of ``_source_rows``, shared with
     ``path_probabilities``, which also checks the source.  In exact mode it
-    runs on the kernel over the lowered rows (``_pair_transfer``).  In
-    float mode it is a product of real block matrices in numpy
-    (``_block_transfer``), one masked product per run boundary, which
+    runs on the kernel over the lowered rows (``_pair_transfer``), carrying
+    the real diagonal of each Hermitian S_k and one triangle: across an
+    atomic run boundary it is a product of the pair's Born matrix P_k =
+    Q(E_k) with the diagonal, n^2 int products, so it costs O(L n^2) on
+    atomic runs and O(L n^3) algebra products in general, for L runs over
+    grounds of at most n elements.  Each entry's Q is taken once per pair
+    (``Assignment.born_rows``), with the scalar check of
+    ``algebra.quadratic_form_over``, so an a * conj(a) that is not scalar
+    raises NonScalarProduct there; the total is the diagonal's int, scalar
+    by construction.  In float mode it is a
+    product of real block matrices in numpy (``_block_transfer``), O(L (n
+    d)^3) float operations, one masked product per run boundary, which
     carries the same recursion over the norms of the entries, N_0, in the
-    same pass.  A single run reads no row: its total is the unit, 1.0 in
-    float mode.  The summed imaginary tail must vanish, by
-    ``algebra.scalar_part`` as for quadratic_form: exactly in exact mode;
-    in float mode within SCALAR_RTOL times N_0, which bounds the magnitude
-    of every term summed.  Otherwise NonScalarProduct is raised.
+    same pass; the summed imaginary tail must vanish within SCALAR_RTOL
+    times N_0, which bounds the magnitude of every term summed, by
+    ``algebra.scalar_part`` as for quadratic_form, else NonScalarProduct is
+    raised.  A single run reads no row: its total is the unit, 1.0 in float
+    mode.
 
     In float mode a total that is not finite is traced to those rows by
     ``_name_non_finite``, the scan ``sample_rows`` shares: the first entry
@@ -703,15 +793,14 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     it is.
     """
     segments, classes, read, den = _source_rows(s, source, asg)
+    grounds = [s.steps[lo].element_set() for lo, _ in segments]
     classes = [[*run.values()] for run in classes]
-    if read and not asg.is_exact:
-        grounds = [s.steps[lo].element_set() for lo, _ in segments]
-        sums, bound = _block_transfer(grounds, classes, asg)
-    else:  # exact, or a single run: the unit, with no tail to bound
-        sums, bound = _pair_transfer(classes, read, asg.algebra), None
-    value = scalar_part(_result(asg, sums, den * den), asg.is_exact, lambda: bound,
-                        "summed pair products")
-    if not (asg.is_exact or math.isfinite(value)):
+    if asg.is_exact or not read:  # exact, or a single run: its unit, 1.0 in float mode
+        (total,) = lift((_pair_transfer(grounds, classes, read, asg),), den * den, asg.is_exact)
+        return total
+    sums, bound = _block_transfer(grounds, classes, asg)
+    value = scalar_part(_result(asg, sums, 1), False, lambda: bound, "summed pair products")
+    if not math.isfinite(value):
         _name_non_finite(read)
     return value
 
@@ -812,7 +901,7 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     start as 0 + ..., so they are never -0.0, slot 0 is never padding, and
     adding +0.0 leaves any other value as it is.  The Born leaf sums each
     row's slots by ``summed`` and takes ``algebra.quadratic_form_columns``,
-    one scalar kernel call.  So every probability equals
+    one more call of ``kernel.columns``.  So every probability equals
     ``probability_of(p, asg).probability`` bit for bit, and the first path
     whose product is not scalar raises that error.  The paths are built
     after the numeric pass, once its arrays are freed.  Bounded by

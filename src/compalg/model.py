@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import (
@@ -108,11 +109,14 @@ class Measurement:
     def element_set(self) -> frozenset:
         return self.ground.element_set()
 
+    @cached_property
+    def _block_of(self) -> dict:
+        """Each element -> the block holding it, built on first use."""
+        return {x: block for block in self.blocks for x in block}
+
     def block_containing(self, element: str) -> Block:
-        for block in self.blocks:
-            if element in block:
-                return block
-        raise KeyError(element)
+        """The block holding element; KeyError for an element of no block."""
+        return self._block_of[element]
 
 
 def measurement(id: str, ground: GroundSet, blocks: Iterable[Iterable[str]]) -> Measurement:

@@ -25,6 +25,10 @@ from the start after each removal, until none is left or two steps remain.
 ``tokenize_by_scanning`` is the reference for ``dsl._tokenize``: it scans
 each line character by character.
 
+``pair_transfer_by_full_state`` is the reference for the exact sum rule's
+recursion, ``engine._pair_transfer``: it carries every pair state as a
+full coefficient tuple, and ``total_by_full_state`` runs it from a source.
+
 ``sum_of_products`` is the reference for ``Algebra.kernel``: it
 interprets the product plan's (i, j, negate) triples in a loop.
 ``cayley_dickson_product`` is the reference for the structure table that
@@ -42,7 +46,7 @@ from __future__ import annotations
 import itertools
 
 from compalg.algebra import (
-    Amplitude, _require_same_algebra, is_exact, scalar_part, squared_norm,
+    Amplitude, _require_same_algebra, is_exact, lift, scalar_part, squared_norm,
 )
 from compalg.dsl import ParseError, SourceSpan, Token
 from compalg.errors import CoarsenMismatch, ImpossiblePathHasNoNormalForm
@@ -417,6 +421,54 @@ def total_by_enumeration(s, source, asg):
     for _, q in probabilities_by_enumeration(s, source, asg):
         total = total + q
     return total
+
+
+def pair_transfer_by_full_state(classes, matrices, algebra) -> tuple:
+    """S_0(x, x) for the one element x of run 0 (``classes[0] == [[x]]``),
+    by the backward recursion of ``engine.total_probability`` on the full
+    pair state
+
+        S_last(x, x') = 1
+        S_k(x, x')    = sum_y' (sum_y E_k[x][y] S_k+1(y, y')) conj(E_k[x'][y'])
+
+    with every S_k(x, x') for x, x' in one class of run k held as a
+    coefficient tuple, both triangles and the diagonal: the reference for
+    ``engine._pair_transfer``, which carries the real diagonal and one
+    triangle.  ``E_k = matrices[k]`` maps a run-k element to a dict over the
+    run-(k+1) elements of coefficient tuples, read in class order,
+    multiplied by the algebra's kernel and conjugated by ``Algebra.conj``.
+    """
+    kernel, conj, unit = algebra.kernel, algebra.conj, algebra.unit().coeffs
+    # columns[x'][x] = S(x, x'), x running over the class of x' in order
+    columns = {x2: {x: unit for x in cls} for cls in classes[-1] for x2 in cls}
+    for k in range(len(classes) - 2, -1, -1):
+        rows, later, columns = matrices[k], columns, {}
+        targets = [y for cls in classes[k + 1] for y in cls]
+        for cls in classes[k]:
+            left = {}  # left[x] = [sum_y E_k[x][y] S_k+1(y, y') for y' in targets]
+            for x in cls:
+                row, left[x] = rows[x], []
+                for later_cls in classes[k + 1]:
+                    entries = [row[y] for y in later_cls]
+                    left[x] += [kernel(entries, later[y2].values()) for y2 in later_cls]
+            for x2 in cls:
+                right = [conj(rows[x2][y]) for y in targets]
+                columns[x2] = {x: kernel(left[x], right) for x in cls}
+    ((x,),) = classes[0]
+    return columns[x][x]
+
+
+def total_by_full_state(s, source, asg):
+    """The exact sum rule from the source by ``pair_transfer_by_full_state``
+    on the engine's source frame (``engine._source_rows``): the e0 of S_0(x,
+    x) over the squared product of the boundary denominators, whose tail
+    must vanish."""
+    from compalg.engine import _source_rows
+
+    _, classes, read, den = _source_rows(s, source, asg)
+    sums = pair_transfer_by_full_state([[*run.values()] for run in classes], read, asg.algebra)
+    return scalar_part(Amplitude(asg.algebra, lift(sums, den * den, True)), True, None,
+                       "summed pair products")
 
 
 def sum_of_products(plan: tuple, lefts, rights) -> tuple:

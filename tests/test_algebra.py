@@ -440,9 +440,11 @@ def test_quadratic_form_columns_is_quadratic_form_over_per_row(monkeypatch):
     bit and as a Python scalar, and the first row whose scalar check fails
     raises that row's error.  In float mode the product adds 1e-12 times e0
     to e1, then 7e-29 times e0, which rounds the tail up past SCALAR_RTOL
-    times the squared norm in about a third of the rows; in exact mode it
-    adds all of e0 (``skewed_kernel``), so leading rows of zeros pass and
-    the first other row fails."""
+    times the squared norm in about a third of the rows, and its array twin
+    ``columns`` does the same to the array product's sums, as the columns
+    are squared by ``kernel.columns``; in exact mode it adds all of e0
+    (``skewed_kernel``), so leading rows of zeros pass and the first other
+    row fails."""
     rng = random.Random(31)
     for algebra in (R, C, H):
         kernel, skewed = algebra.kernel, skewed_kernel(algebra)
@@ -452,6 +454,13 @@ def test_quadratic_form_columns_is_quadratic_form_over_per_row(monkeypatch):
             if len(out) == 1:
                 return out
             return (out[0], out[1] + out[0] * 1e-12 + out[0] * 7e-29) + out[2:]
+
+        def near_tolerance_columns(lefts, rights):
+            out = kernel.columns(lefts, rights)
+            if len(out) > 1:
+                out[1] = out[1] + out[0] * 1e-12 + out[0] * 7e-29
+            return out
+        near_tolerance.columns = near_tolerance_columns
 
         outcomes = set()
         for trial in range(300):

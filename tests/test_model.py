@@ -63,6 +63,22 @@ def test_measurement_equality():
     assert equal_measurements(AM, relabeled)
 
 
+def test_block_containing_reads_one_map():
+    """Each element's block, from a map built on first use and kept; an
+    element of no block is a KeyError.  Fields, equality, hash and a
+    pickle round trip stay those of the declared fields."""
+    m = measurement("half", G3, [["m", "m2"], ["m1"]])
+    assert [m.block_containing(x) for x in G3.elements] \
+        == [frozenset({"m", "m2"}), frozenset({"m1"}), frozenset({"m", "m2"})]
+    assert m.block_containing("m") is m.block_containing("m2")
+    with pytest.raises(KeyError):
+        m.block_containing("n1")
+    assert [f.name for f in dataclasses.fields(m)] == ["id", "ground", "blocks"]
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m == DM and hash(copy) == hash(DM)
+    assert copy.block_containing("m1") == frozenset({"m1"})
+
+
 def test_partition_invariant_enforced():
     with pytest.raises(ValueError):
         measurement("bad", G3, [["m"], ["m1"]])  # misses m2

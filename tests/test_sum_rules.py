@@ -43,6 +43,7 @@ from oracle import (
     probabilities_by_enumeration,
     quadratic_form_by_table,
     total_by_enumeration,
+    total_by_full_state,
 )
 
 ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,
@@ -182,21 +183,25 @@ def non_scalar_case():
 
 def test_non_scalar_sum_is_rejected(monkeypatch):
     """A product that adds e_0's coefficient to e_1's, in both modes through
-    the algebra's kernel.  Float mode multiplies real block matrices of left
-    multiplication built from that kernel, with conjugation as the adjoint
-    under the norm form; the skewed product is not associative and that
-    identity fails for it, so its total differs from the exact recursion's.
-    The float tolerance recursion over entry norms is left as it is.  The
-    blocks that the assignment keeps are built again for the kernel swapped
-    in, and for the one restored after it."""
+    the algebra's kernel.  Exact mode meets it when the Born matrix of the
+    last run boundary takes a * conj(a) of its first entry, u -> a = i/3:
+    the message shows that square at its true value, 1/9 with the skew's
+    1/9 on e_1, over the pair's denominator 3, not as the lowered ints.
+    Float mode multiplies real block matrices of left multiplication built
+    from that kernel, with conjugation as the adjoint under the norm form;
+    the skewed product is not associative and that identity fails for it,
+    so its total differs from the exact recursion's.  The float tolerance
+    recursion over entry norms is left as it is.  The blocks that the
+    assignment keeps are built again for the kernel swapped in, and for the
+    one restored after it."""
     asg, s, source = non_scalar_case()
     floats = converted(asg, float)
     total = total_probability(s, source, floats)
     monkeypatch.setitem(vars(asg.algebra), "kernel", skewed_kernel(asg.algebra))
     with pytest.raises(NonScalarProduct) as exact:
         total_probability(s, source, asg)
-    assert str(exact.value) == "summed pair products not scalar: " \
-        "Amplitude(C, [Fraction(10, 9), Fraction(19, 9)])"
+    assert str(exact.value) == "a*conj(a) not scalar: " \
+        "Amplitude(C, [Fraction(1, 9), Fraction(1, 9)])"
     with pytest.raises(NonScalarProduct) as numeric:
         total_probability(s, source, floats)
     assert str(numeric.value) == "summed pair products not scalar within " \
@@ -299,10 +304,11 @@ def test_table_is_probability_of_at_workload_scale(monkeypatch):
 
 def test_table_makes_one_array_product_per_run_boundary(monkeypatch):
     """One table makes one call of the kernel's array product per run
-    boundary and one scalar kernel call, the Born leaf's, in both modes, on
-    sequences with two-detector steps and a fully coarse one (three slots
-    summed in one call): no product falls back to per-coefficient calls.
-    Counted through a kernel installed as the swap tests install one."""
+    boundary and one more for the Born leaf, and no scalar kernel call, in
+    both modes, on sequences with two-detector steps and a fully coarse one
+    (three slots summed in one call): no product falls back to
+    per-coefficient calls.  Counted through a kernel installed as the swap
+    tests install one."""
     rng = random.Random(23)
     algebra = make_algebra(AlgebraKind.H)
     exact = assignment_for([A3, B3, C3], algebra, rng, normalized=False)
@@ -322,7 +328,7 @@ def test_table_makes_one_array_product_per_run_boundary(monkeypatch):
         for asg in modes:
             calls.clear()
             path_probabilities(s, frozenset({"a1"}), asg)
-            assert calls.count("columns") == len(runs(s)) - 1 and calls.count("kernel") == 1
+            assert calls.count("columns") == len(runs(s)) and calls.count("kernel") == 0
 
 
 def test_table_over_a_long_run_of_two_detector_steps():
@@ -373,6 +379,94 @@ def test_table_padding_meets_a_non_finite_entry():
                 assert repr(q) == repr(probability_of(p, asg).probability), (kind, p)
                 shown.add(repr(q))
     assert {"inf", "nan"} <= shown
+
+
+# -- the exact pair recursion against the full-state oracle -----------------------------
+
+HALVES = [[["b1", "b2"], ["b3"]], [["b1"], ["b2", "b3"]], [["b1", "b3"], ["b2"]]]
+
+
+def differential_sequences(rng: random.Random):
+    """Sequences over A3, B3 and C3 of every shape the exact recursion
+    tells apart, each with at most 81 paths from a source: an atomic chain,
+    two-detector steps, a fully coarse step, a long run of two-detector
+    steps over one ground, and single runs, one of them with a two-detector
+    step inside."""
+    grounds = [A3, B3, C3]
+    yield sequence([atomic_measurement(grounds[j % 3]) for j in range(5)])
+    yield workload_sequence(rng, 5, 2)
+    yield workload_sequence(rng, 6, 3)
+    yield workload_sequence(rng, 6, 2, full=True)
+    yield sequence([atomic_measurement(A3)]
+                   + [measurement(f"h{j}", B3, HALVES[j % 3]) for j in range(4)]
+                   + [atomic_measurement(B3)])
+    yield sequence([atomic_measurement(B3), measurement("h", B3, HALVES[0]),
+                    atomic_measurement(B3)])
+    yield sequence([atomic_measurement(C3), atomic_measurement(C3)])
+
+
+def test_pair_transfer_equals_the_full_state_oracle():
+    """The exact sum rule, which carries a real diagonal and one triangle,
+    equals the recursion on the full pair state exactly, for all five kinds,
+    unnormalized matrices and every source, and both equal the enumerated
+    sum of path probabilities from the first source; on a sequence beyond
+    the path bound the two recursions are equal too."""
+    rng = random.Random(24)
+    checked = 0
+    for kind in ASSOCIATIVE:
+        asg = assignment_for([A3, B3, C3], make_algebra(kind), rng, normalized=False)
+        for s in differential_sequences(rng):
+            sources = sorted(s.steps[0].blocks, key=sorted)
+            for source in sources:
+                total = total_probability(s, source, asg)
+                assert isinstance(total, (int, Fraction))
+                assert total == total_by_full_state(s, source, asg), (kind, s, source)
+                if source == sources[0]:
+                    assert total == total_by_enumeration(s, source, asg), (kind, s, source)
+                checked += 1
+        s = workload_sequence(rng, 16, 8)
+        with pytest.raises(TooManyPaths):
+            enumerate_paths(s)
+        assert total_probability(s, frozenset({"a1"}), asg) \
+            == total_by_full_state(s, frozenset({"a1"}), asg)
+    assert checked == 5 * 7 * 3
+
+
+def test_exact_sum_rule_kernel_calls(monkeypatch):
+    """An exact sum rule over atomic steps makes no kernel call once its
+    Born matrices are built: each boundary is a product of ints.  Over
+    steps split in two halves, at n = 8, it makes fewer kernel calls than
+    the full-state recursion, Born matrices included: O(n^3) products per
+    boundary, one triangle of each class.  Counted through a kernel
+    installed as the swap tests install one."""
+    grounds = [GroundSet(g, tuple(f"{g.lower()}{i}" for i in range(8))) for g in "PQR"]
+    algebra = make_algebra(AlgebraKind.H)
+    kernel, calls = algebra.kernel, []
+
+    def counted(lefts, rights):
+        calls.append(1)
+        return kernel(lefts, rights)
+    counted.columns = kernel.columns
+    monkeypatch.setitem(vars(algebra), "kernel", counted)
+    def halved(j):
+        g = grounds[j % 3]
+        return measurement(f"h{j}", g, [g.elements[:4], g.elements[4:]])
+    atomic = sequence([atomic_measurement(grounds[j % 3]) for j in range(8)])
+    halves = sequence([atomic_measurement(grounds[0])] + [halved(j) for j in range(1, 7)]
+                      + [atomic_measurement(grounds[1])])
+    source = frozenset({"p0"})
+    asg = assignment_for(grounds, algebra, random.Random(25), normalized=False)
+    total = total_probability(atomic, source, asg)
+    calls.clear()
+    assert total_probability(atomic, source, asg) == total
+    assert len(calls) == 0
+    asg = assignment_for(grounds, algebra, random.Random(25), normalized=False)
+    calls.clear()
+    total = total_probability(halves, source, asg)
+    engine_calls = len(calls)
+    calls.clear()
+    assert total_by_full_state(halves, source, asg) == total
+    assert 0 < engine_calls < len(calls)
 
 
 # -- beyond the path bound ------------------------------------------------------------
