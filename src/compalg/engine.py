@@ -47,19 +47,23 @@ of left multiplication, built from the kernel on basis pairs and kept per
 ground pair in the assignment (``Assignment.real_blocks``), its
 conjugate as the adjoint under the norm form, with the tolerance bound's
 recursion over the entry norms in the same pass: one masked product per
-run boundary, from the atomic last run down to the source.  The sum rule
-and the sampler start from one source frame (``_source_rows``): the
-source, checked against the first step, the runs, each run's same-block
-classes, and the rows that a recursion from the source reads, the
-source's row at the first run boundary and every row of the later ones;
-neither reads any other row.
-A run's class is the set of elements that one of its result
-combinations keeps alive: the sum rule pairs threads within a class, and
-the sampler takes each class as one live combination.  In float mode a
+run boundary, from the atomic last run down to the source.
+
+Every evaluator reads what depends on the sequence alone from its plan,
+``MeasurementSequence.plan``, built once per sequence: the runs and their
+grounds, each run's same-block classes over its whole ground, each step's
+sorted blocks and each class's rank in path order.  The walk of one path
+reads only the runs and grounds, the sequence's ``frame``.  A run's class
+is the set of elements that one of its result combinations keeps alive:
+the sum rule pairs threads within a class, and the sampler takes each
+class as one live combination, placed by its rank.  From a source, the sum rule and the
+sampler read the source's row at the first run boundary and every row of
+the later ones, and no other row; validation runs one sum rule from every
+source at once, with every row of the first boundary.  In float mode a
 total or a sampling mass that is not finite through one of those entries
 names the first such entry (NotADistribution); ``name_non_finite_entry``
 does the same over the entries one path's walk reads.  Row normalization
-is the sum rule of a two-step experiment.
+is a row sum of the pair's Born matrix.
 
 Exact and float mode differ in two rules, each written once: a value that
 must be scalar goes through ``algebra.scalar_part`` (exact, or within
@@ -72,9 +76,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .algebra import (
@@ -275,15 +280,17 @@ class Assignment:
         gram = np.array([kernel((e,), (self.algebra.conj(e),))[0] for e in basis], float)
         return left.transpose(0, 2, 1), gram
 
-    def born_rows(self, g_from, g_to) -> Dict[str, Dict[str, int]]:
-        """Exact mode: the Born matrix of the ``lowered`` matrix E from one
-        ground to another over its denominator D, as rows x -> {y: P(x, y)},
-        ints with P(x, y) / D^2 = Q(E(x, y)).
+    def born_rows(self, g_from, g_to) -> Dict[str, Dict[str, object]]:
+        """The Born matrix of the ``lowered`` matrix E from one ground to
+        another over its denominator D, as rows x -> {y: P(x, y)} with
+        P(x, y) / D^2 = Q(E(x, y)): ints in exact mode, floats (D = 1) in
+        float mode.
 
         P(x, y) is the e0 of E(x, y) conj(E(x, y)), one kernel call; an
         entry whose product has a nonzero tail goes through
         ``algebra.quadratic_form_over`` over D, whose scalar check raises
-        NonScalarProduct showing that product at its true value, over D^2.
+        NonScalarProduct showing that product at its true value, over D^2
+        (in float mode only for a tail beyond SCALAR_RTOL of its magnitude).
         Built on first use (``_built_by_kernel``).
         """
         key = (_ground_key(g_from), _ground_key(g_to))
@@ -295,7 +302,7 @@ class Assignment:
             def born(coeffs) -> int:
                 square = kernel((coeffs,), (conj(coeffs),))
                 if any(square[1:]):  # not scalar: raises
-                    quadratic_form_over(self.algebra, coeffs, den, True)
+                    quadratic_form_over(self.algebra, coeffs, den, self.is_exact)
                 return square[0]
             return {x: {y: born(c) for y, c in row.items()} for x, row in rows.items()}
         return self._built_by_kernel(("born", key), build)
@@ -360,27 +367,19 @@ def _result(asg: Assignment, sums: Optional[tuple], denominator: int) -> Amplitu
     return Amplitude(asg.algebra, lift(sums, denominator, asg.is_exact))
 
 
-def _born(asg: Assignment, sums: Optional[tuple], denominator: int):
-    """Q of ``_result(asg, sums, denominator)``, 0 for None."""
-    if sums is None:
-        return 0
-    return quadratic_form_over(asg.algebra, sums, denominator, asg.is_exact)
-
-
-def _boundary_rows(s, asg: Assignment) -> Tuple[list, list, int]:
-    """The weak-equivalence runs of a sequence or path, the lowered matrix
-    from each run to the next and the product of their denominators;
-    raises SequenceMismatch when the assignment lacks one."""
-    segments = model.runs(s)
-    grounds = [s.steps[lo].element_set() for lo, _ in segments]
-    boundaries = [asg.lowered(a, b) for a, b in zip(grounds, grounds[1:])]
-    return segments, [rows for rows, _ in boundaries], math.prod(den for _, den in boundaries)
+def _boundary_rows(plan: model.SequencePlan, asg: Assignment) -> Tuple[list, int]:
+    """The lowered matrix from each run of a sequence's plan (or frame) to
+    the next and the product of their denominators; raises SequenceMismatch
+    when the assignment lacks one."""
+    boundaries = [asg.lowered(a, b) for a, b in zip(plan.grounds, plan.grounds[1:])]
+    return [rows for rows, _ in boundaries], math.prod(den for _, den in boundaries)
 
 
 def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     """The thread sums of one path and their denominator.
 
-    A thread picks one surviving element per weak-equivalence run: the
+    A thread picks one surviving element per weak-equivalence run (the
+    runs of the sequence's ``frame``): the
     element is constant across weakly equivalent steps, so coarse results
     expand distributively and duplicated steps contribute the forced
     identity.  The sums are the sum over threads of the left-to-right
@@ -396,9 +395,8 @@ def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     on arrays over every path.
     """
     kernel, unit = asg.algebra.kernel, asg.algebra.unit().coeffs
-    segments, matrices, den = _boundary_rows(p, asg)
-    partial = None
-    for k, (lo, hi) in enumerate(segments):
+    matrices, den = _boundary_rows(p.sequence.frame, asg)
+    for k, (lo, hi) in enumerate(p.sequence.frame.runs):
         alive = p.results[lo].intersection(*p.results[lo + 1:hi + 1])
         if not alive:
             return None, den
@@ -419,8 +417,9 @@ def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
 def probability_of(p: Path, asg: Assignment) -> ProbabilityResult:
     """The generalized Born rule: probability = Q(amplitude)."""
     sums, denominator = _thread_sums(p, asg)
-    return ProbabilityResult(amplitude=_result(asg, sums, denominator),
-                             probability=_born(asg, sums, denominator))
+    probability = 0 if sums is None else quadratic_form_over(asg.algebra, sums, denominator,
+                                                             asg.is_exact)
+    return ProbabilityResult(amplitude=_result(asg, sums, denominator), probability=probability)
 
 
 def name_non_finite_entry(p: Path, asg: Assignment) -> None:
@@ -435,8 +434,9 @@ def name_non_finite_entry(p: Path, asg: Assignment) -> None:
     (0 * inf is NaN).  ``probability_of`` itself returns the value, as the
     sampling table does.
     """
-    segments, matrices, _ = _boundary_rows(p, asg)
-    alive = [sorted(p.results[lo].intersection(*p.results[lo + 1:hi + 1])) for lo, hi in segments]
+    matrices, _ = _boundary_rows(p.sequence.frame, asg)
+    alive = [sorted(p.results[lo].intersection(*p.results[lo + 1:hi + 1]))
+             for lo, hi in p.sequence.frame.runs]
     _name_non_finite([{x: {y: rows[x][y] for y in alive[k + 1]} for x in alive[k]}
                       for k, rows in enumerate(matrices)])
 
@@ -451,11 +451,9 @@ def _close(a, b) -> bool:
 
 def check_markov(p: Path, asg: Assignment) -> bool:
     """probability(p) equals the product over its undecomposable factors."""
-    probability = probability_of(p, asg).probability
-    product = 1
-    for factor in model.factorize(p):
-        product = product * probability_of(factor, asg).probability
-    return _close(probability, product)
+    product = reduce(operator.mul, [probability_of(factor, asg).probability
+                                    for factor in model.factorize(p)], 1)
+    return _close(probability_of(p, asg).probability, product)
 
 
 def check_certain_insertion(p: Path, j: int, inserted: Measurement,
@@ -527,23 +525,16 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     Weakly equivalent consecutive pairs carry the forced identity (always
     satisfied by construction).  For every cross-ground pair the matrix
     must exist, the lowered rows of two stored directions must be mutual
-    conjugate transposes, and each row x must be normalized: the sum rule
-    of the two atomic measurements of the pair from {x} is one.  So is the
-    sum rule of the sequence from every source element.  A sum rule fails
-    on a missing matrix, a non-scalar sum or a non-finite entry that it
-    reads (see ``total_probability``), with the error as detail.
+    conjugate transposes, and each row x must be normalized: the sum of
+    Q(E(x, y)) over the targets y, the row sum of the pair's Born matrix
+    (``_row_checks``), is one.  So is the sum rule of the sequence from
+    every source element, all sources from one pair-recursion call
+    (``_source_totals``).  A check fails on a missing matrix, a product
+    that is not scalar or a non-finite entry that it reads (see
+    ``total_probability``), with the error as detail.
     """
     entries = [ValidationEntry("associative_algebra", asg.algebra.kind.label,
                                asg.algebra.kind.is_associative)]
-
-    def sum_rule(check, location, steps, x, what):
-        try:
-            total = total_probability(steps, frozenset({x}), asg)
-            ok, detail = _close(total, 1), f"{what} is {_shown(total)}"
-        except (SequenceMismatch, NonScalarProduct, NotADistribution) as exc:
-            ok, detail = False, str(exc)
-        entries.append(ValidationEntry(check, location, ok, "" if ok else detail))
-
     stored = asg.pairs()
     for j in range(len(s.steps) - 1):
         m_from, m_to = s.steps[j], s.steps[j + 1]
@@ -567,46 +558,71 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
                 "adjoint_consistency", loc, adjoint_ok,
                 "" if adjoint_ok else "reverse matrix is not the conjugate transpose"))
 
-        pair = model.sequence([model.atomic_measurement(m.ground) for m in (m_from, m_to)])
-        for x in sorted(a):
-            sum_rule("row_normalization", f"{loc} source {x}", pair, x, "sum of Q over targets")
+        for x, (ok, detail) in _row_checks(asg, a, b).items():
+            entries.append(ValidationEntry("row_normalization", f"{loc} source {x}", ok, detail))
 
-    for x in sorted(s.steps[0].element_set()):
-        sum_rule("sum_rule", f"source {x}", s, x, "total probability over paths")
-
+    for x, total in _source_totals(s, sorted(s.steps[0].element_set()), asg).items():
+        entries.append(ValidationEntry("sum_rule", f"source {x}",
+                                       *_verdict(total, "total probability over paths")))
     return ValidationReport(tuple(entries))
 
 
-def _same_block_classes(steps, elements) -> Dict[tuple, List[str]]:
-    """The elements of a run grouped by the detector holding them at every
-    step: the tuple of those detectors -> the class's sorted elements, the
-    classes in the order of their first elements.
+def _outcome(compute, read=()):
+    """compute(), or the SequenceMismatch, NonScalarProduct or
+    NotADistribution that it raises: a check's value or its failure.  A
+    float value that is not finite is the NotADistribution naming the first
+    non-finite entry of the rows that it read (``_name_non_finite``), if
+    there is one."""
+    try:
+        value = compute()
+        if isinstance(value, float) and not math.isfinite(value):
+            _name_non_finite(read)
+        return value
+    except (SequenceMismatch, NonScalarProduct, NotADistribution) as exc:
+        return exc
 
-    Two elements share a class exactly when some path's run over these
-    steps keeps both alive: the same-block mask D of the pair recursion.
-    A class's detectors are the one result combination of the run that
-    keeps exactly its elements alive; any other combination keeps none.
-    """
-    classes: Dict[tuple, List[str]] = {}
-    for x in sorted(elements):
-        classes.setdefault(tuple(m.block_containing(x) for m in steps), []).append(x)
-    return classes
+
+def _verdict(total, what: str) -> tuple:
+    """(passed, detail) of the check that a total is one: passed when it is
+    ``_close`` to 1, else the detail is the error raised in its place, or
+    what it is and its value."""
+    ok = not isinstance(total, Exception) and _close(total, 1)
+    return ok, "" if ok else str(total) if isinstance(total, Exception) \
+        else f"{what} is {_shown(total)}"
 
 
-def _pair_transfer(grounds, classes, read, asg: Assignment) -> int:
-    """Exact mode: the e0 coefficient of S_0(x, x) for the one element x of
-    run 0 (``classes[0] == [[x]]``), an int over the squared product of the
-    boundary denominators, by the backward recursion
+def _row_checks(asg: Assignment, a: frozenset, b: frozenset) -> dict:
+    """Row normalization of the ground pair (a, b): each x of a -> the
+    ``_verdict`` on the sum of Q(E(x, y)) over the sorted targets y, added
+    left to right from zero, the row sum of the pair's Born matrix
+    (``Assignment.born_rows``) over D^2, or on the error that building the
+    Born matrix raises.  A float sum that is not finite names the row's
+    first non-finite entry, if it has one (``_outcome``): such an entry's Q
+    is not finite either.  Kept with the Born matrix it sums
+    (``Assignment._built_by_kernel``), so a pair is checked once however
+    often sequences cross it."""
+    def build():
+        (rows, den), born, ys = asg.lowered(a, b), _outcome(lambda: asg.born_rows(a, b)), sorted(b)
+        return {x: _verdict(born if isinstance(born, Exception) else _outcome(lambda: lift(
+            (reduce(operator.add, [born[x][y] for y in ys], 0),), den * den, asg.is_exact)[0],
+            [{x: rows[x]}]), "sum of Q over targets") for x in sorted(a)}
+    return asg._built_by_kernel(("row checks", a, b), build)
+
+
+def _pair_transfer(grounds, classes, read, asg: Assignment) -> Dict[str, int]:
+    """Exact mode: the e0 coefficient of S_0(x, x) for every source x of
+    run 0 (``classes[0]``, their singletons), each an int over the squared
+    product of the boundary denominators, by the backward recursion
 
         S_last(x, x') = 1 if x = x' else 0
         S_k(x, x')    = sum_y' (sum_y E_k[x][y] S_k+1(y, y')) conj(E_k[x'][y'])
 
     with S_k(x, x') defined only for x, x' in one class of run k.  ``E_k =
-    read[k]``, the lowered matrix from ``grounds[k]`` to ``grounds[k+1]``,
-    maps a run-k element to a dict over the run-(k+1) elements of
-    coefficient tuples, multiplied by the algebra's kernel and conjugated by
-    ``Algebra.conj``.  (A float sum rule with a run boundary runs
-    ``_block_transfer``.)
+    read[k]``, the lowered matrix from ``grounds[k]`` to ``grounds[k+1]``
+    (of E_0 the sources' rows alone), maps a run-k element to a dict over
+    the run-(k+1) elements of coefficient tuples, multiplied by the
+    algebra's kernel and conjugated by ``Algebra.conj``.  (A float sum rule
+    with a run boundary runs ``_block_transfer``.)
 
     S_k is Hermitian, S_k(x', x) = conj(S_k(x, x')): S_last is, and each
     step keeps it so, as conj is an anti-automorphism of the associative
@@ -623,7 +639,9 @@ def _pair_transfer(grounds, classes, read, asg: Assignment) -> int:
     kernel call per y'.  Then one kernel call over them adds their share to
     s(x), and one per pair x < x' of a class of run k forms S_k(x, x') over
     them and the singletons' E_k[x][y] s(y).  So a boundary costs O(n^3)
-    kernel products at most.
+    kernel products at most.  Each s(x) is computed from row x alone, and
+    run 0's classes are singletons, so it needs no triangle: a source's
+    value does not depend on which other sources are given.
     """
     algebra = asg.algebra
     kernel, conj, tail = algebra.kernel, algebra.conj, (0,) * (algebra.dim - 1)
@@ -660,13 +678,13 @@ def _pair_transfer(grounds, classes, read, asg: Assignment) -> int:
             for j, x2 in enumerate(cls):
                 for i, x in enumerate(cls[:j]):
                     upper[x, x2] = kernel(lefts[i], rights[j])
-    ((x,),) = classes[0]
-    return diagonal[x]
+    return diagonal
 
 
-def _block_transfer(grounds, classes, asg: Assignment) -> Tuple[tuple, float]:
-    """Float mode: the coefficients of S_0(x, x) for the one element x of
-    run 0 (``classes[0] == [[x]]``), and N_0, the same recursion over the
+def _block_transfer(grounds, classes, asg: Assignment) -> Dict[str, Tuple[tuple, float]]:
+    """Float mode: for every source x of run 0 (``classes[0]``, their
+    singletons: one element, or every element in sorted order) the
+    coefficients of S_0(x, x), and N_0(x, x), the same recursion over the
     entry norms, in one pass over real block matrices.
 
     With every S_k(y, y') held as its left multiplication L_S(y,y'), a
@@ -684,17 +702,17 @@ def _block_transfer(grounds, classes, asg: Assignment) -> Tuple[tuple, float]:
 
     ``where``, not a product with the mask, so that an infinity met outside
     the mask leaves a zero, not a NaN.  B_0 and A_0 are sliced to the
-    source's row first, so no other row enters the result, and D_0 is the
-    source's 1 x 1 mask; X_0 is the d x d matrix L_S_0(x,x) G, whose first
-    column is S_0(x, x), as G[0] = Q(e_0) = 1.
+    sources' rows first, so no other row enters a result, and D_0 is the
+    identity over them; X_0's diagonal d x d block of x is L_S_0(x,x) G,
+    whose first column is S_0(x, x), as G[0] = Q(e_0) = 1.
     """
     import numpy as np
 
     d = asg.algebra.dim
     blocks = [asg.real_blocks(a, b) for a, b in zip(grounds, grounds[1:])]
-    ((x,),), (b, a, gram) = classes[0], blocks[0]
-    i = sorted(grounds[0]).index(x)
-    blocks[0] = (b[i * d:(i + 1) * d], a[i:i + 1], gram)
+    # the sources, one element or all, are consecutive in sorted order
+    (b, a, gram), i = blocks[0], sorted(grounds[0]).index(classes[0][0][0])
+    blocks[0] = (b[i * d:(i + len(classes[0])) * d], a[i:i + len(classes[0])], gram)
     pair, norm = np.diag(np.tile(gram, len(grounds[-1]))), np.eye(len(grounds[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for (b, a, _), cls in zip(blocks[::-1], classes[-2::-1]):
@@ -704,29 +722,8 @@ def _block_transfer(grounds, classes, asg: Assignment) -> Tuple[tuple, float]:
             pair = np.where(mask.repeat(d, 0).repeat(d, 1), b @ pair @ b.T, 0.0)
             norm = np.where(mask, a @ norm @ a.T, 0.0)
     # + 0.0: no -0.0, as the kernel's sums start from 0
-    return tuple((pair[:, 0] + 0.0).tolist()), norm.item()
-
-
-def _source_rows(s: MeasurementSequence, source,
-                 asg: Assignment) -> Tuple[list, list, list, int]:
-    """The source frame: the runs of s, each run's same-block classes, the
-    rows that a recursion from the source reads and their denominator (see
-    ``_boundary_rows``).
-
-    The source {x} must be a block of the first step, else NotADistribution.
-    A run's classes (``_same_block_classes``) are over the elements it
-    reads: the source at run 0, its whole ground after that.  Of the first
-    run boundary only row x is read, of every later one each row, in sorted
-    x'; one dict x' -> row per boundary.
-    """
-    if frozenset(source) not in s.steps[0].blocks:
-        raise NotADistribution("no paths start at the given source result")
-    segments, matrices, den = _boundary_rows(s, asg)
-    classes = [_same_block_classes(s.steps[lo:hi + 1], s.steps[lo].element_set() if k else source)
-               for k, (lo, hi) in enumerate(segments)]
-    read = [{x2: rows[x2] for x2 in (source if k == 0 else sorted(rows))}
-            for k, rows in enumerate(matrices)]
-    return segments, classes, read, den
+    return {x: (tuple((pair[i * d:(i + 1) * d, i * d] + 0.0).tolist()), float(norm[i, i]))
+            for i, (x,) in enumerate(classes[0])}
 
 
 def _name_non_finite(read) -> None:
@@ -737,6 +734,36 @@ def _name_non_finite(read) -> None:
             for y in sorted(row):
                 if not all(map(math.isfinite, row[y])):
                     raise NotADistribution(f"entry {x2} -> {y} is not finite")
+
+
+def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> dict:
+    """The sum rule from each element x of ``sources``, one element or
+    every element of the first step in sorted order, by one pair-recursion
+    call on the sequence's plan (see ``total_probability``): x -> the total
+    from {x}, or the error raised for it.  Run 0's classes are the sources'
+    singletons, as step 0 is atomic, and of the first run boundary only
+    their rows are read.  An exact total is computed from its source's row
+    alone, so it equals ``total_probability``'s; a float one is a block of
+    the product over all the rows given, which may round otherwise in the
+    last digits.  A missing matrix
+    (SequenceMismatch) and, in exact mode, a product that is not scalar
+    (NonScalarProduct, when a Born matrix is built) fail every source; in
+    float mode a tail that is not scalar, or a total that is not finite
+    (``_outcome``), fails its own source.
+    """
+    try:
+        matrices, den = _boundary_rows(s.plan, asg)
+        classes, read = [[(x,) for x in sources], *s.plan.classes[1:]], \
+            [{x: rows[x] for x in sources} for rows in matrices[:1]] + matrices[1:]
+        if asg.is_exact or not read:  # exact, or a single run: its unit, 1.0 in float mode
+            diagonal = _pair_transfer(s.plan.grounds, classes, read, asg)
+            return {x: lift((diagonal[x],), den * den, asg.is_exact)[0] for x in sources}
+        blocks = _block_transfer(s.plan.grounds, classes, asg)
+    except (SequenceMismatch, NonScalarProduct) as exc:
+        return dict.fromkeys(sources, exc)
+    return {x: _outcome(lambda: scalar_part(_result(asg, sums, 1), False, lambda: bound,
+                                            "summed pair products"), [{x: read[0][x]}, *read[1:]])
+            for x, (sums, bound) in blocks.items()}
 
 
 def total_probability(s: MeasurementSequence, source: frozenset,
@@ -753,17 +780,20 @@ def total_probability(s: MeasurementSequence, source: frozenset,
         S_k(x, x')    = D_k(x, x') Sum_y' (Sum_y E_k(x, y) S_k+1(y, y')) conj(E_k(x', y'))
 
     where D_k(x, x') holds when x and x' lie in one same-block class of run
-    k (one block at every step of the run, ``_same_block_classes``).  Both
-    ends are atomic: the last run's D is the identity, and run 0 is the
-    one element x of the source.
+    k (one block at every step of the run).  Both ends are atomic: the last
+    run's D is the identity, and run 0 is the one element x of the source.
     The total is the e0 coefficient of S_0(x, x).  It needs no path bound.
     E_k is lowered over its denominator q_k (1 in float mode), so in exact
     mode the recursion runs over integers, S_k carrying q_k^2 ... q_last^2,
     and the total is divided by the product of the q_k^2 once.
 
-    The recursion reads row x of E_0 and every row of the later E_k, and
-    nothing else: the source frame of ``_source_rows``, shared with
-    ``path_probabilities``, which also checks the source.  In exact mode it
+    The runs, their grounds and their classes are read from the sequence's
+    plan (``MeasurementSequence.plan``), built once per sequence; the
+    source must be a block of the first step, else NotADistribution.  The
+    recursion reads row x of E_0 and every row of the later E_k, and
+    nothing else; ``validate_assignment`` runs it once for every source at
+    once (``_source_totals``), with every row of E_0, and gets each
+    source's total as this function does.  In exact mode it
     runs on the kernel over the lowered rows (``_pair_transfer``), carrying
     the real diagonal of each Hermitian S_k and one triangle: across an
     atomic run boundary it is a product of the pair's Born matrix P_k =
@@ -784,7 +814,8 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     mode.
 
     In float mode a total that is not finite is traced to those rows by
-    ``_name_non_finite``, the scan ``sample_rows`` shares: the first entry
+    ``_name_non_finite``, which ``sample_rows`` reaches through this
+    function: the first entry
     that is not finite, in boundary order, then sorted x' and y, raises
     NotADistribution naming it.  A finite total hides none: each entry
     read meets S_k+1(y, y) in a product, and a non-finite entry turns its
@@ -792,17 +823,12 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     the total.  A total that overflows from finite entries is returned as
     it is.
     """
-    segments, classes, read, den = _source_rows(s, source, asg)
-    grounds = [s.steps[lo].element_set() for lo, _ in segments]
-    classes = [[*run.values()] for run in classes]
-    if asg.is_exact or not read:  # exact, or a single run: its unit, 1.0 in float mode
-        (total,) = lift((_pair_transfer(grounds, classes, read, asg),), den * den, asg.is_exact)
-        return total
-    sums, bound = _block_transfer(grounds, classes, asg)
-    value = scalar_part(_result(asg, sums, 1), False, lambda: bound, "summed pair products")
-    if not math.isfinite(value):
-        _name_non_finite(read)
-    return value
+    if frozenset(source) not in s.steps[0].blocks:
+        raise NotADistribution("no paths start at the given source result")
+    (total,) = _source_totals(s, sorted(source), asg).values()
+    if isinstance(total, Exception):
+        raise total
+    return total
 
 
 # -- sampling --------------------------------------------------------------------
@@ -810,14 +836,18 @@ def total_probability(s: MeasurementSequence, source: frozenset,
 def _probabilities(s: MeasurementSequence, source: frozenset,
                    asg: Assignment) -> Tuple[list, list]:
     """The numeric pass of ``path_probabilities``: the blocks each step
-    offers (``model.paths_over``'s choices, the source alone at step 0) and
-    every path's probability, in path order; no ``Path`` is built."""
+    offers (``model.paths_over``'s choices, the plan's with the source
+    alone at step 0) and every path's probability, in path order; no
+    ``Path`` is built.  A run's radix is its count of result combinations,
+    the product of its steps' choices."""
     import numpy as np
 
     model.check_path_bound(s)
-    segments, classes, read, den = _source_rows(s, source, asg)
+    if frozenset(source) not in s.steps[0].blocks:
+        raise NotADistribution("no paths start at the given source result")
+    matrices, den = _boundary_rows(s.plan, asg)
     algebra, d = asg.algebra, asg.algebra.dim
-    choices = [[frozenset(source)]] + [model.sorted_blocks(m.blocks) for m in s.steps[1:]]
+    choices = [[frozenset(source)], *s.plan.choices[1:]]
     probabilities = [0] * math.prod(map(len, choices))
     dtype = object if asg.is_exact else float
     # rank: each row's rank in path order.  coeffs: over (coefficient, class,
@@ -825,41 +855,35 @@ def _probabilities(s: MeasurementSequence, source: frozenset,
     # the long row axis innermost
     rank = np.zeros(1, np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (lo, hi) in enumerate(segments):
+        for k, ((lo, hi), classes, index) in enumerate(
+                zip(s.plan.runs, s.plan.classes, s.plan.ranks)):
+            if k == 0:  # the source's class alone
+                classes, index = [tuple(source)], [index[classes.index(tuple(source))]]
             # the run's elements, sorted, each -> its position
-            ground = {x: i for i, x in
-                      enumerate(sorted(x for cls in classes[k].values() for x in cls))}
-            # each class's rank among the run's combinations, a mixed-radix
-            # number over the sorted blocks of the run's steps
-            radix, index = 1, [0] * len(classes[k])
-            for j in range(hi, lo - 1, -1):
-                place = {b: i for i, b in enumerate(choices[j])}
-                index = [r + radix * place[detectors[j - lo]]
-                         for r, detectors in zip(index, classes[k])]
-                radix *= len(choices[j])
-            width = max(map(len, classes[k].values()))
+            ground = {x: i for i, x in enumerate(sorted(x for cls in classes for x in cls))}
+            width = max(map(len, classes))
             # ys[c, t]: the t-th element of the c-th class, or len(ground),
             # the padding position, past its elements
             ys = np.array([[ground[x] for x in cls] + [len(ground)] * (width - len(cls))
-                           for cls in classes[k].values()])
+                           for cls in classes])
             if k == 0:
-                coeffs = np.empty((d, *ys.shape, 1), dtype)
-                coeffs[...] = np.array(algebra.unit().coeffs, dtype)[:, None, None, None]
+                coeffs = np.array(algebra.unit().coeffs, dtype).reshape(d, *ys.shape, 1)
             else:
                 # the lowered matrix [i, x, y], a zero row and column at the padding positions
                 block = np.zeros((d, len(previous) + 1, len(ground) + 1), dtype)
-                block[:, :-1, :-1] = np.array([read[k - 1][x][y] for x in previous for y in ground],
-                                              dtype).T.reshape(d, len(previous), len(ground))
+                rows = [matrices[k - 1][x][y] for x in previous for y in ground]
+                block[:, :-1, :-1] = np.array(rows, dtype).T.reshape(d, len(previous), len(ground))
                 # over (coefficient, class, slot, parent class, parent row),
                 # with xs the parent run's ys: one parent slot t at a time
                 coeffs = algebra.kernel.columns(
                     (coeffs[:, None, None, :, t] for t in range(xs.shape[1])),
                     (block[:, xs[:, t], ys[..., None], None] for t in range(xs.shape[1])))
                 coeffs = coeffs.reshape(*coeffs.shape[:3], -1)
-            if any(len(cls) < width for cls in classes[k].values()):
+            if any(len(cls) < width for cls in classes):
                 # back to zero: an infinite entry times a padded zero is NaN
                 coeffs[:, ys == len(ground)] = 0
-            rank = (rank * radix + np.array(index)[:, None]).ravel()
+            rank = (rank * math.prod(map(len, choices[lo:hi + 1]))
+                    + np.array(index)[:, None]).ravel()
             previous, xs = ground, ys
         # each row's slots summed by ``summed``, each slot over (coefficient, row)
         sums = summed(coeffs.transpose(2, 0, 1, 3).reshape(width, d, -1), d)
@@ -876,20 +900,20 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     ``enumerate_paths`` order (``path_key`` order within the sequence).
 
     Every path is evaluated in one batched pass per weak-equivalence run,
-    on the source frame of ``total_probability`` (``_source_rows``): the
-    source's row at the first run boundary and every row of the later ones
-    are the only rows read, and a run's elements are those of its
-    same-block classes (the source element for run 0).  The pass is the
+    on the sequence's plan (``MeasurementSequence.plan``), reading the rows
+    that ``total_probability`` reads: the source's row at the first run
+    boundary and every row of the later ones.  A run's elements are those
+    of its same-block classes (the source element for run 0).  The pass is the
     walk of ``_thread_sums`` on one numpy array (float64 in float mode,
     single runs included, Python ints of object dtype in exact mode); an
     impossible path's entry is the exact 0 in either mode.  After run k
     the array is over (coefficient, class, slot, parent row), the long row
     axis innermost.  A row is a live prefix: a parent row followed by one of
     the run's classes.  The class's detectors are the one result
-    combination of the run that keeps its elements alive, and its rank in
-    path order is a mixed-radix number over the sorted blocks of the run's
-    steps; every other combination keeps no element, so its paths have
-    probability 0.  Slot t holds the
+    combination of the run that keeps its elements alive, and the plan
+    holds its rank in path order, a mixed-radix number over the sorted
+    blocks of the run's steps; every other combination keeps no element,
+    so its paths have probability 0.  Slot t holds the
     row's partial thread sum onto the class's t-th sorted element, and the
     slots past its elements are padding that holds zeros.  At each run
     boundary one call of the kernel's array product (``kernel.columns``,
@@ -927,9 +951,10 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     probabilities, clipped to 0, and the mass adds it left to right, as
     ``algebra.summed`` adds, so it reads the same on every Python version.
     In float mode a mass that is not finite names the first non-finite
-    entry the table reads, by the scan of ``total_probability``: each such
-    entry meets a partial sum in a product, so none is hidden behind a
-    finite mass.  The paths are built last, from the table's choices.
+    entry the table reads, by ``total_probability``, which reads the same
+    rows: each such entry meets a partial sum in a product, so none is
+    hidden behind a finite mass.  The paths are built last, from the
+    table's choices.
     """
     if not 0 <= n < MAX_DRAWS:
         raise ValueError(f"number of draws must lie in [0, 2**63), got {n}")
@@ -957,7 +982,7 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     # cumsum adds left to right from the first weight (np.sum adds pairwise)
     mass = float(np.cumsum(weights)[-1])
     if not (asg.is_exact or math.isfinite(mass)):
-        _name_non_finite(_source_rows(s, source, asg)[2])
+        total_probability(s, source, asg)  # names a non-finite entry it reads
     if not abs(mass - 1.0) <= DISTRIBUTION_TOL:  # a NaN mass fails too
         raise NotADistribution(f"path probabilities sum to {mass}, not 1")
     counts = np.random.default_rng([seed, 0]).multinomial(n, weights / weights.sum()).tolist()

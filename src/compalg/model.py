@@ -26,8 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional
+from functools import cached_property, reduce
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from .errors import (
     ChainMismatch,
@@ -169,6 +169,34 @@ class MeasurementSequence:
     def __repr__(self):
         return f"MeasurementSequence([{', '.join(m.id for m in self.steps)}])"
 
+    @cached_property
+    def frame(self) -> "SequencePlan":
+        """The plan's runs and grounds alone, built on first use and kept:
+        all that the walk of one path reads."""
+        segments = tuple(runs(self))
+        return SequencePlan(segments, tuple(self.steps[lo].element_set() for lo, _ in segments))
+
+    @cached_property
+    def plan(self) -> "SequencePlan":
+        """The sequence's ``SequencePlan``: its ``frame`` with the classes,
+        ranks and choices that the sum rule and the sampler read, built on
+        first use and kept.
+
+        A class's rank folds the place of each of its detectors among the
+        sorted blocks of its step, from the run's first step after step 0
+        to its last, each place the next mixed-radix digit.
+        """
+        choices = tuple(tuple(sorted_blocks(m.blocks)) for m in self.steps)
+        classes = [_same_block_classes(self.steps[lo:hi + 1], self.steps[lo].element_set())
+                   for lo, hi in self.frame.runs]
+        return self.frame._replace(
+            classes=tuple(tuple(map(tuple, run.values())) for run in classes),
+            ranks=tuple(tuple(reduce(lambda r, j: r * len(choices[j])
+                                     + choices[j].index(detectors[j - lo]),
+                                     range(max(lo, 1), hi + 1), 0) for detectors in run)
+                        for (lo, hi), run in zip(self.frame.runs, classes)),
+            choices=choices)
+
 
 def sequence(steps: Iterable[Measurement]) -> MeasurementSequence:
     return MeasurementSequence(tuple(steps))
@@ -267,15 +295,51 @@ def path_key(p: Path):
 def runs(p) -> list:
     """Maximal segments [lo, hi] of consecutive steps over one ground set,
     for a path or a measurement sequence."""
-    segments = []
     steps = p.steps
-    lo = 0
-    for j in range(1, len(steps)):
-        if steps[j].element_set() != steps[lo].element_set():
-            segments.append((lo, j - 1))
-            lo = j
-    segments.append((lo, len(steps) - 1))
-    return segments
+    cuts = [j for j in range(1, len(steps))
+            if steps[j].element_set() != steps[j - 1].element_set()]
+    return list(zip([0, *cuts], [j - 1 for j in cuts] + [len(steps) - 1]))
+
+
+class SequencePlan(NamedTuple):
+    """What the evaluators read of a sequence, whatever the source and the
+    assignment (``MeasurementSequence.plan``), per weak-equivalence run k:
+
+    - ``runs[k]``: its steps [lo, hi] (``runs``);
+    - ``grounds[k]``: its element set;
+    - ``classes[k]``: its same-block classes over its whole ground
+      (``_same_block_classes``), each a tuple of sorted elements, in the
+      order of their first elements; run 0's are singletons, as step 0 is
+      atomic;
+    - ``ranks[k]``: each class's rank among the run's result combinations
+      in path order, a mixed-radix number over the sorted blocks of the
+      run's steps after step 0, which the source fixes;
+
+    and ``choices[j]``, the sorted blocks of step j.  The last three are
+    None in a sequence's ``frame``, which the walk of one path reads.
+    """
+
+    runs: tuple
+    grounds: tuple
+    classes: Optional[tuple] = None
+    ranks: Optional[tuple] = None
+    choices: Optional[tuple] = None
+
+
+def _same_block_classes(steps, elements) -> Dict[tuple, List[str]]:
+    """The elements of a run grouped by the detector holding them at every
+    step: the tuple of those detectors -> the class's sorted elements, the
+    classes in the order of their first elements.
+
+    Two elements share a class exactly when some path's run over these
+    steps keeps both alive: the same-block mask D of the pair recursion.
+    A class's detectors are the one result combination of the run that
+    keeps exactly its elements alive; any other combination keeps none.
+    """
+    classes: Dict[tuple, List[str]] = {}
+    for x in sorted(elements):
+        classes.setdefault(tuple(m.block_containing(x) for m in steps), []).append(x)
+    return classes
 
 
 def find_igps(p: Path) -> tuple:
@@ -292,11 +356,9 @@ def find_igps(p: Path) -> tuple:
         alive = p.results[lo]
         for j in range(lo + 1, hi + 1):
             survived = alive & p.results[j]
-            if survived:
-                alive = survived
-            else:
+            if not survived:
                 reports.append((j - 1, j))
-                alive = p.results[j]
+            alive = survived or p.results[j]
     return tuple(reports)
 
 
@@ -525,10 +587,8 @@ def factorize(p: Path) -> list:
     """Split at every interior atomic step; the chain of factors equals p."""
     cuts = [0] + [j for j in range(1, len(p) - 1) if p.steps[j].is_atomic] \
         + [len(p) - 1]
-    factors = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        factors.append(Path(sequence(p.steps[lo:hi + 1]), p.results[lo:hi + 1]))
-    return factors
+    return [Path(sequence(p.steps[lo:hi + 1]), p.results[lo:hi + 1])
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 # -- normal form -------------------------------------------------------------------
@@ -567,9 +627,7 @@ def normal_form(p: Path) -> Path:
     segments = runs(p)
     steps, results = [], []
     for lo, hi in segments:
-        alive = p.results[lo]
-        for r in p.results[lo + 1:hi + 1]:
-            alive &= r
+        alive = p.results[lo].intersection(*p.results[lo + 1:hi + 1])
         m = p.steps[hi]
         if lo < hi:
             singletons = {frozenset({d}) for d in m.element_set() - alive}
@@ -618,10 +676,7 @@ def enumerate_partitions(ground: GroundSet) -> list:
                 grown.append(part[:i] + [part[i] + [element]] + part[i + 1:])
             grown.append(part + [[element]])
         partitions = grown
-    out = []
-    for i, part in enumerate(partitions):
-        out.append(measurement(f"{ground.id}#p{i}", ground, part))
-    return out
+    return [measurement(f"{ground.id}#p{i}", ground, part) for i, part in enumerate(partitions)]
 
 
 def path_count(s: MeasurementSequence) -> int:

@@ -27,7 +27,10 @@ each line character by character.
 
 ``pair_transfer_by_full_state`` is the reference for the exact sum rule's
 recursion, ``engine._pair_transfer``: it carries every pair state as a
-full coefficient tuple, and ``total_by_full_state`` runs it from a source.
+full coefficient tuple, and ``total_by_full_state`` runs it from a source,
+on runs, classes and rows that it finds for itself.
+``validation_by_sum_rules`` is the reference for
+``engine.validate_assignment``: a whole sum rule per source and per row.
 
 ``sum_of_products`` is the reference for ``Algebra.kernel``: it
 interprets the product plan's (i, j, negate) triples in a loop.
@@ -44,6 +47,7 @@ and the products of every amplitude and probability oracle here and in
 from __future__ import annotations
 
 import itertools
+import math
 
 from compalg.algebra import (
     Amplitude, _require_same_algebra, is_exact, lift, scalar_part, squared_norm,
@@ -460,15 +464,78 @@ def pair_transfer_by_full_state(classes, matrices, algebra) -> tuple:
 
 def total_by_full_state(s, source, asg):
     """The exact sum rule from the source by ``pair_transfer_by_full_state``
-    on the engine's source frame (``engine._source_rows``): the e0 of S_0(x,
-    x) over the squared product of the boundary denominators, whose tail
-    must vanish."""
-    from compalg.engine import _source_rows
-
-    _, classes, read, den = _source_rows(s, source, asg)
-    sums = pair_transfer_by_full_state([[*run.values()] for run in classes], read, asg.algebra)
+    on a frame of its own: the runs of ``model.runs``, each later run's
+    classes by grouping its sorted elements on the detector that holds
+    each at every step of the run, and the rows of ``asg.lowered``.  The
+    e0 of S_0(x, x) over the squared product of the boundary denominators,
+    whose tail must vanish."""
+    segments = runs(s)
+    grounds = [s.steps[lo].element_set() for lo, _ in segments]
+    lowered = [asg.lowered(a, b) for a, b in zip(grounds, grounds[1:])]
+    classes = [[sorted(source)]]
+    for k, (lo, hi) in enumerate(segments[1:], 1):
+        groups = {}
+        for y in sorted(grounds[k]):
+            detectors = tuple(next(b for b in m.blocks if y in b) for m in s.steps[lo:hi + 1])
+            groups.setdefault(detectors, []).append(y)
+        classes.append(list(groups.values()))
+    den = math.prod(d for _, d in lowered)
+    sums = pair_transfer_by_full_state(classes, [rows for rows, _ in lowered], asg.algebra)
     return scalar_part(Amplitude(asg.algebra, lift(sums, den * den, True)), True, None,
                        "summed pair products")
+
+
+def validation_by_sum_rules(s, asg):
+    """``engine.validate_assignment`` as whole sum rules: one
+    ``total_probability`` per source element and, for each row x of each
+    cross-ground step pair, one over the two atomic measurements of the
+    pair from {x}.  The reference for the one pair recursion and the Born
+    row sums that the engine runs instead."""
+    from compalg.engine import (
+        ValidationEntry, ValidationReport, _close, _shown, total_probability,
+    )
+    from compalg.errors import NonScalarProduct, NotADistribution, SequenceMismatch
+    from compalg.model import atomic_measurement
+
+    entries = [ValidationEntry("associative_algebra", asg.algebra.kind.label,
+                               asg.algebra.kind.is_associative)]
+
+    def sum_rule(check, location, steps, x, what):
+        try:
+            total = total_probability(steps, frozenset({x}), asg)
+            ok, detail = _close(total, 1), f"{what} is {_shown(total)}"
+        except (SequenceMismatch, NonScalarProduct, NotADistribution) as exc:
+            ok, detail = False, str(exc)
+        entries.append(ValidationEntry(check, location, ok, "" if ok else detail))
+
+    stored = asg.pairs()
+    for j in range(len(s.steps) - 1):
+        m_from, m_to = s.steps[j], s.steps[j + 1]
+        loc = f"steps {j}->{j + 1}"
+        a, b = m_from.element_set(), m_to.element_set()
+        if a == b:
+            entries.append(ValidationEntry("repeatability_identity", loc, True))
+            continue
+        present = (a, b) in stored or (b, a) in stored
+        entries.append(ValidationEntry("matrix_present", loc, present,
+                                       "" if present else "no matrix for this ground pair"))
+        if not present:
+            continue
+        if (a, b) in stored and (b, a) in stored:
+            (forward, d_forward), (backward, d_backward) = asg.lowered(a, b), asg.lowered(b, a)
+            adjoint_ok = all([c * d_backward for c in forward[x][y]] == [
+                c * d_forward for c in asg.algebra.conj(backward[y][x])]
+                for x in a for y in b)
+            entries.append(ValidationEntry(
+                "adjoint_consistency", loc, adjoint_ok,
+                "" if adjoint_ok else "reverse matrix is not the conjugate transpose"))
+        pair = sequence([atomic_measurement(m.ground) for m in (m_from, m_to)])
+        for x in sorted(a):
+            sum_rule("row_normalization", f"{loc} source {x}", pair, x, "sum of Q over targets")
+
+    for x in sorted(s.steps[0].element_set()):
+        sum_rule("sum_rule", f"source {x}", s, x, "total probability over paths")
+    return ValidationReport(tuple(entries))
 
 
 def sum_of_products(plan: tuple, lefts, rights) -> tuple:

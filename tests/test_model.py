@@ -1,6 +1,7 @@
 """Model layer: partial operations, their laws, classification, enumeration."""
 
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -42,7 +43,7 @@ from compalg.model import (
     weakly_equivalent,
 )
 
-from conftest import AM, BM, DM, G3, GM, UM
+from conftest import AM, BM, DM, G3, GM, MIX_GROUNDS, UM, universe_sequences
 
 N = GroundSet("N", ("n1", "n2"))
 AN = atomic_measurement(N, "aN")
@@ -108,6 +109,49 @@ def test_ground_set_element_set_is_built_once():
     assert copy == g and copy.element_set() == g.element_set()
     with pytest.raises(ValueError, match="unique"):
         GroundSet("G", ("a", "a"))
+
+
+def test_sequence_plan_places_every_possible_path():
+    """Over every sequence of up to four steps over grounds of one to three
+    elements, the plan is built once and kept, and holds the runs, their
+    grounds and each step's sorted blocks.  Each run's classes partition its
+    ground, and from every source the possible paths are exactly the
+    combinations of one class per later run: each such path keeps exactly
+    one class alive per run, and its place among the source's paths in
+    ``enumerate_paths`` order is the mixed-radix number of those classes'
+    ranks, each run's radix its count of result combinations after step 0.
+    A kept plan changes neither equality, hash nor a pickle round trip."""
+    sequences = universe_sequences(MIX_GROUNDS, 4)
+    for s in sequences:
+        plan = s.plan
+        assert s.plan is plan and plan.runs == tuple(model.runs(s))
+        assert plan.grounds == tuple(s.steps[lo].element_set() for lo, _ in plan.runs)
+        assert plan.choices == tuple(tuple(model.sorted_blocks(m.blocks)) for m in s.steps)
+        for ground, classes in zip(plan.grounds, plan.classes):
+            assert sorted(x for cls in classes for x in cls) == sorted(ground)
+        assert all(len(cls) == 1 for cls in plan.classes[0])
+        paths = enumerate_paths(s)
+        per_source = len(paths) // len(s.steps[0].blocks)
+        for start in range(0, len(paths), per_source):
+            places = []
+            for i, p in enumerate(paths[start:start + per_source]):
+                alive = [tuple(sorted(p.results[lo].intersection(*p.results[lo + 1:hi + 1])))
+                         for lo, hi in plan.runs]
+                if not all(alive):
+                    continue
+                place = 0
+                for (lo, hi), classes, ranks, survivors in zip(
+                        plan.runs, plan.classes, plan.ranks, alive):
+                    radix = math.prod(map(len, plan.choices[max(lo, 1):hi + 1]))
+                    place = place * radix + ranks[classes.index(survivors)]
+                assert place == i, (s, p)
+                places.append(place)
+            assert len(places) == math.prod(len(classes) for classes in plan.classes[1:])
+    s = sequences[-1]
+    fresh = sequence(s.steps)
+    assert fresh == s and hash(fresh) == hash(s)
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and hash(copy) == hash(s) and copy.plan == s.plan
 
 
 def test_equal_sequences_are_equal_keys():

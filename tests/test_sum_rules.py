@@ -2,6 +2,7 @@
 probabilities under sampling, against path enumeration."""
 
 import itertools
+import json
 import math
 import random
 import re
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from compalg import engine, model
 from compalg.algebra import AlgebraKind, make_algebra
 from compalg.cli import main
 from compalg.engine import (
@@ -17,7 +19,10 @@ from compalg.engine import (
     MAX_DRAWS,
     Assignment,
     _close,
+    _outcome,
+    _source_totals,
     amplitude_of,
+    name_non_finite_entry,
     path_probabilities,
     probability_of,
     sample,
@@ -44,6 +49,7 @@ from oracle import (
     quadratic_form_by_table,
     total_by_enumeration,
     total_by_full_state,
+    validation_by_sum_rules,
 )
 
 ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,
@@ -193,7 +199,9 @@ def test_non_scalar_sum_is_rejected(monkeypatch):
     so its total differs from the exact recursion's.  The float tolerance
     recursion over entry norms is left as it is.  The blocks that the
     assignment keeps are built again for the kernel swapped in, and for the
-    one restored after it."""
+    one restored after it.  Row normalization takes each pair's Born
+    matrix in both modes, so its rows fail there, in float mode with the
+    float scalar check of ``algebra.quadratic_form_over``."""
     asg, s, source = non_scalar_case()
     floats = converted(asg, float)
     total = total_probability(s, source, floats)
@@ -210,9 +218,16 @@ def test_non_scalar_sum_is_rejected(monkeypatch):
     entries = validate_assignment(s, asg).entries
     (entry,) = [e for e in entries if e.check == "sum_rule" and e.location == f"source {x}"]
     assert not entry.passed and "not scalar" in entry.detail
-    # each row normalization is a two-step sum rule through the same kernel
+    # each row normalization is a row sum of a Born matrix through the same kernel
     rows = [e for e in entries if e.check == "row_normalization"]
     assert rows and all(not e.passed and "not scalar" in e.detail for e in rows)
+    # in float mode too, through the same Born matrices, with the float scalar check
+    rows = [e for e in validate_assignment(s, floats).entries if e.check == "row_normalization"]
+    assert rows and all(not e.passed and e.detail.startswith("a*conj(a) not scalar within ")
+                        for e in rows)
+    a, b = s.plan.grounds[:2]
+    with pytest.raises(NonScalarProduct, match=re.escape("a*conj(a) not scalar within ")):
+        floats.born_rows(a, b)
     monkeypatch.undo()
     assert total_probability(s, source, floats) == total
 
@@ -409,7 +424,8 @@ def test_pair_transfer_equals_the_full_state_oracle():
     """The exact sum rule, which carries a real diagonal and one triangle,
     equals the recursion on the full pair state exactly, for all five kinds,
     unnormalized matrices and every source, and both equal the enumerated
-    sum of path probabilities from the first source; on a sequence beyond
+    sum of path probabilities from the first source; so does validation's
+    total from every source, all from one recursion.  On a sequence beyond
     the path bound the two recursions are equal too."""
     rng = random.Random(24)
     checked = 0
@@ -424,6 +440,9 @@ def test_pair_transfer_equals_the_full_state_oracle():
                 if source == sources[0]:
                     assert total == total_by_enumeration(s, source, asg), (kind, s, source)
                 checked += 1
+            # validation's one recursion from every source at once
+            assert _source_totals(s, sorted(s.steps[0].element_set()), asg) \
+                == {x: total_by_full_state(s, {x}, asg) for (x,) in sources}, (kind, s)
         s = workload_sequence(rng, 16, 8)
         with pytest.raises(TooManyPaths):
             enumerate_paths(s)
@@ -467,6 +486,102 @@ def test_exact_sum_rule_kernel_calls(monkeypatch):
     calls.clear()
     assert total_by_full_state(halves, source, asg) == total
     assert 0 < engine_calls < len(calls)
+
+
+# -- validation: one pair recursion for every source, Born row sums for every row -------
+
+def validation_cases(seed: int):
+    """Each (assignment, sequence) of ``cases(seed, 20)`` once."""
+    last = None
+    for asg, s, _ in cases(seed, 20):
+        if last is None or last[0] is not asg or last[1] is not s:
+            last = (asg, s)
+            yield last
+
+
+def test_validation_equals_whole_sum_rules():
+    """validate_assignment against ``validation_by_sum_rules``, which runs
+    a whole total_probability per source and per row: in exact mode the
+    canonical JSON of the two reports is equal byte for byte.  In float
+    mode the checks, locations and verdicts are equal, and each source's
+    total, or the type of its error, agrees within FLOAT_RTOL; only a
+    failing row's digits may differ, a Born row sum here and a block
+    product in the oracle."""
+    reports = 0
+    for seed in (5, 6, 7, 8):
+        for asg, s in validation_cases(seed):
+            report, want = validate_assignment(s, asg), validation_by_sum_rules(s, asg)
+            assert json.dumps(report.to_json(), sort_keys=True) \
+                == json.dumps(want.to_json(), sort_keys=True), s
+            floats = converted(asg, float)
+            report, want = validate_assignment(s, floats), validation_by_sum_rules(s, floats)
+            assert [(e.check, e.location, e.passed) for e in report.entries] \
+                == [(e.check, e.location, e.passed) for e in want.entries], s
+            sources = sorted(s.steps[0].element_set())
+            totals = _source_totals(s, sources, floats)
+            for x in sources:
+                got = totals[x]
+                expected = _outcome(lambda: total_probability(s, frozenset({x}), floats))
+                if isinstance(expected, Exception):
+                    assert type(got) is type(expected), (s, x)
+                else:
+                    assert _close(got, expected), (s, x)
+            reports += 1
+    assert reports > 350
+
+
+def counted(calls, name, function):
+    """function, with each call's name appended to calls."""
+    def count(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+    return count
+
+
+def test_validation_makes_one_pair_recursion_call(monkeypatch):
+    """One validate_assignment makes exactly one pair-recursion call for
+    all its sources (``_pair_transfer`` in exact mode and on a single run,
+    ``_block_transfer`` otherwise) and no total_probability call, on every
+    sequence shape of the full-state test, in both modes: its rows are row
+    sums of the Born matrices."""
+    calls = []
+    for name in ("_pair_transfer", "_block_transfer", "total_probability"):
+        monkeypatch.setattr(engine, name, counted(calls, name, getattr(engine, name)))
+    rng = random.Random(26)
+    exact = assignment_for([A3, B3, C3], make_algebra(AlgebraKind.H), rng, normalized=False)
+    for s in differential_sequences(rng):
+        for asg in (exact, converted(exact, float)):
+            calls.clear()
+            report = validate_assignment(s, asg)
+            assert len([e for e in report.entries if e.check == "sum_rule"]) == 3
+            single = asg.is_exact or len(runs(s)) == 1
+            assert calls == ["_pair_transfer" if single else "_block_transfer"], (s, asg)
+
+
+def test_plan_is_built_once_per_sequence(monkeypatch):
+    """Repeated totals, samples, tables, walks and validation on one
+    sequence, in both modes, build its plan once: ``model.runs`` is called
+    once and ``_same_block_classes`` once per run, and neither again.  The
+    walk of one path builds the frame alone, the runs and their grounds,
+    so a path over a fresh sequence pays for no classes."""
+    calls = []
+    for name in ("runs", "_same_block_classes"):
+        monkeypatch.setattr(model, name, counted(calls, name, getattr(model, name)))
+    a, b = atomic_measurement(A3), atomic_measurement(B3)
+    half = measurement("halfB", B3, [["b1", "b2"], ["b3"]])
+    s = sequence([a, half, b, a, b])
+    exact = exact_unitary_c()
+    probability_of(enumerate_paths(s)[0], exact)
+    assert calls == ["runs"] and "plan" not in vars(s)
+    for _ in range(2):
+        for asg in (exact, converted(exact, float)):
+            assert _close(total_probability(s, frozenset({"a1"}), asg), 1)
+            assert sum(sample(s, frozenset({"a2"}), asg, 100, seed=1).values()) == 100
+            for p, q in path_probabilities(s, frozenset({"a3"}), asg):
+                assert probability_of(p, asg).probability == q
+                assert name_non_finite_entry(p, asg) is None
+            assert validate_assignment(s, asg).ok
+    assert calls == ["runs"] + ["_same_block_classes"] * 4
 
 
 # -- beyond the path bound ------------------------------------------------------------
