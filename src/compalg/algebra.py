@@ -168,8 +168,9 @@ class Algebra:
         ``0 + a_i * b_j - ...``, the plan's terms in order, skipping none.
 
         ``kernel.columns`` is the same sum of products on numpy arrays
-        (``_array_product``), bit for bit; it travels with the function, so
-        a kernel put in its place brings its own.
+        (``_array_product``), bit for bit, over right operands laid out by
+        its ``gather``; both travel with the function, so a kernel put in
+        its place brings its own.
         """
         d, plan = self.dim, product_plan(self)
         a = "".join(f"a{i}, " for i in range(d))
@@ -338,32 +339,37 @@ def product_plan(algebra: Algebra) -> tuple:
 
 def _array_product(plan: tuple):
     """The sum of products of a product plan on numpy arrays:
-    ``Algebra.kernel.columns``.
+    ``Algebra.kernel.columns``, with ``columns.gather``, which lays out its
+    right operands.
 
-    ``columns(lefts, rights)`` takes arrays in step, at least one pair,
-    float64 or of object dtype, whose first axis holds the d coefficients
-    and whose other axes broadcast against each other; it returns one array
-    of that shape, the sum over the pairs of a * b.  Each right operand is
-    first gathered and signed into b'[m, k], the right factor of output k's
-    m-th term: in a table built by doubling every row is a signed
-    permutation, so that term is a_m * (+-b_j).  The pair's sum is then
-    ``0 + a_0 * b'_0 + ... + a_(d-1) * b'_(d-1)`` over whole arrays, one term
-    at a time, and the pairs' sums are added in order.  These are the float
-    operations of the kernel's ``o_k += 0 + a_i * b_j - ...`` bit for bit:
-    x - y is x + (-y) in IEEE arithmetic, and a sign flip is exact; the
-    kernel's ``0 +`` before the first pair's sum is left out, as that sum
-    starts from 0 itself and so is never -0.0.  The index and sign arrays
-    are built on the first call, so numpy is imported only where arrays are
-    multiplied; a table with a row that is not a signed permutation raises
-    ValueError there.
+    ``columns.gather(b)`` takes an array whose first axis holds the d
+    coefficients and returns b'[m, k, ...], the right factor of output k's
+    m-th term, signed: in a table built by doubling every row is a signed
+    permutation, so that term is a_m * (+-b_j).  ``columns(lefts, rights)``
+    takes a left array a over (coefficient, ..., pair) and a gathered right
+    array b' over (m, k, ..., pair), float64 or of object dtype, with as
+    many axes between, which broadcast against each other; the last axis
+    holds the pairs to sum, at least one.  It returns the sum over the
+    pairs of a * b, over (coefficient, ...), the broadcast shape.
+    The d products a_m * b'_m give every pair's sum ``0 + a_0 * b'_0 + ... +
+    a_(d-1) * b'_(d-1)``, one term at a time over whole arrays, and the
+    pairs' sums are added in order: the first pair's, plus the second's,
+    and so on.  These are the float operations of the kernel's ``o_k += 0
+    + a_i * b_j - ...`` bit for bit: x - y is x + (-y) in IEEE arithmetic,
+    and a sign flip is exact; the kernel's ``0 +`` before the first pair's
+    sum is left out, as that sum starts from 0 itself and so is never -0.0.
+    A right operand may be gathered once and multiplied many times.  The
+    index and sign arrays are built on the first gather, so numpy is
+    imported only where arrays are multiplied; a table with a row that is
+    not a signed permutation raises ValueError there.
     """
     d = len(plan)
     signed = []  # (j, sign), each d x d over (m, k)
 
-    def columns(lefts, rights):
-        import numpy as np
-
+    def gather(b):
         if not signed:
+            import numpy as np
+
             if any(len(terms) != d or any(i != m for m, (i, _, _) in enumerate(terms))
                    for terms in plan):
                 raise ValueError("no array product: a row of the table is not a signed permutation")
@@ -371,18 +377,18 @@ def _array_product(plan: tuple):
             signed.append(np.array([[-1 if terms[m][2] else 1 for terms in plan]
                                     for m in range(d)]))
         at, sign = signed
-        total = None
-        for a, b in zip(lefts, rights):
-            b = b[at] * sign.reshape(d, d, *[1] * (b.ndim - 1))
-            pair = a[0] * b[0]
-            pair += 0
-            for m in range(1, d):
-                pair += a[m] * b[m]
-            if total is None:
-                total = pair
-            else:
-                total += pair
+        return b[at] * sign.reshape(d, d, *[1] * (b.ndim - 1))
+
+    def columns(lefts, rights):
+        pairs = lefts[0] * rights[0]
+        pairs += 0
+        for m in range(1, d):
+            pairs += lefts[m] * rights[m]
+        total = pairs[..., 0]
+        for t in range(1, pairs.shape[-1]):
+            total += pairs[..., t]
         return total
+    columns.gather = gather
     return columns
 
 
@@ -445,7 +451,9 @@ def quadratic_form_columns(algebra: Algebra, columns: tuple, denominator: int,
     """
     import numpy as np
 
-    square = algebra.kernel.columns((np.array(columns),), (np.array(algebra.conj(columns)),))
+    product = algebra.kernel.columns
+    square = product(np.array(columns)[..., None],
+                     product.gather(np.array(algebra.conj(columns))[..., None]))
     if exact:
         bad = [c != 0 for c in square[1:]]
     else:

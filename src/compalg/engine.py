@@ -28,9 +28,10 @@ to right; its probability is Q of that sum (``algebra.quadratic_form_over``),
 and an impossible path is zero.  ``amplitude_of`` walks one path run by
 run; sampling evaluates every path from the source with the same
 operations, one batched pass per run, on one numpy array over
-(coefficient, class, slot, row): a row per live prefix, a slot per
+(coefficient, class, row, slot): a row per live prefix, a slot per
 surviving element, and zero padding past a row's survivors, multiplied by
-``kernel.columns`` once per run boundary.  It is bounded by
+``kernel.columns`` once per run boundary, every parent slot at once on the
+product's trailing pair axis.  It is bounded by
 ``model.DEFAULT_PATH_BOUND``, checks the probabilities as one array and
 ends in one multinomial draw; the paths are built after the numeric pass.
 
@@ -56,7 +57,17 @@ sorted blocks and each class's rank in path order.  The walk of one path
 reads only the runs and grounds, the sequence's ``frame``.  A run's class
 is the set of elements that one of its result combinations keeps alive:
 the sum rule pairs threads within a class, and the sampler takes each
-class as one live combination, placed by its rank.  From a source, the sum rule and the
+class as one live combination, placed by its rank.  The sampler and the
+float sum rule read the plan as numpy arrays, its ``_layout``, built on
+first use and kept with the sequence: per run the class-by-slot positions
+over the sorted ground, the padding slots, the class ranks and the
+same-class mask.  What depends on one ground pair alone is kept in the
+assignment, built on first use by the kernel in place
+(``Assignment._built_by_kernel``): the Born matrix, the real blocks, the
+sampling table's padded block, already gathered for the array product, the
+row checks and the adjoint verdict.  Nothing whose size grows with the
+number of paths is kept after a call: the table's rows, ranks and paths
+are built per call.  From a source, the sum rule and the
 sampler read the source's row at the first run boundary and every row of
 the later ones, and no other row; validation runs one sum rule from every
 source at once, with every row of the first boundary.  In float mode a
@@ -80,7 +91,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .algebra import (
     Algebra, Amplitude, is_exact, lift, lower, quadratic_form_columns, quadratic_form_over,
@@ -135,8 +146,12 @@ class Assignment:
 
     A matrix is held as rows x -> {y: coefficient tuple}; the evaluators
     read them over one denominator, from ``lowered``, the exact sum rule
-    also as Born matrices, from ``born_rows``, and the float sum rule as
-    real block matrices, from ``real_blocks``.
+    also as Born matrices, from ``born_rows``, the float sum rule as real
+    block matrices, from ``real_blocks``, and the sampling table as one
+    zero-padded numpy block over the sorted elements, gathered for the
+    array product, from ``padded_block``.  Each is built per ground pair on
+    first use and kept, so repeated evaluations pay only for their
+    products; none depends on a sequence or a source.
     """
 
     def __init__(self, algebra: Algebra, blocks: Iterable) -> None:
@@ -269,6 +284,32 @@ class Assignment:
                 return (blocks.reshape(len(rows) * len(left), -1), np.sqrt(squared_norm(columns)),
                         gram)
         return self._built_by_kernel(("real", key), build)
+
+    def padded_block(self, g_from, g_to) -> tuple:
+        """(block, D): the ``lowered`` matrix E from one ground to another,
+        over its denominator D, as the right operand of the sampling table's
+        array product.  E is laid out as one numpy array [i, x, y], the
+        coefficient i of E(x, y) over the sorted elements x of g_from and y
+        of g_to, with a zero row and column past them, the padding position
+        of each ground; float64 in float mode, Python ints of object dtype
+        in exact mode.  The block is that array gathered and signed by the
+        kernel's ``columns.gather``, over (m, k, x, y), so that a table
+        indexes it by element positions and multiplies.  Built on first use
+        (``_built_by_kernel``).
+        """
+        key = (_ground_key(g_from), _ground_key(g_to))
+
+        def build():
+            import numpy as np
+
+            rows, den = self.lowered(*key)
+            xs, ys = sorted(key[0]), sorted(key[1])
+            dtype = object if self.is_exact else float
+            block = np.zeros((self.algebra.dim, len(xs) + 1, len(ys) + 1), dtype)
+            block[:, :-1, :-1] = np.array([[rows[x][y] for y in ys] for x in xs],
+                                          dtype).transpose(2, 0, 1)
+            return self.algebra.kernel.columns.gather(block), den
+        return self._built_by_kernel(("padded", key), build)
 
     def _left_multiplication(self) -> tuple:
         """(T^T over its last two axes, G) of ``real_blocks``, as float arrays."""
@@ -550,10 +591,8 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
             continue
 
         if (a, b) in stored and (b, a) in stored:
-            (forward, d_forward), (backward, d_backward) = asg.lowered(a, b), asg.lowered(b, a)
-            adjoint_ok = all([c * d_backward for c in forward[x][y]] == [
-                c * d_forward for c in asg.algebra.conj(backward[y][x])]
-                for x in a for y in b)
+            adjoint_ok = asg._built_by_kernel(("adjoint", frozenset((a, b))),
+                                              lambda: _adjoint_consistent(asg, a, b))
             entries.append(ValidationEntry(
                 "adjoint_consistency", loc, adjoint_ok,
                 "" if adjoint_ok else "reverse matrix is not the conjugate transpose"))
@@ -589,6 +628,18 @@ def _verdict(total, what: str) -> tuple:
     ok = not isinstance(total, Exception) and _close(total, 1)
     return ok, "" if ok else str(total) if isinstance(total, Exception) \
         else f"{what} is {_shown(total)}"
+
+
+def _adjoint_consistent(asg: Assignment, a: frozenset, b: frozenset) -> bool:
+    """Whether the lowered rows of a ground pair stored in both directions
+    are mutual conjugate transposes, each over the other's denominator.
+    Symmetric in a and b; ``validate_assignment`` keeps its verdict per
+    unordered ground pair (``Assignment._built_by_kernel``), so a pair is
+    compared once however often a sequence crosses it."""
+    (forward, d_forward), (backward, d_backward) = asg.lowered(a, b), asg.lowered(b, a)
+    return all([c * d_backward for c in forward[x][y]] == [
+        c * d_forward for c in asg.algebra.conj(backward[y][x])]
+        for x in a for y in b)
 
 
 def _row_checks(asg: Assignment, a: frozenset, b: frozenset) -> dict:
@@ -681,17 +732,19 @@ def _pair_transfer(grounds, classes, read, asg: Assignment) -> Dict[str, int]:
     return diagonal
 
 
-def _block_transfer(grounds, classes, asg: Assignment) -> Dict[str, Tuple[tuple, float]]:
-    """Float mode: for every source x of run 0 (``classes[0]``, their
-    singletons: one element, or every element in sorted order) the
-    coefficients of S_0(x, x), and N_0(x, x), the same recursion over the
-    entry norms, in one pass over real block matrices.
+def _block_transfer(s: MeasurementSequence, sources: list,
+                    asg: Assignment) -> Dict[str, Tuple[tuple, float]]:
+    """Float mode: for every source x (``sources``: one element of the
+    first step, or every element in sorted order) the coefficients of
+    S_0(x, x), and N_0(x, x), the same recursion over the entry norms, in
+    one pass over real block matrices.
 
     With every S_k(y, y') held as its left multiplication L_S(y,y'), a
     homomorphism on an associative algebra, ``_pair_transfer``'s recursion
     is a product of the blocks of ``Assignment.real_blocks`` (B_k, A_k for
     the pair of grounds k, k+1), masked by D_k, which holds where two
-    elements of run k share a class.  The conjugate entries are G B_k^T G
+    elements of run k share a class: the run's ``same_class`` mask, kept
+    with the sequence (``_layout``).  The conjugate entries are G B_k^T G
     blockwise (G the diagonal of the norm form, ``real_blocks``), so the
     recursion carries X_k = S_k (I (x) G) and needs no other block.  The
     last run ends in an atomic step, so its D is I, and every run boundary
@@ -701,29 +754,31 @@ def _block_transfer(grounds, classes, asg: Assignment) -> Dict[str, Tuple[tuple,
         X_k    = D_k (x) 1_dxd ? B_k X_k+1 B_k^T   N_k    = D_k ? A_k N_k+1 A_k^T
 
     ``where``, not a product with the mask, so that an infinity met outside
-    the mask leaves a zero, not a NaN.  B_0 and A_0 are sliced to the
-    sources' rows first, so no other row enters a result, and D_0 is the
-    identity over them; X_0's diagonal d x d block of x is L_S_0(x,x) G,
-    whose first column is S_0(x, x), as G[0] = Q(e_0) = 1.
+    the mask leaves a zero, not a NaN; the n x n mask broadcasts over the
+    (n, d, n, d) view of the product.  B_0 and A_0 are sliced to the
+    sources' rows first, so no other row enters a result, and D_0, the
+    identity as run 0's classes are singletons, to the sources; X_0's
+    diagonal d x d block of x is L_S_0(x,x) G, whose first column is
+    S_0(x, x), as G[0] = Q(e_0) = 1.
     """
     import numpy as np
 
-    d = asg.algebra.dim
+    d, grounds, layout = asg.algebra.dim, s.plan.grounds, _layout(s)
     blocks = [asg.real_blocks(a, b) for a, b in zip(grounds, grounds[1:])]
     # the sources, one element or all, are consecutive in sorted order
-    (b, a, gram), i = blocks[0], sorted(grounds[0]).index(classes[0][0][0])
-    blocks[0] = (b[i * d:(i + len(classes[0])) * d], a[i:i + len(classes[0])], gram)
+    (b, a, gram), i, n = blocks[0], s.plan.classes[0].index((sources[0],)), len(sources)
+    blocks[0] = (b[i * d:(i + n) * d], a[i:i + n], gram)
+    masks = [run.same_class for run in layout[:-1]]
+    masks[0] = masks[0][i:i + n, :, i:i + n]
     pair, norm = np.diag(np.tile(gram, len(grounds[-1]))), np.eye(len(grounds[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for (b, a, _), cls in zip(blocks[::-1], classes[-2::-1]):
-            label = {y: c for c, members in enumerate(cls) for y in members}
-            ids = np.array([label[y] for y in sorted(label)])
-            mask = ids[:, None] == ids
-            pair = np.where(mask.repeat(d, 0).repeat(d, 1), b @ pair @ b.T, 0.0)
-            norm = np.where(mask, a @ norm @ a.T, 0.0)
+        for (b, a, _), mask in zip(blocks[::-1], masks[::-1]):
+            m = len(mask)
+            pair = np.where(mask, (b @ pair @ b.T).reshape(m, d, m, d), 0.0).reshape(m * d, -1)
+            norm = np.where(mask[:, 0, :, 0], a @ norm @ a.T, 0.0)
     # + 0.0: no -0.0, as the kernel's sums start from 0
     return {x: (tuple((pair[i * d:(i + 1) * d, i * d] + 0.0).tolist()), float(norm[i, i]))
-            for i, (x,) in enumerate(classes[0])}
+            for i, x in enumerate(sources)}
 
 
 def _name_non_finite(read) -> None:
@@ -758,7 +813,7 @@ def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> di
         if asg.is_exact or not read:  # exact, or a single run: its unit, 1.0 in float mode
             diagonal = _pair_transfer(s.plan.grounds, classes, read, asg)
             return {x: lift((diagonal[x],), den * den, asg.is_exact)[0] for x in sources}
-        blocks = _block_transfer(s.plan.grounds, classes, asg)
+        blocks = _block_transfer(s, sources, asg)
     except (SequenceMismatch, NonScalarProduct) as exc:
         return dict.fromkeys(sources, exc)
     return {x: _outcome(lambda: scalar_part(_result(asg, sums, 1), False, lambda: bound,
@@ -833,62 +888,96 @@ def total_probability(s: MeasurementSequence, source: frozenset,
 
 # -- sampling --------------------------------------------------------------------
 
+class _RunLayout(NamedTuple):
+    """One weak-equivalence run of a sequence as numpy arrays over its
+    sorted ground of n elements (``_layout``): its C same-block classes
+    (``SequencePlan.classes``), each padded to W slots.
+
+    - ``slots[c, t]``: the position of class c's t-th element, or n, the
+      padding position, past its elements;
+    - ``padding``: the (class, slot) index arrays of the padding slots, or
+      None when every class fills its W slots;
+    - ``index[c, 0]``: class c's rank among the run's result combinations
+      (``SequencePlan.ranks``);
+    - ``radix``: the count of those combinations, the base of the run's
+      digit in a path's rank;
+    - ``same_class[x, 0, x', 0]``: x and x' share a class, the mask D_k of
+      the float sum rule (``_block_transfer``).
+    """
+
+    slots: object
+    padding: Optional[tuple]
+    index: object
+    radix: int
+    same_class: object
+
+
+def _layout(s: MeasurementSequence) -> Tuple[_RunLayout, ...]:
+    """The ``_RunLayout`` of every run of the sequence's plan, built on first
+    use and kept with the sequence, in its own dict as its cached ``plan``
+    is.  Its size is that of the grounds, whatever the number of paths."""
+    kept = vars(s).get("_layout")
+    if kept is not None:
+        return kept
+    import numpy as np
+
+    plan, kept = s.plan, []
+    for (lo, hi), ground, classes, ranks in zip(plan.runs, plan.grounds, plan.classes,
+                                                plan.ranks):
+        at = {x: i for i, x in enumerate(sorted(ground))}
+        width = max(map(len, classes))
+        slots = np.array([[at[x] for x in cls] + [len(at)] * (width - len(cls))
+                          for cls in classes])
+        padded = slots == len(at)
+        label = np.empty(len(at), np.int64)
+        for c, cls in enumerate(classes):
+            label[[at[x] for x in cls]] = c
+        kept.append(_RunLayout(
+            slots, np.nonzero(padded) if padded.any() else None, np.array(ranks)[:, None],
+            math.prod(map(len, plan.choices[max(lo, 1):hi + 1])),
+            (label[:, None] == label)[:, None, :, None]))
+    kept = vars(s)["_layout"] = tuple(kept)
+    return kept
+
+
 def _probabilities(s: MeasurementSequence, source: frozenset,
                    asg: Assignment) -> Tuple[list, list]:
     """The numeric pass of ``path_probabilities``: the blocks each step
     offers (``model.paths_over``'s choices, the plan's with the source
     alone at step 0) and every path's probability, in path order; no
-    ``Path`` is built.  A run's radix is its count of result combinations,
-    the product of its steps' choices."""
+    ``Path`` is built."""
     import numpy as np
 
     model.check_path_bound(s)
     if frozenset(source) not in s.steps[0].blocks:
         raise NotADistribution("no paths start at the given source result")
-    matrices, den = _boundary_rows(s.plan, asg)
+    plan, layout = s.plan, _layout(s)
+    blocks = [asg.padded_block(a, b) for a, b in zip(plan.grounds, plan.grounds[1:])]
+    den = math.prod(den for _, den in blocks)
     algebra, d = asg.algebra, asg.algebra.dim
-    choices = [[frozenset(source)], *s.plan.choices[1:]]
-    probabilities = [0] * math.prod(map(len, choices))
-    dtype = object if asg.is_exact else float
-    # rank: each row's rank in path order.  coeffs: over (coefficient, class,
-    # slot, parent row), the class and parent row together being the rows,
-    # the long row axis innermost
-    rank = np.zeros(1, np.int64)
+    choices = [[frozenset(source)], *plan.choices[1:]]
+    c = plan.classes[0].index(tuple(source))
+    # coeffs over (coefficient, class, row, slot), a row being a parent class
+    # and a parent row, the parent row innermost; rank: each row's rank in path order
+    coeffs = np.array(algebra.unit().coeffs, object if asg.is_exact else float).reshape(d, 1, 1, 1)
+    rank, parents = layout[0].index[c], layout[0].slots[c:c + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, ((lo, hi), classes, index) in enumerate(
-                zip(s.plan.runs, s.plan.classes, s.plan.ranks)):
-            if k == 0:  # the source's class alone
-                classes, index = [tuple(source)], [index[classes.index(tuple(source))]]
-            # the run's elements, sorted, each -> its position
-            ground = {x: i for i, x in enumerate(sorted(x for cls in classes for x in cls))}
-            width = max(map(len, classes))
-            # ys[c, t]: the t-th element of the c-th class, or len(ground),
-            # the padding position, past its elements
-            ys = np.array([[ground[x] for x in cls] + [len(ground)] * (width - len(cls))
-                           for cls in classes])
-            if k == 0:
-                coeffs = np.array(algebra.unit().coeffs, dtype).reshape(d, *ys.shape, 1)
-            else:
-                # the lowered matrix [i, x, y], a zero row and column at the padding positions
-                block = np.zeros((d, len(previous) + 1, len(ground) + 1), dtype)
-                rows = [matrices[k - 1][x][y] for x in previous for y in ground]
-                block[:, :-1, :-1] = np.array(rows, dtype).T.reshape(d, len(previous), len(ground))
-                # over (coefficient, class, slot, parent class, parent row),
-                # with xs the parent run's ys: one parent slot t at a time
-                coeffs = algebra.kernel.columns(
-                    (coeffs[:, None, None, :, t] for t in range(xs.shape[1])),
-                    (block[:, xs[:, t], ys[..., None], None] for t in range(xs.shape[1])))
-                coeffs = coeffs.reshape(*coeffs.shape[:3], -1)
-            if any(len(cls) < width for cls in classes):
+        for run, (block, _) in zip(layout[1:], blocks):
+            # over (coefficient, class, parent class, parent row, slot, parent slot)
+            coeffs = algebra.kernel.columns(
+                coeffs[:, None, :, :, None, :],
+                block[:, :, parents[None, :, None, None, :], run.slots[:, None, None, :, None]])
+            coeffs = coeffs.reshape(d, len(run.slots), -1, run.slots.shape[1])
+            if run.padding is not None:
                 # back to zero: an infinite entry times a padded zero is NaN
-                coeffs[:, ys == len(ground)] = 0
-            rank = (rank * math.prod(map(len, choices[lo:hi + 1]))
-                    + np.array(index)[:, None]).ravel()
-            previous, xs = ground, ys
+                coeffs[:, run.padding[0], :, run.padding[1]] = 0
+            rank = (rank * run.radix + run.index).ravel()
+            parents = run.slots
         # each row's slots summed by ``summed``, each slot over (coefficient, row)
-        sums = summed(coeffs.transpose(2, 0, 1, 3).reshape(width, d, -1), d)
+        sums = summed(coeffs.reshape(d, -1, coeffs.shape[-1]).transpose(2, 0, 1), d)
         del coeffs
         born = quadratic_form_columns(algebra, sums, den, asg.is_exact)
+    probabilities = [0] * math.prod(map(len, choices))
     for r, q in zip(rank.tolist(), born):
         probabilities[r] = q
     return choices, probabilities
@@ -903,22 +992,31 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     on the sequence's plan (``MeasurementSequence.plan``), reading the rows
     that ``total_probability`` reads: the source's row at the first run
     boundary and every row of the later ones.  A run's elements are those
-    of its same-block classes (the source element for run 0).  The pass is the
-    walk of ``_thread_sums`` on one numpy array (float64 in float mode,
+    of its same-block classes (the source element for run 0).  The pass is
+    the walk of ``_thread_sums`` on one numpy array (float64 in float mode,
     single runs included, Python ints of object dtype in exact mode); an
     impossible path's entry is the exact 0 in either mode.  After run k
-    the array is over (coefficient, class, slot, parent row), the long row
-    axis innermost.  A row is a live prefix: a parent row followed by one of
-    the run's classes.  The class's detectors are the one result
-    combination of the run that keeps its elements alive, and the plan
-    holds its rank in path order, a mixed-radix number over the sorted
-    blocks of the run's steps; every other combination keeps no element,
-    so its paths have probability 0.  Slot t holds the
-    row's partial thread sum onto the class's t-th sorted element, and the
-    slots past its elements are padding that holds zeros.  At each run
-    boundary one call of the kernel's array product (``kernel.columns``,
-    the kernel's operations in its order) sums over the parent's slots t,
-    with the lowered matrix padded by a zero row and column, so a padded
+    the array is over (coefficient, class, row, slot), a row being a parent
+    class and a parent row, the parent row innermost.  A row is a live
+    prefix: a parent row followed by one of the run's classes.  The class's
+    detectors are the one result combination of the run that keeps its
+    elements alive, and the plan holds its rank in path order, a
+    mixed-radix number over the sorted blocks of the run's steps; every
+    other combination keeps no element, so its paths have probability 0.
+    Slot t holds the row's partial thread sum onto the class's t-th sorted
+    element, and the slots past its elements are padding that holds zeros.
+
+    What depends on the sequence alone is read from its ``_layout``, kept
+    with it: each run's class-by-slot positions over its sorted ground, its
+    padding slots, its class ranks and its radix; the source adds only
+    run 0's class.  What depends on a ground pair alone is read from the
+    assignment's ``padded_block``, kept there: the lowered matrix over the
+    whole sorted grounds, a zero row and column past them, gathered and
+    signed for the array product.  At each run boundary the table indexes
+    that block by the parent run's and the run's slot positions, and one
+    call of the kernel's array product (``kernel.columns``, the kernel's
+    operations in its order) multiplies it with the array, every parent
+    slot t on the trailing pair axis, and sums over t in order.  A padded
     slot meets zeros on both sides; on a run with padding the padded slots
     are then reset to zero, since an infinite entry times a padded zero
     leaves a NaN there.  The padding changes no bit: the product's sums
@@ -927,8 +1025,9 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     row's slots by ``summed`` and takes ``algebra.quadratic_form_columns``,
     one more call of ``kernel.columns``.  So every probability equals
     ``probability_of(p, asg).probability`` bit for bit, and the first path
-    whose product is not scalar raises that error.  The paths are built
-    after the numeric pass, once its arrays are freed.  Bounded by
+    whose product is not scalar raises that error.  The rows, their ranks
+    and the paths are built per call and not kept; the paths after the
+    numeric pass, once its arrays are freed.  Bounded by
     DEFAULT_PATH_BOUND through ``model.check_path_bound``.
     """
     choices, probabilities = _probabilities(s, source, asg)

@@ -694,12 +694,16 @@ def check_path_bound(s: MeasurementSequence) -> None:
 def paths_over(s: MeasurementSequence, choices) -> list:
     """The paths of s picking one result per step from ``choices``, in
     ``itertools.product`` order, built without ``Path``'s check: every
-    choice must be a block of its step's measurement."""
-    paths = []
+    choice must be a block of its step's measurement.  Each path's two
+    fields are written straight into its instance dict, where the frozen
+    dataclass keeps them, so it equals, hashes, prints and pickles as the
+    checked ``Path(s, results)``."""
+    paths, new = [], object.__new__
     for combo in itertools.product(*choices):
-        p = object.__new__(Path)
-        object.__setattr__(p, "sequence", s)
-        object.__setattr__(p, "results", combo)
+        p = new(Path)
+        fields = p.__dict__
+        fields["sequence"] = s
+        fields["results"] = combo
         paths.append(p)
     return paths
 

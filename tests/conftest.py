@@ -241,7 +241,7 @@ def skewed_kernel(algebra):
     """The product kernel, with e_0's coefficient of every sum of products
     added to e_1's (unchanged in R, which has no e_1), and its array twin
     ``columns``, which does the same to the sums of the kernel's array
-    product."""
+    product and gathers its right operands as that product does."""
     kernel = algebra.kernel
 
     def skewed(lefts, rights):
@@ -253,5 +253,6 @@ def skewed_kernel(algebra):
         if len(out) > 1:
             out[1] += out[0]
         return out
+    skewed_columns.gather = kernel.columns.gather
     skewed.columns = skewed_columns
     return skewed

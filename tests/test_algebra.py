@@ -460,6 +460,7 @@ def test_quadratic_form_columns_is_quadratic_form_over_per_row(monkeypatch):
             if len(out) > 1:
                 out[1] = out[1] + out[0] * 1e-12 + out[0] * 7e-29
             return out
+        near_tolerance_columns.gather = kernel.columns.gather
         near_tolerance.columns = near_tolerance_columns
 
         outcomes = set()

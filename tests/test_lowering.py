@@ -153,41 +153,47 @@ def any_float(rng: random.Random) -> float:
 @pytest.mark.parametrize("kind", list(AlgebraKind), ids=KIND_IDS)
 def test_array_product_is_the_kernel(kind):
     """``kernel.columns`` equals the kernel element by element, in the
-    broadcast shapes of the sampling table: a parent slot over (coefficient,
-    1, 1, parent class, row) against a gathered block over (coefficient,
-    class, slot, parent class, 1), one to three slot pairs summed.  Float64
-    operands, ordinary ones (where a term order other than the kernel's
-    rounds differently) and ones of every class, equal it by ``float.hex``
-    (NaN by position), object-dtype ints and Fractions in type and value.  A table with a row
-    that is not a signed permutation has no array product."""
+    broadcast shapes of the sampling table: a parent row over (coefficient,
+    1, parent class, row, 1, parent slot) against a gathered block over
+    (m, k, class, parent class, 1, slot, parent slot), one to three slot
+    pairs summed in one call over the trailing axis.  Float64 operands,
+    ordinary ones (where a term order other than the kernel's rounds
+    differently) and ones of every class, equal it by ``float.hex`` (NaN by
+    position), object-dtype ints and Fractions in type and value.  A right
+    operand gathered once gives the same sums with a second left operand.
+    A table with a row that is not a signed permutation has no array
+    product: its gather raises."""
     algebra = make_algebra(kind)
     d, kernel = algebra.dim, algebra.kernel
     rng = random.Random(f"columns:{kind.label}")
 
-    def operands(draw, dtype, count, *shape):
-        return [numpy.array([draw(rng) for _ in range(math.prod(shape))], dtype).reshape(shape)
-                for _ in range(count)]
+    def operand(draw, dtype, *shape):
+        return numpy.array([draw(rng) for _ in range(math.prod(shape))], dtype).reshape(shape)
     for draw, dtype in ((lambda r: r.uniform(-2, 2), float), (any_float, float),
                         (random_coefficient, object)):
         for _ in range(12):
             pairs, classes, slots, parents, rows = (rng.randint(1, 3) for _ in range(5))
-            lefts = operands(draw, dtype, pairs, d, 1, 1, parents, rows)
-            rights = operands(draw, dtype, pairs, d, classes, slots, parents, 1)
-            with numpy.errstate(over="ignore", invalid="ignore"):  # as in the table
-                got = kernel.columns(lefts, rights)
-            assert got.shape == (d, classes, slots, parents, rows) and got.dtype == dtype
-            for c, t, x, r in itertools.product(range(classes), range(slots), range(parents),
-                                                range(rows)):
-                want = kernel([tuple(a[:, 0, 0, x, r].tolist()) for a in lefts],
-                              [tuple(b[:, c, t, x, 0].tolist()) for b in rights])
-                assert bits(got[:, c, t, x, r].tolist()) == bits(want)
+            block = operand(draw, dtype, d, classes, parents, 1, slots, pairs)
+            rights = kernel.columns.gather(block)
+            assert rights.shape == (d, d, classes, parents, 1, slots, pairs)
+            for _ in range(2):
+                lefts = operand(draw, dtype, d, 1, parents, rows, 1, pairs)
+                with numpy.errstate(over="ignore", invalid="ignore"):  # as in the table
+                    got = kernel.columns(lefts, rights)
+                assert got.shape == (d, classes, parents, rows, slots) and got.dtype == dtype
+                for c, x, r, t in itertools.product(range(classes), range(parents), range(rows),
+                                                    range(slots)):
+                    want = kernel([tuple(lefts[:, 0, x, r, 0, u].tolist()) for u in range(pairs)],
+                                  [tuple(block[:, c, x, 0, t, u].tolist())
+                                   for u in range(pairs)])
+                    assert bits(got[:, c, x, r, t].tolist()) == bits(want)
     rows = [list(row) for row in algebra.table]
     rows[0][0] = (d - 1, 1)
     if d > 1:
         broken = Algebra(kind=kind, dim=d, table=tuple(map(tuple, rows)),
                          conj_signs=algebra.conj_signs)
         with pytest.raises(ValueError, match="not a signed permutation"):
-            broken.kernel.columns(lefts, rights)
+            broken.kernel.columns.gather(lefts)
 
 
 @pytest.mark.parametrize("kind", ASSOCIATIVE, ids=KIND_IDS)

@@ -1,6 +1,7 @@
 """Model layer: partial operations, their laws, classification, enumeration."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -167,6 +168,32 @@ def test_equal_sequences_are_equal_keys():
     counts = {p1: 3}
     counts[p2] += 1
     assert counts == {p2: 4} and path([AM, AM], [["m"], ["m"]]) not in counts
+
+
+def test_built_paths_are_checked_paths():
+    """``paths_over`` writes each path's fields straight into its instance
+    dict: every path equals, hashes, prints and round-trips through pickle
+    as the checked ``Path`` over the same results, has the same fields and
+    instance dict, and is found under it as a dict key.  ``enumerate_paths``
+    builds its paths the same way."""
+    s = sequence([AN, AM, BM, UM, GM, AO])
+    choices = [model.sorted_blocks(m.blocks) for m in s.steps]
+    built = model.paths_over(s, choices)
+    checked = [model.Path(s, results) for results in itertools.product(*choices)]
+    assert len(built) == len(checked) == math.prod(map(len, choices)) == 48
+    assert model.enumerate_paths(s) == built
+    for p, q in zip(built, checked):
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert vars(p) == vars(q) and dataclasses.astuple(p) == dataclasses.astuple(q)
+        copy = pickle.loads(pickle.dumps(p))
+        assert type(copy) is model.Path and copy == q and hash(copy) == hash(q)
+        assert vars(copy) == vars(q) and repr(copy) == repr(q)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.results = q.results
+    counts = dict.fromkeys(built, 0)
+    for q in checked:
+        counts[q] += 1
+    assert set(counts.values()) == {1}
 
 
 def test_path_results_must_be_detectors():

@@ -26,6 +26,7 @@ from compalg.engine import (
     path_probabilities,
     probability_of,
     sample,
+    sample_rows,
     total_probability,
     validate_assignment,
 )
@@ -337,6 +338,7 @@ def test_table_makes_one_array_product_per_run_boundary(monkeypatch):
     def counted_columns(lefts, rights):
         calls.append("columns")
         return kernel.columns(lefts, rights)
+    counted_columns.gather = kernel.columns.gather
     counted.columns = counted_columns
     monkeypatch.setitem(vars(algebra), "kernel", counted)
     for s in (workload_sequence(rng, 7, 2), workload_sequence(rng, 7, 2, full=True)):
@@ -394,6 +396,148 @@ def test_table_padding_meets_a_non_finite_entry():
                 assert repr(q) == repr(probability_of(p, asg).probability), (kind, p)
                 shown.add(repr(q))
     assert {"inf", "nan"} <= shown
+
+
+# -- what the table and the float sum rule keep between calls ----------------------------
+
+def bits_of(value):
+    """A value as its type and its bits: ``float.hex`` for a float, the
+    value itself otherwise, item by item through tuples and lists, an error
+    as its type and message."""
+    if isinstance(value, (tuple, list)):
+        return [bits_of(v) for v in value]
+    if isinstance(value, Exception):
+        return type(value).__name__, str(value)
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def outcome(compute):
+    """compute(), or the NotADistribution or NonScalarProduct it raises."""
+    try:
+        return compute()
+    except (NotADistribution, NonScalarProduct) as exc:
+        return exc
+
+
+def test_kept_layout_and_blocks_give_the_bits_of_a_fresh_build():
+    """A second table, sample and total on one (sequence, source,
+    assignment), which read the layout kept with the sequence and the
+    blocks kept in the assignment, equal the first, and so do those of a
+    fresh copy of the sequence and of the assignment, which build their
+    own: bit for bit (``float.hex``) and in type, exact and float, over
+    the five kinds, on a sequence with two-detector steps and one with a
+    fully coarse step."""
+    rng = random.Random(41)
+    for kind in ASSOCIATIVE:
+        seed = rng.randrange(1 << 30)
+
+        def built(convert):
+            exact = assignment_for([A3, B3, C3], make_algebra(kind), random.Random(seed),
+                                   normalized=False)
+            return converted(exact, convert)
+        for s in (workload_sequence(rng, 7, 2), workload_sequence(rng, 8, 3, full=True)):
+            for convert in (lambda c: c, float):
+                asg, fresh_asg = built(convert), built(convert)
+
+                def evaluated(s, asg):
+                    return bits_of([
+                        path_probabilities(s, frozenset({"a2"}), asg),
+                        outcome(lambda: total_probability(s, frozenset({"a2"}), asg)),
+                        outcome(lambda: sample_rows(s, frozenset({"a2"}), asg, 1000, 3))])
+                first = evaluated(s, asg)
+                assert "_layout" in vars(s) and asg._built is not None
+                assert evaluated(s, asg) == first
+                fresh_s = sequence(s.steps)
+                assert "_layout" not in vars(fresh_s) and fresh_asg._built is None
+                assert evaluated(fresh_s, fresh_asg) == first, (kind, asg.is_exact)
+
+
+def test_sources_over_one_sequence_get_their_own_tables():
+    """Tables from every source of one sequence, in turn and then again,
+    share the sequence's layout and the assignment's blocks: each holds
+    its own source's paths, in ``enumerate_paths`` order, each entry
+    probability_of bit for bit, and its float total is its own."""
+    rng = random.Random(42)
+    s = workload_sequence(rng, 7, 3)
+    exact = assignment_for([A3, B3, C3], make_algebra(AlgebraKind.H), rng, normalized=False)
+    for asg in (exact, converted(exact, float)):
+        totals = {}
+        for source in [frozenset({x}) for x in ("a3", "a1", "a2")] * 2:
+            table = path_probabilities(s, source, asg)
+            assert [p for p, _ in table] == [p for p in enumerate_paths(s)
+                                             if p.results[0] == source]
+            for p, q in table:
+                want = probability_of(p, asg).probability
+                assert bits_of(q) == bits_of(want), (source, p)
+            total = bits_of(total_probability(s, source, asg))
+            assert totals.setdefault(source, total) == total
+        assert len(set(map(str, totals.values()))) == 3
+
+
+def test_a_kernel_swapped_in_after_a_first_table_makes_every_product(monkeypatch):
+    """After a first table and total, a kernel put in the algebra's place
+    makes every product of the next ones: the blocks kept in the assignment
+    are built again by it (its ``columns.gather`` for each ground pair the
+    table crosses, its kernel for the float sum rule's real blocks), the
+    table makes one array product per run boundary and one for the Born
+    leaf through it, and the values are the first ones' bits.  A second
+    table gathers only its Born leaf."""
+    rng = random.Random(43)
+    algebra = make_algebra(AlgebraKind.C)
+    exact = assignment_for([A3, B3, C3], algebra, rng, normalized=False)
+    s, source = workload_sequence(rng, 7, 2), frozenset({"a1"})
+    modes = (exact, converted(exact, float))
+    first = [bits_of([path_probabilities(s, source, asg), total_probability(s, source, asg)])
+             for asg in modes]
+    kernel, calls = algebra.kernel, []
+    swapped = counted(calls, "kernel", kernel)
+    swapped.columns = counted(calls, "columns", kernel.columns)
+    swapped.columns.gather = counted(calls, "gather", kernel.columns.gather)
+    monkeypatch.setitem(vars(algebra), "kernel", swapped)
+    pairs = len(set(zip(s.plan.grounds, s.plan.grounds[1:])))
+    for asg, want in zip(modes, first):
+        calls.clear()
+        table = path_probabilities(s, source, asg)
+        assert calls.count("columns") == len(runs(s)) and calls.count("gather") == pairs + 1
+        calls.clear()
+        assert bits_of([table, total_probability(s, source, asg)]) == want
+        assert calls.count("kernel") > 0 or asg.is_exact
+        calls.clear()
+        path_probabilities(s, source, asg)
+        assert calls.count("columns") == len(runs(s)) and calls.count("gather") == 1
+
+
+def test_what_is_kept_does_not_grow_with_the_path_count():
+    """Two sequences that differ only in length, 4 and 13 runs, 12 and
+    6,144 paths from a source: after a table and a float total on each,
+    each keeps one run layout per run, every array of it at most the
+    (n + 1)^2 entries of its n-element ground, and the assignment keeps
+    one block per ground pair crossed, the same three for both."""
+    halves = {g: measurement(f"half{g.id}", g, [g.elements[:2], g.elements[2:]])
+              for g in (A3, B3, C3)}
+    grounds = [A3, B3, C3]
+
+    def cyclic(length):
+        return sequence([atomic_measurement(grounds[j % 3]) if j in (0, length - 1)
+                         else halves[grounds[j % 3]] for j in range(length)])
+    exact = assignment_for(grounds, make_algebra(AlgebraKind.C), random.Random(44),
+                           normalized=False)
+    asg, source = converted(exact, float), frozenset({"a1"})
+    kept = set()
+    for length, paths in ((4, 12), (13, 3 * 2 ** 11)):
+        s = cyclic(length)
+        assert math.prod(len(m.blocks) for m in s.steps[1:]) == paths
+        assert len(path_probabilities(s, source, asg)) == paths
+        total_probability(s, source, asg)
+        layout = vars(s)["_layout"]
+        assert len(layout) == len(runs(s)) == length
+        for run in layout:
+            arrays = [run.slots, run.index, run.same_class, *(run.padding or ())]
+            assert all(array.size <= 4 ** 2 for array in arrays)
+        kept.add(frozenset(asg._built[1]))
+    (keys,) = kept
+    assert sorted(kind for kind, *_ in keys if kind in ("padded", "real")) \
+        == ["padded"] * 3 + ["real"] * 3
 
 
 # -- the exact pair recursion against the full-state oracle -----------------------------
@@ -684,6 +828,37 @@ def test_adjoint_consistency_of_two_stored_directions():
                 (check,) = [e for e in validate_assignment(s, asg).entries
                             if e.check == "adjoint_consistency"]
                 assert check.passed is consistent, (kind, asg.is_exact)
+
+
+def test_adjoint_consistency_is_compared_once_per_ground_pair(monkeypatch):
+    """A sequence that crosses a ground pair stored both ways five times,
+    in both directions, compares the two directions once: the verdict is
+    kept per unordered ground pair in the assignment, and a second
+    validation compares nothing.  Every crossing still reports its own
+    entry, with that verdict, consistent or not, and the report is that of
+    validation without the kept verdict (``validation_by_sum_rules``)."""
+    calls = []
+    monkeypatch.setattr(engine, "_adjoint_consistent",
+                        counted(calls, "compare", engine._adjoint_consistent))
+    rng = random.Random(14)
+    a, b = MIX_GROUNDS[1:]
+    s = sequence([atomic_measurement(a), atomic_measurement(b)] * 3)
+    algebra = make_algebra(AlgebraKind.H)
+    one_way = assignment_for(MIX_GROUNDS[1:], algebra, rng, normalized=False)
+    forward = [[entry(one_way, a, b, x, y) for y in b.elements] for x in a.elements]
+    for reverse, consistent in ((lambda e: e.conj(), True), (lambda e: e, False)):
+        both = Assignment(algebra, [(a, b, forward), (b, a, [
+            [reverse(e) for e in column] for column in zip(*forward)])])
+        for asg in (both, converted(both, float)):
+            calls.clear()
+            report = validate_assignment(s, asg)
+            checks = [e for e in report.entries if e.check == "adjoint_consistency"]
+            assert [e.location for e in checks] == [f"steps {j}->{j + 1}" for j in range(5)]
+            assert all(e.passed is consistent for e in checks)
+            assert calls == ["compare"]
+            assert json.dumps(report.to_json()) == json.dumps(validate_assignment(s, asg).to_json())
+            assert calls == ["compare"]
+            assert report.to_json() == validation_by_sum_rules(s, asg).to_json()
 
 
 # -- sources ---------------------------------------------------------------------------
