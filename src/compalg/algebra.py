@@ -6,9 +6,11 @@ algebra carries an explicit structure-constant table built by iterated
 doubling, conjugation signs, the quadratic form and its polarization, the
 trace form, and inverses.  ``verify_axioms`` checks the axiom sets that
 characterize composition algebras as one table of staged checks: each
-check runs its stages (exhaustive basis tuples in exact arithmetic, then
-seeded random exact-rational samples) in order and reports the first
-failing case with a witness.
+check runs its stages over exhaustive basis tuples in exact arithmetic in
+order and reports the first failing case with a witness.  Basis tuples
+decide every multilinear axiom, composition by its polarization on basis
+quadruples; only the search for an absolute zero divisor, which is not
+multilinear, goes on to seeded random exact-rational candidates.
 
 Only this module operates on coefficient tuples; ``Amplitude`` and the
 engine call it.  ``Algebra.kernel`` is the one product (so the axiom
@@ -571,13 +573,13 @@ class AxiomReport:
         }
 
 
-def _random_exact_amplitude(rng: random.Random, alg: Algebra,
-                            nonzero: bool = False) -> Amplitude:
+def _random_exact_amplitude(rng: random.Random, alg: Algebra) -> Amplitude:
+    """A nonzero amplitude of rationals n/m, -9 <= n <= 9 and 1 <= m <= 9."""
     while True:
         a = alg.amplitude(
             Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             for _ in range(alg.dim))
-        if not nonzero or not a.is_zero():
+        if not a.is_zero():
             return a
 
 
@@ -599,26 +601,35 @@ def _first_failure(cases, fails):
 def verify_axioms(algebra: Algebra, samples: int = 1000, seed: int = 0) -> AxiomReport:
     """Check the composition-algebra axiom sets on an algebra table.
 
-    Each check is a name and ordered stages ``(cases, fails, witness)``:
-    basis-element tuples in exact integer arithmetic (complete wherever the
-    law is multilinear), then ``samples`` or ``samples // 10`` random
-    exact-rational amplitudes drawn from a generator seeded with ``seed``.
-    A check reports the first case of the first stage that fails through
-    that stage's witness and runs no later stage.  Random amplitudes are
-    drawn only while their stage runs, so a check that fails early leaves
-    the stream to the checks after it.  Failures are reported with a
-    witness, never raised.
+    Each check is a name and ordered stages ``(cases, fails, witness)`` in
+    exact arithmetic.  Every check but the last is decided on basis-element
+    tuples: its laws are multilinear, or linearized from laws of higher
+    degree, so in characteristic 0 the basis tuples are complete.
+    Composition, Q(ab) = Q(a) Q(b), is checked on basis pairs, then by its
+    full polarization on basis quadruples; ``nondegenerate_form`` ends on
+    the Gram determinant.  The basis products e_i e_j are taken once
+    through ``mul`` and the Gram entries b(e_r, e_s) once each through
+    ``bilinear_form``, as first needed, so the kernel is the product
+    checked.  ``no_absolute_zero_divisors`` is not multilinear: after the
+    basis elements it tries ``samples`` nonzero exact-rational candidates
+    drawn from a generator seeded with ``seed``, the only stage that
+    draws.  A check reports the first case of the first stage that fails
+    through that stage's witness and runs no later stage.  Failures are
+    reported with a witness, never raised.
     """
-    rng = random.Random(seed)
     alg = algebra
     n = alg.dim
     e = [alg.basis_element(r) for r in range(n)]
-    unit = e[0]
+    product = [[mul(x, y) for y in e] for x in e]
     q = quadratic_form
 
-    def draws(count, width, nonzero=False):
-        return (tuple(_random_exact_amplitude(rng, alg, nonzero) for _ in range(width))
-                for _ in range(count))
+    @lru_cache(maxsize=None)
+    def gram(r, s):  # raises NonScalarProduct when the form is not scalar there
+        return bilinear_form(e[r], e[s])
+
+    def b(x: Amplitude, y: Amplitude):  # bilinear_form, by the Gram entries
+        return sum(c * c2 * gram(r, s) for r, c in enumerate(x.coeffs) if c
+                   for s, c2 in enumerate(y.coeffs) if c2)
 
     def tuples(width):
         return itertools.product(range(n), repeat=width)
@@ -626,85 +637,74 @@ def verify_axioms(algebra: Algebra, samples: int = 1000, seed: int = 0) -> Axiom
     def coeffs(a: Amplitude):
         return [str(c) for c in a.coeffs]
 
-    def assoc(a, b, c):
-        return mul(mul(a, b), c) - mul(a, mul(b, c))
+    @lru_cache(maxsize=None)  # each basis associator enters up to three laws
+    def assoc(i, j, k):
+        return mul(product[i][j], e[k]) - mul(e[i], product[j][k])
 
     def not_alternative(i, j, k):  # the linearized laws on a basis triple
-        a = assoc(e[i], e[j], e[k])
-        return not (a + assoc(e[j], e[i], e[k])).is_zero() \
-            or not (a + assoc(e[i], e[k], e[j])).is_zero()
+        a = assoc(i, j, k)
+        return not (a + assoc(j, i, k)).is_zero() or not (a + assoc(i, k, j)).is_zero()
 
-    def gram_entry_not_scalar(i, j):
-        bilinear_form(e[i], e[j])  # raises NonScalarProduct when not scalar
-        return False
+    def not_composition(i, j, k, l):
+        # b(e_i e_j, e_k e_l) + b(e_i e_l, e_k e_j) = b(e_i, e_k) b(e_j, e_l)
+        return b(product[i][j], product[k][l]) + b(product[i][l], product[k][j]) \
+            != gram(i, k) * gram(j, l)
 
     def basis_witness(r):
         return {"basis": r}
 
-    def amplitude_witness(a):
-        return {"amplitude": coeffs(a)}
-
     def pair_witness(i, j):
         return {"pair": [i, j]}
 
-    def ab_witness(a, b):
-        return {"a": coeffs(a), "b": coeffs(b)}
-
+    rng = random.Random(seed)
     table = (
         # e_0 is a two-sided multiplicative unit
         ("unitality", (
-            (tuples(1), lambda r: alg.table[0][r] != (r, 1) or alg.table[r][0] != (r, 1),
+            (tuples(1), lambda r: product[0][r] != e[r] or product[r][0] != e[r],
              basis_witness),
-            (draws(samples // 10, 1), lambda a: mul(unit, a) != a or mul(a, unit) != a,
-             amplitude_witness),
         )),
-        # Q(ab) = Q(a) Q(b)
+        # Q(ab) = Q(a) Q(b): on basis pairs, then polarized in a and in b
         ("composition", (
-            (tuples(2), lambda i, j: q(mul(e[i], e[j])) != q(e[i]) * q(e[j]), pair_witness),
-            (draws(samples, 2), lambda a, b: q(mul(a, b)) != q(a) * q(b), ab_witness),
+            (tuples(2), lambda i, j: q(product[i][j]) != q(e[i]) * q(e[j]), pair_witness),
+            (tuples(4), not_composition, lambda i, j, k, l: {"quadruple": [i, j, k, l]}),
         )),
-        # conj(conj(a)) = a and Q(conj(a)) = Q(a)
+        # conj(conj(a)) = a and Q(conj(a)) = Q(a), polarized
         ("involution", (
-            (draws(samples // 10, 1), lambda a: a.conj().conj() != a or q(a.conj()) != q(a),
-             amplitude_witness),
+            (tuples(1), lambda r: e[r].conj().conj() != e[r], basis_witness),
+            (tuples(2), lambda i, j: b(e[i].conj(), e[j].conj()) != gram(i, j), pair_witness),
         )),
         # conj(ab) = conj(b) conj(a)
         ("conjugation_anti_automorphism", (
-            (tuples(2), lambda i, j: mul(e[i], e[j]).conj() != mul(e[j].conj(), e[i].conj()),
+            (tuples(2), lambda i, j: product[i][j].conj() != mul(e[j].conj(), e[i].conj()),
              pair_witness),
-            (draws(samples // 10, 2), lambda a, b: mul(a, b).conj() != mul(b.conj(), a.conj()),
-             ab_witness),
         )),
         # a + conj(a) is a real multiple of the unit
         ("trace_real", (
             (tuples(1), lambda r: any(c != 0 for c in (e[r] + e[r].conj()).coeffs[1:]),
              basis_witness),
         )),
-        # a(ab) = (aa)b and (ba)a = b(aa): the linearized forms are trilinear,
-        # so basis triples suffice; random direct checks follow
+        # a(ab) = (aa)b and (ba)a = b(aa), linearized to trilinear laws
         ("alternativity", (
             (tuples(3), not_alternative, lambda i, j, k: {"triple": [i, j, k]}),
-            (draws(samples // 10, 2), lambda a, b: not assoc(a, a, b).is_zero()
-             or not assoc(b, a, a).is_zero(),
-             ab_witness),
         )),
-        # full associativity over basis triples (complete, by trilinearity)
+        # full associativity over basis triples
         ("associativity", (
-            (tuples(3), lambda i, j, k: not assoc(e[i], e[j], e[k]).is_zero(),
+            (tuples(3), lambda i, j, k: not assoc(i, j, k).is_zero(),
              lambda i, j, k: {"triple": [i, j, k],
-                              "left": coeffs(mul(mul(e[i], e[j]), e[k])),
-                              "right": coeffs(mul(e[i], mul(e[j], e[k])))}),
+                              "left": coeffs(mul(product[i][j], e[k])),
+                              "right": coeffs(mul(e[i], product[j][k]))}),
         )),
-        # the bilinear form is defined on the basis, and its Gram matrix is
-        # nonsingular
+        # the bilinear form is defined on the basis (gram raises where it is
+        # not), and its Gram matrix is nonsingular
         ("nondegenerate_form", (
-            (tuples(2), gram_entry_not_scalar, pair_witness),
+            (tuples(2), lambda i, j: gram(i, j) is None, pair_witness),
             (((alg,),), lambda a: gram_determinant(a) == 0,
              lambda a: {"gram_det": str(gram_determinant(a))}),
         )),
         # no nonzero c with (c a) c = 0 for all a
         ("no_absolute_zero_divisors", (
-            (itertools.chain(((c,) for c in e), draws(samples, 1, nonzero=True)),
+            (itertools.chain(((c,) for c in e),
+                             ((_random_exact_amplitude(rng, alg),) for _ in range(samples))),
              lambda c: all(mul(mul(c, x), c).is_zero() for x in e),
              lambda c: {"candidate": coeffs(c)}),
         )),

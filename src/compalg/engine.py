@@ -606,16 +606,16 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     return ValidationReport(tuple(entries))
 
 
-def _outcome(compute, read=()):
+def _outcome(compute, read=tuple):
     """compute(), or the SequenceMismatch, NonScalarProduct or
     NotADistribution that it raises: a check's value or its failure.  A
     float value that is not finite is the NotADistribution naming the first
-    non-finite entry of the rows that it read (``_name_non_finite``), if
-    there is one."""
+    non-finite entry of the rows that it read, which ``read()`` builds only
+    then (``_name_non_finite``), if there is one."""
     try:
         value = compute()
         if isinstance(value, float) and not math.isfinite(value):
-            _name_non_finite(read)
+            _name_non_finite(read())
         return value
     except (SequenceMismatch, NonScalarProduct, NotADistribution) as exc:
         return exc
@@ -656,7 +656,7 @@ def _row_checks(asg: Assignment, a: frozenset, b: frozenset) -> dict:
         (rows, den), born, ys = asg.lowered(a, b), _outcome(lambda: asg.born_rows(a, b)), sorted(b)
         return {x: _verdict(born if isinstance(born, Exception) else _outcome(lambda: lift(
             (reduce(operator.add, [born[x][y] for y in ys], 0),), den * den, asg.is_exact)[0],
-            [{x: rows[x]}]), "sum of Q over targets") for x in sorted(a)}
+            lambda: [{x: rows[x]}]), "sum of Q over targets") for x in sorted(a)}
     return asg._built_by_kernel(("row checks", a, b), build)
 
 
@@ -801,23 +801,29 @@ def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> di
     alone, so it equals ``total_probability``'s; a float one is a block of
     the product over all the rows given, which may round otherwise in the
     last digits.  A missing matrix
-    (SequenceMismatch) and, in exact mode, a product that is not scalar
-    (NonScalarProduct, when a Born matrix is built) fail every source; in
-    float mode a tail that is not scalar, or a total that is not finite
-    (``_outcome``), fails its own source.
+    (SequenceMismatch, the first missing pair along the sequence) and, in exact
+    mode, a product that is not scalar (NonScalarProduct, when a Born
+    matrix is built) fail every source; in float mode a tail that is not
+    scalar, or a total that is not finite (``_outcome``), fails its own
+    source, and only a total that is not finite gathers the lowered rows it
+    read (``_boundary_rows``).
     """
+    def rows_read(x):  # by the total from x: of the first boundary, x's row alone
+        matrices, _ = _boundary_rows(s.plan, asg)
+        return [{x: matrices[0][x]}, *matrices[1:]]
+
     try:
-        matrices, den = _boundary_rows(s.plan, asg)
-        classes, read = [[(x,) for x in sources], *s.plan.classes[1:]], \
-            [{x: rows[x] for x in sources} for rows in matrices[:1]] + matrices[1:]
-        if asg.is_exact or not read:  # exact, or a single run: its unit, 1.0 in float mode
+        if asg.is_exact or len(s.plan.runs) == 1:  # a single run: its unit, 1.0 in float
+            matrices, den = _boundary_rows(s.plan, asg)
+            classes, read = [[(x,) for x in sources], *s.plan.classes[1:]], \
+                [{x: rows[x] for x in sources} for rows in matrices[:1]] + matrices[1:]
             diagonal = _pair_transfer(s.plan.grounds, classes, read, asg)
             return {x: lift((diagonal[x],), den * den, asg.is_exact)[0] for x in sources}
         blocks = _block_transfer(s, sources, asg)
     except (SequenceMismatch, NonScalarProduct) as exc:
         return dict.fromkeys(sources, exc)
     return {x: _outcome(lambda: scalar_part(_result(asg, sums, 1), False, lambda: bound,
-                                            "summed pair products"), [{x: read[0][x]}, *read[1:]])
+                                            "summed pair products"), lambda: rows_read(x))
             for x, (sums, bound) in blocks.items()}
 
 

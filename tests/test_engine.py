@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy
 import pytest
 
-from compalg import model
+from compalg import engine, model
 from compalg.algebra import AlgebraKind, make_algebra
 from compalg.engine import (
     MAX_DRAWS,
@@ -398,6 +398,31 @@ def test_total_probability_names_a_non_finite_entry_it_reads():
     assert total_probability(sequence([AN, AM]), frozenset({"n1"}), overflow) == math.inf
     with pytest.raises(NotADistribution, match=r"^path probabilities sum to inf, not 1$"):
         sample_rows(sequence([AN, AM]), frozenset({"n1"}), overflow, 10, 1)
+
+
+def test_finite_float_totals_gather_no_rows(monkeypatch):
+    """Only a float total that is not finite gathers the lowered rows it
+    read, to name an entry: finite totals, alone and in validation, make no
+    ``_boundary_rows`` call, and a total that is not finite makes one."""
+    calls = []
+    boundary_rows = engine._boundary_rows
+    monkeypatch.setattr(engine, "_boundary_rows",
+                        lambda *args: calls.append(args) or boundary_rows(*args))
+
+    def c_rows(first):
+        return c_assignment([[[first, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                             [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
+
+    s, finite = sequence([AN, AM, AN]), c_rows(2.0)
+    assert total_probability(s, frozenset({"n1"}), finite) == 20.0
+    sums = [e for e in validate_assignment(s, finite).entries if e.check == "sum_rule"]
+    assert [(e.location, e.detail) for e in sums] \
+        == [("source n1", "total probability over paths is 20.0"),
+            ("source n2", "total probability over paths is 5.0")]
+    assert calls == []
+    with pytest.raises(NotADistribution, match="^entry n1 -> m is not finite$"):
+        total_probability(s, frozenset({"n1"}), c_rows(math.inf))
+    assert len(calls) == 1
 
 
 def test_validation_names_the_non_finite_entry_of_the_derived_reverse():
