@@ -68,6 +68,12 @@ class SemanticError(CompalgError):
 _TOKEN = re.compile(r"""(\s+|\#.*)|([{}\[\],=])|"([^"]*)"|(\w[\w']*)|(.)""")
 
 
+#: A line ends at "\r\n", "\r" or "\n" alone; the other separators that
+#: ``str.splitlines`` breaks at ("\x0b", "\x0c", "\x1c"-"\x1e", "\x85",
+#: U+2028 and U+2029) are blanks within the line.
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str  # "name", "string", or the punctuation itself
@@ -77,7 +83,7 @@ class Token:
 
 def _tokenize(text: str) -> List[Token]:
     tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_LINE_END.split(text), start=1):
         for m in _TOKEN.finditer(line):
             punct, string, name, other = m.groups()[1:]
             span = SourceSpan(lineno, m.start() + 1, m.end() + 1)

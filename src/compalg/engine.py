@@ -48,7 +48,10 @@ of left multiplication, built from the kernel on basis pairs and kept per
 ground pair in the assignment (``Assignment.real_blocks``), its
 conjugate as the adjoint under the norm form, with the tolerance bound's
 recursion over the entry norms in the same pass: one masked product per
-run boundary, from the atomic last run down to the source.
+run boundary, from the atomic last run down to run 1, then one stacked
+product over the sources' row blocks of the first boundary, so a source's
+float total has the same bits whether it is asked alone or with every
+other source.
 
 Every evaluator reads what depends on the sequence alone from its plan,
 ``MeasurementSequence.plan``, built once per sequence: the runs and their
@@ -570,9 +573,10 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     Q(E(x, y)) over the targets y, the row sum of the pair's Born matrix
     (``_row_checks``), is one.  So is the sum rule of the sequence from
     every source element, all sources from one pair-recursion call
-    (``_source_totals``).  A check fails on a missing matrix, a product
-    that is not scalar or a non-finite entry that it reads (see
-    ``total_probability``), with the error as detail.
+    (``_source_totals``), each source's total equal to
+    ``total_probability``'s bit for bit, in float mode too.  A check fails
+    on a missing matrix, a product that is not scalar or a non-finite entry
+    that it reads (see ``total_probability``), with the error as detail.
     """
     entries = [ValidationEntry("associative_algebra", asg.algebra.kind.label,
                                asg.algebra.kind.is_associative)]
@@ -748,36 +752,40 @@ def _block_transfer(s: MeasurementSequence, sources: list,
     blockwise (G the diagonal of the norm form, ``real_blocks``), so the
     recursion carries X_k = S_k (I (x) G) and needs no other block.  The
     last run ends in an atomic step, so its D is I, and every run boundary
-    takes the same masked product:
+    after the first takes the same masked product:
 
         X_last = I (x) G                           N_last = I
         X_k    = D_k (x) 1_dxd ? B_k X_k+1 B_k^T   N_k    = D_k ? A_k N_k+1 A_k^T
 
     ``where``, not a product with the mask, so that an infinity met outside
     the mask leaves a zero, not a NaN; the n x n mask broadcasts over the
-    (n, d, n, d) view of the product.  B_0 and A_0 are sliced to the
-    sources' rows first, so no other row enters a result, and D_0, the
-    identity as run 0's classes are singletons, to the sources; X_0's
-    diagonal d x d block of x is L_S_0(x,x) G, whose first column is
-    S_0(x, x), as G[0] = Q(e_0) = 1.
+    (n, d, n, d) view of the product.  Run 0's classes are the sources'
+    singletons, so D_0 is the identity and the first boundary needs each
+    source's diagonal block alone: one product R X_1 R^T stacked over the
+    sources, R being a source's d x (m d) row block of B_0, and a N_1 a^T
+    over its row a of A_0 beside it.  No mask is read there, no other row
+    enters a result, and a source's block is the same product whichever
+    other sources are given.  X_0(x, x) is L_S_0(x,x) G, whose first column
+    is S_0(x, x), as G[0] = Q(e_0) = 1.
     """
     import numpy as np
 
     d, grounds, layout = asg.algebra.dim, s.plan.grounds, _layout(s)
     blocks = [asg.real_blocks(a, b) for a, b in zip(grounds, grounds[1:])]
-    # the sources, one element or all, are consecutive in sorted order
-    (b, a, gram), i, n = blocks[0], s.plan.classes[0].index((sources[0],)), len(sources)
-    blocks[0] = (b[i * d:(i + n) * d], a[i:i + n], gram)
-    masks = [run.same_class for run in layout[:-1]]
-    masks[0] = masks[0][i:i + n, :, i:i + n]
-    pair, norm = np.diag(np.tile(gram, len(grounds[-1]))), np.eye(len(grounds[-1]))
+    pair, norm = np.diag(np.tile(blocks[0][2], len(grounds[-1]))), np.eye(len(grounds[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for (b, a, _), mask in zip(blocks[::-1], masks[::-1]):
-            m = len(mask)
-            pair = np.where(mask, (b @ pair @ b.T).reshape(m, d, m, d), 0.0).reshape(m * d, -1)
-            norm = np.where(mask[:, 0, :, 0], a @ norm @ a.T, 0.0)
+        # the boundaries after the first, from the last: B_k, A_k and run k's D_k
+        for (b, a, _), run in zip(blocks[:0:-1], layout[-2:0:-1]):
+            m = len(run.same_class)
+            pair = np.where(run.same_class, (b @ pair @ b.T).reshape(m, d, m, d),
+                            0.0).reshape(m * d, -1)
+            norm = np.where(run.same_class[:, 0, :, 0], a @ norm @ a.T, 0.0)
+        (b, a, _), at = blocks[0], [s.plan.classes[0].index((x,)) for x in sources]
+        rows, norms = b.reshape(len(a), d, -1)[at], a[at, None, :]
+        pair = rows @ pair @ rows.transpose(0, 2, 1)
+        norm = norms @ norm @ norms.transpose(0, 2, 1)
     # + 0.0: no -0.0, as the kernel's sums start from 0
-    return {x: (tuple((pair[i * d:(i + 1) * d, i * d] + 0.0).tolist()), float(norm[i, i]))
+    return {x: (tuple((pair[i, :, 0] + 0.0).tolist()), float(norm[i, 0, 0]))
             for i, x in enumerate(sources)}
 
 
@@ -791,27 +799,30 @@ def _name_non_finite(read) -> None:
                     raise NotADistribution(f"entry {x2} -> {y} is not finite")
 
 
+def _rows_from(s: MeasurementSequence, x: str, asg: Assignment) -> list:
+    """The lowered rows that the sum rule and the sampling table from {x}
+    read, for ``_name_non_finite``: x's row of the first run boundary and
+    every row of the later ones."""
+    matrices, _ = _boundary_rows(s.plan, asg)
+    return [{x: matrices[0][x]}, *matrices[1:]]
+
+
 def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> dict:
     """The sum rule from each element x of ``sources``, one element or
     every element of the first step in sorted order, by one pair-recursion
     call on the sequence's plan (see ``total_probability``): x -> the total
     from {x}, or the error raised for it.  Run 0's classes are the sources'
     singletons, as step 0 is atomic, and of the first run boundary only
-    their rows are read.  An exact total is computed from its source's row
-    alone, so it equals ``total_probability``'s; a float one is a block of
-    the product over all the rows given, which may round otherwise in the
-    last digits.  A missing matrix
-    (SequenceMismatch, the first missing pair along the sequence) and, in exact
-    mode, a product that is not scalar (NonScalarProduct, when a Born
-    matrix is built) fail every source; in float mode a tail that is not
+    their rows are read.  A total is computed from its source's row alone,
+    so it equals ``total_probability``'s bit for bit, in float mode too:
+    the first boundary is one product per source (``_block_transfer``).  A
+    missing matrix (SequenceMismatch, the first missing pair along the
+    sequence) and, in exact mode, a product that is not scalar
+    (NonScalarProduct, when a Born matrix is built) fail every source; in float mode a tail that is not
     scalar, or a total that is not finite (``_outcome``), fails its own
     source, and only a total that is not finite gathers the lowered rows it
-    read (``_boundary_rows``).
+    read (``_rows_from``).
     """
-    def rows_read(x):  # by the total from x: of the first boundary, x's row alone
-        matrices, _ = _boundary_rows(s.plan, asg)
-        return [{x: matrices[0][x]}, *matrices[1:]]
-
     try:
         if asg.is_exact or len(s.plan.runs) == 1:  # a single run: its unit, 1.0 in float
             matrices, den = _boundary_rows(s.plan, asg)
@@ -823,7 +834,7 @@ def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> di
     except (SequenceMismatch, NonScalarProduct) as exc:
         return dict.fromkeys(sources, exc)
     return {x: _outcome(lambda: scalar_part(_result(asg, sums, 1), False, lambda: bound,
-                                            "summed pair products"), lambda: rows_read(x))
+                                            "summed pair products"), lambda: _rows_from(s, x, asg))
             for x, (sums, bound) in blocks.items()}
 
 
@@ -854,7 +865,7 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     recursion reads row x of E_0 and every row of the later E_k, and
     nothing else; ``validate_assignment`` runs it once for every source at
     once (``_source_totals``), with every row of E_0, and gets each
-    source's total as this function does.  In exact mode it
+    source's total as this function does, bit for bit.  In exact mode it
     runs on the kernel over the lowered rows (``_pair_transfer``), carrying
     the real diagonal of each Hermitian S_k and one triangle: across an
     atomic run boundary it is a product of the pair's Born matrix P_k =
@@ -866,7 +877,8 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     raises NonScalarProduct there; the total is the diagonal's int, scalar
     by construction.  In float mode it is a
     product of real block matrices in numpy (``_block_transfer``), O(L (n
-    d)^3) float operations, one masked product per run boundary, which
+    d)^3) float operations, one masked product per run boundary after the
+    first and, at the first, one product over the source's row block, which
     carries the same recursion over the norms of the entries, N_0, in the
     same pass; the summed imaginary tail must vanish within SCALAR_RTOL
     times N_0, which bounds the magnitude of every term summed, by
@@ -874,10 +886,9 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     raised.  A single run reads no row: its total is the unit, 1.0 in float
     mode.
 
-    In float mode a total that is not finite is traced to those rows by
-    ``_name_non_finite``, which ``sample_rows`` reaches through this
-    function: the first entry
-    that is not finite, in boundary order, then sorted x' and y, raises
+    In float mode a total that is not finite is traced to those rows
+    (``_rows_from``) by ``_name_non_finite``, which ``sample_rows`` calls on
+    the same rows: the first entry that is not finite, in boundary order, then sorted x' and y, raises
     NotADistribution naming it.  A finite total hides none: each entry
     read meets S_k+1(y, y) in a product, and a non-finite entry turns its
     whole block of B_k non-finite, which every later product carries into
@@ -908,7 +919,8 @@ class _RunLayout(NamedTuple):
     - ``radix``: the count of those combinations, the base of the run's
       digit in a path's rank;
     - ``same_class[x, 0, x', 0]``: x and x' share a class, the mask D_k of
-      the float sum rule (``_block_transfer``).
+      the float sum rule (``_block_transfer``), which reads it for every
+      run after the first; run 0's is the identity.
     """
 
     slots: object
@@ -1056,8 +1068,9 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     probabilities, clipped to 0, and the mass adds it left to right, as
     ``algebra.summed`` adds, so it reads the same on every Python version.
     In float mode a mass that is not finite names the first non-finite
-    entry the table reads, by ``total_probability``, which reads the same
-    rows: each such entry meets a partial sum in a product, so none is
+    entry of the rows the table reads (``_rows_from``, the rows of the sum
+    rule from the source) by ``_name_non_finite``, and runs no other
+    evaluator: each such entry meets a partial sum in a product, so none is
     hidden behind a finite mass.  The paths are built last, from the
     table's choices.
     """
@@ -1087,7 +1100,7 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     # cumsum adds left to right from the first weight (np.sum adds pairwise)
     mass = float(np.cumsum(weights)[-1])
     if not (asg.is_exact or math.isfinite(mass)):
-        total_probability(s, source, asg)  # names a non-finite entry it reads
+        _name_non_finite(_rows_from(s, *source, asg))  # step 0 is atomic: one element
     if not abs(mass - 1.0) <= DISTRIBUTION_TOL:  # a NaN mass fails too
         raise NotADistribution(f"path probabilities sum to {mass}, not 1")
     counts = np.random.default_rng([seed, 0]).multinomial(n, weights / weights.sum()).tolist()

@@ -610,11 +610,13 @@ def quadratic_form_by_table(a: Amplitude):
 
 
 def tokenize_by_scanning(text: str) -> list:
-    """The DSL tokens of text, one character at a time: blanks are skipped,
-    "#" ends the line, and punctuation, strings and names become tokens;
-    anything else raises ParseError with its span."""
+    """The DSL tokens of text, one character at a time: lines end at CR LF,
+    CR and LF alone, blanks are skipped, "#" ends the line, and
+    punctuation, strings and names become tokens; anything else raises
+    ParseError with its span."""
     tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         i = 0
         while i < len(line):
             ch = line[i]

@@ -73,6 +73,21 @@ def test_tokenizer_matches_the_scanning_reference():
                 _tokens_or_error(tokenize_by_scanning, doc), repr(doc)
 
 
+def test_only_cr_and_lf_end_a_line():
+    """A line ends at "\\r\\n", "\\r" or "\\n" alone: a comment runs on past
+    a form feed, and every other separator that str.splitlines breaks at
+    is a blank, which counts in the column, not in the line."""
+    assert set(parse("elements A = {a}\n# note\x0celements B = {b}\n").grounds) == {"A"}
+    for blank in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        with pytest.raises(SemanticError) as err:
+            parse(f"elements A = {{a}}\n{blank}elements A = {{b}}\n")
+        assert str(err.value) == "2:11-12: duplicate ground set name 'A'", repr(blank)
+    for end in ("\r\n", "\r", "\n"):
+        with pytest.raises(SemanticError) as err:
+            parse(f"elements A = {{a}}{end}{end}elements A = {{b}}{end}")
+        assert str(err.value) == "3:10-11: duplicate ground set name 'A'", repr(end)
+
+
 def test_parse_error_has_span():
     with pytest.raises(ParseError) as err:
         parse("elements G = {a, b\nmeasurement")

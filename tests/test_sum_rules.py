@@ -647,10 +647,10 @@ def test_validation_equals_whole_sum_rules():
     """validate_assignment against ``validation_by_sum_rules``, which runs
     a whole total_probability per source and per row: in exact mode the
     canonical JSON of the two reports is equal byte for byte.  In float
-    mode the checks, locations and verdicts are equal, and each source's
-    total, or the type of its error, agrees within FLOAT_RTOL; only a
-    failing row's digits may differ, a Born row sum here and a block
-    product in the oracle."""
+    mode the checks, locations and verdicts are equal, every sum-rule
+    entry is equal with its detail, and each source's total, or its
+    error, has total_probability's bits; only a failing row's digits may
+    differ, a Born row sum here and a block product in the oracle."""
     reports = 0
     for seed in (5, 6, 7, 8):
         for asg, s in validation_cases(seed):
@@ -661,17 +661,55 @@ def test_validation_equals_whole_sum_rules():
             report, want = validate_assignment(s, floats), validation_by_sum_rules(s, floats)
             assert [(e.check, e.location, e.passed) for e in report.entries] \
                 == [(e.check, e.location, e.passed) for e in want.entries], s
+            assert [e for e in report.entries if e.check == "sum_rule"] \
+                == [e for e in want.entries if e.check == "sum_rule"], s
             sources = sorted(s.steps[0].element_set())
             totals = _source_totals(s, sources, floats)
             for x in sources:
-                got = totals[x]
                 expected = _outcome(lambda: total_probability(s, frozenset({x}), floats))
-                if isinstance(expected, Exception):
-                    assert type(got) is type(expected), (s, x)
-                else:
-                    assert _close(got, expected), (s, x)
+                assert bits_of(totals[x]) == bits_of(expected), (s, x)
             reports += 1
     assert reports > 350
+
+
+def grid_sequence(grounds, halves: bool):
+    """Eight steps visiting the grounds cyclically, atomic at both ends;
+    each interior step atomic, or split into the two halves of its sorted
+    ground."""
+    steps = []
+    for j in range(8):
+        g = grounds[j % len(grounds)]
+        if halves and 0 < j < 7:
+            elements = sorted(g.elements)
+            half = len(elements) // 2
+            steps.append(measurement(f"half{j}", g, [elements[:half], elements[half:]]))
+        else:
+            steps.append(atomic_measurement(g))
+    return sequence(steps)
+
+
+def test_validation_totals_are_the_bits_of_total_probability():
+    """Each source's float sum-rule total from validation, one block
+    product for every source (``_source_totals``), has the bits of
+    total_probability from that source alone: over R, C and H, grounds of
+    4, 8 and 16 elements, atomic and halved steps."""
+    compared = 0
+    for kind in (AlgebraKind.R, AlgebraKind.C, AlgebraKind.H):
+        for n in (4, 8, 16):
+            grounds = [GroundSet(f"G{i}", tuple(f"g{i}e{k:02d}" for k in range(n)))
+                       for i in range(3)]
+            floats = converted(assignment_for(grounds, make_algebra(kind),
+                                              random.Random(f"{kind.label}{n}"),
+                                              normalized=False), float)
+            for halves in (False, True):
+                s = grid_sequence(grounds, halves)
+                sources = sorted(s.steps[0].element_set())
+                totals = _source_totals(s, sources, floats)
+                for x in sources:
+                    alone = _outcome(lambda: total_probability(s, frozenset({x}), floats))
+                    assert bits_of(totals[x]) == bits_of(alone), (kind, n, halves, x)
+                    compared += 1
+    assert compared == 168
 
 
 def counted(calls, name, function):
@@ -700,6 +738,24 @@ def test_validation_makes_one_pair_recursion_call(monkeypatch):
             assert len([e for e in report.entries if e.check == "sum_rule"]) == 3
             single = asg.is_exact or len(runs(s)) == 1
             assert calls == ["_pair_transfer" if single else "_block_transfer"], (s, asg)
+
+
+def test_sampling_names_a_non_finite_entry_without_another_evaluator(monkeypatch):
+    """A float sample whose mass is not finite names the entry from the
+    rows its table read, and runs no sum rule to do so: neither
+    total_probability nor ``_block_transfer`` is called."""
+    calls = []
+    for name in ("total_probability", "_block_transfer"):
+        monkeypatch.setattr(engine, name, counted(calls, name, getattr(engine, name)))
+    c = make_algebra(AlgebraKind.C)
+    rows = [[(math.inf if i == j == 0 else 0.5, 0.25) for j in range(3)] for i in range(3)]
+    asg = Assignment(c, [(A3, B3, rows)])
+    a, b = atomic_measurement(A3), atomic_measurement(B3)
+    for steps, source, entry_named in (([a, b], "a1", "a1 -> b1"), ([b, a, b], "b1", "b1 -> a1"),
+                                       ([b, a, b], "b2", "a1 -> b1")):
+        with pytest.raises(NotADistribution, match=f"^entry {entry_named} is not finite$"):
+            sample_rows(sequence(steps), frozenset({source}), asg, 10, 1)
+    assert calls == []
 
 
 def test_plan_is_built_once_per_sequence(monkeypatch):
