@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -71,10 +70,12 @@ def _parse_block(text: str) -> frozenset:
         inner = inner[1:-1]
     if "{" in inner or "}" in inner:
         raise argparse.ArgumentTypeError(f"unbalanced or nested braces in block {text!r}")
-    block = frozenset(x.strip() for x in inner.split(",") if x.strip())
-    if not block:
+    if not inner.strip():
         raise argparse.ArgumentTypeError(f"empty block {text!r}")
-    return block
+    ids = [x.strip() for x in inner.split(",")]
+    if "" in ids or len(set(ids)) < len(ids):
+        raise argparse.ArgumentTypeError(f"empty or repeated element id in block {text!r}")
+    return frozenset(ids)
 
 
 def cmd_classify(args) -> int:
@@ -123,9 +124,6 @@ def cmd_prob(args) -> int:
     p = _lookup(ws.paths, args.path, "path")
     asg = _lookup(ws.assignments, args.assignment, "assignment")
     result = engine.probability_of(p, asg)
-    if not (asg.is_exact or all(map(math.isfinite, (*result.amplitude.coeffs,
-                                                    result.probability)))):
-        engine.name_non_finite_entry(p, asg)
     _emit(args, result.to_json(), [
         f"amplitude: [{', '.join(map(str, result.amplitude.coeffs))}]",
         f"probability: {result.probability}"])

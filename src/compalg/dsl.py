@@ -20,7 +20,6 @@ file with the step matrices, resolved relative to the document.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -205,17 +204,22 @@ class _Parser:
         self.next(close, f"'{close}'")
         return items
 
-    def _id_list(self) -> List[str]:
-        return self._list("{", "}", lambda: self.next("name", "an element id").text)
+    def _id_list(self, seen: set) -> List[str]:
+        """{ id ("," id)* }, each id added to seen: an id already there is a
+        duplicate, reported at its span."""
+        def item():
+            tok = self.next("name", "an element id")
+            if tok.text in seen:
+                raise SemanticError(f"duplicate element id {tok.text!r}", tok.span)
+            seen.add(tok.text)
+            return tok.text
+        return self._list("{", "}", item)
 
     def parse_elements(self):
         name = self.next("name", "a ground set name")
         self._declare(self.ws.grounds, name, "ground set")
         self.next("=", "'='")
-        ids = self._id_list()
-        if len(set(ids)) != len(ids):
-            raise SemanticError("duplicate element id", name.span)
-        self.ws.grounds[name.text] = GroundSet(name.text, tuple(ids))
+        self.ws.grounds[name.text] = GroundSet(name.text, tuple(self._id_list(set())))
 
     def _resolve(self, table: dict, tok: Token, kind: str):
         if tok.text not in table:
@@ -229,7 +233,8 @@ class _Parser:
         ground_tok = self.next("name", "a ground set name")
         ground = self._resolve(self.ws.grounds, ground_tok, "ground set")
         self.next("=", "'='")
-        blocks = self._list("{", "}", self._id_list)
+        seen = set()  # an id in two blocks is a duplicate too
+        blocks = self._list("{", "}", lambda: self._id_list(seen))
         try:
             m = measurement(name.text, ground, blocks)
         except ValueError as exc:
@@ -255,7 +260,7 @@ class _Parser:
         seq_tok = self.next("name", "a sequence name")
         s = self._resolve(self.ws.sequences, seq_tok, "sequence")
         self.next("=", "'='")
-        blocks = self._list("[", "]", lambda: frozenset(self._id_list()))
+        blocks = self._list("[", "]", lambda: frozenset(self._id_list(set())))
         try:
             p = Path(s, tuple(blocks))
         except ValueError as exc:
@@ -308,11 +313,7 @@ def _coefficient(value) -> object:
         return Fraction(num, den)
     if isinstance(value, bool):
         raise ValueError("boolean is not a coefficient")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite coefficient {value!r}")
+    if isinstance(value, (int, float)):  # a float's finiteness is checked by Assignment
         return value
     raise ValueError(f"bad coefficient {value!r}")
 
@@ -333,8 +334,9 @@ def load_assignment_json(doc, measurements: Dict[str, Measurement],
     Top level: {"algebra": "C", "steps": [{"from": id, "to": id,
     "matrix": rows}]} where rows[i][j] is a coefficient array of the
     algebra's dimension, indexed by the declared element order of the two
-    measurements' ground sets.  Rationals are "p/q" strings; floats must be
-    finite.  Any other shape raises ValueError.
+    measurements' ground sets.  Rationals are "p/q" strings; in float mode
+    every coefficient must be finite (``Assignment``).  Any other shape
+    raises ValueError.
     """
     _expect(doc, dict, "the matrix file")
     label = doc.get("algebra")

@@ -73,11 +73,11 @@ number of paths is kept after a call: the table's rows, ranks and paths
 are built per call.  From a source, the sum rule and the
 sampler read the source's row at the first run boundary and every row of
 the later ones, and no other row; validation runs one sum rule from every
-source at once, with every row of the first boundary.  In float mode a
-total or a sampling mass that is not finite through one of those entries
-names the first such entry (NotADistribution); ``name_non_finite_entry``
-does the same over the entries one path's walk reads.  Row normalization
-is a row sum of the pair's Born matrix.
+source at once, with every row of the first boundary.  Row normalization
+is a row sum of the pair's Born matrix.  A float-mode coefficient that is
+not finite is rejected where the assignment is built, so every lowered
+float entry is finite; a float result that overflows from finite entries
+is returned as it is, an infinity or a NaN.
 
 Exact and float mode differ in two rules, each written once: a value that
 must be scalar goes through ``algebra.scalar_part`` (exact, or within
@@ -145,7 +145,12 @@ class Assignment:
     ground_from to the j-th of ground_to, in declared element order.  Each
     ordered pair of ground element sets takes at most one matrix, shaped to
     its grounds, else ValueError.  Same-ground transitions are never stored:
-    they are the identity by construction.
+    they are the identity by construction.  In float mode (some coefficient
+    is neither an int nor a Fraction, ``is_exact``) every coefficient must
+    be finite as a float: a NaN, an infinity, or an int or Fraction beyond
+    the float range raises ValueError naming the first such entry, in the
+    order the triples, rows and columns were given.  This is the one
+    finiteness check on coefficients; the evaluators read finite entries.
 
     A matrix is held as rows x -> {y: coefficient tuple}; the evaluators
     read them over one denominator, from ``lowered``, the exact sum rule
@@ -187,6 +192,15 @@ class Assignment:
                 raise ValueError("matrix column count does not match target ground")
             self._rows[key] = {x: {y: self._coeffs(entry) for y, entry in zip(g_to.elements, row)}
                                for x, row in zip(g_from.elements, rows)}
+        if not self.is_exact:
+            for x, y, coeffs in ((x, y, c) for rows in self._rows.values()
+                                 for x, row in rows.items() for y, c in row.items()):
+                try:
+                    if all(map(math.isfinite, coeffs)):
+                        continue
+                except OverflowError:  # an int or Fraction beyond the float range
+                    pass
+                raise ValueError(f"non-finite coefficient in entry {x} -> {y}")
 
     def _coeffs(self, entry) -> tuple:
         """The coefficient tuple of one matrix entry, checked against the
@@ -282,7 +296,7 @@ class Assignment:
             # columns[i][x, y]: coefficient i of E(x, y); with left d x d x d, B is (n d) x (m d)
             columns = tuple(np.array([[rows[x][y][i] for y in ys] for x in rows], float)
                             for i in range(self.algebra.dim))
-            with np.errstate(over="ignore", invalid="ignore"):  # an infinite entry gives NaNs
+            with np.errstate(over="ignore", invalid="ignore"):  # an entry's norm may overflow
                 blocks = np.einsum("ixy,ikj->xkyj", columns, left)
                 return (blocks.reshape(len(rows) * len(left), -1), np.sqrt(squared_norm(columns)),
                         gram)
@@ -466,25 +480,6 @@ def probability_of(p: Path, asg: Assignment) -> ProbabilityResult:
     return ProbabilityResult(amplitude=_result(asg, sums, denominator), probability=probability)
 
 
-def name_non_finite_entry(p: Path, asg: Assignment) -> None:
-    """Raise NotADistribution naming the first entry that the walk of
-    ``_thread_sums`` reads on p and that is not finite (``_name_non_finite``):
-    at each run boundary the rows of the run's sorted survivors, each over
-    the next run's survivors.  Float mode only; it returns when every entry
-    read is finite, so a result that overflows from finite entries stands.
-
-    ``prob`` calls it on a result that is not finite: such an entry makes
-    the walk's sums non-finite, since each meets a partial sum in a product
-    (0 * inf is NaN).  ``probability_of`` itself returns the value, as the
-    sampling table does.
-    """
-    matrices, _ = _boundary_rows(p.sequence.frame, asg)
-    alive = [sorted(p.results[lo].intersection(*p.results[lo + 1:hi + 1]))
-             for lo, hi in p.sequence.frame.runs]
-    _name_non_finite([{x: {y: rows[x][y] for y in alive[k + 1]} for x in alive[k]}
-                      for k, rows in enumerate(matrices)])
-
-
 def _close(a, b) -> bool:
     """a == b when both are exact; otherwise |a - b| within FLOAT_RTOL
     times the larger magnitude (at least 1), and never for an infinity."""
@@ -575,8 +570,9 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     every source element, all sources from one pair-recursion call
     (``_source_totals``), each source's total equal to
     ``total_probability``'s bit for bit, in float mode too.  A check fails
-    on a missing matrix, a product that is not scalar or a non-finite entry
-    that it reads (see ``total_probability``), with the error as detail.
+    on a missing matrix or a product that is not scalar, with the error as
+    detail; a float sum that overflows from finite entries fails with its
+    value, inf or nan, as detail.
     """
     entries = [ValidationEntry("associative_algebra", asg.algebra.kind.label,
                                asg.algebra.kind.is_associative)]
@@ -610,17 +606,11 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     return ValidationReport(tuple(entries))
 
 
-def _outcome(compute, read=tuple):
+def _outcome(compute):
     """compute(), or the SequenceMismatch, NonScalarProduct or
-    NotADistribution that it raises: a check's value or its failure.  A
-    float value that is not finite is the NotADistribution naming the first
-    non-finite entry of the rows that it read, which ``read()`` builds only
-    then (``_name_non_finite``), if there is one."""
+    NotADistribution that it raises: a check's value or its failure."""
     try:
-        value = compute()
-        if isinstance(value, float) and not math.isfinite(value):
-            _name_non_finite(read())
-        return value
+        return compute()
     except (SequenceMismatch, NonScalarProduct, NotADistribution) as exc:
         return exc
 
@@ -651,16 +641,15 @@ def _row_checks(asg: Assignment, a: frozenset, b: frozenset) -> dict:
     ``_verdict`` on the sum of Q(E(x, y)) over the sorted targets y, added
     left to right from zero, the row sum of the pair's Born matrix
     (``Assignment.born_rows``) over D^2, or on the error that building the
-    Born matrix raises.  A float sum that is not finite names the row's
-    first non-finite entry, if it has one (``_outcome``): such an entry's Q
-    is not finite either.  Kept with the Born matrix it sums
+    Born matrix raises (``_outcome``); a float sum that overflows is its
+    value, inf.  Kept with the Born matrix it sums
     (``Assignment._built_by_kernel``), so a pair is checked once however
     often sequences cross it."""
     def build():
-        (rows, den), born, ys = asg.lowered(a, b), _outcome(lambda: asg.born_rows(a, b)), sorted(b)
-        return {x: _verdict(born if isinstance(born, Exception) else _outcome(lambda: lift(
+        (_, den), born, ys = asg.lowered(a, b), _outcome(lambda: asg.born_rows(a, b)), sorted(b)
+        return {x: _verdict(born if isinstance(born, Exception) else lift(
             (reduce(operator.add, [born[x][y] for y in ys], 0),), den * den, asg.is_exact)[0],
-            lambda: [{x: rows[x]}]), "sum of Q over targets") for x in sorted(a)}
+            "sum of Q over targets") for x in sorted(a)}
     return asg._built_by_kernel(("row checks", a, b), build)
 
 
@@ -789,24 +778,6 @@ def _block_transfer(s: MeasurementSequence, sources: list,
             for i, x in enumerate(sources)}
 
 
-def _name_non_finite(read) -> None:
-    """Raise NotADistribution naming the first entry of the read rows that
-    is not finite, in boundary order, then sorted x' and y; float rows only."""
-    for rows in read:
-        for x2, row in rows.items():
-            for y in sorted(row):
-                if not all(map(math.isfinite, row[y])):
-                    raise NotADistribution(f"entry {x2} -> {y} is not finite")
-
-
-def _rows_from(s: MeasurementSequence, x: str, asg: Assignment) -> list:
-    """The lowered rows that the sum rule and the sampling table from {x}
-    read, for ``_name_non_finite``: x's row of the first run boundary and
-    every row of the later ones."""
-    matrices, _ = _boundary_rows(s.plan, asg)
-    return [{x: matrices[0][x]}, *matrices[1:]]
-
-
 def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> dict:
     """The sum rule from each element x of ``sources``, one element or
     every element of the first step in sorted order, by one pair-recursion
@@ -818,10 +789,9 @@ def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> di
     the first boundary is one product per source (``_block_transfer``).  A
     missing matrix (SequenceMismatch, the first missing pair along the
     sequence) and, in exact mode, a product that is not scalar
-    (NonScalarProduct, when a Born matrix is built) fail every source; in float mode a tail that is not
-    scalar, or a total that is not finite (``_outcome``), fails its own
-    source, and only a total that is not finite gathers the lowered rows it
-    read (``_rows_from``).
+    (NonScalarProduct, when a Born matrix is built) fail every source; in
+    float mode a tail that is not scalar fails its own source
+    (``_outcome``), and a total that overflows is its value.
     """
     try:
         if asg.is_exact or len(s.plan.runs) == 1:  # a single run: its unit, 1.0 in float
@@ -834,7 +804,7 @@ def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> di
     except (SequenceMismatch, NonScalarProduct) as exc:
         return dict.fromkeys(sources, exc)
     return {x: _outcome(lambda: scalar_part(_result(asg, sums, 1), False, lambda: bound,
-                                            "summed pair products"), lambda: _rows_from(s, x, asg))
+                                            "summed pair products"))
             for x, (sums, bound) in blocks.items()}
 
 
@@ -886,14 +856,9 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     raised.  A single run reads no row: its total is the unit, 1.0 in float
     mode.
 
-    In float mode a total that is not finite is traced to those rows
-    (``_rows_from``) by ``_name_non_finite``, which ``sample_rows`` calls on
-    the same rows: the first entry that is not finite, in boundary order, then sorted x' and y, raises
-    NotADistribution naming it.  A finite total hides none: each entry
-    read meets S_k+1(y, y) in a product, and a non-finite entry turns its
-    whole block of B_k non-finite, which every later product carries into
-    the total.  A total that overflows from finite entries is returned as
-    it is.
+    Every entry read is finite, as ``Assignment`` rejects a float-mode
+    coefficient that is not; a float total that overflows from finite
+    entries is returned as it is, an infinity or a NaN.
     """
     if frozenset(source) not in s.steps[0].blocks:
         raise NotADistribution("no paths start at the given source result")
@@ -987,7 +952,8 @@ def _probabilities(s: MeasurementSequence, source: frozenset,
                 block[:, :, parents[None, :, None, None, :], run.slots[:, None, None, :, None]])
             coeffs = coeffs.reshape(d, len(run.slots), -1, run.slots.shape[1])
             if run.padding is not None:
-                # back to zero: an infinite entry times a padded zero is NaN
+                # back to zero: a partial sum that overflowed to an infinity
+                # times a padded zero is NaN
                 coeffs[:, run.padding[0], :, run.padding[1]] = 0
             rank = (rank * run.radix + run.index).ravel()
             parents = run.slots
@@ -1036,8 +1002,8 @@ def path_probabilities(s: MeasurementSequence, source: frozenset,
     operations in its order) multiplies it with the array, every parent
     slot t on the trailing pair axis, and sums over t in order.  A padded
     slot meets zeros on both sides; on a run with padding the padded slots
-    are then reset to zero, since an infinite entry times a padded zero
-    leaves a NaN there.  The padding changes no bit: the product's sums
+    are then reset to zero, since a partial sum that has overflowed to an
+    infinity times a padded zero leaves a NaN there.  The padding changes no bit: the product's sums
     start as 0 + ..., so they are never -0.0, slot 0 is never padding, and
     adding +0.0 leaves any other value as it is.  The Born leaf sums each
     row's slots by ``summed`` and takes ``algebra.quadratic_form_columns``,
@@ -1067,12 +1033,9 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     first such path is named.  The checks run on one float array of the
     probabilities, clipped to 0, and the mass adds it left to right, as
     ``algebra.summed`` adds, so it reads the same on every Python version.
-    In float mode a mass that is not finite names the first non-finite
-    entry of the rows the table reads (``_rows_from``, the rows of the sum
-    rule from the source) by ``_name_non_finite``, and runs no other
-    evaluator: each such entry meets a partial sum in a product, so none is
-    hidden behind a finite mass.  The paths are built last, from the
-    table's choices.
+    Every entry read is finite (``Assignment``); in float mode products
+    that overflow from finite entries give a mass of inf or nan, which is
+    off one.  The paths are built last, from the table's choices.
     """
     if not 0 <= n < MAX_DRAWS:
         raise ValueError(f"number of draws must lie in [0, 2**63), got {n}")
@@ -1099,8 +1062,6 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     weights = np.maximum(weights, 0.0)
     # cumsum adds left to right from the first weight (np.sum adds pairwise)
     mass = float(np.cumsum(weights)[-1])
-    if not (asg.is_exact or math.isfinite(mass)):
-        _name_non_finite(_rows_from(s, *source, asg))  # step 0 is atomic: one element
     if not abs(mass - 1.0) <= DISTRIBUTION_TOL:  # a NaN mass fails too
         raise NotADistribution(f"path probabilities sum to {mass}, not 1")
     counts = np.random.default_rng([seed, 0]).multinomial(n, weights / weights.sum()).tolist()

@@ -80,6 +80,6 @@ class NonAssociativeAlgebra(EngineError):
 
 
 class NotADistribution(EngineError):
-    """Path probabilities are negative or do not sum to one, the source is
-    not a result of the first step, or a float sum rule or sample reads a
-    matrix entry that is not finite."""
+    """Path probabilities are negative or do not sum to one (float products
+    that overflow from finite entries give a sum of inf or nan), or the
+    source is not a result of the first step."""

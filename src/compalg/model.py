@@ -120,7 +120,14 @@ class Measurement:
 
 
 def measurement(id: str, ground: GroundSet, blocks: Iterable[Iterable[str]]) -> Measurement:
-    return Measurement(id, ground, frozenset(frozenset(b) for b in blocks))
+    """The measurement with these blocks; an element id given twice, in one
+    block or in two, raises ValueError naming its first repeat."""
+    blocks = [tuple(b) for b in blocks]
+    ids = [x for b in blocks for x in b]
+    if len(set(ids)) < len(ids):
+        first = next(x for i, x in enumerate(ids) if x in ids[:i])
+        raise ValueError(f"duplicate element id {first!r}")
+    return Measurement(id, ground, frozenset(map(frozenset, blocks)))
 
 
 def atomic_measurement(ground: GroundSet, id: Optional[str] = None) -> Measurement:
@@ -676,7 +683,9 @@ def enumerate_partitions(ground: GroundSet) -> list:
                 grown.append(part[:i] + [part[i] + [element]] + part[i + 1:])
             grown.append(part + [[element]])
         partitions = grown
-    return [measurement(f"{ground.id}#p{i}", ground, part) for i, part in enumerate(partitions)]
+    # each element is placed once, so the blocks need no repeat check
+    return [Measurement(f"{ground.id}#p{i}", ground, frozenset(map(frozenset, part)))
+            for i, part in enumerate(partitions)]
 
 
 def path_count(s: MeasurementSequence) -> int:

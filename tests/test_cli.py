@@ -346,7 +346,8 @@ def test_sum_rule_source_that_is_no_detector(source):
 
 
 @pytest.mark.parametrize("command", ["sum-rule", "sample"])
-@pytest.mark.parametrize("source", ["{zz", "zz}", "{{n1}}", "{n1}}", "{}", " "])
+@pytest.mark.parametrize("source", ["{zz", "zz}", "{{n1}}", "{n1}}", "{}", " ", "{n1, n1}",
+                                    "{n1,,n2}", "n1,"])
 def test_source_that_is_no_block_is_a_usage_error(command, source):
     draws = ["-n", "10", "--seed", "1"] if command == "sample" else []
     proc = run_cli("-w", FIG, command, "two", "--assignment", "amp",
@@ -373,6 +374,9 @@ ROW2 = '[["5/13", 0], [0, "12/13"], [0, 0]]'
     ('[{"from": "aN", "to": "aM"}]', "must be an object"),
     ('{"steps": [{"from": "aN", "to": "aM", "matrix": [[[NaN, 0], [0, 1], [0, 0]], %s]}]}'
      % ROW2, "non-finite coefficient"),
+    pytest.param('{"steps": [{"from": "aN", "to": "aM", "matrix": [[[1%s, 0], [0, 0.5], [0, 0]], %s]}]}'
+                 % ("0" * 400, ROW2), "non-finite coefficient in entry n1 -> m\n",
+                 id="401-digit int in float mode"),
 ])
 def test_malformed_matrix_file_exits_1_with_span(tmp_path, matrix_text, message):
     ws = fig_workspace(tmp_path, matrix_text)

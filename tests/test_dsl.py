@@ -164,6 +164,32 @@ def test_result_not_a_detector():
     assert "detector" in str(err.value)
 
 
+DECLARED = "elements G = {a, b}\nmeasurement m over G = {{a}, {b}}\nsequence s = [m, m, m]\n"
+
+
+@pytest.mark.parametrize("doc,error", [
+    ("elements G = {a, b, a}\n", "1:21-22: duplicate element id 'a'"),
+    ("elements G = {a, b}\nmeasurement m over G = {{a}, {a}, {b}}\n",
+     "2:31-32: duplicate element id 'a'"),
+    ("elements G = {a, b}\nmeasurement m over G = {{a, a, b}}\n",
+     "2:29-30: duplicate element id 'a'"),
+    ("elements G = {a, b}\nmeasurement m over G = {{b}, {a, b, a}}\n",
+     "2:34-35: duplicate element id 'b'"),
+    (DECLARED + "path p over s = [{a, a}, {b, a, b}, {a}]\n",
+     "4:22-23: duplicate element id 'a'"),
+    (DECLARED + "path p over s = [{a}, {b, a, b}, {a, a}]\n",
+     "4:30-31: duplicate element id 'b'"),
+], ids=["ground", "two blocks", "one block", "later block", "path", "later path block"])
+def test_repeated_element_id_is_a_semantic_error_at_its_span(doc, error):
+    """An element id given twice in a ground, in a measurement (in one
+    block or across two) or in one block of a path is reported at its first
+    repeat in source order, not merged into one; a path's blocks at
+    different steps may share ids."""
+    with pytest.raises(SemanticError) as err:
+        parse(doc)
+    assert str(err.value) == error
+
+
 def test_duplicate_names_rejected():
     doc = "elements G = {a}\nelements G = {b}\n"
     with pytest.raises(SemanticError):

@@ -287,6 +287,22 @@ def test_assignment_from_rows_rejects_misshaped_matrix(kind, blocks, error, mess
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("coefficient", [
+    math.inf, -math.inf, math.nan, 10 ** 400, Fraction(10 ** 400, 3), numpy.float64("inf"),
+], ids=["inf", "-inf", "nan", "int", "Fraction", "numpy"])
+def test_float_mode_coefficient_must_be_finite(coefficient):
+    """In float mode every coefficient must be finite as a float: each
+    spelling of one that is not raises ValueError where the assignment is
+    built, naming the first such entry in the order of the triples, rows
+    and columns.  An exact int beyond the float range stays exact."""
+    later = [[[0.0, 0], [0, 0], [0, 0]], [[0, math.inf], [0, 0], [0, 0]]]
+    rows = [[[0.5, 0], [0, 0], [0, 0]], [[0, 0], [0, coefficient], [0, -math.inf]]]
+    with pytest.raises(ValueError, match="^non-finite coefficient in entry n2 -> m1$"):
+        Assignment(C, [(N, G3, rows), (G3, N, list(zip(*later)))])
+    exact = c_assignment([[[10 ** 400, 0], [0, 0], [0, 0]], [[0, 1], [0, 0], [0, 0]]])
+    assert exact.is_exact and exact.lowered(N, G3)[0]["n1"]["m"] == (10 ** 400, 0)
+
+
 def test_assignment_accepts_numpy_reals_in_float_mode():
     asg = c_assignment([[[numpy.int64(1), numpy.float64(0.5)], [0, 0], [0, 0]],
                         [[0, 1], [0, 0], [0, 0]]])
@@ -336,74 +352,64 @@ def test_validation_overflowing_row_fails():
 
 
 def test_validation_int_beyond_the_float_range_fails_in_float_mode():
-    """An int entry beyond the float range lowers to an infinity in a float
-    assignment; the row is reported as failed with that entry named, not
-    with the NaN that the infinity times a zero coefficient gives, nor by
-    raising OverflowError."""
-    asg = c_assignment([[[10 ** 400, 0], [0.0, 0.0], [0.0, 0.0]],
-                        [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
-    report = validate_assignment(sequence([AN, AM]), asg)
-    rows = [e for e in report.entries if e.check == "row_normalization"]
-    assert [(e.location, e.passed) for e in rows] \
-        == [("steps 0->1 source n1", False), ("steps 0->1 source n2", True)]
-    assert rows[0].detail == "entry n1 -> m is not finite"
+    """An int entry beyond the float range is not finite as a float: a
+    float assignment holding one is rejected where it is built, with the
+    entry named, not by raising OverflowError.  An int within the range
+    whose Q overflows is a float like any other: its row fails with the
+    sum of inf."""
+    def rows(first):
+        return [[[first, 0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]]
+
+    with pytest.raises(ValueError, match="^non-finite coefficient in entry n1 -> m$"):
+        c_assignment(rows(10 ** 400))
+    report = validate_assignment(sequence([AN, AM]), c_assignment(rows(10 ** 300)))
+    assert [(e.location, e.passed, e.detail) for e in report.entries
+            if e.check == "row_normalization"] \
+        == [("steps 0->1 source n1", False, "sum of Q over targets is inf"),
+            ("steps 0->1 source n2", True, "")]
 
 
 def test_validation_sum_rule_names_the_non_finite_entry():
-    """A sequence's sum rule reads the same lowered rows as its row checks:
-    in float mode a source whose rows hold an infinity fails with the first
-    such entry named (row n1 of the first boundary; at a later boundary,
-    any row, here m -> n1 of the derived reverse), not with a total of nan.
-    The exact twin reports its totals, as before."""
+    """An infinity in a float assignment is named where the assignment is
+    built, so no sum rule reads one.  The exact twin reports its totals in
+    full, as before."""
     rows = [[[10 ** 400, 0], [0, 0], [0, 0]], [[0, 1], [0, 0], [0, 0]]]
-    floats = c_assignment([[[c if abs(c) > 10 ** 300 else float(c) for c in entry]
-                            for entry in row] for row in rows])
-    exact = c_assignment(rows)
+    with pytest.raises(ValueError, match="^non-finite coefficient in entry n1 -> m$"):
+        c_assignment([[[c if abs(c) > 10 ** 300 else float(c) for c in entry]
+                       for entry in row] for row in rows])
     huge = f"total probability over paths is 1{'0' * 800}"
-    for asg, steps, want in (
-            (floats, [AN, AM], [(False, "entry n1 -> m is not finite"), (True, "")]),
-            (floats, [AN, AM, AN], [(False, "entry n1 -> m is not finite"),
-                                    (False, "entry m -> n1 is not finite")]),
-            (exact, [AN, AM], [(False, huge), (True, "")])):
-        sums = [(e.location, e.passed, e.detail)
-                for e in validate_assignment(sequence(steps), asg).entries
-                if e.check == "sum_rule"]
-        assert sums == [("source n1", *want[0]), ("source n2", *want[1])]
+    sums = [(e.location, e.passed, e.detail)
+            for e in validate_assignment(sequence([AN, AM]), c_assignment(rows)).entries
+            if e.check == "sum_rule"]
+    assert sums == [("source n1", False, huge), ("source n2", True, "")]
 
 
-def test_total_probability_names_a_non_finite_entry_it_reads():
-    """A float total that is not finite names the first non-finite entry
-    among the rows the sum rule reads: the source's row at the first
-    boundary, every row at a later one, here m -> n1 of the derived
-    reverse.  An infinity in another source's row is not read, and a
-    finite entry whose square overflows gives inf.  The sampler reads the
-    same rows: it names the same entries, its table does not depend on the
-    unread one, and the overflow leaves a mass of inf."""
+def test_total_probability_overflow_and_an_unread_row():
+    """A finite entry whose square overflows makes the total from its
+    source inf, and from a source whose later boundary reads it (here
+    m -> n1 of the derived reverse) nan, where the block products meet inf
+    times zero; the sampling mass is inf from both.  The sum rule and the
+    sampler read the source's row alone at the first boundary, so a table
+    from another source does not depend on the entry."""
     def c_rows(first):
         return c_assignment([[[first, 0.0], [0.0, 0.0], [0.0, 0.0]],
                              [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
 
-    floats = c_rows(math.inf)
-    for steps, source, message in (([AN, AM], "n1", "entry n1 -> m is not finite"),
-                                   ([AN, AM, AN], "n2", "entry m -> n1 is not finite")):
-        for call in (total_probability, lambda *a: sample_rows(*a, 10, 1)):
-            with pytest.raises(NotADistribution) as exc:
-                call(sequence(steps), frozenset({source}), floats)
-            assert str(exc.value) == message
-    assert total_probability(sequence([AN, AM]), frozenset({"n2"}), floats) == 1.0
-    tables = [[(p, q.hex()) for p, q in path_probabilities(
-        sequence([AN, AM]), frozenset({"n2"}), asg)] for asg in (floats, c_rows(2.0))]
-    assert tables[0] == tables[1] and len(tables[0]) == 3
     overflow = c_rows(1e200)
-    assert total_probability(sequence([AN, AM]), frozenset({"n1"}), overflow) == math.inf
-    with pytest.raises(NotADistribution, match=r"^path probabilities sum to inf, not 1$"):
-        sample_rows(sequence([AN, AM]), frozenset({"n1"}), overflow, 10, 1)
+    for steps, source, total in (([AN, AM], "n1", "inf"), ([AN, AM, AN], "n2", "nan")):
+        assert repr(total_probability(sequence(steps), frozenset({source}), overflow)) == total
+        with pytest.raises(NotADistribution, match=r"^path probabilities sum to inf, not 1$"):
+            sample_rows(sequence(steps), frozenset({source}), overflow, 10, 1)
+    assert total_probability(sequence([AN, AM]), frozenset({"n2"}), overflow) == 1.0
+    tables = [[(p, q.hex()) for p, q in path_probabilities(
+        sequence([AN, AM]), frozenset({"n2"}), asg)] for asg in (overflow, c_rows(2.0))]
+    assert tables[0] == tables[1] and len(tables[0]) == 3
 
 
 def test_finite_float_totals_gather_no_rows(monkeypatch):
-    """Only a float total that is not finite gathers the lowered rows it
-    read, to name an entry: finite totals, alone and in validation, make no
-    ``_boundary_rows`` call, and a total that is not finite makes one."""
+    """Float totals read the real blocks alone: finite totals, alone and in
+    validation, and a total that overflows make no ``_boundary_rows``
+    call."""
     calls = []
     boundary_rows = engine._boundary_rows
     monkeypatch.setattr(engine, "_boundary_rows",
@@ -419,25 +425,23 @@ def test_finite_float_totals_gather_no_rows(monkeypatch):
     assert [(e.location, e.detail) for e in sums] \
         == [("source n1", "total probability over paths is 20.0"),
             ("source n2", "total probability over paths is 5.0")]
+    assert math.isnan(total_probability(s, frozenset({"n1"}), c_rows(1e200)))
     assert calls == []
-    with pytest.raises(NotADistribution, match="^entry n1 -> m is not finite$"):
-        total_probability(s, frozenset({"n1"}), c_rows(math.inf))
-    assert len(calls) == 1
 
 
 def test_validation_names_the_non_finite_entry_of_the_derived_reverse():
-    """Across the conjugate transpose of a one-way pair the entry is named
-    in the direction the row reads it; the exact twin of the assignment
-    reports its sum, as before."""
+    """A one-way pair's infinity is named in the direction it is stored,
+    where the float assignment is built (the derived reverse would read it
+    as m2 -> n1); the exact twin of the assignment reports the reverse's
+    row sum in full, as before."""
     exact = c_assignment([[[0, 0], [1, 0], [0, -10 ** 400]], [[0, 1], [0, 0], [0, 0]]])
-    floats = converted(exact, lambda c: c if abs(c) > 10 ** 300 else float(c))
-    for asg, detail in ((floats, "entry m2 -> n1 is not finite"),
-                        (exact, f"sum of Q over targets is 1{'0' * 800}")):
-        rows = [e for e in validate_assignment(sequence([AM, AN]), asg).entries
-                if e.check == "row_normalization"]
-        assert [(e.location, e.passed, e.detail) for e in rows] \
-            == [("steps 0->1 source m", True, ""), ("steps 0->1 source m1", True, ""),
-                ("steps 0->1 source m2", False, detail)]
+    with pytest.raises(ValueError, match="^non-finite coefficient in entry n1 -> m2$"):
+        converted(exact, lambda c: c if abs(c) > 10 ** 300 else float(c))
+    rows = [e for e in validate_assignment(sequence([AM, AN]), exact).entries
+            if e.check == "row_normalization"]
+    assert [(e.location, e.passed, e.detail) for e in rows] \
+        == [("steps 0->1 source m", True, ""), ("steps 0->1 source m1", True, ""),
+            ("steps 0->1 source m2", False, f"sum of Q over targets is 1{'0' * 800}")]
 
 
 def test_validation_reports_a_total_beyond_the_digit_limit():

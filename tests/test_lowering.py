@@ -452,18 +452,18 @@ def test_float_mode_single_run_results_are_floats(tmp_path, capsys):
 
 
 def test_float_mode_coefficient_beyond_the_float_range(tmp_path, capsys):
-    """An int too large for a float, in a float-mode matrix, is lowered as
-    an infinity: a walk that avoids it is unchanged, and a sum rule through
-    it names that entry (exit 3), not a traceback; so do a sample from the
-    same source and a walk through the entry."""
+    """An int too large for a float, in a float-mode matrix, is not finite
+    as a float: the assignment is rejected where it is built, so every
+    command on the workspace, a walk that avoids the entry too, is a
+    semantic error at the matrix file's span (exit 1), not a traceback."""
     (tmp_path / "mix.dsl").write_text(
         MIX_DSL + "path through over zig = [{a1}, {b1}, {b1, b2}, {a2}, {b3}]\n")
     (tmp_path / "mix.json").write_text(REAL.replace("[0.0, 0, 0, 0]", f"[{10 ** 400}, 0, 0, 0]", 1))
     workspace = ["-w", str(tmp_path / "mix.dsl")]
-    assert main([*workspace, *ARGV["prob"]]) == 0
-    assert capsys.readouterr().out == '{"amplitude":[0.25,0.0,0.0,0.0],"probability":0.0625}\n'
-    for argv in (ARGV["sum-rule"], ["sample", "zig", "--assignment", "mix", "--source", "{a1}",
-                                    "-n", "10", "--seed", "1"],
+    for argv in (ARGV["prob"], ARGV["sum-rule"],
+                 ["sample", "zig", "--assignment", "mix", "--source", "{a1}", "-n", "10",
+                  "--seed", "1"],
                  ["prob", "through", "--assignment", "mix"]):
-        assert main([*workspace, *argv]) == 3
-        assert capsys.readouterr().err == "validation error: entry a1 -> b1 is not finite\n"
+        assert main([*workspace, *argv]) == 1
+        assert capsys.readouterr() == (
+            "", "error: 8:40-50: invalid assignment: non-finite coefficient in entry a1 -> b1\n")

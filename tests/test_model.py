@@ -86,6 +86,12 @@ def test_partition_invariant_enforced():
         measurement("bad", G3, [["m"], ["m1"]])  # misses m2
     with pytest.raises(ValueError):
         measurement("bad", G3, [["m", "m1"], ["m1", "m2"]])  # overlap
+    # an id given twice, in one block or in two, is not merged into one
+    for blocks, repeat in (([["m", "m"], ["m1"], ["m2"]], "m"),
+                           ([["m"], ["m1"], ["m1"], ["m2"]], "m1"),
+                           ([["m2", "m", "m1", "m", "m1"]], "m")):
+        with pytest.raises(ValueError, match=f"^duplicate element id '{repeat}'$"):
+            measurement("bad", G3, blocks)
 
 
 def test_sequence_invariants():

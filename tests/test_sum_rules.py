@@ -22,7 +22,6 @@ from compalg.engine import (
     _outcome,
     _source_totals,
     amplitude_of,
-    name_non_finite_entry,
     path_probabilities,
     probability_of,
     sample,
@@ -377,17 +376,18 @@ def test_table_over_a_long_run_of_two_detector_steps():
 
 
 def test_table_padding_meets_a_non_finite_entry():
-    """An entry beyond the float range lowers to an infinity, and the
-    two-detector step pads the {a3} rows: inf times a padded zero is NaN,
-    which the table must not carry into the next run.  Every value is
-    probability_of's by repr, so an infinity and a NaN are told apart."""
+    """The finite entry 1e200 at a1 -> b1 makes the partial sums through it
+    overflow to inf after the third step, and the two-detector step pads
+    the {a3} rows: inf times a padded zero is NaN, which the table must not
+    carry into the next run.  Every value is probability_of's by repr, so
+    an infinity and a NaN are told apart."""
     half = measurement("halfA", A3, [["a1", "a2"], ["a3"]])
-    s = sequence([atomic_measurement(A3), atomic_measurement(B3), half,
-                  atomic_measurement(B3)])
+    a, b = atomic_measurement(A3), atomic_measurement(B3)
+    s = sequence([a, b, a, b, half, b])
     shown = set()
     for kind in (AlgebraKind.R, AlgebraKind.C):
         algebra = make_algebra(kind)
-        rows = [[(10 ** 400 if i == j == 0 else (i + 2 * j + 1) / 8,)
+        rows = [[(1e200 if i == j == 0 else (i + 2 * j + 1) / 8,)
                  + (0.5,) * (algebra.dim - 1) for j in range(3)] for i in range(3)]
         asg = Assignment(algebra, [(A3, B3, rows)])
         assert not asg.is_exact
@@ -740,20 +740,19 @@ def test_validation_makes_one_pair_recursion_call(monkeypatch):
             assert calls == ["_pair_transfer" if single else "_block_transfer"], (s, asg)
 
 
-def test_sampling_names_a_non_finite_entry_without_another_evaluator(monkeypatch):
-    """A float sample whose mass is not finite names the entry from the
-    rows its table read, and runs no sum rule to do so: neither
-    total_probability nor ``_block_transfer`` is called."""
+def test_sampling_overflow_runs_no_other_evaluator(monkeypatch):
+    """A float sample whose mass overflows from finite entries fails on its
+    own table, and runs no sum rule: neither total_probability nor
+    ``_block_transfer`` is called."""
     calls = []
     for name in ("total_probability", "_block_transfer"):
         monkeypatch.setattr(engine, name, counted(calls, name, getattr(engine, name)))
     c = make_algebra(AlgebraKind.C)
-    rows = [[(math.inf if i == j == 0 else 0.5, 0.25) for j in range(3)] for i in range(3)]
+    rows = [[(1e200 if i == j == 0 else 0.5, 0.25) for j in range(3)] for i in range(3)]
     asg = Assignment(c, [(A3, B3, rows)])
     a, b = atomic_measurement(A3), atomic_measurement(B3)
-    for steps, source, entry_named in (([a, b], "a1", "a1 -> b1"), ([b, a, b], "b1", "b1 -> a1"),
-                                       ([b, a, b], "b2", "a1 -> b1")):
-        with pytest.raises(NotADistribution, match=f"^entry {entry_named} is not finite$"):
+    for steps, source in (([a, b], "a1"), ([b, a, b], "b1"), ([b, a, b], "b2")):
+        with pytest.raises(NotADistribution, match=r"^path probabilities sum to inf, not 1$"):
             sample_rows(sequence(steps), frozenset({source}), asg, 10, 1)
     assert calls == []
 
@@ -779,7 +778,6 @@ def test_plan_is_built_once_per_sequence(monkeypatch):
             assert sum(sample(s, frozenset({"a2"}), asg, 100, seed=1).values()) == 100
             for p, q in path_probabilities(s, frozenset({"a3"}), asg):
                 assert probability_of(p, asg).probability == q
-                assert name_non_finite_entry(p, asg) is None
             assert validate_assignment(s, asg).ok
     assert calls == ["runs"] + ["_same_block_classes"] * 4
 
