@@ -167,7 +167,11 @@ class Algebra:
         a * b over the coefficient tuples a in lefts and b in rights taken in
         step (all zeros, as ints, when there are none).  For each pair it
         unpacks a0..a(d-1) and b0..b(d-1) and adds to each output coefficient
-        ``0 + a_i * b_j - ...``, the plan's terms in order, skipping none.
+        ``a_i * b_j - ...``, the plan's terms in order, skipping none (``0 -
+        ...`` when the first is negated, which no table built by doubling
+        has).  Each output starts at the int 0, so it is never -0.0, and a
+        pair whose sum is -0.0 leaves it as it is: the bits of adding ``0 +
+        a_i * b_j - ...``.
 
         ``kernel.columns`` is the same sum of products on numpy arrays
         (``_array_product``), bit for bit, over right operands laid out by
@@ -182,8 +186,8 @@ class Algebra:
                  f"    {' = '.join(out)} = 0",
                  f"    for ({a}), ({b}) in zip(lefts, rights):"]
         for o, terms in zip(out, plan):
-            lines.append(f"        {o} += 0" + "".join(
-                f" {'-' if negate else '+'} a{i} * b{j}" for i, j, negate in terms))
+            pair = "".join(f" {'-' if negate else '+'} a{i} * b{j}" for i, j, negate in terms)
+            lines.append(f"        {o} += " + (pair[3:] if pair.startswith(" +") else f"0{pair}"))
         lines.append(f"    return ({', '.join(out)},)")
         namespace = {}
         exec(compile("\n".join(lines), f"<product kernel {self.kind.label}>", "exec"),
@@ -353,13 +357,15 @@ def _array_product(plan: tuple):
     many axes between, which broadcast against each other; the last axis
     holds the pairs to sum, at least one.  It returns the sum over the
     pairs of a * b, over (coefficient, ...), the broadcast shape.
-    The d products a_m * b'_m give every pair's sum ``0 + a_0 * b'_0 + ... +
-    a_(d-1) * b'_(d-1)``, one term at a time over whole arrays, and the
-    pairs' sums are added in order: the first pair's, plus the second's,
-    and so on.  These are the float operations of the kernel's ``o_k += 0
-    + a_i * b_j - ...`` bit for bit: x - y is x + (-y) in IEEE arithmetic,
-    and a sign flip is exact; the kernel's ``0 +`` before the first pair's
-    sum is left out, as that sum starts from 0 itself and so is never -0.0.
+    The d products a_m * b'_m give every pair's sum ``a_0 * b'_0 + ... +
+    a_(d-1) * b'_(d-1)``, one term at a time over whole arrays, plus 0, and
+    the pairs' sums are added in order: the first pair's, plus the
+    second's, and so on.  These are the float operations of the kernel's
+    ``o_k += a_i * b_j - ...`` bit for bit: x - y is x + (-y) in IEEE
+    arithmetic, and a sign flip is exact.  The ``+ 0`` on the pair sums
+    stands for the kernel's outputs starting at the int 0: the total starts
+    from the first pair's sum, so, like the kernel's outputs, it is never
+    -0.0, and a later pair's -0.0 changes nothing in either.
     A right operand may be gathered once and multiplied many times.  The
     index and sign arrays are built on the first gather, so numpy is
     imported only where arrays are multiplied; a table with a row that is

@@ -26,7 +26,9 @@ A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
 to right; its probability is Q of that sum (``algebra.quadratic_form_over``),
 and an impossible path is zero.  ``amplitude_of`` walks one path run by
-run; sampling evaluates every path from the source with the same
+run, one kernel call per surviving element on its column over the
+previous run's survivors, every target's column gathered at once at a run
+boundary; sampling evaluates every path from the source with the same
 operations, one batched pass per run, on one numpy array over
 (coefficient, class, row, slot): a row per live prefix, a slot per
 surviving element, and zero padding past a row's survivors, multiplied by
@@ -120,6 +122,8 @@ MAX_DRAWS = 1 << 63
 
 
 def _ground_key(g) -> frozenset:
+    if isinstance(g, frozenset):
+        return g
     return g.element_set() if isinstance(g, (GroundSet, Measurement)) else frozenset(g)
 
 
@@ -437,33 +441,39 @@ def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     """The thread sums of one path and their denominator.
 
     A thread picks one surviving element per weak-equivalence run (the
-    runs of the sequence's ``frame``): the
-    element is constant across weakly equivalent steps, so coarse results
-    expand distributively and duplicated steps contribute the forced
-    identity.  The sums are the sum over threads of the left-to-right
-    product of the matrix entries between consecutive runs, a coefficient
-    tuple over the product of the boundary denominators (``_result``
-    rebuilds the amplitude); they are None when some run has no surviving
-    element (an impossible path).
+    runs of the sequence's ``frame``): the element is constant across
+    weakly equivalent steps, so coarse results expand distributively and
+    duplicated steps contribute the forced identity.  The sums are the sum
+    over threads of the left-to-right product of the matrix entries between
+    consecutive runs, a coefficient tuple over the product of the boundary
+    denominators (``_result`` rebuilds the amplitude); they are None when
+    some run has no surviving element (an impossible path).
 
     Run by run, the partial thread sums onto each surviving element are
     one kernel call over the previous run's survivors, and the sums add
-    the last run's partials.  Elements are taken in sorted order, so float
-    sums are byte-stable; ``path_probabilities`` does the same operations
+    the last run's partials.  The survivors are sorted lists, so float
+    sums are byte-stable, and the partials a list in their order.  At a run
+    boundary every target's column over the previous survivors is gathered
+    at once: ``operator.itemgetter`` over each previous survivor's row,
+    transposed by ``zip``.  ``path_probabilities`` does the same operations
     on arrays over every path.
     """
     kernel, unit = asg.algebra.kernel, asg.algebra.unit().coeffs
     matrices, den = _boundary_rows(p.sequence.frame, asg)
     for k, (lo, hi) in enumerate(p.sequence.frame.runs):
-        alive = p.results[lo].intersection(*p.results[lo + 1:hi + 1])
+        alive = sorted(p.results[lo].intersection(*p.results[lo + 1:hi + 1]))
         if not alive:
             return None, den
         if k == 0:
-            partial = {x: unit for x in sorted(alive)}
+            partial = [unit] * len(alive)
         else:
-            rows, accs = matrices[k - 1], partial.values()
-            partial = {y: kernel(accs, [rows[x][y] for x in partial]) for y in sorted(alive)}
-    return summed(partial.values(), asg.algebra.dim), den
+            rows = matrices[k - 1]
+            gather = operator.itemgetter(*alive) if len(alive) > 1 else \
+                lambda row, y=alive[0]: (row[y],)
+            partial = [kernel(partial, column)
+                       for column in zip(*[gather(rows[x]) for x in previous])]
+        previous = alive
+    return summed(partial, asg.algebra.dim), den
 
 
 def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
@@ -607,11 +617,11 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
 
 
 def _outcome(compute):
-    """compute(), or the SequenceMismatch, NonScalarProduct or
-    NotADistribution that it raises: a check's value or its failure."""
+    """compute(), or the NonScalarProduct that it raises: a check's value or
+    its failure."""
     try:
         return compute()
-    except (SequenceMismatch, NonScalarProduct, NotADistribution) as exc:
+    except NonScalarProduct as exc:
         return exc
 
 

@@ -155,6 +155,9 @@ class MeasurementSequence:
 
     Equality is by steps.  The hash is that of the steps, computed once:
     paths are dict keys, and hashing the steps hashes every measurement.
+    A pickled sequence is its steps alone: loaded, it is built again, so
+    its hash is the loading process's (string hashes differ between
+    processes), and its plan is rebuilt on use.
     """
 
     steps: tuple
@@ -169,6 +172,9 @@ class MeasurementSequence:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return MeasurementSequence, (self.steps,)
 
     def __len__(self):
         return len(self.steps)

@@ -32,6 +32,10 @@ on runs, classes and rows that it finds for itself.
 ``validation_by_sum_rules`` is the reference for
 ``engine.validate_assignment``: a whole sum rule per source and per row.
 
+``thread_sums_by_dicts`` is the reference for the walk of one path,
+``engine._thread_sums``: it keeps the partial thread sums as a dict per
+run and reads each target's column entry by entry.
+
 ``sum_of_products`` is the reference for ``Algebra.kernel``: it
 interprets the product plan's (i, j, negate) triples in a loop.
 ``cayley_dickson_product`` is the reference for the structure table that
@@ -50,7 +54,7 @@ import itertools
 import math
 
 from compalg.algebra import (
-    Amplitude, _require_same_algebra, is_exact, lift, scalar_part, squared_norm,
+    Amplitude, _require_same_algebra, is_exact, lift, scalar_part, squared_norm, summed,
 )
 from compalg.dsl import ParseError, SourceSpan, Token
 from compalg.errors import CoarsenMismatch, ImpossiblePathHasNoNormalForm
@@ -536,6 +540,30 @@ def validation_by_sum_rules(s, asg):
     for x in sorted(s.steps[0].element_set()):
         sum_rule("sum_rule", f"source {x}", s, x, "total probability over paths")
     return ValidationReport(tuple(entries))
+
+
+def thread_sums_by_dicts(p: Path, asg) -> tuple:
+    """(sums, denominator) of one path as ``engine._thread_sums`` returns
+    them, on runs and rows that it finds for itself (``model.runs``,
+    ``asg.lowered``): run by run, a dict from each sorted surviving element
+    to its partial thread sum, one kernel call over the previous run's
+    survivors in order, each entry of the column read by its own lookup;
+    the sums add the last run's partials.  None for an impossible path."""
+    segments = runs(p)
+    grounds = [p.steps[lo].element_set() for lo, _ in segments]
+    boundaries = [asg.lowered(a, b) for a, b in zip(grounds, grounds[1:])]
+    den = math.prod(d for _, d in boundaries)
+    kernel, unit = asg.algebra.kernel, asg.algebra.unit().coeffs
+    for k, (lo, hi) in enumerate(segments):
+        alive = p.results[lo].intersection(*p.results[lo + 1:hi + 1])
+        if not alive:
+            return None, den
+        if k == 0:
+            partial = {x: unit for x in sorted(alive)}
+        else:
+            rows, accs = boundaries[k - 1][0], partial.values()
+            partial = {y: kernel(accs, [rows[x][y] for x in partial]) for y in sorted(alive)}
+    return summed(partial.values(), asg.algebra.dim), den
 
 
 def sum_of_products(plan: tuple, lefts, rights) -> tuple:

@@ -18,13 +18,17 @@ from compalg.cli import main
 from compalg.dsl import parse
 from compalg.engine import (
     Assignment,
+    _thread_sums,
     amplitude_of,
     path_probabilities,
     probability_of,
     total_probability,
 )
 from compalg.errors import SequenceMismatch
-from compalg.model import GroundSet, atomic_measurement, path, runs, sorted_blocks
+from compalg.model import (
+    GroundSet, Path, atomic_measurement, enumerate_partitions, path, runs, sequence,
+    sorted_blocks,
+)
 
 from conftest import (
     MIX_GROUNDS,
@@ -39,6 +43,7 @@ from oracle import (
     mul_by_table,
     probabilities_by_enumeration,
     sum_of_products,
+    thread_sums_by_dicts,
     total_by_enumeration,
 )
 
@@ -315,6 +320,63 @@ def test_walk_and_sum_rule_equal_enumeration_exactly(kind):
                 total = total_probability(s, source, asg)
                 assert total == total_by_enumeration(s, source, asg)
                 assert isinstance(total, (int, Fraction))
+
+
+WALK_GROUNDS = [*MIX_GROUNDS, GroundSet("U4", ("p", "q", "r", "s"))]
+
+
+def random_path(rng: random.Random) -> Path:
+    """Atomic ends, random partitions between, a random block at each step;
+    the ground often repeats, so runs span several steps, keep one or
+    several elements alive, or none (an impossible path)."""
+    length, ground, steps = rng.randint(2, 7), rng.choice(WALK_GROUNDS), []
+    for j in range(length):
+        if j and rng.random() < 0.5:
+            ground = rng.choice(WALK_GROUNDS)
+        steps.append(atomic_measurement(ground) if j in (0, length - 1)
+                     else rng.choice(enumerate_partitions(ground)))
+    return Path(sequence(steps), tuple(rng.choice(sorted_blocks(m.blocks)) for m in steps))
+
+
+def overflowing_or_signed_zero(rng: random.Random) -> float:
+    """Mostly a value whose products overflow, else a signed zero or an
+    ordinary float."""
+    if rng.random() < 0.6:
+        return near_overflow(rng)
+    return rng.choice([0.0, -0.0, rng.uniform(-2, 2)])
+
+
+@pytest.mark.parametrize("kind", ASSOCIATIVE, ids=KIND_IDS)
+def test_walk_is_the_dict_walk(kind):
+    """The walk of one path (``_thread_sums``) equals ``thread_sums_by_dicts``,
+    which keeps a dict of partial sums per run, in type and bits, sums and
+    denominator, on random paths: exact entries, ordinary floats (where
+    another order of the pairs rounds differently), and floats among which
+    signed zeros and entries whose products overflow, so that some sums are
+    infinities and NaNs."""
+    algebra = make_algebra(kind)
+    rng = random.Random(f"dict walk:{kind.label}")
+    seen = dict.fromkeys(["impossible", "one alive", "several alive", "several steps", "inf",
+                          "nan"], 0)
+    for draw in (random_coefficient, lambda r: r.uniform(-2, 2), overflowing_or_signed_zero):
+        asg = Assignment(algebra, [
+            (a, b, [[[draw(rng) for _ in range(algebra.dim)] for _ in b.elements]
+                    for _ in a.elements])
+            for a, b in itertools.combinations(WALK_GROUNDS, 2)])
+        for _ in range(100):
+            p = random_path(rng)
+            (sums, den), (want, want_den) = _thread_sums(p, asg), thread_sums_by_dicts(p, asg)
+            assert type(den) is type(want_den) is int and den == want_den, p
+            assert (sums is None) == (want is None) and bits(sums or ()) == bits(want or ()), p
+            for lo, hi in runs(p)[1:]:
+                alive = len(p.results[lo].intersection(*p.results[lo + 1:hi + 1]))
+                seen["one alive"] += alive == 1
+                seen["several alive"] += alive > 1
+                seen["several steps"] += hi > lo
+            seen["impossible"] += sums is None
+            seen["inf"] += any(map(math.isinf, sums or ()))
+            seen["nan"] += any(map(math.isnan, sums or ()))
+    assert all(seen.values()), seen
 
 
 # -- missing pairs ----------------------------------------------------------------------

@@ -3,7 +3,10 @@
 import dataclasses
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -159,6 +162,40 @@ def test_sequence_plan_places_every_possible_path():
     assert fresh == s and hash(fresh) == hash(s)
     copy = pickle.loads(pickle.dumps(s))
     assert copy == s and hash(copy) == hash(s) and copy.plan == s.plan
+
+
+PICKLE_UNDER_SEED_0 = """
+import pickle, sys
+from compalg.model import GroundSet, atomic_measurement, measurement, path
+g, h = GroundSet("G", ("a", "b", "c")), GroundSet("H", ("x", "y"))
+p = path([atomic_measurement(g), measurement("m", g, [["a", "b"], ["c"]]), atomic_measurement(h)],
+         [["a"], ["a", "b"], ["x"]])
+p.sequence.plan
+sys.stdout.buffer.write(pickle.dumps((p.sequence, p)))
+"""
+
+LOAD_UNDER_SEED_1 = """
+import pickle, sys
+from compalg.model import Path, sequence
+s, p = pickle.loads(sys.stdin.buffer.read())
+fresh = sequence(s.steps)
+assert p.sequence is s and fresh == s and hash(fresh) == hash(s), "sequence hash"
+assert Path(fresh, p.results) in {p: 1}, "path as a dict key"
+assert s.plan == fresh.plan, "plan"
+"""
+
+
+def test_pickled_sequence_hashes_as_in_the_loading_process():
+    """A sequence pickled in one process, its plan built, and loaded in
+    another with a different string hash seed hashes as the same sequence
+    built there, so a loaded path is found under a fresh one as a dict key."""
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    pickled = subprocess.run([sys.executable, "-c", PICKLE_UNDER_SEED_0], capture_output=True,
+                             env=env, check=True).stdout
+    env["PYTHONHASHSEED"] = "1"
+    loaded = subprocess.run([sys.executable, "-c", LOAD_UNDER_SEED_1], input=pickled,
+                            capture_output=True, env=env)
+    assert loaded.returncode == 0, loaded.stderr.decode()
 
 
 def test_equal_sequences_are_equal_keys():
