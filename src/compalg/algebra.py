@@ -303,9 +303,13 @@ def _float(c) -> float:
 
 def lower(tuples: Sequence[tuple], exact: bool) -> tuple:
     """(lowered tuples, D): ints over the lcm D of the denominators when
-    exact, else floats over 1, one beyond the float range an infinity."""
+    exact, else floats over 1, one beyond the float range an infinity
+    (``float`` on every coefficient, ``_float`` only once that overflows)."""
     if not exact:
-        return [tuple(map(_float, t)) for t in tuples], 1
+        try:
+            return [tuple(map(float, t)) for t in tuples], 1
+        except OverflowError:  # an int or Fraction beyond the float range
+            return [tuple(map(_float, t)) for t in tuples], 1
     den = math.lcm(*[c.denominator for t in tuples for c in t])
     return [tuple([c.numerator * (den // c.denominator) for c in t]) for t in tuples], den
 

@@ -105,8 +105,9 @@ def _path_command(op, operands):
 def cmd_enumerate(args) -> int:
     ws = _need_workspace(args)
     if args.what == "partitions":
-        items = model.enumerate_partitions(_lookup(ws.grounds, args.name, "ground set"))
-        count, to_json = len(items), model.measurement_to_json
+        g = _lookup(ws.grounds, args.name, "ground set")
+        items = () if args.count_only else model.enumerate_partitions(g)  # bounded
+        count, to_json = model.partition_count(g), model.measurement_to_json
     else:
         s = _lookup(ws.sequences, args.name, "sequence")
         items = () if args.count_only else model.enumerate_paths(s)  # bounded, listed to print

@@ -10,9 +10,10 @@ conjugate transpose of the forward one unless supplied explicitly.
 
 An assignment, built from (ground_from, ground_to, rows) triples and
 checked there only, stores coefficient tuples, and every evaluator reads one
-representation: each ground pair lowered once, on first use, to rows x ->
-{y: coefficient tuple} by ``algebra.lower`` (ints over one denominator in
-exact mode, decided by ``algebra.is_exact``; floats over 1 otherwise).
+representation: each ground pair lowered once, on first use, to columns y
+-> {x: coefficient tuple}, the targets y sorted, by ``algebra.lower`` (ints
+over one denominator in exact mode, decided by ``algebra.is_exact``; floats
+over 1 otherwise).
 Outside the sum rules (the float one's block matrices, the exact one's
 int diagonal) the engine has no coefficient arithmetic of its own:
 ``Algebra.kernel`` forms every product (on numpy arrays through its array
@@ -26,9 +27,10 @@ A path evaluates to the sum over threads: one surviving element per
 weak-equivalence run, multiplied through the cross-ground matrices left
 to right; its probability is Q of that sum (``algebra.quadratic_form_over``),
 and an impossible path is zero.  ``amplitude_of`` walks one path run by
-run, one kernel call per surviving element on its column over the
-previous run's survivors, every target's column gathered at once at a run
-boundary; sampling evaluates every path from the source with the same
+run, one kernel call per surviving element on its lowered column over the
+previous run's survivors, read by one C-level gather per run boundary
+from the columns of the sequence's frame, kept per frame in the
+assignment; sampling evaluates every path from the source with the same
 operations, one batched pass per run, on one numpy array over
 (coefficient, class, row, slot): a row per live prefix, a slot per
 surviving element, and zero padding past a row's survivors, multiplied by
@@ -39,7 +41,7 @@ ends in one multinomial draw; the paths are built after the numeric pass.
 
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step.  In exact mode
-it reads the same lowered rows in place, through the kernel, conjugating
+it reads the same lowered columns in place, through the kernel, conjugating
 the right-hand factor, and carries only the real diagonal of each
 Hermitian pair state, as ints, and one triangle: across an atomic run
 boundary it multiplies the diagonal by the pair's Born matrix of entry
@@ -70,7 +72,9 @@ same-class mask.  What depends on one ground pair alone is kept in the
 assignment, built on first use by the kernel in place
 (``Assignment._built_by_kernel``): the Born matrix, the real blocks, the
 sampling table's padded block, already gathered for the array product, the
-row checks and the adjoint verdict.  Nothing whose size grows with the
+row checks and the adjoint verdict; so is, per sequence frame, the list of
+its boundaries' lowered columns, which the walk and the exact sum rule
+read (``_frame_columns``).  Nothing whose size grows with the
 number of paths is kept after a call: the table's rows, ranks and paths
 are built per call.  From a source, the sum rule and the
 sampler read the source's row at the first run boundary and every row of
@@ -127,8 +131,8 @@ def _ground_key(g) -> frozenset:
     return g.element_set() if isinstance(g, (GroundSet, Measurement)) else frozenset(g)
 
 
-#: A matrix as rows x -> {y: coefficient tuple}.
-CoeffRows = Dict[str, Dict[str, tuple]]
+#: A matrix as columns y -> {x: coefficient tuple}, the lowered form.
+CoeffColumns = Dict[str, Dict[str, tuple]]
 
 _TRIPLE = "(GroundSet, GroundSet, rows)"
 
@@ -156,14 +160,17 @@ class Assignment:
     order the triples, rows and columns were given.  This is the one
     finiteness check on coefficients; the evaluators read finite entries.
 
-    A matrix is held as rows x -> {y: coefficient tuple}; the evaluators
-    read them over one denominator, from ``lowered``, the exact sum rule
-    also as Born matrices, from ``born_rows``, the float sum rule as real
-    block matrices, from ``real_blocks``, and the sampling table as one
+    A matrix is stored as given, rows x -> {y: coefficient tuple}; the
+    evaluators read it as columns y -> {x: coefficient tuple} over one
+    denominator, from ``lowered``, the one lowered form, which the walk of
+    a path reads a target's column at a time; the exact sum rule also as
+    Born matrices, from ``born_rows``, the float sum rule as real block
+    matrices, from ``real_blocks``, and the sampling table as one
     zero-padded numpy block over the sorted elements, gathered for the
     array product, from ``padded_block``.  Each is built per ground pair on
     first use and kept, so repeated evaluations pay only for their
-    products; none depends on a sequence or a source.
+    products; none depends on a sequence or a source.  The list of a
+    sequence frame's run-boundary columns is kept too (``_frame_columns``).
     """
 
     def __init__(self, algebra: Algebra, blocks: Iterable) -> None:
@@ -171,8 +178,9 @@ class Assignment:
             raise NonAssociativeAlgebra(
                 f"assignments require an associative algebra, got {algebra.kind.label}")
         self.algebra = algebra
-        self._rows: Dict[Tuple[frozenset, frozenset], CoeffRows] = {}
-        self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[CoeffRows, int]] = {}
+        # the stored matrices as rows x -> {y: coefficient tuple}, as given
+        self._rows: Dict[Tuple[frozenset, frozenset], Dict[str, Dict[str, tuple]]] = {}
+        self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[CoeffColumns, int]] = {}
         # (kernel, what ``_built_by_kernel`` built with it)
         self._built: Optional[Tuple[object, dict]] = None
         if isinstance(blocks, Mapping):
@@ -238,11 +246,12 @@ class Assignment:
         return is_exact(c for rows in self._rows.values() for row in rows.values()
                         for coeffs in row.values() for c in coeffs)
 
-    def lowered(self, g_from, g_to) -> Tuple[CoeffRows, int]:
-        """The matrix from one ground to another as rows x -> {y: d
-        coefficients} over one denominator D: the stored matrix, else the
-        conjugate transpose of the stored reverse, built from the stored
-        rows by ``Algebra.conj``.
+    def lowered(self, g_from, g_to) -> Tuple[CoeffColumns, int]:
+        """The matrix E from one ground to another as columns y -> {x: d
+        coefficients} over one denominator D, E(x, y) at ``[y][x]``: the
+        stored matrix, else the conjugate transpose of the stored reverse,
+        whose row y conjugated is column y.  The targets y are sorted, the
+        sources x in the order the stored matrix holds them.
 
         In exact mode the coefficients are ints and D is the lcm of the
         entry denominators; in float mode they are floats and D is 1.  Each
@@ -261,13 +270,13 @@ class Assignment:
                 f"and {sorted(key[1])}")
         pairs = [(x, y) for x, row in rows.items() for y in row]
         coeffs, den = lower([rows[x][y] for x, y in pairs], self.is_exact)
-        lowered = {x: {} for x in sorted(key[0])}
+        columns = {y: {} for y in sorted(key[1])}
         for (x, y), c in zip(pairs, coeffs):
             if reversed_:
-                lowered[y][x] = self.algebra.conj(c)
+                columns[x][y] = self.algebra.conj(c)
             else:
-                lowered[x][y] = c
-        hit = self._lowered[key] = (lowered, den)
+                columns[y][x] = c
+        hit = self._lowered[key] = (columns, den)
         return hit
 
     def real_blocks(self, g_from, g_to) -> tuple:
@@ -295,14 +304,14 @@ class Assignment:
 
         def build():
             left, gram = self._built_by_kernel("left", self._left_multiplication)
-            rows, _ = self.lowered(*key)
-            ys = sorted(key[1])
-            # columns[i][x, y]: coefficient i of E(x, y); with left d x d x d, B is (n d) x (m d)
-            columns = tuple(np.array([[rows[x][y][i] for y in ys] for x in rows], float)
-                            for i in range(self.algebra.dim))
+            columns, _ = self.lowered(*key)
+            xs = sorted(key[0])
+            # coeffs[i][x, y]: coefficient i of E(x, y); with left d x d x d, B is (n d) x (m d)
+            coeffs = tuple(np.array([[column[x][i] for column in columns.values()] for x in xs],
+                                    float) for i in range(self.algebra.dim))
             with np.errstate(over="ignore", invalid="ignore"):  # an entry's norm may overflow
-                blocks = np.einsum("ixy,ikj->xkyj", columns, left)
-                return (blocks.reshape(len(rows) * len(left), -1), np.sqrt(squared_norm(columns)),
+                blocks = np.einsum("ixy,ikj->xkyj", coeffs, left)
+                return (blocks.reshape(len(xs) * len(left), -1), np.sqrt(squared_norm(coeffs)),
                         gram)
         return self._built_by_kernel(("real", key), build)
 
@@ -323,12 +332,12 @@ class Assignment:
         def build():
             import numpy as np
 
-            rows, den = self.lowered(*key)
-            xs, ys = sorted(key[0]), sorted(key[1])
+            columns, den = self.lowered(*key)
+            xs = sorted(key[0])
             dtype = object if self.is_exact else float
-            block = np.zeros((self.algebra.dim, len(xs) + 1, len(ys) + 1), dtype)
-            block[:, :-1, :-1] = np.array([[rows[x][y] for y in ys] for x in xs],
-                                          dtype).transpose(2, 0, 1)
+            block = np.zeros((self.algebra.dim, len(xs) + 1, len(columns) + 1), dtype)
+            block[:, :-1, :-1] = np.array([[column[x] for column in columns.values()]
+                                           for x in xs], dtype).transpose(2, 0, 1)
             return self.algebra.kernel.columns.gather(block), den
         return self._built_by_kernel(("padded", key), build)
 
@@ -358,7 +367,7 @@ class Assignment:
         key = (_ground_key(g_from), _ground_key(g_to))
 
         def build():
-            rows, den = self.lowered(*key)
+            columns, den = self.lowered(*key)
             kernel, conj = self.algebra.kernel, self.algebra.conj
 
             def born(coeffs) -> int:
@@ -366,7 +375,8 @@ class Assignment:
                 if any(square[1:]):  # not scalar: raises
                     quadratic_form_over(self.algebra, coeffs, den, self.is_exact)
                 return square[0]
-            return {x: {y: born(c) for y, c in row.items()} for x, row in rows.items()}
+            return {x: {y: born(column[x]) for y, column in columns.items()}
+                    for x in sorted(key[0])}
         return self._built_by_kernel(("born", key), build)
 
     def _built_by_kernel(self, key, build):
@@ -430,11 +440,20 @@ def _result(asg: Assignment, sums: Optional[tuple], denominator: int) -> Amplitu
 
 
 def _boundary_rows(plan: model.SequencePlan, asg: Assignment) -> Tuple[list, int]:
-    """The lowered matrix from each run of a sequence's plan (or frame) to
+    """The lowered columns from each run of a sequence's plan (or frame) to
     the next and the product of their denominators; raises SequenceMismatch
-    when the assignment lacks one."""
+    when the assignment lacks one.  Built once per frame and assignment:
+    ``_frame_columns`` keeps the list (``Assignment._built_by_kernel``)."""
     boundaries = [asg.lowered(a, b) for a, b in zip(plan.grounds, plan.grounds[1:])]
-    return [rows for rows, _ in boundaries], math.prod(den for _, den in boundaries)
+    return [columns for columns, _ in boundaries], math.prod(den for _, den in boundaries)
+
+
+def _frame_columns(plan: model.SequencePlan, asg: Assignment) -> Tuple[list, int]:
+    """``_boundary_rows`` of the plan's grounds, kept in the assignment: a
+    plan and its frame share their grounds, so the walk and the exact sum
+    rule read one list.  Nothing is kept on a missing matrix, so it raises
+    on every call."""
+    return asg._built_by_kernel(("frame", plan.grounds), lambda: _boundary_rows(plan, asg))
 
 
 def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
@@ -453,27 +472,27 @@ def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     one kernel call over the previous run's survivors, and the sums add
     the last run's partials.  The survivors are sorted lists, so float
     sums are byte-stable, and the partials a list in their order.  At a run
-    boundary every target's column over the previous survivors is gathered
-    at once: ``operator.itemgetter`` over each previous survivor's row,
-    transposed by ``zip``.  ``path_probabilities`` does the same operations
-    on arrays over every path.
+    boundary one ``operator.itemgetter`` over the previous survivors (a
+    1-tuple for one) gathers each target's lowered column, read from the
+    frame's kept columns (``_frame_columns``).  ``path_probabilities`` does
+    the same operations on arrays over every path.
     """
-    kernel, unit = asg.algebra.kernel, asg.algebra.unit().coeffs
-    matrices, den = _boundary_rows(p.sequence.frame, asg)
-    for k, (lo, hi) in enumerate(p.sequence.frame.runs):
-        alive = sorted(p.results[lo].intersection(*p.results[lo + 1:hi + 1]))
+    kernel, dim, frame, results = asg.algebra.kernel, asg.algebra.dim, p.sequence.frame, p.results
+    columns, den = _frame_columns(frame, asg)
+    for k, (lo, hi) in enumerate(frame.runs):
+        alive = sorted(results[lo] if lo == hi
+                       else results[lo].intersection(*results[lo + 1:hi + 1]))
         if not alive:
             return None, den
         if k == 0:
-            partial = [unit] * len(alive)
+            partial = [(1,) + (0,) * (dim - 1)] * len(alive)  # the unit's coefficients
         else:
-            rows = matrices[k - 1]
-            gather = operator.itemgetter(*alive) if len(alive) > 1 else \
-                lambda row, y=alive[0]: (row[y],)
-            partial = [kernel(partial, column)
-                       for column in zip(*[gather(rows[x]) for x in previous])]
+            cols = columns[k - 1]
+            gather = operator.itemgetter(*previous) if len(previous) > 1 else \
+                lambda column, x=previous[0]: (column[x],)
+            partial = [kernel(partial, gather(cols[y])) for y in alive]
         previous = alive
-    return summed(partial, asg.algebra.dim), den
+    return summed(partial, dim), den
 
 
 def amplitude_of(p: Path, asg: Assignment) -> Amplitude:
@@ -573,7 +592,7 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
 
     Weakly equivalent consecutive pairs carry the forced identity (always
     satisfied by construction).  For every cross-ground pair the matrix
-    must exist, the lowered rows of two stored directions must be mutual
+    must exist, the lowered matrices of two stored directions must be mutual
     conjugate transposes, and each row x must be normalized: the sum of
     Q(E(x, y)) over the targets y, the row sum of the pair's Born matrix
     (``_row_checks``), is one.  So is the sum rule of the sequence from
@@ -635,14 +654,14 @@ def _verdict(total, what: str) -> tuple:
 
 
 def _adjoint_consistent(asg: Assignment, a: frozenset, b: frozenset) -> bool:
-    """Whether the lowered rows of a ground pair stored in both directions
+    """Whether the lowered matrices of a ground pair stored in both directions
     are mutual conjugate transposes, each over the other's denominator.
     Symmetric in a and b; ``validate_assignment`` keeps its verdict per
     unordered ground pair (``Assignment._built_by_kernel``), so a pair is
     compared once however often a sequence crosses it."""
     (forward, d_forward), (backward, d_backward) = asg.lowered(a, b), asg.lowered(b, a)
-    return all([c * d_backward for c in forward[x][y]] == [
-        c * d_forward for c in asg.algebra.conj(backward[y][x])]
+    return all([c * d_backward for c in forward[y][x]] == [
+        c * d_forward for c in asg.algebra.conj(backward[x][y])]
         for x in a for y in b)
 
 
@@ -663,7 +682,7 @@ def _row_checks(asg: Assignment, a: frozenset, b: frozenset) -> dict:
     return asg._built_by_kernel(("row checks", a, b), build)
 
 
-def _pair_transfer(grounds, classes, read, asg: Assignment) -> Dict[str, int]:
+def _pair_transfer(grounds, classes, lowered, asg: Assignment) -> Dict[str, int]:
     """Exact mode: the e0 coefficient of S_0(x, x) for every source x of
     run 0 (``classes[0]``, their singletons), each an int over the squared
     product of the boundary denominators, by the backward recursion
@@ -671,12 +690,12 @@ def _pair_transfer(grounds, classes, read, asg: Assignment) -> Dict[str, int]:
         S_last(x, x') = 1 if x = x' else 0
         S_k(x, x')    = sum_y' (sum_y E_k[x][y] S_k+1(y, y')) conj(E_k[x'][y'])
 
-    with S_k(x, x') defined only for x, x' in one class of run k.  ``E_k =
-    read[k]``, the lowered matrix from ``grounds[k]`` to ``grounds[k+1]``
-    (of E_0 the sources' rows alone), maps a run-k element to a dict over
-    the run-(k+1) elements of coefficient tuples, multiplied by the
-    algebra's kernel and conjugated by ``Algebra.conj``.  (A float sum rule
-    with a run boundary runs ``_block_transfer``.)
+    with S_k(x, x') defined only for x, x' in one class of run k.  E_k is
+    the lowered matrix from ``grounds[k]`` to ``grounds[k+1]``, read as
+    columns: E_k[x][y] is ``lowered[k][y][x]``, a coefficient tuple,
+    multiplied by the algebra's kernel and conjugated by ``Algebra.conj``,
+    for the elements x of ``classes[k]`` alone (of E_0 the sources').  (A
+    float sum rule with a run boundary runs ``_block_transfer``.)
 
     S_k is Hermitian, S_k(x', x) = conj(S_k(x, x')): S_last is, and each
     step keeps it so, as conj is an anti-automorphism of the associative
@@ -701,7 +720,7 @@ def _pair_transfer(grounds, classes, read, asg: Assignment) -> Dict[str, int]:
     kernel, conj, tail = algebra.kernel, algebra.conj, (0,) * (algebra.dim - 1)
     diagonal, upper = {y: 1 for (y,) in classes[-1]}, {}
     for k in range(len(classes) - 2, -1, -1):
-        rows = read[k]
+        cols = lowered[k]
         singles = [(cls[0], diagonal[cls[0]]) for cls in classes[k + 1] if len(cls) == 1]
         wide = [cls for cls in classes[k + 1] if len(cls) > 1]
         targets = [y for cls in wide for y in cls]
@@ -712,23 +731,24 @@ def _pair_transfer(grounds, classes, read, asg: Assignment) -> Dict[str, int]:
                 columns[y2] = [upper[y, y2] for y in cls[:j]] + [(diagonal[y2],) + tail] \
                     + [conj(upper[y2, y]) for y in cls[j + 1:]]
         born = asg.born_rows(grounds[k], grounds[k + 1]) if singles else {}
-        diagonal = {x: sum([born[x][y] * s for y, s in singles]) for x in rows}
+        diagonal = {x: sum([born[x][y] * s for y, s in singles])
+                    for cls in classes[k] for x in cls}
         upper = {}
         for cls in classes[k]:
             if not wide and len(cls) == 1:
                 continue  # s_k(x) is the Born term alone
             lefts, rights = [], []
             for x in cls:
-                row, left = rows[x], []
+                left = []
                 for later in wide:
-                    entries = [row[y] for y in later]
+                    entries = [cols[y][x] for y in later]
                     left += [kernel(entries, columns[y2]) for y2 in later]
-                right = [conj(row[y]) for y in targets]
+                right = [conj(cols[y][x]) for y in targets]
                 if wide:
                     diagonal[x] += kernel(left, right)[0]
                 if len(cls) > 1:
-                    lefts.append(left + [tuple([c * s for c in row[y]]) for y, s in singles])
-                    rights.append(right + [conj(row[y]) for y, _ in singles])
+                    lefts.append(left + [tuple([c * s for c in cols[y][x]]) for y, s in singles])
+                    rights.append(right + [conj(cols[y][x]) for y, _ in singles])
             for j, x2 in enumerate(cls):
                 for i, x in enumerate(cls[:j]):
                     upper[x, x2] = kernel(lefts[i], rights[j])
@@ -805,10 +825,9 @@ def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> di
     """
     try:
         if asg.is_exact or len(s.plan.runs) == 1:  # a single run: its unit, 1.0 in float
-            matrices, den = _boundary_rows(s.plan, asg)
-            classes, read = [[(x,) for x in sources], *s.plan.classes[1:]], \
-                [{x: rows[x] for x in sources} for rows in matrices[:1]] + matrices[1:]
-            diagonal = _pair_transfer(s.plan.grounds, classes, read, asg)
+            columns, den = _frame_columns(s.plan, asg)
+            classes = [[(x,) for x in sources], *s.plan.classes[1:]]
+            diagonal = _pair_transfer(s.plan.grounds, classes, columns, asg)
             return {x: lift((diagonal[x],), den * den, asg.is_exact)[0] for x in sources}
         blocks = _block_transfer(s, sources, asg)
     except (SequenceMismatch, NonScalarProduct) as exc:
@@ -846,7 +865,7 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     nothing else; ``validate_assignment`` runs it once for every source at
     once (``_source_totals``), with every row of E_0, and gets each
     source's total as this function does, bit for bit.  In exact mode it
-    runs on the kernel over the lowered rows (``_pair_transfer``), carrying
+    runs on the kernel over the lowered columns (``_pair_transfer``), carrying
     the real diagonal of each Hermitian S_k and one triangle: across an
     atomic run boundary it is a product of the pair's Born matrix P_k =
     Q(E_k) with the diagonal, n^2 int products, so it costs O(L n^2) on

@@ -675,12 +675,19 @@ def classify(p: Path) -> PathClass:
 
 # -- enumeration --------------------------------------------------------------------
 
-def enumerate_partitions(ground: GroundSet) -> list:
-    """All set partitions of the ground set, Bell(n) of them, in stable order;
-    more than DEFAULT_GROUND_BOUND elements raise GroundSetTooLarge."""
+def _partitioned_size(ground: GroundSet) -> int:
+    """The ground set's element count; more than DEFAULT_GROUND_BOUND raise
+    GroundSetTooLarge."""
     n = len(ground.elements)
     if n > DEFAULT_GROUND_BOUND:
         raise GroundSetTooLarge(f"{n} elements exceeds bound {DEFAULT_GROUND_BOUND}")
+    return n
+
+
+def enumerate_partitions(ground: GroundSet) -> list:
+    """All set partitions of the ground set, Bell(n) of them, in stable order;
+    more than DEFAULT_GROUND_BOUND elements raise GroundSetTooLarge."""
+    _partitioned_size(ground)
     partitions = [[]]
     for element in ground.elements:
         grown = []
@@ -692,6 +699,17 @@ def enumerate_partitions(ground: GroundSet) -> list:
     # each element is placed once, so the blocks need no repeat check
     return [Measurement(f"{ground.id}#p{i}", ground, frozenset(map(frozenset, part)))
             for i, part in enumerate(partitions)]
+
+
+def partition_count(ground: GroundSet) -> int:
+    """Bell(n), the number of set partitions of the ground set's n elements,
+    counted, not listed, with ``enumerate_partitions``' bound: row n of the
+    Bell triangle starts with Bell(n), each row starting with the last entry
+    of the one before and adding that row's entries in turn."""
+    row = [1]
+    for _ in range(_partitioned_size(ground)):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[0]
 
 
 def path_count(s: MeasurementSequence) -> int:

@@ -31,9 +31,11 @@ full coefficient tuple, and ``total_by_full_state`` runs it from a source,
 on runs, classes and rows that it finds for itself.
 ``validation_by_sum_rules`` is the reference for
 ``engine.validate_assignment``: a whole sum rule per source and per row.
+Both read the lowered matrices as rows, through ``rows_of``.
 
 ``thread_sums_by_dicts`` is the reference for the walk of one path,
-``engine._thread_sums``: it keeps the partial thread sums as a dict per
+``engine._thread_sums``: it lowers each matrix from the stored entries
+itself (``rows_by_hand``), keeps the partial thread sums as a dict per
 run and reads each target's column entry by entry.
 
 ``sum_of_products`` is the reference for ``Algebra.kernel``: it
@@ -466,16 +468,45 @@ def pair_transfer_by_full_state(classes, matrices, algebra) -> tuple:
     return columns[x][x]
 
 
+def rows_of(asg, a, b) -> tuple:
+    """``asg.lowered(a, b)`` transposed back to rows: (rows x -> {y:
+    coefficient tuple}, the sources x sorted, and the same denominator)."""
+    columns, den = asg.lowered(a, b)
+    sources = sorted(next(iter(columns.values())))
+    return {x: {y: column[x] for y, column in columns.items()} for x in sources}, den
+
+
+def rows_by_hand(asg, a, b) -> tuple:
+    """(rows x -> {y: coefficient tuple}, D) of the matrix from ground a to
+    ground b, from the stored entries alone: ``asg.stored(a, b)``, else the
+    conjugate transpose of ``asg.stored(b, a)``.  Exact: ints over D, the
+    lcm of the pair's entry denominators; float: floats over 1, each
+    coefficient converted before it is conjugated, as a one-way pair is
+    lowered before its reverse is built."""
+    stored, reverse = asg.stored(a, b), False
+    if stored is None:
+        stored, reverse = {(x, y): amp for (y, x), amp in asg.stored(b, a).items()}, True
+    if asg.is_exact:
+        den = math.lcm(*(c.denominator for amp in stored.values() for c in amp.coeffs))
+        lowered = {xy: tuple(int(c * den) for c in amp.coeffs) for xy, amp in stored.items()}
+    else:
+        den, lowered = 1, {xy: tuple(map(float, amp.coeffs)) for xy, amp in stored.items()}
+    rows = {}
+    for (x, y), coeffs in lowered.items():
+        rows.setdefault(x, {})[y] = _conj(coeffs) if reverse else coeffs
+    return rows, den
+
+
 def total_by_full_state(s, source, asg):
     """The exact sum rule from the source by ``pair_transfer_by_full_state``
     on a frame of its own: the runs of ``model.runs``, each later run's
     classes by grouping its sorted elements on the detector that holds
-    each at every step of the run, and the rows of ``asg.lowered``.  The
+    each at every step of the run, and the lowered rows (``rows_of``).  The
     e0 of S_0(x, x) over the squared product of the boundary denominators,
     whose tail must vanish."""
     segments = runs(s)
     grounds = [s.steps[lo].element_set() for lo, _ in segments]
-    lowered = [asg.lowered(a, b) for a, b in zip(grounds, grounds[1:])]
+    lowered = [rows_of(asg, a, b) for a, b in zip(grounds, grounds[1:])]
     classes = [[sorted(source)]]
     for k, (lo, hi) in enumerate(segments[1:], 1):
         groups = {}
@@ -526,7 +557,7 @@ def validation_by_sum_rules(s, asg):
         if not present:
             continue
         if (a, b) in stored and (b, a) in stored:
-            (forward, d_forward), (backward, d_backward) = asg.lowered(a, b), asg.lowered(b, a)
+            (forward, d_forward), (backward, d_backward) = rows_of(asg, a, b), rows_of(asg, b, a)
             adjoint_ok = all([c * d_backward for c in forward[x][y]] == [
                 c * d_forward for c in asg.algebra.conj(backward[y][x])]
                 for x in a for y in b)
@@ -545,13 +576,13 @@ def validation_by_sum_rules(s, asg):
 def thread_sums_by_dicts(p: Path, asg) -> tuple:
     """(sums, denominator) of one path as ``engine._thread_sums`` returns
     them, on runs and rows that it finds for itself (``model.runs``,
-    ``asg.lowered``): run by run, a dict from each sorted surviving element
+    ``rows_by_hand``): run by run, a dict from each sorted surviving element
     to its partial thread sum, one kernel call over the previous run's
     survivors in order, each entry of the column read by its own lookup;
     the sums add the last run's partials.  None for an impossible path."""
     segments = runs(p)
     grounds = [p.steps[lo].element_set() for lo, _ in segments]
-    boundaries = [asg.lowered(a, b) for a, b in zip(grounds, grounds[1:])]
+    boundaries = [rows_by_hand(asg, a, b) for a, b in zip(grounds, grounds[1:])]
     den = math.prod(d for _, d in boundaries)
     kernel, unit = asg.algebra.kernel, asg.algebra.unit().coeffs
     for k, (lo, hi) in enumerate(segments):

@@ -16,6 +16,7 @@ from compalg.algebra import (
     gram_determinant,
     inverse,
     is_exact,
+    lower,
     make_algebra,
     mul,
     quadratic_form,
@@ -198,6 +199,22 @@ def test_float_mode_beyond_the_float_range():
         got[name] = repr(value)
     assert got == {"mul": "(inf, inf)", "quadratic_form": "inf", "bilinear_form": "nan",
                    "trace_form": "inf", "inverse": "NotInvertible"}
+
+
+def test_float_lowering_is_float_with_infinities_past_the_range():
+    """Float-mode ``lower`` gives each coefficient as ``float`` does, a
+    Python float, and an int or Fraction beyond the float range as the
+    infinity of its sign, whichever tuple holds it."""
+    def shown(tuples):
+        lowered, den = lower(tuples, False)
+        assert den == 1
+        return [tuple(map(repr, t)) for t in lowered]
+
+    within = [(1, Fraction(1, 3), 0.5, numpy.int64(7)), (-0.0, 2 ** 1023, numpy.float64(-2.5))]
+    assert shown(within) == [("1.0", "0.3333333333333333", "0.5", "7.0"),
+                             ("-0.0", "8.98846567431158e+307", "-2.5")]
+    assert shown(within + [(10 ** 400, 1), (Fraction(-10 ** 400, 3), -0.0)]) \
+        == shown(within) + [("inf", "1.0"), ("-inf", "-0.0")]
 
 
 def test_numpy_integer_is_float_mode():

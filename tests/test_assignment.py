@@ -1,7 +1,8 @@
-"""The assignment's one representation: each matrix held as rows, each
-ground pair lowered on first use (the conjugate transpose of a one-way
-pair built from the stored rows), and the run-by-run walker that
-evaluates paths over them."""
+"""The assignment's one representation: each matrix stored as rows, each
+ground pair lowered on first use to columns (the conjugate transpose of a
+one-way pair built from the stored rows), read back as rows here through
+``oracle.rows_of``, and the run-by-run walker that evaluates paths over
+them."""
 
 import itertools
 import random
@@ -23,6 +24,7 @@ from compalg.model import (
 )
 
 from conftest import MIX_GROUNDS, amplitude_by_enumeration, assignment_for, entry
+from oracle import rows_of
 
 ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,
                AlgebraKind.H, AlgebraKind.SPLIT_H]
@@ -42,7 +44,7 @@ def test_reverse_is_the_conjugate_transpose_of_the_stored_matrix(kind):
     for a, b in itertools.combinations(MIX_GROUNDS, 2):
         forward = asg.stored(a, b)
         assert asg.stored(b, a) is None
-        rows, den = asg.lowered(b, a)
+        rows, den = rows_of(asg, b, a)
         for x in a.elements:
             for y in b.elements:
                 assert entry(asg, a, b, x, y) == forward[(x, y)]
@@ -62,7 +64,7 @@ def test_pair_stored_both_ways_returns_the_stored_reverse():
     forward = [[C.amplitude([0, 1])], [C.amplitude([2, 0])]]
     backward = [[C.amplitude([5, 7]), C.amplitude([-3, 1])]]
     asg = Assignment(C, [(X, Y, forward), (Y, X, backward)])
-    assert asg.lowered(Y, X) == ({"y": {"x1": (5, 7), "x2": (-3, 1)}}, 1)
+    assert rows_of(asg, Y, X) == ({"y": {"x1": (5, 7), "x2": (-3, 1)}}, 1)
     assert entry(asg, Y, X, "y", "x2") == C.amplitude([-3, 1])
     assert entry(asg, X, Y, "x1", "y") == C.amplitude([0, 1])
 

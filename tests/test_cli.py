@@ -454,6 +454,28 @@ def test_count_only_counts_paths_without_listing_them(monkeypatch, capsys):
         assert capsys.readouterr().out == f"{count}\n"
 
 
+def test_count_only_counts_partitions_without_listing_them(tmp_path, monkeypatch, capsys):
+    """Bell(n) partitions counted, not listed, up to the ground bound n = 10;
+    past it the count is refused as the listing is."""
+    sizes = [*range(1, 9), 10, 11]
+    (tmp_path / "grounds.dsl").write_text("".join(
+        f"elements G{n} = {{{', '.join(f'e{i}' for i in range(n))}}}\n" for n in sizes))
+    ws = str(tmp_path / "grounds.dsl")
+    grounds = dsl.parse((tmp_path / "grounds.dsl").read_text(), base_dir=str(tmp_path)).grounds
+    counts = {n: len(model.enumerate_partitions(grounds[f"G{n}"])) for n in sizes[:-2]}
+    counts[10] = 115975
+
+    def unlisted(g):
+        raise AssertionError("partitions were listed")
+    monkeypatch.setattr(model, "enumerate_partitions", unlisted)
+    for n, count in counts.items():
+        assert main(["-w", ws, "enumerate", "partitions", f"G{n}", "--count-only"]) == 0
+        assert capsys.readouterr().out == f"{count}\n"
+    assert main(["-w", ws, "enumerate", "partitions", "G11", "--count-only"]) == 2
+    assert capsys.readouterr() == (
+        "", "operation error: GroundSetTooLarge: 11 elements exceeds bound 10\n")
+
+
 def test_count_only_has_no_path_bound(tmp_path, capsys):
     """3^16 paths: counted past the path bound, while listing them is refused."""
     (tmp_path / "huge.dsl").write_text(

@@ -16,6 +16,7 @@ import pytest
 from compalg.algebra import Algebra, AlgebraKind, make_algebra, mul, product_plan
 from compalg.cli import main
 from compalg.dsl import parse
+from compalg import engine
 from compalg.engine import (
     Assignment,
     _thread_sums,
@@ -26,8 +27,8 @@ from compalg.engine import (
 )
 from compalg.errors import SequenceMismatch
 from compalg.model import (
-    GroundSet, Path, atomic_measurement, enumerate_partitions, path, runs, sequence,
-    sorted_blocks,
+    GroundSet, Path, atomic_measurement, enumerate_partitions, enumerate_paths,
+    fully_coarse_measurement, path, runs, sequence, sorted_blocks,
 )
 
 from conftest import (
@@ -42,6 +43,7 @@ from conftest import (
 from oracle import (
     mul_by_table,
     probabilities_by_enumeration,
+    rows_of,
     sum_of_products,
     thread_sums_by_dicts,
     total_by_enumeration,
@@ -258,7 +260,7 @@ def test_lowered_rows_are_the_matrix_over_one_denominator(kind, stored):
     exact = stored in ("one way", "both ways")
     assert asg.is_exact is exact
     for a, b in itertools.permutations(MIX_GROUNDS, 2):
-        rows, den = asg.lowered(a, b)
+        rows, den = rows_of(asg, a, b)
         matrix = {x: {y: entry(asg, a, b, x, y) for y in b.elements} for x in a.elements}
         if exact:
             assert den == math.lcm(*(c.denominator for row in matrix.values()
@@ -377,6 +379,35 @@ def test_walk_is_the_dict_walk(kind):
             seen["inf"] += any(map(math.isinf, sums or ()))
             seen["nan"] += any(map(math.isnan, sums or ()))
     assert all(seen.values()), seen
+
+
+def test_frame_columns_are_built_once_per_kernel(monkeypatch):
+    """The walk and the exact sum rule read one kept list of a frame's
+    boundary columns: repeated ``probability_of`` over the paths of one
+    sequence and an exact ``total_probability`` on it run
+    ``_boundary_rows`` once, and once more after the algebra's kernel is
+    replaced, as every value built by the kernel is rebuilt."""
+    calls = []
+    boundary_rows = engine._boundary_rows
+    monkeypatch.setattr(engine, "_boundary_rows",
+                        lambda *args: calls.append(args) or boundary_rows(*args))
+    asg = assignment_for(MIX_GROUNDS, C, random.Random(11))
+    g1, g2, g3 = (atomic_measurement(g) for g in MIX_GROUNDS)
+    s = sequence([g2, g3, fully_coarse_measurement(MIX_GROUNDS[2]), g1, g2])
+    paths, source = enumerate_paths(s), frozenset({"b"})
+
+    def evaluated():
+        probabilities = [probability_of(p, asg).probability for p in paths * 2]
+        return probabilities, total_probability(s, source, asg)
+    first = evaluated()
+    assert len(calls) == 1
+    kernel = C.kernel
+
+    def replaced(lefts, rights):
+        return kernel(lefts, rights)
+    replaced.columns = kernel.columns
+    monkeypatch.setitem(vars(C), "kernel", replaced)
+    assert evaluated() == first and len(calls) == 2
 
 
 # -- missing pairs ----------------------------------------------------------------------
