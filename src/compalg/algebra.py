@@ -200,10 +200,6 @@ class Algebra:
         """The involution on a coefficient tuple, by ``conj_signs``."""
         return tuple(map(operator.mul, self.conj_signs, coeffs))
 
-    def structure_constant(self, i: int, j: int, k: int) -> int:
-        kk, s = self.table[i][j]
-        return s if kk == k else 0
-
     def amplitude(self, coeffs: Iterable[Scalar]) -> "Amplitude":
         return Amplitude(self, tuple(coeffs))
 

@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse/semantic error in the workspace document,
-2 operation error (e.g. a chain junction mismatch), 3 validation failure.
+2 operation error (e.g. a chain junction mismatch, or stdout closed by its
+reader before the output was written), 3 validation failure.
 Data goes to stdout, errors to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import os
 import sys
@@ -152,19 +153,40 @@ def cmd_verify_algebra(args) -> int:
     return 0
 
 
+#: Rows of ``compalg sample`` joined into one write.
+SAMPLE_CHUNK = 1024
+
+
+def _csv_quoted(text: str) -> str:
+    """text inside a quoted CSV field: each quote doubled."""
+    return text.replace('"', '""')
+
+
 def cmd_sample(args) -> int:
+    """Every path from the source as a CSV row: the canonical JSON of
+    ``model.path_to_json``, quoted as ``csv.writer`` quotes it (it always
+    holds a quote), then the count and the probability's ``coeff_json``.
+
+    Only ``"results"``, which sorts before ``"steps"``, differs between the
+    rows of one sequence, so a row is written as parts: a constant head,
+    one fragment per chosen block, built once per block of each step, and
+    a constant tail.  No ``Path`` is built, and the rows are streamed in
+    chunks of SAMPLE_CHUNK."""
     ws = _need_workspace(args)
     s = _lookup(ws.sequences, args.sequence, "sequence")
     asg = _lookup(ws.assignments, args.assignment, "assignment")
-    rows = engine.sample_rows(s, args.source, asg, args.n, args.seed)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["path", "count", "probability"])
-    for p, count, prob in rows:
-        writer.writerow([
-            json.dumps(model.path_to_json(p), sort_keys=True, separators=(",", ":")),
-            count,
-            engine.coeff_json(prob),
-        ])
+    choices, counts, probabilities = engine._draw(s, args.source, asg, args.n, args.seed)
+    canonical = {"separators": (",", ":")}
+    head = '"' + _csv_quoted('{"results":[')
+    tail = _csv_quoted('],"steps":' + json.dumps(
+        [model.measurement_to_json(m) for m in s.steps], sort_keys=True, **canonical) + '}')
+    fragments = [[_csv_quoted(json.dumps(sorted(b), **canonical)) for b in blocks]
+                 for blocks in choices]
+    rows = (f'{head}{",".join(results)}{tail}",{count},{engine.coeff_json(q)}\n'
+            for results, count, q in zip(itertools.product(*fragments), counts, probabilities))
+    sys.stdout.write("path,count,probability\n")
+    for chunk in iter(lambda: "".join(itertools.islice(rows, SAMPLE_CHUNK)), ""):
+        sys.stdout.write(chunk)
     return 0
 
 
@@ -235,7 +257,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``compalg sample ... | head``): what
+        # is left unwritten goes to the null device, so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before it was written in full (broken pipe)",
+              file=sys.stderr)
+        return 2
     except (ParseError, SemanticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,7 +37,9 @@ surviving element, and zero padding past a row's survivors, multiplied by
 ``kernel.columns`` once per run boundary, every parent slot at once on the
 product's trailing pair axis.  It is bounded by
 ``model.DEFAULT_PATH_BOUND``, checks the probabilities as one array and
-ends in one multinomial draw; the paths are built after the numeric pass.
+ends in one multinomial draw (``_draw``), with no ``Path`` built: ``sample``
+builds the paths after the draw, to key its counts, and ``compalg sample``
+writes its rows from per-block fragments.
 
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step.  In exact mode
@@ -72,11 +74,12 @@ same-class mask.  What depends on one ground pair alone is kept in the
 assignment, built on first use by the kernel in place
 (``Assignment._built_by_kernel``): the Born matrix, the real blocks, the
 sampling table's padded block, already gathered for the array product, the
-row checks and the adjoint verdict; so is, per sequence frame, the list of
+row checks and the adjoint verdict; so are, per sequence frame, the list of
 its boundaries' lowered columns, which the walk and the exact sum rule
-read (``_frame_columns``).  Nothing whose size grows with the
-number of paths is kept after a call: the table's rows, ranks and paths
-are built per call.  From a source, the sum rule and the
+read (``_frame_columns``), and the list of their padded blocks, which the
+sampler reads (``_frame_blocks``).  Nothing whose size grows with the
+number of paths is kept after a call: the table's rows, ranks, weights and
+paths are built per call.  From a source, the sum rule and the
 sampler read the source's row at the first run boundary and every row of
 the later ones, and no other row; validation runs one sum rule from every
 source at once, with every row of the first boundary.  Row normalization
@@ -100,7 +103,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .algebra import (
     Algebra, Amplitude, is_exact, lift, lower, quadratic_form_columns, quadratic_form_over,
@@ -169,8 +172,9 @@ class Assignment:
     zero-padded numpy block over the sorted elements, gathered for the
     array product, from ``padded_block``.  Each is built per ground pair on
     first use and kept, so repeated evaluations pay only for their
-    products; none depends on a sequence or a source.  The list of a
-    sequence frame's run-boundary columns is kept too (``_frame_columns``).
+    products; none depends on a sequence or a source.  The lists of a
+    sequence frame's run-boundary columns and padded blocks are kept too
+    (``_frame_columns``, ``_frame_blocks``).
     """
 
     def __init__(self, algebra: Algebra, blocks: Iterable) -> None:
@@ -474,7 +478,7 @@ def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     sums are byte-stable, and the partials a list in their order.  At a run
     boundary one ``operator.itemgetter`` over the previous survivors (a
     1-tuple for one) gathers each target's lowered column, read from the
-    frame's kept columns (``_frame_columns``).  ``path_probabilities`` does
+    frame's kept columns (``_frame_columns``).  ``_probabilities`` does
     the same operations on arrays over every path.
     """
     kernel, dim, frame, results = asg.algebra.kernel, asg.algebra.dim, p.sequence.frame, p.results
@@ -952,20 +956,76 @@ def _layout(s: MeasurementSequence) -> Tuple[_RunLayout, ...]:
     return kept
 
 
+def _frame_blocks(plan: model.SequencePlan, asg: Assignment) -> Tuple[list, int]:
+    """The sampling table's padded block of each run boundary of a plan
+    (``Assignment.padded_block``) and the product of their denominators,
+    kept in the assignment per frame as ``_frame_columns`` keeps its
+    columns.  Nothing is kept on a missing matrix, so it raises on every
+    call."""
+    def build():
+        blocks = [asg.padded_block(a, b) for a, b in zip(plan.grounds, plan.grounds[1:])]
+        return [block for block, _ in blocks], math.prod(den for _, den in blocks)
+    return asg._built_by_kernel(("padded frame", plan.grounds), build)
+
+
 def _probabilities(s: MeasurementSequence, source: frozenset,
-                   asg: Assignment) -> Tuple[list, list]:
-    """The numeric pass of ``path_probabilities``: the blocks each step
-    offers (``model.paths_over``'s choices, the plan's with the source
-    alone at step 0) and every path's probability, in path order; no
-    ``Path`` is built."""
+                   asg: Assignment) -> Tuple[list, object, list]:
+    """Every path's probability from the source result, as (choices, rank,
+    born): the blocks each step offers (``model.paths_over``'s choices, the
+    plan's with the source alone at step 0), whose ``itertools.product``
+    order is ``path_key`` order within the sequence; the path ranks of the
+    table's rows, an int array; and the rows' probabilities, a list of
+    Python scalars in row order.  Every other path is impossible, with the
+    exact probability 0 in either mode.  No ``Path`` is built.
+
+    Every path is evaluated in one batched pass per weak-equivalence run,
+    on the sequence's plan (``MeasurementSequence.plan``), reading the rows
+    that ``total_probability`` reads: the source's row at the first run
+    boundary and every row of the later ones.  A run's elements are those
+    of its same-block classes (the source element for run 0).  The pass is
+    the walk of ``_thread_sums`` on one numpy array (float64 in float mode,
+    single runs included, Python ints of object dtype in exact mode).
+    After run k the array is over (coefficient, class, row, slot), a row
+    being a parent class and a parent row, the parent row innermost.  A row
+    is a live prefix: a parent row followed by one of the run's classes.
+    The class's detectors are the one result combination of the run that
+    keeps its elements alive, and the plan holds its rank in path order, a
+    mixed-radix number over the sorted blocks of the run's steps; every
+    other combination keeps no element, so its paths have probability 0.
+    Slot t holds the row's partial thread sum onto the class's t-th sorted
+    element, and the slots past its elements are padding that holds zeros.
+
+    What depends on the sequence alone is read from its ``_layout``, kept
+    with it: each run's class-by-slot positions over its sorted ground, its
+    padding slots, its class ranks and its radix; the source adds only
+    run 0's class.  What depends on a ground pair alone is read from the
+    assignment's ``padded_block``, kept there, and the list of a frame's
+    blocks too (``_frame_blocks``): the lowered matrix over the whole
+    sorted grounds, a zero row and column past them, gathered and signed
+    for the array product.  At each run boundary the table indexes that
+    block by the parent run's and the run's slot positions, and one call of
+    the kernel's array product (``kernel.columns``, the kernel's operations
+    in its order) multiplies it with the array, every parent slot t on the
+    trailing pair axis, and sums over t in order.  A padded slot meets
+    zeros on both sides; on a run with padding the padded slots are then
+    reset to zero, since a partial sum that has overflowed to an infinity
+    times a padded zero leaves a NaN there.  The padding changes no bit:
+    the product's sums start as 0 + ..., so they are never -0.0, slot 0 is
+    never padding, and adding +0.0 leaves any other value as it is.  The
+    Born leaf sums each row's slots by ``summed`` and takes
+    ``algebra.quadratic_form_columns``, one more call of ``kernel.columns``.
+    So every probability equals ``probability_of(p, asg).probability`` bit
+    for bit, and the first path whose product is not scalar raises that
+    error.  The rows and their ranks are built per call and not kept.
+    Bounded by DEFAULT_PATH_BOUND through ``model.check_path_bound``.
+    """
     import numpy as np
 
     model.check_path_bound(s)
     if frozenset(source) not in s.steps[0].blocks:
         raise NotADistribution("no paths start at the given source result")
     plan, layout = s.plan, _layout(s)
-    blocks = [asg.padded_block(a, b) for a, b in zip(plan.grounds, plan.grounds[1:])]
-    den = math.prod(den for _, den in blocks)
+    blocks, den = _frame_blocks(plan, asg)
     algebra, d = asg.algebra, asg.algebra.dim
     choices = [[frozenset(source)], *plan.choices[1:]]
     c = plan.classes[0].index(tuple(source))
@@ -974,7 +1034,7 @@ def _probabilities(s: MeasurementSequence, source: frozenset,
     coeffs = np.array(algebra.unit().coeffs, object if asg.is_exact else float).reshape(d, 1, 1, 1)
     rank, parents = layout[0].index[c], layout[0].slots[c:c + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for run, (block, _) in zip(layout[1:], blocks):
+        for run, block in zip(layout[1:], blocks):
             # over (coefficient, class, parent class, parent row, slot, parent slot)
             coeffs = algebra.kernel.columns(
                 coeffs[:, None, :, :, None, :],
@@ -989,82 +1049,30 @@ def _probabilities(s: MeasurementSequence, source: frozenset,
         # each row's slots summed by ``summed``, each slot over (coefficient, row)
         sums = summed(coeffs.reshape(d, -1, coeffs.shape[-1]).transpose(2, 0, 1), d)
         del coeffs
-        born = quadratic_form_columns(algebra, sums, den, asg.is_exact)
-    probabilities = [0] * math.prod(map(len, choices))
-    for r, q in zip(rank.tolist(), born):
-        probabilities[r] = q
-    return choices, probabilities
+        return choices, rank, quadratic_form_columns(algebra, sums, den, asg.is_exact)
 
 
-def path_probabilities(s: MeasurementSequence, source: frozenset,
-                       asg: Assignment) -> List[Tuple[Path, object]]:
-    """Every path from the source result with its probability, in
-    ``enumerate_paths`` order (``path_key`` order within the sequence).
-
-    Every path is evaluated in one batched pass per weak-equivalence run,
-    on the sequence's plan (``MeasurementSequence.plan``), reading the rows
-    that ``total_probability`` reads: the source's row at the first run
-    boundary and every row of the later ones.  A run's elements are those
-    of its same-block classes (the source element for run 0).  The pass is
-    the walk of ``_thread_sums`` on one numpy array (float64 in float mode,
-    single runs included, Python ints of object dtype in exact mode); an
-    impossible path's entry is the exact 0 in either mode.  After run k
-    the array is over (coefficient, class, row, slot), a row being a parent
-    class and a parent row, the parent row innermost.  A row is a live
-    prefix: a parent row followed by one of the run's classes.  The class's
-    detectors are the one result combination of the run that keeps its
-    elements alive, and the plan holds its rank in path order, a
-    mixed-radix number over the sorted blocks of the run's steps; every
-    other combination keeps no element, so its paths have probability 0.
-    Slot t holds the row's partial thread sum onto the class's t-th sorted
-    element, and the slots past its elements are padding that holds zeros.
-
-    What depends on the sequence alone is read from its ``_layout``, kept
-    with it: each run's class-by-slot positions over its sorted ground, its
-    padding slots, its class ranks and its radix; the source adds only
-    run 0's class.  What depends on a ground pair alone is read from the
-    assignment's ``padded_block``, kept there: the lowered matrix over the
-    whole sorted grounds, a zero row and column past them, gathered and
-    signed for the array product.  At each run boundary the table indexes
-    that block by the parent run's and the run's slot positions, and one
-    call of the kernel's array product (``kernel.columns``, the kernel's
-    operations in its order) multiplies it with the array, every parent
-    slot t on the trailing pair axis, and sums over t in order.  A padded
-    slot meets zeros on both sides; on a run with padding the padded slots
-    are then reset to zero, since a partial sum that has overflowed to an
-    infinity times a padded zero leaves a NaN there.  The padding changes no bit: the product's sums
-    start as 0 + ..., so they are never -0.0, slot 0 is never padding, and
-    adding +0.0 leaves any other value as it is.  The Born leaf sums each
-    row's slots by ``summed`` and takes ``algebra.quadratic_form_columns``,
-    one more call of ``kernel.columns``.  So every probability equals
-    ``probability_of(p, asg).probability`` bit for bit, and the first path
-    whose product is not scalar raises that error.  The rows, their ranks
-    and the paths are built per call and not kept; the paths after the
-    numeric pass, once its arrays are freed.  Bounded by
-    DEFAULT_PATH_BOUND through ``model.check_path_bound``.
-    """
-    choices, probabilities = _probabilities(s, source, asg)
-    return list(zip(model.paths_over(s, choices), probabilities))
-
-
-def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
-                n: int, seed: int) -> List[Tuple[Path, int, object]]:
+def _draw(s: MeasurementSequence, source: frozenset, asg: Assignment,
+          n: int, seed: int) -> Tuple[list, list, list]:
     """Draw n paths from the exact path distribution, reproducibly.
 
-    Returns one (path, count, probability) row per path from the source
-    result, in ``path_key`` order, with the probabilities of
-    ``path_probabilities`` and its path bound.  The counts are one
-    multinomial draw seeded with [seed, 0]: they depend on (seed, n) alone.
+    Returns (choices, counts, probabilities): the blocks each step offers
+    (``_probabilities``' choices), and over the paths from the source
+    result, in ``itertools.product`` order over the choices (``path_key``
+    order), each path's count and probability, the probability of
+    ``_probabilities`` or the exact 0 for an impossible path.  The counts
+    are one multinomial draw seeded with [seed, 0]: they depend on (seed, n)
+    alone.  No ``Path`` is built but for a failing path's message.
 
     A probability that is negative (exactly below 0 in exact mode, below
     -1e-12 in float mode, where rounding may leave a zero just below it) or
     beyond the float range, or a mass off one, raises NotADistribution; the
     first such path is named.  The checks run on one float array of the
-    probabilities, clipped to 0, and the mass adds it left to right, as
-    ``algebra.summed`` adds, so it reads the same on every Python version.
-    Every entry read is finite (``Assignment``); in float mode products
-    that overflow from finite entries give a mass of inf or nan, which is
-    off one.  The paths are built last, from the table's choices.
+    probabilities, the table's rows scattered by rank into zeros, clipped
+    to 0, and the mass adds it left to right, as ``algebra.summed`` adds,
+    so it reads the same on every Python version.  Every entry read is
+    finite (``Assignment``); in float mode products that overflow from
+    finite entries give a mass of inf or nan, which is off one.
     """
     if not 0 <= n < MAX_DRAWS:
         raise ValueError(f"number of draws must lie in [0, 2**63), got {n}")
@@ -1072,19 +1080,20 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
         raise ValueError(f"seed must be non-negative, got {seed}")
     import numpy as np
 
-    choices, probabilities = _probabilities(s, source, asg)
-    if asg.is_exact:  # as floats, one beyond the float range an infinity
-        (weights,), _ = lower([probabilities], False)
-        weights = np.array(weights)
-        negative = np.array([q < 0 for q in probabilities], bool)
+    choices, rank, born = _probabilities(s, source, asg)
+    probabilities = np.zeros(math.prod(map(len, choices)), object)  # Python ints 0
+    probabilities[rank] = np.array(born, object)
+    weights = np.zeros(len(probabilities))
+    if asg.is_exact:
+        weights[rank] = lower([born], False)[0][0]  # as floats, one beyond the float range inf
+        negative = probabilities < 0
         failed = negative | np.isinf(weights)
     else:
-        weights = np.array(probabilities, float)
+        weights[rank] = born
         failed = negative = weights < -1e-12
     if failed.any():
         first = int(failed.argmax())
-        (p,) = model.paths_over(s, [[c] for c in next(
-            itertools.islice(itertools.product(*choices), first, None))])
+        p = Path(s, next(itertools.islice(itertools.product(*choices), first, None)))
         if negative[first]:
             raise NotADistribution(f"negative probability {_shown(probabilities[first])} for {p!r}")
         raise NotADistribution(f"probability of {p!r} exceeds the float range")
@@ -1094,11 +1103,13 @@ def sample_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
     if not abs(mass - 1.0) <= DISTRIBUTION_TOL:  # a NaN mass fails too
         raise NotADistribution(f"path probabilities sum to {mass}, not 1")
     counts = np.random.default_rng([seed, 0]).multinomial(n, weights / weights.sum()).tolist()
-    del weights, failed, negative  # freed before the paths are built
-    return list(zip(model.paths_over(s, choices), counts, probabilities))
+    return choices, counts, probabilities.tolist()
 
 
 def sample(s: MeasurementSequence, source: frozenset, asg: Assignment,
            n: int, seed: int) -> Dict[Path, int]:
-    """The counts of ``sample_rows``, keyed by path."""
-    return {p: c for p, c, _ in sample_rows(s, source, asg, n, seed)}
+    """The counts of ``_draw`` keyed by path, every path from the source
+    result in ``path_key`` order, impossible ones included; the paths are
+    built after the draw (``model.paths_over``)."""
+    choices, counts, _ = _draw(s, source, asg, n, seed)
+    return dict(zip(model.paths_over(s, choices), counts))

@@ -217,7 +217,13 @@ def sequence(steps: Iterable[Measurement]) -> MeasurementSequence:
 
 @dataclass(frozen=True)
 class Path:
-    """One chosen detector result per step of a measurement sequence."""
+    """One chosen detector result per step of a measurement sequence.
+
+    The hash is that of the results alone, one tuple hash over the results'
+    cached frozenset hashes: equal paths have equal results, and the paths
+    of two sequences with equal results collide only to be told apart by
+    equality, which compares the sequences too.
+    """
 
     sequence: MeasurementSequence
     results: tuple
@@ -234,6 +240,9 @@ class Path:
     @property
     def steps(self) -> tuple:
         return self.sequence.steps
+
+    def __hash__(self):
+        return hash(self.results)
 
     def __len__(self):
         return len(self.results)
@@ -730,7 +739,9 @@ def paths_over(s: MeasurementSequence, choices) -> list:
     choice must be a block of its step's measurement.  Each path's two
     fields are written straight into its instance dict, where the frozen
     dataclass keeps them, so it equals, hashes, prints and pickles as the
-    checked ``Path(s, results)``."""
+    checked ``Path(s, results)``.  Only the dict API of ``engine.sample``
+    and ``enumerate_paths`` list paths this way; ``compalg sample`` writes
+    its rows without them."""
     paths, new = [], object.__new__
     for combo in itertools.product(*choices):
         p = new(Path)

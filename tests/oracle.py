@@ -38,11 +38,17 @@ Both read the lowered matrices as rows, through ``rows_of``.
 itself (``rows_by_hand``), keeps the partial thread sums as a dict per
 run and reads each target's column entry by entry.
 
+``path_probabilities`` is the sampling table as ``Path`` pairs, the
+engine's table placed by rank, and ``sample_rows`` the reference for the
+draw (``engine._draw``) and for the rows of ``compalg sample``: it checks
+and draws from a per-path list, and its rows hold ``Path`` objects.
+
 ``sum_of_products`` is the reference for ``Algebra.kernel``: it
 interprets the product plan's (i, j, negate) triples in a loop.
 ``cayley_dickson_product`` is the reference for the structure table that
 the plan is read from: the doubling formula applied recursively, from the
 doubling signs ``GAMMAS`` alone.
+``structure_constant`` reads one entry of that table.
 ``mul_by_table`` multiplies term by term through the structure table and
 ``quadratic_form_by_table`` takes Q on it: the references for
 ``algebra.mul`` and ``algebra.quadratic_form``, which run on the kernel,
@@ -55,11 +61,12 @@ from __future__ import annotations
 import itertools
 import math
 
+from compalg import engine
 from compalg.algebra import (
-    Amplitude, _require_same_algebra, is_exact, lift, scalar_part, squared_norm, summed,
+    Amplitude, _require_same_algebra, is_exact, lift, lower, scalar_part, squared_norm, summed,
 )
 from compalg.dsl import ParseError, SourceSpan, Token
-from compalg.errors import CoarsenMismatch, ImpossiblePathHasNoNormalForm
+from compalg.errors import CoarsenMismatch, ImpossiblePathHasNoNormalForm, NotADistribution
 from compalg.model import (
     Measurement,
     Path,
@@ -69,6 +76,7 @@ from compalg.model import (
     is_possible,
     normal_form,
     path_key,
+    paths_over,
     runs,
     sequence,
 )
@@ -424,6 +432,59 @@ def probabilities_by_enumeration(s, source, asg):
             for p in enumerate_paths(s) if p.results[0] == source]
 
 
+def path_probabilities(s, source, asg) -> list:
+    """Every path from the source result with its probability, in
+    ``enumerate_paths`` order: ``engine._probabilities``' rows, each
+    probability at its row's rank, the exact 0 at every other path, zipped
+    with the paths of ``paths_over``.  The table that the engine's sampler
+    draws from, as ``Path`` pairs."""
+    choices, rank, born = engine._probabilities(s, source, asg)
+    probabilities = [0] * math.prod(map(len, choices))
+    for r, q in zip(rank.tolist(), born):
+        probabilities[r] = q
+    return list(zip(paths_over(s, choices), probabilities))
+
+
+def sample_rows(s, source, asg, n: int, seed: int) -> list:
+    """The reference for ``engine._draw`` and ``compalg sample``: one
+    (path, count, probability) row per path from the source result, in
+    ``path_key`` order, over the ``Path`` pairs of ``path_probabilities``,
+    checked and drawn from a per-path list of the probabilities: a negative
+    one (below 0 exactly, below -1e-12 in float mode) or one beyond the
+    float range names its path, a mass off one by more than
+    DISTRIBUTION_TOL, added left to right, is refused, and the counts are
+    one multinomial draw seeded with [seed, 0]."""
+    import numpy as np
+
+    if not 0 <= n < engine.MAX_DRAWS:
+        raise ValueError(f"number of draws must lie in [0, 2**63), got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    table = path_probabilities(s, source, asg)
+    probabilities = [q for _, q in table]
+    if asg.is_exact:  # as floats, one beyond the float range an infinity
+        (weights,), _ = lower([probabilities], False)
+        weights = np.array(weights)
+        negative = np.array([q < 0 for q in probabilities], bool)
+        failed = negative | np.isinf(weights)
+    else:
+        weights = np.array(probabilities, float)
+        failed = negative = weights < -1e-12
+    if failed.any():
+        first = int(failed.argmax())
+        p = table[first][0]
+        if negative[first]:
+            raise NotADistribution(
+                f"negative probability {engine._shown(probabilities[first])} for {p!r}")
+        raise NotADistribution(f"probability of {p!r} exceeds the float range")
+    weights = np.maximum(weights, 0.0)
+    mass = float(np.cumsum(weights)[-1])
+    if not abs(mass - 1.0) <= engine.DISTRIBUTION_TOL:
+        raise NotADistribution(f"path probabilities sum to {mass}, not 1")
+    counts = np.random.default_rng([seed, 0]).multinomial(n, weights / weights.sum()).tolist()
+    return [(p, count, q) for (p, q), count in zip(table, counts)]
+
+
 def total_by_enumeration(s, source, asg):
     """Sum over enumerated paths from the source of Q(amplitude): the
     reference for ``engine.total_probability``."""
@@ -641,6 +702,12 @@ def cayley_dickson_product(a: tuple, b: tuple, gammas: tuple) -> tuple:
     top = zip(cayley_dickson_product(p, r, inner), cayley_dickson_product(_conj(s), q, inner))
     bottom = zip(cayley_dickson_product(s, p, inner), cayley_dickson_product(q, _conj(r), inner))
     return tuple(x - gamma * y for x, y in top) + tuple(x + y for x, y in bottom)
+
+
+def structure_constant(algebra, i: int, j: int, k: int) -> int:
+    """The e_k coefficient of e_i e_j, read from the algebra's table."""
+    kk, s = algebra.table[i][j]
+    return s if kk == k else 0
 
 
 def mul_by_table(a: Amplitude, b: Amplitude) -> Amplitude:

@@ -32,7 +32,7 @@ from compalg.errors import (
 )
 
 from conftest import skewed_kernel
-from oracle import GAMMAS, cayley_dickson_product, mul_by_table
+from oracle import GAMMAS, cayley_dickson_product, mul_by_table, structure_constant
 
 ALL_KINDS = list(AlgebraKind)
 ASSOCIATIVE_KINDS = [k for k in ALL_KINDS if k.is_associative]
@@ -61,7 +61,7 @@ def test_dimensions():
 
 def test_base_field_table():
     assert R.dim == 1
-    assert R.structure_constant(0, 0, 0) == 1
+    assert structure_constant(R, 0, 0, 0) == 1
 
 
 def test_complex_imaginary_unit_squares_to_minus_one():
@@ -95,7 +95,7 @@ def test_structure_constants_are_signs():
         for i in range(alg.dim):
             for j in range(alg.dim):
                 for k in range(alg.dim):
-                    assert alg.structure_constant(i, j, k) in (-1, 0, 1)
+                    assert structure_constant(alg, i, j, k) in (-1, 0, 1)
 
 
 def test_conjugation_signs():

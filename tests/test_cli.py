@@ -1,5 +1,7 @@
 """Command-line behavior: golden outputs, formats, exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from compalg import dsl, engine, model
+from compalg import cli, dsl, engine, model
 from compalg.cli import main
+
+from oracle import sample_rows
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -296,6 +300,85 @@ def test_sample_csv_bytes(tmp_path, capsys, seed):
     assert main(["-w", str(tmp_path / "h.dsl"), "sample", "zig", "--assignment", "amp",
                  "--source", "{a1}", "-n", "1000", "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == golden(f"sample_float_h_seed{seed}.golden")
+
+
+# two alternating grounds, one element id that JSON escapes and one with an
+# apostrophe, and a coarse step that makes paths impossible: 2^11 paths from
+# a source of long, 8 of short
+LONG_DSL = """\
+elements A = {\u00e91, a'2}
+measurement aA over A = {{\u00e91}, {a'2}}
+elements B = {b1, b2}
+measurement aB over B = {{b1}, {b2}}
+measurement cB over B = {{b1, b2}}
+sequence long = [aA, aB, cB, aB, aA, aB, aA, aB, aA, aB, aA, aB, aA]
+sequence short = [aA, aB, cB, aB, aA]
+assignment exact over long algebra C from "exact.json"
+assignment float over long algebra H from "h.json"
+"""
+
+LONG_EXACT_MATRICES = """\
+{"steps": [{"from": "aA", "to": "aB", "matrix": [
+  [["3/5", 0], [0, "4/5"]], [[0, "4/5"], ["3/5", 0]]]}]}
+"""
+
+
+def long_workspace(tmp_path) -> str:
+    (tmp_path / "long.dsl").write_text(LONG_DSL, encoding="utf-8")
+    (tmp_path / "exact.json").write_text(LONG_EXACT_MATRICES)
+    (tmp_path / "h.json").write_text(FLOAT_H_MATRICES)
+    return str(tmp_path / "long.dsl")
+
+
+def sample_csv_by_reference(ws: dsl.Workspace, sequence: str, assignment: str, source: str,
+                            n: int, seed: int) -> str:
+    """The CSV of ``compalg sample`` as ``csv.writer`` writes the rows of
+    ``oracle.sample_rows``, each path as its canonical JSON."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["path", "count", "probability"])
+    for p, count, q in sample_rows(ws.sequences[sequence], frozenset({source}),
+                                   ws.assignments[assignment], n, seed):
+        writer.writerow([json.dumps(model.path_to_json(p), sort_keys=True, separators=(",", ":")),
+                         count, engine.coeff_json(q)])
+    return out.getvalue()
+
+
+def test_sample_rows_from_fragments_are_the_reference_bytes(tmp_path, capsys):
+    """``compalg sample`` writes each row from per-block fragments, in
+    chunks; its stdout is ``csv.writer``'s over the reference rows byte for
+    byte, in both modes, with n = 0, over coarse blocks, impossible paths,
+    escaped and quoted element ids, and more rows than one chunk."""
+    path = long_workspace(tmp_path)
+    with open(path, "r", encoding="utf-8") as fh:
+        ws = dsl.parse(fh.read(), base_dir=str(tmp_path))
+    for sequence, assignment, source, n, seed in (
+            ("long", "exact", "\u00e91", 1000, 3), ("short", "exact", "a'2", 0, 1),
+            ("short", "float", "\u00e91", 10 ** 6, 5), ("short", "float", "a'2", 0, 2)):
+        assert main(["-w", path, "sample", sequence, "--assignment", assignment,
+                     "--source", f"{{{source}}}", "-n", str(n), "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert out == sample_csv_by_reference(ws, sequence, assignment, source, n, seed)
+        rows = out.splitlines()[1:]
+        assert len(rows) == (2 ** 11 if sequence == "long" else 8)
+        assert any(row.endswith(",0,0") for row in rows) and '\\u00e91' in rows[0]
+        assert sum(int(row.rsplit(",", 2)[1]) for row in rows) == n
+    assert 2 ** 11 > cli.SAMPLE_CHUNK
+
+
+def test_sample_into_a_closed_pipe_exits_2_without_a_traceback(tmp_path):
+    """A reader that closes the pipe after a few bytes, on output larger
+    than a pipe buffer: one line on stderr and exit 2, with no traceback
+    and nothing printed at interpreter exit."""
+    with subprocess.Popen(
+            [sys.executable, "-m", "compalg", "-w", long_workspace(tmp_path), "sample", "long",
+             "--assignment", "exact", "--source", "{a'2}", "-n", "10", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(16) == b"path,count,proba"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert stderr == b"error: output closed before it was written in full (broken pipe)\n"
 
 
 def test_sample_seed_is_not_truncated(capsys):

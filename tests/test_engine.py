@@ -20,10 +20,8 @@ from compalg.engine import (
     amplitude_of,
     check_certain_insertion,
     check_markov,
-    path_probabilities,
     probability_of,
     sample,
-    sample_rows,
     total_probability,
     validate_assignment,
 )
@@ -52,7 +50,7 @@ from conftest import (
     entry,
     random_row_normalized,
 )
-from oracle import mul_by_table, quadratic_form_by_table, rows_of
+from oracle import mul_by_table, path_probabilities, quadratic_form_by_table, rows_of
 
 C = make_algebra(AlgebraKind.C)
 H = make_algebra(AlgebraKind.H)
@@ -399,7 +397,7 @@ def test_total_probability_overflow_and_an_unread_row():
     for steps, source, total in (([AN, AM], "n1", "inf"), ([AN, AM, AN], "n2", "nan")):
         assert repr(total_probability(sequence(steps), frozenset({source}), overflow)) == total
         with pytest.raises(NotADistribution, match=r"^path probabilities sum to inf, not 1$"):
-            sample_rows(sequence(steps), frozenset({source}), overflow, 10, 1)
+            sample(sequence(steps), frozenset({source}), overflow, 10, 1)
     assert total_probability(sequence([AN, AM]), frozenset({"n2"}), overflow) == 1.0
     tables = [[(p, q.hex()) for p, q in path_probabilities(
         sequence([AN, AM]), frozenset({"n2"}), asg)] for asg in (overflow, c_rows(2.0))]
@@ -605,7 +603,7 @@ def test_sample_mass_is_added_left_to_right():
     assert functools.reduce(operator.add, probabilities, 0) == 5.522200000000001
     assert math.fsum(probabilities) == 5.5222
     with pytest.raises(NotADistribution) as exc:
-        sample_rows(s, source, asg, 10, 1)
+        sample(s, source, asg, 10, 1)
     assert str(exc.value) == "path probabilities sum to 5.522200000000001, not 1"
 
 

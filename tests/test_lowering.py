@@ -21,7 +21,6 @@ from compalg.engine import (
     Assignment,
     _thread_sums,
     amplitude_of,
-    path_probabilities,
     probability_of,
     total_probability,
 )
@@ -42,6 +41,7 @@ from conftest import (
 )
 from oracle import (
     mul_by_table,
+    path_probabilities,
     probabilities_by_enumeration,
     rows_of,
     sum_of_products,

@@ -19,12 +19,11 @@ from compalg.engine import (
     MAX_DRAWS,
     Assignment,
     _close,
+    _draw,
     _source_totals,
     amplitude_of,
-    path_probabilities,
     probability_of,
     sample,
-    sample_rows,
     total_probability,
     validate_assignment,
 )
@@ -44,8 +43,10 @@ from compalg.model import (
 from conftest import MIX_GROUNDS, assignment_for, converted, entry, skewed_kernel
 from oracle import (
     mul_by_table,
+    path_probabilities,
     probabilities_by_enumeration,
     quadratic_form_by_table,
+    sample_rows,
     total_by_enumeration,
     total_by_full_state,
     validation_by_sum_rules,
@@ -442,7 +443,7 @@ def test_kept_layout_and_blocks_give_the_bits_of_a_fresh_build():
                     return bits_of([
                         path_probabilities(s, frozenset({"a2"}), asg),
                         outcome(lambda: total_probability(s, frozenset({"a2"}), asg)),
-                        outcome(lambda: sample_rows(s, frozenset({"a2"}), asg, 1000, 3))])
+                        outcome(lambda: _draw(s, frozenset({"a2"}), asg, 1000, 3))])
                 first = evaluated(s, asg)
                 assert "_layout" in vars(s) and asg._built is not None
                 assert evaluated(s, asg) == first
@@ -511,7 +512,8 @@ def test_what_is_kept_does_not_grow_with_the_path_count():
     6,144 paths from a source: after a table and a float total on each,
     each keeps one run layout per run, every array of it at most the
     (n + 1)^2 entries of its n-element ground, and the assignment keeps
-    one block per ground pair crossed, the same three for both."""
+    one block per ground pair crossed, the same three for both, and per
+    sequence frame the list of those blocks, one per run boundary."""
     halves = {g: measurement(f"half{g.id}", g, [g.elements[:2], g.elements[2:]])
               for g in (A3, B3, C3)}
     grounds = [A3, B3, C3]
@@ -533,7 +535,13 @@ def test_what_is_kept_does_not_grow_with_the_path_count():
         for run in layout:
             arrays = [run.slots, run.index, run.same_class, *(run.padding or ())]
             assert all(array.size <= 4 ** 2 for array in arrays)
-        kept.add(frozenset(asg._built[1]))
+        built = asg._built[1]
+        grounds_of_s = s.plan.grounds
+        frame_blocks, _ = built["padded frame", grounds_of_s]
+        assert len(frame_blocks) == length - 1 and all(
+            block is asg.padded_block(a, b)[0]
+            for block, a, b in zip(frame_blocks, grounds_of_s, grounds_of_s[1:]))
+        kept.add(frozenset(key for key in built if key[0] != "padded frame"))
     (keys,) = kept
     assert sorted(kind for kind, *_ in keys if kind in ("padded", "real")) \
         == ["padded"] * 3 + ["real"] * 3
@@ -760,7 +768,7 @@ def test_sampling_overflow_runs_no_other_evaluator(monkeypatch):
     a, b = atomic_measurement(A3), atomic_measurement(B3)
     for steps, source in (([a, b], "a1"), ([b, a, b], "b1"), ([b, a, b], "b2")):
         with pytest.raises(NotADistribution, match=r"^path probabilities sum to inf, not 1$"):
-            sample_rows(sequence(steps), frozenset({source}), asg, 10, 1)
+            sample(sequence(steps), frozenset({source}), asg, 10, 1)
     assert calls == []
 
 
@@ -943,6 +951,64 @@ def test_sample_rejects_negative_draws_and_seeds():
         sample(s, frozenset({"a1"}), asg, MAX_DRAWS, seed=0)
     with pytest.raises(ValueError):
         sample(s, frozenset({"a1"}), asg, 5, seed=-1)
+
+
+def test_draw_is_the_reference_draw():
+    """Seeded, in both modes, over sequences with coarse steps and
+    impossible paths, with unitary and with unnormalized matrices: ``sample``
+    is the counts of the reference ``sample_rows`` keyed by path, and ``_draw``
+    gives its rows, path by path, or raises its error.  Each probability
+    equals ``probability_of``'s in type and bits, an impossible path's the
+    int 0 in both modes."""
+    a, b = atomic_measurement(A3), atomic_measurement(B3)
+    half = measurement("halfB", B3, [["b1", "b2"], ["b3"]])
+    unitary = exact_unitary_c()
+    drawn = failed = 0
+    impossible = {True: 0, False: 0}
+    for asg, s, source in [
+            (unitary, sequence([a, half, b, a, b]), frozenset({"a2"})),
+            (unitary, sequence([a, b, half, half, a, half, b]), frozenset({"a3"})),
+            (unitary, sequence([b, a]), frozenset({"b1"})),
+            *itertools.islice(cases(9, 3), 0, None, 2)]:
+        for mode in (asg, converted(asg, float)):
+            try:
+                reference = sample_rows(s, source, mode, 500, 4)
+            except NotADistribution as exc:
+                for draw in (_draw, sample):
+                    with pytest.raises(NotADistribution, match=f"^{re.escape(str(exc))}$"):
+                        draw(s, source, mode, 500, 4)
+                failed += 1
+                continue
+            choices, counts, probabilities = _draw(s, source, mode, 500, 4)
+            paths = model.paths_over(s, choices)
+            assert sample(s, source, mode, 500, 4) == {p: c for p, c, _ in reference}
+            assert bits_of([paths, counts, probabilities]) \
+                == bits_of([[p for p, _, _ in reference], [c for _, c, _ in reference],
+                            [q for _, _, q in reference]])
+            for p, q in zip(paths, probabilities):
+                assert bits_of(q) == bits_of(probability_of(p, mode).probability)
+                if not is_possible(p):
+                    assert type(q) is int and q == 0
+                    impossible[mode.is_exact] += 1
+            drawn += 1
+    assert drawn >= 10 and failed >= 10 and min(impossible.values()) >= 100
+
+
+def test_paths_hash_by_their_results():
+    """A path's hash is its results' hash, the same for a path built by
+    ``paths_over`` as for the checked ``Path``; two sequences whose paths
+    have equal results collide, and a dict keeps both paths apart."""
+    a, b = atomic_measurement(A3), atomic_measurement(B3)
+    half = measurement("halfB", B3, [["b1", "b2"], ["b3"]])
+    s = sequence([a, half, b])
+    for p in enumerate_paths(s):
+        assert hash(p) == hash(Path(s, p.results)) == hash(p.results)
+    p = Path(s, (frozenset({"a1"}), frozenset({"b3"}), frozenset({"b3"})))
+    q = Path(sequence([a, b, b]), p.results)
+    assert p != q and hash(p) == hash(q)
+    counts = {p: 1, q: 2}
+    assert len(counts) == 2 and counts[p] == 1 and counts[q] == 2
+    assert counts[Path(sequence(s.steps), p.results)] == 1
 
 
 NEGATIVE_DSL = """\
