@@ -561,10 +561,6 @@ class AxiomReport:
                 return c
         raise KeyError(name)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def to_json(self) -> dict:
         return {
             "algebra": self.kind.label,

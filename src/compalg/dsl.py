@@ -36,7 +36,6 @@ from .model import (
     Path,
     measurement,
     sequence,
-    sorted_blocks,
 )
 
 
@@ -105,40 +104,9 @@ class Workspace:
     sequences: Dict[str, MeasurementSequence] = field(default_factory=dict)
     paths: Dict[str, Path] = field(default_factory=dict)
     assignments: Dict[str, Assignment] = field(default_factory=dict)
-    #: source text of assignment statements, kept for canonical printing
+    #: source text of assignment statements: (sequence, algebra, file name)
     assignment_sources: Dict[str, Tuple[str, str, str]] = field(
         default_factory=dict, compare=False)
-
-    def to_canonical_dsl(self) -> str:
-        lines = []
-        for name in sorted(self.grounds):
-            g = self.grounds[name]
-            lines.append(f"elements {name} = {{{', '.join(g.elements)}}}")
-        for name in sorted(self.measurements):
-            m = self.measurements[name]
-            blocks = ", ".join(
-                "{" + ", ".join(sorted(b)) + "}" for b in sorted_blocks(m.blocks))
-            lines.append(f"measurement {name} over {m.ground.id} = {{{blocks}}}")
-        for name in sorted(self.sequences):
-            s = self.sequences[name]
-            lines.append(f"sequence {name} = [{', '.join(m.id for m in s.steps)}]")
-        for name in sorted(self.paths):
-            p = self.paths[name]
-            seq_name = self._sequence_name_of(p)
-            blocks = ", ".join(
-                "{" + ", ".join(sorted(r)) + "}" for r in p.results)
-            lines.append(f"path {name} over {seq_name} = [{blocks}]")
-        for name in sorted(self.assignment_sources):
-            seq_name, alg, filename = self.assignment_sources[name]
-            lines.append(
-                f'assignment {name} over {seq_name} algebra {alg} from "{filename}"')
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def _sequence_name_of(self, p: Path) -> str:
-        for name, s in self.sequences.items():
-            if s == p.sequence:
-                return name
-        raise KeyError("path sequence is not a named sequence")
 
 
 class _Parser:

@@ -37,21 +37,27 @@ surviving element, and zero padding past a row's survivors, multiplied by
 ``kernel.columns`` once per run boundary, every parent slot at once on the
 product's trailing pair axis.  It is bounded by
 ``model.DEFAULT_PATH_BOUND``, checks the probabilities as one array and
-ends in one multinomial draw (``_draw``), with no ``Path`` built: ``sample``
-builds the paths after the draw, to key its counts, and ``compalg sample``
-writes its rows from per-block fragments.
+ends in one multinomial draw (``_draw_rows``), with no ``Path`` built and
+no per-path probability listed: ``sample`` builds the paths after the draw,
+to key its counts, and ``compalg sample`` lists every path's probability
+(``_draw``) and writes its rows from per-block fragments.
 
 Sum rules are computed without listing paths, by a backward recursion
 over pairs of threads that share a detector at every step.  In exact mode
-it reads the same lowered columns in place, through the kernel, conjugating
-the right-hand factor, and carries only the real diagonal of each
-Hermitian pair state, as ints, and one triangle: across an atomic run
-boundary it multiplies the diagonal by the pair's Born matrix of entry
+it reads the same lowered columns in place, through the kernel, with the
+right-hand factors conjugated once per ground pair and kept
+(``Assignment.conjugated``), and carries only the real diagonal of each
+Hermitian pair state, as ints, and the strict upper triangle of each class
+of two or more.  Each diagonal entry is the pair's Born matrix of entry
 norms Q(E(x, y)), kept per ground pair in the assignment
-(``Assignment.born_rows``), and calls no kernel.  In float mode it
-multiplies real block matrices in numpy: each entry as its d x d matrix
-of left multiplication, built from the kernel on basis pairs and kept per
-ground pair in the assignment (``Assignment.real_blocks``), its
+(``Assignment.born_rows``), times the next diagonal, plus twice the e0 of
+the cross terms that the next run's upper triangles carry, one kernel call
+per element of a class after its first and one more per row; so across an
+atomic run boundary it calls no kernel, and a row in a class of two or
+more reads its diagonal from the left sums that its triangle needs.  In
+float mode it multiplies real block matrices in numpy: each entry as its d
+x d matrix of left multiplication, built from the kernel on basis pairs and
+kept per ground pair in the assignment (``Assignment.real_blocks``), its
 conjugate as the adjoint under the norm form, with the tolerance bound's
 recursion over the entry norms in the same pass: one masked product per
 run boundary, from the atomic last run down to run 1, then one stacked
@@ -72,12 +78,12 @@ first use and kept with the sequence: per run the class-by-slot positions
 over the sorted ground, the padding slots, the class ranks and the
 same-class mask.  What depends on one ground pair alone is kept in the
 assignment, built on first use by the kernel in place
-(``Assignment._built_by_kernel``): the Born matrix, the real blocks, the
-sampling table's padded block, already gathered for the array product, the
-row checks and the adjoint verdict; so are, per sequence frame, the list of
-its boundaries' lowered columns, which the walk and the exact sum rule
-read (``_frame_columns``), and the list of their padded blocks, which the
-sampler reads (``_frame_blocks``).  Nothing whose size grows with the
+(``Assignment._built_by_kernel``): the Born matrix, the conjugate
+entries, the real blocks, the sampling table's padded block, already
+gathered for the array product, the row checks and the adjoint verdict; so
+are, per sequence frame, the list of its boundaries' lowered columns,
+which the walk and the exact sum rule read (``_frame_columns``), and the
+list of their padded blocks, which the sampler reads (``_frame_blocks``).  Nothing whose size grows with the
 number of paths is kept after a call: the table's rows, ranks, weights and
 paths are built per call.  From a source, the sum rule and the
 sampler read the source's row at the first run boundary and every row of
@@ -167,7 +173,8 @@ class Assignment:
     evaluators read it as columns y -> {x: coefficient tuple} over one
     denominator, from ``lowered``, the one lowered form, which the walk of
     a path reads a target's column at a time; the exact sum rule also as
-    Born matrices, from ``born_rows``, the float sum rule as real block
+    Born matrices, from ``born_rows``, and with its entries conjugated,
+    from ``conjugated``, the float sum rule as real block
     matrices, from ``real_blocks``, and the sampling table as one
     zero-padded numpy block over the sorted elements, gathered for the
     array product, from ``padded_block``.  Each is built per ground pair on
@@ -382,6 +389,20 @@ class Assignment:
             return {x: {y: born(column[x]) for y, column in columns.items()}
                     for x in sorted(key[0])}
         return self._built_by_kernel(("born", key), build)
+
+    def conjugated(self, g_from, g_to) -> Dict[str, Dict[str, tuple]]:
+        """The ``lowered`` matrix E from one ground to another conjugated
+        entry by entry, over the same denominator, as rows x -> {y:
+        conj(E(x, y))}, the shape of ``born_rows``: the right-hand factors of
+        the exact sum rule.  Built on first use by ``Algebra.conj``
+        (``_built_by_kernel``)."""
+        key = (_ground_key(g_from), _ground_key(g_to))
+
+        def build():
+            columns, conj = self.lowered(*key)[0], self.algebra.conj
+            return {x: {y: conj(column[x]) for y, column in columns.items()}
+                    for x in sorted(key[0])}
+        return self._built_by_kernel(("conj", key), build)
 
     def _built_by_kernel(self, key, build):
         """build(), kept under key until the algebra's kernel is another
@@ -705,57 +726,77 @@ def _pair_transfer(grounds, classes, lowered, asg: Assignment) -> Dict[str, int]
     step keeps it so, as conj is an anti-automorphism of the associative
     algebra.  So S_k(x, x) is self-conjugate, a real scalar, and the
     recursion carries two things: s(x), the e0 of S_k(x, x), for every
-    element, and the strict upper triangle S_k(x, x'), x before x' in class
-    order, of each class of two or more; the lower triangle is its
-    conjugate.  To every s(x), a singleton class {y} of run k+1 adds
-    E_k[x][y] s(y) conj(E_k[x][y]) = P_k[x][y] s(y), with P_k the pair's
-    Born matrix (``Assignment.born_rows``): across an atomic run boundary
-    the recursion is s_k = P_k s_k+1, n^2 int products and no kernel call.
-    The classes of two or more of run k+1 enter in factored form: for each
-    x the left sums sum_y E_k[x][y] S_k+1(y, y') over each such class, one
-    kernel call per y'.  Then one kernel call over them adds their share to
-    s(x), and one per pair x < x' of a class of run k forms S_k(x, x') over
-    them and the singletons' E_k[x][y] s(y).  So a boundary costs O(n^3)
-    kernel products at most.  Each s(x) is computed from row x alone, and
-    run 0's classes are singletons, so it needs no triangle: a source's
-    value does not depend on which other sources are given.
+    element, and the strict upper triangle U(x, x') = S_k(x, x'), x before
+    x' in class order, of each class of two or more (a wide class); the
+    lower triangle is its conjugate.  The diagonal of a singleton class {x}
+    of run k splits into the terms y = y', each E_k[x][y] s(y)
+    conj(E_k[x][y]) = P_k[x][y] s(y) with P_k the pair's Born matrix
+    (``Assignment.born_rows``), and the pairs y != y' of a wide class of
+    run k+1, whose two orders are conjugate:
+
+        s_k(x) = sum_y P_k[x][y] s(y)
+                 + 2 e0(sum_y' [sum_{y before y'} E_k[x][y] U(y, y')] conj(E_k[x][y']))
+
+    the cross term one kernel call per y' over the y before it, then one
+    call over every y', of which the e0 is read.  Across an atomic run
+    boundary it is s_k = P_k s_k+1, n^2 int products and no kernel call.
+    The rows x of a wide class of run k need the full left sums sum_y
+    E_k[x][y] S_k+1(y, y') over each wide class of run k+1, one kernel call
+    per y', for their triangle: one call per pair x before x' forms U(x,
+    x') over them and the singletons' E_k[x][y] s(y), and x's diagonal
+    reads the same left sums, one call over them, beside the singletons'
+    Born terms.  So a boundary costs O(n^3) kernel products at most, and a
+    singleton row beside a wide class of c elements c (c - 1) / 2 + c - 1.
+    The conjugate entries are read from the pair's kept conjugate
+    (``Assignment.conjugated``); a boundary reads a Born matrix only when
+    one of its two runs has a singleton class, and the conjugate only when
+    one has a wide class.  Each s(x) is computed from row x alone, and run
+    0's classes are singletons, so it needs no triangle: a source's value
+    does not depend on which other sources are given.  The diagonal is
+    exact ints, so the order in which its terms are added changes nothing.
     """
     algebra = asg.algebra
     kernel, conj, tail = algebra.kernel, algebra.conj, (0,) * (algebra.dim - 1)
-    diagonal, upper = {y: 1 for (y,) in classes[-1]}, {}
+    diagonal, upper, wide = {y: 1 for (y,) in classes[-1]}, {}, []
     for k in range(len(classes) - 2, -1, -1):
-        cols = lowered[k]
-        singles = [(cls[0], diagonal[cls[0]]) for cls in classes[k + 1] if len(cls) == 1]
-        wide = [cls for cls in classes[k + 1] if len(cls) > 1]
-        targets = [y for cls in wide for y in cls]
+        # wide: the classes of two or more of run k+1, spans: those of run k
+        cols, pair, spans = lowered[k], grounds[k:k + 2], [c for c in classes[k] if len(c) > 1]
+        singles = [(c[0], diagonal[c[0]]) for c in classes[k + 1] if len(c) == 1] if spans else []
+        born = asg.born_rows(*pair) if singles or len(spans) < len(classes[k]) else {}
+        conjugated = asg.conjugated(*pair) if wide or spans else {}
+        targets = [y for cls in wide for y in cls] if wide else []
+        # each y' of a wide class after its first, with the y before it and U(y, y')
+        later = [(cls[:j], y2, [upper[y, y2] for y in cls[:j]])
+                 for cls in wide for j, y2 in enumerate(cls) if j] if wide else []
         # columns[y'] = [S_k+1(y, y') for y in the class of y'], in class order
-        columns = {}
-        for cls in wide:
-            for j, y2 in enumerate(cls):
-                columns[y2] = [upper[y, y2] for y in cls[:j]] + [(diagonal[y2],) + tail] \
-                    + [conj(upper[y2, y]) for y in cls[j + 1:]]
-        born = asg.born_rows(grounds[k], grounds[k + 1]) if singles else {}
-        diagonal = {x: sum([born[x][y] * s for y, s in singles])
-                    for cls in classes[k] for x in cls}
-        upper = {}
-        for cls in classes[k]:
-            if not wide and len(cls) == 1:
-                continue  # s_k(x) is the Born term alone
+        columns = {y2: [upper[y, y2] for y in cls[:j]] + [(diagonal[y2],) + tail]
+                   + [conj(upper[y2, y]) for y in cls[j + 1:]]
+                   for cls in wide for j, y2 in enumerate(cls)} if wide and spans else {}
+        states, upper = diagonal.items(), {}
+        # the singleton rows: Born terms, then the cross terms of each wide class
+        diagonal = {x: sum([row[y] * s for y, s in states])
+                    for cls in classes[k] if len(cls) == 1 for x in cls for row in [born[x]]}
+        for x in diagonal if later else ():
+            crow = conjugated[x]
+            lefts = [kernel([cols[y][x] for y in before], ups) for before, _, ups in later]
+            diagonal[x] += 2 * kernel(lefts, [crow[y2] for _, y2, _ in later])[0]
+        for cls in spans:
             lefts, rights = [], []
             for x in cls:
-                left = []
-                for later in wide:
-                    entries = [cols[y][x] for y in later]
-                    left += [kernel(entries, columns[y2]) for y2 in later]
-                right = [conj(cols[y][x]) for y in targets]
+                crow, left = conjugated[x], []
+                for later_cls in wide:
+                    entries = [cols[y][x] for y in later_cls]
+                    left += [kernel(entries, columns[y2]) for y2 in later_cls]
+                right = [crow[y] for y in targets]
+                diagonal[x] = sum([born[x][y] * s for y, s in singles])
                 if wide:
                     diagonal[x] += kernel(left, right)[0]
-                if len(cls) > 1:
-                    lefts.append(left + [tuple([c * s for c in cols[y][x]]) for y, s in singles])
-                    rights.append(right + [conj(cols[y][x]) for y, _ in singles])
+                lefts.append(left + [tuple([c * s for c in cols[y][x]]) for y, s in singles])
+                rights.append(right + [crow[y] for y, _ in singles])
             for j, x2 in enumerate(cls):
                 for i, x in enumerate(cls[:j]):
                     upper[x, x2] = kernel(lefts[i], rights[j])
+        wide = spans
     return diagonal
 
 
@@ -870,12 +911,17 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     once (``_source_totals``), with every row of E_0, and gets each
     source's total as this function does, bit for bit.  In exact mode it
     runs on the kernel over the lowered columns (``_pair_transfer``), carrying
-    the real diagonal of each Hermitian S_k and one triangle: across an
-    atomic run boundary it is a product of the pair's Born matrix P_k =
-    Q(E_k) with the diagonal, n^2 int products, so it costs O(L n^2) on
-    atomic runs and O(L n^3) algebra products in general, for L runs over
-    grounds of at most n elements.  Each entry's Q is taken once per pair
-    (``Assignment.born_rows``), with the scalar check of
+    the real diagonal of each Hermitian S_k and the strict upper triangle of
+    each class of two or more.  Every diagonal entry of a singleton class
+    starts from the pair's Born matrix P_k = Q(E_k), s_k(x) = sum_y P_k(x,
+    y) s(y), and adds twice the e0 of the cross terms E_k(x, y) S_k+1(y, y')
+    conj(E_k(x, y')) over y before y' in a class of run k+1, one kernel
+    call per y' and one more per row; a row in a class of two or more takes
+    its diagonal from the left sums that its triangle builds.  Across an
+    atomic run boundary that is n^2 int products and no kernel call, so it
+    costs O(L n^2) on atomic runs and O(L n^3) algebra products in general,
+    for L runs over grounds of at most n elements.  Each entry's Q is taken
+    once per pair (``Assignment.born_rows``), with the scalar check of
     ``algebra.quadratic_form_over``, so an a * conj(a) that is not scalar
     raises NonScalarProduct there; the total is the diagonal's int, scalar
     by construction.  In float mode it is a
@@ -1052,16 +1098,17 @@ def _probabilities(s: MeasurementSequence, source: frozenset,
         return choices, rank, quadratic_form_columns(algebra, sums, den, asg.is_exact)
 
 
-def _draw(s: MeasurementSequence, source: frozenset, asg: Assignment,
-          n: int, seed: int) -> Tuple[list, list, list]:
+def _draw_rows(s: MeasurementSequence, source: frozenset, asg: Assignment,
+               n: int, seed: int) -> Tuple[list, list, object, list]:
     """Draw n paths from the exact path distribution, reproducibly.
 
-    Returns (choices, counts, probabilities): the blocks each step offers
-    (``_probabilities``' choices), and over the paths from the source
-    result, in ``itertools.product`` order over the choices (``path_key``
-    order), each path's count and probability, the probability of
-    ``_probabilities`` or the exact 0 for an impossible path.  The counts
-    are one multinomial draw seeded with [seed, 0]: they depend on (seed, n)
+    Returns (choices, counts, rank, born): the blocks each step offers
+    (``_probabilities``' choices); over the paths from the source result,
+    in ``itertools.product`` order over the choices (``path_key`` order),
+    each path's count; and the table's rows as ``_probabilities`` gives
+    them, their path ranks and probabilities.  Every other path is
+    impossible, with the exact probability 0.  The counts are one
+    multinomial draw seeded with [seed, 0]: they depend on (seed, n)
     alone.  No ``Path`` is built but for a failing path's message.
 
     A probability that is negative (exactly below 0 in exact mode, below
@@ -1081,12 +1128,11 @@ def _draw(s: MeasurementSequence, source: frozenset, asg: Assignment,
     import numpy as np
 
     choices, rank, born = _probabilities(s, source, asg)
-    probabilities = np.zeros(math.prod(map(len, choices)), object)  # Python ints 0
-    probabilities[rank] = np.array(born, object)
-    weights = np.zeros(len(probabilities))
+    weights = np.zeros(math.prod(map(len, choices)))
     if asg.is_exact:
         weights[rank] = lower([born], False)[0][0]  # as floats, one beyond the float range inf
-        negative = probabilities < 0
+        negative = np.zeros(len(weights), bool)
+        negative[rank] = np.array(born, object) < 0
         failed = negative | np.isinf(weights)
     else:
         weights[rank] = born
@@ -1095,7 +1141,8 @@ def _draw(s: MeasurementSequence, source: frozenset, asg: Assignment,
         first = int(failed.argmax())
         p = Path(s, next(itertools.islice(itertools.product(*choices), first, None)))
         if negative[first]:
-            raise NotADistribution(f"negative probability {_shown(probabilities[first])} for {p!r}")
+            q = born[int(np.flatnonzero(rank == first)[0])]
+            raise NotADistribution(f"negative probability {_shown(q)} for {p!r}")
         raise NotADistribution(f"probability of {p!r} exceeds the float range")
     weights = np.maximum(weights, 0.0)
     # cumsum adds left to right from the first weight (np.sum adds pairwise)
@@ -1103,13 +1150,27 @@ def _draw(s: MeasurementSequence, source: frozenset, asg: Assignment,
     if not abs(mass - 1.0) <= DISTRIBUTION_TOL:  # a NaN mass fails too
         raise NotADistribution(f"path probabilities sum to {mass}, not 1")
     counts = np.random.default_rng([seed, 0]).multinomial(n, weights / weights.sum()).tolist()
+    return choices, counts, rank, born
+
+
+def _draw(s: MeasurementSequence, source: frozenset, asg: Assignment,
+          n: int, seed: int) -> Tuple[list, list, list]:
+    """(choices, counts, probabilities) of ``_draw_rows``, every path's
+    probability listed in ``path_key`` order: the row's, placed by its
+    rank, or the int 0 for an impossible path, in either mode.  What
+    ``compalg sample`` prints."""
+    import numpy as np
+
+    choices, counts, rank, born = _draw_rows(s, source, asg, n, seed)
+    probabilities = np.zeros(len(counts), object)  # Python ints 0
+    probabilities[rank] = np.array(born, object)
     return choices, counts, probabilities.tolist()
 
 
 def sample(s: MeasurementSequence, source: frozenset, asg: Assignment,
            n: int, seed: int) -> Dict[Path, int]:
-    """The counts of ``_draw`` keyed by path, every path from the source
-    result in ``path_key`` order, impossible ones included; the paths are
-    built after the draw (``model.paths_over``)."""
-    choices, counts, _ = _draw(s, source, asg, n, seed)
+    """The counts of ``_draw_rows`` keyed by path, every path from the
+    source result in ``path_key`` order, impossible ones included; the
+    paths are built after the draw (``model.paths_over``)."""
+    choices, counts, _, _ = _draw_rows(s, source, asg, n, seed)
     return dict(zip(model.paths_over(s, choices), counts))

@@ -256,3 +256,10 @@ def skewed_kernel(algebra):
     skewed_columns.gather = kernel.columns.gather
     skewed.columns = skewed_columns
     return skewed
+
+
+# -- reports --------------------------------------------------------------------------
+
+def all_passed(report) -> bool:
+    """Whether every check of an ``AxiomReport`` passed."""
+    return all(c.passed for c in report.checks)

@@ -46,6 +46,7 @@ from compalg.model import (
 from conftest import (
     AM, BM, DM, G3, GM, UM,
     MIX_GROUNDS,
+    all_passed,
     amplitude_by_enumeration,
     assignment_for,
     entry,
@@ -79,7 +80,7 @@ def test_criterion_1_algebra_axiom_suite():
     failures = []
     for kind in ASSOCIATIVE:
         rep = verify_axioms(make_algebra(kind), samples=1000, seed=2024)
-        if not rep.all_passed:
+        if not all_passed(rep):
             failures.append((kind.label,
                              [c.name for c in rep.checks if not c.passed]))
     for kind in (AlgebraKind.O, AlgebraKind.SPLIT_O):

@@ -602,6 +602,69 @@ def test_pair_transfer_equals_the_full_state_oracle():
     assert checked == 5 * 7 * 3
 
 
+X5, Y5, Z5 = (GroundSet(f"{g}5", tuple(f"{g.lower()}{i}" for i in range(1, 6))) for g in "XYZ")
+
+
+def branch_sequences():
+    """Sequences over X5, Y5 and Z5 whose run boundaries cover every case of
+    the exact recursion's diagonal: a class of three beside singletons
+    after a singleton source; a run of two wide classes (two or more
+    elements) after the source and before another such run, where no Born
+    matrix is read; wide and singleton classes on both sides of a
+    boundary; a run of two steps whose classes are intersections; and a
+    fully coarse step."""
+    def split(name, g, blocks):
+        return measurement(name, g, [[f"{g.id[0].lower()}{i}" for i in b] for b in blocks])
+    x, y, z = (atomic_measurement(g) for g in (X5, Y5, Z5))
+    three = split("three", Y5, [[1, 2, 3], [4], [5]])
+    two_wide = split("twoWide", Y5, [[1, 2], [3, 4, 5]])
+    yield sequence([x, three, z])
+    yield sequence([x, two_wide, split("zWide", Z5, [[1, 2, 3], [4], [5]]),
+                    split("xWide", X5, [[1, 2], [3, 4], [5]]), y])
+    yield sequence([x, two_wide, split("zTwoWide", Z5, [[1, 3], [2, 4, 5]]), x])
+    yield sequence([z, split("yA", Y5, [[1, 2, 3], [4, 5]]), split("yB", Y5, [[1, 2], [3, 4, 5]]),
+                    x, split("zAll", Z5, [[1, 2, 3, 4, 5]]), y])
+
+
+def test_pair_transfer_diagonal_branches_against_the_full_state():
+    """Seeded, over all five associative kinds with unnormalized matrices:
+    on each sequence of ``branch_sequences`` the exact total from every
+    source equals ``total_by_full_state``, as does validation's one
+    recursion over every source (``_source_totals``).  The sequences hold
+    the shapes they promise, and in C' and H' some Born entries are
+    negative, so the diagonal's Born terms are not all of one sign.  A
+    boundary between two runs of wide classes builds no Born matrix."""
+    sequences = list(branch_sequences())
+    shapes = set()
+    for s in sequences:
+        sizes = [sorted(map(len, classes)) for classes in s.plan.classes]
+        for before, after in zip(sizes, sizes[1:]):
+            shapes.add((min(before), max(before), min(after), max(after)))
+    assert (1, 1, 1, 3) in shapes  # a singleton before a class of three and singletons
+    assert (2, 3, 2, 3) in shapes  # two runs of two wide classes each, in a row
+    assert {(2, 3, 1, 3), (1, 2, 1, 1), (5, 5, 1, 1)} <= shapes
+    rng = random.Random(34)
+    negative = set()
+    for kind in ASSOCIATIVE:
+        asg = assignment_for([X5, Y5, Z5], make_algebra(kind), rng, normalized=False)
+        for s in sequences:
+            sources = sorted(s.steps[0].element_set())
+            want = {x: total_by_full_state(s, {x}, asg) for x in sources}
+            assert _source_totals(s, sources, asg) == want, (kind, s)
+            for x in sources:
+                total = total_probability(s, frozenset({x}), asg)
+                assert isinstance(total, (int, Fraction)) and total == want[x], (kind, s, x)
+        if any(q < 0 for a, b in itertools.permutations([X5, Y5, Z5], 2)
+               for row in asg.born_rows(a, b).values() for q in row.values()):
+            negative.add(kind)
+    assert negative == {AlgebraKind.SPLIT_C, AlgebraKind.SPLIT_H}
+    asg = assignment_for([X5, Y5, Z5], make_algebra(AlgebraKind.H), rng, normalized=False)
+    total_probability(sequences[2], frozenset({"x1"}), asg)
+    built = {key[1] for key in asg._built[1] if key[0] == "born"}
+    pairs = [(a.element_set(), b.element_set()) for a, b in ((X5, Y5), (Y5, Z5), (Z5, X5))]
+    assert built == {pairs[0], pairs[2]}
+
+
 def test_exact_sum_rule_kernel_calls(monkeypatch):
     """An exact sum rule over atomic steps makes no kernel call once its
     Born matrices are built: each boundary is a product of ints.  Over
