@@ -80,12 +80,18 @@ same-class mask.  What depends on one ground pair alone is kept in the
 assignment, built on first use by the kernel in place
 (``Assignment._built_by_kernel``): the Born matrix, the conjugate
 entries, the real blocks, the sampling table's padded block, already
-gathered for the array product, the row checks and the adjoint verdict; so
-are, per sequence frame, the list of its boundaries' lowered columns,
-which the walk and the exact sum rule read (``_frame_columns``), and the
-list of their padded blocks, which the sampler reads (``_frame_blocks``).  Nothing whose size grows with the
-number of paths is kept after a call: the table's rows, ranks, weights and
-paths are built per call.  From a source, the sum rule and the
+gathered for the array product, the row checks and the adjoint verdict.
+What the evaluators read at a sequence frame's run boundaries is kept
+there too, one entry per frame (``_FrameOperators``), each part built on
+its first read: the boundaries' lowered columns, which the walk and the
+exact sum rule read, each boundary's Born and conjugate rows, which the
+exact sum rule resolves where it first needs them, the real blocks and
+the read-only start arrays of the float sum rule, and the padded blocks
+that the sampler reads.  So both sum rules, like the walk and the
+sampler, make no per-pair lookup in a call, only its arithmetic.
+Nothing whose size grows with the number of paths is kept after a call:
+the table's rows, ranks, weights and paths are built per call.  From a
+source, the sum rule and the
 sampler read the source's row at the first run boundary and every row of
 the later ones, and no other row; validation runs one sum rule from every
 source at once, with every row of the first boundary.  Row normalization
@@ -179,9 +185,9 @@ class Assignment:
     zero-padded numpy block over the sorted elements, gathered for the
     array product, from ``padded_block``.  Each is built per ground pair on
     first use and kept, so repeated evaluations pay only for their
-    products; none depends on a sequence or a source.  The lists of a
-    sequence frame's run-boundary columns and padded blocks are kept too
-    (``_frame_columns``, ``_frame_blocks``).
+    products; none depends on a sequence or a source.  What the evaluators
+    read at a sequence frame's run boundaries, these same objects, is kept
+    too, one entry per frame (``_FrameOperators``).
     """
 
     def __init__(self, algebra: Algebra, blocks: Iterable) -> None:
@@ -405,15 +411,17 @@ class Assignment:
         return self._built_by_kernel(("conj", key), build)
 
     def _built_by_kernel(self, key, build):
-        """build(), kept under key until the algebra's kernel is another
-        function: a kernel put in its place gets values built by itself."""
+        """build(), never None, kept under key until the algebra's kernel
+        is another function: a kernel put in its place gets values built by
+        itself.  A build that raises keeps nothing."""
         kernel = self.algebra.kernel
         if self._built is None or self._built[0] is not kernel:
             self._built = (kernel, {})
         built = self._built[1]
-        if key not in built:
-            built[key] = build()
-        return built[key]
+        hit = built.get(key)
+        if hit is None:
+            hit = built[key] = build()
+        return hit
 
     def __getstate__(self) -> dict:
         # the kernel the kept values were built by does not pickle; they are rebuilt on use
@@ -464,21 +472,80 @@ def _result(asg: Assignment, sums: Optional[tuple], denominator: int) -> Amplitu
     return Amplitude(asg.algebra, lift(sums, denominator, asg.is_exact))
 
 
-def _boundary_rows(plan: model.SequencePlan, asg: Assignment) -> Tuple[list, int]:
-    """The lowered columns from each run of a sequence's plan (or frame) to
-    the next and the product of their denominators; raises SequenceMismatch
+def _boundary_rows(grounds: tuple, asg: Assignment) -> Tuple[list, int]:
+    """The lowered columns from each of a sequence frame's grounds to the
+    next and the product of their denominators; raises SequenceMismatch
     when the assignment lacks one.  Built once per frame and assignment:
-    ``_frame_columns`` keeps the list (``Assignment._built_by_kernel``)."""
-    boundaries = [asg.lowered(a, b) for a, b in zip(plan.grounds, plan.grounds[1:])]
+    ``_FrameOperators.lowered`` keeps the list."""
+    boundaries = [asg.lowered(a, b) for a, b in zip(grounds, grounds[1:])]
     return [columns for columns, _ in boundaries], math.prod(den for _, den in boundaries)
 
 
-def _frame_columns(plan: model.SequencePlan, asg: Assignment) -> Tuple[list, int]:
-    """``_boundary_rows`` of the plan's grounds, kept in the assignment: a
-    plan and its frame share their grounds, so the walk and the exact sum
-    rule read one list.  Nothing is kept on a missing matrix, so it raises
-    on every call."""
-    return asg._built_by_kernel(("frame", plan.grounds), lambda: _boundary_rows(plan, asg))
+class _KeptPerBoundary(dict):
+    """Run boundary k -> build(*pairs[k]), built on its first read and
+    kept; a build that raises keeps nothing, so the next read raises too."""
+
+    def __init__(self, build, pairs: list) -> None:
+        super().__init__()
+        self.build, self.pairs = build, pairs
+
+    def __missing__(self, k: int):
+        value = self[k] = self.build(*self.pairs[k])
+        return value
+
+
+class _FrameOperators:
+    """What the evaluators read at the run boundaries of one sequence
+    frame, its grounds, in one assignment, which keeps it per frame
+    (``_operators``).  Each part is built on its first read and kept, and
+    holds each ground pair's own kept objects:
+
+    - ``lowered``: the boundaries' lowered columns and the product of their
+      denominators (``_boundary_rows``), read by the walk and the exact sum
+      rule;
+    - ``born`` and ``conjugated``: boundary k -> the pair's
+      ``Assignment.born_rows`` and ``Assignment.conjugated``, each resolved
+      when the exact sum rule first needs it there;
+    - ``real``: the boundaries' ``Assignment.real_blocks`` and the float
+      sum rule's start arrays X_last = I (x) G and N_last = I, read-only;
+    - ``padded``: the boundaries' ``Assignment.padded_block`` blocks and
+      the product of their denominators, read by the sampler.
+
+    A part whose build raises (a missing matrix, a product that is not
+    scalar) keeps nothing and raises again on its next read.  Its size is
+    that of the grounds, whatever the number of paths.
+    """
+
+    def __init__(self, grounds: tuple, asg: Assignment) -> None:
+        self.grounds, self.asg, self.pairs = grounds, asg, list(zip(grounds, grounds[1:]))
+        self.born = _KeptPerBoundary(asg.born_rows, self.pairs)
+        self.conjugated = _KeptPerBoundary(asg.conjugated, self.pairs)
+
+    @cached_property
+    def lowered(self) -> Tuple[list, int]:
+        return _boundary_rows(self.grounds, self.asg)
+
+    @cached_property
+    def real(self) -> tuple:
+        import numpy as np
+
+        blocks, n = [self.asg.real_blocks(a, b) for a, b in self.pairs], len(self.grounds[-1])
+        start = np.diag(np.tile(blocks[0][2], n)), np.eye(n)
+        for array in start:
+            array.flags.writeable = False
+        return (blocks, *start)
+
+    @cached_property
+    def padded(self) -> Tuple[list, int]:
+        blocks = [self.asg.padded_block(a, b) for a, b in self.pairs]
+        return [block for block, _ in blocks], math.prod(den for _, den in blocks)
+
+
+def _operators(plan: model.SequencePlan, asg: Assignment) -> _FrameOperators:
+    """The ``_FrameOperators`` of a plan's grounds, kept in the assignment
+    (``Assignment._built_by_kernel``): a plan and its frame share their
+    grounds, so every evaluator reads one entry."""
+    return asg._built_by_kernel(("frame", plan.grounds), lambda: _FrameOperators(plan.grounds, asg))
 
 
 def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
@@ -499,11 +566,11 @@ def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     sums are byte-stable, and the partials a list in their order.  At a run
     boundary one ``operator.itemgetter`` over the previous survivors (a
     1-tuple for one) gathers each target's lowered column, read from the
-    frame's kept columns (``_frame_columns``).  ``_probabilities`` does
+    frame's kept columns (``_FrameOperators.lowered``).  ``_probabilities`` does
     the same operations on arrays over every path.
     """
     kernel, dim, frame, results = asg.algebra.kernel, asg.algebra.dim, p.sequence.frame, p.results
-    columns, den = _frame_columns(frame, asg)
+    columns, den = _operators(frame, asg).lowered
     for k, (lo, hi) in enumerate(frame.runs):
         alive = sorted(results[lo] if lo == hi
                        else results[lo].intersection(*results[lo + 1:hi + 1]))
@@ -707,7 +774,7 @@ def _row_checks(asg: Assignment, a: frozenset, b: frozenset) -> dict:
     return asg._built_by_kernel(("row checks", a, b), build)
 
 
-def _pair_transfer(grounds, classes, lowered, asg: Assignment) -> Dict[str, int]:
+def _pair_transfer(classes, operators: _FrameOperators, asg: Assignment) -> Dict[str, int]:
     """Exact mode: the e0 coefficient of S_0(x, x) for every source x of
     run 0 (``classes[0]``, their singletons), each an int over the squared
     product of the boundary denominators, by the backward recursion
@@ -716,8 +783,8 @@ def _pair_transfer(grounds, classes, lowered, asg: Assignment) -> Dict[str, int]
         S_k(x, x')    = sum_y' (sum_y E_k[x][y] S_k+1(y, y')) conj(E_k[x'][y'])
 
     with S_k(x, x') defined only for x, x' in one class of run k.  E_k is
-    the lowered matrix from ``grounds[k]`` to ``grounds[k+1]``, read as
-    columns: E_k[x][y] is ``lowered[k][y][x]``, a coefficient tuple,
+    the lowered matrix from run k to run k+1 of the frame, read as
+    columns: E_k[x][y] is ``operators.lowered[0][k][y][x]``, a coefficient tuple,
     multiplied by the algebra's kernel and conjugated by ``Algebra.conj``,
     for the elements x of ``classes[k]`` alone (of E_0 the sources').  (A
     float sum rule with a run boundary runs ``_block_transfer``.)
@@ -750,20 +817,22 @@ def _pair_transfer(grounds, classes, lowered, asg: Assignment) -> Dict[str, int]
     The conjugate entries are read from the pair's kept conjugate
     (``Assignment.conjugated``); a boundary reads a Born matrix only when
     one of its two runs has a singleton class, and the conjugate only when
-    one has a wide class.  Each s(x) is computed from row x alone, and run
+    one has a wide class, each from the frame's kept entry
+    (``_FrameOperators``), which resolves it on first need: a call does
+    arithmetic alone, and no pair lookup.  Each s(x) is computed from row x alone, and run
     0's classes are singletons, so it needs no triangle: a source's value
     does not depend on which other sources are given.  The diagonal is
     exact ints, so the order in which its terms are added changes nothing.
     """
-    algebra = asg.algebra
+    algebra, lowered = asg.algebra, operators.lowered[0]
     kernel, conj, tail = algebra.kernel, algebra.conj, (0,) * (algebra.dim - 1)
     diagonal, upper, wide = {y: 1 for (y,) in classes[-1]}, {}, []
     for k in range(len(classes) - 2, -1, -1):
         # wide: the classes of two or more of run k+1, spans: those of run k
-        cols, pair, spans = lowered[k], grounds[k:k + 2], [c for c in classes[k] if len(c) > 1]
+        cols, spans = lowered[k], [c for c in classes[k] if len(c) > 1]
         singles = [(c[0], diagonal[c[0]]) for c in classes[k + 1] if len(c) == 1] if spans else []
-        born = asg.born_rows(*pair) if singles or len(spans) < len(classes[k]) else {}
-        conjugated = asg.conjugated(*pair) if wide or spans else {}
+        born = operators.born[k] if singles or len(spans) < len(classes[k]) else {}
+        conjugated = operators.conjugated[k] if wide or spans else {}
         targets = [y for cls in wide for y in cls] if wide else []
         # each y' of a wide class after its first, with the y before it and U(y, y')
         later = [(cls[:j], y2, [upper[y, y2] for y in cls[:j]])
@@ -831,12 +900,15 @@ def _block_transfer(s: MeasurementSequence, sources: list,
     enters a result, and a source's block is the same product whichever
     other sources are given.  X_0(x, x) is L_S_0(x,x) G, whose first column
     is S_0(x, x), as G[0] = Q(e_0) = 1.
+
+    The blocks of every boundary and the start arrays X_last and N_last,
+    read-only, are read from the frame's kept entry (``_FrameOperators``),
+    so a call does the products alone.
     """
     import numpy as np
 
-    d, grounds, layout = asg.algebra.dim, s.plan.grounds, _layout(s)
-    blocks = [asg.real_blocks(a, b) for a, b in zip(grounds, grounds[1:])]
-    pair, norm = np.diag(np.tile(blocks[0][2], len(grounds[-1]))), np.eye(len(grounds[-1]))
+    d, layout = asg.algebra.dim, _layout(s)
+    blocks, pair, norm = _operators(s.plan, asg).real
     with np.errstate(over="ignore", invalid="ignore"):
         # the boundaries after the first, from the last: B_k, A_k and run k's D_k
         for (b, a, _), run in zip(blocks[:0:-1], layout[-2:0:-1]):
@@ -866,13 +938,19 @@ def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> di
     sequence) and, in exact mode, a product that is not scalar
     (NonScalarProduct, when a Born matrix is built) fail every source; in
     float mode a tail that is not scalar fails its own source
-    (``_outcome``), and a total that overflows is its value.
+    (``_outcome``), and a total that overflows is its value.  Both
+    recursions read each run boundary's operators from the frame's entry,
+    kept in the assignment (``_FrameOperators``): the Born and conjugate
+    rows in exact mode, resolved at a boundary when first needed there, the
+    real blocks and the start arrays in float mode.  An error raised while
+    one is built keeps nothing, so it is raised again on the next call.
     """
     try:
         if asg.is_exact or len(s.plan.runs) == 1:  # a single run: its unit, 1.0 in float
-            columns, den = _frame_columns(s.plan, asg)
+            operators = _operators(s.plan, asg)
+            den = operators.lowered[1]
             classes = [[(x,) for x in sources], *s.plan.classes[1:]]
-            diagonal = _pair_transfer(s.plan.grounds, classes, columns, asg)
+            diagonal = _pair_transfer(classes, operators, asg)
             return {x: lift((diagonal[x],), den * den, asg.is_exact)[0] for x in sources}
         blocks = _block_transfer(s, sources, asg)
     except (SequenceMismatch, NonScalarProduct) as exc:
@@ -1002,18 +1080,6 @@ def _layout(s: MeasurementSequence) -> Tuple[_RunLayout, ...]:
     return kept
 
 
-def _frame_blocks(plan: model.SequencePlan, asg: Assignment) -> Tuple[list, int]:
-    """The sampling table's padded block of each run boundary of a plan
-    (``Assignment.padded_block``) and the product of their denominators,
-    kept in the assignment per frame as ``_frame_columns`` keeps its
-    columns.  Nothing is kept on a missing matrix, so it raises on every
-    call."""
-    def build():
-        blocks = [asg.padded_block(a, b) for a, b in zip(plan.grounds, plan.grounds[1:])]
-        return [block for block, _ in blocks], math.prod(den for _, den in blocks)
-    return asg._built_by_kernel(("padded frame", plan.grounds), build)
-
-
 def _probabilities(s: MeasurementSequence, source: frozenset,
                    asg: Assignment) -> Tuple[list, object, list]:
     """Every path's probability from the source result, as (choices, rank,
@@ -1046,7 +1112,7 @@ def _probabilities(s: MeasurementSequence, source: frozenset,
     padding slots, its class ranks and its radix; the source adds only
     run 0's class.  What depends on a ground pair alone is read from the
     assignment's ``padded_block``, kept there, and the list of a frame's
-    blocks too (``_frame_blocks``): the lowered matrix over the whole
+    blocks too (``_FrameOperators.padded``): the lowered matrix over the whole
     sorted grounds, a zero row and column past them, gathered and signed
     for the array product.  At each run boundary the table indexes that
     block by the parent run's and the run's slot positions, and one call of
@@ -1071,7 +1137,7 @@ def _probabilities(s: MeasurementSequence, source: frozenset,
     if frozenset(source) not in s.steps[0].blocks:
         raise NotADistribution("no paths start at the given source result")
     plan, layout = s.plan, _layout(s)
-    blocks, den = _frame_blocks(plan, asg)
+    blocks, den = _operators(plan, asg).padded
     algebra, d = asg.algebra, asg.algebra.dim
     choices = [[frozenset(source)], *plan.choices[1:]]
     c = plan.classes[0].index(tuple(source))

@@ -135,10 +135,6 @@ def atomic_measurement(ground: GroundSet, id: Optional[str] = None) -> Measureme
                        ([e] for e in ground.elements))
 
 
-def fully_coarse_measurement(ground: GroundSet, id: Optional[str] = None) -> Measurement:
-    return measurement(id or f"{ground.id}.coarse", ground, [ground.elements])
-
-
 def weakly_equivalent(m1: Measurement, m2: Measurement) -> bool:
     """True iff both measurements partition the same underlying element set."""
     return m1.element_set() == m2.element_set()

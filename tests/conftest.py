@@ -6,6 +6,7 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -15,11 +16,11 @@ from compalg.engine import Assignment
 from compalg.errors import SequenceMismatch
 from compalg.model import (
     GroundSet,
+    Measurement,
     Path,
     atomic_measurement,
     enumerate_partitions,
     enumerate_paths,
-    fully_coarse_measurement,
     measurement,
     sequence,
 )
@@ -35,6 +36,11 @@ def child_processes_import_this_package():
         mp.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(compalg.__file__)),
                   prepend=os.pathsep)
         yield
+
+
+def fully_coarse_measurement(ground: GroundSet, id: Optional[str] = None) -> Measurement:
+    """The measurement with one detector, the whole ground."""
+    return measurement(id or f"{ground.id}.coarse", ground, [ground.elements])
 
 
 # -- the worked three-element example -------------------------------------------

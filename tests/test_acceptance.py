@@ -33,7 +33,6 @@ from compalg.model import (
     coarsen,
     enumerate_partitions,
     factorize,
-    fully_coarse_measurement,
     is_possible,
     normal_form,
     path,
@@ -50,6 +49,7 @@ from conftest import (
     amplitude_by_enumeration,
     assignment_for,
     entry,
+    fully_coarse_measurement,
     random_row_normalized,
     universe_paths,
 )

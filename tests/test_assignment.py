@@ -18,12 +18,17 @@ from compalg.model import (
     GroundSet,
     Path,
     atomic_measurement,
-    fully_coarse_measurement,
     path,
     sequence,
 )
 
-from conftest import MIX_GROUNDS, amplitude_by_enumeration, assignment_for, entry
+from conftest import (
+    MIX_GROUNDS,
+    amplitude_by_enumeration,
+    assignment_for,
+    entry,
+    fully_coarse_measurement,
+)
 from oracle import rows_of
 
 ASSOCIATIVE = [AlgebraKind.R, AlgebraKind.C, AlgebraKind.SPLIT_C,

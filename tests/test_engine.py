@@ -35,7 +35,6 @@ from compalg.model import (
     atomic_measurement,
     classify,
     enumerate_paths,
-    fully_coarse_measurement,
     normal_form,
     path,
     reverse,
@@ -48,6 +47,7 @@ from conftest import (
     assignment_for,
     converted,
     entry,
+    fully_coarse_measurement,
     random_row_normalized,
 )
 from oracle import mul_by_table, path_probabilities, quadratic_form_by_table, rows_of

@@ -26,8 +26,8 @@ from compalg.engine import (
 )
 from compalg.errors import SequenceMismatch
 from compalg.model import (
-    GroundSet, Path, atomic_measurement, enumerate_partitions, enumerate_paths,
-    fully_coarse_measurement, path, runs, sequence, sorted_blocks,
+    GroundSet, Path, atomic_measurement, enumerate_partitions, enumerate_paths, path, runs,
+    sequence, sorted_blocks,
 )
 
 from conftest import (
@@ -36,6 +36,7 @@ from conftest import (
     assignment_for,
     converted,
     entry,
+    fully_coarse_measurement,
     random_exact_rows,
     universe_sequences,
 )

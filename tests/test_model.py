@@ -33,7 +33,6 @@ from compalg.model import (
     equal_measurements,
     factorize,
     find_igps,
-    fully_coarse_measurement,
     insert_cyclic,
     insert_measurement,
     is_possible,
@@ -47,7 +46,11 @@ from compalg.model import (
     weakly_equivalent,
 )
 
-from conftest import AM, BM, DM, G3, GM, MIX_GROUNDS, UM, universe_sequences
+from conftest import (
+    AM, BM, DM, G3, GM, MIX_GROUNDS, UM,
+    fully_coarse_measurement,
+    universe_sequences,
+)
 
 N = GroundSet("N", ("n1", "n2"))
 AN = atomic_measurement(N, "aN")

@@ -513,7 +513,11 @@ def test_what_is_kept_does_not_grow_with_the_path_count():
     each keeps one run layout per run, every array of it at most the
     (n + 1)^2 entries of its n-element ground, and the assignment keeps
     one block per ground pair crossed, the same three for both, and per
-    sequence frame the list of those blocks, one per run boundary."""
+    sequence frame one entry that lists those blocks, one per run
+    boundary, each the pair's own kept object, as are its real blocks, and
+    holds the float start arrays read-only.  An exact total on the same
+    frame keeps there at most one Born and one conjugate matrix per run
+    boundary, each the pair's own kept object."""
     halves = {g: measurement(f"half{g.id}", g, [g.elements[:2], g.elements[2:]])
               for g in (A3, B3, C3)}
     grounds = [A3, B3, C3]
@@ -537,11 +541,20 @@ def test_what_is_kept_does_not_grow_with_the_path_count():
             assert all(array.size <= 4 ** 2 for array in arrays)
         built = asg._built[1]
         grounds_of_s = s.plan.grounds
-        frame_blocks, _ = built["padded frame", grounds_of_s]
-        assert len(frame_blocks) == length - 1 and all(
-            block is asg.padded_block(a, b)[0]
-            for block, a, b in zip(frame_blocks, grounds_of_s, grounds_of_s[1:]))
-        kept.add(frozenset(key for key in built if key[0] != "padded frame"))
+        pairs = list(zip(grounds_of_s, grounds_of_s[1:]))
+        operators = built["frame", grounds_of_s]
+        (frame_blocks, _), (real_blocks, *start) = operators.padded, operators.real
+        assert len(frame_blocks) == len(real_blocks) == length - 1 and all(
+            block is asg.padded_block(a, b)[0] and real is asg.real_blocks(a, b)
+            for block, real, (a, b) in zip(frame_blocks, real_blocks, pairs))
+        assert [array.flags.writeable for array in start] == [False, False]
+        kept.add(frozenset(key for key in built if key[0] != "frame"))
+        total_probability(s, source, exact)
+        operators = exact._built[1]["frame", grounds_of_s]
+        for rows, rows_of in ((operators.born, exact.born_rows),
+                              (operators.conjugated, exact.conjugated)):
+            assert 0 < len(rows) <= length - 1 and all(
+                kept_rows is rows_of(*pairs[k]) for k, kept_rows in rows.items())
     (keys,) = kept
     assert sorted(kind for kind, *_ in keys if kind in ("padded", "real")) \
         == ["padded"] * 3 + ["real"] * 3
@@ -858,6 +871,46 @@ def test_plan_is_built_once_per_sequence(monkeypatch):
                 assert probability_of(p, asg).probability == q
             assert validate_assignment(s, asg).ok
     assert calls == ["runs"] + ["_same_block_classes"] * 4
+
+
+def test_sum_rule_operators_are_built_once_per_frame(monkeypatch):
+    """Both sum rules read each run boundary's operators from the frame's
+    kept entry: two passes of exact and float ``total_probability`` and a
+    validation in each mode resolve ``Assignment.born_rows``,
+    ``conjugated`` and ``real_blocks`` once per boundary that reads them,
+    on the first pass, and validation adds only its row checks, one Born
+    matrix per ground pair crossed; after the algebra's kernel is replaced
+    they are resolved once more, with the same totals."""
+    calls = []
+    for name in ("born_rows", "conjugated", "real_blocks"):
+        monkeypatch.setattr(Assignment, name, counted(calls, name, getattr(Assignment, name)))
+    a, b = atomic_measurement(A3), atomic_measurement(B3)
+    half = measurement("halfB", B3, [["b1", "b2"], ["b3"]])
+    # boundaries A3 -> B3, B3 -> A3, A3 -> B3 from runs [a], [half], [a], [b]: each
+    # reads a Born matrix, the first two a conjugate too, as the class {b1, b2} of
+    # run 1 is wide; the float sum rule reads the real blocks of all three
+    s, exact = sequence([a, half, a, b]), exact_unitary_c()
+    floats = converted(exact, float)
+
+    def totals():
+        return [total_probability(s, frozenset({x}), asg)
+                for asg in (exact, floats) for x in ("a1", "a3")]
+    first = totals()
+    once = {"born_rows": 3, "conjugated": 2, "real_blocks": 3}
+    assert {name: calls.count(name) for name in once} == once
+    calls.clear()
+    assert totals() == first and calls == []
+    assert validate_assignment(s, exact).ok and validate_assignment(s, floats).ok
+    assert calls == ["born_rows"] * 4  # the row checks of A3 -> B3 and B3 -> A3, per mode
+    calls.clear()
+    kernel = exact.algebra.kernel
+
+    def replaced(lefts, rights):
+        return kernel(lefts, rights)
+    replaced.columns = kernel.columns
+    monkeypatch.setitem(vars(exact.algebra), "kernel", replaced)
+    assert totals() == first and totals() == first
+    assert {name: calls.count(name) for name in once} == once
 
 
 # -- beyond the path bound ------------------------------------------------------------
