@@ -13,7 +13,8 @@ checked there only, stores coefficient tuples, and every evaluator reads one
 representation: each ground pair lowered once, on first use, to columns y
 -> {x: coefficient tuple}, the targets y sorted, by ``algebra.lower`` (ints
 over one denominator in exact mode, decided by ``algebra.is_exact``; floats
-over 1 otherwise).
+over 1 otherwise), in the one object kept per ordered ground pair
+(``Assignment.pair``, a ``_Pair``).
 Outside the sum rules (the float one's block matrices, the exact one's
 int diagonal) the engine has no coefficient arithmetic of its own:
 ``Algebra.kernel`` forms every product (on numpy arrays through its array
@@ -24,81 +25,76 @@ floats in float mode, so a single run's unit, which reads no matrix, is
 1.0 there.
 
 A path evaluates to the sum over threads: one surviving element per
-weak-equivalence run, multiplied through the cross-ground matrices left
-to right; its probability is Q of that sum (``algebra.quadratic_form_over``),
-and an impossible path is zero.  ``amplitude_of`` walks one path run by
-run, one kernel call per surviving element on its lowered column over the
-previous run's survivors, read by one C-level gather per run boundary
-from the columns of the sequence's frame, kept per frame in the
-assignment; sampling evaluates every path from the source with the same
-operations, one batched pass per run, on one numpy array over
-(coefficient, class, row, slot): a row per live prefix, a slot per
-surviving element, and zero padding past a row's survivors, multiplied by
-``kernel.columns`` once per run boundary, every parent slot at once on the
-product's trailing pair axis.  It is bounded by
-``model.DEFAULT_PATH_BOUND``, checks the probabilities as one array and
-ends in one multinomial draw (``_draw_rows``), with no ``Path`` built and
-no per-path probability listed: ``sample`` builds the paths after the draw,
-to key its counts, and ``compalg sample`` lists every path's probability
+weak-equivalence run, multiplied through the cross-ground matrices left to
+right; its probability is Q of that sum (``algebra.quadratic_form_over``),
+and an impossible path is zero.  ``amplitude_of`` walks one path run by run,
+one kernel call per surviving element on its lowered column over the
+previous run's survivors, read by one C-level gather per run boundary from
+the columns of the sequence's frame (``Assignment.frame``); sampling
+evaluates every path from the source with the same operations, one batched
+pass per run, on one numpy array over (coefficient, class, row, slot): a row
+per live prefix, a slot per surviving element, and zero padding past a row's
+survivors, multiplied by ``kernel.columns`` once per run boundary, every
+parent slot at once on the product's trailing pair axis.  It is bounded by
+``model.DEFAULT_PATH_BOUND``, checks the probabilities as one array and ends
+in one multinomial draw (``_draw_rows``), with no ``Path`` built and no
+per-path probability listed: ``sample`` builds the paths after the draw, to
+key its counts, and ``compalg sample`` lists every path's probability
 (``_draw``) and writes its rows from per-block fragments.
 
-Sum rules are computed without listing paths, by a backward recursion
-over pairs of threads that share a detector at every step.  In exact mode
-it reads the same lowered columns in place, through the kernel, with the
+Sum rules are computed without listing paths, by a backward recursion over
+pairs of threads that share a detector at every step.  In exact mode it
+reads the same lowered columns in place, through the kernel, with the
 right-hand factors conjugated once per ground pair and kept
-(``Assignment.conjugated``), and carries only the real diagonal of each
-Hermitian pair state, as ints, and the strict upper triangle of each class
-of two or more.  Each diagonal entry is the pair's Born matrix of entry
-norms Q(E(x, y)), kept per ground pair in the assignment
-(``Assignment.born_rows``), times the next diagonal, plus twice the e0 of
-the cross terms that the next run's upper triangles carry, one kernel call
-per element of a class after its first and one more per row; so across an
-atomic run boundary it calls no kernel, and a row in a class of two or
-more reads its diagonal from the left sums that its triangle needs.  In
-float mode it multiplies real block matrices in numpy: each entry as its d
-x d matrix of left multiplication, built from the kernel on basis pairs and
-kept per ground pair in the assignment (``Assignment.real_blocks``), its
-conjugate as the adjoint under the norm form, with the tolerance bound's
-recursion over the entry norms in the same pass: one masked product per
-run boundary, from the atomic last run down to run 1, then one stacked
+(``_Pair.conjugated``), and carries only the real diagonal of each Hermitian
+pair state, as ints, and the strict upper triangle of each class of two or
+more.  Each diagonal entry is the pair's Born matrix of entry norms Q(E(x,
+y)), kept with the pair (``_Pair.born``), times the next diagonal, plus
+twice the e0 of the cross terms that the next run's upper triangles carry,
+one kernel call per element of a class after its first and one more per row;
+so across an atomic run boundary it calls no kernel, and a row in a class of
+two or more reads its diagonal from the left sums that its triangle needs.
+In float mode it multiplies real block matrices in numpy: each entry as its
+d x d matrix of left multiplication, built from the kernel on basis pairs
+and kept with the pair (``_Pair.real``), its conjugate as the adjoint under
+the norm form, with the tolerance bound's recursion over the entry norms in
+the same pass: one masked product per run boundary, from the atomic last run
+down to run 1, the last one starting from its own blocks, then one stacked
 product over the sources' row blocks of the first boundary, so a source's
-float total has the same bits whether it is asked alone or with every
-other source.
+float total has the same bits whether it is asked alone or with every other
+source.
 
 Every evaluator reads what depends on the sequence alone from its plan,
 ``MeasurementSequence.plan``, built once per sequence: the runs and their
 grounds, each run's same-block classes over its whole ground, each step's
 sorted blocks and each class's rank in path order.  The walk of one path
-reads only the runs and grounds, the sequence's ``frame``.  A run's class
-is the set of elements that one of its result combinations keeps alive:
-the sum rule pairs threads within a class, and the sampler takes each
-class as one live combination, placed by its rank.  The sampler and the
-float sum rule read the plan as numpy arrays, its ``_layout``, built on
-first use and kept with the sequence: per run the class-by-slot positions
-over the sorted ground, the padding slots, the class ranks and the
-same-class mask.  What depends on one ground pair alone is kept in the
-assignment, built on first use by the kernel in place
-(``Assignment._built_by_kernel``): the Born matrix, the conjugate
-entries, the real blocks, the sampling table's padded block, already
-gathered for the array product, the row checks and the adjoint verdict.
-What the evaluators read at a sequence frame's run boundaries is kept
-there too, one entry per frame (``_FrameOperators``), each part built on
-its first read: the boundaries' lowered columns, which the walk and the
-exact sum rule read, each boundary's Born and conjugate rows, which the
-exact sum rule resolves where it first needs them, the real blocks and
-the read-only start arrays of the float sum rule, and the padded blocks
-that the sampler reads.  So both sum rules, like the walk and the
-sampler, make no per-pair lookup in a call, only its arithmetic.
-Nothing whose size grows with the number of paths is kept after a call:
-the table's rows, ranks, weights and paths are built per call.  From a
-source, the sum rule and the
-sampler read the source's row at the first run boundary and every row of
-the later ones, and no other row; validation runs one sum rule from every
-source at once, with every row of the first boundary.  Row normalization
-is a row sum of the pair's Born matrix.  A float-mode coefficient that is
-not finite is rejected where the assignment is built, so every lowered
-float entry is finite; a float result that overflows from finite entries
-is returned as it is, an infinity or a NaN.
+reads only the runs and grounds, the sequence's ``frame``.  A run's class is
+the set of elements that one of its result combinations keeps alive: the sum
+rule pairs threads within a class, and the sampler takes each class as one
+live combination, placed by its rank.  The sampler and the float sum rule
+read the plan as numpy arrays, its ``_layout``, built on first use and kept
+with the sequence: per run the class-by-slot positions over the sorted
+ground, the padding slots, the class ranks and the same-class mask.  What
+depends on one ground pair alone is kept in the assignment, by the kernel in
+place, in one ``_Pair`` per ordered ground pair (``Assignment.pair``): its
+lowered columns, built with it, and each other form built on its first read,
+the Born matrix and the conjugate entries of the exact sum rule, the real
+blocks of the float one, the sampling table's padded block, already gathered
+for the array product, and the row checks; the adjoint verdict is kept per
+unordered pair.  Per sequence frame the assignment keeps only the list of
+its pairs, their columns and the product of their denominators
+(``Assignment.frame``), a size that does not grow with the grounds: the walk
+reads the columns with one lookup, and the sum rules and the sampler read
+each boundary's pair.  Nothing whose size grows with the number of paths is
+kept after a call: the table's rows, ranks, weights and paths are built per
+call.  From a source, the sum rule and the sampler read the source's row at
+the first run boundary and every row of the later ones, and no other row;
+validation runs one sum rule from every source at once, with every row of
+the first boundary.  Row normalization is a row sum of the pair's Born
+matrix.  A float-mode coefficient that is not finite is rejected where the
+assignment is built, so every lowered float entry is finite; a float result
+that overflows from finite entries is returned as it is, an infinity or a
+NaN.
 
 Exact and float mode differ in two rules, each written once: a value that
 must be scalar goes through ``algebra.scalar_part`` (exact, or within
@@ -176,18 +172,17 @@ class Assignment:
     finiteness check on coefficients; the evaluators read finite entries.
 
     A matrix is stored as given, rows x -> {y: coefficient tuple}; the
-    evaluators read it as columns y -> {x: coefficient tuple} over one
-    denominator, from ``lowered``, the one lowered form, which the walk of
-    a path reads a target's column at a time; the exact sum rule also as
-    Born matrices, from ``born_rows``, and with its entries conjugated,
-    from ``conjugated``, the float sum rule as real block
-    matrices, from ``real_blocks``, and the sampling table as one
-    zero-padded numpy block over the sorted elements, gathered for the
-    array product, from ``padded_block``.  Each is built per ground pair on
-    first use and kept, so repeated evaluations pay only for their
-    products; none depends on a sequence or a source.  What the evaluators
-    read at a sequence frame's run boundaries, these same objects, is kept
-    too, one entry per frame (``_FrameOperators``).
+    evaluators read it from ``pair``, one ``_Pair`` per ordered ground pair,
+    built on first use and kept: the columns y -> {x: coefficient tuple}
+    over one denominator, the one lowered form, which the walk of a path
+    reads a target's column at a time, and the forms built from them on
+    first read, the Born matrix and the conjugate entries of the exact sum
+    rule, the real block matrices of the float one and the sampling table's
+    zero-padded numpy block.  So repeated evaluations pay only for their
+    products; none of these depends on a sequence or a source.  Per
+    sequence frame, ``frame`` keeps the list of its pairs, their columns
+    and the product of their denominators.  What the kernel built is kept
+    until the algebra's kernel is another function (``_kept``).
     """
 
     def __init__(self, algebra: Algebra, blocks: Iterable) -> None:
@@ -197,9 +192,8 @@ class Assignment:
         self.algebra = algebra
         # the stored matrices as rows x -> {y: coefficient tuple}, as given
         self._rows: Dict[Tuple[frozenset, frozenset], Dict[str, Dict[str, tuple]]] = {}
-        self._lowered: Dict[Tuple[frozenset, frozenset], Tuple[CoeffColumns, int]] = {}
-        # (kernel, what ``_built_by_kernel`` built with it)
-        self._built: Optional[Tuple[object, dict]] = None
+        # ``_kept``: (kernel, pairs, frames, verdicts), built by that kernel
+        self._built: Optional[tuple] = None
         if isinstance(blocks, Mapping):
             raise ValueError(f"blocks must be {_TRIPLE} triples, got a mapping")
         for block in blocks:
@@ -263,164 +257,41 @@ class Assignment:
         return is_exact(c for rows in self._rows.values() for row in rows.values()
                         for coeffs in row.values() for c in coeffs)
 
-    def lowered(self, g_from, g_to) -> Tuple[CoeffColumns, int]:
-        """The matrix E from one ground to another as columns y -> {x: d
-        coefficients} over one denominator D, E(x, y) at ``[y][x]``: the
-        stored matrix, else the conjugate transpose of the stored reverse,
-        whose row y conjugated is column y.  The targets y are sorted, the
-        sources x in the order the stored matrix holds them.
-
-        In exact mode the coefficients are ints and D is the lcm of the
-        entry denominators; in float mode they are floats and D is 1.  Each
-        pair is lowered on first use and kept; a pair stored in neither
-        direction raises SequenceMismatch.
-        """
-        key = (_ground_key(g_from), _ground_key(g_to))
-        hit = self._lowered.get(key)
-        if hit is not None:
-            return hit
-        reversed_ = key not in self._rows
-        rows = self._rows.get((key[1], key[0]) if reversed_ else key)
-        if rows is None:
-            raise SequenceMismatch(
-                f"assignment has no matrix between grounds {sorted(key[0])} "
-                f"and {sorted(key[1])}")
-        pairs = [(x, y) for x, row in rows.items() for y in row]
-        coeffs, den = lower([rows[x][y] for x, y in pairs], self.is_exact)
-        columns = {y: {} for y in sorted(key[1])}
-        for (x, y), c in zip(pairs, coeffs):
-            if reversed_:
-                columns[x][y] = self.algebra.conj(c)
-            else:
-                columns[y][x] = c
-        hit = self._lowered[key] = (columns, den)
-        return hit
-
-    def real_blocks(self, g_from, g_to) -> tuple:
-        """Float mode: the ``lowered`` matrix E from one ground to another as
-        numpy arrays (B, A, G) for the sum rule's block recursion, B and A
-        over the sorted elements x of g_from and y of g_to:
-
-        - B, (n d) x (m d): block [x, y] is L_E(x,y), the real d x d matrix
-          of left multiplication by E(x, y);
-        - A, n x m: A[x, y] is |E(x, y)|, the root of its ``squared_norm``;
-        - G, d: the diagonal of the norm form, G[i] = Q(e_i), the same array
-          for every pair.
-
-        In a composition algebra conjugation is the adjoint of left
-        multiplication under the norm form, L_conj(a) = G L_a^T G, so B
-        also gives the conjugate entries.  Left multiplication comes from
-        the algebra's kernel on the basis pairs: T[i, k, j] is the e_k
-        coefficient of e_i e_j, so T[i] is L_e_i; G[i] is the e_0
-        coefficient of e_i conj(e_i).  T, G and each pair's blocks are built
-        on first use (``_built_by_kernel``).
-        """
-        import numpy as np
-
-        key = (_ground_key(g_from), _ground_key(g_to))
-
-        def build():
-            left, gram = self._built_by_kernel("left", self._left_multiplication)
-            columns, _ = self.lowered(*key)
-            xs = sorted(key[0])
-            # coeffs[i][x, y]: coefficient i of E(x, y); with left d x d x d, B is (n d) x (m d)
-            coeffs = tuple(np.array([[column[x][i] for column in columns.values()] for x in xs],
-                                    float) for i in range(self.algebra.dim))
-            with np.errstate(over="ignore", invalid="ignore"):  # an entry's norm may overflow
-                blocks = np.einsum("ixy,ikj->xkyj", coeffs, left)
-                return (blocks.reshape(len(xs) * len(left), -1), np.sqrt(squared_norm(coeffs)),
-                        gram)
-        return self._built_by_kernel(("real", key), build)
-
-    def padded_block(self, g_from, g_to) -> tuple:
-        """(block, D): the ``lowered`` matrix E from one ground to another,
-        over its denominator D, as the right operand of the sampling table's
-        array product.  E is laid out as one numpy array [i, x, y], the
-        coefficient i of E(x, y) over the sorted elements x of g_from and y
-        of g_to, with a zero row and column past them, the padding position
-        of each ground; float64 in float mode, Python ints of object dtype
-        in exact mode.  The block is that array gathered and signed by the
-        kernel's ``columns.gather``, over (m, k, x, y), so that a table
-        indexes it by element positions and multiplies.  Built on first use
-        (``_built_by_kernel``).
-        """
-        key = (_ground_key(g_from), _ground_key(g_to))
-
-        def build():
-            import numpy as np
-
-            columns, den = self.lowered(*key)
-            xs = sorted(key[0])
-            dtype = object if self.is_exact else float
-            block = np.zeros((self.algebra.dim, len(xs) + 1, len(columns) + 1), dtype)
-            block[:, :-1, :-1] = np.array([[column[x] for column in columns.values()]
-                                           for x in xs], dtype).transpose(2, 0, 1)
-            return self.algebra.kernel.columns.gather(block), den
-        return self._built_by_kernel(("padded", key), build)
-
-    def _left_multiplication(self) -> tuple:
-        """(T^T over its last two axes, G) of ``real_blocks``, as float arrays."""
-        import numpy as np
-
-        kernel, basis = self.algebra.kernel, [self.algebra.basis_element(i).coeffs
-                                              for i in range(self.algebra.dim)]
-        left = np.array([[kernel((a,), (b,)) for b in basis] for a in basis], float)
-        gram = np.array([kernel((e,), (self.algebra.conj(e),))[0] for e in basis], float)
-        return left.transpose(0, 2, 1), gram
-
-    def born_rows(self, g_from, g_to) -> Dict[str, Dict[str, object]]:
-        """The Born matrix of the ``lowered`` matrix E from one ground to
-        another over its denominator D, as rows x -> {y: P(x, y)} with
-        P(x, y) / D^2 = Q(E(x, y)): ints in exact mode, floats (D = 1) in
-        float mode.
-
-        P(x, y) is the e0 of E(x, y) conj(E(x, y)), one kernel call; an
-        entry whose product has a nonzero tail goes through
-        ``algebra.quadratic_form_over`` over D, whose scalar check raises
-        NonScalarProduct showing that product at its true value, over D^2
-        (in float mode only for a tail beyond SCALAR_RTOL of its magnitude).
-        Built on first use (``_built_by_kernel``).
-        """
-        key = (_ground_key(g_from), _ground_key(g_to))
-
-        def build():
-            columns, den = self.lowered(*key)
-            kernel, conj = self.algebra.kernel, self.algebra.conj
-
-            def born(coeffs) -> int:
-                square = kernel((coeffs,), (conj(coeffs),))
-                if any(square[1:]):  # not scalar: raises
-                    quadratic_form_over(self.algebra, coeffs, den, self.is_exact)
-                return square[0]
-            return {x: {y: born(column[x]) for y, column in columns.items()}
-                    for x in sorted(key[0])}
-        return self._built_by_kernel(("born", key), build)
-
-    def conjugated(self, g_from, g_to) -> Dict[str, Dict[str, tuple]]:
-        """The ``lowered`` matrix E from one ground to another conjugated
-        entry by entry, over the same denominator, as rows x -> {y:
-        conj(E(x, y))}, the shape of ``born_rows``: the right-hand factors of
-        the exact sum rule.  Built on first use by ``Algebra.conj``
-        (``_built_by_kernel``)."""
-        key = (_ground_key(g_from), _ground_key(g_to))
-
-        def build():
-            columns, conj = self.lowered(*key)[0], self.algebra.conj
-            return {x: {y: conj(column[x]) for y, column in columns.items()}
-                    for x in sorted(key[0])}
-        return self._built_by_kernel(("conj", key), build)
-
-    def _built_by_kernel(self, key, build):
-        """build(), never None, kept under key until the algebra's kernel
-        is another function: a kernel put in its place gets values built by
-        itself.  A build that raises keeps nothing."""
+    def _kept(self) -> tuple:
+        """(kernel, pairs, frames, verdicts): what the algebra's kernel built,
+        ground pair -> its ``_Pair``, frame grounds -> its ``frame`` and
+        unordered ground pair -> its ``_adjoint_consistent`` verdict, kept
+        until the kernel is another function: a kernel put in its place gets
+        values built by itself."""
         kernel = self.algebra.kernel
         if self._built is None or self._built[0] is not kernel:
-            self._built = (kernel, {})
-        built = self._built[1]
-        hit = built.get(key)
+            self._built = (kernel, {}, {}, {})
+        return self._built
+
+    def pair(self, g_from, g_to) -> "_Pair":
+        """The ``_Pair`` of the matrix from one ground to another, built on
+        first use and kept; a pair stored in neither direction raises
+        SequenceMismatch and keeps nothing."""
+        key = (_ground_key(g_from), _ground_key(g_to))
+        pairs = self._kept()[1]
+        hit = pairs.get(key)
         if hit is None:
-            hit = built[key] = build()
+            hit = pairs[key] = _Pair(self, *key)
+        return hit
+
+    def frame(self, grounds: tuple) -> Tuple[list, list, int]:
+        """(pairs, columns, den) of a sequence frame, its grounds as element
+        sets: the ``_Pair`` from each ground to the next, their lowered
+        columns and the product of their denominators.  Built on first use
+        and kept, the pairs being the assignment's own objects, so its size
+        is the number of grounds, whatever their sizes; a missing matrix
+        raises SequenceMismatch and keeps no frame."""
+        frames = self._kept()[2]
+        hit = frames.get(grounds)
+        if hit is None:
+            pairs = [self.pair(a, b) for a, b in zip(grounds, grounds[1:])]
+            hit = frames[grounds] = (pairs, [p.columns for p in pairs],
+                                     math.prod(p.den for p in pairs))
         return hit
 
     def __getstate__(self) -> dict:
@@ -434,6 +305,138 @@ class Assignment:
 
     def __repr__(self):
         return f"Assignment({self.algebra.kind.label}, {len(self._rows)} matrices)"
+
+
+class _Pair:
+    """The matrix E from one ground to another: the one object that an
+    assignment keeps per ordered ground pair (``Assignment.pair``), built by
+    the algebra's kernel.
+
+    It is lowered where it is built, to ``columns`` y -> {x: d coefficients}
+    over one denominator ``den``, E(x, y) at ``columns[y][x]``: the stored
+    matrix, else the conjugate transpose of the stored reverse, whose row y
+    conjugated is column y.  The targets y are sorted, the sources x in the
+    order the stored matrix holds them.  In exact mode the coefficients are
+    ints and ``den`` is the lcm of the entry denominators; in float mode
+    they are floats and ``den`` is 1.  A pair stored in neither direction
+    raises SequenceMismatch.
+
+    Every other form is built on its first read and kept, and a build that
+    raises keeps nothing: ``born`` and ``conjugated``, which the exact sum
+    rule reads, ``real``, which the float one reads, ``padded``, which the
+    sampler reads, and ``row_checks``, which validation reads.  None depends
+    on a sequence or a source.
+    """
+
+    def __init__(self, asg: Assignment, a: frozenset, b: frozenset) -> None:
+        reversed_ = (a, b) not in asg._rows
+        rows = asg._rows.get((b, a) if reversed_ else (a, b))
+        if rows is None:
+            raise SequenceMismatch(
+                f"assignment has no matrix between grounds {sorted(a)} and {sorted(b)}")
+        self.algebra, self.exact, self.sources = asg.algebra, asg.is_exact, sorted(a)
+        pairs = [(x, y) for x, row in rows.items() for y in row]
+        coeffs, self.den = lower([rows[x][y] for x, y in pairs], self.exact)
+        self.columns: CoeffColumns = {y: {} for y in sorted(b)}
+        for (x, y), c in zip(pairs, coeffs):
+            if reversed_:
+                self.columns[x][y] = self.algebra.conj(c)
+            else:
+                self.columns[y][x] = c
+
+    @cached_property
+    def born(self) -> Dict[str, Dict[str, object]]:
+        """The Born matrix of E over D = ``den``, as rows x -> {y: P(x, y)}
+        with P(x, y) / D^2 = Q(E(x, y)): ints in exact mode, floats (D = 1)
+        in float mode.
+
+        P(x, y) is the e0 of E(x, y) conj(E(x, y)), one kernel call; an
+        entry whose product has a nonzero tail goes through
+        ``algebra.quadratic_form_over`` over D, whose scalar check raises
+        NonScalarProduct showing that product at its true value, over D^2
+        (in float mode only for a tail beyond SCALAR_RTOL of its magnitude).
+        """
+        kernel, conj = self.algebra.kernel, self.algebra.conj
+
+        def born(coeffs) -> int:
+            square = kernel((coeffs,), (conj(coeffs),))
+            if any(square[1:]):  # not scalar: raises
+                quadratic_form_over(self.algebra, coeffs, self.den, self.exact)
+            return square[0]
+        return {x: {y: born(column[x]) for y, column in self.columns.items()}
+                for x in self.sources}
+
+    @cached_property
+    def conjugated(self) -> Dict[str, Dict[str, tuple]]:
+        """E conjugated entry by entry by ``Algebra.conj``, over the same
+        denominator, as rows x -> {y: conj(E(x, y))}, the shape of ``born``:
+        the right-hand factors of the exact sum rule."""
+        conj = self.algebra.conj
+        return {x: {y: conj(column[x]) for y, column in self.columns.items()}
+                for x in self.sources}
+
+    @cached_property
+    def real(self) -> tuple:
+        """Float mode: E as numpy arrays (B, A, g) for the sum rule's block
+        recursion, B and A over the sorted elements x of the source ground
+        and y of the target ground:
+
+        - B, (n d) x (m d): block [x, y] is L_E(x,y), the real d x d matrix
+          of left multiplication by E(x, y);
+        - A, n x m: A[x, y] is |E(x, y)|, the root of its ``squared_norm``;
+        - g, m d: G, the diagonal of the norm form, G[i] = Q(e_i), tiled
+          over B's columns, so that B g is B (I (x) G).
+
+        In a composition algebra conjugation is the adjoint of left
+        multiplication under the norm form, L_conj(a) = G L_a^T G, so B
+        also gives the conjugate entries.  Left multiplication comes from
+        the algebra's kernel on the basis pairs: T[i, k, j] is the e_k
+        coefficient of e_i e_j, so T[i] is L_e_i; G[i] is the e_0
+        coefficient of e_i conj(e_i).
+        """
+        import numpy as np
+
+        algebra, kernel = self.algebra, self.algebra.kernel
+        basis = [algebra.basis_element(i).coeffs for i in range(algebra.dim)]
+        left = np.array([[kernel((a,), (b,)) for b in basis] for a in basis], float)
+        gram = np.array([kernel((e,), (algebra.conj(e),))[0] for e in basis], float)
+        # coeffs[i][x, y]: coefficient i of E(x, y); with T^T d x d x d, B is (n d) x (m d)
+        coeffs = tuple(np.array([[column[x][i] for column in self.columns.values()]
+                                 for x in self.sources], float) for i in range(algebra.dim))
+        with np.errstate(over="ignore", invalid="ignore"):  # an entry's norm may overflow
+            blocks = np.einsum("ixy,ikj->xkyj", coeffs, left.transpose(0, 2, 1))
+            return (blocks.reshape(len(self.sources) * algebra.dim, -1),
+                    np.sqrt(squared_norm(coeffs)), np.tile(gram, len(self.columns)))
+
+    @cached_property
+    def padded(self):
+        """E over its denominator as the right operand of the sampling
+        table's array product.  E is laid out as one numpy array [i, x, y],
+        the coefficient i of E(x, y) over the sorted elements x and y, with
+        a zero row and column past them, the padding position of each
+        ground; float64 in float mode, Python ints of object dtype in exact
+        mode.  The block is that array gathered and signed by the kernel's
+        ``columns.gather``, over (m, k, x, y), so that a table indexes it by
+        element positions and multiplies."""
+        import numpy as np
+
+        dtype = object if self.exact else float
+        block = np.zeros((self.algebra.dim, len(self.sources) + 1, len(self.columns) + 1), dtype)
+        block[:, :-1, :-1] = np.array([[column[x] for column in self.columns.values()]
+                                       for x in self.sources], dtype).transpose(2, 0, 1)
+        return self.algebra.kernel.columns.gather(block)
+
+    @cached_property
+    def row_checks(self) -> dict:
+        """Row normalization: each source x -> the ``_verdict`` on the sum
+        of Q(E(x, y)) over the sorted targets y, added left to right from
+        zero, the row sum of ``born`` over D^2, or on the error that
+        building ``born`` raises (``_outcome``); a float sum that overflows
+        is its value, inf."""
+        born = _outcome(lambda: self.born)
+        return {x: _verdict(born if isinstance(born, Exception) else lift(
+            (reduce(operator.add, [born[x][y] for y in self.columns], 0),), self.den * self.den,
+            self.exact)[0], "sum of Q over targets") for x in self.sources}
 
 
 # Kept for the benchmark, whose files stay fixed: ``bench/inputs.py`` imports this name.
@@ -472,82 +475,6 @@ def _result(asg: Assignment, sums: Optional[tuple], denominator: int) -> Amplitu
     return Amplitude(asg.algebra, lift(sums, denominator, asg.is_exact))
 
 
-def _boundary_rows(grounds: tuple, asg: Assignment) -> Tuple[list, int]:
-    """The lowered columns from each of a sequence frame's grounds to the
-    next and the product of their denominators; raises SequenceMismatch
-    when the assignment lacks one.  Built once per frame and assignment:
-    ``_FrameOperators.lowered`` keeps the list."""
-    boundaries = [asg.lowered(a, b) for a, b in zip(grounds, grounds[1:])]
-    return [columns for columns, _ in boundaries], math.prod(den for _, den in boundaries)
-
-
-class _KeptPerBoundary(dict):
-    """Run boundary k -> build(*pairs[k]), built on its first read and
-    kept; a build that raises keeps nothing, so the next read raises too."""
-
-    def __init__(self, build, pairs: list) -> None:
-        super().__init__()
-        self.build, self.pairs = build, pairs
-
-    def __missing__(self, k: int):
-        value = self[k] = self.build(*self.pairs[k])
-        return value
-
-
-class _FrameOperators:
-    """What the evaluators read at the run boundaries of one sequence
-    frame, its grounds, in one assignment, which keeps it per frame
-    (``_operators``).  Each part is built on its first read and kept, and
-    holds each ground pair's own kept objects:
-
-    - ``lowered``: the boundaries' lowered columns and the product of their
-      denominators (``_boundary_rows``), read by the walk and the exact sum
-      rule;
-    - ``born`` and ``conjugated``: boundary k -> the pair's
-      ``Assignment.born_rows`` and ``Assignment.conjugated``, each resolved
-      when the exact sum rule first needs it there;
-    - ``real``: the boundaries' ``Assignment.real_blocks`` and the float
-      sum rule's start arrays X_last = I (x) G and N_last = I, read-only;
-    - ``padded``: the boundaries' ``Assignment.padded_block`` blocks and
-      the product of their denominators, read by the sampler.
-
-    A part whose build raises (a missing matrix, a product that is not
-    scalar) keeps nothing and raises again on its next read.  Its size is
-    that of the grounds, whatever the number of paths.
-    """
-
-    def __init__(self, grounds: tuple, asg: Assignment) -> None:
-        self.grounds, self.asg, self.pairs = grounds, asg, list(zip(grounds, grounds[1:]))
-        self.born = _KeptPerBoundary(asg.born_rows, self.pairs)
-        self.conjugated = _KeptPerBoundary(asg.conjugated, self.pairs)
-
-    @cached_property
-    def lowered(self) -> Tuple[list, int]:
-        return _boundary_rows(self.grounds, self.asg)
-
-    @cached_property
-    def real(self) -> tuple:
-        import numpy as np
-
-        blocks, n = [self.asg.real_blocks(a, b) for a, b in self.pairs], len(self.grounds[-1])
-        start = np.diag(np.tile(blocks[0][2], n)), np.eye(n)
-        for array in start:
-            array.flags.writeable = False
-        return (blocks, *start)
-
-    @cached_property
-    def padded(self) -> Tuple[list, int]:
-        blocks = [self.asg.padded_block(a, b) for a, b in self.pairs]
-        return [block for block, _ in blocks], math.prod(den for _, den in blocks)
-
-
-def _operators(plan: model.SequencePlan, asg: Assignment) -> _FrameOperators:
-    """The ``_FrameOperators`` of a plan's grounds, kept in the assignment
-    (``Assignment._built_by_kernel``): a plan and its frame share their
-    grounds, so every evaluator reads one entry."""
-    return asg._built_by_kernel(("frame", plan.grounds), lambda: _FrameOperators(plan.grounds, asg))
-
-
 def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     """The thread sums of one path and their denominator.
 
@@ -566,11 +493,11 @@ def _thread_sums(p: Path, asg: Assignment) -> Tuple[Optional[tuple], int]:
     sums are byte-stable, and the partials a list in their order.  At a run
     boundary one ``operator.itemgetter`` over the previous survivors (a
     1-tuple for one) gathers each target's lowered column, read from the
-    frame's kept columns (``_FrameOperators.lowered``).  ``_probabilities`` does
+    frame's kept columns (``Assignment.frame``).  ``_probabilities`` does
     the same operations on arrays over every path.
     """
     kernel, dim, frame, results = asg.algebra.kernel, asg.algebra.dim, p.sequence.frame, p.results
-    columns, den = _operators(frame, asg).lowered
+    _, columns, den = asg.frame(frame.grounds)
     for k, (lo, hi) in enumerate(frame.runs):
         alive = sorted(results[lo] if lo == hi
                        else results[lo].intersection(*results[lo + 1:hi + 1]))
@@ -687,7 +614,7 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
     must exist, the lowered matrices of two stored directions must be mutual
     conjugate transposes, and each row x must be normalized: the sum of
     Q(E(x, y)) over the targets y, the row sum of the pair's Born matrix
-    (``_row_checks``), is one.  So is the sum rule of the sequence from
+    (``_Pair.row_checks``), is one.  So is the sum rule of the sequence from
     every source element, all sources from one pair-recursion call
     (``_source_totals``), each source's total equal to
     ``total_probability``'s bit for bit, in float mode too.  A check fails
@@ -712,13 +639,15 @@ def validate_assignment(s: MeasurementSequence, asg: Assignment) -> ValidationRe
             continue
 
         if (a, b) in stored and (b, a) in stored:
-            adjoint_ok = asg._built_by_kernel(("adjoint", frozenset((a, b))),
-                                              lambda: _adjoint_consistent(asg, a, b))
+            verdicts, key = asg._kept()[3], frozenset((a, b))
+            adjoint_ok = verdicts.get(key)
+            if adjoint_ok is None:
+                adjoint_ok = verdicts[key] = _adjoint_consistent(asg, a, b)
             entries.append(ValidationEntry(
                 "adjoint_consistency", loc, adjoint_ok,
                 "" if adjoint_ok else "reverse matrix is not the conjugate transpose"))
 
-        for x, (ok, detail) in _row_checks(asg, a, b).items():
+        for x, (ok, detail) in asg.pair(a, b).row_checks.items():
             entries.append(ValidationEntry("row_normalization", f"{loc} source {x}", ok, detail))
 
     for x, total in _source_totals(s, sorted(s.steps[0].element_set()), asg).items():
@@ -749,32 +678,15 @@ def _adjoint_consistent(asg: Assignment, a: frozenset, b: frozenset) -> bool:
     """Whether the lowered matrices of a ground pair stored in both directions
     are mutual conjugate transposes, each over the other's denominator.
     Symmetric in a and b; ``validate_assignment`` keeps its verdict per
-    unordered ground pair (``Assignment._built_by_kernel``), so a pair is
-    compared once however often a sequence crosses it."""
-    (forward, d_forward), (backward, d_backward) = asg.lowered(a, b), asg.lowered(b, a)
-    return all([c * d_backward for c in forward[y][x]] == [
-        c * d_forward for c in asg.algebra.conj(backward[x][y])]
+    unordered ground pair (``Assignment._kept``), so a pair is compared
+    once however often a sequence crosses it."""
+    forward, backward = asg.pair(a, b), asg.pair(b, a)
+    return all([c * backward.den for c in forward.columns[y][x]] == [
+        c * forward.den for c in asg.algebra.conj(backward.columns[x][y])]
         for x in a for y in b)
 
 
-def _row_checks(asg: Assignment, a: frozenset, b: frozenset) -> dict:
-    """Row normalization of the ground pair (a, b): each x of a -> the
-    ``_verdict`` on the sum of Q(E(x, y)) over the sorted targets y, added
-    left to right from zero, the row sum of the pair's Born matrix
-    (``Assignment.born_rows``) over D^2, or on the error that building the
-    Born matrix raises (``_outcome``); a float sum that overflows is its
-    value, inf.  Kept with the Born matrix it sums
-    (``Assignment._built_by_kernel``), so a pair is checked once however
-    often sequences cross it."""
-    def build():
-        (_, den), born, ys = asg.lowered(a, b), _outcome(lambda: asg.born_rows(a, b)), sorted(b)
-        return {x: _verdict(born if isinstance(born, Exception) else lift(
-            (reduce(operator.add, [born[x][y] for y in ys], 0),), den * den, asg.is_exact)[0],
-            "sum of Q over targets") for x in sorted(a)}
-    return asg._built_by_kernel(("row checks", a, b), build)
-
-
-def _pair_transfer(classes, operators: _FrameOperators, asg: Assignment) -> Dict[str, int]:
+def _pair_transfer(classes, frame: tuple, asg: Assignment) -> Dict[str, int]:
     """Exact mode: the e0 coefficient of S_0(x, x) for every source x of
     run 0 (``classes[0]``, their singletons), each an int over the squared
     product of the boundary denominators, by the backward recursion
@@ -784,7 +696,8 @@ def _pair_transfer(classes, operators: _FrameOperators, asg: Assignment) -> Dict
 
     with S_k(x, x') defined only for x, x' in one class of run k.  E_k is
     the lowered matrix from run k to run k+1 of the frame, read as
-    columns: E_k[x][y] is ``operators.lowered[0][k][y][x]``, a coefficient tuple,
+    columns: E_k[x][y] is ``frame[1][k][y][x]`` (``Assignment.frame``), a
+    coefficient tuple,
     multiplied by the algebra's kernel and conjugated by ``Algebra.conj``,
     for the elements x of ``classes[k]`` alone (of E_0 the sources').  (A
     float sum rule with a run boundary runs ``_block_transfer``.)
@@ -798,7 +711,7 @@ def _pair_transfer(classes, operators: _FrameOperators, asg: Assignment) -> Dict
     lower triangle is its conjugate.  The diagonal of a singleton class {x}
     of run k splits into the terms y = y', each E_k[x][y] s(y)
     conj(E_k[x][y]) = P_k[x][y] s(y) with P_k the pair's Born matrix
-    (``Assignment.born_rows``), and the pairs y != y' of a wide class of
+    (``_Pair.born``), and the pairs y != y' of a wide class of
     run k+1, whose two orders are conjugate:
 
         s_k(x) = sum_y P_k[x][y] s(y)
@@ -815,24 +728,23 @@ def _pair_transfer(classes, operators: _FrameOperators, asg: Assignment) -> Dict
     Born terms.  So a boundary costs O(n^3) kernel products at most, and a
     singleton row beside a wide class of c elements c (c - 1) / 2 + c - 1.
     The conjugate entries are read from the pair's kept conjugate
-    (``Assignment.conjugated``); a boundary reads a Born matrix only when
-    one of its two runs has a singleton class, and the conjugate only when
-    one has a wide class, each from the frame's kept entry
-    (``_FrameOperators``), which resolves it on first need: a call does
-    arithmetic alone, and no pair lookup.  Each s(x) is computed from row x alone, and run
+    (``_Pair.conjugated``); a boundary reads a Born matrix only when one of
+    its two runs has a singleton class, and the conjugate only when one has
+    a wide class, each from the frame's own ``_Pair``, which builds it on
+    its first read.  Each s(x) is computed from row x alone, and run
     0's classes are singletons, so it needs no triangle: a source's value
     does not depend on which other sources are given.  The diagonal is
     exact ints, so the order in which its terms are added changes nothing.
     """
-    algebra, lowered = asg.algebra, operators.lowered[0]
+    (pairs, lowered, _), algebra = frame, asg.algebra
     kernel, conj, tail = algebra.kernel, algebra.conj, (0,) * (algebra.dim - 1)
     diagonal, upper, wide = {y: 1 for (y,) in classes[-1]}, {}, []
     for k in range(len(classes) - 2, -1, -1):
         # wide: the classes of two or more of run k+1, spans: those of run k
         cols, spans = lowered[k], [c for c in classes[k] if len(c) > 1]
         singles = [(c[0], diagonal[c[0]]) for c in classes[k + 1] if len(c) == 1] if spans else []
-        born = operators.born[k] if singles or len(spans) < len(classes[k]) else {}
-        conjugated = operators.conjugated[k] if wide or spans else {}
+        born = pairs[k].born if singles or len(spans) < len(classes[k]) else {}
+        conjugated = pairs[k].conjugated if wide or spans else {}
         targets = [y for cls in wide for y in cls] if wide else []
         # each y' of a wide class after its first, with the y before it and U(y, y')
         later = [(cls[:j], y2, [upper[y, y2] for y in cls[:j]])
@@ -878,17 +790,22 @@ def _block_transfer(s: MeasurementSequence, sources: list,
 
     With every S_k(y, y') held as its left multiplication L_S(y,y'), a
     homomorphism on an associative algebra, ``_pair_transfer``'s recursion
-    is a product of the blocks of ``Assignment.real_blocks`` (B_k, A_k for
-    the pair of grounds k, k+1), masked by D_k, which holds where two
-    elements of run k share a class: the run's ``same_class`` mask, kept
-    with the sequence (``_layout``).  The conjugate entries are G B_k^T G
-    blockwise (G the diagonal of the norm form, ``real_blocks``), so the
-    recursion carries X_k = S_k (I (x) G) and needs no other block.  The
-    last run ends in an atomic step, so its D is I, and every run boundary
-    after the first takes the same masked product:
+    is a product of the blocks of ``_Pair.real`` (B_k, A_k for the pair of
+    grounds k, k+1), masked by D_k, which holds where two elements of run k
+    share a class: the run's ``same_class`` mask, kept with the sequence
+    (``_layout``).  The conjugate entries are G B_k^T G blockwise (G the
+    diagonal of the norm form, ``_Pair.real``), so the recursion carries X_k
+    = S_k (I (x) G) and needs no other block.  The last run ends in an
+    atomic step, so its D is I, and every run boundary after the first
+    takes the same masked product:
 
         X_last = I (x) G                           N_last = I
         X_k    = D_k (x) 1_dxd ? B_k X_k+1 B_k^T   N_k    = D_k ? A_k N_k+1 A_k^T
+
+    No start array is built: the last boundary folds them into its first
+    product, B_k X_last = B_k g with g the pair's G tiled over B_k's
+    columns, and A_k N_last = A_k, and so does the first boundary of a
+    frame of two runs.
 
     ``where``, not a product with the mask, so that an infinity met outside
     the mask leaves a zero, not a NaN; the n x n mask broadcasts over the
@@ -901,25 +818,25 @@ def _block_transfer(s: MeasurementSequence, sources: list,
     other sources are given.  X_0(x, x) is L_S_0(x,x) G, whose first column
     is S_0(x, x), as G[0] = Q(e_0) = 1.
 
-    The blocks of every boundary and the start arrays X_last and N_last,
-    read-only, are read from the frame's kept entry (``_FrameOperators``),
-    so a call does the products alone.
+    The blocks of every boundary are read from the frame's pairs
+    (``Assignment.frame``), so a call does the products alone.
     """
     import numpy as np
 
-    d, layout = asg.algebra.dim, _layout(s)
-    blocks, pair, norm = _operators(s.plan, asg).real
+    d, layout, pair, norm = asg.algebra.dim, _layout(s), None, None
+    pairs = asg.frame(s.plan.grounds)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         # the boundaries after the first, from the last: B_k, A_k and run k's D_k
-        for (b, a, _), run in zip(blocks[:0:-1], layout[-2:0:-1]):
-            m = len(run.same_class)
-            pair = np.where(run.same_class, (b @ pair @ b.T).reshape(m, d, m, d),
-                            0.0).reshape(m * d, -1)
-            norm = np.where(run.same_class[:, 0, :, 0], a @ norm @ a.T, 0.0)
-        (b, a, _), at = blocks[0], [s.plan.classes[0].index((x,)) for x in sources]
+        for ground_pair, run in zip(pairs[:0:-1], layout[-2:0:-1]):
+            (b, a, g), m = ground_pair.real, len(run.same_class)
+            pair = np.where(run.same_class, ((b * g if pair is None else b @ pair) @ b.T)
+                            .reshape(m, d, m, d), 0.0).reshape(m * d, -1)
+            norm = np.where(run.same_class[:, 0, :, 0], (a if norm is None else a @ norm) @ a.T,
+                            0.0)
+        (b, a, g), at = pairs[0].real, [s.plan.classes[0].index((x,)) for x in sources]
         rows, norms = b.reshape(len(a), d, -1)[at], a[at, None, :]
-        pair = rows @ pair @ rows.transpose(0, 2, 1)
-        norm = norms @ norm @ norms.transpose(0, 2, 1)
+        pair = (rows * g if pair is None else rows @ pair) @ rows.transpose(0, 2, 1)
+        norm = (norms if norm is None else norms @ norm) @ norms.transpose(0, 2, 1)
     # + 0.0: no -0.0, as the kernel's sums start from 0
     return {x: (tuple((pair[i, :, 0] + 0.0).tolist()), float(norm[i, 0, 0]))
             for i, x in enumerate(sources)}
@@ -939,18 +856,17 @@ def _source_totals(s: MeasurementSequence, sources: list, asg: Assignment) -> di
     (NonScalarProduct, when a Born matrix is built) fail every source; in
     float mode a tail that is not scalar fails its own source
     (``_outcome``), and a total that overflows is its value.  Both
-    recursions read each run boundary's operators from the frame's entry,
-    kept in the assignment (``_FrameOperators``): the Born and conjugate
-    rows in exact mode, resolved at a boundary when first needed there, the
-    real blocks and the start arrays in float mode.  An error raised while
-    one is built keeps nothing, so it is raised again on the next call.
+    recursions read each run boundary's operators from the frame's pairs,
+    kept in the assignment (``Assignment.frame``): the Born and conjugate
+    rows in exact mode, each built where first needed, the real blocks in
+    float mode.  An error raised while one is built keeps nothing, so it is
+    raised again on the next call.
     """
     try:
         if asg.is_exact or len(s.plan.runs) == 1:  # a single run: its unit, 1.0 in float
-            operators = _operators(s.plan, asg)
-            den = operators.lowered[1]
+            frame = asg.frame(s.plan.grounds)
             classes = [[(x,) for x in sources], *s.plan.classes[1:]]
-            diagonal = _pair_transfer(classes, operators, asg)
+            diagonal, den = _pair_transfer(classes, frame, asg), frame[2]
             return {x: lift((diagonal[x],), den * den, asg.is_exact)[0] for x in sources}
         blocks = _block_transfer(s, sources, asg)
     except (SequenceMismatch, NonScalarProduct) as exc:
@@ -999,7 +915,7 @@ def total_probability(s: MeasurementSequence, source: frozenset,
     atomic run boundary that is n^2 int products and no kernel call, so it
     costs O(L n^2) on atomic runs and O(L n^3) algebra products in general,
     for L runs over grounds of at most n elements.  Each entry's Q is taken
-    once per pair (``Assignment.born_rows``), with the scalar check of
+    once per pair (``_Pair.born``), with the scalar check of
     ``algebra.quadratic_form_over``, so an a * conj(a) that is not scalar
     raises NonScalarProduct there; the total is the diagonal's int, scalar
     by construction.  In float mode it is a
@@ -1111,11 +1027,11 @@ def _probabilities(s: MeasurementSequence, source: frozenset,
     with it: each run's class-by-slot positions over its sorted ground, its
     padding slots, its class ranks and its radix; the source adds only
     run 0's class.  What depends on a ground pair alone is read from the
-    assignment's ``padded_block``, kept there, and the list of a frame's
-    blocks too (``_FrameOperators.padded``): the lowered matrix over the whole
-    sorted grounds, a zero row and column past them, gathered and signed
-    for the array product.  At each run boundary the table indexes that
-    block by the parent run's and the run's slot positions, and one call of
+    frame's pairs (``Assignment.frame``), each block its ``_Pair.padded``,
+    kept there: the lowered matrix over the whole sorted grounds, a zero
+    row and column past them, gathered and signed for the array product.
+    At each run boundary the table indexes that block by the parent run's
+    and the run's slot positions, and one call of
     the kernel's array product (``kernel.columns``, the kernel's operations
     in its order) multiplies it with the array, every parent slot t on the
     trailing pair axis, and sums over t in order.  A padded slot meets
@@ -1137,7 +1053,7 @@ def _probabilities(s: MeasurementSequence, source: frozenset,
     if frozenset(source) not in s.steps[0].blocks:
         raise NotADistribution("no paths start at the given source result")
     plan, layout = s.plan, _layout(s)
-    blocks, den = _operators(plan, asg).padded
+    pairs, _, den = asg.frame(plan.grounds)
     algebra, d = asg.algebra, asg.algebra.dim
     choices = [[frozenset(source)], *plan.choices[1:]]
     c = plan.classes[0].index(tuple(source))
@@ -1146,11 +1062,10 @@ def _probabilities(s: MeasurementSequence, source: frozenset,
     coeffs = np.array(algebra.unit().coeffs, object if asg.is_exact else float).reshape(d, 1, 1, 1)
     rank, parents = layout[0].index[c], layout[0].slots[c:c + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for run, block in zip(layout[1:], blocks):
+        for run, ground_pair in zip(layout[1:], pairs):
             # over (coefficient, class, parent class, parent row, slot, parent slot)
-            coeffs = algebra.kernel.columns(
-                coeffs[:, None, :, :, None, :],
-                block[:, :, parents[None, :, None, None, :], run.slots[:, None, None, :, None]])
+            coeffs = algebra.kernel.columns(coeffs[:, None, :, :, None, :], ground_pair.padded[
+                :, :, parents[None, :, None, None, :], run.slots[:, None, None, :, None]])
             coeffs = coeffs.reshape(d, len(run.slots), -1, run.slots.shape[1])
             if run.padding is not None:
                 # back to zero: a partial sum that overflowed to an infinity

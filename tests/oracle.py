@@ -530,9 +530,10 @@ def pair_transfer_by_full_state(classes, matrices, algebra) -> tuple:
 
 
 def rows_of(asg, a, b) -> tuple:
-    """``asg.lowered(a, b)`` transposed back to rows: (rows x -> {y:
+    """``asg.pair(a, b)``'s columns transposed back to rows: (rows x -> {y:
     coefficient tuple}, the sources x sorted, and the same denominator)."""
-    columns, den = asg.lowered(a, b)
+    pair = asg.pair(a, b)
+    columns, den = pair.columns, pair.den
     sources = sorted(next(iter(columns.values())))
     return {x: {y: column[x] for y, column in columns.items()} for x in sources}, den
 

@@ -60,8 +60,8 @@ def test_reverse_is_the_conjugate_transpose_of_the_stored_matrix(kind):
 
 def test_transpose_is_built_once_and_kept():
     asg = Assignment(C, [(X, Y, unit_rows(X, Y))])
-    assert asg.lowered(Y, X) is asg.lowered(Y, X)
-    assert asg.lowered(X, Y) is asg.lowered(X, Y)
+    assert asg.pair(Y, X) is asg.pair(Y, X)
+    assert asg.pair(X, Y) is asg.pair(X, Y)
 
 
 def test_pair_stored_both_ways_returns_the_stored_reverse():
@@ -77,7 +77,7 @@ def test_pair_stored_both_ways_returns_the_stored_reverse():
 def test_missing_pair_raises_sequence_mismatch():
     asg = Assignment(C, [(X, Y, unit_rows(X, Y))])
     with pytest.raises(SequenceMismatch, match="no matrix"):
-        asg.lowered(X, MIX_GROUNDS[2])
+        asg.pair(X, MIX_GROUNDS[2])
     with pytest.raises(SequenceMismatch, match="no matrix"):
         entry(asg, MIX_GROUNDS[2], X, "x", "x1")
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy
 import pytest
 
-from compalg import engine, model
+from compalg import model
 from compalg.algebra import AlgebraKind, make_algebra
 from compalg.engine import (
     MAX_DRAWS,
@@ -404,27 +404,27 @@ def test_total_probability_overflow_and_an_unread_row():
     assert tables[0] == tables[1] and len(tables[0]) == 3
 
 
-def test_finite_float_totals_gather_no_rows(monkeypatch):
-    """Float totals read the real blocks alone: finite totals, alone and in
-    validation, and a total that overflows make no ``_boundary_rows``
-    call."""
-    calls = []
-    boundary_rows = engine._boundary_rows
-    monkeypatch.setattr(engine, "_boundary_rows",
-                        lambda *args: calls.append(args) or boundary_rows(*args))
-
+def test_finite_float_totals_gather_no_rows():
+    """Float totals read the real blocks alone: finite totals and a total
+    that overflows build no Born matrix, conjugate entries or padded block
+    of a ground pair, and validation adds only the Born matrices of its row
+    checks."""
     def c_rows(first):
         return c_assignment([[[first, 0.0], [0.0, 0.0], [0.0, 0.0]],
                              [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
 
-    s, finite = sequence([AN, AM, AN]), c_rows(2.0)
+    def built(asg):
+        return [sorted(set(vars(pair)) & {"born", "conjugated", "padded", "real", "row_checks"})
+                for pair in asg._built[1].values()]
+    s, finite, overflow = sequence([AN, AM, AN]), c_rows(2.0), c_rows(1e200)
     assert total_probability(s, frozenset({"n1"}), finite) == 20.0
+    assert math.isnan(total_probability(s, frozenset({"n1"}), overflow))
+    assert built(finite) == built(overflow) == [["real"], ["real"]]
     sums = [e for e in validate_assignment(s, finite).entries if e.check == "sum_rule"]
     assert [(e.location, e.detail) for e in sums] \
         == [("source n1", "total probability over paths is 20.0"),
             ("source n2", "total probability over paths is 5.0")]
-    assert math.isnan(total_probability(s, frozenset({"n1"}), c_rows(1e200)))
-    assert calls == []
+    assert built(finite) == [["born", "real", "row_checks"]] * 2
 
 
 def test_validation_names_the_non_finite_entry_of_the_derived_reverse():

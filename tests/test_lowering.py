@@ -278,7 +278,7 @@ def test_lowered_rows_are_the_matrix_over_one_denominator(kind, stored):
                 else:
                     assert all(type(c) is float for c in rows[x][y])
                     assert rows[x][y] == tuple(map(float, amp.coeffs))
-        assert asg.lowered(a, b) is asg.lowered(a, b)
+        assert asg.pair(a, b) is asg.pair(a, b)
 
 
 def int_assignment(algebra, rng) -> Assignment:
@@ -383,32 +383,35 @@ def test_walk_is_the_dict_walk(kind):
 
 
 def test_frame_columns_are_built_once_per_kernel(monkeypatch):
-    """The walk and the exact sum rule read one kept list of a frame's
-    boundary columns: repeated ``probability_of`` over the paths of one
-    sequence and an exact ``total_probability`` on it run
-    ``_boundary_rows`` once, and once more after the algebra's kernel is
-    replaced, as every value built by the kernel is rebuilt."""
+    """The walk and the exact sum rule read the columns that each ground
+    pair is lowered to when its ``_Pair`` is built: repeated
+    ``probability_of`` over the paths of one sequence and an exact
+    ``total_probability`` on it lower each of the frame's three pairs
+    once, and once more after the algebra's kernel is replaced, as every
+    value built by the kernel is rebuilt."""
     calls = []
-    boundary_rows = engine._boundary_rows
-    monkeypatch.setattr(engine, "_boundary_rows",
-                        lambda *args: calls.append(args) or boundary_rows(*args))
+    lowered = engine._Pair.__init__
+    monkeypatch.setattr(engine._Pair, "__init__",
+                        lambda pair, asg, a, b: calls.append((a, b)) or lowered(pair, asg, a, b))
     asg = assignment_for(MIX_GROUNDS, C, random.Random(11))
     g1, g2, g3 = (atomic_measurement(g) for g in MIX_GROUNDS)
     s = sequence([g2, g3, fully_coarse_measurement(MIX_GROUNDS[2]), g1, g2])
     paths, source = enumerate_paths(s), frozenset({"b"})
+    grounds = [g.element_set() for g in (MIX_GROUNDS[1], MIX_GROUNDS[2], MIX_GROUNDS[0],
+                                         MIX_GROUNDS[1])]
 
     def evaluated():
         probabilities = [probability_of(p, asg).probability for p in paths * 2]
         return probabilities, total_probability(s, source, asg)
     first = evaluated()
-    assert len(calls) == 1
+    assert calls == list(zip(grounds, grounds[1:]))
     kernel = C.kernel
 
     def replaced(lefts, rights):
         return kernel(lefts, rights)
     replaced.columns = kernel.columns
     monkeypatch.setitem(vars(C), "kernel", replaced)
-    assert evaluated() == first and len(calls) == 2
+    assert evaluated() == first and calls == list(zip(grounds, grounds[1:])) * 2
 
 
 # -- missing pairs ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Sum rules by the pair-thread transfer, and the batched table of path
 probabilities under sampling, against path enumeration."""
 
+import gc
 import itertools
 import json
 import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -227,7 +229,7 @@ def test_non_scalar_sum_is_rejected(monkeypatch):
                         for e in rows)
     a, b = s.plan.grounds[:2]
     with pytest.raises(NonScalarProduct, match=re.escape("a*conj(a) not scalar within ")):
-        floats.born_rows(a, b)
+        floats.pair(a, b).born
     monkeypatch.undo()
     assert total_probability(s, source, floats) == total
 
@@ -512,12 +514,11 @@ def test_what_is_kept_does_not_grow_with_the_path_count():
     6,144 paths from a source: after a table and a float total on each,
     each keeps one run layout per run, every array of it at most the
     (n + 1)^2 entries of its n-element ground, and the assignment keeps
-    one block per ground pair crossed, the same three for both, and per
-    sequence frame one entry that lists those blocks, one per run
-    boundary, each the pair's own kept object, as are its real blocks, and
-    holds the float start arrays read-only.  An exact total on the same
-    frame keeps there at most one Born and one conjugate matrix per run
-    boundary, each the pair's own kept object."""
+    one object per ground pair crossed, the same three for both, each with
+    its padded and real blocks, and per sequence frame the list of those
+    objects, one per run boundary, their columns and a denominator, and no
+    array.  An exact total on the same frame keeps the same three pairs,
+    the frame listing each pair's own kept object."""
     halves = {g: measurement(f"half{g.id}", g, [g.elements[:2], g.elements[2:]])
               for g in (A3, B3, C3)}
     grounds = [A3, B3, C3]
@@ -539,25 +540,63 @@ def test_what_is_kept_does_not_grow_with_the_path_count():
         for run in layout:
             arrays = [run.slots, run.index, run.same_class, *(run.padding or ())]
             assert all(array.size <= 4 ** 2 for array in arrays)
-        built = asg._built[1]
         grounds_of_s = s.plan.grounds
         pairs = list(zip(grounds_of_s, grounds_of_s[1:]))
-        operators = built["frame", grounds_of_s]
-        (frame_blocks, _), (real_blocks, *start) = operators.padded, operators.real
-        assert len(frame_blocks) == len(real_blocks) == length - 1 and all(
-            block is asg.padded_block(a, b)[0] and real is asg.real_blocks(a, b)
-            for block, real, (a, b) in zip(frame_blocks, real_blocks, pairs))
-        assert [array.flags.writeable for array in start] == [False, False]
-        kept.add(frozenset(key for key in built if key[0] != "frame"))
         total_probability(s, source, exact)
-        operators = exact._built[1]["frame", grounds_of_s]
-        for rows, rows_of in ((operators.born, exact.born_rows),
-                              (operators.conjugated, exact.conjugated)):
-            assert 0 < len(rows) <= length - 1 and all(
-                kept_rows is rows_of(*pairs[k]) for k, kept_rows in rows.items())
+        for kept_by in (asg, exact):
+            frame_pairs, columns, den = kept_by._built[2][grounds_of_s]
+            assert len(frame_pairs) == len(columns) == length - 1 and type(den) is int
+            assert all(pair is kept_by.pair(a, b) and column is pair.columns
+                       for pair, column, (a, b) in zip(frame_pairs, columns, pairs))
+            assert set(kept_by._built[1]) == set(pairs[:3])
+        kept.add(frozenset(asg._built[1]))
     (keys,) = kept
-    assert sorted(kind for kind, *_ in keys if kind in ("padded", "real")) \
-        == ["padded"] * 3 + ["real"] * 3
+    assert all({"padded", "real"} <= set(vars(asg.pair(*key))) for key in keys)
+    assert len(asg._built[2]) == 2
+
+
+def test_what_is_kept_per_frame_does_not_grow_with_the_ground_size():
+    """What an assignment keeps per sequence frame is the size of the
+    frame, not of its grounds.  H float over three grounds of n = 16 and
+    of n = 64 elements: with every ordered ground pair warmed by one total,
+    25 fresh sequences of 8 atomic steps, no ground twice in a row, each
+    get a float total and are dropped.  The bytes that the assignment
+    keeps per new frame (tracemalloc) are the same at both sizes, well
+    below one (n d)^2 float array (32 KiB at n = 16).  Each sequence's
+    plan and layout, kept with the sequence, are built before tracing."""
+    algebra, kept, assignments = make_algebra(AlgebraKind.H), {}, []
+    for n in (16, 64):
+        rng = random.Random(n)
+        grounds = [GroundSet(g, tuple(f"{g.lower()}{i}" for i in range(n))) for g in "PQR"]
+        asg = Assignment(algebra, [
+            (a, b, [[[rng.uniform(-1, 1) / n for _ in range(algebra.dim)] for _ in b.elements]
+                    for _ in a.elements])
+            for a, b in itertools.combinations(grounds, 2)])
+        steps = [atomic_measurement(g) for g in grounds]
+        # P Q R P R Q P crosses all six ordered pairs
+        total_probability(sequence([steps[i] for i in (0, 1, 2, 0, 2, 1, 0)]),
+                          frozenset({"p0"}), asg)
+        walks = [walk for walk in itertools.product(range(3), repeat=8)
+                 if all(i != j for i, j in zip(walk, walk[1:]))]
+        fresh = [sequence([steps[i] for i in walk]) for walk in rng.sample(walks, 25)]
+        for s in fresh:
+            engine._layout(s)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            while fresh:
+                s = fresh.pop()
+                total_probability(s, frozenset(s.steps[0].ground.elements[:1]), asg)
+                del s
+            gc.collect()
+            kept[n] = (tracemalloc.get_traced_memory()[0] - before) / 25
+        finally:
+            tracemalloc.stop()
+        assignments.append(asg)
+    assert kept[64] <= kept[16] + 256 and kept[16] < 2048, kept
+    # the warming frame and the 25 fresh ones, each kept
+    assert [len(asg._built[2]) for asg in assignments] == [26, 26]
 
 
 # -- the exact pair recursion against the full-state oracle -----------------------------
@@ -668,12 +707,12 @@ def test_pair_transfer_diagonal_branches_against_the_full_state():
                 total = total_probability(s, frozenset({x}), asg)
                 assert isinstance(total, (int, Fraction)) and total == want[x], (kind, s, x)
         if any(q < 0 for a, b in itertools.permutations([X5, Y5, Z5], 2)
-               for row in asg.born_rows(a, b).values() for q in row.values()):
+               for row in asg.pair(a, b).born.values() for q in row.values()):
             negative.add(kind)
     assert negative == {AlgebraKind.SPLIT_C, AlgebraKind.SPLIT_H}
     asg = assignment_for([X5, Y5, Z5], make_algebra(AlgebraKind.H), rng, normalized=False)
     total_probability(sequences[2], frozenset({"x1"}), asg)
-    built = {key[1] for key in asg._built[1] if key[0] == "born"}
+    built = {key for key, pair in asg._built[1].items() if "born" in vars(pair)}
     pairs = [(a.element_set(), b.element_set()) for a, b in ((X5, Y5), (Y5, Z5), (Z5, X5))]
     assert built == {pairs[0], pairs[2]}
 
@@ -875,34 +914,42 @@ def test_plan_is_built_once_per_sequence(monkeypatch):
 
 def test_sum_rule_operators_are_built_once_per_frame(monkeypatch):
     """Both sum rules read each run boundary's operators from the frame's
-    kept entry: two passes of exact and float ``total_probability`` and a
-    validation in each mode resolve ``Assignment.born_rows``,
-    ``conjugated`` and ``real_blocks`` once per boundary that reads them,
-    on the first pass, and validation adds only its row checks, one Born
-    matrix per ground pair crossed; after the algebra's kernel is replaced
-    they are resolved once more, with the same totals."""
-    calls = []
-    for name in ("born_rows", "conjugated", "real_blocks"):
-        monkeypatch.setattr(Assignment, name, counted(calls, name, getattr(Assignment, name)))
-    a, b = atomic_measurement(A3), atomic_measurement(B3)
-    half = measurement("halfB", B3, [["b1", "b2"], ["b3"]])
-    # boundaries A3 -> B3, B3 -> A3, A3 -> B3 from runs [a], [half], [a], [b]: each
-    # reads a Born matrix, the first two a conjugate too, as the class {b1, b2} of
-    # run 1 is wide; the float sum rule reads the real blocks of all three
-    s, exact = sequence([a, half, a, b]), exact_unitary_c()
+    pairs, each form built on its first read and kept with the pair
+    (``vars(pair)``).  Over three boundaries that cross three ground pairs,
+    a first pass of exact and float ``total_probability`` builds a Born
+    matrix at each of the three, conjugate entries at the two next to the
+    wide class {b1, b2}, and real blocks at each; a second pass builds
+    nothing.  Validation in each mode adds only its row checks and, in
+    float mode, the Born matrix that each sums, one per ground pair
+    crossed.  After the algebra's kernel is replaced the pairs are built
+    again, with the same totals and the same forms."""
+    stored = exact_unitary_c().stored(A3, B3)
+    rows = [[stored[x, y] for y in B3.elements] for x in A3.elements]
+    exact = Assignment(make_algebra(AlgebraKind.C), [(A3, B3, rows), (B3, C3, rows),
+                                                     (C3, A3, rows)])
     floats = converted(exact, float)
+    # runs [a], [half], [c], [a]: boundaries A3 -> B3, B3 -> C3, C3 -> A3
+    half = measurement("halfB", B3, [["b1", "b2"], ["b3"]])
+    s = sequence([atomic_measurement(A3), half, atomic_measurement(C3), atomic_measurement(A3)])
 
     def totals():
         return [total_probability(s, frozenset({x}), asg)
                 for asg in (exact, floats) for x in ("a1", "a3")]
+
+    def built():
+        """Per mode and run boundary, the forms its pair keeps."""
+        forms = {"born", "conjugated", "real", "padded", "row_checks"}
+        return [[sorted(forms & set(vars(pair))) for pair in asg.frame(s.plan.grounds)[0]]
+                for asg in (exact, floats)]
     first = totals()
-    once = {"born_rows": 3, "conjugated": 2, "real_blocks": 3}
-    assert {name: calls.count(name) for name in once} == once
-    calls.clear()
-    assert totals() == first and calls == []
+    once = [[["born", "conjugated"], ["born", "conjugated"], ["born"]], [["real"]] * 3]
+    assert built() == once
+    assert [sum(name in forms for mode in once for forms in mode)
+            for name in ("born", "conjugated", "real")] == [3, 2, 3]
+    assert totals() == first and built() == once
     assert validate_assignment(s, exact).ok and validate_assignment(s, floats).ok
-    assert calls == ["born_rows"] * 4  # the row checks of A3 -> B3 and B3 -> A3, per mode
-    calls.clear()
+    assert built() == [[forms + ["row_checks"] for forms in once[0]],
+                       [["born", "real", "row_checks"]] * 3]
     kernel = exact.algebra.kernel
 
     def replaced(lefts, rights):
@@ -910,7 +957,7 @@ def test_sum_rule_operators_are_built_once_per_frame(monkeypatch):
     replaced.columns = kernel.columns
     monkeypatch.setitem(vars(exact.algebra), "kernel", replaced)
     assert totals() == first and totals() == first
-    assert {name: calls.count(name) for name in once} == once
+    assert built() == once
 
 
 # -- beyond the path bound ------------------------------------------------------------
